@@ -31,9 +31,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def _spectrum_args(p):
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--dp", type=int, required=True)
+    p.add_argument("--d", type=_positive_int, required=True)
+    p.add_argument("--dp", type=_positive_int, required=True)
     p.add_argument("--m10", type=int, default=0)
     p.add_argument("--m01", type=int, default=0)
     p.add_argument("--m11", type=int, default=0)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .complexes import (
     CochainComplex,
@@ -46,10 +46,13 @@ def _parse_rational(raw, where: str) -> Fraction:
 def _parse_matrix(raw, rows: int, cols: int, where: str) -> RatMatrix:
     if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
         raise DocumentError(f"matrix at {where} must be an array of arrays")
-    if len(raw) != rows or any(len(r) != cols for r in raw):
-        got = f"{len(raw)}x{len(raw[0]) if raw else 0}"
-        raise DocumentError(
-            f"shape mismatch at {where}: got {got}, expected {rows}x{cols}")
+    if len(raw) != rows:
+        raise DocumentError(f"shape mismatch at {where}: got {len(raw)} rows, "
+                            f"expected {rows}x{cols}")
+    for i, row in enumerate(raw):
+        if len(row) != cols:
+            raise DocumentError(f"shape mismatch at {where}: row {i} has "
+                                f"{len(row)} entries, expected {rows}x{cols}")
     data = [[_parse_rational(x, f"{where}[{i}][{j}]")
              for j, x in enumerate(row)] for i, row in enumerate(raw)]
     return RatMatrix.from_rows(data, cols)
@@ -80,78 +83,28 @@ def _format_rational(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _dims_field(doc, key="dims") -> Dict[int, int]:
+def _load_object(text: str) -> dict:
+    doc = _load_json(text)
+    if not isinstance(doc, dict):
+        raise DocumentError("document must be a JSON object")
+    return doc
+
+
+def _map_field(doc, key, required=False) -> dict:
+    """The JSON object under `key`; an absent optional field is empty."""
     raw = doc.get(key)
+    if raw is None and not required:
+        return {}
     if not isinstance(raw, dict):
         raise DocumentError(f"missing or malformed '{key}' map")
-    out = {}
-    for k, v in raw.items():
-        try:
-            deg = int(k)
-        except ValueError:
-            raise DocumentError(f"malformed degree key {k!r} in '{key}'") from None
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise DocumentError(f"malformed dimension at {key}[{k}]: {v!r}")
-        out[deg] = v
-    return out
+    return raw
 
 
-def parse_cochain_document(text: str) -> CochainComplex:
-    """Parse a rational cochain complex document and validate d o d = 0."""
-    doc = _load_json(text)
-    if not isinstance(doc, dict):
-        raise DocumentError("document must be a JSON object")
-    min_deg = doc.get("min_deg", 0)
-    if not isinstance(min_deg, int) or isinstance(min_deg, bool):
-        raise DocumentError("'min_deg' must be an integer")
-    dims = _dims_field(doc)
-    diffs = {}
-    for k, raw in (doc.get("differentials") or {}).items():
-        try:
-            deg = int(k)
-        except ValueError:
-            raise DocumentError(f"malformed degree key {k!r} in 'differentials'") \
-                from None
-        diffs[deg] = _parse_matrix(raw, dims.get(deg + 1, 0), dims.get(deg, 0),
-                                   f"differentials[{k}]")
+def _degree_key(k: str, where: str) -> int:
     try:
-        C = cochain_complex(min_deg, dims, diffs)
-    except ComplexError as e:
-        raise DocumentError(str(e)) from None
-    if not validate_complex(C):
-        bad = next(n for n in C.degrees()
-                   if not (C.differential(n + 1) @ C.differential(n)).is_zero())
-        raise DocumentError(f"d o d != 0 at degree {bad}")
-    return C
-
-
-def parse_chain_document(text: str) -> IntChainComplex:
-    """Parse an integer chain complex document (homological grading)."""
-    doc = _load_json(text)
-    if not isinstance(doc, dict):
-        raise DocumentError("document must be a JSON object")
-    min_deg = doc.get("min_deg", 0)
-    dims = _dims_field(doc)
-    diffs = {}
-    for k, raw in (doc.get("differentials") or {}).items():
-        try:
-            deg = int(k)
-        except ValueError:
-            raise DocumentError(f"malformed degree key {k!r} in 'differentials'") \
-                from None
-        diffs[deg] = _parse_int_matrix(raw, dims.get(deg - 1, 0),
-                                       dims.get(deg, 0),
-                                       f"differentials[{k}]")
-    try:
-        C = int_chain_complex(min_deg, dims, diffs)
-    except ComplexError as e:
-        raise DocumentError(str(e)) from None
-    if not validate_complex(C):
-        bad = next(n for n in C.degrees()
-                   if any(e != 0 for e in
-                          (C.differential(n) @ C.differential(n + 1)).entries))
-        raise DocumentError(f"d o d != 0 at degree {bad}")
-    return C
+        return int(k)
+    except ValueError:
+        raise DocumentError(f"malformed degree key {k!r} in '{where}'") from None
 
 
 def _cell_key(k: str, where: str) -> Tuple[int, int]:
@@ -164,28 +117,62 @@ def _cell_key(k: str, where: str) -> Tuple[int, int]:
         raise DocumentError(f"malformed cell key {k!r} in '{where}'") from None
 
 
+def _dims_field(doc, parse_key) -> dict:
+    out = {}
+    for k, v in _map_field(doc, "dims", required=True).items():
+        key = parse_key(k, "dims")
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            raise DocumentError(f"malformed dimension at dims[{k}]: {v!r}")
+        out[key] = v
+    return out
+
+
+def _parse_complex(text: str, step: int, parse_matrix, build):
+    """One parse path for both gradings: differentials[n] maps degree n to
+    degree n + step (+1 for cochain, -1 for chain complexes)."""
+    doc = _load_object(text)
+    min_deg = doc.get("min_deg", 0)
+    if not isinstance(min_deg, int) or isinstance(min_deg, bool):
+        raise DocumentError("'min_deg' must be an integer")
+    dims = _dims_field(doc, _degree_key)
+    diffs = {}
+    for k, raw in _map_field(doc, "differentials").items():
+        deg = _degree_key(k, "differentials")
+        diffs[deg] = parse_matrix(raw, dims.get(deg + step, 0),
+                                  dims.get(deg, 0), f"differentials[{k}]")
+    try:
+        C = build(min_deg, dims, diffs)
+    except ComplexError as e:
+        raise DocumentError(str(e)) from None
+    if not validate_complex(C):
+        bad = next(min(n, n + step) for n in C.degrees() if any(
+            (C.differential(n + step) @ C.differential(n)).entries))
+        raise DocumentError(f"d o d != 0 at degree {bad}")
+    return C
+
+
+def parse_cochain_document(text: str) -> CochainComplex:
+    """Parse a rational cochain complex document and validate d o d = 0."""
+    return _parse_complex(text, 1, _parse_matrix, cochain_complex)
+
+
+def parse_chain_document(text: str) -> IntChainComplex:
+    """Parse an integer chain complex document (homological grading)."""
+    return _parse_complex(text, -1, _parse_int_matrix, int_chain_complex)
+
+
 def parse_double_complex_document(text: str) -> DoubleComplex:
     """Parse a double complex document and validate all its invariants."""
-    doc = _load_json(text)
-    if not isinstance(doc, dict):
-        raise DocumentError("document must be a JSON object")
+    doc = _load_object(text)
     for key in ("max_r", "max_c"):
         if not isinstance(doc.get(key), int) or isinstance(doc.get(key), bool):
             raise DocumentError(f"missing or malformed '{key}'")
     max_r, max_c = doc["max_r"], doc["max_c"]
-    raw_dims = doc.get("dims")
-    if not isinstance(raw_dims, dict):
-        raise DocumentError("missing or malformed 'dims' map")
-    dims = {}
-    for k, v in raw_dims.items():
-        rs = _cell_key(k, "dims")
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise DocumentError(f"malformed dimension at dims[{k}]: {v!r}")
-        dims[rs] = v
+    dims = _dims_field(doc, _cell_key)
 
     def maps(field, shape):
         out = {}
-        for k, raw in (doc.get(field) or {}).items():
+        for k, raw in _map_field(doc, field).items():
             r, s = _cell_key(k, field)
             tr, ts = shape(r, s)
             out[(r, s)] = _parse_matrix(raw, dims.get((tr, ts), 0),

@@ -250,28 +250,6 @@ def is_complementary(U: Subspace, W: Subspace) -> bool:
     return subspace_intersect(U, W).dim == 0
 
 
-def annihilator(S: Subspace) -> Subspace:
-    """Functionals vanishing on S, as row vectors (the orthogonal complement)."""
-    return kernel_basis(S.basis)
-
-
-def map_subspace(M: RatMatrix, S: Subspace) -> Subspace:
-    """Image M(S) as a subspace of Q^{M.rows}."""
-    if S.ambient_dim != M.cols:
-        raise ValueError("ambient dimension mismatch")
-    return Subspace.span(M.rows, [M.apply(v) for v in S.vectors()])
-
-
-def preimage_subspace(M: RatMatrix, W: Subspace) -> Subspace:
-    """Preimage {x : Mx in W} as a subspace of Q^{M.cols}."""
-    if W.ambient_dim != M.rows:
-        raise ValueError("ambient dimension mismatch")
-    A = annihilator(W)
-    if A.dim == 0:
-        return Subspace.full(M.cols)
-    return kernel_basis(A.basis @ M)
-
-
 def column_space(M: RatMatrix) -> Subspace:
     """Image of M acting on column vectors, as a subspace of Q^{M.rows}."""
     return Subspace.span(M.rows, M.transpose().to_lists())

@@ -1,21 +1,31 @@
 """First-quadrant double complexes and their two spectral sequences.
 
 The engine totalizes a grid of commuting squares (inserting the (-1)^r sign
-itself), filters the total complex by column or by row, and computes every
-page by exact subspace arithmetic:
+itself) and filters the total complex T by column or by row: F^p T^n is
+spanned by the block basis vectors of level >= p.  The pages are defined by
 
     Z_r^{p,q} = F^p T^{p+q}  intersect  D^{-1}(F^{p+r} T^{p+q+1})
     E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + D Z_{r-1}^{p-r+1,q+r-2})
 
-Filtrations on total cohomology, the oppositeness test, the dimension
-criterion implying it, and degeneration detection live here too.
+and computed from one persistence pairing: over a field a filtered complex
+splits into interval pieces, which give every page and every d_r (Zomorodian
+and Carlsson 2005; Basu and Parida 2017).  Each D^n is reduced column by
+column in the order (level descending, index ascending), the pivot of a
+column being its nonzero row that comes last in that same order.  A reduced
+column pairs a source of level p with a target of level p+k; for k >= 1 both
+live on pages 1..k and add 1 to the rank of d_k at the source's cell.  Basis
+vectors left unpaired are cycles: they give E_infinity, and those of level
+>= p span F^p H^n.  Filtrations on total cohomology, the oppositeness test,
+the dimension criterion implying it, and degeneration detection live here.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from math import inf
+from typing import Dict, List, NamedTuple, Tuple
 
 from .complexes import CochainComplex, cochain_complex
 from .qlinalg import (
@@ -25,10 +35,7 @@ from .qlinalg import (
     extend_basis,
     is_complementary,
     kernel_basis,
-    map_subspace,
-    preimage_subspace,
     solve,
-    subspace_intersect,
     subspace_sum,
 )
 
@@ -78,6 +85,9 @@ def double_complex(max_r: int, max_c: int,
                    horiz: Dict[Tuple[int, int], RatMatrix],
                    vert: Dict[Tuple[int, int], RatMatrix]) -> DoubleComplex:
     """Build and validate a DoubleComplex (shapes, d'd'=0, d''d''=0, squares)."""
+    if max_r < 0 or max_c < 0:
+        raise DoubleComplexError(f"max_r and max_c must be >= 0, got "
+                                 f"{max_r} and {max_c}")
     dims = {c: d for c, d in dims.items() if d > 0}
     for (r, s) in dims:
         if not (0 <= r <= max_r and 0 <= s <= max_c):
@@ -164,7 +174,8 @@ def total_complex(K: DoubleComplex) -> CochainComplex:
 class SpectralPages:
     """All computed pages of one of the two spectral sequences.
 
-    pages[r][(p,q)] = (dim, representative subspace in T^{p+q} coordinates);
+    pages[r][(p,q)] = (dim, span in T^{p+q} coordinates of chains whose
+    classes form a basis of E_r^{p,q});
     d_ranks[(r,p,q)] = rank of d_r out of (p,q) (zero entries omitted);
     limit[(p,q)] = E_infinity dimension; stable_page = first page equal to
     the limit with all later differentials zero.
@@ -211,125 +222,79 @@ class FiltrationChain:
         return tuple(s.dim for s in self.spaces)
 
 
-class _Engine:
-    """Shared filtered-complex machinery for one (double complex, axis) pair."""
+class _Generator(NamedTuple):
+    """One generator of the interval decomposition: its cell (p, q) in the
+    coordinates of the axis, the pages 1..life it lives on (0 for none, inf
+    for all), whether it is the source of its pair, and its representative
+    chain in T^{p+q} coordinates."""
 
-    def __init__(self, K: DoubleComplex, axis: str):
-        if axis not in (COLUMN, ROW):
-            raise ValueError(f"axis must be '{COLUMN}' or '{ROW}'")
-        self.K = K
-        self.axis = axis
-        self.top = K.max_r + K.max_c
-        self.max_level = K.max_r if axis == COLUMN else K.max_c
-        self.co_max = K.max_c if axis == COLUMN else K.max_r
-        self.D = {n: _total_differential(K, n) for n in range(self.top + 1)}
-        self.tdim = {n: _total_dim(K, n) for n in range(self.top + 2)}
-        self._filt: Dict[Tuple[int, int], Subspace] = {}
-        self._z: Dict[Tuple[int, int, int], Subspace] = {}
+    p: int
+    q: int
+    life: float
+    source: bool
+    chain: Tuple[Fraction, ...]
 
-    def level(self, r: int, s: int) -> int:
-        return r if self.axis == COLUMN else s
 
-    def filt(self, p: int, n: int) -> Subspace:
-        """F^p T^n: coordinates of blocks with filtration level >= p."""
-        amb = self.tdim.get(n, 0)
-        if n < 0 or n > self.top:
-            return Subspace.zero(max(amb, 0))
-        p = max(p, 0)
-        key = (p, n)
-        if key not in self._filt:
-            vecs = []
-            for r, s, off, d in _layout(self.K, n):
-                if self.level(r, s) >= p:
-                    for i in range(d):
-                        v = [Fraction(0)] * amb
-                        v[off + i] = Fraction(1)
-                        vecs.append(v)
-            self._filt[key] = Subspace.span(amb, vecs)
-        return self._filt[key]
+def _pairing(K: DoubleComplex, axis: str) -> List[_Generator]:
+    """Persistence pairing of Tot(K) filtered by `axis`, in every degree.
 
-    def Z(self, r: int, p: int, n: int) -> Subspace:
-        """Approximation subspace {x in F^p T^n : Dx in F^{p+r} T^{n+1}}."""
-        amb = self.tdim.get(n, 0)
-        if amb == 0:
-            return Subspace.zero(0)
-        start = max(p, 0)
-        target = min(max(p + r, 0), self.max_level + 1)
-        key = (start, target, n)
-        if key not in self._z:
-            F = self.filt(start, n)
-            if n + 1 > self.top or self.tdim.get(n + 1, 0) == 0:
-                self._z[key] = F
-            else:
-                W = self.filt(target, n + 1)
-                pre = preimage_subspace(self.D[n], W)
-                self._z[key] = subspace_intersect(F, pre)
-        return self._z[key]
-
-    def boundary_part(self, r: int, p: int, q: int) -> Subspace:
-        """Denominator Z_{r-1}^{p+1,q-1} + D Z_{r-1}^{p-r+1,q+r-2} of E_r^{p,q}."""
-        n = p + q
-        amb = self.tdim.get(n, 0)
-        first = self.Z(r - 1, p + 1, n)
-        prev_n = n - 1
-        if prev_n < 0 or self.tdim.get(prev_n, 0) == 0 or amb == 0:
-            return first
-        src = self.Z(r - 1, p - r + 1, prev_n)
-        mapped = map_subspace(self.D[prev_n], src)
-        return subspace_sum(first, mapped)
-
-    def e_cell(self, r: int, p: int, q: int) -> Tuple[int, Subspace]:
-        n = p + q
-        amb = self.tdim.get(n, 0)
-        if amb == 0:
-            return 0, Subspace.zero(max(amb, 0))
-        num = self.Z(r, p, n)
-        den = self.boundary_part(r, p, q)
-        dim = num.dim - den.dim
-        if dim == 0:
-            return 0, Subspace.zero(amb)
-        reps = extend_basis(den, subspace_sum(num, den))
-        return dim, Subspace.span(amb, reps)
+    A column whose basis vector is already the target of a pair reduces to
+    zero, so it is skipped (clearing).
+    """
+    if axis not in (COLUMN, ROW):
+        raise ValueError(f"axis must be '{COLUMN}' or '{ROW}'")
+    top = K.max_r + K.max_c
+    cells = [[(r, s) if axis == COLUMN else (s, r)
+              for r, s, _, d in _layout(K, n) for _ in range(d)]
+             for n in range(top + 2)]
+    gens: List[_Generator] = []
+    killed: Dict[int, tuple] = {}  # target row -> (source level, column, chain)
+    for n in range(top + 1):
+        src, dst = cells[n], cells[n + 1]
+        D = _total_differential(K, n)
+        last_first = sorted(range(len(dst)), key=lambda j: (dst[j][0], -j))
+        owner: Dict[int, tuple] = {}
+        for i in sorted(range(len(src)), key=lambda i: (-src[i][0], i)):
+            p, q = src[i]
+            if i in killed:
+                level, col, _ = killed[i]
+                gens.append(_Generator(p, q, p - level, False, tuple(col)))
+                continue
+            col = [D[j, i] for j in range(D.rows)]
+            chain = [Fraction(int(j == i)) for j in range(len(src))]
+            while True:
+                low = next((j for j in last_first if col[j]), None)
+                if low not in owner:
+                    break
+                _, rcol, rchain = owner[low]
+                f = col[low] / rcol[low]
+                col = [a - f * b for a, b in zip(col, rcol)]
+                chain = [a - f * b for a, b in zip(chain, rchain)]
+            if low is None:
+                gens.append(_Generator(p, q, inf, False, tuple(chain)))
+                continue
+            owner[low] = p, col, chain
+            gens.append(_Generator(p, q, dst[low][0] - p, True, tuple(chain)))
+        killed = owner
+    return gens
 
 
 def spectral_pages(K: DoubleComplex, axis: str) -> SpectralPages:
     """Pages E_1, E_2, ... of the chosen filtration, with d_r ranks and limit."""
-    eng = _Engine(K, axis)
-    last = eng.top + 1  # beyond this every d_r vanishes (first quadrant)
+    gens = _pairing(K, axis)
+    last = K.max_r + K.max_c + 1  # beyond this every d_r vanishes (first quadrant)
     pages: Dict[int, Dict[Tuple[int, int], Tuple[int, Subspace]]] = {}
-    d_ranks: Dict[Tuple[int, int, int], int] = {}
-    cells = [(p, q) for p in range(eng.max_level + 1)
-             for q in range(eng.co_max + 1)]
     for r in range(1, last + 2):
-        grid = {}
-        for p, q in cells:
-            dim, reps = eng.e_cell(r, p, q)
-            if dim:
-                grid[(p, q)] = (dim, reps)
-        pages[r] = grid
-        if r <= last:
-            for p, q in list(grid):
-                tp, tq = p + r, q - r + 1
-                if tq < 0 or tp > eng.max_level:
-                    continue
-                src = eng.Z(r, p, p + q)
-                n_src = p + q
-                if eng.tdim.get(n_src + 1, 0) == 0:
-                    continue
-                image = map_subspace(eng.D[n_src], src)
-                den_t = eng.boundary_part(r, tp, tq)
-                rk = subspace_sum(image, den_t).dim - den_t.dim
-                if rk:
-                    d_ranks[(r, p, q)] = rk
+        alive: Dict[Tuple[int, int], list] = {}
+        for g in gens:
+            if g.life >= r:
+                alive.setdefault((g.p, g.q), []).append(g.chain)
+        pages[r] = {pq: (len(chains), Subspace.span(len(chains[0]), chains))
+                    for pq, chains in alive.items()}
+    d_ranks = dict(Counter((g.life, g.p, g.q) for g in gens
+                           if g.source and g.life))
     limit = {pq: dim for pq, (dim, _) in pages[last + 1].items()}
-    stable = last + 1
-    for r in range(last, 0, -1):
-        same_dims = {pq: d for pq, (d, _) in pages[r].items()} == limit
-        later_ranks = any(rr >= r for (rr, _, _) in d_ranks)
-        if same_dims and not later_ranks:
-            stable = r
-        else:
-            break
+    stable = 1 + max((g.life for g in gens if g.source), default=0)
     return SpectralPages(filtration_axis=axis, pages=pages, d_ranks=d_ranks,
                          limit=limit, stable_page=stable)
 
@@ -365,18 +330,18 @@ def _quotient_map(K: DoubleComplex, n: int):
 
 
 def filtration_on_total(K: DoubleComplex, axis: str, n: int) -> FiltrationChain:
-    """Filtration F^p H^n(Tot) induced by the chosen axis."""
-    eng = _Engine(K, axis)
-    if n < 0 or n > eng.top:
+    """Filtration F^p H^n(Tot) induced by the chosen axis: F^p is spanned by
+    the classes of the unpaired cycles of level >= p."""
+    gens = _pairing(K, axis)
+    if n < 0 or n > K.max_r + K.max_c:
         return FiltrationChain(max(n, 0), tuple(
             Subspace.zero(0) for _ in range(max(n, 0) + 2)))
     b, to_coords = _quotient_map(K, n)
-    spaces = []
-    for p in range(0, n + 2):
-        zinf = eng.Z(eng.top + 2, p, n)  # F^p intersect ker D
-        vecs = [to_coords(v) for v in zinf.vectors()]
-        spaces.append(Subspace.span(b, vecs))
-    return FiltrationChain(n, tuple(spaces))
+    cycles = [(g.p, to_coords(g.chain)) for g in gens
+              if g.life == inf and g.p + g.q == n]
+    return FiltrationChain(n, tuple(
+        Subspace.span(b, [v for level, v in cycles if level >= p])
+        for p in range(n + 2)))
 
 
 def opposite_check(F: FiltrationChain, G: FiltrationChain) -> bool:

@@ -4,7 +4,8 @@ Random complexes are built as direct sums of elementary two-term complexes
 and lone summands, then conjugated by random invertible (over Q) or
 unimodular (over Z) changes of basis so the matrices look generic while
 d o d = 0 holds exactly.  Double complexes come from tensor bicomplexes of
-two random complexes, which have commuting squares by construction.
+two random complexes, which have commuting squares by construction, or from
+staircase zigzags with known pages.
 """
 
 import random
@@ -16,7 +17,7 @@ from exhom.complexes import (
     int_chain_complex,
 )
 from exhom.qlinalg import RatMatrix, rank, solve
-from exhom.spectral import double_complex
+from exhom.spectral import COLUMN, ROW, double_complex
 from exhom.zlinalg import IntMatrix
 
 
@@ -53,18 +54,18 @@ def _rat_inverse(M):
     return RatMatrix.from_rows([list(r) for r in zip(*cols)], d)
 
 
+def _random_invertible(rng, d, spread=2):
+    while True:
+        M = RatMatrix.from_rows(
+            [[Fraction(rng.randint(-spread, spread)) for _ in range(d)]
+             for _ in range(d)], d)
+        if rank(M) == d:
+            return M
+
+
 def conjugate_cochain(rng, C: CochainComplex, spread=2) -> CochainComplex:
     """Apply a random invertible change of basis in every degree."""
-    P = {}
-    for n in C.degrees():
-        d = C.dim(n)
-        while True:
-            M = RatMatrix.from_rows(
-                [[Fraction(rng.randint(-spread, spread)) for _ in range(d)]
-                 for _ in range(d)], d)
-            if rank(M) == d:
-                break
-        P[n] = M
+    P = {n: _random_invertible(rng, C.dim(n), spread) for n in C.degrees()}
     diffs = {}
     for n in C.degrees():
         dn = C.differential(n)
@@ -161,6 +162,100 @@ def random_double_complex(rng, max_r=3, max_c=3):
     C = random_dense_cochain(rng, max_deg=max_r, max_pieces=3)
     D = random_cochain(rng, max_deg=max_c, max_pieces=2)
     return tensor_double_complex(C, D)
+
+
+class Zigzags:
+    """Known answers for a direct sum of staircase zigzags and lone cells.
+
+    A zigzag (axis, p, q, r) has, in the (p, q) coordinates of `axis`,
+    generators x_0..x_{r-1} at (p+i, q-i) and y_1..y_r at (p+j, q-j+1), with
+    x_i -> y_{i+1} and, for i >= 1, x_i -> y_i.  On its own axis the only
+    surviving pair is x_0 -> y_r, one d_r living on pages 1..r; on the other
+    axis each x_i cancels y_{i+1} within its level, so it is gone from E_1
+    on.  It is acyclic, so H(Tot) is spanned by the lone cells (r, s).
+    """
+
+    def __init__(self, zigzags, lones):
+        self.zigzags = zigzags
+        self.lones = lones
+
+    @staticmethod
+    def cell(axis, p, q):
+        """Cell (r, s) of the axis coordinates (p, q); its own inverse."""
+        return (p, q) if axis == COLUMN else (q, p)
+
+    def page_dims(self, axis, page):
+        dims = {}
+        for a, p, q, r in self.zigzags:
+            if a == axis and r >= page:
+                for pq in ((p, q), (p + r, q - r + 1)):
+                    dims[pq] = dims.get(pq, 0) + 1
+        for c in self.lones:
+            pq = self.cell(axis, *c)
+            dims[pq] = dims.get(pq, 0) + 1
+        return dims
+
+    def d_ranks(self, axis):
+        out = {}
+        for a, p, q, r in self.zigzags:
+            if a == axis:
+                out[(r, p, q)] = out.get((r, p, q), 0) + 1
+        return out
+
+    def stable_page(self, axis):
+        return 1 + max((r for a, _, _, r in self.zigzags if a == axis),
+                       default=0)
+
+    def filtration_dims(self, axis, n):
+        levels = [self.cell(axis, *c)[0] for c in self.lones
+                  if sum(c) == n]
+        return tuple(sum(1 for lv in levels if lv >= p)
+                     for p in range(n + 2))
+
+
+def random_zigzag_double_complex(rng, grid=4, pieces=6):
+    """Known-answer double complex on the (grid+1)^2 square: staircase
+    zigzags of length 1..3 in random orientation plus lone cells, every
+    cell conjugated by a random invertible matrix.  Returns (K, Zigzags)."""
+    zigzags, lones = [], []
+    for _ in range(rng.randint(1, pieces)):
+        if rng.random() < 0.75:
+            r = rng.randint(1, min(3, grid))
+            zigzags.append((rng.choice((COLUMN, ROW)),
+                            rng.randint(0, grid - r),
+                            rng.randint(r - 1, grid), r))
+        else:
+            lones.append((rng.randint(0, grid), rng.randint(0, grid)))
+    dims, arrows = {}, []
+
+    def new(axis, p, q):
+        c = Zigzags.cell(axis, p, q)
+        dims[c] = dims.get(c, 0) + 1
+        return c, dims[c] - 1
+
+    for axis, p, q, r in zigzags:
+        xs = [new(axis, p + i, q - i) for i in range(r)]
+        ys = [None] + [new(axis, p + j, q - j + 1) for j in range(1, r + 1)]
+        for i, x in enumerate(xs):
+            arrows.append((x, ys[i + 1]))
+            if i:
+                arrows.append((x, ys[i]))
+    for c in lones:
+        new(COLUMN, *c)
+    raw = {}
+    for (sc, si), (dc, di) in arrows:
+        field = "horiz" if dc[0] == sc[0] + 1 else "vert"
+        M = raw.setdefault((field, sc), [[Fraction(0)] * dims[sc]
+                                         for _ in range(dims[dc])])
+        M[di][si] = Fraction(rng.choice((-2, -1, 1, 2)))
+    P = {c: _random_invertible(rng, d) for c, d in dims.items()}
+    maps = {"horiz": {}, "vert": {}}
+    for (field, (r, s)), M in raw.items():
+        dst = (r + 1, s) if field == "horiz" else (r, s + 1)
+        maps[field][(r, s)] = (P[dst] @ RatMatrix.from_rows(M, dims[(r, s)])
+                               @ _rat_inverse(P[(r, s)]))
+    K = double_complex(grid, grid, dims, maps["horiz"], maps["vert"])
+    return K, Zigzags(zigzags, lones)
 
 
 def random_int_matrix(rng, max_size=6, bound=20):

@@ -268,3 +268,59 @@ def test_cli_validation_error_on_bad_document(tmp_path, capsys):
     code, _, err = run_cli(capsys, "kunneth", "--a", str(f), "--b", str(f))
     assert code == 1
     assert "malformed rational" in err
+
+
+def _rejected(code, err):
+    return code == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_rejects_negative_grid(tmp_path, capsys):
+    f = tmp_path / "k.json"
+    f.write_text(json.dumps({"max_r": -1, "max_c": 0, "dims": {},
+                             "horiz": {}, "vert": {}}))
+    code, out, err = run_cli(capsys, "ss", "--input", str(f), "--axis", "col")
+    assert _rejected(code, err) and out == ""
+    assert "max_r and max_c must be >= 0" in err
+
+
+def test_cli_rejects_maps_that_are_not_objects(tmp_path, capsys):
+    f = tmp_path / "doc.json"
+    chain = {"dims": {"0": 1, "1": 1}, "differentials": [1]}
+    f.write_text(json.dumps(chain))
+    for argv in (("kunneth", "--a", str(f), "--b", str(f)),
+                 ("uct", "--input", str(f), "--mod", "2")):
+        code, _, err = run_cli(capsys, *argv)
+        assert _rejected(code, err)
+        assert "malformed 'differentials' map" in err
+    for field in ("horiz", "vert"):
+        doc = {"max_r": 1, "max_c": 1, "dims": {"0,0": 1}, field: [1]}
+        f.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "ss", "--input", str(f), "--axis", "row")
+        assert _rejected(code, err)
+        assert f"malformed '{field}' map" in err
+
+
+def test_cli_rejects_non_integer_chain_min_deg(tmp_path, capsys):
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps({"min_deg": "a", "dims": {"0": 1}}))
+    code, _, err = run_cli(capsys, "uct", "--input", str(f), "--mod", "2")
+    assert _rejected(code, err)
+    assert "'min_deg' must be an integer" in err
+
+
+def test_cli_snf_names_ragged_row(tmp_path, capsys):
+    f = tmp_path / "m.json"
+    f.write_text("[[1, 2], [3]]")
+    code, _, err = run_cli(capsys, "snf", "--input", str(f))
+    assert _rejected(code, err)
+    assert "row 1 has 1 entries, expected 2x2" in err
+
+
+def test_cli_spectrum_dimensions_must_be_positive(capsys):
+    for argv in (("e2", "--d", "0", "--dp", "1"),
+                 ("betti", "--d", "1", "--dp", "-3"),
+                 ("filtration", "--d", "x", "--dp", "1", "--n", "0")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "expected a positive integer" in err
+        assert "Traceback" not in err

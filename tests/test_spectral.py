@@ -245,3 +245,9 @@ def test_opposite_mismatch_raises():
                             Subspace.span(2, [[1, 0]]), Subspace.zero(2)))
     with pytest.raises(ValueError):
         opposite_check(F, H)
+
+
+def test_negative_grid_rejected():
+    for max_r, max_c in ((-1, 0), (0, -1)):
+        with pytest.raises(DoubleComplexError, match="must be >= 0"):
+            double_complex(max_r, max_c, {}, {}, {})
