@@ -21,6 +21,7 @@ from .zlinalg import (
     IntMatrix,
     SmithForm,
     cokernel_structure,
+    invariant_factors,
     smith_normal_form,
 )
 from .complexes import (

@@ -18,7 +18,7 @@ from .documents import (
     parse_double_complex_document,
     parse_int_matrix_document,
 )
-from .zlinalg import smith_normal_form
+from .zlinalg import invariant_factors, is_prime
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
@@ -31,21 +31,36 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int, what: str):
+    """argparse type: an integer >= low, else a usage error naming `what`."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+def _modulus(text: str) -> int:
+    """argparse type for --mod: an integer >= 2 whose primality is decidable."""
+    m = _int_at_least(2, "an integer >= 2")(text)
     try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        is_prime(m)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    return m
 
 
 def _spectrum_args(p):
-    p.add_argument("--d", type=_positive_int, required=True)
-    p.add_argument("--dp", type=_positive_int, required=True)
-    p.add_argument("--m10", type=int, default=0)
-    p.add_argument("--m01", type=int, default=0)
-    p.add_argument("--m11", type=int, default=0)
+    positive = _int_at_least(1, "a positive integer")
+    nonnegative = _int_at_least(0, "a non-negative integer")
+    p.add_argument("--d", type=positive, required=True)
+    p.add_argument("--dp", type=positive, required=True)
+    p.add_argument("--m10", type=nonnegative, default=0)
+    p.add_argument("--m01", type=nonnegative, default=0)
+    p.add_argument("--m11", type=nonnegative, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("uct", help="universal-coefficient check mod m")
     p.add_argument("--input", required=True)
-    p.add_argument("--mod", type=int, required=True)
+    p.add_argument("--mod", type=_modulus, required=True)
 
     p = sub.add_parser("snf", help="Smith normal form diagonal of a matrix")
     p.add_argument("--input", required=True)
@@ -176,9 +191,6 @@ def _cmd_kunneth(args, out) -> int:
 
 
 def _cmd_uct(args, out) -> int:
-    if args.mod < 2:
-        print("error: --mod must be >= 2", file=sys.stderr)
-        return USAGE_ERROR
     C = parse_chain_document(_read(args.input))
     report = complexes.uct_check(C, args.mod)
     print(report.render(), file=out)
@@ -187,8 +199,7 @@ def _cmd_uct(args, out) -> int:
 
 def _cmd_snf(args, out) -> int:
     A = parse_int_matrix_document(_read(args.input))
-    snf = smith_normal_form(A)
-    print(" ".join(str(d) for d in snf.diagonal), file=out)
+    print(" ".join(map(str, invariant_factors(A))), file=out)
     return 0
 
 

@@ -1,8 +1,13 @@
 """Finite cochain complexes over Q and chain complexes over Z.
 
 Provides cohomology with representatives, total tensor products with the
-Leibniz sign, a Kunneth dimension check, integral homology via Smith normal
-form, a universal-coefficient dimension check, and degreewise dualization.
+Leibniz sign, a Kunneth dimension check, integral homology from invariant
+factors, a universal-coefficient dimension check, and degreewise
+dualization.
+
+Every function here assumes d o d = 0 and does not check it: the builders
+`cochain_complex`/`int_chain_complex` check shapes only, while
+`validate_complex` and the document parsers check the composites.
 """
 
 from __future__ import annotations
@@ -17,16 +22,12 @@ from .qlinalg import (
     column_space,
     extend_basis,
     kernel_basis,
-    rank,
-    solve,
-    subspace_sum,
 )
 from .zlinalg import (
     FinAbGroup,
     IntMatrix,
-    cokernel_structure,
+    invariant_factors,
     is_prime,
-    kernel_lattice,
     rank_mod_p,
 )
 
@@ -234,35 +235,22 @@ def kunneth_check(C: CochainComplex, D: CochainComplex) -> CheckReport:
                        all(l == r for _, l, r in rows))
 
 
+def _homology(dim_n: int, factors_n, factors_next) -> FinAbGroup:
+    """H_n from dim C_n and the invariant factors of d_n and d_{n+1}."""
+    ranks = sum(1 for d in factors_n + factors_next if d)
+    return FinAbGroup(dim_n - ranks, tuple(d for d in factors_next if d > 1))
+
+
 def homology_int(C: IntChainComplex, n: int) -> FinAbGroup:
-    """H_n = ker d_n / im d_{n+1} as a finitely generated abelian group."""
-    cn = C.dim(n)
-    if cn == 0:
-        return FinAbGroup(0, ())
-    kbasis = kernel_lattice(C.differential(n))
-    k = len(kbasis)
-    if k == 0:
-        return FinAbGroup(0, ())
-    dnext = C.differential(n + 1)
-    if dnext.cols == 0:
-        return FinAbGroup(k, ())
-    # express the columns of d_{n+1} in the kernel basis (saturated, so the
-    # rational solution is integral)
-    K = RatMatrix.from_rows([[Fraction(x) for x in row] for row in
-                             zip(*kbasis)], k)
-    cols = []
-    for j in range(dnext.cols):
-        y = solve(K, [Fraction(x) for x in dnext.column(j)])
-        if y is None:
-            raise ComplexError(f"image of d_{n + 1} not inside ker d_{n}")
-        col = []
-        for f in y:
-            if f.denominator != 1:
-                raise ComplexError("non-integral coordinates in kernel basis")
-            col.append(f.numerator)
-        cols.append(col)
-    rel = IntMatrix.from_rows([list(r) for r in zip(*cols)], dnext.cols)
-    return cokernel_structure(rel)
+    """H_n = ker d_n / im d_{n+1} as a finitely generated abelian group.
+
+    Requires d_n o d_{n+1} = 0.  ker d_n is a saturated lattice containing
+    im d_{n+1}, so H_n has free rank dim C_n - rk d_n - rk d_{n+1} and the
+    torsion of coker d_{n+1}: its invariant factors > 1 (Munkres, Elements
+    of Algebraic Topology, section 11).
+    """
+    return _homology(C.dim(n), invariant_factors(C.differential(n)),
+                     invariant_factors(C.differential(n + 1)))
 
 
 def _dim_tensor_mod(G: FinAbGroup, m: int) -> int:
@@ -285,7 +273,10 @@ def uct_check(C: IntChainComplex, m: int) -> CheckReport:
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
-    groups = {n: homology_int(C, n) for n in C.degrees()}
+    degrees = range(C.min_deg, C.max_deg + 2)
+    factors = {n: invariant_factors(C.differential(n)) for n in degrees}
+    groups = {n: _homology(C.dim(n), factors[n], factors[n + 1])
+              for n in C.degrees()}
     if not is_prime(m):
         from math import gcd
         dims = {n: groups[n].free_rank
@@ -296,11 +287,10 @@ def uct_check(C: IntChainComplex, m: int) -> CheckReport:
         return CheckReport(
             "uct", (), True,
             note=f"modulus {m} not prime; invariant-factor side only: {dims}")
+    ranks = {n: rank_mod_p(C.differential(n), m) for n in degrees}
     rows = []
     for n in C.degrees():
-        lhs = (C.dim(n)
-               - rank_mod_p(C.differential(n), m)
-               - rank_mod_p(C.differential(n + 1), m))
+        lhs = C.dim(n) - ranks[n] - ranks[n + 1]
         rhs = (_dim_tensor_mod(groups[n], m)
                + _dim_tor_mod(groups.get(n - 1, FinAbGroup(0, ())), m))
         rows.append((n, lhs, rhs))

@@ -6,6 +6,10 @@ unimodular (over Z) changes of basis so the matrices look generic while
 d o d = 0 holds exactly.  Double complexes come from tensor bicomplexes of
 two random complexes, which have commuting squares by construction, or from
 staircase zigzags with known pages.
+
+Also holds the kernel-lattice route to integral homology, which the library
+used before it read H_n off invariant factors; it is the slow reference the
+new `homology_int` is tested against.
 """
 
 import random
@@ -13,12 +17,13 @@ from fractions import Fraction
 
 from exhom.complexes import (
     CochainComplex,
+    IntChainComplex,
     cochain_complex,
     int_chain_complex,
 )
 from exhom.qlinalg import RatMatrix, rank, solve
 from exhom.spectral import COLUMN, ROW, double_complex
-from exhom.zlinalg import IntMatrix
+from exhom.zlinalg import FinAbGroup, IntMatrix, smith_normal_form
 
 
 def random_cochain(rng, max_deg=3, max_pieces=4, scale=3):
@@ -263,3 +268,44 @@ def random_int_matrix(rng, max_size=6, bound=20):
     c = rng.randint(0, max_size)
     return IntMatrix.from_rows(
         [[rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)], c)
+
+
+def random_low_rank_matrix(rng, rows, cols, r, bound=4):
+    """rows x cols integer matrix of rank <= r: a product of random factors."""
+    L = [[rng.randint(-bound, bound) for _ in range(r)] for _ in range(rows)]
+    R = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(r)]
+    return IntMatrix.from_rows(
+        [[sum(L[i][k] * R[k][j] for k in range(r)) for j in range(cols)]
+         for i in range(rows)], cols)
+
+
+def kernel_lattice(A: IntMatrix):
+    """Basis of the integer kernel {x in Z^cols : Ax = 0} (a saturated
+    lattice): the columns of V over the zero diagonal of U.A.V = D."""
+    snf = smith_normal_form(A)
+    return [snf.V.column(j) for j in range(A.cols)
+            if j >= len(snf.diagonal) or snf.diagonal[j] == 0]
+
+
+def reference_homology_int(C: IntChainComplex, n: int) -> FinAbGroup:
+    """H_n = ker d_n / im d_{n+1} through a basis of the kernel lattice: the
+    columns of d_{n+1} are solved over Q in that basis (integral, as the
+    lattice is saturated) and the relation matrix is put in Smith form."""
+    if C.dim(n) == 0:
+        return FinAbGroup(0, ())
+    kbasis = kernel_lattice(C.differential(n))
+    k = len(kbasis)
+    dnext = C.differential(n + 1)
+    if k == 0 or dnext.cols == 0:
+        return FinAbGroup(k, ())
+    K = RatMatrix.from_rows([[Fraction(x) for x in row]
+                             for row in zip(*kbasis)], k)
+    cols = []
+    for j in range(dnext.cols):
+        y = solve(K, [Fraction(x) for x in dnext.column(j)])
+        assert y is not None, f"image of d_{n + 1} not inside ker d_{n}"
+        assert all(f.denominator == 1 for f in y), "non-integral coordinates"
+        cols.append([f.numerator for f in y])
+    rel = IntMatrix.from_rows([list(r) for r in zip(*cols)], dnext.cols)
+    nonzero = [d for d in smith_normal_form(rel).diagonal if d]
+    return FinAbGroup(k - len(nonzero), tuple(d for d in nonzero if d > 1))

@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_dense_cochain, random_int_chain
+from conftest import (
+    random_dense_cochain,
+    random_int_chain,
+    reference_homology_int,
+)
 from exhom.complexes import (
     ComplexError,
     cochain_complex,
@@ -160,6 +164,16 @@ def test_homology_free_rank_matches_rational_rank():
             hq = (C.dim(n) - rank(C.differential(n).to_rational())
                   - rank(C.differential(n + 1).to_rational()))
             assert homology_int(C, n).free_rank == hq
+
+
+def test_homology_int_matches_kernel_lattice_reference():
+    rng = random.Random(13)
+    for i in range(220):
+        C = random_int_chain(rng, max_deg=rng.randint(1, 4),
+                             max_pieces=rng.randint(1, 8),
+                             max_mult=rng.choice((2, 6, 12)))
+        for n in C.degrees():
+            assert homology_int(C, n) == reference_homology_int(C, n), (i, n)
 
 
 def test_uct_mod_two_with_torsion():

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -324,3 +325,35 @@ def test_cli_spectrum_dimensions_must_be_positive(capsys):
         assert code == 2 and out == ""
         assert "expected a positive integer" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--m10", "--m01", "--m11"])
+def test_cli_multiplicities_must_be_nonnegative(capsys, flag):
+    for argv in (("e2", "--d", "1", "--dp", "1"),
+                 ("betti", "--d", "1", "--dp", "1"),
+                 ("filtration", "--d", "1", "--dp", "1", "--n", "0")):
+        code, out, err = run_cli(capsys, *argv, flag, "-1")
+        assert code == 2 and out == ""
+        assert "expected a non-negative integer" in err
+        assert "Traceback" not in err
+
+
+def test_cli_uct_large_prime_modulus(tmp_path, capsys):
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps({"dims": {"0": 1, "1": 1},
+                             "differentials": {"1": [["2"]]}}))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "uct", "--input", str(f),
+                           "--mod", "1000000000000000003")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out.startswith("uct: PASS")
+
+
+def test_cli_uct_rejects_undecidable_modulus(tmp_path, capsys):
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps({"dims": {"0": 1}}))
+    code, out, err = run_cli(capsys, "uct", "--input", str(f),
+                             "--mod", "3317044064679887385961981")
+    assert code == 2 and out == ""
+    assert "cannot decide whether 3317044064679887385961981 is prime" in err
+    assert "Traceback" not in err

@@ -1,16 +1,23 @@
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 
-from conftest import random_int_matrix
+from conftest import (
+    kernel_lattice,
+    random_int_matrix,
+    random_low_rank_matrix,
+    random_unimodular,
+)
 from exhom.qlinalg import rank
 from exhom.zlinalg import (
     FinAbGroup,
     IntMatrix,
     cokernel_structure,
     determinant,
+    invariant_factors,
     is_prime,
-    kernel_lattice,
     rank_mod_p,
     smith_normal_form,
 )
@@ -63,14 +70,76 @@ def test_snf_random_reconstruction():
         check_form(A, snf)
 
 
+def determinantal_quotients(A):
+    """D_k / D_{k-1}, D_k the gcd of all k x k minors, zeros once D_k = 0."""
+    k = min(A.rows, A.cols)
+    D = [1]
+    for size in range(1, k + 1):
+        g = 0
+        for rs in combinations(range(A.rows), size):
+            for cs in combinations(range(A.cols), size):
+                g = gcd(g, determinant(IntMatrix.from_rows(
+                    [[A[i, j] for j in cs] for i in rs], size)))
+        if g == 0:
+            break
+        D.append(g)
+    return (tuple(b // a for a, b in zip(D, D[1:]))
+            + (0,) * (k + 1 - len(D)))
+
+
 def test_invariant_factors_path_independent():
     rng = random.Random(8)
-    for _ in range(60):
-        A = random_int_matrix(rng, max_size=5, bound=15)
-        assert smith_normal_form(A, pivot="min").diagonal \
-            == smith_normal_form(A, pivot="rev").diagonal
-        assert smith_normal_form(A, pivot="min").diagonal \
-            == smith_normal_form(A.transpose()).diagonal
+    for i in range(90):
+        if i % 3 == 2:
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            A = random_low_rank_matrix(rng, rows, cols,
+                                       rng.randint(1, min(rows, cols)))
+        else:
+            A = random_int_matrix(rng, max_size=5, bound=15)
+        f = invariant_factors(A)
+        assert f == invariant_factors(A.transpose())
+        assert f == smith_normal_form(A).diagonal
+        assert f == determinantal_quotients(A)
+
+
+def test_invariant_factors_edge_shapes():
+    assert invariant_factors(IntMatrix.zero(0, 3)) == ()
+    assert invariant_factors(IntMatrix.zero(3, 0)) == ()
+    assert invariant_factors(IntMatrix.zero(2, 3)) == (0, 0)
+    # the only factor equals the minor M, so it is 0 mod M
+    assert invariant_factors(IntMatrix.from_rows([[2]])) == (2,)
+    assert invariant_factors(IntMatrix.from_rows([[-3]])) == (3,)
+    assert invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]])) == (2, 4)
+
+
+def test_invariant_factors_match_smith_form():
+    rng = random.Random(11)
+    for i in range(300):
+        if i % 2:
+            rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+            A = random_low_rank_matrix(rng, rows, cols,
+                                       rng.randint(0, min(rows, cols)))
+        else:
+            A = random_int_matrix(rng, max_size=8,
+                                  bound=rng.choice((1, 3, 20)))
+        assert invariant_factors(A) == smith_normal_form(A).diagonal
+
+
+def test_invariant_factors_planted():
+    rng = random.Random(12)
+    for _ in range(12):
+        rows, cols = rng.randint(1, 30), rng.randint(1, 34)
+        r = rng.randint(0, min(rows, cols))
+        t, d = [], 1
+        for _ in range(r):
+            d *= rng.choice((1, 1, 1, 2, 3, 5, 6))
+            t.append(d)
+        t += [0] * (min(rows, cols) - r)
+        D = IntMatrix.from_rows([[t[i] if i == j else 0 for j in range(cols)]
+                                 for i in range(rows)], cols)
+        A = (random_unimodular(rng, rows, ops=4 * rows) @ D
+             @ random_unimodular(rng, cols, ops=4 * cols))
+        assert invariant_factors(A) == tuple(t)
 
 
 def test_rational_rank_matches_nonzero_diagonal():
@@ -119,3 +188,28 @@ def test_is_prime():
     primes = {2, 3, 5, 7, 11, 13}
     for n in range(15):
         assert is_prime(n) == (n in primes)
+    for n in range(20000):
+        assert is_prime(n) == (n > 1 and all(n % f for f in range(
+            2, int(n ** 0.5) + 1)))
+    assert is_prime(2 ** 61 - 1)
+    assert is_prime(1000000000000000003)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # 561 is a Carmichael number; the others are the least strong
+    # pseudoprimes to the first 1, 4, 9 and 12 prime bases
+    for n in (561, 2047, 3215031751, 3825123056546413051,
+              318665857834031151167461):
+        assert not is_prime(n)
+
+
+def test_is_prime_refuses_to_guess_out_of_range():
+    # the least strong pseudoprime to all bases 2..41, and a true prime above
+    for n in (3317044064679887385961981, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="cannot decide"):
+            is_prime(n)
+        with pytest.raises(ValueError, match="cannot decide"):
+            rank_mod_p(IntMatrix.identity(1), n)
+    # a witness still proves a large number composite
+    assert not is_prime(3 * 3317044064679887385961981)
+    assert not is_prime((2 ** 61 - 1) * (2 ** 89 - 1))
