@@ -84,57 +84,48 @@ class IntChainComplex:
         return range(self.min_deg, self.max_deg + 1)
 
 
-def cochain_complex(min_deg: int, dims: Dict[int, int],
-                    differentials: Dict[int, RatMatrix]) -> CochainComplex:
-    """Build a CochainComplex, checking shapes and dropping zero data."""
+def _build(cls, step: int, min_deg: int, dims: Dict[int, int], differentials):
+    """Build a complex whose d^n maps degree n to n + step, checking shapes
+    and dropping zero data."""
     dims = {n: d for n, d in dims.items() if d > 0}
     max_deg = max(dims) if dims else min_deg
     min_deg = min(dims) if dims else min_deg
     diffs = {}
     for n, M in differentials.items():
-        want = (dims.get(n + 1, 0), dims.get(n, 0))
+        want = (dims.get(n + step, 0), dims.get(n, 0))
         if (M.rows, M.cols) != want:
             raise ComplexError(
                 f"differential at degree {n} has shape {M.rows}x{M.cols}, "
                 f"expected {want[0]}x{want[1]}")
-        if M.rows and M.cols and not M.is_zero():
+        if any(M.entries):
             diffs[n] = M
-    return CochainComplex(min_deg, max_deg, dims, diffs)
+    return cls(min_deg, max_deg, dims, diffs)
+
+
+def cochain_complex(min_deg: int, dims: Dict[int, int],
+                    differentials: Dict[int, RatMatrix]) -> CochainComplex:
+    """Build a CochainComplex, checking shapes and dropping zero data."""
+    return _build(CochainComplex, 1, min_deg, dims, differentials)
 
 
 def int_chain_complex(min_deg: int, dims: Dict[int, int],
                       differentials: Dict[int, IntMatrix]) -> IntChainComplex:
     """Build an IntChainComplex, checking shapes and dropping zero data."""
-    dims = {n: d for n, d in dims.items() if d > 0}
-    max_deg = max(dims) if dims else min_deg
-    min_deg = min(dims) if dims else min_deg
-    diffs = {}
-    for n, M in differentials.items():
-        want = (dims.get(n - 1, 0), dims.get(n, 0))
-        if (M.rows, M.cols) != want:
-            raise ComplexError(
-                f"differential at degree {n} has shape {M.rows}x{M.cols}, "
-                f"expected {want[0]}x{want[1]}")
-        if M.rows and M.cols and any(e != 0 for e in M.entries):
-            diffs[n] = M
-    return IntChainComplex(min_deg, max_deg, dims, diffs)
+    return _build(IntChainComplex, -1, min_deg, dims, differentials)
 
 
 def validate_complex(C) -> bool:
-    """True iff adjacent differentials compose to zero."""
+    """True iff adjacent differentials compose to zero.  An absent
+    differential is zero, so a composite with one is not multiplied."""
     if isinstance(C, CochainComplex):
-        for n in C.degrees():
-            prod = C.differential(n + 1) @ C.differential(n)
-            if not prod.is_zero():
-                return False
-        return True
-    if isinstance(C, IntChainComplex):
-        for n in C.degrees():
-            prod = C.differential(n) @ C.differential(n + 1)
-            if any(e != 0 for e in prod.entries):
-                return False
-        return True
-    raise TypeError(f"not a complex: {type(C)!r}")
+        pairs = [(n + 1, n) for n in C.degrees()]
+    elif isinstance(C, IntChainComplex):
+        pairs = [(n, n + 1) for n in C.degrees()]
+    else:
+        raise TypeError(f"not a complex: {type(C)!r}")
+    d = C.differentials
+    return not any(a in d and b in d and any((d[a] @ d[b]).entries)
+                   for a, b in pairs)
 
 
 def cohomology(C: CochainComplex, n: int) -> Tuple[int, Subspace]:

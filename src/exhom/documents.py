@@ -43,7 +43,7 @@ def _parse_rational(raw, where: str) -> Fraction:
     raise DocumentError(f"malformed rational at {where}: {raw!r}")
 
 
-def _parse_matrix(raw, rows: int, cols: int, where: str) -> RatMatrix:
+def _check_shape(raw, rows: int, cols: int, where: str) -> None:
     if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
         raise DocumentError(f"matrix at {where} must be an array of arrays")
     if len(raw) != rows:
@@ -53,16 +53,25 @@ def _parse_matrix(raw, rows: int, cols: int, where: str) -> RatMatrix:
         if len(row) != cols:
             raise DocumentError(f"shape mismatch at {where}: row {i} has "
                                 f"{len(row)} entries, expected {rows}x{cols}")
-    data = [[_parse_rational(x, f"{where}[{i}][{j}]")
-             for j, x in enumerate(row)] for i, row in enumerate(raw)]
-    return RatMatrix.from_rows(data, cols)
+
+
+def _parse_matrix(raw, rows: int, cols: int, where: str) -> RatMatrix:
+    _check_shape(raw, rows, cols, where)
+    return RatMatrix(rows, cols, tuple(
+        _parse_rational(x, f"{where}[{i}][{j}]")
+        for i, row in enumerate(raw) for j, x in enumerate(row)))
 
 
 def _parse_int_matrix(raw, rows: int, cols: int, where: str) -> IntMatrix:
-    M = _parse_matrix(raw, rows, cols, where)
+    """A row of JSON ints is taken whole; other entries must be integral."""
+    _check_shape(raw, rows, cols, where)
     ints = []
-    for i in range(rows):
-        for j, f in enumerate(M.row(i)):
+    for i, row in enumerate(raw):
+        if set(map(type, row)) <= {int}:
+            ints.extend(row)
+            continue
+        for j, x in enumerate(row):
+            f = _parse_rational(x, f"{where}[{i}][{j}]")
             if f.denominator != 1:
                 raise DocumentError(
                     f"non-integer entry at {where}[{i}][{j}]: {f}")
@@ -75,6 +84,8 @@ def _load_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise DocumentError("invalid JSON: nested too deeply") from None
 
 
 def _format_rational(f: Fraction) -> str:

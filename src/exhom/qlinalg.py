@@ -4,17 +4,44 @@ Matrices carry arbitrary-precision ``Fraction`` entries and every operation
 is exact; there is no floating point anywhere in this module.  Subspaces are
 stored as reduced row echelon bases with zero rows dropped, so two equal
 subspaces are equal as values.
+
+Every dense product goes through one integer kernel, `_int_products`: rows
+times stride-slice columns, ``sum(map(mul, row, col))`` per entry.  A
+rational product first writes each row and column as an integer vector over
+its lcm denominator, and builds a Fraction only for a nonzero dot product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, List, Sequence, Tuple
+
+_ZERO = Fraction(0)
 
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _columns(entries: Sequence, cols: int) -> List[Sequence]:
+    """Columns of a row-major matrix with `cols` columns, as stride slices."""
+    return [entries[j::cols] for j in range(cols)]
+
+
+def _int_products(rows: Sequence[Sequence[int]],
+                  cols: Sequence[Sequence[int]]) -> List[int]:
+    """Row-major entries of the product whose factors have these integer
+    rows and columns: the one kernel of every dense exact product."""
+    return [sum(map(mul, r, c)) for r in rows for c in cols]
+
+
+def _integral(vector: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """(v, d) with v an integer vector and d > 0 such that vector = v / d."""
+    d = lcm(*(f.denominator for f in vector))
+    return [f.numerator * (d // f.denominator) for f in vector], d
 
 
 @dataclass(frozen=True)
@@ -66,22 +93,21 @@ class RatMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols, self.rows,
-            tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)),
-        )
+        return RatMatrix(self.cols, self.rows,
+                         tuple(x for c in _columns(self.entries, self.cols)
+                               for x in c))
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum((ri[k] * other[k, j] for k in range(self.cols)),
-                               Fraction(0)))
-        return RatMatrix(self.rows, other.cols, tuple(out))
+        rows = [_integral(self.row(i)) for i in range(self.rows)]
+        cols = [_integral(c) for c in _columns(other.entries, other.cols)]
+        dots = _int_products([r for r, _ in rows], [c for c, _ in cols])
+        dens = [dr * dc for _, dr in rows for _, dc in cols]
+        return RatMatrix(self.rows, other.cols,
+                         tuple(Fraction(t, d) if t else _ZERO
+                               for t, d in zip(dots, dens)))
 
     def vstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.cols:
@@ -98,22 +124,12 @@ class RatMatrix:
             flat.extend(other.row(i))
         return RatMatrix(self.rows, self.cols + other.cols, tuple(flat))
 
-    def scale(self, c) -> "RatMatrix":
-        c = _frac(c)
-        return RatMatrix(self.rows, self.cols, tuple(c * e for e in self.entries))
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
     def apply(self, vector: Sequence) -> Tuple[Fraction, ...]:
         """Matrix times column vector, returned as a flat tuple."""
-        v = [_frac(x) for x in vector]
+        v = tuple(_frac(x) for x in vector)
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(
-            sum((self.row(i)[k] * v[k] for k in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
+        return (self @ RatMatrix(len(v), 1, v)).entries
 
 
 def rref(M: RatMatrix) -> Tuple[RatMatrix, List[int]]:
@@ -227,18 +243,10 @@ def subspace_intersect(U: Subspace, W: Subspace) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     if U.dim == 0 or W.dim == 0:
         return Subspace.zero(U.ambient_dim)
-    # Solve a.B_U = b.B_W: kernel of [B_U^T | -B_W^T], take the a-part.
-    M = U.basis.transpose().hstack(W.basis.transpose().scale(-1))
-    K = kernel_basis(M)
-    vecs = []
-    for k in K.vectors():
-        a = k[:U.dim]
-        vec = [Fraction(0)] * U.ambient_dim
-        for coeff, brow in zip(a, U.vectors()):
-            if coeff != 0:
-                vec = [x + coeff * y for x, y in zip(vec, brow)]
-        vecs.append(vec)
-    return Subspace.span(U.ambient_dim, vecs)
+    # a.B_U = -b.B_W lies in both: kernel of [B_U^T | B_W^T], take the a-part.
+    K = kernel_basis(U.basis.transpose().hstack(W.basis.transpose()))
+    A = RatMatrix(K.dim, U.dim, tuple(x for k in K.vectors() for x in k[:U.dim]))
+    return Subspace.span(U.ambient_dim, (A @ U.basis).to_lists())
 
 
 def is_complementary(U: Subspace, W: Subspace) -> bool:

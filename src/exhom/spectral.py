@@ -61,12 +61,6 @@ class DoubleComplex:
     def dim(self, r: int, s: int) -> int:
         return self.dims.get((r, s), 0)
 
-    def horiz_at(self, r: int, s: int) -> RatMatrix:
-        d = self.horiz.get((r, s))
-        if d is None:
-            return RatMatrix.zero(self.dim(r + 1, s), self.dim(r, s))
-        return d
-
     def vert_at(self, r: int, s: int) -> RatMatrix:
         d = self.vert.get((r, s))
         if d is None:
@@ -96,28 +90,32 @@ def double_complex(max_r: int, max_c: int,
                       dims,
                       {c: m for c, m in horiz.items() if m.rows and m.cols},
                       {c: m for c, m in vert.items() if m.rows and m.cols})
-    for (r, s), M in K.horiz.items():
-        want = (K.dim(r + 1, s), K.dim(r, s))
-        if (M.rows, M.cols) != want:
-            raise DoubleComplexError(
-                f"horiz at ({r},{s}) has shape {M.rows}x{M.cols}, expected "
-                f"{want[0]}x{want[1]}")
-    for (r, s), M in K.vert.items():
-        want = (K.dim(r, s + 1), K.dim(r, s))
-        if (M.rows, M.cols) != want:
-            raise DoubleComplexError(
-                f"vert at ({r},{s}) has shape {M.rows}x{M.cols}, expected "
-                f"{want[0]}x{want[1]}")
+    for name, maps, dr, ds in (("horiz", K.horiz, 1, 0), ("vert", K.vert, 0, 1)):
+        for (r, s), M in maps.items():
+            want = (K.dim(r + dr, s + ds), K.dim(r, s))
+            if (M.rows, M.cols) != want:
+                raise DoubleComplexError(
+                    f"{name} at ({r},{s}) has shape {M.rows}x{M.cols}, "
+                    f"expected {want[0]}x{want[1]}")
+    h, v = K.horiz.get, K.vert.get
     for r, s in K.cells():
-        if not (K.horiz_at(r + 1, s) @ K.horiz_at(r, s)).is_zero():
+        if _composite(h((r + 1, s)), h((r, s))) is not None:
             raise DoubleComplexError(f"horiz composite nonzero at ({r},{s})")
-        if not (K.vert_at(r, s + 1) @ K.vert_at(r, s)).is_zero():
+        if _composite(v((r, s + 1)), v((r, s))) is not None:
             raise DoubleComplexError(f"vert composite nonzero at ({r},{s})")
-        sq1 = K.vert_at(r + 1, s) @ K.horiz_at(r, s)
-        sq2 = K.horiz_at(r, s + 1) @ K.vert_at(r, s)
-        if sq1.entries != sq2.entries:
+        if (_composite(v((r + 1, s)), h((r, s)))
+                != _composite(h((r, s + 1)), v((r, s)))):
             raise DoubleComplexError(f"square does not commute at ({r},{s})")
     return K
+
+
+def _composite(outer, inner):
+    """Entries of outer @ inner, or None when the product is zero; an absent
+    (None) factor makes it zero by shape, so nothing is multiplied."""
+    if outer is None or inner is None:
+        return None
+    prod = outer @ inner
+    return prod.entries if any(prod.entries) else None
 
 
 def _layout(K: DoubleComplex, n: int) -> List[Tuple[int, int, int, int]]:
@@ -141,23 +139,17 @@ def _total_differential(K: DoubleComplex, n: int) -> RatMatrix:
     src = _layout(K, n)
     dst = _layout(K, n + 1)
     sd = _total_dim(K, n)
-    dd = _total_dim(K, n + 1)
-    rows = [[Fraction(0)] * sd for _ in range(dd)]
+    zero = Fraction(0)
+    rows = [[zero] * sd for _ in range(_total_dim(K, n + 1))]
     dst_off = {(r, s): off for r, s, off, _ in dst}
     for r, s, off, d in src:
-        h = K.horiz_at(r, s)
-        if (r + 1, s) in dst_off and h.rows:
-            to = dst_off[(r + 1, s)]
-            for a in range(h.rows):
-                for b in range(h.cols):
-                    rows[to + a][off + b] = h[a, b]
-        v = K.vert_at(r, s)
-        if (r, s + 1) in dst_off and v.rows:
-            to = dst_off[(r, s + 1)]
-            sign = Fraction(-1 if r % 2 else 1)
-            for a in range(v.rows):
-                for b in range(v.cols):
-                    rows[to + a][off + b] = sign * v[a, b]
+        for M, cell, negate in ((K.horiz.get((r, s)), (r + 1, s), False),
+                                (K.vert.get((r, s)), (r, s + 1), r % 2)):
+            if M is not None and cell in dst_off:
+                to = dst_off[cell]
+                for a in range(M.rows):
+                    rows[to + a][off:off + d] = ([-x for x in M.row(a)]
+                                                 if negate else M.row(a))
     return RatMatrix.from_rows(rows, sd)
 
 
@@ -260,7 +252,7 @@ def _pairing(K: DoubleComplex, axis: str) -> List[_Generator]:
                 level, col, _ = killed[i]
                 gens.append(_Generator(p, q, p - level, False, tuple(col)))
                 continue
-            col = [D[j, i] for j in range(D.rows)]
+            col = list(D.entries[i::D.cols])
             chain = [Fraction(int(j == i)) for j in range(len(src))]
             while True:
                 low = next((j for j in last_first if col[j]), None)

@@ -1,7 +1,8 @@
 """Exact integer linear algebra: Smith normal form and cokernel structure.
 
-Entries are Python ints (arbitrary precision).  Two routes to the Smith
-diagonal:
+Entries are Python ints (arbitrary precision).  Products go through the
+dense kernel `qlinalg._int_products` (rows times stride-slice columns).
+Two routes to the Smith diagonal:
 
 * `invariant_factors` builds no transforms.  A fraction-free (Bareiss) pass
   finds the rank r and a nonzero r x r minor M; the matrix is then
@@ -22,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Sequence, Tuple
 
-from .qlinalg import RatMatrix
+from .qlinalg import RatMatrix, _columns, _int_products
 
 
 @dataclass(frozen=True)
@@ -68,25 +69,22 @@ class IntMatrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def column(self, j: int) -> Tuple[int, ...]:
-        return tuple(self[i, j] for i in range(self.rows))
+        return self.entries[j::self.cols]
 
     def to_lists(self) -> List[List[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
-                         tuple(self[i, j] for j in range(self.cols)
-                               for i in range(self.rows)))
+                         tuple(x for c in _columns(self.entries, self.cols)
+                               for x in c))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other[k, j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        rows = [self.row(i) for i in range(self.rows)]
+        return IntMatrix(self.rows, other.cols, tuple(
+            _int_products(rows, _columns(other.entries, other.cols))))
 
     def to_rational(self) -> RatMatrix:
         return RatMatrix(self.rows, self.cols,

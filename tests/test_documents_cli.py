@@ -357,3 +357,47 @@ def test_cli_uct_rejects_undecidable_modulus(tmp_path, capsys):
     assert code == 2 and out == ""
     assert "cannot decide whether 3317044064679887385961981 is prime" in err
     assert "Traceback" not in err
+
+
+# ----------------------------------------------------- integer documents
+
+def chain_doc(*entries):
+    """Chain document whose d_1 is the 1x2 matrix [[1, entry]]."""
+    return json.dumps({"dims": {"0": 1, "1": len(entries) + 1},
+                       "differentials": {"1": [[1, *entries]]}})
+
+
+def test_chain_document_accepts_ints_and_integral_strings():
+    C = parse_chain_document(chain_doc(-4, "7", "-3", "6/3"))
+    assert C.differential(1).entries == (1, -4, 7, -3, 2)
+    assert all(type(e) is int for e in C.differential(1).entries)
+    assert parse_int_matrix_document('[[1, "6/3"], ["-3", 0]]').to_lists() \
+        == [[1, 2], [-3, 0]]
+
+
+def test_chain_document_bad_entry_messages():
+    with pytest.raises(DocumentError) as e:
+        parse_chain_document(chain_doc("1/2"))
+    assert str(e.value) == "non-integer entry at differentials[1][0][1]: 1/2"
+    for bad in (True, 1.5, None, "x"):
+        with pytest.raises(DocumentError) as e:
+            parse_chain_document(chain_doc(bad))
+        assert str(e.value) == \
+            f"malformed rational at differentials[1][0][1]: {bad!r}"
+
+
+def test_chain_document_reports_first_bad_entry_in_row_order():
+    with pytest.raises(DocumentError) as e:
+        parse_chain_document(chain_doc("1/2", True))
+    assert str(e.value) == "non-integer entry at differentials[1][0][1]: 1/2"
+
+
+@pytest.mark.parametrize("command", [("snf",), ("uct", "--mod", "2")])
+def test_cli_rejects_deeply_nested_json(tmp_path, capsys, command):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(capsys, command[0], "--input", str(f),
+                             *command[1:])
+    assert code == 1 and out == ""
+    assert "invalid JSON: nested too deeply" in err
+    assert "Traceback" not in err

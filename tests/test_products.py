@@ -1,0 +1,165 @@
+"""The dense product kernel against a naive triple loop, and the checks built
+on it (d o d = 0, double complex composites and squares) keeping their
+messages."""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from conftest import random_double_complex
+from exhom.documents import (
+    DocumentError,
+    parse_chain_document,
+    parse_cochain_document,
+    parse_double_complex_document,
+)
+from exhom.qlinalg import RatMatrix
+from exhom.spectral import DoubleComplexError, double_complex, total_complex
+from exhom.zlinalg import IntMatrix
+
+
+def naive_product(a, b):
+    """Row-major entries of a @ b by the textbook triple loop."""
+    return [sum((a[i, k] * b[k, j] for k in range(a.cols)), 0)
+            for i in range(a.rows) for j in range(b.cols)]
+
+
+def random_rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6, 7)))
+
+
+def random_shapes(rng, count):
+    """(n, m, p) shapes, the first ones with a zero in every position."""
+    yield from [(0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0), (1, 1, 1)]
+    for _ in range(count):
+        yield rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+
+
+def test_int_product_matches_triple_loop():
+    rng = random.Random(41)
+    for n, m, p in random_shapes(rng, 150):
+        a = IntMatrix(n, m, tuple(rng.randint(-30, 30) for _ in range(n * m)))
+        b = IntMatrix(m, p, tuple(rng.randint(-30, 30) for _ in range(m * p)))
+        prod = a @ b
+        assert (prod.rows, prod.cols) == (n, p)
+        assert list(prod.entries) == naive_product(a, b)
+        assert all(type(e) is int for e in prod.entries)
+
+
+def test_rational_product_matches_triple_loop():
+    rng = random.Random(42)
+    for n, m, p in random_shapes(rng, 150):
+        a = RatMatrix(n, m, tuple(random_rational(rng) for _ in range(n * m)))
+        b = RatMatrix(m, p, tuple(random_rational(rng) for _ in range(m * p)))
+        prod = a @ b
+        assert (prod.rows, prod.cols) == (n, p)
+        assert list(prod.entries) == naive_product(a, b)
+        assert all(type(e) is Fraction for e in prod.entries)
+
+
+def test_transpose_column_and_apply_match_entries():
+    rng = random.Random(43)
+    for n, m, _ in random_shapes(rng, 60):
+        a = IntMatrix(n, m, tuple(rng.randint(-9, 9) for _ in range(n * m)))
+        q = RatMatrix(n, m, tuple(random_rational(rng) for _ in range(n * m)))
+        for M in (a, q):
+            T = M.transpose()
+            assert (T.rows, T.cols) == (m, n)
+            assert all(T[j, i] == M[i, j] for i in range(n) for j in range(m))
+        for j in range(m):
+            assert a.column(j) == tuple(a[i, j] for i in range(n))
+        v = [random_rational(rng) for _ in range(m)]
+        assert list(q.apply(v)) == naive_product(q, RatMatrix(m, 1, tuple(v)))
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        RatMatrix.zero(2, 3).apply([1, 2])
+
+
+def test_total_differential_matches_block_reference():
+    rng = random.Random(44)
+    for _ in range(10):
+        K = random_double_complex(rng)
+        T = total_complex(K)
+        for n in range(K.max_r + K.max_c):
+            src = [(r, n - r) for r in range(n + 1) if K.dim(r, n - r)]
+            dst = [(r, n + 1 - r) for r in range(n + 2) if K.dim(r, n + 1 - r)]
+            want = [[Fraction(0)] * T.dim(n) for _ in range(T.dim(n + 1))]
+            col_off = 0
+            for r, s in src:
+                row_off = 0
+                for t in dst:
+                    M, sign = {(r + 1, s): (K.horiz.get((r, s)), 1),
+                               (r, s + 1): (K.vert.get((r, s)), (-1) ** r),
+                               }.get(t, (None, 1))
+                    if M is not None:
+                        for a in range(M.rows):
+                            for b in range(M.cols):
+                                want[row_off + a][col_off + b] = sign * M[a, b]
+                    row_off += K.dim(*t)
+                col_off += K.dim(r, s)
+            assert T.differential(n).to_lists() == want
+
+
+# ----------------------------------------------------- failing checks' messages
+
+def one(x):
+    return RatMatrix.from_rows([[x]], 1)
+
+
+def test_cochain_d_o_d_message():
+    doc = json.dumps({"min_deg": -1, "dims": {"-1": 1, "0": 1, "1": 1, "2": 1},
+                      "differentials": {"0": [["1"]], "1": [["1/2"]]}})
+    with pytest.raises(DocumentError) as e:
+        parse_cochain_document(doc)
+    assert str(e.value) == "d o d != 0 at degree 0"
+
+
+def test_chain_d_o_d_message():
+    doc = json.dumps({"dims": {"0": 1, "1": 2, "2": 1},
+                      "differentials": {"1": [[1, 1]], "2": [[1], [-2]]}})
+    with pytest.raises(DocumentError) as e:
+        parse_chain_document(doc)
+    assert str(e.value) == "d o d != 0 at degree 1"
+
+
+def test_double_complex_composite_messages():
+    dims = {(0, 0): 1, (1, 0): 1, (2, 0): 1}
+    with pytest.raises(DoubleComplexError) as e:
+        double_complex(2, 0, dims, {(0, 0): one(1), (1, 0): one(3)}, {})
+    assert str(e.value) == "horiz composite nonzero at (0,0)"
+    dims = {(1, 0): 1, (1, 1): 1, (1, 2): 1}
+    with pytest.raises(DoubleComplexError) as e:
+        double_complex(1, 2, dims, {}, {(1, 0): one(2), (1, 1): one(-1)})
+    assert str(e.value) == "vert composite nonzero at (1,0)"
+
+
+def test_square_messages_with_absent_factors():
+    dims = {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
+    full = {"horiz": {(0, 0): one(1), (0, 1): one(1)},
+            "vert": {(0, 0): one(1), (1, 0): one(1)}}
+    double_complex(1, 1, dims, full["horiz"], full["vert"])
+    with pytest.raises(DoubleComplexError) as e:
+        double_complex(1, 1, dims, full["horiz"],
+                       {(0, 0): one(1), (1, 0): one(2)})
+    assert str(e.value) == "square does not commute at (0,0)"
+    # One path of the square is absent, so zero by shape; the other is not.
+    for field, cell in (("horiz", (0, 0)), ("horiz", (0, 1)),
+                        ("vert", (0, 0)), ("vert", (1, 0))):
+        maps = {k: dict(v) for k, v in full.items()}
+        del maps[field][cell]
+        with pytest.raises(DoubleComplexError) as e:
+            double_complex(1, 1, dims, maps["horiz"], maps["vert"])
+        assert str(e.value) == "square does not commute at (0,0)"
+    # Both paths zero: one by shape, one by value.
+    double_complex(1, 1, dims, {(0, 0): one(1)}, {(1, 0): one(0)})
+
+
+def test_double_complex_document_square_message():
+    doc = json.dumps({"max_r": 1, "max_c": 1,
+                      "dims": {"0,0": 1, "1,0": 1, "0,1": 1, "1,1": 1},
+                      "horiz": {"0,0": [["1"]]},
+                      "vert": {"1,0": [["1"]]}})
+    with pytest.raises(DocumentError) as e:
+        parse_double_complex_document(doc)
+    assert str(e.value) == "square does not commute at (0,0)"
