@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal
 from typing import List
 
 from . import complexes, spectral, steinberg
@@ -199,7 +200,9 @@ def _cmd_uct(args, out) -> int:
 
 def _cmd_snf(args, out) -> int:
     A = parse_int_matrix_document(_read(args.input))
-    print(" ".join(map(str, invariant_factors(A))), file=out)
+    # str(Decimal(d)) is str(d) without the int-string digit limit, which a
+    # product of entries under that limit can pass
+    print(" ".join(str(Decimal(d)) for d in invariant_factors(A)), file=out)
     return 0
 
 

@@ -5,6 +5,14 @@ Leibniz sign, a Kunneth dimension check, integral homology from invariant
 factors, a universal-coefficient dimension check, and degreewise
 dualization.
 
+Rational cohomology, and the spectral sequences of `spectral`, come from one
+filtered column reduction, the persistence pairing (Zomorodian and Carlsson
+2005): with a level on each basis vector (all zero for plain cohomology),
+d^n is reduced column by column in the order (level descending, index
+ascending), the low of a column being its nonzero row that comes last in
+that order.  A reduced column pairs a source with a target; the classes of
+the unpaired basis vectors, which are cycles, form a basis of H^n.
+
 Every function here assumes d o d = 0 and does not check it: the builders
 `cochain_complex`/`int_chain_complex` check shapes only, while
 `validate_complex` and the document parsers check the composites.
@@ -12,17 +20,13 @@ Every function here assumes d o d = 0 and does not check it: the builders
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from math import inf
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .qlinalg import (
-    RatMatrix,
-    Subspace,
-    column_space,
-    extend_basis,
-    kernel_basis,
-)
+from .qlinalg import RatMatrix, Subspace
 from .zlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -128,19 +132,106 @@ def validate_complex(C) -> bool:
                    for a, b in pairs)
 
 
+class _Generator(NamedTuple):
+    """Basis vector i of C^n after the pairing: its level, the pages 1..life
+    it lives on (0 for none, inf if unpaired) and whether it is a source.
+    Its chain, whose low is i, is e_i plus basis vectors earlier in the
+    reduction order, or for a target the reduced column of its source."""
+
+    n: int
+    i: int
+    level: int
+    life: float
+    source: bool
+    chain: Tuple[Fraction, ...]
+
+
+def _reduce(vec, chain, pivots, order):
+    """While the low of vec (its first nonzero position in `order`) has a
+    pivot (vector, chain, ...), subtract a multiple of the vector from vec
+    and the same multiple of the chain from chain.  Returns (vec, chain,
+    low), low None when vec reduced to zero."""
+    while True:
+        low = next((j for j in order if vec[j]), None)
+        if low not in pivots:
+            return vec, chain, low
+        pvec, pchain = pivots[low][:2]
+        f = vec[low] / pvec[low]
+        vec = [a - f * b for a, b in zip(vec, pvec)]
+        chain = [a - f * b for a, b in zip(chain, pchain)]
+
+
+def _pairing(C: CochainComplex, levels: Dict[int, Sequence[int]],
+             last: int) -> List[_Generator]:
+    """Persistence pairing of C in degrees up to `last`, basis vector i of
+    C^n at level levels[n][i] (all 0 for a degree not in levels).
+
+    A column whose basis vector is already the target of a pair reduces to
+    zero, so it is skipped (clearing).
+    """
+    gens: List[_Generator] = []
+    killed: Dict[int, tuple] = {}
+    for n in range(C.min_deg, last + 1):
+        src = levels.get(n) or [0] * C.dim(n)
+        dst = levels.get(n + 1) or [0] * C.dim(n + 1)
+        D = C.differential(n)
+        order = sorted(range(len(dst)), key=lambda j: (dst[j], -j))
+        pivots: Dict[int, tuple] = {}  # low -> (column, chain, source level)
+        for i in sorted(range(len(src)), key=lambda i: (-src[i], i)):
+            if i in killed:
+                col, _, level = killed[i]
+                gens.append(_Generator(n, i, src[i], src[i] - level, False,
+                                       tuple(col)))
+                continue
+            unit = [Fraction(int(j == i)) for j in range(len(src))]
+            col, chain, low = _reduce(list(D.entries[i::D.cols]), unit,
+                                      pivots, order)
+            if low is None:
+                gens.append(_Generator(n, i, src[i], inf, False, tuple(chain)))
+                continue
+            pivots[low] = col, chain, src[i]
+            gens.append(_Generator(n, i, src[i], dst[low] - src[i], True,
+                                   tuple(chain)))
+        killed = pivots
+    return gens
+
+
 def cohomology(C: CochainComplex, n: int) -> Tuple[int, Subspace]:
-    """(dim H^n, representative subspace of ker d^n mapping onto H^n)."""
-    cn = C.dim(n)
-    if cn == 0:
+    """(dim H^n, span of the unpaired cycles of degree n, whose classes form
+    a basis of H^n)."""
+    if C.dim(n) == 0:
         return 0, Subspace.zero(0)
-    ker = kernel_basis(C.differential(n))
-    img = column_space(C.differential(n - 1))
-    reps = extend_basis(img, ker) if img.dim else ker.vectors()
-    return ker.dim - img.dim, Subspace.span(cn, reps)
+    reps = [g.chain for g in _pairing(C, {}, n)
+            if g.n == n and g.life == inf]
+    return len(reps), Subspace.span(C.dim(n), reps)
 
 
 def cohomology_dims(C: CochainComplex) -> Dict[int, int]:
-    return {n: cohomology(C, n)[0] for n in C.degrees()}
+    cycles = Counter(g.n for g in _pairing(C, {}, C.max_deg)
+                     if g.life == inf)
+    return {n: cycles[n] for n in C.degrees()}
+
+
+def _classes(C: CochainComplex, n: int, cycles) -> Tuple[int, List[tuple]]:
+    """(dim H^n, coordinates of each cycle on the basis of H^n given by the
+    unpaired cycles).  With the reduced boundaries they form a triangular
+    basis of C^n, each vector's low its own index, and a cycle reduces to
+    zero against it."""
+    basis = [g for g in _pairing(C, {}, n)
+             if g.n == n and not g.source]
+    unpaired = [g.i for g in basis if g.life == inf]
+    # unpaired cycle k carries -e_k, so the subtracted multiples add up to
+    # the coordinates
+    pivots = {g.i: (g.chain, [Fraction(-(g.i == u)) for u in unpaired])
+              for g in basis}
+    out = []
+    for z in cycles:
+        _, coords, low = _reduce(list(z), [Fraction(0)] * len(unpaired),
+                                 pivots, range(C.dim(n) - 1, -1, -1))
+        if low is not None:
+            raise ValueError(f"not a cycle of degree {n}")
+        out.append(tuple(coords))
+    return len(unpaired), out
 
 
 def tensor_product(C: CochainComplex, D: CochainComplex) -> CochainComplex:
@@ -218,8 +309,7 @@ def kunneth_check(C: CochainComplex, D: CochainComplex) -> CheckReport:
     hd = cohomology_dims(D)
     T = tensor_product(C, D)
     rows = []
-    for n in T.degrees():
-        lhs = cohomology(T, n)[0]
+    for n, lhs in cohomology_dims(T).items():
         rhs = sum(hc.get(i, 0) * hd.get(n - i, 0) for i in hc)
         rows.append((n, lhs, rhs))
     return CheckReport("kunneth", tuple(rows),

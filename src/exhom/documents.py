@@ -86,6 +86,9 @@ def _load_json(text: str):
         raise DocumentError(f"invalid JSON: {e}") from None
     except RecursionError:
         raise DocumentError("invalid JSON: nested too deeply") from None
+    except ValueError:  # an integer past Python's int-string digit limit
+        raise DocumentError("invalid JSON: an integer literal has too many "
+                            "digits") from None
 
 
 def _format_rational(f: Fraction) -> str:

@@ -256,41 +256,3 @@ def is_complementary(U: Subspace, W: Subspace) -> bool:
     if U.dim + W.dim != U.ambient_dim:
         return False
     return subspace_intersect(U, W).dim == 0
-
-
-def column_space(M: RatMatrix) -> Subspace:
-    """Image of M acting on column vectors, as a subspace of Q^{M.rows}."""
-    return Subspace.span(M.rows, M.transpose().to_lists())
-
-
-def extend_basis(inner: Subspace, outer: Subspace) -> List[Tuple[Fraction, ...]]:
-    """Vectors of outer extending a basis of inner to one of outer.
-
-    Requires inner to be contained in outer; returns dim(outer)-dim(inner)
-    vectors drawn greedily from outer's canonical basis.
-    """
-    if not outer.contains_space(inner):
-        raise ValueError("inner subspace not contained in outer")
-    current = inner
-    out = []
-    for v in outer.vectors():
-        grown = subspace_sum(current, Subspace.span(outer.ambient_dim, [v]))
-        if grown.dim > current.dim:
-            out.append(v)
-            current = grown
-    return out
-
-
-def solve(M: RatMatrix, b: Sequence) -> Tuple[Fraction, ...] | None:
-    """One solution x of Mx = b, or None if inconsistent."""
-    bb = [_frac(x) for x in b]
-    if len(bb) != M.rows:
-        raise ValueError("right-hand side length mismatch")
-    aug = M.hstack(RatMatrix.from_rows([[x] for x in bb], 1))
-    R, pivots = rref(aug)
-    if M.cols in pivots:
-        return None
-    x = [Fraction(0)] * M.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r, M.cols]
-    return tuple(x)

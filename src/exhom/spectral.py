@@ -7,16 +7,17 @@ spanned by the block basis vectors of level >= p.  The pages are defined by
     Z_r^{p,q} = F^p T^{p+q}  intersect  D^{-1}(F^{p+r} T^{p+q+1})
     E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + D Z_{r-1}^{p-r+1,q+r-2})
 
-and computed from one persistence pairing: over a field a filtered complex
+and computed from the persistence pairing of T with these levels (the one
+filtered column reduction of `complexes`): over a field a filtered complex
 splits into interval pieces, which give every page and every d_r (Zomorodian
-and Carlsson 2005; Basu and Parida 2017).  Each D^n is reduced column by
-column in the order (level descending, index ascending), the pivot of a
-column being its nonzero row that comes last in that same order.  A reduced
-column pairs a source of level p with a target of level p+k; for k >= 1 both
-live on pages 1..k and add 1 to the rank of d_k at the source's cell.  Basis
-vectors left unpaired are cycles: they give E_infinity, and those of level
->= p span F^p H^n.  Filtrations on total cohomology, the oppositeness test,
-the dimension criterion implying it, and degeneration detection live here.
+and Carlsson 2005; Basu and Parida 2017).  A reduced column pairs a source
+of level p with a target of level p+k; for k >= 1 both live on pages 1..k
+and add 1 to the rank of d_k at the source's cell, and their chains
+represent them there.  Basis vectors left unpaired are cycles: they give
+E_infinity, and the classes of those of level >= p span F^p H^n, written in
+the H^n basis of the unfiltered pairing by the same reduction.  Filtrations
+on total cohomology, the oppositeness test, the dimension criterion implying
+it, and degeneration detection live here.
 """
 
 from __future__ import annotations
@@ -25,22 +26,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, Tuple
 
-from .complexes import CochainComplex, cochain_complex
-from .qlinalg import (
-    RatMatrix,
-    Subspace,
-    column_space,
-    extend_basis,
-    is_complementary,
-    kernel_basis,
-    solve,
-    subspace_sum,
-)
+from .complexes import CochainComplex, _classes, _pairing, cochain_complex
+from .qlinalg import RatMatrix, Subspace, is_complementary, subspace_sum
 
 COLUMN = "column"
 ROW = "row"
+MAX_GRID = 64  # largest max_r and max_c a double complex may declare
 
 
 class DoubleComplexError(ValueError):
@@ -82,6 +75,9 @@ def double_complex(max_r: int, max_c: int,
     if max_r < 0 or max_c < 0:
         raise DoubleComplexError(f"max_r and max_c must be >= 0, got "
                                  f"{max_r} and {max_c}")
+    if max_r > MAX_GRID or max_c > MAX_GRID:
+        raise DoubleComplexError(f"max_r and max_c must be at most {MAX_GRID}, "
+                                 f"got {max_r} and {max_c}")
     dims = {c: d for c, d in dims.items() if d > 0}
     for (r, s) in dims:
         if not (0 <= r <= max_r and 0 <= s <= max_c):
@@ -166,15 +162,15 @@ def total_complex(K: DoubleComplex) -> CochainComplex:
 class SpectralPages:
     """All computed pages of one of the two spectral sequences.
 
-    pages[r][(p,q)] = (dim, span in T^{p+q} coordinates of chains whose
-    classes form a basis of E_r^{p,q});
+    pages[r][(p,q)] = (dim, tuple of dim chains in T^{p+q} coordinates
+    whose classes form a basis of E_r^{p,q});
     d_ranks[(r,p,q)] = rank of d_r out of (p,q) (zero entries omitted);
     limit[(p,q)] = E_infinity dimension; stable_page = first page equal to
     the limit with all later differentials zero.
     """
 
     filtration_axis: str
-    pages: Dict[int, Dict[Tuple[int, int], Tuple[int, Subspace]]]
+    pages: Dict[int, Dict[Tuple[int, int], Tuple[int, tuple]]]
     d_ranks: Dict[Tuple[int, int, int], int]
     limit: Dict[Tuple[int, int], int]
     stable_page: int
@@ -214,76 +210,29 @@ class FiltrationChain:
         return tuple(s.dim for s in self.spaces)
 
 
-class _Generator(NamedTuple):
-    """One generator of the interval decomposition: its cell (p, q) in the
-    coordinates of the axis, the pages 1..life it lives on (0 for none, inf
-    for all), whether it is the source of its pair, and its representative
-    chain in T^{p+q} coordinates."""
-
-    p: int
-    q: int
-    life: float
-    source: bool
-    chain: Tuple[Fraction, ...]
-
-
-def _pairing(K: DoubleComplex, axis: str) -> List[_Generator]:
-    """Persistence pairing of Tot(K) filtered by `axis`, in every degree.
-
-    A column whose basis vector is already the target of a pair reduces to
-    zero, so it is skipped (clearing).
-    """
+def _levels(K: DoubleComplex, axis: str) -> Dict[int, List[int]]:
+    """Level of each block basis vector of T^n in the filtration by `axis`."""
     if axis not in (COLUMN, ROW):
         raise ValueError(f"axis must be '{COLUMN}' or '{ROW}'")
-    top = K.max_r + K.max_c
-    cells = [[(r, s) if axis == COLUMN else (s, r)
-              for r, s, _, d in _layout(K, n) for _ in range(d)]
-             for n in range(top + 2)]
-    gens: List[_Generator] = []
-    killed: Dict[int, tuple] = {}  # target row -> (source level, column, chain)
-    for n in range(top + 1):
-        src, dst = cells[n], cells[n + 1]
-        D = _total_differential(K, n)
-        last_first = sorted(range(len(dst)), key=lambda j: (dst[j][0], -j))
-        owner: Dict[int, tuple] = {}
-        for i in sorted(range(len(src)), key=lambda i: (-src[i][0], i)):
-            p, q = src[i]
-            if i in killed:
-                level, col, _ = killed[i]
-                gens.append(_Generator(p, q, p - level, False, tuple(col)))
-                continue
-            col = list(D.entries[i::D.cols])
-            chain = [Fraction(int(j == i)) for j in range(len(src))]
-            while True:
-                low = next((j for j in last_first if col[j]), None)
-                if low not in owner:
-                    break
-                _, rcol, rchain = owner[low]
-                f = col[low] / rcol[low]
-                col = [a - f * b for a, b in zip(col, rcol)]
-                chain = [a - f * b for a, b in zip(chain, rchain)]
-            if low is None:
-                gens.append(_Generator(p, q, inf, False, tuple(chain)))
-                continue
-            owner[low] = p, col, chain
-            gens.append(_Generator(p, q, dst[low][0] - p, True, tuple(chain)))
-        killed = owner
-    return gens
+    return {n: [r if axis == COLUMN else s
+                for r, s, _, d in _layout(K, n) for _ in range(d)]
+            for n in range(K.max_r + K.max_c + 1)}
 
 
 def spectral_pages(K: DoubleComplex, axis: str) -> SpectralPages:
     """Pages E_1, E_2, ... of the chosen filtration, with d_r ranks and limit."""
-    gens = _pairing(K, axis)
+    T = total_complex(K)
+    gens = _pairing(T, _levels(K, axis), T.max_deg)
     last = K.max_r + K.max_c + 1  # beyond this every d_r vanishes (first quadrant)
-    pages: Dict[int, Dict[Tuple[int, int], Tuple[int, Subspace]]] = {}
+    pages: Dict[int, Dict[Tuple[int, int], Tuple[int, tuple]]] = {}
     for r in range(1, last + 2):
         alive: Dict[Tuple[int, int], list] = {}
         for g in gens:
             if g.life >= r:
-                alive.setdefault((g.p, g.q), []).append(g.chain)
-        pages[r] = {pq: (len(chains), Subspace.span(len(chains[0]), chains))
+                alive.setdefault((g.level, g.n - g.level), []).append(g.chain)
+        pages[r] = {pq: (len(chains), tuple(chains))
                     for pq, chains in alive.items()}
-    d_ranks = dict(Counter((g.life, g.p, g.q) for g in gens
+    d_ranks = dict(Counter((g.life, g.level, g.n - g.level) for g in gens
                            if g.source and g.life))
     limit = {pq: dim for pq, (dim, _) in pages[last + 1].items()}
     stable = 1 + max((g.life for g in gens if g.source), default=0)
@@ -291,48 +240,19 @@ def spectral_pages(K: DoubleComplex, axis: str) -> SpectralPages:
                          limit=limit, stable_page=stable)
 
 
-def _quotient_map(K: DoubleComplex, n: int):
-    """Coordinates on H^n(Tot): returns (b, to_coords) where to_coords maps a
-    vector in ker D^n to its class in Q^b."""
-    eng_dim = _total_dim(K, n)
-    D_n = _total_differential(K, n) if n < K.max_r + K.max_c else \
-        RatMatrix.zero(0, eng_dim)
-    ker = kernel_basis(D_n) if D_n.rows else Subspace.full(eng_dim)
-    if n == 0:
-        img = Subspace.zero(eng_dim)
-    else:
-        img = column_space(_total_differential(K, n - 1))
-    reps = extend_basis(img, ker)
-    b = len(reps)
-    basis_rows = img.vectors() + list(reps)
-    if basis_rows:
-        M = RatMatrix.from_rows([list(v) for v in basis_rows], eng_dim).transpose()
-    else:
-        M = RatMatrix.zero(eng_dim, 0)
-
-    def to_coords(v):
-        if b == 0:
-            return ()
-        x = solve(M, v)
-        if x is None:
-            raise ValueError("vector not in ker D")
-        return x[img.dim:]
-
-    return b, to_coords
-
-
 def filtration_on_total(K: DoubleComplex, axis: str, n: int) -> FiltrationChain:
     """Filtration F^p H^n(Tot) induced by the chosen axis: F^p is spanned by
     the classes of the unpaired cycles of level >= p."""
-    gens = _pairing(K, axis)
+    levels = _levels(K, axis)
     if n < 0 or n > K.max_r + K.max_c:
         return FiltrationChain(max(n, 0), tuple(
             Subspace.zero(0) for _ in range(max(n, 0) + 2)))
-    b, to_coords = _quotient_map(K, n)
-    cycles = [(g.p, to_coords(g.chain)) for g in gens
-              if g.life == inf and g.p + g.q == n]
+    T = total_complex(K)
+    cycles = [g for g in _pairing(T, levels, n)
+              if g.n == n and g.life == inf]
+    b, coords = _classes(T, n, [g.chain for g in cycles])
     return FiltrationChain(n, tuple(
-        Subspace.span(b, [v for level, v in cycles if level >= p])
+        Subspace.span(b, [v for g, v in zip(cycles, coords) if g.level >= p])
         for p in range(n + 2)))
 
 

@@ -21,7 +21,7 @@ from exhom.complexes import (
     cochain_complex,
     int_chain_complex,
 )
-from exhom.qlinalg import RatMatrix, rank, solve
+from exhom.qlinalg import RatMatrix, rank, rref
 from exhom.spectral import COLUMN, ROW, double_complex
 from exhom.zlinalg import FinAbGroup, IntMatrix, smith_normal_form
 
@@ -53,10 +53,10 @@ def random_cochain(rng, max_deg=3, max_pieces=4, scale=3):
 
 
 def _rat_inverse(M):
+    """Inverse of an invertible M: the right half of rref([M | I])."""
     d = M.rows
-    cols = [solve(M, [Fraction(1) if i == j else Fraction(0)
-                      for i in range(d)]) for j in range(d)]
-    return RatMatrix.from_rows([list(r) for r in zip(*cols)], d)
+    R, _ = rref(M.hstack(RatMatrix.identity(d)))
+    return RatMatrix.from_rows([R.row(i)[d:] for i in range(d)], d)
 
 
 def _random_invertible(rng, d, spread=2):
@@ -289,7 +289,7 @@ def kernel_lattice(A: IntMatrix):
 
 def reference_homology_int(C: IntChainComplex, n: int) -> FinAbGroup:
     """H_n = ker d_n / im d_{n+1} through a basis of the kernel lattice: the
-    columns of d_{n+1} are solved over Q in that basis (integral, as the
+    columns of d_{n+1} are written over Q in that basis (integral, as the
     lattice is saturated) and the relation matrix is put in Smith form."""
     if C.dim(n) == 0:
         return FinAbGroup(0, ())
@@ -300,12 +300,14 @@ def reference_homology_int(C: IntChainComplex, n: int) -> FinAbGroup:
         return FinAbGroup(k, ())
     K = RatMatrix.from_rows([[Fraction(x) for x in row]
                              for row in zip(*kbasis)], k)
-    cols = []
-    for j in range(dnext.cols):
-        y = solve(K, [Fraction(x) for x in dnext.column(j)])
-        assert y is not None, f"image of d_{n + 1} not inside ker d_{n}"
-        assert all(f.denominator == 1 for f in y), "non-integral coordinates"
-        cols.append([f.numerator for f in y])
-    rel = IntMatrix.from_rows([list(r) for r in zip(*cols)], dnext.cols)
+    # K has full column rank, so rref([K | d_{n+1}]) = [I | Y; 0 | 0] with
+    # K Y = d_{n+1} exactly when every pivot lies in the K block
+    R, pivots = rref(K.hstack(dnext.to_rational()))
+    assert pivots == list(range(k)), f"image of d_{n + 1} not inside ker d_{n}"
+    Y = [R.row(i)[k:] for i in range(k)]
+    assert all(f.denominator == 1 for row in Y for f in row), \
+        "non-integral coordinates"
+    rel = IntMatrix.from_rows([[f.numerator for f in row] for row in Y],
+                              dnext.cols)
     nonzero = [d for d in smith_normal_form(rel).diagonal if d]
     return FinAbGroup(k - len(nonzero), tuple(d for d in nonzero if d > 1))

@@ -21,7 +21,13 @@ from exhom.complexes import (
     uct_check,
     validate_complex,
 )
-from exhom.qlinalg import RatMatrix, rank
+from exhom.qlinalg import (
+    RatMatrix,
+    Subspace,
+    kernel_basis,
+    rank,
+    subspace_sum,
+)
 from exhom.zlinalg import FinAbGroup, IntMatrix
 
 
@@ -82,6 +88,23 @@ def test_cohomology_representatives_live_in_kernel():
             d = C.differential(n)
             for v in reps.vectors():
                 assert all(x == 0 for x in d.apply(v))
+
+
+def test_cohomology_representatives_complement_the_image():
+    rng = random.Random(4)
+    for _ in range(20):
+        C = random_dense_cochain(rng)
+        for n in C.degrees():
+            dim, reps = cohomology(C, n)
+            if not C.dim(n):
+                continue
+            ker = kernel_basis(C.differential(n))
+            image = Subspace.span(C.dim(n),
+                                  C.differential(n - 1).transpose().to_lists())
+            assert ker.contains_space(reps) and ker.contains_space(image)
+            both = subspace_sum(reps, image)
+            assert both.dim == reps.dim + image.dim == ker.dim
+            assert dim == ker.dim - image.dim
 
 
 def test_tensor_unit():

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import os
 import random
+import tempfile
 import time
+from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_dense_cochain, random_double_complex
 from exhom.cli import main
@@ -15,6 +21,7 @@ from exhom.documents import (
     serialize_cochain,
     serialize_double_complex,
 )
+from exhom.spectral import MAX_GRID
 
 
 def run_cli(capsys, *argv):
@@ -401,3 +408,80 @@ def test_cli_rejects_deeply_nested_json(tmp_path, capsys, command):
     assert code == 1 and out == ""
     assert "invalid JSON: nested too deeply" in err
     assert "Traceback" not in err
+
+
+def test_cli_rejects_integer_literals_past_the_digit_limit(tmp_path, capsys):
+    huge = "9" * 5000
+    f = tmp_path / "doc.json"
+    for text, argv in ((f"[[{huge}]]", ("snf",)),
+                       (f'{{"max_r": 1, "max_c": 1, "dims": {{"0,0": {huge}}}}}',
+                        ("ss", "--axis", "col"))):
+        f.write_text(text)
+        code, out, err = run_cli(capsys, argv[0], "--input", str(f), *argv[1:])
+        assert _rejected(code, err) and out == ""
+        assert err == "error: invalid JSON: an integer literal has too many " \
+                      "digits\n"
+
+
+def test_cli_snf_prints_factors_past_the_digit_limit(tmp_path, capsys):
+    a, b = 10 ** 4000 + 1, 10 ** 4000 + 3  # coprime: factors 1 and a*b
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps([[a, 0], [0, b]]))
+    code, out, err = run_cli(capsys, "snf", "--input", str(f))
+    assert code == 0 and err == ""
+    assert out.split() == ["1", str(Decimal(a * b))]
+    assert out.split()[1] == "1" + "0" * 3999 + "4" + "0" * 3999 + "3"
+
+
+def test_cli_rejects_grid_past_the_cap(tmp_path, capsys):
+    f = tmp_path / "k.json"
+    f.write_text('{"max_r": 3000000, "max_c": 0, "dims": {}}')
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "ss", "--input", str(f), "--axis", "col")
+    assert time.perf_counter() - start < 1.0
+    assert _rejected(code, err) and out == ""
+    assert f"max_r and max_c must be at most {MAX_GRID}, got 3000000 and 0" \
+        in err
+
+
+# ------------------------------------------------- CLI contract, any input
+
+_KEYS = st.sampled_from(["dims", "differentials", "min_deg", "max_r", "max_c",
+                         "horiz", "vert", "matrix", "0", "1", "2", "-1",
+                         "0,0", "0,1", "1,0", "1,1"]) | st.text(max_size=3)
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 3)
+            | st.integers(-2 ** 70, 2 ** 70) | st.floats()
+            | st.sampled_from(["1", "-1/2", "0", "1/0", "x"])
+            | st.text(max_size=3))
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(_KEYS, inner, max_size=5)),
+    max_leaves=25).map(json.dumps) | st.text(max_size=20)
+_COMMANDS = st.sampled_from(["snf", "uct", "ss", "oppose"]).flatmap(
+    lambda cmd: st.tuples(st.just(cmd), {
+        "snf": st.just(()),
+        "uct": st.tuples(st.just("--mod"),
+                         st.sampled_from(["2", "3", "4", "1", "x"])),
+        "ss": st.tuples(st.just("--axis"), st.sampled_from(["row", "col", "x"]))
+        | st.tuples(st.just("--axis"), st.sampled_from(["row", "col"]),
+                    st.just("--pages")),
+        "oppose": st.tuples(st.just("--n"),
+                            st.integers(-2, 8).map(str) | st.just("x")),
+    }[cmd]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_DOCUMENTS, command=_COMMANDS)
+def test_cli_exits_cleanly_on_any_document(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        name, rest = command
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main([name, "--input", path, *rest])
+    assert code in (0, 1, 2)
+    assert code == 0 or err.getvalue().count("\n") >= 1

@@ -17,7 +17,13 @@
 import random
 
 from conftest import random_double_complex, random_zigzag_double_complex
-from exhom.qlinalg import RatMatrix, Subspace, kernel_basis, subspace_sum
+from exhom.qlinalg import (
+    RatMatrix,
+    Subspace,
+    kernel_basis,
+    subspace_intersect,
+    subspace_sum,
+)
 from exhom.spectral import (
     COLUMN,
     ROW,
@@ -132,9 +138,41 @@ def test_pairing_matches_reference_formula():
                             assert P.d_rank(r, p, q) == ref.d_rank(r, p, q)
                         if not dim:
                             continue
-                        reps = P.pages[r][(p, q)][1]
+                        chains = P.pages[r][(p, q)][1]
+                        assert len(chains) == dim
+                        reps = Subspace.span(ref.dim(p + q), chains)
                         Z = ref.Z(r, p, p + q)
                         assert reps.dim == dim
                         assert Z.contains_space(reps)
                         # the representatives complement B_r inside Z_r
                         assert subspace_sum(reps, ref.B(r, p, q)).dim == Z.dim
+
+
+def test_filtration_intersections_match_basis_free_formula():
+    """dim(F^p cap G^q) in H^n against the same count in T^n, which needs
+    no basis of H^n:
+
+        dim(((F^pT cap Z) + B) cap ((G^qT cap Z) + B)) - dim B
+
+    with Z = ker D^n and B = D T^{n-1}; F^pT cap Z is Z_r^{p,n-p} for r
+    past the top."""
+    rng = random.Random(33)
+    # many pieces on a small grid put several classes in one degree
+    instances = [random_zigzag_double_complex(rng, grid=3, pieces=12)[0]
+                 for _ in range(10)]
+    instances += [random_double_complex(rng, max_r=2, max_c=2)
+                  for _ in range(10)]
+    for K in instances:
+        col, row = ReferencePages(K, COLUMN), ReferencePages(K, ROW)
+        far = col.top + 2
+        for n in range(col.top + 1):
+            F = filtration_on_total(K, COLUMN, n)
+            G = filtration_on_total(K, ROW, n)
+            B = (col.image(Subspace.full(col.dim(n - 1)), n - 1) if n
+                 else Subspace.zero(col.dim(n)))
+            for p in range(n + 2):
+                FB = subspace_sum(col.Z(far, p, n), B)
+                for q in range(n + 2):
+                    GB = subspace_sum(row.Z(far, q, n), B)
+                    assert subspace_intersect(F.spaces[p], G.spaces[q]).dim \
+                        == subspace_intersect(FB, GB).dim - B.dim
