@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from decimal import Decimal
 from typing import List
@@ -64,7 +65,9 @@ def _spectrum_args(p):
     p.add_argument("--m11", type=nonnegative, default=0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one."""
     parser = _Parser(prog="exhom",
                      description="exact homological algebra calculator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -132,14 +135,7 @@ def _cmd_e2(args, out) -> int:
             for s in range(top + 1):
                 print(f"{r} {s} {table.at(r, s)}", file=out)
     else:
-        width = max(3, max((len(str(v)) for v in table.grid.values()),
-                           default=1) + 1)
-        print("  s\\r " + "".join(str(r).rjust(width) for r in range(top + 1)),
-              file=out)
-        for s in range(top, -1, -1):
-            print("  " + str(s).rjust(3) + " "
-                  + "".join(str(table.at(r, s)).rjust(width)
-                            for r in range(top + 1)), file=out)
+        print("\n".join(steinberg.render_grids(top, table.at)[0]), file=out)
     return 0
 
 

@@ -13,9 +13,13 @@ ascending), the low of a column being its nonzero row that comes last in
 that order.  A reduced column pairs a source with a target; the classes of
 the unpaired basis vectors, which are cycles, form a basis of H^n.
 
-Every function here assumes d o d = 0 and does not check it: the builders
-`cochain_complex`/`int_chain_complex` check shapes only, while
-`validate_complex` and the document parsers check the composites.
+Both gradings share one storage, `_Complex`: a subclass names only its
+step (+1 for cochain, -1 for chain complexes) and its matrix class, and the
+builder `_build`, `validate_complex` and the document parser read the step
+from the class.  Every function here assumes d o d = 0 and does not check
+it: the builders `cochain_complex`/`int_chain_complex` check shapes only,
+while `validate_complex` and the document parsers check the composites,
+multiplying no absent (zero) differential.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .qlinalg import RatMatrix, Subspace
@@ -41,25 +45,24 @@ class ComplexError(ValueError):
 
 
 @dataclass(frozen=True)
-class CochainComplex:
-    """Graded Q-vector spaces with differentials d^n: C^n -> C^{n+1}.
-
-    dims holds only nonzero degrees; differentials hold only nonzero maps,
-    each a matrix of shape dims(n+1) x dims(n).
+class _Complex:
+    """Graded storage of both gradings: d_n maps degree n to n + step, step
+    and matrix class named by the subclass.  dims holds only nonzero degrees;
+    differentials hold only nonzero maps, d_n of shape dim(n+step) x dim(n).
     """
 
     min_deg: int
     max_deg: int
     dims: Dict[int, int]
-    differentials: Dict[int, RatMatrix]
+    differentials: Dict[int, object]
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
 
-    def differential(self, n: int) -> RatMatrix:
+    def differential(self, n: int):
         d = self.differentials.get(n)
         if d is None:
-            return RatMatrix.zero(self.dim(n + 1), self.dim(n))
+            return self.matrix.zero(self.dim(n + self.step), self.dim(n))
         return d
 
     def degrees(self):
@@ -67,36 +70,29 @@ class CochainComplex:
 
 
 @dataclass(frozen=True)
-class IntChainComplex:
+class CochainComplex(_Complex):
+    """Graded Q-vector spaces with differentials d^n: C^n -> C^{n+1}."""
+
+    step = 1
+    matrix = RatMatrix
+
+
+@dataclass(frozen=True)
+class IntChainComplex(_Complex):
     """Free Z-modules with differentials d_n: C_n -> C_{n-1} (homological)."""
 
-    min_deg: int
-    max_deg: int
-    dims: Dict[int, int]
-    differentials: Dict[int, IntMatrix]
-
-    def dim(self, n: int) -> int:
-        return self.dims.get(n, 0)
-
-    def differential(self, n: int) -> IntMatrix:
-        d = self.differentials.get(n)
-        if d is None:
-            return IntMatrix.zero(self.dim(n - 1), self.dim(n))
-        return d
-
-    def degrees(self):
-        return range(self.min_deg, self.max_deg + 1)
+    step = -1
+    matrix = IntMatrix
 
 
-def _build(cls, step: int, min_deg: int, dims: Dict[int, int], differentials):
-    """Build a complex whose d^n maps degree n to n + step, checking shapes
-    and dropping zero data."""
+def _build(cls, min_deg: int, dims: Dict[int, int], differentials):
+    """Build a complex of class cls, checking shapes and dropping zero data."""
     dims = {n: d for n, d in dims.items() if d > 0}
     max_deg = max(dims) if dims else min_deg
     min_deg = min(dims) if dims else min_deg
     diffs = {}
     for n, M in differentials.items():
-        want = (dims.get(n + step, 0), dims.get(n, 0))
+        want = (dims.get(n + cls.step, 0), dims.get(n, 0))
         if (M.rows, M.cols) != want:
             raise ComplexError(
                 f"differential at degree {n} has shape {M.rows}x{M.cols}, "
@@ -109,27 +105,37 @@ def _build(cls, step: int, min_deg: int, dims: Dict[int, int], differentials):
 def cochain_complex(min_deg: int, dims: Dict[int, int],
                     differentials: Dict[int, RatMatrix]) -> CochainComplex:
     """Build a CochainComplex, checking shapes and dropping zero data."""
-    return _build(CochainComplex, 1, min_deg, dims, differentials)
+    return _build(CochainComplex, min_deg, dims, differentials)
 
 
 def int_chain_complex(min_deg: int, dims: Dict[int, int],
                       differentials: Dict[int, IntMatrix]) -> IntChainComplex:
     """Build an IntChainComplex, checking shapes and dropping zero data."""
-    return _build(IntChainComplex, -1, min_deg, dims, differentials)
+    return _build(IntChainComplex, min_deg, dims, differentials)
+
+
+def _composite(outer, inner):
+    """Entries of outer @ inner, or None when the product is zero; an absent
+    (None) factor makes it zero by shape, so nothing is multiplied."""
+    if outer is None or inner is None:
+        return None
+    prod = outer @ inner
+    return prod.entries if any(prod.entries) else None
+
+
+def _nonzero_composite(C):
+    """The lowest degree min(n, n + step) at which d_{n+step} o d_n is
+    nonzero, or None."""
+    d, step = C.differentials, C.step
+    return next((min(n, n + step) for n in C.degrees()
+                 if _composite(d.get(n + step), d.get(n)) is not None), None)
 
 
 def validate_complex(C) -> bool:
-    """True iff adjacent differentials compose to zero.  An absent
-    differential is zero, so a composite with one is not multiplied."""
-    if isinstance(C, CochainComplex):
-        pairs = [(n + 1, n) for n in C.degrees()]
-    elif isinstance(C, IntChainComplex):
-        pairs = [(n, n + 1) for n in C.degrees()]
-    else:
+    """True iff adjacent differentials compose to zero."""
+    if not isinstance(C, _Complex):
         raise TypeError(f"not a complex: {type(C)!r}")
-    d = C.differentials
-    return not any(a in d and b in d and any((d[a] @ d[b]).entries)
-                   for a, b in pairs)
+    return _nonzero_composite(C) is None
 
 
 class _Generator(NamedTuple):
@@ -334,22 +340,13 @@ def homology_int(C: IntChainComplex, n: int) -> FinAbGroup:
                      invariant_factors(C.differential(n + 1)))
 
 
-def _dim_tensor_mod(G: FinAbGroup, m: int) -> int:
-    """dim over Z/m of G (x) Z/m, from invariant factors (m prime)."""
-    return G.free_rank + sum(1 for t in G.torsion if t % m == 0)
-
-
-def _dim_tor_mod(G: FinAbGroup, m: int) -> int:
-    """dim over Z/m of Tor(G, Z/m), from invariant factors (m prime)."""
-    return sum(1 for t in G.torsion if t % m == 0)
-
-
 def uct_check(C: IntChainComplex, m: int) -> CheckReport:
     """Check the universal-coefficient dimension identity mod m.
 
-    For prime m the left side dim H_n(C (x) Z/m) comes from an independent
-    mod-m Gaussian elimination; the right side is
-    dim(H_n (x) Z/m) + dim Tor(H_{n-1}, Z/m) from invariant factors.
+    The right side, dim(H_n (x) Z/m) + dim Tor(H_{n-1}, Z/m) for prime m,
+    counts from invariant factors the free rank of H_n and the torsion t of
+    H_n and of H_{n-1} with gcd(t, m) > 1.  For prime m the left side
+    dim H_n(C (x) Z/m) comes from an independent mod-m Gaussian elimination.
     Composite m: only the invariant-factor side is tabulated, no cross-check.
     """
     if m < 2:
@@ -358,23 +355,18 @@ def uct_check(C: IntChainComplex, m: int) -> CheckReport:
     factors = {n: invariant_factors(C.differential(n)) for n in degrees}
     groups = {n: _homology(C.dim(n), factors[n], factors[n + 1])
               for n in C.degrees()}
+    none = FinAbGroup(0, ())
+    rhs = {n: groups[n].free_rank
+           + sum(1 for G in (groups[n], groups.get(n - 1, none))
+                 for t in G.torsion if gcd(t, m) > 1)
+           for n in C.degrees()}
     if not is_prime(m):
-        from math import gcd
-        dims = {n: groups[n].free_rank
-                + sum(1 for t in groups[n].torsion if gcd(t, m) > 1)
-                + sum(1 for t in groups.get(n - 1, FinAbGroup(0, ())).torsion
-                      if gcd(t, m) > 1)
-                for n in C.degrees()}
         return CheckReport(
             "uct", (), True,
-            note=f"modulus {m} not prime; invariant-factor side only: {dims}")
+            note=f"modulus {m} not prime; invariant-factor side only: {rhs}")
     ranks = {n: rank_mod_p(C.differential(n), m) for n in degrees}
-    rows = []
-    for n in C.degrees():
-        lhs = C.dim(n) - ranks[n] - ranks[n + 1]
-        rhs = (_dim_tensor_mod(groups[n], m)
-               + _dim_tor_mod(groups.get(n - 1, FinAbGroup(0, ())), m))
-        rows.append((n, lhs, rhs))
+    rows = [(n, C.dim(n) - ranks[n] - ranks[n + 1], rhs[n])
+            for n in C.degrees()]
     return CheckReport("uct", tuple(rows), all(l == r for _, l, r in rows))
 
 
@@ -383,10 +375,6 @@ def hom_dual(C: CochainComplex) -> CochainComplex:
     complex: dual^n = (C^{m-n})* for m = min_deg + max_deg."""
     m = C.min_deg + C.max_deg
     dims = {m - n: C.dim(n) for n in C.degrees()}
-    diffs = {}
-    for n in C.degrees():
-        d = C.differentials.get(n)
-        if d is not None:
-            # (d^n)^T : (C^{n+1})* -> (C^n)*, i.e. dual^{m-n-1} -> dual^{m-n}
-            diffs[m - n - 1] = d.transpose()
+    # (d^n)^T : (C^{n+1})* -> (C^n)*, i.e. dual^{m-n-1} -> dual^{m-n}
+    diffs = {m - n - 1: d.transpose() for n, d in C.differentials.items()}
     return cochain_complex(min(dims) if dims else 0, dims, diffs)

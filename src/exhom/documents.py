@@ -16,8 +16,8 @@ from .complexes import (
     CochainComplex,
     ComplexError,
     IntChainComplex,
-    cochain_complex,
-    int_chain_complex,
+    _build,
+    _nonzero_composite,
     validate_complex,
 )
 from .qlinalg import RatMatrix
@@ -97,6 +97,10 @@ def _format_rational(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _format_matrix(M: RatMatrix) -> list:
+    return [[_format_rational(f) for f in row] for row in M.to_lists()]
+
+
 def _load_object(text: str) -> dict:
     doc = _load_json(text)
     if not isinstance(doc, dict):
@@ -141,9 +145,9 @@ def _dims_field(doc, parse_key) -> dict:
     return out
 
 
-def _parse_complex(text: str, step: int, parse_matrix, build):
+def _parse_complex(text: str, cls, parse_matrix):
     """One parse path for both gradings: differentials[n] maps degree n to
-    degree n + step (+1 for cochain, -1 for chain complexes)."""
+    degree n + cls.step (+1 for cochain, -1 for chain complexes)."""
     doc = _load_object(text)
     min_deg = doc.get("min_deg", 0)
     if not isinstance(min_deg, int) or isinstance(min_deg, bool):
@@ -152,27 +156,25 @@ def _parse_complex(text: str, step: int, parse_matrix, build):
     diffs = {}
     for k, raw in _map_field(doc, "differentials").items():
         deg = _degree_key(k, "differentials")
-        diffs[deg] = parse_matrix(raw, dims.get(deg + step, 0),
+        diffs[deg] = parse_matrix(raw, dims.get(deg + cls.step, 0),
                                   dims.get(deg, 0), f"differentials[{k}]")
     try:
-        C = build(min_deg, dims, diffs)
+        C = _build(cls, min_deg, dims, diffs)
     except ComplexError as e:
         raise DocumentError(str(e)) from None
     if not validate_complex(C):
-        bad = next(min(n, n + step) for n in C.degrees() if any(
-            (C.differential(n + step) @ C.differential(n)).entries))
-        raise DocumentError(f"d o d != 0 at degree {bad}")
+        raise DocumentError(f"d o d != 0 at degree {_nonzero_composite(C)}")
     return C
 
 
 def parse_cochain_document(text: str) -> CochainComplex:
     """Parse a rational cochain complex document and validate d o d = 0."""
-    return _parse_complex(text, 1, _parse_matrix, cochain_complex)
+    return _parse_complex(text, CochainComplex, _parse_matrix)
 
 
 def parse_chain_document(text: str) -> IntChainComplex:
     """Parse an integer chain complex document (homological grading)."""
-    return _parse_complex(text, -1, _parse_int_matrix, int_chain_complex)
+    return _parse_complex(text, IntChainComplex, _parse_int_matrix)
 
 
 def parse_double_complex_document(text: str) -> DoubleComplex:
@@ -220,8 +222,7 @@ def serialize_cochain(C: CochainComplex) -> str:
         "min_deg": C.min_deg,
         "dims": {str(n): C.dim(n) for n in sorted(C.dims)},
         "differentials": {
-            str(n): [[_format_rational(f) for f in M.row(i)]
-                     for i in range(M.rows)]
+            str(n): _format_matrix(M)
             for n, M in sorted(C.differentials.items())
         },
     }
@@ -233,11 +234,9 @@ def serialize_double_complex(K: DoubleComplex) -> str:
         "max_r": K.max_r,
         "max_c": K.max_c,
         "dims": {f"{r},{s}": d for (r, s), d in sorted(K.dims.items())},
-        "horiz": {f"{r},{s}": [[_format_rational(f) for f in M.row(i)]
-                               for i in range(M.rows)]
+        "horiz": {f"{r},{s}": _format_matrix(M)
                   for (r, s), M in sorted(K.horiz.items())},
-        "vert": {f"{r},{s}": [[_format_rational(f) for f in M.row(i)]
-                              for i in range(M.rows)]
+        "vert": {f"{r},{s}": _format_matrix(M)
                  for (r, s), M in sorted(K.vert.items())},
     }
     return json.dumps(doc, indent=1, sort_keys=True)

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Matrices carry arbitrary-precision ``Fraction`` entries and every operation
-is exact; there is no floating point anywhere in this module.  Subspaces are
-stored as reduced row echelon bases with zero rows dropped, so two equal
-subspaces are equal as values.
+`RatMatrix` carries arbitrary-precision ``Fraction`` entries and every
+operation is exact; there is no floating point anywhere in this module.  Its
+row-major storage and shape checks live in `_Dense`, which `zlinalg.IntMatrix`
+shares.  Subspaces are stored as reduced row echelon bases with zero rows
+dropped, so two equal subspaces are equal as values.
 
 Every dense product goes through one integer kernel, `_int_products`: rows
 times stride-slice columns, ``sum(map(mul, row, col))`` per entry.  A
@@ -45,12 +46,13 @@ def _integral(vector: Sequence[Fraction]) -> Tuple[List[int], int]:
 
 
 @dataclass(frozen=True)
-class RatMatrix:
-    """Dense rational matrix, row-major, immutable."""
+class _Dense:
+    """Dense matrix, row-major, immutable: the storage and shape checks of
+    `RatMatrix` and `zlinalg.IntMatrix`, each naming its entry coercion."""
 
     rows: int
     cols: int
-    entries: Tuple[Fraction, ...]
+    entries: tuple
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -60,42 +62,48 @@ class RatMatrix:
                 f"entry count {len(self.entries)} != {self.rows}x{self.cols}"
             )
 
-    @staticmethod
-    def from_rows(data: Sequence[Sequence], cols: int | None = None) -> "RatMatrix":
+    @classmethod
+    def from_rows(cls, data: Sequence[Sequence], cols: int | None = None):
         data = [list(r) for r in data]
         if cols is None:
             cols = len(data[0]) if data else 0
         for r in data:
             if len(r) != cols:
                 raise ValueError("ragged rows")
-        flat = tuple(_frac(x) for r in data for x in r)
-        return RatMatrix(len(data), cols, flat)
+        return cls(len(data), cols,
+                   tuple(cls._coerce(x) for r in data for x in r))
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix(rows, cols, (Fraction(0),) * (rows * cols))
+    @classmethod
+    def zero(cls, rows: int, cols: int):
+        return cls(rows, cols, (cls._coerce(0),) * (rows * cols))
 
-    @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        return RatMatrix(
-            n, n,
-            tuple(Fraction(1 if i == j else 0) for i in range(n) for j in range(n)),
-        )
+    @classmethod
+    def identity(cls, n: int):
+        one, zero = cls._coerce(1), cls._coerce(0)
+        return cls(n, n, tuple(one if i == j else zero
+                               for i in range(n) for j in range(n)))
 
-    def __getitem__(self, rc: Tuple[int, int]) -> Fraction:
+    def __getitem__(self, rc: Tuple[int, int]):
         i, j = rc
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> Tuple[Fraction, ...]:
+    def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def to_lists(self) -> List[List[Fraction]]:
+    def to_lists(self) -> List[list]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows,
-                         tuple(x for c in _columns(self.entries, self.cols)
-                               for x in c))
+    def transpose(self):
+        return type(self)(self.cols, self.rows,
+                          tuple(x for c in _columns(self.entries, self.cols)
+                                for x in c))
+
+
+@dataclass(frozen=True)
+class RatMatrix(_Dense):
+    """Dense rational matrix: `Fraction` entries."""
+
+    _coerce = staticmethod(_frac)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:

@@ -28,7 +28,8 @@ from fractions import Fraction
 from math import inf
 from typing import Dict, List, Tuple
 
-from .complexes import CochainComplex, _classes, _pairing, cochain_complex
+from .complexes import (CochainComplex, _classes, _composite, _pairing,
+                        cochain_complex)
 from .qlinalg import RatMatrix, Subspace, is_complementary, subspace_sum
 
 COLUMN = "column"
@@ -53,12 +54,6 @@ class DoubleComplex:
 
     def dim(self, r: int, s: int) -> int:
         return self.dims.get((r, s), 0)
-
-    def vert_at(self, r: int, s: int) -> RatMatrix:
-        d = self.vert.get((r, s))
-        if d is None:
-            return RatMatrix.zero(self.dim(r, s + 1), self.dim(r, s))
-        return d
 
     def cells(self):
         for r in range(self.max_r + 1):
@@ -103,15 +98,6 @@ def double_complex(max_r: int, max_c: int,
                 != _composite(h((r, s + 1)), v((r, s)))):
             raise DoubleComplexError(f"square does not commute at ({r},{s})")
     return K
-
-
-def _composite(outer, inner):
-    """Entries of outer @ inner, or None when the product is zero; an absent
-    (None) factor makes it zero by shape, so nothing is multiplied."""
-    if outer is None or inner is None:
-        return None
-    prod = outer @ inner
-    return prod.entries if any(prod.entries) else None
 
 
 def _layout(K: DoubleComplex, n: int) -> List[Tuple[int, int, int, int]]:

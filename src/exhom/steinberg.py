@@ -6,14 +6,18 @@ symmetric differences of parabolic labels.  The second page of the covering
 spectral sequence is assembled as a four-term sum over Kunneth pairs (i, j),
 one term per unitary constituent of the induced representation, weighted by
 the multiplicity vector (m10, m01, m11); the trivial constituent always has
-multiplicity one.  A separate emitter tabulates the published case-analysis
-table side by side with the four-term sum and reports every difference
-without judging which is intended.
+multiplicity one.  The sum is written once, `_four_term_sum`, which scatters
+each pair's four terms into its row of the grid, so the whole grid costs
+O(d d'); single cells, Betti numbers and filtration dims read that grid.  A
+separate emitter tabulates the published case-analysis table side by side
+with the four-term sum and reports every difference without judging which is
+intended; `render_grids` draws its grids and those of `exhom e2`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, FrozenSet, List, Tuple
 
 
@@ -74,21 +78,29 @@ def ext_dim(I1: SteinbergLabel, J1: SteinbergLabel,
     return 1 if i == delta(I1, I2) + delta(J1, J2) else 0
 
 
-def e2_dim(d: int, dp: int, spectrum: InducedSpectrum, r: int, s: int) -> int:
-    """Second-page dimension at (r, s) from the four-term sum over Kunneth
-    pairs i + j = s, 0 <= i <= d, 0 <= j <= dp."""
+def _four_term_sum(d: int, dp: int, spectrum: InducedSpectrum,
+                   rows) -> Dict[Tuple[int, int], int]:
+    """Nonzero cells (r, s) of the second page for s in `rows`: each Kunneth
+    pair i + j = s, 0 <= i <= d, 0 <= j <= dp, adds one term per unitary
+    constituent to row s."""
     if d < 1 or dp < 1:
         raise ValueError("dimensions must be >= 1")
-    total = 0
-    for i in range(max(0, s - dp), min(d, s) + 1):
-        j = s - i
-        total += (
-            (1 if r == i + j else 0)
-            + (spectrum.m10 if r == (d - i) + j else 0)
-            + (spectrum.m01 if r == i + (dp - j) else 0)
-            + (spectrum.m11 if r == (d - i) + (dp - j) else 0)
-        )
-    return total
+    grid: Dict[Tuple[int, int], int] = {}
+    for s in rows:
+        row = [0] * (d + dp + 1)
+        for i in range(max(0, s - dp), min(d, s) + 1):
+            j = s - i
+            row[i + j] += 1
+            row[d - i + j] += spectrum.m10
+            row[i + dp - j] += spectrum.m01
+            row[d - i + dp - j] += spectrum.m11
+        grid.update(((r, s), v) for r, v in enumerate(row) if v)
+    return grid
+
+
+def e2_dim(d: int, dp: int, spectrum: InducedSpectrum, r: int, s: int) -> int:
+    """Second-page dimension at (r, s), from row s of the four-term sum."""
+    return _four_term_sum(d, dp, spectrum, [s]).get((r, s), 0)
 
 
 @dataclass(frozen=True)
@@ -109,15 +121,19 @@ class E2Table:
 
 
 def e2_table(d: int, dp: int, spectrum: InducedSpectrum) -> E2Table:
-    """Tabulate e2_dim over the supported square."""
-    top = d + dp
-    grid = {}
-    for r in range(top + 1):
-        for s in range(top + 1):
-            v = e2_dim(d, dp, spectrum, r, s)
-            if v:
-                grid[(r, s)] = v
-    return E2Table(d, dp, spectrum, grid)
+    """The four-term sum over the supported square."""
+    return E2Table(d, dp, spectrum,
+                   _four_term_sum(d, dp, spectrum, range(d + dp + 1)))
+
+
+def _antidiagonal(grid: Dict[Tuple[int, int], int], n: int) -> List[int]:
+    """The cells (r, n - r) for r = 0..n."""
+    return [grid.get((r, n - r), 0) for r in range(n + 1)]
+
+
+def _filtration_dims(diagonal: List[int]) -> List[int]:
+    """dim F^i = the sum of diagonal[r] over r >= i, for i = 0..len."""
+    return list(accumulate(reversed(diagonal)))[::-1] + [0]
 
 
 def betti(d: int, dp: int, spectrum: InducedSpectrum, n: int) -> int:
@@ -125,8 +141,7 @@ def betti(d: int, dp: int, spectrum: InducedSpectrum, n: int) -> int:
     (the sequence degenerates there)."""
     if n < 0 or n > 2 * (d + dp):
         return 0
-    return sum(e2_dim(d, dp, spectrum, r, n - r)
-               for r in range(max(0, n - (d + dp)), min(d + dp, n) + 1))
+    return sum(_antidiagonal(_four_term_sum(d, dp, spectrum, range(n + 1)), n))
 
 
 def covering_filtration_dims(d: int, dp: int, spectrum: InducedSpectrum,
@@ -135,9 +150,8 @@ def covering_filtration_dims(d: int, dp: int, spectrum: InducedSpectrum,
     dim F^i = sum over r >= i of the degree-n anti-diagonal of the grid."""
     if n < 0 or n > 2 * (d + dp):
         raise ValueError(f"degree {n} outside [0, {2 * (d + dp)}]")
-    diag = {r: e2_dim(d, dp, spectrum, r, n - r)
-            for r in range(max(0, n - (d + dp)), min(d + dp, n) + 1)}
-    return [sum(v for r, v in diag.items() if r >= i) for i in range(n + 2)]
+    grid = _four_term_sum(d, dp, spectrum, range(n + 1))
+    return _filtration_dims(_antidiagonal(grid, n))
 
 
 @dataclass(frozen=True)
@@ -152,12 +166,12 @@ class BettiProfile:
 
 
 def betti_profile(d: int, dp: int, spectrum: InducedSpectrum) -> BettiProfile:
-    top = 2 * (d + dp)
+    grid = e2_table(d, dp, spectrum).grid
+    diagonals = [_antidiagonal(grid, n) for n in range(2 * (d + dp) + 1)]
     return BettiProfile(
         d, dp, spectrum,
-        b=tuple(betti(d, dp, spectrum, n) for n in range(top + 1)),
-        filtrations=tuple(tuple(covering_filtration_dims(d, dp, spectrum, n))
-                          for n in range(top + 1)),
+        b=tuple(map(sum, diagonals)),
+        filtrations=tuple(tuple(_filtration_dims(v)) for v in diagonals),
     )
 
 
@@ -201,6 +215,19 @@ def _stated_betti(d: int, dp: int, spectrum: InducedSpectrum, n: int) -> int:
     return (2 * d + 2 * dp + 1 - n) * (m10 + m01) + 1
 
 
+def render_grids(top: int, *lookups) -> List[List[str]]:
+    """Each lookup(r, s) over 0 <= r, s <= top as lines: a header of r, then
+    one line per s from top down.  One column width fits every cell of every
+    grid, so the grids line up and no two cells run together."""
+    grids = [[[str(f(r, s)) for r in range(top + 1)]
+              for s in range(top, -1, -1)] for f in lookups]
+    width = max(3, 1 + max(len(c) for g in grids for row in g for c in row))
+    head = "  s\\r " + "".join(str(r).rjust(width) for r in range(top + 1))
+    return [[head] + ["  " + str(top - k).rjust(3) + " "
+                      + "".join(c.rjust(width) for c in row)
+                      for k, row in enumerate(g)] for g in grids]
+
+
 @dataclass(frozen=True)
 class PaperTableDiff:
     """Side-by-side comparison of the four-term sum with the published table.
@@ -220,31 +247,18 @@ class PaperTableDiff:
     betti_diffs: Dict[int, Tuple[int, int]]
 
     def render(self) -> str:
-        top = self.d + self.dp
-        width = max(3, max((len(str(v)) for v in
-                            list(self.computed.grid.values())
-                            + list(self.stated.values())), default=1) + 1)
+        def stated(r, s):
+            return self.stated.get((r, s), 0)
 
-        def grid_lines(title, lookup):
-            lines = [title]
-            header = "  s\\r " + "".join(str(r).rjust(width)
-                                         for r in range(top + 1))
-            lines.append(header)
-            for s in range(top, -1, -1):
-                lines.append("  " + str(s).rjust(3) + " "
-                             + "".join(str(lookup(r, s)).rjust(width)
-                                       for r in range(top + 1)))
-            return lines
-
+        computed, table, diff = render_grids(
+            self.d + self.dp, self.computed.at, stated,
+            lambda r, s: self.computed.at(r, s) - stated(r, s))
         lines = [f"second-page comparison  d={self.d} d'={self.dp} "
                  f"m10={self.spectrum.m10} m01={self.spectrum.m01} "
-                 f"m11={self.spectrum.m11}"]
-        lines += grid_lines("computed (four-term sum):", self.computed.at)
-        lines += grid_lines("stated (case table):",
-                            lambda r, s: self.stated.get((r, s), 0))
-        lines += grid_lines("difference (computed - stated):",
-                            lambda r, s: self.computed.at(r, s)
-                            - self.stated.get((r, s), 0))
+                 f"m11={self.spectrum.m11}",
+                 "computed (four-term sum):", *computed,
+                 "stated (case table):", *table,
+                 "difference (computed - stated):", *diff]
         lines.append("cell differences: "
                      + (", ".join(f"({r},{s}): {c} vs {st}"
                                   for (r, s), (c, st)
@@ -268,19 +282,12 @@ def paper_table_diff(d: int, dp: int, spectrum: InducedSpectrum) -> PaperTableDi
             "no stated table for this case: it requires even d, d' with d <= d'")
     computed = e2_table(d, dp, spectrum)
     top = d + dp
-    stated = {}
-    for r in range(top + 1):
-        for s in range(top + 1):
-            v = _stated_e2(d, dp, spectrum, r, s)
-            if v:
-                stated[(r, s)] = v
-    cell_diffs = {}
-    for r in range(top + 1):
-        for s in range(top + 1):
-            c, st = computed.at(r, s), stated.get((r, s), 0)
-            if c != st:
-                cell_diffs[(r, s)] = (c, st)
-    bc = tuple(betti(d, dp, spectrum, n) for n in range(2 * top + 1))
+    cells = [(r, s) for r in range(top + 1) for s in range(top + 1)]
+    stated = {rs: v for rs in cells if (v := _stated_e2(d, dp, spectrum, *rs))}
+    pairs = {rs: (computed.at(*rs), stated.get(rs, 0)) for rs in cells}
+    cell_diffs = {rs: (c, st) for rs, (c, st) in pairs.items() if c != st}
+    bc = tuple(sum(_antidiagonal(computed.grid, n))
+               for n in range(2 * top + 1))
     bs = tuple(_stated_betti(d, dp, spectrum, n) for n in range(2 * top + 1))
     betti_diffs = {n: (c, st) for n, (c, st) in enumerate(zip(bc, bs))
                    if c != st}

@@ -1,7 +1,9 @@
 """Exact integer linear algebra: Smith normal form and cokernel structure.
 
-Entries are Python ints (arbitrary precision).  Products go through the
-dense kernel `qlinalg._int_products` (rows times stride-slice columns).
+`IntMatrix` shares its storage and shape checks with `qlinalg.RatMatrix`
+(`qlinalg._Dense`); its entries are Python ints (arbitrary precision), and an
+entry that is not one is refused.  Products go through the dense kernel
+`qlinalg._int_products` (rows times stride-slice columns).
 Two routes to the Smith diagonal:
 
 * `invariant_factors` builds no transforms.  A fraction-free (Bareiss) pass
@@ -21,63 +23,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import List, Sequence, Tuple
+from operator import index
+from typing import List, Tuple
 
-from .qlinalg import RatMatrix, _columns, _int_products
+from .qlinalg import RatMatrix, _columns, _Dense, _int_products
+
+
+def _index(x) -> int:
+    """x as an int; a float or a string is refused, not truncated or parsed."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError("IntMatrix entries must be ints") from None
 
 
 @dataclass(frozen=True)
-class IntMatrix:
-    """Dense integer matrix, row-major, immutable."""
+class IntMatrix(_Dense):
+    """Dense integer matrix: Python int entries."""
 
-    rows: int
-    cols: int
-    entries: Tuple[int, ...]
+    _coerce = staticmethod(_index)
 
     def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"entry count {len(self.entries)} != {self.rows}x{self.cols}"
-            )
+        super().__post_init__()
         if not all(isinstance(e, int) for e in self.entries):
             raise ValueError("IntMatrix entries must be ints")
 
-    @staticmethod
-    def from_rows(data: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        data = [list(r) for r in data]
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        for r in data:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-        return IntMatrix(len(data), cols, tuple(int(x) for r in data for x in r))
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, (0,) * (rows * cols))
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(1 if i == j else 0
-                                     for i in range(n) for j in range(n)))
-
-    def __getitem__(self, rc: Tuple[int, int]) -> int:
-        i, j = rc
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> Tuple[int, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
     def column(self, j: int) -> Tuple[int, ...]:
         return self.entries[j::self.cols]
-
-    def to_lists(self) -> List[List[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(x for c in _columns(self.entries, self.cols)
-                               for x in c))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:

@@ -260,3 +260,18 @@ def test_hom_tensor_compatibility():
         right = cohomology_dims(hom_dual(tensor_product(C, D)))
         assert {n: v for n, v in left.items() if v} \
             == {n: v for n, v in right.items() if v}
+
+
+def test_validate_names_the_degree_of_the_first_nonzero_composite():
+    from exhom.complexes import _nonzero_composite
+    one = IntMatrix.from_rows([[1]])
+    C = int_chain_complex(3, {3: 1, 4: 1, 5: 1, 6: 1},
+                          {4: one, 5: one, 6: IntMatrix.from_rows([[2]])})
+    assert not validate_complex(C)
+    assert _nonzero_composite(C) == 4  # d_4 o d_5, the lower degree first
+    D = cochain_complex(0, {0: 1, 1: 1, 2: 1},
+                        {0: RatMatrix.from_rows([[1]]),
+                         1: RatMatrix.from_rows([[1]])})
+    assert _nonzero_composite(D) == 0
+    with pytest.raises(TypeError, match="not a complex"):
+        validate_complex(RatMatrix.identity(1))

@@ -3,6 +3,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
 from decimal import Decimal
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_dense_cochain, random_double_complex
-from exhom.cli import main
+from exhom.cli import build_parser, main
 from exhom.documents import (
     DocumentError,
     parse_chain_document,
@@ -21,7 +23,9 @@ from exhom.documents import (
     serialize_cochain,
     serialize_double_complex,
 )
+from exhom.qlinalg import RatMatrix
 from exhom.spectral import MAX_GRID
+from exhom.zlinalg import IntMatrix
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +76,22 @@ def test_parse_rejects_nonzero_composite():
                       "differentials": {"0": [["1"]], "1": [["1"]]}})
     with pytest.raises(DocumentError, match="d o d"):
         parse_cochain_document(doc)
+
+
+def test_failing_complex_document_builds_no_zero_matrix(monkeypatch):
+    def refuse(cls, rows, cols):
+        raise AssertionError("zero matrix built")
+
+    monkeypatch.setattr(RatMatrix, "zero", classmethod(refuse))
+    monkeypatch.setattr(IntMatrix, "zero", classmethod(refuse))
+    cochain = {"dims": {"0": 1, "1": 1, "2": 1, "3": 1, "5": 2},
+               "differentials": {"1": [["1"]], "2": [["1"]]}}
+    with pytest.raises(DocumentError, match="d o d != 0 at degree 1"):
+        parse_cochain_document(json.dumps(cochain))
+    chain = {"min_deg": 3, "dims": {"3": 1, "4": 1, "5": 1, "6": 1, "9": 3},
+             "differentials": {"4": [[1]], "5": [[1]], "6": [[2]]}}
+    with pytest.raises(DocumentError, match="d o d != 0 at degree 4"):
+        parse_chain_document(json.dumps(chain))
 
 
 def test_parse_rejects_invalid_json():
@@ -162,6 +182,22 @@ def test_cli_e2_compare_paper(capsys):
     code2, out2, _ = run_cli(capsys, "e2", "--d", "2", "--dp", "2",
                              "--compare-paper")
     assert out2 == out, "comparison output must be bit-stable"
+
+
+def test_cli_e2_grids_keep_their_columns_apart(capsys):
+    # a difference of -10 is one character wider than every computed and
+    # stated entry; each grid row must still split into s and d + d' + 1 cells
+    code, out, _ = run_cli(capsys, "e2", "--d", "2", "--dp", "4",
+                           "--m10", "10", "--compare-paper")
+    assert code == 0
+    lines = out.splitlines()
+    rows = [lines[lines.index(title) + 2:lines.index(title) + 9]
+            for title in ("computed (four-term sum):", "stated (case table):",
+                          "difference (computed - stated):")]
+    assert all(len(line.split()) == 8 for grid in rows for line in grid)
+    assert "-10" in rows[2][0].split()
+    # the three grids share one width, so their columns line up
+    assert len({len(line) for grid in rows for line in grid}) == 1
 
 
 def test_cli_e2_compare_paper_odd_case(capsys):
@@ -261,6 +297,34 @@ def test_cli_oppose(tmp_path, capsys):
     assert "opposite true" in out
     code, _, err = run_cli(capsys, "oppose", "--input", str(f), "--n", "5")
     assert code == 2
+
+
+def test_cli_builds_its_parser_once():
+    assert build_parser() is build_parser()
+
+
+def test_cli_consecutive_calls_match_fresh_runs(tmp_path):
+    """One process answering ss, a usage error and snf in turn prints what a
+    fresh process prints for each."""
+    K = random_double_complex(random.Random(41), max_r=2, max_c=2)
+    k, m = tmp_path / "k.json", tmp_path / "m.json"
+    k.write_text(serialize_double_complex(K))
+    m.write_text("[[2, 4], [6, 8]]")
+    argvs = [["ss", "--input", str(k), "--axis", "row", "--pages"],
+             ["snf", "--input", str(m), "--bogus"],
+             ["snf", "--input", str(m)]]
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    fresh = [subprocess.run([sys.executable, "-m", "exhom.cli", *argv],
+                            capture_output=True, text=True, env=env)
+             for argv in argvs]
+    for argv, run in zip(argvs * 2, fresh * 2):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        assert (code, out.getvalue(), err.getvalue()) \
+            == (run.returncode, run.stdout, run.stderr)
+    assert [r.returncode for r in fresh] == [0, 2, 0]
 
 
 def test_cli_usage_errors(capsys):

@@ -106,8 +106,8 @@ def test_column_e1_is_vertical_cohomology():
             col = {s: K.dim(p, s) for s in range(K.max_c + 1)}
             from exhom.complexes import cochain_complex
             C = cochain_complex(0, col,
-                                {s: K.vert_at(p, s) for s in range(K.max_c)
-                                 if K.dim(p, s) and K.dim(p, s + 1)})
+                                {s: K.vert[(p, s)] for s in range(K.max_c)
+                                 if (p, s) in K.vert})
             for q in range(K.max_c + 1):
                 assert P.dim(1, p, q) == cohomology(C, q)[0]
 

@@ -78,6 +78,44 @@ def test_e2_general_cells():
         e2_dim(0, 1, sp, 0, 0)
 
 
+def reference_e2_dim(d, dp, spectrum, r, s):
+    """The four-term sum cell by cell: every Kunneth pair i + j = s."""
+    total = 0
+    for i in range(max(0, s - dp), min(d, s) + 1):
+        j = s - i
+        total += ((1 if r == i + j else 0)
+                  + (spectrum.m10 if r == (d - i) + j else 0)
+                  + (spectrum.m01 if r == i + (dp - j) else 0)
+                  + (spectrum.m11 if r == (d - i) + (dp - j) else 0))
+    return total
+
+
+def test_scattered_grid_matches_per_cell_sum():
+    """e2_table, e2_dim, betti, covering_filtration_dims and betti_profile
+    all read the one scattered grid; check it against the per-cell sum."""
+    for d, dp in itertools.product(range(1, 7), repeat=2):
+        top = d + dp
+        cells = range(-1, top + 2)
+        for m in itertools.product(range(3), repeat=3):
+            sp = InducedSpectrum(*m)
+            ref = {(r, s): reference_e2_dim(d, dp, sp, r, s)
+                   for r in cells for s in cells}
+            assert e2_table(d, dp, sp).grid \
+                == {rs: v for rs, v in ref.items() if v}
+            assert all(e2_dim(d, dp, sp, r, s) == v
+                       for (r, s), v in ref.items())
+            b = [sum(ref.get((r, n - r), 0) for r in range(n + 1))
+                 for n in range(2 * top + 1)]
+            dims = [tuple(sum(ref.get((r, n - r), 0) for r in range(i, n + 1))
+                          for i in range(n + 2)) for n in range(2 * top + 1)]
+            assert [betti(d, dp, sp, n) for n in range(-1, 2 * top + 2)] \
+                == [0] + b + [0]
+            assert [tuple(covering_filtration_dims(d, dp, sp, n))
+                    for n in range(2 * top + 1)] == dims
+            prof = betti_profile(d, dp, sp)
+            assert prof.b == tuple(b) and prof.filtrations == tuple(dims)
+
+
 def test_e2_transpose_symmetries():
     """Swapping (d, m10) with (d', m01) transposes nothing on the diagonal
     sum; the grid itself is invariant under (r,s) -> (d+d'-r, d+d'-s)."""

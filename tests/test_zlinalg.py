@@ -213,3 +213,26 @@ def test_is_prime_refuses_to_guess_out_of_range():
     # a witness still proves a large number composite
     assert not is_prime(3 * 3317044064679887385961981)
     assert not is_prime((2 ** 61 - 1) * (2 ** 89 - 1))
+
+
+def test_int_matrix_refuses_what_it_cannot_hold():
+    with pytest.raises(ValueError, match="negative matrix dimensions"):
+        IntMatrix(-1, 0, ())
+    for bad in (1.7, "3", None):
+        with pytest.raises(ValueError, match="must be ints"):
+            IntMatrix.from_rows([[bad]])
+    with pytest.raises(ValueError, match="must be ints"):
+        IntMatrix(1, 1, (2.0,))
+    assert IntMatrix.from_rows([[True, -5]]).entries == (1, -5)
+
+
+def test_int_matrix_shares_rational_storage():
+    A = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    assert type(A.transpose()) is IntMatrix
+    assert A.transpose().to_lists() == [[1, 4], [2, 5], [3, 6]]
+    assert IntMatrix.zero(2, 1) == IntMatrix(2, 1, (0, 0))
+    assert IntMatrix.identity(2).entries == (1, 0, 0, 1)
+    assert A.to_rational().to_lists() == A.to_lists()
+    assert A != A.to_rational()
+    with pytest.raises(ValueError, match="ragged rows"):
+        IntMatrix.from_rows([[1, 2], [3]])
