@@ -125,9 +125,9 @@ def _composite(outer, inner):
 
 def _nonzero_composite(C):
     """The lowest degree min(n, n + step) at which d_{n+step} o d_n is
-    nonzero, or None."""
+    nonzero, or None.  Only the stored maps are visited, in ascending n."""
     d, step = C.differentials, C.step
-    return next((min(n, n + step) for n in C.degrees()
+    return next((min(n, n + step) for n in sorted(d)
                  if _composite(d.get(n + step), d.get(n)) is not None), None)
 
 
@@ -365,8 +365,10 @@ def uct_check(C: IntChainComplex, m: int) -> CheckReport:
             "uct", (), True,
             note=f"modulus {m} not prime; invariant-factor side only: {rhs}")
     ranks = {n: rank_mod_p(C.differential(n), m) for n in degrees}
-    rows = [(n, C.dim(n) - ranks[n] - ranks[n + 1], rhs[n])
-            for n in C.degrees()]
+    rows = []
+    for n in C.degrees():
+        lhs = C.dim(n) - ranks[n] - ranks[n + 1]
+        rows.append((n, lhs, rhs[n]))
     return CheckReport("uct", tuple(rows), all(l == r for _, l, r in rows))
 
 

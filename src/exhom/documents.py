@@ -30,16 +30,13 @@ class DocumentError(ValueError):
 
 
 def _parse_rational(raw, where: str) -> Fraction:
-    if isinstance(raw, bool):
-        raise DocumentError(f"malformed rational at {where}: {raw!r}")
-    if isinstance(raw, int):
+    if isinstance(raw, int) and not isinstance(raw, bool):
         return Fraction(raw)
     if isinstance(raw, str):
         try:
-            f = Fraction(raw)
+            return Fraction(raw)
         except (ValueError, ZeroDivisionError):
-            raise DocumentError(f"malformed rational at {where}: {raw!r}") from None
-        return f
+            pass
     raise DocumentError(f"malformed rational at {where}: {raw!r}")
 
 
@@ -126,13 +123,11 @@ def _degree_key(k: str, where: str) -> int:
 
 
 def _cell_key(k: str, where: str) -> Tuple[int, int]:
-    parts = k.split(",")
-    if len(parts) != 2:
-        raise DocumentError(f"malformed cell key {k!r} in '{where}'")
     try:
-        return int(parts[0]), int(parts[1])
+        r, s = map(int, k.split(","))  # a count other than 2 fails to unpack
     except ValueError:
         raise DocumentError(f"malformed cell key {k!r} in '{where}'") from None
+    return r, s
 
 
 def _dims_field(doc, parse_key) -> dict:

@@ -112,19 +112,13 @@ def _layout(K: DoubleComplex, n: int) -> List[Tuple[int, int, int, int]]:
     return out
 
 
-def _total_dim(K: DoubleComplex, n: int) -> int:
-    lay = _layout(K, n)
-    return lay[-1][2] + lay[-1][3] if lay else 0
-
-
-def _total_differential(K: DoubleComplex, n: int) -> RatMatrix:
-    src = _layout(K, n)
-    dst = _layout(K, n + 1)
-    sd = _total_dim(K, n)
+def _total_differential(K: DoubleComplex, n: int,
+                        dims: Dict[int, int]) -> RatMatrix:
+    """D: T^n -> T^{n+1}, with dims[m] = dim T^m."""
     zero = Fraction(0)
-    rows = [[zero] * sd for _ in range(_total_dim(K, n + 1))]
-    dst_off = {(r, s): off for r, s, off, _ in dst}
-    for r, s, off, d in src:
+    rows = [[zero] * dims[n] for _ in range(dims[n + 1])]
+    dst_off = {(r, s): off for r, s, off, _ in _layout(K, n + 1)}
+    for r, s, off, d in _layout(K, n):
         for M, cell, negate in ((K.horiz.get((r, s)), (r + 1, s), False),
                                 (K.vert.get((r, s)), (r, s + 1), r % 2)):
             if M is not None and cell in dst_off:
@@ -132,15 +126,15 @@ def _total_differential(K: DoubleComplex, n: int) -> RatMatrix:
                 for a in range(M.rows):
                     rows[to + a][off:off + d] = ([-x for x in M.row(a)]
                                                  if negate else M.row(a))
-    return RatMatrix.from_rows(rows, sd)
+    return RatMatrix.from_rows(rows, dims[n])
 
 
 def total_complex(K: DoubleComplex) -> CochainComplex:
     """Totalization T^n = sum_{r+s=n} K^{r,s} with D = d' + (-1)^r d''."""
     top = K.max_r + K.max_c
-    dims = {n: _total_dim(K, n) for n in range(top + 1)}
-    diffs = {n: _total_differential(K, n) for n in range(top)
-             if dims.get(n, 0) and dims.get(n + 1, 0)}
+    dims = {n: sum(d for *_, d in _layout(K, n)) for n in range(top + 1)}
+    diffs = {n: _total_differential(K, n, dims) for n in range(top)
+             if dims[n] and dims[n + 1]}
     return cochain_complex(0, dims, diffs)
 
 

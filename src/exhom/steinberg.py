@@ -6,11 +6,12 @@ symmetric differences of parabolic labels.  The second page of the covering
 spectral sequence is assembled as a four-term sum over Kunneth pairs (i, j),
 one term per unitary constituent of the induced representation, weighted by
 the multiplicity vector (m10, m01, m11); the trivial constituent always has
-multiplicity one.  The sum is written once, `_four_term_sum`, which scatters
-each pair's four terms into its row of the grid, so the whole grid costs
-O(d d'); single cells, Betti numbers and filtration dims read that grid.  A
-separate emitter tabulates the published case-analysis table side by side
-with the four-term sum and reports every difference without judging which is
+multiplicity one.  The sum is written once, `_row`, which scatters each
+pair's four terms into one sparse row in O(min(d, d')): the grid is every
+row, O(d d'), a single cell reads its own row, and Betti numbers and
+filtration dims keep only the anti-diagonals of rows 0..n.  A separate
+emitter tabulates the published case-analysis table side by side with the
+four-term sum and reports every difference without judging which is
 intended; `render_grids` draws its grids and those of `exhom e2`.
 """
 
@@ -78,29 +79,25 @@ def ext_dim(I1: SteinbergLabel, J1: SteinbergLabel,
     return 1 if i == delta(I1, I2) + delta(J1, J2) else 0
 
 
-def _four_term_sum(d: int, dp: int, spectrum: InducedSpectrum,
-                   rows) -> Dict[Tuple[int, int], int]:
-    """Nonzero cells (r, s) of the second page for s in `rows`: each Kunneth
+def _row(d: int, dp: int, spectrum: InducedSpectrum, s: int) -> Dict[int, int]:
+    """Row s of the second page as its nonzero cells {r: dim}: each Kunneth
     pair i + j = s, 0 <= i <= d, 0 <= j <= dp, adds one term per unitary
-    constituent to row s."""
+    constituent.  O(min(d, d')) time and memory."""
     if d < 1 or dp < 1:
         raise ValueError("dimensions must be >= 1")
-    grid: Dict[Tuple[int, int], int] = {}
-    for s in rows:
-        row = [0] * (d + dp + 1)
-        for i in range(max(0, s - dp), min(d, s) + 1):
-            j = s - i
-            row[i + j] += 1
-            row[d - i + j] += spectrum.m10
-            row[i + dp - j] += spectrum.m01
-            row[d - i + dp - j] += spectrum.m11
-        grid.update(((r, s), v) for r, v in enumerate(row) if v)
-    return grid
+    row: Dict[int, int] = {}
+    for i in range(max(0, s - dp), min(d, s) + 1):
+        j = s - i
+        for r, w in ((i + j, 1), (d - i + j, spectrum.m10),
+                     (i + dp - j, spectrum.m01), (d - i + dp - j, spectrum.m11)):
+            if w:
+                row[r] = row.get(r, 0) + w
+    return row
 
 
 def e2_dim(d: int, dp: int, spectrum: InducedSpectrum, r: int, s: int) -> int:
-    """Second-page dimension at (r, s), from row s of the four-term sum."""
-    return _four_term_sum(d, dp, spectrum, [s]).get((r, s), 0)
+    """Second-page dimension at (r, s), from row s alone."""
+    return _row(d, dp, spectrum, s).get(r, 0)
 
 
 @dataclass(frozen=True)
@@ -122,13 +119,21 @@ class E2Table:
 
 def e2_table(d: int, dp: int, spectrum: InducedSpectrum) -> E2Table:
     """The four-term sum over the supported square."""
-    return E2Table(d, dp, spectrum,
-                   _four_term_sum(d, dp, spectrum, range(d + dp + 1)))
+    return E2Table(d, dp, spectrum, {
+        (r, s): v for s in range(d + dp + 1)
+        for r, v in _row(d, dp, spectrum, s).items()})
 
 
-def _antidiagonal(grid: Dict[Tuple[int, int], int], n: int) -> List[int]:
-    """The cells (r, n - r) for r = 0..n."""
-    return [grid.get((r, n - r), 0) for r in range(n + 1)]
+def _antidiagonals(d: int, dp: int, spectrum: InducedSpectrum,
+                   degrees) -> List[List[int]]:
+    """For each n in degrees, the cells (r, n - r) for r = 0..n, from one
+    pass over the rows of the four-term sum that reach them."""
+    diagonals = {n: [0] * (n + 1) for n in degrees}
+    for s in range(min(max(degrees), d + dp) + 1):
+        for r, v in _row(d, dp, spectrum, s).items():
+            if r + s in diagonals:
+                diagonals[r + s][r] += v
+    return list(diagonals.values())
 
 
 def _filtration_dims(diagonal: List[int]) -> List[int]:
@@ -141,7 +146,7 @@ def betti(d: int, dp: int, spectrum: InducedSpectrum, n: int) -> int:
     (the sequence degenerates there)."""
     if n < 0 or n > 2 * (d + dp):
         return 0
-    return sum(_antidiagonal(_four_term_sum(d, dp, spectrum, range(n + 1)), n))
+    return sum(_antidiagonals(d, dp, spectrum, [n])[0])
 
 
 def covering_filtration_dims(d: int, dp: int, spectrum: InducedSpectrum,
@@ -150,8 +155,7 @@ def covering_filtration_dims(d: int, dp: int, spectrum: InducedSpectrum,
     dim F^i = sum over r >= i of the degree-n anti-diagonal of the grid."""
     if n < 0 or n > 2 * (d + dp):
         raise ValueError(f"degree {n} outside [0, {2 * (d + dp)}]")
-    grid = _four_term_sum(d, dp, spectrum, range(n + 1))
-    return _filtration_dims(_antidiagonal(grid, n))
+    return _filtration_dims(_antidiagonals(d, dp, spectrum, [n])[0])
 
 
 @dataclass(frozen=True)
@@ -166,8 +170,7 @@ class BettiProfile:
 
 
 def betti_profile(d: int, dp: int, spectrum: InducedSpectrum) -> BettiProfile:
-    grid = e2_table(d, dp, spectrum).grid
-    diagonals = [_antidiagonal(grid, n) for n in range(2 * (d + dp) + 1)]
+    diagonals = _antidiagonals(d, dp, spectrum, range(2 * (d + dp) + 1))
     return BettiProfile(
         d, dp, spectrum,
         b=tuple(map(sum, diagonals)),
@@ -282,12 +285,16 @@ def paper_table_diff(d: int, dp: int, spectrum: InducedSpectrum) -> PaperTableDi
             "no stated table for this case: it requires even d, d' with d <= d'")
     computed = e2_table(d, dp, spectrum)
     top = d + dp
-    cells = [(r, s) for r in range(top + 1) for s in range(top + 1)]
-    stated = {rs: v for rs in cells if (v := _stated_e2(d, dp, spectrum, *rs))}
-    pairs = {rs: (computed.at(*rs), stated.get(rs, 0)) for rs in cells}
-    cell_diffs = {rs: (c, st) for rs, (c, st) in pairs.items() if c != st}
-    bc = tuple(sum(_antidiagonal(computed.grid, n))
-               for n in range(2 * top + 1))
+    stated = {}
+    cell_diffs = {}
+    for r in range(top + 1):
+        for s in range(top + 1):
+            c, st = computed.at(r, s), _stated_e2(d, dp, spectrum, r, s)
+            if st:
+                stated[(r, s)] = st
+            if c != st:
+                cell_diffs[(r, s)] = (c, st)
+    bc = betti_profile(d, dp, spectrum).b
     bs = tuple(_stated_betti(d, dp, spectrum, n) for n in range(2 * top + 1))
     betti_diffs = {n: (c, st) for n, (c, st) in enumerate(zip(bc, bs))
                    if c != st}

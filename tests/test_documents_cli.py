@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from decimal import Decimal
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_dense_cochain, random_double_complex
 from exhom.cli import build_parser, main
+from exhom.complexes import _Complex
 from exhom.documents import (
     DocumentError,
     parse_chain_document,
@@ -91,6 +93,21 @@ def test_failing_complex_document_builds_no_zero_matrix(monkeypatch):
     chain = {"min_deg": 3, "dims": {"3": 1, "4": 1, "5": 1, "6": 1, "9": 3},
              "differentials": {"4": [[1]], "5": [[1]], "6": [[2]]}}
     with pytest.raises(DocumentError, match="d o d != 0 at degree 4"):
+        parse_chain_document(json.dumps(chain))
+
+
+def test_composite_search_walks_no_degree_span(monkeypatch):
+    """d o d is checked on the stored maps only: a document whose degrees
+    span 10^8 parses without walking that span."""
+    def refuse(self):
+        raise AssertionError("degree span walked")
+
+    monkeypatch.setattr(_Complex, "degrees", refuse)
+    C = parse_cochain_document(json.dumps({"dims": {"0": 1, "100000000": 1}}))
+    assert C.max_deg == 100000000
+    chain = {"dims": {"0": 1, "1": 1, "2": 1, "100000000": 1},
+             "differentials": {"1": [[1]], "2": [[1]]}}
+    with pytest.raises(DocumentError, match="d o d != 0 at degree 1"):
         parse_chain_document(json.dumps(chain))
 
 
@@ -228,6 +245,23 @@ def test_cli_filtration(capsys):
     code, _, err = run_cli(capsys, "filtration", "--d", "1", "--dp", "1",
                            "--n", "9")
     assert code == 2
+
+
+def test_cli_filtration_reads_only_the_rows_it_needs(capsys):
+    """An anti-diagonal reads the rows up to its degree, O(min(d, d')) each,
+    so a large d' costs neither time nor memory there."""
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "filtration", "--d", "1",
+                               "--dp", "1000000", "--n", "3", "--m10", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense row of d' + 2 ints alone would take 8 MB
+    assert (code, out) == (0, "2 2 1 0 0\n") and peak < 1_000_000
+    code, out, _ = run_cli(capsys, "filtration", "--d", "1",
+                           "--dp", "1000000000", "--n", "0")
+    assert (code, out) == (0, "1 0\n")
 
 
 def test_cli_snf(tmp_path, capsys):
