@@ -11,7 +11,9 @@ filtered column reduction, the persistence pairing (Zomorodian and Carlsson
 d^n is reduced column by column in the order (level descending, index
 ascending), the low of a column being its nonzero row that comes last in
 that order.  A reduced column pairs a source with a target; the classes of
-the unpaired basis vectors, which are cycles, form a basis of H^n.
+the unpaired basis vectors, which are cycles, form a basis of H^n.  The
+reduction is fraction-free (Bareiss 1968): columns are scaled to integers
+once per complex, and the gcd of all entries is divided out after each step.
 
 Both gradings share one storage, `_Complex`: a subclass names only its
 step (+1 for cochain, -1 for chain complexes) and its matrix class, and the
@@ -27,10 +29,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, inf
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .qlinalg import RatMatrix, Subspace
+from .qlinalg import _ZERO, RatMatrix, Subspace, _integral
 from .zlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -75,6 +78,18 @@ class CochainComplex(_Complex):
 
     step = 1
     matrix = RatMatrix
+
+    @cached_property
+    def _columns(self) -> Dict[int, List[Tuple[List[int], int]]]:
+        """Columns of each stored d^n as (v, den), v an integer vector with
+        column = v / den: scaled once, for every pairing of the complex."""
+        return {n: [_integral(D.entries[i::D.cols]) for i in range(D.cols)]
+                for n, D in self.differentials.items()}
+
+    @cached_property
+    def _bases(self) -> Dict[int, tuple]:
+        """H^n bases of the unfiltered pairing, filled by `_classes`."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -141,30 +156,38 @@ def validate_complex(C) -> bool:
 class _Generator(NamedTuple):
     """Basis vector i of C^n after the pairing: its level, the pages 1..life
     it lives on (0 for none, inf if unpaired) and whether it is a source.
-    Its chain, whose low is i, is e_i plus basis vectors earlier in the
-    reduction order, or for a target the reduced column of its source."""
+    Its chain, an integer vector whose low is i, is den * e_i plus multiples
+    of basis vectors earlier in the reduction order, rescaled by the
+    reduction, or for a target the reduced column of its source."""
 
     n: int
     i: int
     level: int
     life: float
     source: bool
-    chain: Tuple[Fraction, ...]
+    chain: Tuple[int, ...]
 
 
 def _reduce(vec, chain, pivots, order):
     """While the low of vec (its first nonzero position in `order`) has a
-    pivot (vector, chain, ...), subtract a multiple of the vector from vec
-    and the same multiple of the chain from chain.  Returns (vec, chain,
-    low), low None when vec reduced to zero."""
+    pivot (vector, chain, ...), clear it without fractions: with g the gcd
+    of the two lows, vec becomes (plow/g) vec - (low/g) pvec and chain the
+    same combination of chain and pchain, both then divided by the gcd of
+    all their entries.  Returns (vec, chain, low), low None when vec
+    reduced to zero."""
     while True:
         low = next((j for j in order if vec[j]), None)
         if low not in pivots:
             return vec, chain, low
         pvec, pchain = pivots[low][:2]
-        f = vec[low] / pvec[low]
-        vec = [a - f * b for a, b in zip(vec, pvec)]
-        chain = [a - f * b for a, b in zip(chain, pchain)]
+        g = gcd(pvec[low], vec[low])
+        a, b = pvec[low] // g, vec[low] // g
+        vec = [a * x - b * y for x, y in zip(vec, pvec)]
+        chain = [a * x - b * y for x, y in zip(chain, pchain)]
+        g = gcd(*vec, *chain)
+        if g > 1:
+            vec = [x // g for x in vec]
+            chain = [x // g for x in chain]
 
 
 def _pairing(C: CochainComplex, levels: Dict[int, Sequence[int]],
@@ -172,16 +195,20 @@ def _pairing(C: CochainComplex, levels: Dict[int, Sequence[int]],
     """Persistence pairing of C in degrees up to `last`, basis vector i of
     C^n at level levels[n][i] (all 0 for a degree not in levels).
 
-    A column whose basis vector is already the target of a pair reduces to
-    zero, so it is skipped (clearing).
+    A column's chain starts as den * e_i over its scaled column v = den *
+    d^n e_i, so d^n chain = vec holds throughout.  A column whose basis
+    vector is already the target of a pair reduces to zero, so it is
+    skipped (clearing); so is every column of an absent (zero) d^n, each a
+    cycle.
     """
     gens: List[_Generator] = []
     killed: Dict[int, tuple] = {}
     for n in range(C.min_deg, last + 1):
         src = levels.get(n) or [0] * C.dim(n)
+        columns = C._columns.get(n)
         dst = levels.get(n + 1) or [0] * C.dim(n + 1)
-        D = C.differential(n)
-        order = sorted(range(len(dst)), key=lambda j: (dst[j], -j))
+        order = sorted(range(len(dst)), key=lambda j: (dst[j], -j)) \
+            if columns else ()
         pivots: Dict[int, tuple] = {}  # low -> (column, chain, source level)
         for i in sorted(range(len(src)), key=lambda i: (-src[i], i)):
             if i in killed:
@@ -189,9 +216,10 @@ def _pairing(C: CochainComplex, levels: Dict[int, Sequence[int]],
                 gens.append(_Generator(n, i, src[i], src[i] - level, False,
                                        tuple(col)))
                 continue
-            unit = [Fraction(int(j == i)) for j in range(len(src))]
-            col, chain, low = _reduce(list(D.entries[i::D.cols]), unit,
-                                      pivots, order)
+            col, den = columns[i] if columns else ((), 1)
+            chain = [0] * len(src)
+            chain[i] = den
+            col, chain, low = _reduce(col, chain, pivots, order)
             if low is None:
                 gens.append(_Generator(n, i, src[i], inf, False, tuple(chain)))
                 continue
@@ -220,75 +248,80 @@ def cohomology_dims(C: CochainComplex) -> Dict[int, int]:
 
 def _classes(C: CochainComplex, n: int, cycles) -> Tuple[int, List[tuple]]:
     """(dim H^n, coordinates of each cycle on the basis of H^n given by the
-    unpaired cycles).  With the reduced boundaries they form a triangular
-    basis of C^n, each vector's low its own index, and a cycle reduces to
-    zero against it."""
-    basis = [g for g in _pairing(C, {}, n)
-             if g.n == n and not g.source]
-    unpaired = [g.i for g in basis if g.life == inf]
-    # unpaired cycle k carries -e_k, so the subtracted multiples add up to
-    # the coordinates
-    pivots = {g.i: (g.chain, [Fraction(-(g.i == u)) for u in unpaired])
-              for g in basis}
+    unpaired cycles of the unfiltered pairing, paired once per degree).
+    With the reduced boundaries they form a triangular basis of C^n, each
+    vector's low its own index, and a cycle reduces to zero against it."""
+    if n not in C._bases:
+        basis = [g for g in _pairing(C, {}, n)
+                 if g.n == n and not g.source]
+        unpaired = [g.i for g in basis if g.life == inf]
+        # unpaired cycle k carries -e_k and every pivot a 0 for the scale s,
+        # so s * cycle = sum of coords * unpaired cycles + boundaries
+        C._bases[n] = len(unpaired), {
+            g.i: (g.chain, [-(g.i == u) for u in unpaired] + [0])
+            for g in basis}
+    b, pivots = C._bases[n]
     out = []
     for z in cycles:
-        _, coords, low = _reduce(list(z), [Fraction(0)] * len(unpaired),
-                                 pivots, range(C.dim(n) - 1, -1, -1))
+        _, (*coords, s), low = _reduce(list(z), [0] * b + [1], pivots,
+                                       range(C.dim(n) - 1, -1, -1))
         if low is not None:
             raise ValueError(f"not a cycle of degree {n}")
-        out.append(tuple(coords))
-    return len(unpaired), out
+        out.append(tuple(Fraction(c, s) for c in coords))
+    return b, out
+
+
+def _totalize(min_deg: int, dims: Dict[Tuple[int, int], int], horiz,
+              vert) -> CochainComplex:
+    """Totalization T^n = sum_{r+s=n} K^{r,s} of the nonzero cells `dims`,
+    blocks in increasing r, with D = horiz + (-1)^r vert, each map keyed by
+    its source cell: horiz to (r+1, s), vert to (r, s+1)."""
+    offsets: Dict[Tuple[int, int], int] = {}
+    total: Counter = Counter()
+    for r, s in sorted(dims):
+        offsets[r, s] = total[r + s]
+        total[r + s] += dims[r, s]
+    rows = {n: [[_ZERO] * total[n] for _ in range(total[n + 1])]
+            for n in total if total[n + 1]}
+    for (r, s), off in offsets.items():
+        for M, cell, negate in ((horiz.get((r, s)), (r + 1, s), False),
+                                (vert.get((r, s)), (r, s + 1), r % 2)):
+            if M is not None and cell in offsets:
+                to = offsets[cell]
+                for a in range(M.rows):
+                    rows[r + s][to + a][off:off + dims[r, s]] = (
+                        [-x if x else x for x in M.row(a)] if negate
+                        else M.row(a))
+    return cochain_complex(min_deg, dict(total), {
+        n: RatMatrix(len(R), total[n], tuple(x for row in R for x in row))
+        for n, R in rows.items()})
+
+
+def _kron(A: RatMatrix, B: RatMatrix) -> RatMatrix:
+    """Kronecker product: entry (a B.rows + b, x B.cols + y) is A[a,x] B[b,y],
+    multiplied out only when neither is 1 (every caller passes an identity)."""
+    width = A.cols * B.cols
+    out = [_ZERO] * (A.rows * B.rows * width)
+    nonzero = [(divmod(m, B.cols), v) for m, v in enumerate(B.entries) if v]
+    for k, u in enumerate(A.entries):
+        if u:
+            a, x = divmod(k, A.cols)
+            for (b, y), v in nonzero:
+                out[(a * B.rows + b) * width + x * B.cols + y] = (
+                    v if u == 1 else u if v == 1 else u * v)
+    return RatMatrix(A.rows * B.rows, width, tuple(out))
 
 
 def tensor_product(C: CochainComplex, D: CochainComplex) -> CochainComplex:
-    """Total tensor complex with differential dx (x) y + (-1)^i x (x) dy.
-
-    Degree-n basis is ordered lexicographically in (i, C^i index, D^{n-i} index).
-    """
-    dims: Dict[int, int] = {}
-    lo, hi = C.min_deg + D.min_deg, C.max_deg + D.max_deg
-    for n in range(lo, hi + 1):
-        dims[n] = sum(C.dim(i) * D.dim(n - i) for i in C.degrees())
-
-    def offsets(n):
-        out, off = {}, 0
-        for i in C.degrees():
-            j = n - i
-            b = C.dim(i) * D.dim(j)
-            if b:
-                out[i] = off
-                off += b
-        return out, off
-
-    diffs: Dict[int, RatMatrix] = {}
-    for n in range(lo, hi):
-        src_off, src_dim = offsets(n)
-        dst_off, dst_dim = offsets(n + 1)
-        if src_dim == 0 or dst_dim == 0:
-            continue
-        rows = [[Fraction(0)] * src_dim for _ in range(dst_dim)]
-        for i, so in src_off.items():
-            j = n - i
-            dc, dd = C.differential(i), D.differential(j)
-            # dC (x) id : block (i+1, j)
-            if (i + 1) in dst_off and dc.rows:
-                to = dst_off[i + 1]
-                for a in range(dc.rows):
-                    for b in range(dc.cols):
-                        if dc[a, b] != 0:
-                            for y in range(D.dim(j)):
-                                rows[to + a * D.dim(j) + y][so + b * D.dim(j) + y] = dc[a, b]
-            # (-1)^i id (x) dD : block (i, j+1)
-            if i in dst_off and dd.rows:
-                to = dst_off[i]
-                sign = Fraction(-1 if i % 2 else 1)
-                for x in range(C.dim(i)):
-                    for a in range(dd.rows):
-                        for b in range(dd.cols):
-                            if dd[a, b] != 0:
-                                rows[to + x * dd.rows + a][so + x * dd.cols + b] = sign * dd[a, b]
-        diffs[n] = RatMatrix.from_rows(rows, src_dim)
-    return cochain_complex(lo, dims, diffs)
+    """Total tensor complex with differential dx (x) y + (-1)^i x (x) dy: the
+    totalization of the bicomplex C^i (x) D^j, so the degree-n basis is
+    ordered lexicographically in (i, C^i index, D^{n-i} index)."""
+    dims = {(i, j): C.dims[i] * D.dims[j] for i in C.dims for j in D.dims}
+    horiz = {(i, j): _kron(d, RatMatrix.identity(D.dims[j]))
+             for i, d in C.differentials.items() for j in D.dims}
+    vert = {(i, j): _kron(RatMatrix.identity(C.dims[i]), d)
+            for i in C.dims for j, d in D.differentials.items()}
+    return _totalize(C.min_deg + D.min_deg, dims, horiz, vert)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ def _int_products(rows: Sequence[Sequence[int]],
 
 def _integral(vector: Sequence[Fraction]) -> Tuple[List[int], int]:
     """(v, d) with v an integer vector and d > 0 such that vector = v / d."""
-    d = lcm(*(f.denominator for f in vector))
+    d = lcm(*[f.denominator for f in vector])
     return [f.numerator * (d // f.denominator) for f in vector], d
 
 

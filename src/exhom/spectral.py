@@ -1,7 +1,7 @@
 """First-quadrant double complexes and their two spectral sequences.
 
-The engine totalizes a grid of commuting squares (inserting the (-1)^r sign
-itself) and filters the total complex T by column or by row: F^p T^n is
+The engine totalizes a grid of commuting squares once (inserting the (-1)^r
+sign itself) and filters the total complex T by column or by row: F^p T^n is
 spanned by the block basis vectors of level >= p.  The pages are defined by
 
     Z_r^{p,q} = F^p T^{p+q}  intersect  D^{-1}(F^{p+r} T^{p+q+1})
@@ -24,12 +24,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from math import inf
 from typing import Dict, List, Tuple
 
 from .complexes import (CochainComplex, _classes, _composite, _pairing,
-                        cochain_complex)
+                        _totalize)
 from .qlinalg import RatMatrix, Subspace, is_complementary, subspace_sum
 
 COLUMN = "column"
@@ -55,11 +55,10 @@ class DoubleComplex:
     def dim(self, r: int, s: int) -> int:
         return self.dims.get((r, s), 0)
 
-    def cells(self):
-        for r in range(self.max_r + 1):
-            for s in range(self.max_c + 1):
-                if self.dim(r, s):
-                    yield r, s
+    @cached_property
+    def _total(self) -> CochainComplex:
+        """Tot, built once and shared by every pairing of this complex."""
+        return total_complex(self)
 
 
 def double_complex(max_r: int, max_c: int,
@@ -89,7 +88,7 @@ def double_complex(max_r: int, max_c: int,
                     f"{name} at ({r},{s}) has shape {M.rows}x{M.cols}, "
                     f"expected {want[0]}x{want[1]}")
     h, v = K.horiz.get, K.vert.get
-    for r, s in K.cells():
+    for r, s in sorted(K.dims):
         if _composite(h((r + 1, s)), h((r, s))) is not None:
             raise DoubleComplexError(f"horiz composite nonzero at ({r},{s})")
         if _composite(v((r, s + 1)), v((r, s))) is not None:
@@ -100,42 +99,9 @@ def double_complex(max_r: int, max_c: int,
     return K
 
 
-def _layout(K: DoubleComplex, n: int) -> List[Tuple[int, int, int, int]]:
-    """Blocks (r, s, offset, dim) of T^n, ordered by increasing r."""
-    out, off = [], 0
-    for r in range(max(0, n - K.max_c), min(K.max_r, n) + 1):
-        s = n - r
-        d = K.dim(r, s)
-        if d:
-            out.append((r, s, off, d))
-            off += d
-    return out
-
-
-def _total_differential(K: DoubleComplex, n: int,
-                        dims: Dict[int, int]) -> RatMatrix:
-    """D: T^n -> T^{n+1}, with dims[m] = dim T^m."""
-    zero = Fraction(0)
-    rows = [[zero] * dims[n] for _ in range(dims[n + 1])]
-    dst_off = {(r, s): off for r, s, off, _ in _layout(K, n + 1)}
-    for r, s, off, d in _layout(K, n):
-        for M, cell, negate in ((K.horiz.get((r, s)), (r + 1, s), False),
-                                (K.vert.get((r, s)), (r, s + 1), r % 2)):
-            if M is not None and cell in dst_off:
-                to = dst_off[cell]
-                for a in range(M.rows):
-                    rows[to + a][off:off + d] = ([-x for x in M.row(a)]
-                                                 if negate else M.row(a))
-    return RatMatrix.from_rows(rows, dims[n])
-
-
 def total_complex(K: DoubleComplex) -> CochainComplex:
     """Totalization T^n = sum_{r+s=n} K^{r,s} with D = d' + (-1)^r d''."""
-    top = K.max_r + K.max_c
-    dims = {n: sum(d for *_, d in _layout(K, n)) for n in range(top + 1)}
-    diffs = {n: _total_differential(K, n, dims) for n in range(top)
-             if dims[n] and dims[n + 1]}
-    return cochain_complex(0, dims, diffs)
+    return _totalize(0, K.dims, K.horiz, K.vert)
 
 
 @dataclass(frozen=True)
@@ -194,14 +160,15 @@ def _levels(K: DoubleComplex, axis: str) -> Dict[int, List[int]]:
     """Level of each block basis vector of T^n in the filtration by `axis`."""
     if axis not in (COLUMN, ROW):
         raise ValueError(f"axis must be '{COLUMN}' or '{ROW}'")
-    return {n: [r if axis == COLUMN else s
-                for r, s, _, d in _layout(K, n) for _ in range(d)]
-            for n in range(K.max_r + K.max_c + 1)}
+    levels: Dict[int, List[int]] = {}
+    for (r, s), d in sorted(K.dims.items()):  # the order of `_totalize`
+        levels.setdefault(r + s, []).extend([r if axis == COLUMN else s] * d)
+    return levels
 
 
 def spectral_pages(K: DoubleComplex, axis: str) -> SpectralPages:
     """Pages E_1, E_2, ... of the chosen filtration, with d_r ranks and limit."""
-    T = total_complex(K)
+    T = K._total
     gens = _pairing(T, _levels(K, axis), T.max_deg)
     last = K.max_r + K.max_c + 1  # beyond this every d_r vanishes (first quadrant)
     pages: Dict[int, Dict[Tuple[int, int], Tuple[int, tuple]]] = {}
@@ -227,7 +194,7 @@ def filtration_on_total(K: DoubleComplex, axis: str, n: int) -> FiltrationChain:
     if n < 0 or n > K.max_r + K.max_c:
         return FiltrationChain(max(n, 0), tuple(
             Subspace.zero(0) for _ in range(max(n, 0) + 2)))
-    T = total_complex(K)
+    T = K._total
     cycles = [g for g in _pairing(T, levels, n)
               if g.n == n and g.life == inf]
     b, coords = _classes(T, n, [g.chain for g in cycles])

@@ -8,16 +8,19 @@ two random complexes, which have commuting squares by construction, or from
 staircase zigzags with known pages.
 
 Also holds the kernel-lattice route to integral homology, which the library
-used before it read H_n off invariant factors; it is the slow reference the
-new `homology_int` is tested against.
+used before it read H_n off invariant factors, and the persistence pairing
+over `Fraction`, which it used before the fraction-free one: the slow
+references `homology_int` and `complexes._pairing` are tested against.
 """
 
 import random
 from fractions import Fraction
+from math import inf
 
 from exhom.complexes import (
     CochainComplex,
     IntChainComplex,
+    _Generator,
     cochain_complex,
     int_chain_complex,
 )
@@ -311,3 +314,50 @@ def reference_homology_int(C: IntChainComplex, n: int) -> FinAbGroup:
                               dnext.cols)
     nonzero = [d for d in smith_normal_form(rel).diagonal if d]
     return FinAbGroup(k - len(nonzero), tuple(d for d in nonzero if d > 1))
+
+
+def _reference_reduce(vec, chain, pivots, order):
+    """While the low of vec (its first nonzero position in `order`) has a
+    pivot (vector, chain, ...), subtract a multiple of the vector from vec
+    and the same multiple of the chain from chain.  Returns (vec, chain,
+    low), low None when vec reduced to zero."""
+    while True:
+        low = next((j for j in order if vec[j]), None)
+        if low not in pivots:
+            return vec, chain, low
+        pvec, pchain = pivots[low][:2]
+        f = vec[low] / pvec[low]
+        vec = [a - f * b for a, b in zip(vec, pvec)]
+        chain = [a - f * b for a, b in zip(chain, pchain)]
+
+
+def reference_pairing(C: CochainComplex, levels, last: int):
+    """The persistence pairing of `complexes._pairing` over `Fraction`:
+    columns reduced by subtracting rational multiples, chains starting as
+    e_i.  Same generators in the same order; each chain is a rational
+    multiple of the fraction-free one."""
+    gens = []
+    killed = {}
+    for n in range(C.min_deg, last + 1):
+        src = levels.get(n) or [0] * C.dim(n)
+        dst = levels.get(n + 1) or [0] * C.dim(n + 1)
+        D = C.differential(n)
+        order = sorted(range(len(dst)), key=lambda j: (dst[j], -j))
+        pivots = {}  # low -> (column, chain, source level)
+        for i in sorted(range(len(src)), key=lambda i: (-src[i], i)):
+            if i in killed:
+                col, _, level = killed[i]
+                gens.append(_Generator(n, i, src[i], src[i] - level, False,
+                                       tuple(col)))
+                continue
+            unit = [Fraction(int(j == i)) for j in range(len(src))]
+            col, chain, low = _reference_reduce(list(D.entries[i::D.cols]),
+                                                unit, pivots, order)
+            if low is None:
+                gens.append(_Generator(n, i, src[i], inf, False, tuple(chain)))
+                continue
+            pivots[low] = col, chain, src[i]
+            gens.append(_Generator(n, i, src[i], dst[low] - src[i], True,
+                                   tuple(chain)))
+        killed = pivots
+    return gens
