@@ -62,12 +62,6 @@ class _Complex:
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
 
-    def differential(self, n: int):
-        d = self.differentials.get(n)
-        if d is None:
-            return self.matrix.zero(self.dim(n + self.step), self.dim(n))
-        return d
-
     def degrees(self):
         return range(self.min_deg, self.max_deg + 1)
 
@@ -355,10 +349,14 @@ def kunneth_check(C: CochainComplex, D: CochainComplex) -> CheckReport:
                        all(l == r for _, l, r in rows))
 
 
-def _homology(dim_n: int, factors_n, factors_next) -> FinAbGroup:
-    """H_n from dim C_n and the invariant factors of d_n and d_{n+1}."""
+def _homology(C: IntChainComplex, n: int, factors) -> FinAbGroup:
+    """H_n from dim C_n and the invariant factors of d_n and d_{n+1}, read
+    from factors {degree: invariant factors}; an absent map is zero and has
+    none, so no zero matrix is built for it."""
+    factors_n, factors_next = factors.get(n, ()), factors.get(n + 1, ())
     ranks = sum(1 for d in factors_n + factors_next if d)
-    return FinAbGroup(dim_n - ranks, tuple(d for d in factors_next if d > 1))
+    return FinAbGroup(C.dim(n) - ranks,
+                      tuple(d for d in factors_next if d > 1))
 
 
 def homology_int(C: IntChainComplex, n: int) -> FinAbGroup:
@@ -369,8 +367,8 @@ def homology_int(C: IntChainComplex, n: int) -> FinAbGroup:
     torsion of coker d_{n+1}: its invariant factors > 1 (Munkres, Elements
     of Algebraic Topology, section 11).
     """
-    return _homology(C.dim(n), invariant_factors(C.differential(n)),
-                     invariant_factors(C.differential(n + 1)))
+    return _homology(C, n, {k: invariant_factors(C.differentials[k])
+                            for k in (n, n + 1) if k in C.differentials})
 
 
 def uct_check(C: IntChainComplex, m: int) -> CheckReport:
@@ -384,10 +382,8 @@ def uct_check(C: IntChainComplex, m: int) -> CheckReport:
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
-    degrees = range(C.min_deg, C.max_deg + 2)
-    factors = {n: invariant_factors(C.differential(n)) for n in degrees}
-    groups = {n: _homology(C.dim(n), factors[n], factors[n + 1])
-              for n in C.degrees()}
+    factors = {n: invariant_factors(D) for n, D in C.differentials.items()}
+    groups = {n: _homology(C, n, factors) for n in C.degrees()}
     none = FinAbGroup(0, ())
     rhs = {n: groups[n].free_rank
            + sum(1 for G in (groups[n], groups.get(n - 1, none))
@@ -397,10 +393,10 @@ def uct_check(C: IntChainComplex, m: int) -> CheckReport:
         return CheckReport(
             "uct", (), True,
             note=f"modulus {m} not prime; invariant-factor side only: {rhs}")
-    ranks = {n: rank_mod_p(C.differential(n), m) for n in degrees}
+    ranks = {n: rank_mod_p(D, m) for n, D in C.differentials.items()}
     rows = []
     for n in C.degrees():
-        lhs = C.dim(n) - ranks[n] - ranks[n + 1]
+        lhs = C.dim(n) - ranks.get(n, 0) - ranks.get(n + 1, 0)
         rows.append((n, lhs, rhs[n]))
     return CheckReport("uct", tuple(rows), all(l == r for _, l, r in rows))
 

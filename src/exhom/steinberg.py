@@ -166,16 +166,21 @@ class BettiProfile:
     dp: int
     spectrum: InducedSpectrum
     b: Tuple[int, ...]
-    filtrations: Tuple[Tuple[int, ...], ...]
+
+    @property
+    def filtrations(self) -> Tuple[Tuple[int, ...], ...]:
+        """Every degree's covering-filtration dims, built when asked for."""
+        return tuple(tuple(_filtration_dims(v)) for v in _antidiagonals(
+            self.d, self.dp, self.spectrum, range(len(self.b))))
 
 
 def betti_profile(d: int, dp: int, spectrum: InducedSpectrum) -> BettiProfile:
-    diagonals = _antidiagonals(d, dp, spectrum, range(2 * (d + dp) + 1))
-    return BettiProfile(
-        d, dp, spectrum,
-        b=tuple(map(sum, diagonals)),
-        filtrations=tuple(tuple(_filtration_dims(v)) for v in diagonals),
-    )
+    """b_n summed straight from the row entries with r + s = n."""
+    b = [0] * (2 * (d + dp) + 1)
+    for s in range(d + dp + 1):
+        for r, v in _row(d, dp, spectrum, s).items():
+            b[r + s] += v
+    return BettiProfile(d, dp, spectrum, tuple(b))
 
 
 def _stated_e2(d: int, dp: int, spectrum: InducedSpectrum,

@@ -12,6 +12,13 @@ Two routes to the Smith diagonal:
   read as gcd(e, M).  This is exact because SNF([A | M.I]) =
   diag(gcd(d_i, M)) and d_1...d_r divides M (Domich-Kannan-Trotter 1987,
   Hafner-McCurley 1991), and entries never grow past M.
+  A nonsingular n x n A takes M = gcd(det A, Y) = |det A| / delta instead:
+  Y = det(A).A^-1.B, back-substituted for two fixed columns B carried
+  through the same Bareiss pass, delta the denominator of A^-1.B.  delta
+  divides d_n (d_n.A^-1 is integral), so d_1...d_{n-1} divides M, the
+  elimination mod M gives d_1..d_{n-1}, and d_n = |det A|/(d_1...d_{n-1}).
+  M is 1 or a few bits on most random A (Eberly-Giesbrecht-Villard 2000):
+  B sets its size, never the answer.
 * `smith_normal_form` is the only source of the unimodular U and V.  It
   re-picks the minimal-absolute-value nonzero entry as pivot, which keeps
   the growth of the transforms polynomial, but they still reach tens of
@@ -97,16 +104,18 @@ class FinAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _bareiss(A: IntMatrix) -> Tuple[int, int]:
+def _bareiss(A: IntMatrix, extra=()) -> Tuple[int, int, List[List[int]]]:
     """Rank r of A and, by fraction-free elimination, its last pivot.
 
     Rows are swapped to find pivots and columns without one are skipped, so
     the last pivot is, up to sign, the nonzero r x r minor on the pivot rows
     and columns (1 when r = 0).  It is returned times the sign of the row
-    swaps, which makes it det A when A is square of full rank.
+    swaps, which makes it det A when A is square of full rank.  The columns
+    of `extra` take every row operation but give no pivot; the eliminated
+    rows are returned too, unreduced left of their pivots.
     """
     rows, cols = A.rows, A.cols
-    m = A.to_lists()
+    m = [list(A.row(i)) + [b[i] for b in extra] for i in range(rows)]
     sign, prev, r = 1, 1, 0
     for c in range(cols):
         if r == rows:
@@ -126,14 +135,34 @@ def _bareiss(A: IntMatrix) -> Tuple[int, int]:
                           for x, y in zip(mi[c + 1:], top)]
         prev = p
         r += 1
-    return r, sign * prev
+    return r, sign * prev, m
+
+
+def _rhs(n: int) -> List[List[int]]:
+    """The two fixed columns B of length n that `invariant_factors` solves."""
+    return [[(i * i + (2 * j + 3) * i + j + 1) % 41 - 20 for i in range(n)]
+            for j in range(2)]
+
+
+def _adjoint_columns(m: List[List[int]], n: int) -> List[int]:
+    """p.A^-1.b, p = m[n-1][n-1], for every extra column b `_bareiss` carried
+    through a nonsingular n x n A: O(n^2) each, divisions exact (p.A^-1 is
+    +-adj A), all in one list."""
+    p, ys = m[n - 1][n - 1], []
+    for c in range(n, len(m[0])):
+        y = [0] * n
+        for i in reversed(range(n)):
+            s = sum(a * b for a, b in zip(m[i][i + 1:n], y[i + 1:]))
+            y[i] = (p * m[i][c] - s) // m[i][i]
+        ys += y
+    return ys
 
 
 def determinant(A: IntMatrix) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination."""
     if A.rows != A.cols:
         raise ValueError("determinant of non-square matrix")
-    r, minor = _bareiss(A)
+    r, minor, _ = _bareiss(A)
     return minor if r == A.rows else 0
 
 
@@ -167,8 +196,9 @@ def invariant_factors(A: IntMatrix) -> Tuple[int, ...]:
     """
     rows, cols = A.rows, A.cols
     k = min(rows, cols)
-    r, minor = _bareiss(A)
-    M = abs(minor)
+    r, minor, low = _bareiss(A, _rhs(rows) if rows == cols else ())
+    full = 0 < r == rows == cols
+    M = gcd(minor, *_adjoint_columns(low, r)) if full else abs(minor)
     m = [[e % M for e in A.row(i)] for i in range(rows)]
     diag = []
     for t in range(k):
@@ -227,6 +257,10 @@ def invariant_factors(A: IntMatrix) -> Tuple[int, ...]:
         diag.append(gcd(m[t][t], M))
     # an entry that vanished mod M, or a row never reached, has factor M
     chain = _divisor_chain(diag + [M] * (r - len(diag)))
+    if full:  # mod |det|/delta only d_1..d_{n-1} are exact; |det| gives d_n
+        chain[-1] = abs(minor)
+        for d in chain[:-1]:
+            chain[-1] //= d
     return tuple(chain[:r]) + (0,) * (k - r)
 
 

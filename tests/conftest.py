@@ -24,9 +24,21 @@ from exhom.complexes import (
     cochain_complex,
     int_chain_complex,
 )
-from exhom.qlinalg import RatMatrix, rank, rref
+from exhom.qlinalg import RatMatrix, rref
 from exhom.spectral import COLUMN, ROW, double_complex
-from exhom.zlinalg import FinAbGroup, IntMatrix, smith_normal_form
+from exhom.zlinalg import (
+    FinAbGroup,
+    IntMatrix,
+    determinant,
+    smith_normal_form,
+)
+
+
+def differential(C, n: int):
+    """d_n of C as a matrix, zero when the map is absent: the library keeps
+    only the maps that are nonzero and never builds a zero one."""
+    d = C.differentials.get(n)
+    return C.matrix.zero(C.dim(n + C.step), C.dim(n)) if d is None else d
 
 
 def random_cochain(rng, max_deg=3, max_pieces=4, scale=3):
@@ -55,19 +67,33 @@ def random_cochain(rng, max_deg=3, max_pieces=4, scale=3):
     return cochain_complex(0, dims, diffs)
 
 
-def _rat_inverse(M):
-    """Inverse of an invertible M: the right half of rref([M | I])."""
+def _rat_inverse(M: IntMatrix) -> RatMatrix:
+    """Inverse of an invertible integer M by fraction-free Gauss-Jordan on
+    [M | I] (Bareiss): after step c every entry is an integer minor, so the
+    divisions by the previous pivot are exact, and [M | I] ends as
+    [p.I | p.M^-1] for the last pivot p.  Fractions appear only there."""
     d = M.rows
-    R, _ = rref(M.hstack(RatMatrix.identity(d)))
-    return RatMatrix.from_rows([R.row(i)[d:] for i in range(d)], d)
+    m = [list(M.row(i)) + [int(i == j) for j in range(d)] for i in range(d)]
+    prev = 1
+    for c in range(d):
+        pr = next(i for i in range(c, d) if m[i][c])
+        m[c], m[pr] = m[pr], m[c]
+        top, p = m[c], m[c][c]
+        for i in range(d):
+            if i != c:
+                f = m[i][c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+    return RatMatrix.from_rows(
+        [[Fraction(x, prev) for x in row[d:]] for row in m], d)
 
 
-def _random_invertible(rng, d, spread=2):
+def _random_invertible(rng, d, spread=2) -> IntMatrix:
     while True:
-        M = RatMatrix.from_rows(
-            [[Fraction(rng.randint(-spread, spread)) for _ in range(d)]
+        M = IntMatrix.from_rows(
+            [[rng.randint(-spread, spread) for _ in range(d)]
              for _ in range(d)], d)
-        if rank(M) == d:
+        if determinant(M):
             return M
 
 
@@ -76,9 +102,9 @@ def conjugate_cochain(rng, C: CochainComplex, spread=2) -> CochainComplex:
     P = {n: _random_invertible(rng, C.dim(n), spread) for n in C.degrees()}
     diffs = {}
     for n in C.degrees():
-        dn = C.differential(n)
+        dn = differential(C, n)
         if dn.rows and dn.cols:
-            diffs[n] = P[n + 1] @ dn @ _rat_inverse(P[n])
+            diffs[n] = P[n + 1].to_rational() @ dn @ _rat_inverse(P[n])
     return cochain_complex(C.min_deg, dict(C.dims), diffs)
 
 
@@ -116,7 +142,7 @@ def random_int_chain(rng, max_deg=3, max_pieces=4, max_mult=6):
     Uinv = {}
     for n, M in U.items():
         # invert the unimodular matrix exactly over Q; the result is integral
-        inv = _rat_inverse(M.to_rational()) if M.rows else None
+        inv = _rat_inverse(M) if M.rows else None
         Uinv[n] = (IntMatrix.from_rows(
             [[f.numerator for f in inv.row(i)] for i in range(inv.rows)],
             inv.cols) if inv is not None else IntMatrix.zero(0, 0))
@@ -145,7 +171,7 @@ def tensor_double_complex(C: CochainComplex, D: CochainComplex):
             m, k = C.dim(r), D.dim(s)
             if not dims.get((r, s)):
                 continue
-            dc, dd = C.differential(r), D.differential(s)
+            dc, dd = differential(C, r), differential(D, s)
             if dims.get((r + 1, s)):
                 rows = [[Fraction(0)] * (m * k) for _ in range(dc.rows * k)]
                 for a in range(dc.rows):
@@ -260,7 +286,8 @@ def random_zigzag_double_complex(rng, grid=4, pieces=6):
     maps = {"horiz": {}, "vert": {}}
     for (field, (r, s)), M in raw.items():
         dst = (r + 1, s) if field == "horiz" else (r, s + 1)
-        maps[field][(r, s)] = (P[dst] @ RatMatrix.from_rows(M, dims[(r, s)])
+        maps[field][(r, s)] = (P[dst].to_rational()
+                               @ RatMatrix.from_rows(M, dims[(r, s)])
                                @ _rat_inverse(P[(r, s)]))
     K = double_complex(grid, grid, dims, maps["horiz"], maps["vert"])
     return K, Zigzags(zigzags, lones)
@@ -296,9 +323,9 @@ def reference_homology_int(C: IntChainComplex, n: int) -> FinAbGroup:
     lattice is saturated) and the relation matrix is put in Smith form."""
     if C.dim(n) == 0:
         return FinAbGroup(0, ())
-    kbasis = kernel_lattice(C.differential(n))
+    kbasis = kernel_lattice(differential(C, n))
     k = len(kbasis)
-    dnext = C.differential(n + 1)
+    dnext = differential(C, n + 1)
     if k == 0 or dnext.cols == 0:
         return FinAbGroup(k, ())
     K = RatMatrix.from_rows([[Fraction(x) for x in row]
@@ -341,7 +368,7 @@ def reference_pairing(C: CochainComplex, levels, last: int):
     for n in range(C.min_deg, last + 1):
         src = levels.get(n) or [0] * C.dim(n)
         dst = levels.get(n + 1) or [0] * C.dim(n + 1)
-        D = C.differential(n)
+        D = differential(C, n)
         order = sorted(range(len(dst)), key=lambda j: (dst[j], -j))
         pivots = {}  # low -> (column, chain, source level)
         for i in sorted(range(len(src)), key=lambda i: (-src[i], i)):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    differential,
     random_dense_cochain,
     random_int_chain,
     reference_homology_int,
@@ -85,7 +86,7 @@ def test_cohomology_representatives_live_in_kernel():
         for n in C.degrees():
             dim, reps = cohomology(C, n)
             assert reps.dim == dim
-            d = C.differential(n)
+            d = differential(C, n)
             for v in reps.vectors():
                 assert all(x == 0 for x in d.apply(v))
 
@@ -98,9 +99,9 @@ def test_cohomology_representatives_complement_the_image():
             dim, reps = cohomology(C, n)
             if not C.dim(n):
                 continue
-            ker = kernel_basis(C.differential(n))
-            image = Subspace.span(C.dim(n),
-                                  C.differential(n - 1).transpose().to_lists())
+            ker = kernel_basis(differential(C, n))
+            image = Subspace.span(
+                C.dim(n), differential(C, n - 1).transpose().to_lists())
             assert ker.contains_space(reps) and ker.contains_space(image)
             both = subspace_sum(reps, image)
             assert both.dim == reps.dim + image.dim == ker.dim
@@ -173,6 +174,30 @@ def test_homology_int_zero_differentials():
     assert homology_int(C, 1) == FinAbGroup(3, ())
 
 
+def test_absent_maps_build_no_zero_integer_matrix(monkeypatch):
+    """homology_int and uct_check read an absent d_n as zero: no invariant
+    factors and mod-p rank 0, with no zero IntMatrix built for it."""
+    zero = IntMatrix.zero.__func__
+
+    def refuse(cls, rows, cols):
+        if rows and cols:
+            raise AssertionError("zero matrix built")
+        return zero(cls, rows, cols)
+
+    monkeypatch.setattr(IntMatrix, "zero", classmethod(refuse))
+    # d_1 (3 -> 2) and d_3 (2 -> 1) are absent; d_2 is stored
+    C = int_chain_complex(0, {0: 2, 1: 3, 2: 1, 3: 2},
+                          {2: IntMatrix.from_rows([[2], [0], [6]], 1)})
+    assert [homology_int(C, n) for n in C.degrees()] == [
+        FinAbGroup(2, ()), FinAbGroup(2, (2,)), FinAbGroup(0, ()),
+        FinAbGroup(2, ())]
+    report = uct_check(C, 2)
+    assert report.passed
+    assert [(n, l) for n, l, _ in report.rows] == [(0, 2), (1, 3), (2, 1),
+                                                   (3, 2)]
+    assert "not prime" in uct_check(C, 4).note
+
+
 def test_homology_int_column_map():
     C = int_chain_complex(0, {0: 2, 1: 1}, {1: IntMatrix.from_rows([[2], [4]])})
     assert homology_int(C, 1) == FinAbGroup(0, ())
@@ -184,8 +209,8 @@ def test_homology_free_rank_matches_rational_rank():
     for _ in range(15):
         C = random_int_chain(rng)
         for n in C.degrees():
-            hq = (C.dim(n) - rank(C.differential(n).to_rational())
-                  - rank(C.differential(n + 1).to_rational()))
+            hq = (C.dim(n) - rank(differential(C, n).to_rational())
+                  - rank(differential(C, n + 1).to_rational()))
             assert homology_int(C, n).free_rank == hq
 
 
@@ -232,7 +257,7 @@ def test_hom_dual_transpose():
     C = cochain_complex(0, {0: 1, 1: 2}, {0: RatMatrix.from_rows([[1], [1]])})
     D = hom_dual(C)
     assert D.dim(0) == 2 and D.dim(1) == 1
-    assert D.differential(0).to_lists() == [[1, 1]]
+    assert differential(D, 0).to_lists() == [[1, 1]]
 
 
 def test_hom_dual_involution_and_duality():

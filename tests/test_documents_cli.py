@@ -13,7 +13,11 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_dense_cochain, random_double_complex
+from conftest import (
+    differential,
+    random_dense_cochain,
+    random_double_complex,
+)
 from exhom.cli import build_parser, main
 from exhom.complexes import _Complex
 from exhom.documents import (
@@ -47,16 +51,16 @@ MINIMAL = json.dumps({
 def test_parse_minimal_cochain():
     C = parse_cochain_document(MINIMAL)
     assert C.dim(0) == 2 and C.dim(1) == 1
-    assert C.differential(0).to_lists()[0] == [1, 1]
+    assert differential(C, 0).to_lists()[0] == [1, 1]
 
 
 def test_parse_accepts_ints_and_rationals():
     doc = json.dumps({"dims": {"0": 1, "1": 1},
                       "differentials": {"0": [[" 2/4 ".strip()]]}})
     C = parse_cochain_document(doc)
-    assert str(C.differential(0)[0, 0]) == "1/2"
+    assert str(differential(C, 0)[0, 0]) == "1/2"
     doc = json.dumps({"dims": {"0": 1, "1": 1}, "differentials": {"0": [[3]]}})
-    assert parse_cochain_document(doc).differential(0)[0, 0] == 3
+    assert differential(parse_cochain_document(doc), 0)[0, 0] == 3
 
 
 def test_parse_rejects_zero_denominator():
@@ -127,7 +131,7 @@ def test_chain_document_roundtrip_semantics():
     doc = json.dumps({"dims": {"0": 1, "1": 1},
                       "differentials": {"1": [["2"]]}})
     C = parse_chain_document(doc)
-    assert C.differential(1)[0, 0] == 2
+    assert differential(C, 1)[0, 0] == 2
 
 
 def test_int_matrix_document_forms():
@@ -157,7 +161,7 @@ def test_serialize_roundtrip_cochain():
         C2 = parse_cochain_document(text)
         assert dict(C2.dims) == dict(C.dims)
         for n in C.degrees():
-            assert C2.differential(n).entries == C.differential(n).entries
+            assert differential(C2, n).entries == differential(C, n).entries
         assert serialize_cochain(C2) == text
 
 
@@ -235,6 +239,35 @@ def test_cli_betti_table(capsys):
                            "--format", "table")
     assert code == 0
     assert "n=2 b=2 F=2 2 0 0" in out
+
+
+def test_cli_betti_machine_builds_no_filtrations(capsys, monkeypatch):
+    """--format machine prints b alone: b_n is summed from the second-page
+    rows, and no anti-diagonal list or covering filtration is built."""
+    from exhom import steinberg
+    sp = steinberg.InducedSpectrum(1, 2, 0)
+    b = [0] * 601
+    for (r, s), v in steinberg.e2_table(150, 150, sp).grid.items():
+        b[r + s] += v
+    want = " ".join(map(str, b)) + "\n"
+
+    def refuse(diagonal):
+        raise AssertionError("filtration built")
+
+    monkeypatch.setattr(steinberg, "_filtration_dims", refuse)
+    argv = ("betti", "--d", "150", "--dp", "150", "--m10", "1", "--m01", "2")
+    build_parser()
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out == want
+    # the parent built every anti-diagonal and filtration: 3.5 MB here
+    assert peak < 1_000_000
+    with pytest.raises(AssertionError, match="filtration built"):
+        main([*argv, "--format", "table"])
 
 
 def test_cli_filtration(capsys):
@@ -474,8 +507,8 @@ def chain_doc(*entries):
 
 def test_chain_document_accepts_ints_and_integral_strings():
     C = parse_chain_document(chain_doc(-4, "7", "-3", "6/3"))
-    assert C.differential(1).entries == (1, -4, 7, -3, 2)
-    assert all(type(e) is int for e in C.differential(1).entries)
+    assert differential(C, 1).entries == (1, -4, 7, -3, 2)
+    assert all(type(e) is int for e in differential(C, 1).entries)
     assert parse_int_matrix_document('[[1, "6/3"], ["-3", 0]]').to_lists() \
         == [[1, 2], [-3, 0]]
 

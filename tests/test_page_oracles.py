@@ -16,7 +16,11 @@
 
 import random
 
-from conftest import random_double_complex, random_zigzag_double_complex
+from conftest import (
+    differential,
+    random_double_complex,
+    random_zigzag_double_complex,
+)
 from exhom.qlinalg import (
     RatMatrix,
     Subspace,
@@ -56,7 +60,7 @@ class ReferencePages:
                     if lv >= p]
             rows = [j for j, lv in enumerate(self.levels.get(n + 1, ()))
                     if lv < p + r]
-            D = self.T.differential(n)
+            D = differential(self.T, n)
             block = RatMatrix.from_rows(
                 [[D[j, i] for i in cols] for j in rows], len(cols))
             vecs = []
@@ -70,7 +74,7 @@ class ReferencePages:
 
     def image(self, S, n):
         """D^n(S) inside T^{n+1}."""
-        D = self.T.differential(n)
+        D = differential(self.T, n)
         return Subspace.span(self.dim(n + 1), [D.apply(v) for v in S.vectors()])
 
     def B(self, r, p, q):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_double_complex
+from conftest import differential, random_double_complex
 from exhom.documents import (
     DocumentError,
     parse_chain_document,
@@ -98,7 +98,7 @@ def test_total_differential_matches_block_reference():
                                 want[row_off + a][col_off + b] = sign * M[a, b]
                     row_off += K.dim(*t)
                 col_off += K.dim(r, s)
-            assert T.differential(n).to_lists() == want
+            assert differential(T, n).to_lists() == want
 
 
 # ----------------------------------------------------- failing checks' messages

@@ -83,8 +83,8 @@ def test_row_sequence_degenerates_when_horiz_vanishes():
     for _ in range(10):
         C = random_dense_cochain(rng, max_deg=2, max_pieces=3)
         dims = {(r, s): C.dim(s) for r in range(2) for s in C.degrees()}
-        vert = {(r, s): C.differential(s) for r in range(2)
-                for s in C.degrees() if C.differentials.get(s) is not None}
+        vert = {(r, s): D for r in range(2)
+                for s, D in C.differentials.items()}
         K = double_complex(1, C.max_deg, dims, {}, vert)
         P = spectral_pages(K, ROW)
         assert degenerates_at(P, 2)

@@ -14,6 +14,9 @@ from exhom.qlinalg import rank
 from exhom.zlinalg import (
     FinAbGroup,
     IntMatrix,
+    _adjoint_columns,
+    _bareiss,
+    _rhs,
     cokernel_structure,
     determinant,
     invariant_factors,
@@ -106,6 +109,7 @@ def test_invariant_factors_edge_shapes():
     assert invariant_factors(IntMatrix.zero(0, 3)) == ()
     assert invariant_factors(IntMatrix.zero(3, 0)) == ()
     assert invariant_factors(IntMatrix.zero(2, 3)) == (0, 0)
+    assert invariant_factors(IntMatrix.zero(0, 0)) == ()
     # the only factor equals the minor M, so it is 0 mod M
     assert invariant_factors(IntMatrix.from_rows([[2]])) == (2,)
     assert invariant_factors(IntMatrix.from_rows([[-3]])) == (3,)
@@ -140,6 +144,93 @@ def test_invariant_factors_planted():
         A = (random_unimodular(rng, rows, ops=4 * rows) @ D
              @ random_unimodular(rng, cols, ops=4 * cols))
         assert invariant_factors(A) == tuple(t)
+
+
+def solve_modulus(A):
+    """The modulus invariant_factors uses on a nonsingular square A:
+    gcd(det A, det(A).A^-1.B) = |det A| / delta for the fixed columns B."""
+    r, minor, low = _bareiss(A, _rhs(A.rows))
+    assert r == A.rows == A.cols and minor == determinant(A)
+    return gcd(minor, *_adjoint_columns(low, r))
+
+
+def planted_square(rng, t):
+    D = IntMatrix.from_rows([[t[i] if i == j else 0 for j in range(len(t))]
+                             for i in range(len(t))], len(t))
+    return (random_unimodular(rng, len(t), ops=4 * len(t)) @ D
+            @ random_unimodular(rng, len(t), ops=4 * len(t)))
+
+
+def test_solve_modulus_is_det_when_the_solve_certifies_nothing():
+    # A's first two columns are B itself, so A^-1.B is integral: delta = 1
+    rng = random.Random(21)
+    for n in (2, 3, 5, 7):
+        B = _rhs(n)
+        while True:
+            rest = [[rng.randint(-9, 9) for _ in range(n - 2)]
+                    for _ in range(n)]
+            A = IntMatrix.from_rows([[B[0][i], B[1][i]] + rest[i]
+                                     for i in range(n)], n)
+            if determinant(A):
+                break
+        assert solve_modulus(A) == abs(determinant(A))
+        assert invariant_factors(A) == smith_normal_form(A).diagonal
+        if n <= 5:
+            assert invariant_factors(A) == determinantal_quotients(A)
+
+
+def test_solve_modulus_strictly_between_one_and_det():
+    # d_1...d_{n-1} > 1 divides the modulus, and delta > 1 keeps it below |det|
+    for k, n in ((6, 4), (2, 1), (12, 3)):
+        A = IntMatrix.from_rows([[k if i == j else 0 for j in range(n)]
+                                 for i in range(n)], n)
+        assert invariant_factors(A) == (k,) * n
+        if n > 1:
+            assert 1 < solve_modulus(A) < abs(determinant(A))
+    rng = random.Random(22)
+    for t in ((1, 2, 6, 12, 60), (3, 3, 3, 9), (1, 1, 2, 2, 4, 8, 24, 240)):
+        A = planted_square(rng, t)
+        assert 1 < solve_modulus(A) < abs(determinant(A))
+        assert invariant_factors(A) == smith_normal_form(A).diagonal == t
+
+
+def test_invariant_factors_nonsingular_square_sweep():
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        t, d = [], 1
+        for _ in range(n):
+            d *= rng.choice((1, 1, 2, 3, 4, 5))
+            t.append(d)
+        A = planted_square(rng, t)
+        assert invariant_factors(A) == tuple(t)
+        A = random_int_matrix(rng, max_size=7, bound=rng.choice((1, 2, 20)))
+        if A.rows == A.cols and determinant(A):
+            assert invariant_factors(A) == smith_normal_form(A).diagonal
+
+
+def test_invariant_factors_singular_square():
+    rng = random.Random(24)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        A = random_low_rank_matrix(rng, n, n, rng.randint(0, n - 1))
+        assert determinant(A) == 0
+        f = invariant_factors(A)
+        assert f == smith_normal_form(A).diagonal
+        assert f == determinantal_quotients(A)
+
+
+def test_invariant_factors_uniform_60():
+    rng = random.Random(25)
+    A = IntMatrix.from_rows([[rng.randint(-20, 20) for _ in range(60)]
+                             for _ in range(60)], 60)
+    f = invariant_factors(A)
+    assert len(f) == 60 and all(d > 0 for d in f)
+    assert all(b % a == 0 for a, b in zip(f, f[1:]))
+    product = 1
+    for d in f:
+        product *= d
+    assert product == abs(determinant(A))
 
 
 def test_rational_rank_matches_nonzero_diagonal():
