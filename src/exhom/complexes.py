@@ -37,9 +37,9 @@ from .qlinalg import _ZERO, RatMatrix, Subspace, _integral
 from .zlinalg import (
     FinAbGroup,
     IntMatrix,
+    _rank_mod_p,
     invariant_factors,
     is_prime,
-    rank_mod_p,
 )
 
 
@@ -393,7 +393,7 @@ def uct_check(C: IntChainComplex, m: int) -> CheckReport:
         return CheckReport(
             "uct", (), True,
             note=f"modulus {m} not prime; invariant-factor side only: {rhs}")
-    ranks = {n: rank_mod_p(D, m) for n, D in C.differentials.items()}
+    ranks = {n: _rank_mod_p(D, m) for n, D in C.differentials.items()}
     rows = []
     for n in C.degrees():
         lhs = C.dim(n) - ranks.get(n, 0) - ranks.get(n + 1, 0)

@@ -24,6 +24,8 @@ from .qlinalg import RatMatrix
 from .spectral import DoubleComplex, DoubleComplexError, double_complex
 from .zlinalg import IntMatrix
 
+MAX_DEGREE_SPAN = 1024  # largest max_deg - min_deg a complex document may span
+
 
 class DocumentError(ValueError):
     """Raised on malformed or invalid input documents."""
@@ -148,6 +150,11 @@ def _parse_complex(text: str, cls, parse_matrix):
     if not isinstance(min_deg, int) or isinstance(min_deg, bool):
         raise DocumentError("'min_deg' must be an integer")
     dims = _dims_field(doc, _degree_key)
+    degrees = [n for n, d in dims.items() if d]
+    if degrees and max(degrees) - min(degrees) > MAX_DEGREE_SPAN:
+        raise DocumentError(f"nonzero degrees must span at most "
+                            f"{MAX_DEGREE_SPAN}, got {min(degrees)} to "
+                            f"{max(degrees)}")
     diffs = {}
     for k, raw in _map_field(doc, "differentials").items():
         deg = _degree_key(k, "differentials")

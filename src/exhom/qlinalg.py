@@ -35,8 +35,15 @@ def _columns(entries: Sequence, cols: int) -> List[Sequence]:
 def _int_products(rows: Sequence[Sequence[int]],
                   cols: Sequence[Sequence[int]]) -> List[int]:
     """Row-major entries of the product whose factors have these integer
-    rows and columns: the one kernel of every dense exact product."""
-    return [sum(map(mul, r, c)) for r in rows for c in cols]
+    rows and columns: the one kernel of every dense exact product.  Only
+    nonzero rows times nonzero columns are summed; every other entry is 0."""
+    live = [c if any(c) else None for c in cols]
+    blank = [0] * len(cols)
+    out: List[int] = []
+    for r in rows:
+        out += [0 if c is None else sum(map(mul, r, c))
+                for c in live] if any(r) else blank
+    return out
 
 
 def _integral(vector: Sequence[Fraction]) -> Tuple[List[int], int]:

@@ -3,13 +3,16 @@
 `IntMatrix` shares its storage and shape checks with `qlinalg.RatMatrix`
 (`qlinalg._Dense`); its entries are Python ints (arbitrary precision), and an
 entry that is not one is refused.  Products go through the dense kernel
-`qlinalg._int_products` (rows times stride-slice columns).
+`qlinalg._int_products` (nonzero rows times nonzero stride-slice columns).
 Two routes to the Smith diagonal:
 
-* `invariant_factors` builds no transforms.  A fraction-free (Bareiss) pass
-  finds the rank r and a nonzero r x r minor M; the matrix is then
-  diagonalised with every entry reduced mod M, and each diagonal entry e is
-  read as gcd(e, M).  This is exact because SNF([A | M.I]) =
+* `invariant_factors` builds no transforms.  It first drops the zero rows
+  and zero columns: permuted to the bottom and the right they leave
+  [[A', 0], [0, 0]], whose Smith diagonal is that of A' padded with zeros,
+  and from here on A names A'.  A fraction-free (Bareiss) pass finds the
+  rank r and a nonzero r x r minor M; the matrix is then diagonalised with
+  every entry reduced mod M, and each diagonal entry e is read as
+  gcd(e, M).  This is exact because SNF([A | M.I]) =
   diag(gcd(d_i, M)) and d_1...d_r divides M (Domich-Kannan-Trotter 1987,
   Hafner-McCurley 1991), and entries never grow past M.
   A nonsingular n x n A takes M = gcd(det A, Y) = |det A| / delta instead:
@@ -19,6 +22,14 @@ Two routes to the Smith diagonal:
   elimination mod M gives d_1..d_{n-1}, and d_n = |det A|/(d_1...d_{n-1}).
   M is 1 or a few bits on most random A (Eberly-Giesbrecht-Villard 2000):
   B sets its size, never the answer.
+  The Bareiss pass leaves a row with 0 in the pivot column as it is, where
+  the eager pass would scale it by p_k/p_{k-1} at step k.  Over the skipped
+  steps j+1..k these factors telescope to p_k/p_j, so the stored row is the
+  eager one times at/prev, at = p_j the pivot of the row's last update and
+  prev = p_k.  Its next update (p.x - f.y) // at, and x.prev // at when it
+  becomes the pivot row, are then eager entries, minors of A: every
+  division is exact, and the rank, the last pivot and the pivot rows right
+  of their pivots are those of the eager pass.
 * `smith_normal_form` is the only source of the unimodular U and V.  It
   re-picks the minimal-absolute-value nonzero entry as pivot, which keeps
   the growth of the transforms polynomial, but they still reach tens of
@@ -29,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 from operator import index
 from typing import List, Tuple
@@ -52,7 +64,7 @@ class IntMatrix(_Dense):
 
     def __post_init__(self):
         super().__post_init__()
-        if not all(isinstance(e, int) for e in self.entries):
+        if not all(map(isinstance, self.entries, repeat(int))):
             raise ValueError("IntMatrix entries must be ints")
 
     def column(self, j: int) -> Tuple[int, ...]:
@@ -112,10 +124,13 @@ def _bareiss(A: IntMatrix, extra=()) -> Tuple[int, int, List[List[int]]]:
     and columns (1 when r = 0).  It is returned times the sign of the row
     swaps, which makes it det A when A is square of full rank.  The columns
     of `extra` take every row operation but give no pivot; the eliminated
-    rows are returned too, unreduced left of their pivots.
+    rows are returned too, unreduced left of their pivots.  A row with 0 in
+    the pivot column is left alone (at[i]: the pivot of its last update)
+    and scaled by prev / at[i] when it becomes the pivot row.
     """
     rows, cols = A.rows, A.cols
     m = [list(A.row(i)) + [b[i] for b in extra] for i in range(rows)]
+    at = [1] * rows
     sign, prev, r = 1, 1, 0
     for c in range(cols):
         if r == rows:
@@ -125,14 +140,19 @@ def _bareiss(A: IntMatrix, extra=()) -> Tuple[int, int, List[List[int]]]:
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
+            at[r], at[pr] = at[pr], at[r]
             sign = -sign
+        if at[r] != prev:
+            m[r][c:] = [x * prev // at[r] for x in m[r][c:]]
         top = m[r][c + 1:]
         p = m[r][c]
         for i in range(r + 1, rows):
             mi = m[i]
             f = mi[c]
-            mi[c + 1:] = [(p * x - f * y) // prev
-                          for x, y in zip(mi[c + 1:], top)]
+            if f:
+                mi[c + 1:] = [(p * x - f * y) // at[i]
+                              for x, y in zip(mi[c + 1:], top)]
+                at[i] = p
         prev = p
         r += 1
     return r, sign * prev, m
@@ -194,8 +214,13 @@ def invariant_factors(A: IntMatrix) -> Tuple[int, ...]:
     Equals `smith_normal_form(A).diagonal`: min(rows, cols) non-negative
     entries in a divisibility chain, zeros last.
     """
+    k = min(A.rows, A.cols)
+    keep = [j for j in range(A.cols) if any(A.entries[j::A.cols])]
+    nonzero = [row for row in map(A.row, range(A.rows)) if any(row)]
+    if len(nonzero) < A.rows or len(keep) < A.cols:
+        A = IntMatrix(len(nonzero), len(keep),
+                      tuple(row[j] for row in nonzero for j in keep))
     rows, cols = A.rows, A.cols
-    k = min(rows, cols)
     r, minor, low = _bareiss(A, _rhs(rows) if rows == cols else ())
     full = 0 < r == rows == cols
     M = gcd(minor, *_adjoint_columns(low, r)) if full else abs(minor)
@@ -372,19 +397,25 @@ def rank_mod_p(A: IntMatrix, p: int) -> int:
     """Rank of A over the field Z/p (p prime)."""
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    m = [[e % p for e in A.row(i)] for i in range(A.rows)]
+    return _rank_mod_p(A, p)
+
+
+def _rank_mod_p(A: IntMatrix, p: int) -> int:
+    """`rank_mod_p` without the primality test; zero rows mod p dropped."""
+    m = [row for row in ([e % p for e in A.row(i)] for i in range(A.rows))
+         if any(row)]
     r = 0
     for c in range(A.cols):
-        if r == A.rows:
+        if r == len(m):
             break
-        pr = next((i for i in range(r, A.rows) if m[i][c] % p != 0), None)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
         inv = pow(m[r][c], -1, p)
         m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(A.rows):
-            if i != r and m[i][c] % p != 0:
+        for i in range(len(m)):
+            if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
         r += 1

@@ -8,9 +8,11 @@ two random complexes, which have commuting squares by construction, or from
 staircase zigzags with known pages.
 
 Also holds the kernel-lattice route to integral homology, which the library
-used before it read H_n off invariant factors, and the persistence pairing
-over `Fraction`, which it used before the fraction-free one: the slow
-references `homology_int` and `complexes._pairing` are tested against.
+used before it read H_n off invariant factors, the persistence pairing over
+`Fraction`, which it used before the fraction-free one, and the Bareiss pass
+that rescales every row at every step, which it used before the lazy one:
+the references `homology_int`, `complexes._pairing` and `zlinalg._bareiss`
+are tested against.
 """
 
 import random
@@ -307,6 +309,34 @@ def random_low_rank_matrix(rng, rows, cols, r, bound=4):
     return IntMatrix.from_rows(
         [[sum(L[i][k] * R[k][j] for k in range(r)) for j in range(cols)]
          for i in range(rows)], cols)
+
+
+def eager_bareiss(A: IntMatrix, extra=()):
+    """`zlinalg._bareiss` as it was before rows with 0 in the pivot column
+    were left alone: every row below the pivot is updated at every step,
+    (p.x - f.y) // prev, so each entry is a minor as soon as it is written."""
+    rows, cols = A.rows, A.cols
+    m = [list(A.row(i)) + [b[i] for b in extra] for i in range(rows)]
+    sign, prev, r = 1, 1, 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            sign = -sign
+        top = m[r][c + 1:]
+        p = m[r][c]
+        for i in range(r + 1, rows):
+            mi = m[i]
+            f = mi[c]
+            mi[c + 1:] = [(p * x - f * y) // prev
+                          for x, y in zip(mi[c + 1:], top)]
+        prev = p
+        r += 1
+    return r, sign * prev, m
 
 
 def kernel_lattice(A: IntMatrix):

@@ -9,6 +9,7 @@ from conftest import (
     random_int_chain,
     reference_homology_int,
 )
+from exhom import complexes, zlinalg
 from exhom.complexes import (
     ComplexError,
     cochain_complex,
@@ -29,7 +30,7 @@ from exhom.qlinalg import (
     rank,
     subspace_sum,
 )
-from exhom.zlinalg import FinAbGroup, IntMatrix
+from exhom.zlinalg import FinAbGroup, IntMatrix, is_prime
 
 
 def two_term(matrix_rows):
@@ -244,6 +245,20 @@ def test_uct_zero_differentials():
         report = uct_check(C, m)
         assert report.passed
         assert [(n, l) for n, l, _ in report.rows] == [(0, 2), (1, 1)]
+
+
+def test_uct_tests_primality_once(monkeypatch):
+    """uct_check decides once that m is prime; the mod-m ranks of its
+    differentials do not test it again."""
+    C = random_int_chain(random.Random(44), max_deg=4, max_pieces=8)
+    assert len(C.differentials) >= 2
+    calls = []
+    monkeypatch.setattr(complexes, "is_prime",
+                        lambda n: calls.append(n) or is_prime(n))
+    monkeypatch.setattr(zlinalg, "is_prime", None)
+    p = 100000000003
+    assert is_prime(p)
+    assert uct_check(C, p).passed and calls == [p]
 
 
 def test_uct_composite_modulus_no_cross_check():

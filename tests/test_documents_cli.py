@@ -21,6 +21,7 @@ from conftest import (
 from exhom.cli import build_parser, main
 from exhom.complexes import _Complex
 from exhom.documents import (
+    MAX_DEGREE_SPAN,
     DocumentError,
     parse_chain_document,
     parse_cochain_document,
@@ -102,14 +103,15 @@ def test_failing_complex_document_builds_no_zero_matrix(monkeypatch):
 
 def test_composite_search_walks_no_degree_span(monkeypatch):
     """d o d is checked on the stored maps only: a document whose degrees
-    span 10^8 parses without walking that span."""
+    span the most a document may parses without walking that span."""
     def refuse(self):
         raise AssertionError("degree span walked")
 
     monkeypatch.setattr(_Complex, "degrees", refuse)
-    C = parse_cochain_document(json.dumps({"dims": {"0": 1, "100000000": 1}}))
-    assert C.max_deg == 100000000
-    chain = {"dims": {"0": 1, "1": 1, "2": 1, "100000000": 1},
+    top = str(MAX_DEGREE_SPAN)
+    C = parse_cochain_document(json.dumps({"dims": {"0": 1, top: 1}}))
+    assert C.max_deg == MAX_DEGREE_SPAN
+    chain = {"dims": {"0": 1, "1": 1, "2": 1, top: 1},
              "differentials": {"1": [[1]], "2": [[1]]}}
     with pytest.raises(DocumentError, match="d o d != 0 at degree 1"):
         parse_chain_document(json.dumps(chain))
@@ -573,6 +575,30 @@ def test_cli_rejects_grid_past_the_cap(tmp_path, capsys):
     assert _rejected(code, err) and out == ""
     assert f"max_r and max_c must be at most {MAX_GRID}, got 3000000 and 0" \
         in err
+
+
+@pytest.mark.parametrize("dims, code", [
+    ({"0": 1, str(MAX_DEGREE_SPAN): 1}, 0),
+    ({"-512": 1, "511": 0, "512": 2}, 0),
+    ({"0": 1, str(MAX_DEGREE_SPAN + 1): 1}, 1),
+    ({"0": 1, "100000000": 1}, 1),
+])
+def test_cli_bounds_the_degree_span(tmp_path, capsys, dims, code):
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps({"dims": dims}))
+    start = time.perf_counter()
+    got, out, err = run_cli(capsys, "uct", "--input", str(f), "--mod", "2")
+    assert time.perf_counter() - start < 1.0
+    assert got == code
+    if code:
+        assert out == "" and err == (
+            f"error: nonzero degrees must span at most {MAX_DEGREE_SPAN}, "
+            f"got 0 to {max(map(int, dims))}\n")
+    else:
+        assert out.startswith("uct: PASS\n") and err == ""
+        assert out.count("\n") == 1 + MAX_DEGREE_SPAN + 1
+    with pytest.raises(DocumentError) if code else contextlib.nullcontext():
+        parse_cochain_document(json.dumps({"dims": dims}))
 
 
 # ------------------------------------------------- CLI contract, any input

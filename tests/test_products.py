@@ -15,7 +15,7 @@ from exhom.documents import (
     parse_cochain_document,
     parse_double_complex_document,
 )
-from exhom.qlinalg import RatMatrix
+from exhom.qlinalg import RatMatrix, _int_products
 from exhom.spectral import DoubleComplexError, double_complex, total_complex
 from exhom.zlinalg import IntMatrix
 
@@ -56,6 +56,35 @@ def test_rational_product_matches_triple_loop():
         prod = a @ b
         assert (prod.rows, prod.cols) == (n, p)
         assert list(prod.entries) == naive_product(a, b)
+        assert all(type(e) is Fraction for e in prod.entries)
+
+
+def with_zero_lines(rng, rows, cols, entry, zero):
+    """rows x cols entries, row-major, each row and each column zero with
+    probability 1/3 and the rest drawn from entry(rng)."""
+    zr = {i for i in range(rows) if rng.random() < 1 / 3}
+    zc = {j for j in range(cols) if rng.random() < 1 / 3}
+    return tuple(zero if i in zr or j in zc else entry(rng)
+                 for i in range(rows) for j in range(cols))
+
+
+def test_products_with_zero_rows_and_columns_match_triple_loop():
+    rng = random.Random(43)
+    for n, m, p in random_shapes(rng, 150):
+        a = IntMatrix(n, m, with_zero_lines(
+            rng, n, m, lambda r: r.randint(-30, 30), 0))
+        b = IntMatrix(m, p, with_zero_lines(
+            rng, m, p, lambda r: r.randint(-30, 30), 0))
+        rows = [a.row(i) for i in range(n)]
+        cols = [b.column(j) for j in range(p)]
+        assert _int_products(rows, cols) == naive_product(a, b)
+        assert list((a @ b).entries) == naive_product(a, b)
+        x = RatMatrix(n, m, with_zero_lines(rng, n, m, random_rational,
+                                            Fraction(0)))
+        y = RatMatrix(m, p, with_zero_lines(rng, m, p, random_rational,
+                                            Fraction(0)))
+        prod = x @ y
+        assert list(prod.entries) == naive_product(x, y)
         assert all(type(e) is Fraction for e in prod.entries)
 
 

@@ -5,11 +5,14 @@ from math import gcd
 import pytest
 
 from conftest import (
+    eager_bareiss,
     kernel_lattice,
+    random_int_chain,
     random_int_matrix,
     random_low_rank_matrix,
     random_unimodular,
 )
+from exhom import zlinalg
 from exhom.qlinalg import rank
 from exhom.zlinalg import (
     FinAbGroup,
@@ -231,6 +234,78 @@ def test_invariant_factors_uniform_60():
     for d in f:
         product *= d
     assert product == abs(determinant(A))
+
+
+def bareiss_inputs():
+    """The empty and 1 x 1 shapes, then 200 seeded matrices: half square,
+    half with density 0.1-0.3 and half dense, every fifth with a row and a
+    column zeroed."""
+    yield from (IntMatrix.zero(0, 4), IntMatrix.zero(4, 0),
+                IntMatrix.zero(0, 0), IntMatrix.from_rows([[0]]),
+                IntMatrix.from_rows([[5]]), IntMatrix.from_rows([[-3]]))
+    rng = random.Random(26)
+    for i in range(200):
+        rows = cols = rng.randint(1, 12)
+        if i % 2:
+            cols = rng.randint(1, 12)
+        density = rng.uniform(0.1, 0.3) if i % 4 < 2 else 1.0
+        m = [[rng.randint(-9, 9) if rng.random() < density else 0
+              for _ in range(cols)] for _ in range(rows)]
+        if i % 5 == 0:
+            m[rng.randrange(rows)] = [0] * cols
+            j = rng.randrange(cols)
+            for row in m:
+                row[j] = 0
+        yield IntMatrix.from_rows(m, cols)
+
+
+def test_lazy_bareiss_matches_eager():
+    full = 0
+    for A in bareiss_inputs():
+        extra = _rhs(A.rows) if A.rows == A.cols else ()
+        r, minor, m = _bareiss(A, extra)
+        r0, minor0, m0 = eager_bareiss(A, extra)
+        assert (r, minor) == (r0, minor0)
+        if 0 < r == A.rows == A.cols:
+            full += 1
+            # pivot row i from its pivot on, the extra columns included
+            assert ([row[i:] for i, row in enumerate(m)]
+                    == [row[i:] for i, row in enumerate(m0)])
+            assert _adjoint_columns(m, r) == _adjoint_columns(m0, r)
+    assert full >= 40
+
+
+def test_invariant_factors_on_chain_differentials():
+    rng = random.Random(27)
+    stripped = 0
+    for _ in range(80):
+        C = random_int_chain(rng, max_deg=4, max_pieces=8)
+        for D in C.differentials.values():
+            assert invariant_factors(D) == smith_normal_form(D).diagonal
+            stripped += not all(map(any, D.to_lists()))
+    assert stripped >= 10
+
+
+def test_invariant_factors_strip_zero_rows_and_columns(monkeypatch):
+    # diag(2, 3) with zero rows and columns: singular or not square as it
+    # stands, its nonzero 2 x 2 block is nonsingular and takes the
+    # |det|/delta modulus
+    padded = [IntMatrix.from_rows(rows) for rows in (
+        [[2, 0, 0], [0, 0, 0], [0, 0, 3]],
+        [[0, 0, 0], [0, 2, 0], [0, 0, 3]],
+        [[2, 0, 0, 0], [0, 0, 0, 3], [0, 0, 0, 0]],
+        [[0, 2], [0, 0], [3, 0], [0, 0]])]
+    assert determinant(padded[0]) == determinant(padded[1]) == 0
+    shapes = []
+    monkeypatch.setattr(zlinalg, "_bareiss", lambda A, extra=():
+                        shapes.append((A.rows, A.cols, len(extra)))
+                        or _bareiss(A, extra))
+    for A in padded:
+        zeros = (0,) * (min(A.rows, A.cols) - 2)
+        assert invariant_factors(A) == (1, 6) + zeros
+        assert invariant_factors(A.transpose()) == (1, 6) + zeros
+        assert smith_normal_form(A).diagonal == (1, 6) + zeros
+    assert set(shapes) == {(2, 2, 2)}
 
 
 def test_rational_rank_matches_nonzero_diagonal():
