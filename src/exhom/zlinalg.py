@@ -10,18 +10,36 @@ Two routes to the Smith diagonal:
   and zero columns: permuted to the bottom and the right they leave
   [[A', 0], [0, 0]], whose Smith diagonal is that of A' padded with zeros,
   and from here on A names A'.  A fraction-free (Bareiss) pass finds the
-  rank r and a nonzero r x r minor M; the matrix is then diagonalised with
-  every entry reduced mod M, and each diagonal entry e is read as
-  gcd(e, M).  This is exact because SNF([A | M.I]) =
-  diag(gcd(d_i, M)) and d_1...d_r divides M (Domich-Kannan-Trotter 1987,
-  Hafner-McCurley 1991), and entries never grow past M.
-  A nonsingular n x n A takes M = gcd(det A, Y) = |det A| / delta instead:
-  Y = det(A).A^-1.B, back-substituted for two fixed columns B carried
-  through the same Bareiss pass, delta the denominator of A^-1.B.  delta
-  divides d_n (d_n.A^-1 is integral), so d_1...d_{n-1} divides M, the
-  elimination mod M gives d_1..d_{n-1}, and d_n = |det A|/(d_1...d_{n-1}).
-  M is 1 or a few bits on most random A (Eberly-Giesbrecht-Villard 2000):
-  B sets its size, never the answer.
+  rank r, the pivot columns and a nonzero r x r minor M0 = +-det P, P the
+  pivot block (A on the pivot rows and columns), and carries two fixed
+  columns B through the same row operations; back-substitution then gives
+  Y = det(P).P^-1.B' (B' the pivot rows of B).  One elimination,
+  `_smith_mod(A, M, r)`, diagonalises A with every entry reduced mod M and
+  reads each diagonal entry e as gcd(e, M): SNF([A | M.I]) =
+  diag(gcd(d_i, M)) (Domich-Kannan-Trotter 1987, Hafner-McCurley 1991), so
+  it gives gcd(d_i, M) for the r nonzero invariant factors d_i, and entries
+  never grow past M.  Each route picks M:
+  - A nonsingular n x n: M = gcd(det A, Y) = |det A| / delta, delta the
+    denominator of A^-1.B.  delta divides d_n (d_n.A^-1 is integral), so
+    d_1...d_{n-1} divides M, the elimination gives d_1..d_{n-1}, and
+    d_n = |det A|/(d_1...d_{n-1}).
+  - A singular or not square with M0 over 64 bits: G = delta'^2, delta' =
+    M0 / gcd(M0, Y) the denominator of P^-1.B', when 1 < G < M0.  delta'
+    divides d_r(P), and d_r(A) divides d_r(P): the torsion of coker A is a
+    quotient of that of coker A[:, pivot columns] (the same rational span,
+    a smaller image), which embeds in coker P (on that span the projection
+    to the pivot rows is injective).  So G is usually a multiple of d_r with
+    room to spare, but nothing guarantees it, and e = `_smith_mod(A, G, r)`
+    is kept only if (a) every prime of e_r divides G / e_r and (b) Q, M0
+    with every prime it shares with G divided out, is 1 or gives
+    `_smith_mod(A, Q, r)` all ones.  Then e_i = d_i: a prime p of d_r
+    divides D_r = d_1...d_r, which divides M0, and by (b) p divides G, so p
+    divides e_r = gcd(d_r, G); by (a) p occurs in G to a higher power than
+    in e_r, so v_p(e_r) = v_p(d_r) < v_p(G), hence v_p(e_i) = v_p(d_i) for
+    every i.  Any other outcome takes M = M0.
+  - Otherwise M = M0, a multiple of d_1...d_r.
+  B sets how small the modulus is, never the answer: M is 1 or a few bits
+  on most random square A (Eberly-Giesbrecht-Villard 2000).
   The Bareiss pass leaves a row with 0 in the pivot column as it is, where
   the eager pass would scale it by p_k/p_{k-1} at step k.  Over the skipped
   steps j+1..k these factors telescope to p_k/p_j, so the stored row is the
@@ -43,7 +61,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd
 from operator import index
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .qlinalg import RatMatrix, _columns, _Dense, _int_products
 
@@ -116,23 +134,26 @@ class FinAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _bareiss(A: IntMatrix, extra=()) -> Tuple[int, int, List[List[int]]]:
-    """Rank r of A and, by fraction-free elimination, its last pivot.
+def _bareiss(A: IntMatrix,
+             extra=()) -> Tuple[List[int], int, List[List[int]]]:
+    """Pivot columns of A and, by fraction-free elimination, its last pivot.
 
     Rows are swapped to find pivots and columns without one are skipped, so
-    the last pivot is, up to sign, the nonzero r x r minor on the pivot rows
-    and columns (1 when r = 0).  It is returned times the sign of the row
-    swaps, which makes it det A when A is square of full rank.  The columns
-    of `extra` take every row operation but give no pivot; the eliminated
-    rows are returned too, unreduced left of their pivots.  A row with 0 in
-    the pivot column is left alone (at[i]: the pivot of its last update)
-    and scaled by prev / at[i] when it becomes the pivot row.
+    the rank r is the number of pivot columns and the last pivot is, up to
+    sign, the nonzero r x r minor on the pivot rows and columns (1 when
+    r = 0).  It is returned times the sign of the row swaps, which makes it
+    det A when A is square of full rank.  The columns of `extra` take every
+    row operation but give no pivot; the eliminated rows are returned too,
+    unreduced left of their pivots.  A row with 0 in the pivot column is
+    left alone (at[i]: the pivot of its last update) and scaled by
+    prev / at[i] when it becomes the pivot row.
     """
     rows, cols = A.rows, A.cols
     m = [list(A.row(i)) + [b[i] for b in extra] for i in range(rows)]
     at = [1] * rows
-    sign, prev, r = 1, 1, 0
+    sign, prev, piv = 1, 1, []
     for c in range(cols):
+        r = len(piv)
         if r == rows:
             break
         pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
@@ -154,26 +175,36 @@ def _bareiss(A: IntMatrix, extra=()) -> Tuple[int, int, List[List[int]]]:
                               for x, y in zip(mi[c + 1:], top)]
                 at[i] = p
         prev = p
-        r += 1
-    return r, sign * prev, m
+        piv.append(c)
+    return piv, sign * prev, m
 
 
-def _rhs(n: int) -> List[List[int]]:
+# one period of the fixed columns B: entry i of column j is
+# (i^2 + (2j+3).i + j + 1) mod 41 - 20, which repeats every 41 rows
+_B = tuple(tuple((i * i + (2 * j + 3) * i + j + 1) % 41 - 20
+                 for i in range(41)) for j in range(2))
+
+
+def _rhs(n: int) -> List[Tuple[int, ...]]:
     """The two fixed columns B of length n that `invariant_factors` solves."""
-    return [[(i * i + (2 * j + 3) * i + j + 1) % 41 - 20 for i in range(n)]
-            for j in range(2)]
+    return [(b * (n // 41 + 1))[:n] for b in _B]
 
 
-def _adjoint_columns(m: List[List[int]], n: int) -> List[int]:
-    """p.A^-1.b, p = m[n-1][n-1], for every extra column b `_bareiss` carried
-    through a nonsingular n x n A: O(n^2) each, divisions exact (p.A^-1 is
-    +-adj A), all in one list."""
-    p, ys = m[n - 1][n - 1], []
-    for c in range(n, len(m[0])):
-        y = [0] * n
-        for i in reversed(range(n)):
-            s = sum(a * b for a, b in zip(m[i][i + 1:n], y[i + 1:]))
-            y[i] = (p * m[i][c] - s) // m[i][i]
+def _adjoint_columns(m: List[List[int]], piv: List[int],
+                     cols: int) -> List[int]:
+    """p.P^-1.b for every extra column b `_bareiss` carried past the `cols`
+    columns of A, on the pivot rows of b, P the nonsingular r x r block of
+    A on its pivot rows and columns `piv` (r > 0) and p = +-det P its last
+    pivot: O(r^2) each, divisions exact (p.P^-1 is +-adj P), all in one
+    list."""
+    r = len(piv)
+    u = [[row[j] for j in piv] + row[cols:] for row in m[:r]]
+    p, ys = u[r - 1][r - 1], []
+    for c in range(r, len(u[0])):
+        y = [0] * r
+        for i in reversed(range(r)):
+            s = sum(a * b for a, b in zip(u[i][i + 1:r], y[i + 1:]))
+            y[i] = (p * u[i][c] - s) // u[i][i]
         ys += y
     return ys
 
@@ -182,8 +213,8 @@ def determinant(A: IntMatrix) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination."""
     if A.rows != A.cols:
         raise ValueError("determinant of non-square matrix")
-    r, minor, _ = _bareiss(A)
-    return minor if r == A.rows else 0
+    piv, minor, _ = _bareiss(A)
+    return minor if len(piv) == A.rows else 0
 
 
 def _divisor_chain(xs: List[int]) -> List[int]:
@@ -208,25 +239,21 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     return a, s0, u0
 
 
-def invariant_factors(A: IntMatrix) -> Tuple[int, ...]:
-    """The Smith diagonal of A without transforms.
+def _coprime_part(x: int, y: int) -> int:
+    """x > 0 with every prime it shares with y divided out; no factoring."""
+    while (g := gcd(x, y)) > 1:
+        x //= g
+    return x
 
-    Equals `smith_normal_form(A).diagonal`: min(rows, cols) non-negative
-    entries in a divisibility chain, zeros last.
-    """
-    k = min(A.rows, A.cols)
-    keep = [j for j in range(A.cols) if any(A.entries[j::A.cols])]
-    nonzero = [row for row in map(A.row, range(A.rows)) if any(row)]
-    if len(nonzero) < A.rows or len(keep) < A.cols:
-        A = IntMatrix(len(nonzero), len(keep),
-                      tuple(row[j] for row in nonzero for j in keep))
+
+def _smith_mod(A: IntMatrix, M: int, r: int) -> List[int]:
+    """gcd(d_i, M) for the r nonzero invariant factors d_i of A (M > 0):
+    the first r entries of the Smith diagonal of [A | M.I], found by
+    elimination with every entry reduced mod M."""
     rows, cols = A.rows, A.cols
-    r, minor, low = _bareiss(A, _rhs(rows) if rows == cols else ())
-    full = 0 < r == rows == cols
-    M = gcd(minor, *_adjoint_columns(low, r)) if full else abs(minor)
     m = [[e % M for e in A.row(i)] for i in range(rows)]
     diag = []
-    for t in range(k):
+    for t in range(min(rows, cols)):
         pos = next(((i, j) for j in range(t, cols) for i in range(t, rows)
                     if m[i][j]), None)
         if pos is None:
@@ -280,13 +307,53 @@ def invariant_factors(A: IntMatrix) -> Tuple[int, ...]:
             else:
                 break
         diag.append(gcd(m[t][t], M))
-    # an entry that vanished mod M, or a row never reached, has factor M
-    chain = _divisor_chain(diag + [M] * (r - len(diag)))
-    if full:  # mod |det|/delta only d_1..d_{n-1} are exact; |det| gives d_n
-        chain[-1] = abs(minor)
+    # an entry that vanished mod M, or a row never reached, has factor M;
+    # mod M more than r entries can be nonzero (diag(4, 3) ~ diag(1, 12))
+    return _divisor_chain(diag + [M] * (r - len(diag)))[:r]
+
+
+def _certified(A: IntMatrix, G: int, minor: int,
+               r: int) -> Optional[List[int]]:
+    """e = `_smith_mod(A, G, r)` when two checks prove it the nonzero Smith
+    diagonal of A, else None; `minor` is a nonzero r x r minor of A, r the
+    rank.  (a): every prime of e_r divides G / e_r; (b): Q, `minor` with
+    the primes it shares with G divided out, is 1 or `_smith_mod(A, Q, r)`
+    is all ones."""
+    e = _smith_mod(A, G, r)
+    if _coprime_part(e[-1], G // e[-1]) > 1:
+        return None
+    Q = _coprime_part(abs(minor), G)
+    return e if Q == 1 or _smith_mod(A, Q, r) == [1] * r else None
+
+
+def invariant_factors(A: IntMatrix) -> Tuple[int, ...]:
+    """The Smith diagonal of A without transforms.
+
+    Equals `smith_normal_form(A).diagonal`: min(rows, cols) non-negative
+    entries in a divisibility chain, zeros last.
+    """
+    k = min(A.rows, A.cols)
+    keep = [j for j in range(A.cols) if any(A.entries[j::A.cols])]
+    nonzero = [row for row in map(A.row, range(A.rows)) if any(row)]
+    if len(nonzero) < A.rows or len(keep) < A.cols:
+        A = IntMatrix(len(nonzero), len(keep),
+                      tuple(row[j] for row in nonzero for j in keep))
+    piv, minor, low = _bareiss(A, _rhs(A.rows))
+    r, M0 = len(piv), abs(minor)
+    square = 0 < r == A.rows == A.cols
+    solve = square or M0.bit_length() > 64
+    M = gcd(M0, *(_adjoint_columns(low, piv, A.cols) if solve else ()))
+    if square:
+        # mod |det|/delta only d_1..d_{n-1} are exact; |det| gives d_n
+        chain = _smith_mod(A, M, r)
+        chain[-1] = M0
         for d in chain[:-1]:
             chain[-1] //= d
-    return tuple(chain[:r]) + (0,) * (k - r)
+    else:
+        G = (M0 // M) ** 2  # delta'^2, 1 when nothing was solved
+        chain = (1 < G < M0 and _certified(A, G, M0, r)
+                 or _smith_mod(A, M0, r))
+    return tuple(chain) + (0,) * (k - r)
 
 
 def _find_pivot(m, t, rows, cols):

@@ -311,14 +311,45 @@ def random_low_rank_matrix(rng, rows, cols, r, bound=4):
          for i in range(rows)], cols)
 
 
+def planted_int_matrix(rng, rows, cols, ops=3):
+    """(A, t): A = U.diag(t).V, rows x cols, with U and V products of `ops`
+    random elementary operations per row and column (row_i += c.row_j,
+    column_j += c.column_i, c in +-1, +-2) and a shuffle of rows and
+    columns, so the Smith diagonal of A is t, known without exhom.  t is a
+    divisibility chain over 2, 3 and 5 with 1-3 zeros last: A is singular."""
+    k = min(rows, cols)
+    zeros = rng.randint(1, min(3, k))
+    t, d = [], 1
+    for _ in range(k - zeros):
+        if rng.random() < 0.15:
+            d *= rng.choice((2, 3, 5))
+        t.append(d)
+    t += [0] * zeros
+    m = [[t[i] if i == j else 0 for j in range(cols)] for i in range(rows)]
+    for _ in range(ops * rows):
+        i, j = rng.sample(range(rows), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    for _ in range(ops * cols):
+        i, j = rng.sample(range(cols), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for row in m:
+            row[j] += c * row[i]
+    rng.shuffle(m)
+    perm = rng.sample(range(cols), cols)
+    return IntMatrix.from_rows([[row[j] for j in perm] for row in m],
+                               cols), tuple(t)
+
+
 def eager_bareiss(A: IntMatrix, extra=()):
     """`zlinalg._bareiss` as it was before rows with 0 in the pivot column
     were left alone: every row below the pivot is updated at every step,
     (p.x - f.y) // prev, so each entry is a minor as soon as it is written."""
     rows, cols = A.rows, A.cols
     m = [list(A.row(i)) + [b[i] for b in extra] for i in range(rows)]
-    sign, prev, r = 1, 1, 0
+    sign, prev, piv = 1, 1, []
     for c in range(cols):
+        r = len(piv)
         if r == rows:
             break
         pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
@@ -335,8 +366,8 @@ def eager_bareiss(A: IntMatrix, extra=()):
             mi[c + 1:] = [(p * x - f * y) // prev
                           for x, y in zip(mi[c + 1:], top)]
         prev = p
-        r += 1
-    return r, sign * prev, m
+        piv.append(c)
+    return piv, sign * prev, m
 
 
 def kernel_lattice(A: IntMatrix):

@@ -1,4 +1,7 @@
+import json
 import random
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -7,18 +10,21 @@ import pytest
 from conftest import (
     eager_bareiss,
     kernel_lattice,
+    planted_int_matrix,
     random_int_chain,
     random_int_matrix,
     random_low_rank_matrix,
     random_unimodular,
 )
 from exhom import zlinalg
+from exhom.cli import main
 from exhom.qlinalg import rank
 from exhom.zlinalg import (
     FinAbGroup,
     IntMatrix,
     _adjoint_columns,
     _bareiss,
+    _certified,
     _rhs,
     cokernel_structure,
     determinant,
@@ -152,9 +158,9 @@ def test_invariant_factors_planted():
 def solve_modulus(A):
     """The modulus invariant_factors uses on a nonsingular square A:
     gcd(det A, det(A).A^-1.B) = |det A| / delta for the fixed columns B."""
-    r, minor, low = _bareiss(A, _rhs(A.rows))
-    assert r == A.rows == A.cols and minor == determinant(A)
-    return gcd(minor, *_adjoint_columns(low, r))
+    piv, minor, low = _bareiss(A, _rhs(A.rows))
+    assert len(piv) == A.rows == A.cols and minor == determinant(A)
+    return gcd(minor, *_adjoint_columns(low, piv, A.cols))
 
 
 def planted_square(rng, t):
@@ -259,20 +265,160 @@ def bareiss_inputs():
         yield IntMatrix.from_rows(m, cols)
 
 
+def pivot_rows(A, piv):
+    """The rows `_bareiss` pivots on, in its order: Gaussian elimination
+    over Q with the same row swaps (its entries vanish where the
+    fraction-free ones do), so A[rows, piv] is the pivot block P."""
+    m = [list(map(Fraction, A.row(i))) for i in range(A.rows)]
+    order = list(range(A.rows))
+    for r, c in enumerate(piv):
+        pr = next(i for i in range(r, A.rows) if m[i][c])
+        m[r], m[pr] = m[pr], m[r]
+        order[r], order[pr] = order[pr], order[r]
+        for i in range(r + 1, A.rows):
+            f = m[i][c] / m[r][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+    return order[:len(piv)]
+
+
 def test_lazy_bareiss_matches_eager():
-    full = 0
+    shapes = Counter()
     for A in bareiss_inputs():
-        extra = _rhs(A.rows) if A.rows == A.cols else ()
-        r, minor, m = _bareiss(A, extra)
-        r0, minor0, m0 = eager_bareiss(A, extra)
-        assert (r, minor) == (r0, minor0)
-        if 0 < r == A.rows == A.cols:
-            full += 1
-            # pivot row i from its pivot on, the extra columns included
-            assert ([row[i:] for i, row in enumerate(m)]
-                    == [row[i:] for i, row in enumerate(m0)])
-            assert _adjoint_columns(m, r) == _adjoint_columns(m0, r)
-    assert full >= 40
+        B = _rhs(A.rows)
+        piv, minor, m = _bareiss(A, B)
+        piv0, minor0, m0 = eager_bareiss(A, B)
+        assert (piv, minor) == (piv0, minor0)
+        # pivot row i from its pivot on, the extra columns included
+        assert ([row[c:] for row, c in zip(m, piv)]
+                == [row[c:] for row, c in zip(m0, piv)])
+        r = len(piv)
+        if not r:
+            continue
+        shapes["full" if r == A.rows == A.cols else "other"] += 1
+        ys = _adjoint_columns(m, piv, A.cols)
+        assert ys == _adjoint_columns(m0, piv, A.cols)
+        # Y = p.P^-1.B' on the pivot block: P.Y = p.B', p = +-det P
+        rows, p = pivot_rows(A, piv), m[r - 1][piv[-1]]
+        assert abs(p) == abs(minor) == abs(determinant(IntMatrix.from_rows(
+            [[A[i, j] for j in piv] for i in rows], r)))
+        for b, y in zip(B, (ys[:r], ys[r:])):
+            assert [sum(A[i, j] * x for j, x in zip(piv, y))
+                    for i in rows] == [p * b[i] for i in rows]
+    assert shapes["full"] >= 40 and shapes["other"] >= 100
+
+
+def test_certificate_accepts_only_the_smith_diagonal():
+    # checks (a) and (b) prove e = gcd(d_i, G) exact for any modulus G, not
+    # only for delta'^2: every accepted chain is the Smith diagonal
+    rng = random.Random(28)
+    seen = Counter()
+    while seen["matrices"] < 2000:
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        k = rng.randint(1, min(rows, cols))
+        X = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(k)]
+                                 for _ in range(rows)], k)
+        Y = IntMatrix.from_rows(
+            [[s * rng.randint(-2, 2) for _ in range(cols)]
+             for s in rng.choices((1, 2, 3, 4, 6, 8, 9, 12, 18, 27), k=k)],
+            cols)
+        A = X @ Y
+        piv, minor, _ = _bareiss(A)
+        r = len(piv)
+        if not r:
+            continue
+        seen["matrices"] += 1
+        d = list(smith_normal_form(A).diagonal[:r])
+        for G in (2, 3, 4, 5, 6, 8, 12, 30, 36, 72, d[-1], 2 * d[-1],
+                  d[-1] ** 2):
+            e = _certified(A, G, minor, r)
+            seen["rejected" if e is None else "accepted"] += 1
+            assert e is None or e == d
+    assert seen["accepted"] > 1000 and seen["rejected"] > 1000
+
+
+def planted_inputs():
+    """12 seeded singular planted matrices whose minor M0 exceeds 64 bits,
+    n x n and n x n +- 4 rows for n = 24, 28, 32, 36, with their Smith
+    diagonals t: the first of each shape the seed gives."""
+    rng = random.Random(29)
+    for n in (24, 28, 32, 36):
+        for rows in (n, n + 4, n - 4):
+            while True:
+                A, t = planted_int_matrix(rng, rows, n)
+                if abs(_bareiss(A)[1]).bit_length() > 64:
+                    yield A, t
+                    break
+
+
+@pytest.fixture
+def traced(monkeypatch):
+    """`traced(A)`: invariant_factors(A) and the route it took, read from
+    the moduli a spy on `_smith_mod` sees: M0 alone (minor), M0 after
+    another modulus (fallback) or no M0 (certified)."""
+    calls = []
+    smith_mod = zlinalg._smith_mod
+
+    def spy(A, M, r):
+        calls.append(M)
+        return smith_mod(A, M, r)
+
+    def traced(A):
+        calls.clear()
+        factors = invariant_factors(A)
+        M0 = abs(_bareiss(A)[1])
+        if calls == [M0]:
+            return factors, "minor"
+        return factors, "fallback" if calls[-1] == M0 else "certified"
+
+    monkeypatch.setattr(zlinalg, "_smith_mod", spy)
+    return traced
+
+
+def test_invariant_factors_planted_known_answers(traced, tmp_path, capsys):
+    # a minor past 64 bits takes the delta'^2 modulus; invariant_factors
+    # and `exhom snf` both give t
+    seen = Counter()
+    for A, t in planted_inputs():
+        factors, route = traced(A)
+        assert factors == t
+        seen[route] += 1
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(A.to_lists()))
+        assert main(["snf", "--input", str(f)]) == 0
+        assert capsys.readouterr().out == " ".join(map(str, t)) + "\n"
+    assert seen["certified"] == 12
+
+
+def test_invariant_factors_minor_route_when_delta_is_one(traced,
+                                                         monkeypatch):
+    # zero columns B make P^-1.B' integral: delta' = 1 certifies nothing
+    monkeypatch.setattr(zlinalg, "_rhs", lambda n: [[0] * n, [0] * n])
+    for A, t in planted_inputs():
+        assert traced(A) == (t, "minor")
+    # a minor of at most 64 bits is the modulus whatever B gives
+    monkeypatch.setattr(zlinalg, "_rhs", _rhs)
+    assert traced(IntMatrix.from_rows([[6, 0, 0], [0, 10, 4]])) == (
+        (2, 6), "minor")
+
+
+def test_invariant_factors_fallback_when_the_certificate_fails(traced,
+                                                               monkeypatch):
+    # B scaled by delta'/p, p the least prime of d_r, leaves delta' = p, and
+    # G = p^2 misses another prime of d_r, failing (b), or p^2 | d_r,
+    # failing (a)
+    rhs, fallbacks = _rhs, 0
+    for A, t in planted_inputs():
+        piv, minor, low = _bareiss(A, rhs(A.rows))
+        M0, d = abs(minor), max(t)
+        delta = M0 // gcd(M0, *_adjoint_columns(low, piv, A.cols))
+        p = next((p for p in (2, 3, 5) if d % p == 0), d)
+        if d in (1, p) or delta % p:
+            continue
+        monkeypatch.setattr(zlinalg, "_rhs", lambda n: [
+            [delta // p * x for x in b] for b in rhs(n)])
+        assert traced(A) == (t, "fallback")
+        fallbacks += 1
+    assert fallbacks >= 6
 
 
 def test_invariant_factors_on_chain_differentials():
