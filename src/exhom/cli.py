@@ -15,6 +15,7 @@ from typing import List
 from . import complexes, spectral, steinberg
 from .documents import (
     DocumentError,
+    check_tensor_product,
     parse_chain_document,
     parse_cochain_document,
     parse_double_complex_document,
@@ -164,24 +165,25 @@ def _cmd_ss(args, out) -> int:
     K = parse_double_complex_document(_read(args.input))
     axis = spectral.ROW if args.axis == "row" else spectral.COLUMN
     pages = spectral.spectral_pages(K, axis)
-    max_p = K.max_r if axis == spectral.COLUMN else K.max_c
-    max_q = K.max_c if axis == spectral.COLUMN else K.max_r
+    max_p, max_q = ((K.max_r, K.max_c) if axis == spectral.COLUMN
+                    else (K.max_c, K.max_r))
+    cells = [(p, q) for p in range(max_p + 1) for q in range(max_q + 1)]
+    lines = []
     if args.pages:
-        for r in sorted(pages.pages):
-            print(f"page {r}", file=out)
-            for p in range(max_p + 1):
-                for q in range(max_q + 1):
-                    print(f"{p} {q} {pages.dim(r, p, q)}", file=out)
-    print(f"limit (stable at page {pages.stable_page})", file=out)
-    for p in range(max_p + 1):
-        for q in range(max_q + 1):
-            print(f"{p} {q} {pages.limit.get((p, q), 0)}", file=out)
+        for r, grid in sorted(pages.pages.items()):
+            lines.append(f"page {r}")
+            lines += [f"{p} {q} {grid[p, q][0] if (p, q) in grid else 0}"
+                      for p, q in cells]
+    lines.append(f"limit (stable at page {pages.stable_page})")
+    lines += [f"{p} {q} {pages.limit.get((p, q), 0)}" for p, q in cells]
+    out.write("\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_kunneth(args, out) -> int:
     A = parse_cochain_document(_read(args.a))
     B = parse_cochain_document(_read(args.b))
+    check_tensor_product(A, B)
     report = complexes.kunneth_check(A, B)
     print(report.render(), file=out)
     return 0 if report.passed else VALIDATION_ERROR

@@ -12,8 +12,9 @@ d^n is reduced column by column in the order (level descending, index
 ascending), the low of a column being its nonzero row that comes last in
 that order.  A reduced column pairs a source with a target; the classes of
 the unpaired basis vectors, which are cycles, form a basis of H^n.  The
-reduction is fraction-free (Bareiss 1968): columns are scaled to integers
-once per complex, and the gcd of all entries is divided out after each step.
+reduction is fraction-free (Bareiss 1968): each column is read off the
+stored numerators and divided by its content with the denominator, once per
+complex, and the gcd of all entries is divided out after each step.
 
 Both gradings share one storage, `_Complex`: a subclass names only its
 step (+1 for cochain, -1 for chain complexes) and its matrix class, and the
@@ -30,10 +31,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, inf
+from math import gcd, inf, lcm
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .qlinalg import _ZERO, RatMatrix, Subspace, _integral
+from .qlinalg import RatMatrix, Subspace
 from .zlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -74,10 +75,12 @@ class CochainComplex(_Complex):
     matrix = RatMatrix
 
     @cached_property
-    def _columns(self) -> Dict[int, List[Tuple[List[int], int]]]:
+    def _columns(self) -> Dict[int, List[Tuple[Sequence[int], int]]]:
         """Columns of each stored d^n as (v, den), v an integer vector with
-        column = v / den: scaled once, for every pairing of the complex."""
-        return {n: [_integral(D.entries[i::D.cols]) for i in range(D.cols)]
+        column = v / den and gcd(den, *v) = 1: scaled once, for every
+        pairing of the complex."""
+        return {n: [_primitive(D.nums[i::D.cols], D.den)
+                     for i in range(D.cols)]
                 for n, D in self.differentials.items()}
 
     @cached_property
@@ -106,7 +109,7 @@ def _build(cls, min_deg: int, dims: Dict[int, int], differentials):
             raise ComplexError(
                 f"differential at degree {n} has shape {M.rows}x{M.cols}, "
                 f"expected {want[0]}x{want[1]}")
-        if any(M.entries):
+        if any(M.nums):
             diffs[n] = M
     return cls(min_deg, max_deg, dims, diffs)
 
@@ -123,13 +126,20 @@ def int_chain_complex(min_deg: int, dims: Dict[int, int],
     return _build(IntChainComplex, min_deg, dims, differentials)
 
 
+def _primitive(column: Sequence[int], den: int) -> Tuple[Sequence[int], int]:
+    """(v, d) with column / den = v / d and gcd(d, *v) = 1."""
+    g = gcd(den, *column)
+    return (column, den) if g == 1 else (
+        tuple(x // g for x in column), den // g)
+
+
 def _composite(outer, inner):
-    """Entries of outer @ inner, or None when the product is zero; an absent
-    (None) factor makes it zero by shape, so nothing is multiplied."""
+    """outer @ inner, or None when the product is zero; an absent (None)
+    factor makes it zero by shape, so nothing is multiplied."""
     if outer is None or inner is None:
         return None
     prod = outer @ inner
-    return prod.entries if any(prod.entries) else None
+    return prod if any(prod.nums) else None
 
 
 def _nonzero_composite(C):
@@ -269,41 +279,47 @@ def _totalize(min_deg: int, dims: Dict[Tuple[int, int], int], horiz,
               vert) -> CochainComplex:
     """Totalization T^n = sum_{r+s=n} K^{r,s} of the nonzero cells `dims`,
     blocks in increasing r, with D = horiz + (-1)^r vert, each map keyed by
-    its source cell: horiz to (r+1, s), vert to (r, s+1)."""
+    its source cell: horiz to (r+1, s), vert to (r, s+1).  D^n is written
+    on the blocks' numerators over the lcm of their denominators."""
     offsets: Dict[Tuple[int, int], int] = {}
     total: Counter = Counter()
     for r, s in sorted(dims):
         offsets[r, s] = total[r + s]
         total[r + s] += dims[r, s]
-    rows = {n: [[_ZERO] * total[n] for _ in range(total[n + 1])]
-            for n in total if total[n + 1]}
+    blocks: Dict[int, list] = {}  # n -> (row offset, column offset, sign, M)
     for (r, s), off in offsets.items():
-        for M, cell, negate in ((horiz.get((r, s)), (r + 1, s), False),
-                                (vert.get((r, s)), (r, s + 1), r % 2)):
+        for M, cell, sign in ((horiz.get((r, s)), (r + 1, s), 1),
+                              (vert.get((r, s)), (r, s + 1), (-1) ** r)):
             if M is not None and cell in offsets:
-                to = offsets[cell]
-                for a in range(M.rows):
-                    rows[r + s][to + a][off:off + dims[r, s]] = (
-                        [-x if x else x for x in M.row(a)] if negate
-                        else M.row(a))
-    return cochain_complex(min_deg, dict(total), {
-        n: RatMatrix(len(R), total[n], tuple(x for row in R for x in row))
-        for n, R in rows.items()})
+                blocks.setdefault(r + s, []).append((offsets[cell], off,
+                                                     sign, M))
+    diffs = {}
+    for n, parts in blocks.items():
+        den = lcm(*[M.den for *_, M in parts])
+        width = total[n]
+        nums = [0] * (total[n + 1] * width)
+        for to, off, sign, M in parts:
+            k, c = sign * (den // M.den), M.cols
+            block = M.nums if k == 1 else [k * x for x in M.nums]
+            for a in range(M.rows):
+                at = (to + a) * width + off
+                nums[at:at + c] = block[a * c:(a + 1) * c]
+        diffs[n] = RatMatrix(total[n + 1], width, tuple(nums), den)
+    return cochain_complex(min_deg, dict(total), diffs)
 
 
 def _kron(A: RatMatrix, B: RatMatrix) -> RatMatrix:
     """Kronecker product: entry (a B.rows + b, x B.cols + y) is A[a,x] B[b,y],
-    multiplied out only when neither is 1 (every caller passes an identity)."""
+    on numerators over the product of the denominators."""
     width = A.cols * B.cols
-    out = [_ZERO] * (A.rows * B.rows * width)
-    nonzero = [(divmod(m, B.cols), v) for m, v in enumerate(B.entries) if v]
-    for k, u in enumerate(A.entries):
+    out = [0] * (A.rows * B.rows * width)
+    nonzero = [(divmod(m, B.cols), v) for m, v in enumerate(B.nums) if v]
+    for k, u in enumerate(A.nums):
         if u:
             a, x = divmod(k, A.cols)
             for (b, y), v in nonzero:
-                out[(a * B.rows + b) * width + x * B.cols + y] = (
-                    v if u == 1 else u if v == 1 else u * v)
-    return RatMatrix(A.rows * B.rows, width, tuple(out))
+                out[(a * B.rows + b) * width + x * B.cols + y] = u * v
+    return RatMatrix(A.rows * B.rows, width, tuple(out), A.den * B.den)
 
 
 def tensor_product(C: CochainComplex, D: CochainComplex) -> CochainComplex:

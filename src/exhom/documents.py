@@ -25,15 +25,20 @@ from .spectral import DoubleComplex, DoubleComplexError, double_complex
 from .zlinalg import IntMatrix
 
 MAX_DEGREE_SPAN = 1024  # largest max_deg - min_deg a complex document may span
+# largest total dimension (summed dims) of a complex or double complex
+# document, and of the tensor product of the two complexes `kunneth` reads
+MAX_TOTAL_DIM = 4096
 
 
 class DocumentError(ValueError):
     """Raised on malformed or invalid input documents."""
 
 
-def _parse_rational(raw, where: str) -> Fraction:
+def _parse_rational(raw, where: str):
+    """A JSON int as itself, a string holding an integer or "p/q" as a
+    Fraction; anything else is malformed."""
     if isinstance(raw, int) and not isinstance(raw, bool):
-        return Fraction(raw)
+        return raw
     if isinstance(raw, str):
         try:
             return Fraction(raw)
@@ -54,28 +59,34 @@ def _check_shape(raw, rows: int, cols: int, where: str) -> None:
                                 f"{len(row)} entries, expected {rows}x{cols}")
 
 
-def _parse_matrix(raw, rows: int, cols: int, where: str) -> RatMatrix:
+def _parse_entries(raw, rows: int, cols: int, where: str,
+                   integral: bool) -> tuple:
+    """Row-major entries: a row of JSON ints is taken whole, and only the
+    other rows are read entry by entry.  With `integral`, an entry that is
+    not an integer is refused and every entry is an int."""
     _check_shape(raw, rows, cols, where)
-    return RatMatrix(rows, cols, tuple(
-        _parse_rational(x, f"{where}[{i}][{j}]")
-        for i, row in enumerate(raw) for j, x in enumerate(row)))
-
-
-def _parse_int_matrix(raw, rows: int, cols: int, where: str) -> IntMatrix:
-    """A row of JSON ints is taken whole; other entries must be integral."""
-    _check_shape(raw, rows, cols, where)
-    ints = []
+    out = []
     for i, row in enumerate(raw):
         if set(map(type, row)) <= {int}:
-            ints.extend(row)
+            out.extend(row)
             continue
         for j, x in enumerate(row):
             f = _parse_rational(x, f"{where}[{i}][{j}]")
-            if f.denominator != 1:
-                raise DocumentError(
-                    f"non-integer entry at {where}[{i}][{j}]: {f}")
-            ints.append(f.numerator)
-    return IntMatrix(rows, cols, tuple(ints))
+            if integral and type(f) is not int:
+                if f.denominator != 1:
+                    raise DocumentError(
+                        f"non-integer entry at {where}[{i}][{j}]: {f}")
+                f = f.numerator
+            out.append(f)
+    return tuple(out)
+
+
+def _parse_matrix(raw, rows: int, cols: int, where: str) -> RatMatrix:
+    return RatMatrix(rows, cols, _parse_entries(raw, rows, cols, where, False))
+
+
+def _parse_int_matrix(raw, rows: int, cols: int, where: str) -> IntMatrix:
+    return IntMatrix(rows, cols, _parse_entries(raw, rows, cols, where, True))
 
 
 def _load_json(text: str):
@@ -139,7 +150,14 @@ def _dims_field(doc, parse_key) -> dict:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise DocumentError(f"malformed dimension at dims[{k}]: {v!r}")
         out[key] = v
+    _check_total_dim(sum(out.values()), "total dimension")
     return out
+
+
+def _check_total_dim(total: int, what: str) -> None:
+    if total > MAX_TOTAL_DIM:
+        raise DocumentError(f"{what} must be at most {MAX_TOTAL_DIM}, "
+                            f"got {total}")
 
 
 def _parse_complex(text: str, cls, parse_matrix):
@@ -172,6 +190,12 @@ def _parse_complex(text: str, cls, parse_matrix):
 def parse_cochain_document(text: str) -> CochainComplex:
     """Parse a rational cochain complex document and validate d o d = 0."""
     return _parse_complex(text, CochainComplex, _parse_matrix)
+
+
+def check_tensor_product(A: CochainComplex, B: CochainComplex) -> None:
+    """Refuse a pair whose tensor product would pass MAX_TOTAL_DIM."""
+    _check_total_dim(sum(A.dims.values()) * sum(B.dims.values()),
+                     "total dimension of the tensor product")
 
 
 def parse_chain_document(text: str) -> IntChainComplex:

@@ -1,26 +1,35 @@
 """Exact linear algebra over the rationals.
 
-`RatMatrix` carries arbitrary-precision ``Fraction`` entries and every
-operation is exact; there is no floating point anywhere in this module.  Its
-row-major storage and shape checks live in `_Dense`, which `zlinalg.IntMatrix`
-shares.  Subspaces are stored as reduced row echelon bases with zero rows
-dropped, so two equal subspaces are equal as values.
+`RatMatrix` stores integer numerators over one positive denominator, in
+lowest terms, so two equal matrices are equal values; its ``Fraction``
+entries are a view built only when read.  Every operation is exact; there is
+no floating point anywhere in this module.  The integer storage, row access
+and shape checks live in `_Dense`, which `zlinalg.IntMatrix` shares.
+Subspaces are stored as reduced row echelon bases with zero rows dropped, so
+two equal subspaces are equal as values.
 
 Every dense product goes through one integer kernel, `_int_products`: rows
 times stride-slice columns, ``sum(map(mul, row, col))`` per entry.  A
-rational product first writes each row and column as an integer vector over
-its lcm denominator, and builds a Fraction only for a nonzero dot product.
+rational product runs it on the stored numerators with each row's and each
+column's content divided out, and multiplies the two denominators; on a
+large product the rows that share a span, and the columns with them, are
+cut to it first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from itertools import compress, count, product, repeat
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
-_ZERO = Fraction(0)
+
+# Products of fewer multiplications than this take every row whole: cutting
+# rows to their spans pays only on large, block-banded factors.
+_CUT_FROM = 1 << 14
 
 
 def _frac(x) -> Fraction:
@@ -30,6 +39,22 @@ def _frac(x) -> Fraction:
 def _columns(entries: Sequence, cols: int) -> List[Sequence]:
     """Columns of a row-major matrix with `cols` columns, as stride slices."""
     return [entries[j::cols] for j in range(cols)]
+
+
+def _span(v: Sequence[int]) -> Tuple[int, int]:
+    """(first nonzero position, last nonzero position + 1) of v; (0, 0) if
+    v is zero."""
+    if not any(v):
+        return 0, 0
+    n = len(v)
+    return (0 if v[0] else next(compress(count(), v)),
+            n if v[-1] else n - next(compress(count(), reversed(v))))
+
+
+def _content(v: Sequence[int]) -> Tuple[Sequence[int], int]:
+    """(w, g) with v = g w and g the gcd of v's entries (1 for v = 0)."""
+    g = gcd(*v)
+    return (v, 1) if g < 2 else (tuple(x // g for x in v), g)
 
 
 def _int_products(rows: Sequence[Sequence[int]],
@@ -46,27 +71,23 @@ def _int_products(rows: Sequence[Sequence[int]],
     return out
 
 
-def _integral(vector: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """(v, d) with v an integer vector and d > 0 such that vector = v / d."""
-    d = lcm(*[f.denominator for f in vector])
-    return [f.numerator * (d // f.denominator) for f in vector], d
-
-
 @dataclass(frozen=True)
 class _Dense:
-    """Dense matrix, row-major, immutable: the storage and shape checks of
-    `RatMatrix` and `zlinalg.IntMatrix`, each naming its entry coercion."""
+    """Dense matrix, row-major, immutable: the integer storage `nums`, shape
+    checks and row access of `RatMatrix` and `zlinalg.IntMatrix`.  Each
+    subclass's constructor coerces the entries it is given to ints, and its
+    `entries` are what row access reads."""
 
     rows: int
     cols: int
-    entries: tuple
+    nums: tuple
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
+        if len(self.nums) != self.rows * self.cols:
             raise ValueError(
-                f"entry count {len(self.entries)} != {self.rows}x{self.cols}"
+                f"entry count {len(self.nums)} != {self.rows}x{self.cols}"
             )
 
     @classmethod
@@ -77,18 +98,15 @@ class _Dense:
         for r in data:
             if len(r) != cols:
                 raise ValueError("ragged rows")
-        return cls(len(data), cols,
-                   tuple(cls._coerce(x) for r in data for x in r))
+        return cls(len(data), cols, tuple(x for r in data for x in r))
 
     @classmethod
     def zero(cls, rows: int, cols: int):
-        return cls(rows, cols, (cls._coerce(0),) * (rows * cols))
+        return cls(rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def identity(cls, n: int):
-        one, zero = cls._coerce(1), cls._coerce(0)
-        return cls(n, n, tuple(one if i == j else zero
-                               for i in range(n) for j in range(n)))
+        return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
     def __getitem__(self, rc: Tuple[int, int]):
         i, j = rc
@@ -101,28 +119,69 @@ class _Dense:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self):
-        return type(self)(self.cols, self.rows,
-                          tuple(x for c in _columns(self.entries, self.cols)
-                                for x in c))
+        return replace(self, rows=self.cols, cols=self.rows,
+                       nums=tuple(x for c in _columns(self.nums, self.cols)
+                                  for x in c))
 
 
 @dataclass(frozen=True)
 class RatMatrix(_Dense):
-    """Dense rational matrix: `Fraction` entries."""
+    """Dense rational matrix: entry k is nums[k] / den, with den > 0 and
+    gcd(den, *nums) = 1.  The constructor takes any rational entries (ints,
+    Fractions, "p/q" strings) over any nonzero den and reduces them;
+    `entries` is the Fraction view."""
 
-    _coerce = staticmethod(_frac)
+    den: int = 1
+
+    def __post_init__(self):
+        super().__post_init__()
+        nums, den = self.nums, self.den
+        if not all(map(isinstance, nums, repeat(int))):
+            fracs = tuple(map(_frac, nums))
+            d = lcm(*[f.denominator for f in fracs])
+            nums = tuple(f.numerator * (d // f.denominator) for f in fracs)
+            if den == 1:  # the entries given are the Fraction view
+                self.__dict__["entries"] = fracs
+            den *= d
+        if den != 1:
+            g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+            if g != 1:
+                nums = tuple(x // g for x in nums)
+                den //= g
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+
+    @cached_property
+    def entries(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
+        """Rows and columns are multiplied with their content divided out,
+        entry (i, j) being g_i h_j (row_i . column_j), and rows that share a
+        span (first to last nonzero position) with the columns cut to it:
+        a row of a total differential meets one or two blocks, whose
+        denominators its content removes, and is summed over those only."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
-        rows = [_integral(self.row(i)) for i in range(self.rows)]
-        cols = [_integral(c) for c in _columns(other.entries, other.cols)]
-        dots = _int_products([r for r, _ in rows], [c for c, _ in cols])
-        dens = [dr * dc for _, dr in rows for _, dc in cols]
-        return RatMatrix(self.rows, other.cols,
-                         tuple(Fraction(t, d) if t else _ZERO
-                               for t, d in zip(dots, dens)))
+        c, m = self.cols, other.cols
+        rows = [_content(self.nums[i * c:(i + 1) * c])
+                for i in range(self.rows)]
+        cols = [_content(v) for v in _columns(other.nums, other.cols)]
+        whole = self.rows * c * m < _CUT_FROM
+        spans: dict = {}
+        for i, (v, _) in enumerate(rows):
+            spans.setdefault((0, c) if whole else _span(v), []).append(i)
+        dots = [0] * (self.rows * m)
+        for (a, b), members in spans.items():
+            cut = _int_products([rows[i][0][a:b] for i in members],
+                                [v[a:b] for v, _ in cols])
+            for k, i in enumerate(members):
+                dots[i * m:(i + 1) * m] = cut[k * m:(k + 1) * m]
+        return RatMatrix(self.rows, m, tuple(
+            t and t * g * h
+            for t, ((_, g), (_, h)) in zip(dots, product(rows, cols))),
+            self.den * other.den)
 
     def vstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.cols:

@@ -1,8 +1,12 @@
 """First-quadrant double complexes and their two spectral sequences.
 
 The engine totalizes a grid of commuting squares once (inserting the (-1)^r
-sign itself) and filters the total complex T by column or by row: F^p T^n is
-spanned by the block basis vectors of level >= p.  The pages are defined by
+sign itself), on the integer numerators of the blocks over the lcm of their
+denominators, and filters the total complex T by column or by row: F^p T^n is
+spanned by the block basis vectors of level >= p.  T is built when the
+double complex is validated, by one D o D = 0 check on T (which holds iff
+d'd' = 0, d''d'' = 0 and every square commutes), and is shared by every
+pairing of it.  The pages are defined by
 
     Z_r^{p,q} = F^p T^{p+q}  intersect  D^{-1}(F^{p+r} T^{p+q+1})
     E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + D Z_{r-1}^{p-r+1,q+r-2})
@@ -28,8 +32,8 @@ from functools import cached_property
 from math import inf
 from typing import Dict, List, Tuple
 
-from .complexes import (CochainComplex, _classes, _composite, _pairing,
-                        _totalize)
+from .complexes import (CochainComplex, _classes, _composite,
+                        _nonzero_composite, _pairing, _totalize)
 from .qlinalg import RatMatrix, Subspace, is_complementary, subspace_sum
 
 COLUMN = "column"
@@ -65,7 +69,8 @@ def double_complex(max_r: int, max_c: int,
                    dims: Dict[Tuple[int, int], int],
                    horiz: Dict[Tuple[int, int], RatMatrix],
                    vert: Dict[Tuple[int, int], RatMatrix]) -> DoubleComplex:
-    """Build and validate a DoubleComplex (shapes, d'd'=0, d''d''=0, squares)."""
+    """Build and validate a DoubleComplex: shapes, then D o D = 0 on Tot,
+    which holds iff d'd' = 0, d''d'' = 0 and every square commutes."""
     if max_r < 0 or max_c < 0:
         raise DoubleComplexError(f"max_r and max_c must be >= 0, got "
                                  f"{max_r} and {max_c}")
@@ -87,16 +92,33 @@ def double_complex(max_r: int, max_c: int,
                 raise DoubleComplexError(
                     f"{name} at ({r},{s}) has shape {M.rows}x{M.cols}, "
                     f"expected {want[0]}x{want[1]}")
-    h, v = K.horiz.get, K.vert.get
-    for r, s in sorted(K.dims):
-        if _composite(h((r + 1, s)), h((r, s))) is not None:
-            raise DoubleComplexError(f"horiz composite nonzero at ({r},{s})")
-        if _composite(v((r, s + 1)), v((r, s))) is not None:
-            raise DoubleComplexError(f"vert composite nonzero at ({r},{s})")
-        if (_composite(v((r + 1, s)), h((r, s)))
-                != _composite(h((r, s + 1)), v((r, s)))):
-            raise DoubleComplexError(f"square does not commute at ({r},{s})")
+    if _nonzero_composite(K._total) is not None:
+        raise DoubleComplexError(_first_defect(K))
     return K
+
+
+def _first_defect(K: DoubleComplex) -> str:
+    """The message for the first nonzero block of D o D on Tot, cells (r, s)
+    in sorted order and, within a cell, horiz, vert, square.  D o D = 0 is
+    exactly d'd' = 0, d''d'' = 0 and commuting squares: from K^{r,s} its
+    three components land in distinct cells, d'd' in (r+2, s), d''d'' in
+    (r, s+2) and (-1)^r (d'd'' - d''d') in (r+1, s+1)."""
+    T = K._total
+    r_of, s_of = _levels(K, COLUMN), _levels(K, ROW)
+    kinds = {2: (0, "horiz composite nonzero"),  # by target r minus r
+             0: (1, "vert composite nonzero"),
+             1: (2, "square does not commute")}
+    defects = []
+    for n, D in T.differentials.items():
+        P = _composite(T.differentials.get(n + 1), D)
+        if P is None:
+            continue
+        for k in (k for k, x in enumerate(P.nums) if x):
+            i, j = divmod(k, P.cols)
+            r, s = r_of[n][j], s_of[n][j]
+            defects.append((r, s, *kinds[r_of[n + 2][i] - r]))
+    r, s, _, what = min(defects)
+    return f"{what} at ({r},{s})"
 
 
 def total_complex(K: DoubleComplex) -> CochainComplex:

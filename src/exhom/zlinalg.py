@@ -1,9 +1,11 @@
 """Exact integer linear algebra: Smith normal form and cokernel structure.
 
-`IntMatrix` shares its storage and shape checks with `qlinalg.RatMatrix`
-(`qlinalg._Dense`); its entries are Python ints (arbitrary precision), and an
-entry that is not one is refused.  Products go through the dense kernel
-`qlinalg._int_products` (nonzero rows times nonzero stride-slice columns).
+`IntMatrix` shares its integer storage and shape checks with
+`qlinalg.RatMatrix` (`qlinalg._Dense`, a `RatMatrix` adding one
+denominator); its entries are Python ints (arbitrary precision), and an
+entry that `operator.index` refuses is refused.  Products go through the
+dense kernel `qlinalg._int_products` (nonzero rows times nonzero
+stride-slice columns).
 Two routes to the Smith diagonal:
 
 * `invariant_factors` builds no transforms.  It first drops the zero rows
@@ -57,7 +59,6 @@ Two routes to the Smith diagonal:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
 from math import gcd
 from operator import index
@@ -76,28 +77,26 @@ def _index(x) -> int:
 
 @dataclass(frozen=True)
 class IntMatrix(_Dense):
-    """Dense integer matrix: Python int entries."""
-
-    _coerce = staticmethod(_index)
+    """Dense integer matrix: Python int entries, `nums` itself."""
 
     def __post_init__(self):
         super().__post_init__()
-        if not all(map(isinstance, self.entries, repeat(int))):
-            raise ValueError("IntMatrix entries must be ints")
+        if not all(map(isinstance, self.nums, repeat(int))):
+            object.__setattr__(self, "nums", tuple(map(_index, self.nums)))
+        object.__setattr__(self, "entries", self.nums)
 
     def column(self, j: int) -> Tuple[int, ...]:
-        return self.entries[j::self.cols]
+        return self.nums[j::self.cols]
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
         rows = [self.row(i) for i in range(self.rows)]
         return IntMatrix(self.rows, other.cols, tuple(
-            _int_products(rows, _columns(other.entries, other.cols))))
+            _int_products(rows, _columns(other.nums, other.cols))))
 
     def to_rational(self) -> RatMatrix:
-        return RatMatrix(self.rows, self.cols,
-                         tuple(Fraction(e) for e in self.entries))
+        return RatMatrix(self.rows, self.cols, self.nums)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ used before it read H_n off invariant factors, the persistence pairing over
 `Fraction`, which it used before the fraction-free one, and the Bareiss pass
 that rescales every row at every step, which it used before the lazy one:
 the references `homology_int`, `complexes._pairing` and `zlinalg._bareiss`
-are tested against.
+are tested against, and the per-cell composite checks that
+`spectral.double_complex` made before it checked D o D once on Tot.
 """
 
 import random
@@ -22,6 +23,7 @@ from math import inf
 from exhom.complexes import (
     CochainComplex,
     IntChainComplex,
+    _composite,
     _Generator,
     cochain_complex,
     int_chain_complex,
@@ -449,3 +451,21 @@ def reference_pairing(C: CochainComplex, levels, last: int):
                                    tuple(chain)))
         killed = pivots
     return gens
+
+
+def reference_defects(K):
+    """Every failed d'd' = 0, d''d'' = 0 and commuting-square check of K,
+    one per cell and kind, as messages in the order `double_complex` once
+    checked them: cells (r, s) sorted and, within a cell, horiz, vert,
+    square, each composite multiplied on its own."""
+    h, v = K.horiz.get, K.vert.get
+    out = []
+    for r, s in sorted(K.dims):
+        if _composite(h((r + 1, s)), h((r, s))) is not None:
+            out.append(f"horiz composite nonzero at ({r},{s})")
+        if _composite(v((r, s + 1)), v((r, s))) is not None:
+            out.append(f"vert composite nonzero at ({r},{s})")
+        if (_composite(v((r + 1, s)), h((r, s)))
+                != _composite(h((r, s + 1)), v((r, s)))):
+            out.append(f"square does not commute at ({r},{s})")
+    return out

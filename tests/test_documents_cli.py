@@ -9,20 +9,26 @@ import tempfile
 import time
 import tracemalloc
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
     differential,
+    random_cochain,
     random_dense_cochain,
     random_double_complex,
+    random_zigzag_double_complex,
+    tensor_double_complex,
 )
 from exhom.cli import build_parser, main
 from exhom.complexes import _Complex
 from exhom.documents import (
     MAX_DEGREE_SPAN,
+    MAX_TOTAL_DIM,
     DocumentError,
+    check_tensor_product,
     parse_chain_document,
     parse_cochain_document,
     parse_double_complex_document,
@@ -31,7 +37,7 @@ from exhom.documents import (
     serialize_double_complex,
 )
 from exhom.qlinalg import RatMatrix
-from exhom.spectral import MAX_GRID
+from exhom.spectral import COLUMN, MAX_GRID, ROW
 from exhom.zlinalg import IntMatrix
 
 
@@ -599,6 +605,127 @@ def test_cli_bounds_the_degree_span(tmp_path, capsys, dims, code):
         assert out.count("\n") == 1 + MAX_DEGREE_SPAN + 1
     with pytest.raises(DocumentError) if code else contextlib.nullcontext():
         parse_cochain_document(json.dumps({"dims": dims}))
+
+
+@pytest.mark.parametrize("over", [0, 1])
+def test_cli_bounds_the_total_dimension(tmp_path, capsys, over):
+    """At MAX_TOTAL_DIM a document parses; one more exits 1 before any
+    basis is built, for every subcommand that reads a complex."""
+    n = MAX_TOTAL_DIM + over
+    docs = {"k": {"max_r": 1, "max_c": 0, "dims": {"0,0": n - 1, "1,0": 1}},
+            "c": {"dims": {"0": n - 2, "3": 2}}, "one": {"dims": {"0": 1}}}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    k, c, one = (str(tmp_path / f"{name}.json") for name in docs)
+    if not over:
+        assert sum(parse_double_complex_document(
+            json.dumps(docs["k"])).dims.values()) == n
+        assert sum(parse_chain_document(json.dumps(docs["c"])).dims.values()) \
+            == sum(parse_cochain_document(json.dumps(docs["c"])).dims.values()) \
+            == n
+        return
+    for argv in (["ss", "--input", k, "--axis", "col"],
+                 ["ss", "--input", k, "--axis", "row", "--pages"],
+                 ["oppose", "--input", k, "--n", "0"],
+                 ["uct", "--input", c, "--mod", "2"],
+                 ["kunneth", "--a", one, "--b", c]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert _rejected(code, err) and out == ""
+        assert err == (f"error: total dimension must be at most "
+                       f"{MAX_TOTAL_DIM}, got {n}\n")
+
+
+def test_cli_bounds_the_tensor_product(tmp_path, capsys):
+    side = 64
+    assert side * side == MAX_TOTAL_DIM
+    a = parse_cochain_document(json.dumps({"dims": {"0": side}}))
+    check_tensor_product(a, a)
+    (tmp_path / "a.json").write_text(json.dumps({"dims": {"0": side}}))
+    (tmp_path / "b.json").write_text(
+        json.dumps({"dims": {"0": side, "2": 1}}))
+    code, out, err = run_cli(capsys, "kunneth", "--a", str(tmp_path / "a.json"),
+                             "--b", str(tmp_path / "b.json"))
+    assert _rejected(code, err) and out == ""
+    assert err == (f"error: total dimension of the tensor product must be "
+                   f"at most {MAX_TOTAL_DIM}, got {side * (side + 1)}\n")
+
+
+# ------------------------------------------- integer storage on the ss path
+
+def _integer_document(K) -> str:
+    """K as a document whose matrix entries are JSON ints."""
+    doc = json.loads(serialize_double_complex(K))
+    for field in ("horiz", "vert"):
+        doc[field] = {k: [[int(x) for x in row] for row in M]
+                      for k, M in doc[field].items()}
+    return json.dumps(doc)
+
+
+def test_cli_ss_on_an_integer_document_builds_no_fraction(
+        tmp_path, capsys, monkeypatch):
+    """From parse to render, `ss --pages` on JSON-int entries constructs
+    no Fraction, and prints what the "p/q"-string form of the same
+    document prints."""
+    made = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return real(cls, *args, **kwargs)
+
+    rng = random.Random(13)
+    maps = 0
+    for _ in range(6):
+        K = tensor_double_complex(random_cochain(rng, max_pieces=5),
+                                  random_cochain(rng, max_pieces=5))
+        maps += len(K.horiz) + len(K.vert)
+        ints, strings = tmp_path / "ints.json", tmp_path / "strings.json"
+        ints.write_text(_integer_document(K))
+        strings.write_text(serialize_double_complex(K))
+        for axis in ("col", "row"):
+            want = run_cli(capsys, "ss", "--input", str(strings), "--axis",
+                           axis, "--pages")
+            with monkeypatch.context() as m:
+                m.setattr(Fraction, "__new__", staticmethod(counting))
+                Fraction(1, 2)  # the count sees construction
+                assert len(made) == 1
+                made.clear()
+                got = run_cli(capsys, "ss", "--input", str(ints), "--axis",
+                              axis, "--pages")
+            assert made == []
+            assert got == want and got[0] == 0
+    assert maps >= 10
+
+
+def _expected_ss(Z, axis, grid):
+    """`ss --pages` stdout on a zigzag of `random_zigzag_double_complex`,
+    from its known answers."""
+    cells = [(p, q) for p in range(grid + 1) for q in range(grid + 1)]
+    lines = []
+    for r in range(1, 2 * grid + 3):
+        dims = Z.page_dims(axis, r)
+        lines += [f"page {r}"] + [f"{p} {q} {dims.get((p, q), 0)}"
+                                  for p, q in cells]
+    dims = Z.page_dims(axis, 2 * grid + 2)
+    lines += [f"limit (stable at page {Z.stable_page(axis)})"] + [
+        f"{p} {q} {dims.get((p, q), 0)}" for p, q in cells]
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_ss_on_rational_documents_keeps_known_pages(tmp_path, capsys):
+    rng = random.Random(12)
+    texts = []
+    for _ in range(6):
+        K, Z = random_zigzag_double_complex(rng, grid=3, pieces=6)
+        texts.append(serialize_double_complex(K))
+        f = tmp_path / "k.json"
+        f.write_text(texts[-1])
+        for axis, name in ((COLUMN, "col"), (ROW, "row")):
+            assert run_cli(capsys, "ss", "--input", str(f), "--axis", name,
+                           "--pages") == (0, _expected_ss(Z, axis, 3), "")
+    assert sum("/" in t for t in texts) >= 3  # entries that are not ints
 
 
 # ------------------------------------------------- CLI contract, any input

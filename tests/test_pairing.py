@@ -114,9 +114,8 @@ def test_zigzag_known_answers_at_size(zigzag_472):
 
 
 def test_oppose_builds_tot_once_and_pairs_three_times(monkeypatch):
-    K, Z = random_zigzag_double_complex(random.Random(41), grid=3, pieces=12)
-    n = 3
-    columns = sum(D.cols for D in total_complex(K).differentials.values())
+    """Building K (whose validation totalizes) and both filtrations: one
+    Tot, each of its columns scaled once, three pairings."""
     calls = Counter()
 
     def counted(name, fn):
@@ -127,16 +126,19 @@ def test_oppose_builds_tot_once_and_pairs_three_times(monkeypatch):
 
     monkeypatch.setattr(spectral, "total_complex",
                         counted("total", spectral.total_complex))
-    monkeypatch.setattr(complexes, "_integral",
-                        counted("scale", complexes._integral))
+    monkeypatch.setattr(complexes, "_primitive",
+                        counted("scale", complexes._primitive))
     pairing = counted("pair", complexes._pairing)
     monkeypatch.setattr(spectral, "_pairing", pairing)
     monkeypatch.setattr(complexes, "_pairing", pairing)
+    K, Z = random_zigzag_double_complex(random.Random(41), grid=3, pieces=12)
+    n = 3
     F = filtration_on_total(K, COLUMN, n)
     G = filtration_on_total(K, ROW, n)
     assert F.ambient_dim == 2
     assert (F.dims(), G.dims()) \
         == (Z.filtration_dims(COLUMN, n), Z.filtration_dims(ROW, n))
+    columns = sum(D.cols for D in K._total.differentials.values())
     assert calls == {"total": 1, "pair": 3, "scale": columns}
 
 

@@ -152,3 +152,18 @@ def test_canonicality_under_respanning(rows, coeffs):
         respanned.append(v)
     V = Subspace.span(8, respanned + rows)
     assert V == U
+
+
+def test_rat_matrix_stores_integers_over_one_denominator_in_lowest_terms():
+    assert mat([[Fraction(2, 4)]]) == mat([[Fraction(1, 2)]])
+    A = RatMatrix(2, 2, (2, -4, 6, 0), -8)
+    assert (A.nums, A.den) == ((-1, 2, -3, 0), 4)
+    assert A == mat([["-1/4", "1/2"], [Fraction(-3, 4), 0]])
+    assert A.entries == (Fraction(-1, 4), Fraction(1, 2), Fraction(-3, 4), 0)
+    assert all(type(x) is Fraction for x in A.entries)
+    assert all(type(x) is Fraction for row in A.to_lists() for x in row)
+    assert type(A[1, 1]) is Fraction and type(A.row(0)[0]) is Fraction
+    assert (RatMatrix.zero(2, 3).den, RatMatrix.identity(2).den) == (1, 1)
+    P = A @ A  # (1/16) [[-5, -2], [3, -6]]
+    assert (P.nums, P.den) == ((-5, -2, 3, -6), 16)
+    assert A.transpose() == mat([["-1/4", "-3/4"], ["1/2", 0]])

@@ -1,14 +1,21 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_dense_cochain, random_double_complex
+from conftest import (
+    random_dense_cochain,
+    random_double_complex,
+    random_zigzag_double_complex,
+    reference_defects,
+)
 from exhom.complexes import cohomology, cohomology_dims, validate_complex
 from exhom.qlinalg import RatMatrix, Subspace, rank
 from exhom.spectral import (
     COLUMN,
     ROW,
+    DoubleComplex,
     DoubleComplexError,
     FiltrationChain,
     degenerates_at,
@@ -66,6 +73,54 @@ def test_invalid_square_reported_with_cell():
                        {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
                        {(0, 0): ID1, (0, 1): ID1},
                        {(0, 0): ID1, (1, 0): RatMatrix.from_rows([[2]])})
+
+
+def _plant_defects(rng, K, count):
+    """K's horiz and vert maps with `count` planted changes, each to a
+    random stored map: one entry moved by +-1, or the whole map doubled
+    (which can break only squares)."""
+    maps = {"horiz": dict(K.horiz), "vert": dict(K.vert)}
+    for _ in range(count):
+        field = rng.choice([f for f in maps if maps[f]])
+        cell = rng.choice(sorted(maps[field]))
+        M = maps[field][cell]
+        nums = list(M.nums)
+        if rng.random() < 0.3:
+            nums = [2 * x for x in nums]
+        else:
+            nums[rng.randrange(len(nums))] += rng.choice((-1, 1)) * M.den
+        maps[field][cell] = RatMatrix(M.rows, M.cols, tuple(nums), M.den)
+    return maps["horiz"], maps["vert"]
+
+
+def test_double_complex_names_the_first_defect_like_the_per_cell_checks():
+    """One D o D check on Tot raises, byte for byte, the message of the
+    first failure of the per-cell composite checks it replaced."""
+    rng = random.Random(61)
+    seen = Counter()
+    for trial in range(400):
+        K = (random_double_complex(rng) if trial % 2
+             else random_zigzag_double_complex(rng, grid=3, pieces=5)[0])
+        if not (K.horiz or K.vert):
+            continue
+        horiz, vert = _plant_defects(rng, K, 1 + trial % 3)
+        want = reference_defects(
+            DoubleComplex(K.max_r, K.max_c, K.dims, horiz, vert))
+        if not want:
+            double_complex(K.max_r, K.max_c, K.dims, horiz, vert)
+            continue
+        with pytest.raises(DoubleComplexError) as raised:
+            double_complex(K.max_r, K.max_c, K.dims, horiz, vert)
+        assert str(raised.value) == want[0]
+        cells = Counter(m.split(" at ")[1] for m in want)
+        if len(want) == 1:
+            seen["only " + want[0].split()[0]] += 1
+        seen["several cells"] += len(cells) > 1
+        seen["several kinds in the first cell"] += cells[
+            want[0].split(" at ")[1]] > 1
+    assert all(seen[k] for k in (
+        "only horiz", "only vert", "only square", "several cells",
+        "several kinds in the first cell")), seen
 
 
 def test_pages_zero_differentials():
