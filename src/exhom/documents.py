@@ -34,9 +34,9 @@ class DocumentError(ValueError):
     """Raised on malformed or invalid input documents."""
 
 
-def _parse_rational(raw, where: str):
+def _parse_rational(raw):
     """A JSON int as itself, a string holding an integer or "p/q" as a
-    Fraction; anything else is malformed."""
+    Fraction; None for anything else, which is malformed."""
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
     if isinstance(raw, str):
@@ -44,7 +44,7 @@ def _parse_rational(raw, where: str):
             return Fraction(raw)
         except (ValueError, ZeroDivisionError):
             pass
-    raise DocumentError(f"malformed rational at {where}: {raw!r}")
+    return None
 
 
 def _check_shape(raw, rows: int, cols: int, where: str) -> None:
@@ -71,7 +71,10 @@ def _parse_entries(raw, rows: int, cols: int, where: str,
             out.extend(row)
             continue
         for j, x in enumerate(row):
-            f = _parse_rational(x, f"{where}[{i}][{j}]")
+            f = _parse_rational(x)
+            if f is None:
+                raise DocumentError(
+                    f"malformed rational at {where}[{i}][{j}]: {x!r}")
             if integral and type(f) is not int:
                 if f.denominator != 1:
                     raise DocumentError(

@@ -8,12 +8,14 @@ and shape checks live in `_Dense`, which `zlinalg.IntMatrix` shares.
 Subspaces are stored as reduced row echelon bases with zero rows dropped, so
 two equal subspaces are equal as values.
 
-Every dense product goes through one integer kernel, `_int_products`: rows
-times stride-slice columns, ``sum(map(mul, row, col))`` per entry.  A
-rational product runs it on the stored numerators with each row's and each
-column's content divided out, and multiplies the two denominators; on a
-large product the rows that share a span, and the columns with them, are
-cut to it first.
+Integer products go through one kernel, `_int_products`: nonzero rows times
+nonzero stride-slice columns, ``sum(map(mul, row, col))`` per entry.  A
+rational product sums the same way on the stored numerators, piece by piece:
+the inner index is cut at the first and last nonzero position of every row
+and column, each piece of a row or column has its content divided out, and
+the two denominators multiply.  `rref` eliminates fraction-free on the
+numerators and divides by the pivots once, over their lcm, so the subspace
+algebra builds no `Fraction` either.
 """
 
 from __future__ import annotations
@@ -21,15 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, count, product, repeat
+from itertools import compress, count
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, List, Sequence, Tuple
-
-
-# Products of fewer multiplications than this take every row whole: cutting
-# rows to their spans pays only on large, block-banded factors.
-_CUT_FROM = 1 << 14
 
 
 def _frac(x) -> Fraction:
@@ -42,25 +39,22 @@ def _columns(entries: Sequence, cols: int) -> List[Sequence]:
 
 
 def _span(v: Sequence[int]) -> Tuple[int, int]:
-    """(first nonzero position, last nonzero position + 1) of v; (0, 0) if
-    v is zero."""
-    if not any(v):
-        return 0, 0
+    """(first nonzero position, last nonzero position + 1) of a nonzero v."""
     n = len(v)
     return (0 if v[0] else next(compress(count(), v)),
             n if v[-1] else n - next(compress(count(), reversed(v))))
 
 
 def _content(v: Sequence[int]) -> Tuple[Sequence[int], int]:
-    """(w, g) with v = g w and g the gcd of v's entries (1 for v = 0)."""
+    """(w, g) with v = g w and g the gcd of v's entries (0 for v = 0)."""
     g = gcd(*v)
-    return (v, 1) if g < 2 else (tuple(x // g for x in v), g)
+    return (v, g) if g < 2 else (tuple(x // g for x in v), g)
 
 
 def _int_products(rows: Sequence[Sequence[int]],
                   cols: Sequence[Sequence[int]]) -> List[int]:
     """Row-major entries of the product whose factors have these integer
-    rows and columns: the one kernel of every dense exact product.  Only
+    rows and columns: the kernel of every dense integer product.  Only
     nonzero rows times nonzero columns are summed; every other entry is 0."""
     live = [c if any(c) else None for c in cols]
     blank = [0] * len(cols)
@@ -108,6 +102,11 @@ class _Dense:
     def identity(cls, n: int):
         return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
+    def _num_rows(self) -> List[tuple]:
+        """The rows of `nums`."""
+        c = self.cols
+        return [self.nums[i * c:(i + 1) * c] for i in range(self.rows)]
+
     def __getitem__(self, rc: Tuple[int, int]):
         i, j = rc
         return self.entries[i * self.cols + j]
@@ -136,12 +135,10 @@ class RatMatrix(_Dense):
     def __post_init__(self):
         super().__post_init__()
         nums, den = self.nums, self.den
-        if not all(map(isinstance, nums, repeat(int))):
+        if not set(map(type, nums)) <= {int}:
             fracs = tuple(map(_frac, nums))
             d = lcm(*[f.denominator for f in fracs])
             nums = tuple(f.numerator * (d // f.denominator) for f in fracs)
-            if den == 1:  # the entries given are the Fraction view
-                self.__dict__["entries"] = fracs
             den *= d
         if den != 1:
             g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
@@ -156,47 +153,62 @@ class RatMatrix(_Dense):
         return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        """Rows and columns are multiplied with their content divided out,
-        entry (i, j) being g_i h_j (row_i . column_j), and rows that share a
-        span (first to last nonzero position) with the columns cut to it:
-        a row of a total differential meets one or two blocks, whose
-        denominators its content removes, and is summed over those only."""
+        """The inner index is cut at the first and last nonzero positions of
+        every row and column; on each piece the rows and columns that meet
+        it are multiplied with their content divided out, entry (i, j)
+        gaining g h (u . w).  A row of a total differential meets one or two
+        blocks, so its pieces are block rows, whose denominators the
+        content removes, and no row or column is summed outside its span."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
-        c, m = self.cols, other.cols
-        rows = [_content(self.nums[i * c:(i + 1) * c])
-                for i in range(self.rows)]
-        cols = [_content(v) for v in _columns(other.nums, other.cols)]
-        whole = self.rows * c * m < _CUT_FROM
-        spans: dict = {}
-        for i, (v, _) in enumerate(rows):
-            spans.setdefault((0, c) if whole else _span(v), []).append(i)
+        m = other.cols
+        sides = [[(k, v, *_span(v)) for k, v in enumerate(vs) if any(v)]
+                 for vs in (self._num_rows(), _columns(other.nums, m))]
+        cuts = sorted({x for side in sides for *_, a, b in side
+                       for x in (a, b)})
+        first = {x: t for t, x in enumerate(cuts)}
+        pieces = [([], []) for _ in cuts[1:]]
+        for s, side in enumerate(sides):
+            for k, v, a, b in side:
+                t = first[a]
+                while cuts[t] < b:
+                    w, g = _content(v[cuts[t]:cuts[t + 1]])
+                    if g:
+                        pieces[t][s].append((k, w, g))
+                    t += 1
         dots = [0] * (self.rows * m)
-        for (a, b), members in spans.items():
-            cut = _int_products([rows[i][0][a:b] for i in members],
-                                [v[a:b] for v, _ in cols])
-            for k, i in enumerate(members):
-                dots[i * m:(i + 1) * m] = cut[k * m:(k + 1) * m]
-        return RatMatrix(self.rows, m, tuple(
-            t and t * g * h
-            for t, ((_, g), (_, h)) in zip(dots, product(rows, cols))),
-            self.den * other.den)
+        for rows, cols in pieces:
+            for i, u, g in rows:
+                at = i * m
+                for j, w, h in cols:
+                    t = sum(map(mul, u, w))
+                    if t:
+                        dots[at + j] += t * g * h
+        return RatMatrix(self.rows, m, tuple(dots), self.den * other.den)
+
+    def _over(self, den: int) -> tuple:
+        """nums rescaled to the multiple `den` of this denominator."""
+        k = den // self.den
+        return self.nums if k == 1 else tuple(k * x for x in self.nums)
 
     def vstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
+        den = lcm(self.den, other.den)
         return RatMatrix(self.rows + other.rows, self.cols,
-                         self.entries + other.entries)
+                         self._over(den) + other._over(den), den)
 
     def hstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
+        den = lcm(self.den, other.den)
+        a, b, c, e = self._over(den), other._over(den), self.cols, other.cols
         flat = []
         for i in range(self.rows):
-            flat.extend(self.row(i))
-            flat.extend(other.row(i))
-        return RatMatrix(self.rows, self.cols + other.cols, tuple(flat))
+            flat += a[i * c:(i + 1) * c]
+            flat += b[i * e:(i + 1) * e]
+        return RatMatrix(self.rows, c + e, tuple(flat), den)
 
     def apply(self, vector: Sequence) -> Tuple[Fraction, ...]:
         """Matrix times column vector, returned as a flat tuple."""
@@ -210,28 +222,40 @@ def rref(M: RatMatrix) -> Tuple[RatMatrix, List[int]]:
     """Reduced row echelon form of M, keeping dimensions.
 
     Returns (R, pivot_cols) with pivot columns in increasing order; the rank
-    of M is the number of pivots.
+    of M is the number of pivots.  The elimination is fraction-free on the
+    numerators: a pivot p clears entry a of another row as (p/g) row - (a/g)
+    pivot row, g = gcd(p, a), and every changed row is divided by its
+    content.  Each pivot row is divided by its pivot only at the end, over
+    the lcm of the pivots.
     """
-    rows = M.to_lists()
+    rows = [list(v) for v in M._num_rows()]
     pivots: List[int] = []
     r = 0
     for c in range(M.cols):
         if r == M.rows:
             break
-        pr = next((i for i in range(r, M.rows) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, M.rows) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
+        prow = rows[r]
+        p = prow[c]
         for i in range(M.rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            a = rows[i][c]
+            if i != r and a:
+                g = gcd(p, a)
+                v = [(p // g) * x - (a // g) * y for x, y in zip(rows[i], prow)]
+                h = gcd(*v)
+                rows[i] = [x // h for x in v] if h > 1 else v
         pivots.append(c)
         r += 1
-    return RatMatrix.from_rows(rows, M.cols), pivots
+    den = lcm(*[rows[k][c] for k, c in enumerate(pivots)])
+    for k, c in enumerate(pivots):
+        if rows[k][c] != den:
+            m = den // rows[k][c]
+            rows[k] = [m * x for x in rows[k]]
+    return RatMatrix(M.rows, M.cols, tuple(x for v in rows for x in v),
+                     den), pivots
 
 
 def rank(M: RatMatrix) -> int:
@@ -255,9 +279,9 @@ class Subspace:
         if not vecs:
             return Subspace(ambient_dim, RatMatrix.zero(0, ambient_dim))
         R, pivots = rref(RatMatrix.from_rows(vecs, ambient_dim))
-        basis = RatMatrix.from_rows([R.row(i) for i in range(len(pivots))],
-                                    ambient_dim)
-        return Subspace(ambient_dim, basis)
+        k = len(pivots)
+        return Subspace(ambient_dim, RatMatrix(k, ambient_dim,
+                                               R.nums[:k * ambient_dim], R.den))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -295,11 +319,11 @@ def kernel_basis(M: RatMatrix) -> Subspace:
     pivot_set = set(pivots)
     free_cols = [c for c in range(M.cols) if c not in pivot_set]
     vecs = []
-    for f in free_cols:
-        v = [Fraction(0)] * M.cols
-        v[f] = Fraction(1)
+    for f in free_cols:  # e_f minus column f of R on the pivots, times R.den
+        v = [0] * M.cols
+        v[f] = R.den
         for r, pc in enumerate(pivots):
-            v[pc] = -R[r, f]
+            v[pc] = -R.nums[r * M.cols + f]
         vecs.append(v)
     return Subspace.span(M.cols, vecs)
 
@@ -308,7 +332,8 @@ def subspace_sum(U: Subspace, W: Subspace) -> Subspace:
     """Canonical subspace spanned by both bases."""
     if U.ambient_dim != W.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return Subspace.span(U.ambient_dim, U.vectors() + W.vectors())
+    return Subspace.span(U.ambient_dim,
+                         U.basis._num_rows() + W.basis._num_rows())
 
 
 def subspace_intersect(U: Subspace, W: Subspace) -> Subspace:
@@ -318,9 +343,10 @@ def subspace_intersect(U: Subspace, W: Subspace) -> Subspace:
     if U.dim == 0 or W.dim == 0:
         return Subspace.zero(U.ambient_dim)
     # a.B_U = -b.B_W lies in both: kernel of [B_U^T | B_W^T], take the a-part.
-    K = kernel_basis(U.basis.transpose().hstack(W.basis.transpose()))
-    A = RatMatrix(K.dim, U.dim, tuple(x for k in K.vectors() for x in k[:U.dim]))
-    return Subspace.span(U.ambient_dim, (A @ U.basis).to_lists())
+    K = kernel_basis(U.basis.transpose().hstack(W.basis.transpose())).basis
+    A = RatMatrix(K.rows, U.dim,
+                  tuple(x for k in K._num_rows() for x in k[:U.dim]), K.den)
+    return Subspace.span(U.ambient_dim, (A @ U.basis)._num_rows())
 
 
 def is_complementary(U: Subspace, W: Subspace) -> bool:

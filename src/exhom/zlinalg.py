@@ -59,7 +59,6 @@ Two routes to the Smith diagonal:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from math import gcd
 from operator import index
 from typing import List, Optional, Tuple
@@ -81,7 +80,7 @@ class IntMatrix(_Dense):
 
     def __post_init__(self):
         super().__post_init__()
-        if not all(map(isinstance, self.nums, repeat(int))):
+        if not set(map(type, self.nums)) <= {int}:
             object.__setattr__(self, "nums", tuple(map(_index, self.nums)))
         object.__setattr__(self, "entries", self.nums)
 

@@ -453,19 +453,31 @@ def reference_pairing(C: CochainComplex, levels, last: int):
     return gens
 
 
-def reference_defects(K):
+def naive_composite(outer, inner):
+    """outer @ inner by the textbook triple loop on the Fraction entries, or
+    None when it is zero or a factor is absent: `_composite` without the
+    product kernel."""
+    if outer is None or inner is None:
+        return None
+    prod = RatMatrix(outer.rows, inner.cols, tuple(
+        sum((outer[i, k] * inner[k, j] for k in range(outer.cols)), 0)
+        for i in range(outer.rows) for j in range(inner.cols)))
+    return prod if any(prod.nums) else None
+
+
+def reference_defects(K, composite=_composite):
     """Every failed d'd' = 0, d''d'' = 0 and commuting-square check of K,
     one per cell and kind, as messages in the order `double_complex` once
     checked them: cells (r, s) sorted and, within a cell, horiz, vert,
-    square, each composite multiplied on its own."""
+    square, each composite multiplied on its own by `composite`."""
     h, v = K.horiz.get, K.vert.get
     out = []
     for r, s in sorted(K.dims):
-        if _composite(h((r + 1, s)), h((r, s))) is not None:
+        if composite(h((r + 1, s)), h((r, s))) is not None:
             out.append(f"horiz composite nonzero at ({r},{s})")
-        if _composite(v((r, s + 1)), v((r, s))) is not None:
+        if composite(v((r, s + 1)), v((r, s))) is not None:
             out.append(f"vert composite nonzero at ({r},{s})")
-        if (_composite(v((r + 1, s)), h((r, s)))
-                != _composite(h((r, s + 1)), v((r, s)))):
+        if (composite(v((r + 1, s)), h((r, s)))
+                != composite(h((r, s + 1)), v((r, s)))):
             out.append(f"square does not commute at ({r},{s})")
     return out

@@ -88,6 +88,51 @@ def test_products_with_zero_rows_and_columns_match_triple_loop():
         assert all(type(e) is Fraction for e in prod.entries)
 
 
+def banded(rng, rows, cols, blocks, entry):
+    """rows x cols entries, row-major: the columns cut into `blocks` runs,
+    each with its own denominator; every row is zero, or nonzero on a run
+    of one or two neighbouring blocks, trimmed at both ends by up to two
+    entries, with a zero inside now and then."""
+    edges = sorted(rng.sample(range(1, cols), blocks - 1)) if blocks > 1 else []
+    edges = [0] + edges + [cols]
+    dens = [rng.choice((1, 2, 3, 5, 7, 9, 11, 12, 13)) for _ in edges[1:]]
+    out = []
+    for _ in range(rows):
+        row = [Fraction(0)] * cols
+        if rng.random() > 0.15:
+            b = rng.randrange(blocks)
+            span = range(b, min(b + rng.choice((1, 2)), blocks))
+            lo = edges[span[0]] + rng.randint(0, 2)
+            hi = edges[span[-1] + 1] - rng.randint(0, 2)
+            for k in range(lo, hi):
+                if rng.random() > 0.1:
+                    blk = next(i for i in span if k < edges[i + 1])
+                    row[k] = entry(rng) / dens[blk]
+        out.append(row)
+    return out
+
+
+def test_large_block_banded_products_match_triple_loop():
+    """Products of 2^14 and more multiplications whose factors are banded
+    the way a total differential is: rows and columns of different spans,
+    zero rows and columns, and a denominator per block."""
+    rng = random.Random(45)
+
+    def big(r):
+        return Fraction(r.randint(-10**12, 10**12), r.randint(1, 99))
+
+    for n, m, p, blocks in ((28, 30, 26, 4), (40, 24, 40, 6), (26, 36, 30, 1),
+                            (30, 30, 30, 9), (24, 40, 28, 3)):
+        assert n * m * p >= 1 << 14
+        a = RatMatrix.from_rows(banded(rng, n, m, blocks, big), m)
+        bt = banded(rng, p, m, max(1, blocks - 1), big)  # rows of b^T
+        b = RatMatrix.from_rows(bt, m).transpose()
+        prod = a @ b
+        assert list(prod.entries) == naive_product(a, b)
+        assert prod == RatMatrix(n, p, tuple(naive_product(a, b)))
+        assert any(prod.nums) and not all(prod.nums)
+
+
 def test_transpose_column_and_apply_match_entries():
     rng = random.Random(43)
     for n, m, _ in random_shapes(rng, 60):

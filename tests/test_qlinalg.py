@@ -20,6 +20,24 @@ def mat(rows):
     return RatMatrix.from_rows(rows)
 
 
+def fraction_rref(M):
+    """Gauss-Jordan elimination on the Fraction entries: (rows, pivots)."""
+    rows, pivots, r = M.to_lists(), [], 0
+    for c in range(M.cols):
+        pr = next((i for i in range(r, M.rows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(M.rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
 def test_rref_zero_matrix():
     R, piv = rref(mat([[0]]))
     assert R.to_lists() == [[0]]
@@ -152,6 +170,36 @@ def test_canonicality_under_respanning(rows, coeffs):
         respanned.append(v)
     V = Subspace.span(8, respanned + rows)
     assert V == U
+
+
+def test_fraction_free_rref_matches_fraction_elimination():
+    rng = random.Random(47)
+    for trial in range(300):
+        n, m = rng.randint(0, 6), rng.randint(0, 7)
+        k = rng.randint(0, min(n, m))  # rank at most k: a product of two
+        left = [[Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+                 for _ in range(k)] for _ in range(n)]
+        right = [[Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+                  for _ in range(m)] for _ in range(k)]
+        M = RatMatrix.from_rows(
+            [[sum((a[t] * right[t][j] for t in range(k)), Fraction(0))
+              for j in range(m)] for a in left], m)
+        if trial % 3 == 0:  # a zero column and a repeated row
+            M = RatMatrix.from_rows(
+                [[0, *r] for r in M.to_lists()[:1] + M.to_lists()], m + 1)
+        R, pivots = rref(M)
+        rows, want = fraction_rref(M)
+        assert pivots == want
+        assert R == RatMatrix.from_rows(rows, M.cols)
+        assert R.to_lists() == rows
+        assert Subspace.span(M.cols, M.to_lists()).basis.to_lists() \
+            == rows[:len(pivots)]
+
+
+def test_bools_are_stored_as_ints():
+    A = RatMatrix.from_rows([[True, -5], [False, Fraction(1, 2)]])
+    assert all(type(x) is int for x in A.nums)
+    assert A == mat([[1, -5], [0, Fraction(1, 2)]])
 
 
 def test_rat_matrix_stores_integers_over_one_denominator_in_lowest_terms():

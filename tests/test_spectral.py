@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    naive_composite,
     random_dense_cochain,
     random_double_complex,
     random_zigzag_double_complex,
@@ -121,6 +122,29 @@ def test_double_complex_names_the_first_defect_like_the_per_cell_checks():
     assert all(seen[k] for k in (
         "only horiz", "only vert", "only square", "several cells",
         "several kinds in the first cell")), seen
+
+
+def test_large_double_complex_names_the_first_defect_like_naive_checks():
+    """A zigzag complex whose Tot products run past 2^14 multiplications,
+    with cells of different denominators: the Tot check accepts it, and
+    with defects planted it names the first as the per-cell checks do on
+    textbook triple-loop products."""
+    rng = random.Random(67)
+    K = random_zigzag_double_complex(rng, grid=3, pieces=300)[0]
+    T = K._total
+    assert max(T.dim(n + 2) * T.dim(n + 1) * T.dim(n)
+               for n in T.differentials) >= 1 << 14
+    assert len({M.den for M in (*K.horiz.values(), *K.vert.values())}) > 5
+    double_complex(K.max_r, K.max_c, K.dims, K.horiz, K.vert)
+    for count in (1, 2, 3):
+        horiz, vert = _plant_defects(rng, K, count)
+        want = reference_defects(
+            DoubleComplex(K.max_r, K.max_c, K.dims, horiz, vert),
+            naive_composite)
+        assert want
+        with pytest.raises(DoubleComplexError) as raised:
+            double_complex(K.max_r, K.max_c, K.dims, horiz, vert)
+        assert str(raised.value) == want[0]
 
 
 def test_pages_zero_differentials():

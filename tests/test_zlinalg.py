@@ -536,6 +536,8 @@ def test_int_matrix_refuses_what_it_cannot_hold():
     with pytest.raises(ValueError, match="must be ints"):
         IntMatrix(1, 1, (2.0,))
     assert IntMatrix.from_rows([[True, -5]]).entries == (1, -5)
+    for A in (IntMatrix.from_rows([[True, -5]]), IntMatrix(1, 2, (False, 3))):
+        assert all(type(e) is int for e in A.entries)
 
 
 def test_int_matrix_shares_rational_storage():
