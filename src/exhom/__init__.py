@@ -6,16 +6,7 @@ Ext/E2/Betti calculus for quotients of products of Drinfeld symmetric
 spaces, all over exact arithmetic.
 """
 
-from .qlinalg import (
-    RatMatrix,
-    Subspace,
-    is_complementary,
-    kernel_basis,
-    rank,
-    rref,
-    subspace_intersect,
-    subspace_sum,
-)
+from .qlinalg import RatMatrix
 from .zlinalg import (
     FinAbGroup,
     IntMatrix,

@@ -10,6 +10,7 @@ import argparse
 import functools
 import sys
 from decimal import Decimal
+from math import inf
 from typing import List
 
 from . import complexes, spectral, steinberg
@@ -34,11 +35,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _int_at_least(low: int, what: str):
-    """argparse type: an integer >= low, else a usage error naming `what`."""
+def _int_in(what: str, low: int, high: float = inf):
+    """argparse type: an integer in [low, high], else a usage error naming
+    `what`."""
     def parse(text: str) -> int:
         try:
-            if int(text) >= low:
+            if low <= int(text) <= high:
                 return int(text)
         except ValueError:
             pass
@@ -48,7 +50,7 @@ def _int_at_least(low: int, what: str):
 
 def _modulus(text: str) -> int:
     """argparse type for --mod: an integer >= 2 whose primality is decidable."""
-    m = _int_at_least(2, "an integer >= 2")(text)
+    m = _int_in("an integer >= 2", 2)(text)
     try:
         is_prime(m)
     except ValueError as e:
@@ -57,10 +59,11 @@ def _modulus(text: str) -> int:
 
 
 def _spectrum_args(p):
-    positive = _int_at_least(1, "a positive integer")
-    nonnegative = _int_at_least(0, "a non-negative integer")
-    p.add_argument("--d", type=positive, required=True)
-    p.add_argument("--dp", type=positive, required=True)
+    top = steinberg.MAX_SPACE_DIM
+    dimension = _int_in(f"a positive integer at most {top}", 1, top)
+    nonnegative = _int_in("a non-negative integer", 0)
+    p.add_argument("--d", type=dimension, required=True)
+    p.add_argument("--dp", type=dimension, required=True)
     p.add_argument("--m10", type=nonnegative, default=0)
     p.add_argument("--m01", type=nonnegative, default=0)
     p.add_argument("--m11", type=nonnegative, default=0)

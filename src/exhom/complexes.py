@@ -1,8 +1,8 @@
 """Finite cochain complexes over Q and chain complexes over Z.
 
-Provides cohomology with representatives, total tensor products with the
-Leibniz sign, a Kunneth dimension check, integral homology from invariant
-factors, a universal-coefficient dimension check, and degreewise
+Provides cohomology with integer representatives, total tensor products
+with the Leibniz sign, a Kunneth dimension check, integral homology from
+invariant factors, a universal-coefficient dimension check, and degreewise
 dualization.
 
 Rational cohomology, and the spectral sequences of `spectral`, come from one
@@ -11,10 +11,12 @@ filtered column reduction, the persistence pairing (Zomorodian and Carlsson
 d^n is reduced column by column in the order (level descending, index
 ascending), the low of a column being its nonzero row that comes last in
 that order.  A reduced column pairs a source with a target; the classes of
-the unpaired basis vectors, which are cycles, form a basis of H^n.  The
-reduction is fraction-free (Bareiss 1968): each column is read off the
-stored numerators and divided by its content with the denominator, once per
-complex, and the gcd of all entries is divided out after each step.
+the unpaired basis vectors, which are cycles, form a basis of H^n, and with
+the targets of degree n they are triangular, so `_reduce` writes any cycle
+on them (`spectral` writes one filtration's classes on another's basis this
+way).  The reduction is fraction-free (Bareiss 1968): each column is read
+off the stored numerators and divided by its content with the denominator,
+once per complex, and the gcd of all entries is divided out after each step.
 
 Both gradings share one storage, `_Complex`: a subclass names only its
 step (+1 for cochain, -1 for chain complexes) and its matrix class, and the
@@ -29,12 +31,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, inf, lcm
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .qlinalg import RatMatrix, Subspace
+from .qlinalg import RatMatrix
 from .zlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -82,11 +83,6 @@ class CochainComplex(_Complex):
         return {n: [_primitive(D.nums[i::D.cols], D.den)
                      for i in range(D.cols)]
                 for n, D in self.differentials.items()}
-
-    @cached_property
-    def _bases(self) -> Dict[int, tuple]:
-        """H^n bases of the unfiltered pairing, filled by `_classes`."""
-        return {}
 
 
 @dataclass(frozen=True)
@@ -234,45 +230,20 @@ def _pairing(C: CochainComplex, levels: Dict[int, Sequence[int]],
     return gens
 
 
-def cohomology(C: CochainComplex, n: int) -> Tuple[int, Subspace]:
-    """(dim H^n, span of the unpaired cycles of degree n, whose classes form
-    a basis of H^n)."""
+def cohomology(C: CochainComplex, n: int) -> Tuple[int, Tuple[tuple, ...]]:
+    """(dim H^n, the unpaired cycles of degree n as integer rows, whose
+    classes form a basis of H^n)."""
     if C.dim(n) == 0:
-        return 0, Subspace.zero(0)
-    reps = [g.chain for g in _pairing(C, {}, n)
-            if g.n == n and g.life == inf]
-    return len(reps), Subspace.span(C.dim(n), reps)
+        return 0, ()
+    reps = tuple(g.chain for g in _pairing(C, {}, n)
+                 if g.n == n and g.life == inf)
+    return len(reps), reps
 
 
 def cohomology_dims(C: CochainComplex) -> Dict[int, int]:
     cycles = Counter(g.n for g in _pairing(C, {}, C.max_deg)
                      if g.life == inf)
     return {n: cycles[n] for n in C.degrees()}
-
-
-def _classes(C: CochainComplex, n: int, cycles) -> Tuple[int, List[tuple]]:
-    """(dim H^n, coordinates of each cycle on the basis of H^n given by the
-    unpaired cycles of the unfiltered pairing, paired once per degree).
-    With the reduced boundaries they form a triangular basis of C^n, each
-    vector's low its own index, and a cycle reduces to zero against it."""
-    if n not in C._bases:
-        basis = [g for g in _pairing(C, {}, n)
-                 if g.n == n and not g.source]
-        unpaired = [g.i for g in basis if g.life == inf]
-        # unpaired cycle k carries -e_k and every pivot a 0 for the scale s,
-        # so s * cycle = sum of coords * unpaired cycles + boundaries
-        C._bases[n] = len(unpaired), {
-            g.i: (g.chain, [-(g.i == u) for u in unpaired] + [0])
-            for g in basis}
-    b, pivots = C._bases[n]
-    out = []
-    for z in cycles:
-        _, (*coords, s), low = _reduce(list(z), [0] * b + [1], pivots,
-                                       range(C.dim(n) - 1, -1, -1))
-        if low is not None:
-            raise ValueError(f"not a cycle of degree {n}")
-        out.append(tuple(Fraction(c, s) for c in coords))
-    return b, out
 
 
 def _totalize(min_deg: int, dims: Dict[Tuple[int, int], int], horiz,

@@ -5,17 +5,14 @@ lowest terms, so two equal matrices are equal values; its ``Fraction``
 entries are a view built only when read.  Every operation is exact; there is
 no floating point anywhere in this module.  The integer storage, row access
 and shape checks live in `_Dense`, which `zlinalg.IntMatrix` shares.
-Subspaces are stored as reduced row echelon bases with zero rows dropped, so
-two equal subspaces are equal as values.
 
 Integer products go through one kernel, `_int_products`: nonzero rows times
 nonzero stride-slice columns, ``sum(map(mul, row, col))`` per entry.  A
 rational product sums the same way on the stored numerators, piece by piece:
 the inner index is cut at the first and last nonzero position of every row
 and column, each piece of a row or column has its content divided out, and
-the two denominators multiply.  `rref` eliminates fraction-free on the
-numerators and divides by the pivots once, over their lcm, so the subspace
-algebra builds no `Fraction` either.
+the two denominators multiply.  Ranks and eliminations are integer and live
+elsewhere: the persistence pairing in `complexes`, Bareiss in `zlinalg`.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from functools import cached_property
 from itertools import compress, count
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 def _frac(x) -> Fraction:
@@ -186,173 +183,3 @@ class RatMatrix(_Dense):
                     if t:
                         dots[at + j] += t * g * h
         return RatMatrix(self.rows, m, tuple(dots), self.den * other.den)
-
-    def _over(self, den: int) -> tuple:
-        """nums rescaled to the multiple `den` of this denominator."""
-        k = den // self.den
-        return self.nums if k == 1 else tuple(k * x for x in self.nums)
-
-    def vstack(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in vstack")
-        den = lcm(self.den, other.den)
-        return RatMatrix(self.rows + other.rows, self.cols,
-                         self._over(den) + other._over(den), den)
-
-    def hstack(self, other: "RatMatrix") -> "RatMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        den = lcm(self.den, other.den)
-        a, b, c, e = self._over(den), other._over(den), self.cols, other.cols
-        flat = []
-        for i in range(self.rows):
-            flat += a[i * c:(i + 1) * c]
-            flat += b[i * e:(i + 1) * e]
-        return RatMatrix(self.rows, c + e, tuple(flat), den)
-
-    def apply(self, vector: Sequence) -> Tuple[Fraction, ...]:
-        """Matrix times column vector, returned as a flat tuple."""
-        v = tuple(_frac(x) for x in vector)
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return (self @ RatMatrix(len(v), 1, v)).entries
-
-
-def rref(M: RatMatrix) -> Tuple[RatMatrix, List[int]]:
-    """Reduced row echelon form of M, keeping dimensions.
-
-    Returns (R, pivot_cols) with pivot columns in increasing order; the rank
-    of M is the number of pivots.  The elimination is fraction-free on the
-    numerators: a pivot p clears entry a of another row as (p/g) row - (a/g)
-    pivot row, g = gcd(p, a), and every changed row is divided by its
-    content.  Each pivot row is divided by its pivot only at the end, over
-    the lcm of the pivots.
-    """
-    rows = [list(v) for v in M._num_rows()]
-    pivots: List[int] = []
-    r = 0
-    for c in range(M.cols):
-        if r == M.rows:
-            break
-        pr = next((i for i in range(r, M.rows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i in range(M.rows):
-            a = rows[i][c]
-            if i != r and a:
-                g = gcd(p, a)
-                v = [(p // g) * x - (a // g) * y for x, y in zip(rows[i], prow)]
-                h = gcd(*v)
-                rows[i] = [x // h for x in v] if h > 1 else v
-        pivots.append(c)
-        r += 1
-    den = lcm(*[rows[k][c] for k, c in enumerate(pivots)])
-    for k, c in enumerate(pivots):
-        if rows[k][c] != den:
-            m = den // rows[k][c]
-            rows[k] = [m * x for x in rows[k]]
-    return RatMatrix(M.rows, M.cols, tuple(x for v in rows for x in v),
-                     den), pivots
-
-
-def rank(M: RatMatrix) -> int:
-    return len(rref(M)[1])
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """Linear subspace of Q^ambient_dim in canonical (RREF, no zero rows) form."""
-
-    ambient_dim: int
-    basis: RatMatrix
-
-    def __post_init__(self):
-        if self.basis.cols != self.ambient_dim:
-            raise ValueError("basis width != ambient dimension")
-
-    @staticmethod
-    def span(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = [list(v) for v in vectors]
-        if not vecs:
-            return Subspace(ambient_dim, RatMatrix.zero(0, ambient_dim))
-        R, pivots = rref(RatMatrix.from_rows(vecs, ambient_dim))
-        k = len(pivots)
-        return Subspace(ambient_dim, RatMatrix(k, ambient_dim,
-                                               R.nums[:k * ambient_dim], R.den))
-
-    @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, RatMatrix.zero(0, ambient_dim))
-
-    @staticmethod
-    def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, RatMatrix.identity(ambient_dim))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.rows
-
-    def vectors(self) -> List[Tuple[Fraction, ...]]:
-        return [self.basis.row(i) for i in range(self.basis.rows)]
-
-    def contains(self, vector: Sequence) -> bool:
-        v = [_frac(x) for x in vector]
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length mismatch")
-        stacked = self.basis.vstack(RatMatrix.from_rows([v], self.ambient_dim))
-        return rank(stacked) == self.dim
-
-    def contains_space(self, other: "Subspace") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        if other.dim == 0:
-            return True
-        return rank(self.basis.vstack(other.basis)) == self.dim
-
-
-def kernel_basis(M: RatMatrix) -> Subspace:
-    """Null space {x : Mx = 0} as a canonical subspace of Q^cols."""
-    R, pivots = rref(M)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(M.cols) if c not in pivot_set]
-    vecs = []
-    for f in free_cols:  # e_f minus column f of R on the pivots, times R.den
-        v = [0] * M.cols
-        v[f] = R.den
-        for r, pc in enumerate(pivots):
-            v[pc] = -R.nums[r * M.cols + f]
-        vecs.append(v)
-    return Subspace.span(M.cols, vecs)
-
-
-def subspace_sum(U: Subspace, W: Subspace) -> Subspace:
-    """Canonical subspace spanned by both bases."""
-    if U.ambient_dim != W.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return Subspace.span(U.ambient_dim,
-                         U.basis._num_rows() + W.basis._num_rows())
-
-
-def subspace_intersect(U: Subspace, W: Subspace) -> Subspace:
-    """Canonical intersection of two subspaces of the same ambient space."""
-    if U.ambient_dim != W.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    if U.dim == 0 or W.dim == 0:
-        return Subspace.zero(U.ambient_dim)
-    # a.B_U = -b.B_W lies in both: kernel of [B_U^T | B_W^T], take the a-part.
-    K = kernel_basis(U.basis.transpose().hstack(W.basis.transpose())).basis
-    A = RatMatrix(K.rows, U.dim,
-                  tuple(x for k in K._num_rows() for x in k[:U.dim]), K.den)
-    return Subspace.span(U.ambient_dim, (A @ U.basis)._num_rows())
-
-
-def is_complementary(U: Subspace, W: Subspace) -> bool:
-    """True iff U and W intersect trivially and together span the ambient space."""
-    if U.ambient_dim != W.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    if U.dim + W.dim != U.ambient_dim:
-        return False
-    return subspace_intersect(U, W).dim == 0

@@ -18,10 +18,16 @@ and Carlsson 2005; Basu and Parida 2017).  A reduced column pairs a source
 of level p with a target of level p+k; for k >= 1 both live on pages 1..k
 and add 1 to the rank of d_k at the source's cell, and their chains
 represent them there.  Basis vectors left unpaired are cycles: they give
-E_infinity, and the classes of those of level >= p span F^p H^n, written in
-the H^n basis of the unfiltered pairing by the same reduction.  Filtrations
-on total cohomology, the oppositeness test, the dimension criterion implying
-it, and degeneration detection live here.
+E_infinity, and the classes of those of level >= p span F^p H^n.  The
+column pairing's own unpaired cycles of degree n are the basis of H^n both
+filtrations are written on (cached on K per n): the column filtration holds
+their levels only, and a row cycle gets integer coordinates on them by the
+same fraction-free reduction, against the column pairing's targets and
+unpaired cycles, which are triangular in the order that pairing used.  So
+the dims of a filtration are counts, and two filtrations are compared by
+counts and one integer (Bareiss) rank per step.  Filtrations on total
+cohomology, the oppositeness test, the dimension criterion implying it, and
+degeneration detection live here.
 """
 
 from __future__ import annotations
@@ -29,12 +35,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from math import inf
-from typing import Dict, List, Tuple
+from math import gcd, inf
+from typing import Dict, List, Optional, Tuple
 
-from .complexes import (CochainComplex, _classes, _composite,
-                        _nonzero_composite, _pairing, _totalize)
-from .qlinalg import RatMatrix, Subspace, is_complementary, subspace_sum
+from .complexes import (CochainComplex, _composite, _nonzero_composite,
+                        _pairing, _reduce, _totalize)
+from .qlinalg import RatMatrix
+from .zlinalg import IntMatrix, _bareiss
 
 COLUMN = "column"
 ROW = "row"
@@ -63,6 +70,12 @@ class DoubleComplex:
     def _total(self) -> CochainComplex:
         """Tot, built once and shared by every pairing of this complex."""
         return total_complex(self)
+
+    @cached_property
+    def _bases(self) -> Dict[int, tuple]:
+        """Per degree, the column pairing's basis of H^n, filled by
+        `_column_basis`."""
+        return {}
 
 
 def double_complex(max_r: int, max_c: int,
@@ -153,29 +166,32 @@ class SpectralPages:
 
 @dataclass(frozen=True)
 class FiltrationChain:
-    """Descending filtration F^0 >= ... >= F^{n+1} on H^n, in H^n coordinates."""
+    """Descending filtration F^0 >= ... >= F^{n+1} on H^n, given by a basis
+    of H^n adapted to it: class k has level levels[k], and F^p is spanned by
+    the classes of level >= p, so nesting holds by construction.  rows[k]
+    holds the integer coordinates of class k on one basis of H^n that the
+    chains compared share; rows None means class k is that basis vector k.
+    The rows must be independent."""
 
     n: int
-    spaces: Tuple[Subspace, ...]
+    ambient_dim: int
+    levels: Tuple[int, ...]
+    rows: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     def __post_init__(self):
-        if len(self.spaces) != self.n + 2:
-            raise ValueError("filtration chain must have n+2 steps")
-        amb = self.spaces[0].ambient_dim
-        if self.spaces[0].dim != amb:
-            raise ValueError("F^0 must be the full space")
-        if self.spaces[-1].dim != 0:
-            raise ValueError("F^{n+1} must be zero")
-        for a, b in zip(self.spaces, self.spaces[1:]):
-            if not a.contains_space(b):
-                raise ValueError("filtration steps are not nested")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.spaces[0].ambient_dim
+        if len(self.levels) != self.ambient_dim:
+            raise ValueError("filtration chain needs one level per class")
+        if not all(0 <= level <= self.n for level in self.levels):
+            raise ValueError("class levels must lie in [0, n]")
+        if self.rows is not None and (
+                len(self.rows) != self.ambient_dim
+                or any(len(v) != self.ambient_dim for v in self.rows)):
+            raise ValueError("filtration chain needs one row per class, "
+                             "of ambient_dim coordinates")
 
     def dims(self) -> Tuple[int, ...]:
-        return tuple(s.dim for s in self.spaces)
+        return tuple(sum(1 for level in self.levels if level >= p)
+                     for p in range(self.n + 2))
 
 
 def _levels(K: DoubleComplex, axis: str) -> Dict[int, List[int]]:
@@ -209,44 +225,113 @@ def spectral_pages(K: DoubleComplex, axis: str) -> SpectralPages:
                          limit=limit, stable_page=stable)
 
 
+def _column_basis(K: DoubleComplex, n: int) -> tuple:
+    """(unpaired, order, pivots) of degree n of the column pairing of Tot,
+    paired once per degree.  Its unpaired cycles are the basis of H^n that
+    both filtrations are written on.  With the degree-n targets they are
+    triangular in `order`, the order that pairing used, each one's low its
+    own index; `pivots` maps that index to (vector, coordinates), the
+    coordinates -e_k on the basis for unpaired cycle k and 0 for a target,
+    with a last 0 for the scale of the reduced cycle."""
+    if n not in K._bases:
+        T, levels = K._total, _levels(K, COLUMN)
+        basis = [g for g in _pairing(T, levels, n)
+                 if g.n == n and not g.source]
+        unpaired = [g for g in basis if g.life == inf]
+        at = levels.get(n, [])
+        order = sorted(range(T.dim(n)), key=lambda j: (at[j], -j))
+        b = len(unpaired)
+        pivots = {g.i: (g.chain, [0] * (b + 1)) for g in basis}
+        for k, g in enumerate(unpaired):
+            pivots[g.i][1][k] = -1
+        K._bases[n] = unpaired, order, pivots
+    return K._bases[n]
+
+
+def _classes(K: DoubleComplex, n: int, cycles) -> List[Tuple[int, ...]]:
+    """Integer coordinates of each cycle of degree n on the column basis of
+    H^n, divided by their content: a cycle z reduces to zero against the
+    triangular basis of `_column_basis`, leaving s z = sum of coords times
+    the unpaired cycles plus boundaries."""
+    unpaired, order, pivots = _column_basis(K, n)
+    rows = []
+    for z in cycles:
+        _, (*coords, _), low = _reduce(list(z), [0] * len(unpaired) + [1],
+                                       pivots, order)
+        if low is not None:
+            raise ValueError(f"not a cycle of degree {n}")
+        g = gcd(*coords)
+        rows.append(tuple(x // g for x in coords) if g > 1 else tuple(coords))
+    return rows
+
+
 def filtration_on_total(K: DoubleComplex, axis: str, n: int) -> FiltrationChain:
     """Filtration F^p H^n(Tot) induced by the chosen axis: F^p is spanned by
-    the classes of the unpaired cycles of level >= p."""
+    the classes of the unpaired cycles of level >= p, on the column
+    pairing's basis of H^n, which on the column axis they are."""
     levels = _levels(K, axis)
     if n < 0 or n > K.max_r + K.max_c:
-        return FiltrationChain(max(n, 0), tuple(
-            Subspace.zero(0) for _ in range(max(n, 0) + 2)))
-    T = K._total
-    cycles = [g for g in _pairing(T, levels, n)
+        return FiltrationChain(max(n, 0), 0, ())
+    unpaired = _column_basis(K, n)[0]
+    if axis == COLUMN:
+        return FiltrationChain(n, len(unpaired),
+                               tuple(g.level for g in unpaired))
+    cycles = [g for g in _pairing(K._total, levels, n)
               if g.n == n and g.life == inf]
-    b, coords = _classes(T, n, [g.chain for g in cycles])
-    return FiltrationChain(n, tuple(
-        Subspace.span(b, [v for g, v in zip(cycles, coords) if g.level >= p])
-        for p in range(n + 2)))
+    return FiltrationChain(n, len(unpaired), tuple(g.level for g in cycles),
+                           tuple(_classes(K, n, [g.chain for g in cycles])))
+
+
+def _rank(rows: List[Tuple[int, ...]], cols: int) -> int:
+    return len(_bareiss(IntMatrix.from_rows(rows, cols))[0])
+
+
+def _sum_dim(F: FiltrationChain, p: int, G: FiltrationChain, q: int) -> int:
+    """dim(F^p + G^q) in H^n.  The classes of each chain are a basis, so a
+    step that is 0 or everything decides it by counts; otherwise it is the
+    integer rank of the stacked rows.  A chain without rows has unit rows,
+    which are not built: they add their count and clear their columns from
+    the other chain's rows."""
+    h = F.ambient_dim
+    f = [k for k, level in enumerate(F.levels) if level >= p]
+    g = [k for k, level in enumerate(G.levels) if level >= q]
+    if len(f) in (0, h) or len(g) in (0, h):
+        return min(h, len(f) + len(g))
+    if F.rows is not None:
+        F, f, G, g = G, g, F, f
+    if F.rows is None and G.rows is None:
+        return len(set(f) | set(g))
+    if F.rows is None:
+        taken = set(f)
+        free = [j for j in range(h) if j not in taken]
+        return len(f) + _rank([[G.rows[k][j] for j in free] for k in g],
+                              len(free))
+    return _rank([F.rows[k] for k in f] + [G.rows[k] for k in g], h)
+
+
+def _same_space(F: FiltrationChain, G: FiltrationChain) -> None:
+    if F.n != G.n or F.ambient_dim != G.ambient_dim:
+        raise ValueError("filtration degree or ambient dimension mismatch")
 
 
 def opposite_check(F: FiltrationChain, G: FiltrationChain) -> bool:
-    """True iff F^p and G^{n+1-p} are complementary in H^n for every p."""
-    if F.n != G.n or F.ambient_dim != G.ambient_dim:
-        raise ValueError("filtration degree or ambient dimension mismatch")
-    n = F.n
-    return all(is_complementary(F.spaces[p], G.spaces[n + 1 - p])
+    """True iff F^p and G^{n+1-p} are complementary in H^n for every p:
+    their dims add up to dim H^n and together they span it."""
+    _same_space(F, G)
+    n, h = F.n, F.ambient_dim
+    f, g = F.dims(), G.dims()
+    return all(f[p] + g[n + 1 - p] == h and _sum_dim(F, p, G, n + 1 - p) == h
                for p in range(n + 2))
 
 
 def dimension_criterion(F: FiltrationChain, G: FiltrationChain) -> bool:
     """Sum condition plus the two dimension symmetries; implies oppositeness."""
-    if F.n != G.n or F.ambient_dim != G.ambient_dim:
-        raise ValueError("filtration degree or ambient dimension mismatch")
+    _same_space(F, G)
     n, h = F.n, F.ambient_dim
-    for p in range(n + 2):
-        if subspace_sum(F.spaces[p], G.spaces[n + 1 - p]).dim != h:
-            return False
-        if F.spaces[p].dim + F.spaces[n + 1 - p].dim != h:
-            return False
-        if G.spaces[p].dim + G.spaces[n + 1 - p].dim != h:
-            return False
-    return True
+    f, g = F.dims(), G.dims()
+    return (all(f[p] + f[n + 1 - p] == h and g[p] + g[n + 1 - p] == h
+                for p in range(n + 2))
+            and all(_sum_dim(F, p, G, n + 1 - p) == h for p in range(n + 2)))
 
 
 def degenerates_at(P: SpectralPages, r: int) -> bool:

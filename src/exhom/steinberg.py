@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, FrozenSet, List, Tuple
 
+MAX_SPACE_DIM = 64  # largest d and d' the CLI's e2, betti and filtration take
+
 
 @dataclass(frozen=True)
 class SteinbergLabel:

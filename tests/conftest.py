@@ -14,11 +14,20 @@ that rescales every row at every step, which it used before the lazy one:
 the references `homology_int`, `complexes._pairing` and `zlinalg._bareiss`
 are tested against, and the per-cell composite checks that
 `spectral.double_complex` made before it checked D o D once on Tot.
+
+And the rational subspace algebra the library used before `oppose` compared
+filtrations by counts and integer ranks: `rref` (fraction-free on the
+numerators), `rank`, canonical `Subspace`s with sum, intersection and
+complement, and the stacking and vector product of `RatMatrix` they need.
+`filtration_spaces`, `reference_opposite` and `reference_criterion` read a
+`spectral.FiltrationChain` through it.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import gcd, inf, lcm
+from typing import Iterable, List, Sequence, Tuple
 
 from exhom.complexes import (
     CochainComplex,
@@ -28,7 +37,7 @@ from exhom.complexes import (
     cochain_complex,
     int_chain_complex,
 )
-from exhom.qlinalg import RatMatrix, rref
+from exhom.qlinalg import RatMatrix
 from exhom.spectral import COLUMN, ROW, double_complex
 from exhom.zlinalg import (
     FinAbGroup,
@@ -37,6 +46,215 @@ from exhom.zlinalg import (
     smith_normal_form,
 )
 
+
+# ------------------------------------------ rational subspace reference
+
+def _over(M: RatMatrix, den: int) -> tuple:
+    """M's numerators rescaled to the multiple `den` of its denominator."""
+    k = den // M.den
+    return M.nums if k == 1 else tuple(k * x for x in M.nums)
+
+
+def vstack(A: RatMatrix, B: RatMatrix) -> RatMatrix:
+    if A.cols != B.cols:
+        raise ValueError("column mismatch in vstack")
+    den = lcm(A.den, B.den)
+    return RatMatrix(A.rows + B.rows, A.cols, _over(A, den) + _over(B, den),
+                     den)
+
+
+def hstack(A: RatMatrix, B: RatMatrix) -> RatMatrix:
+    if A.rows != B.rows:
+        raise ValueError("row mismatch in hstack")
+    den = lcm(A.den, B.den)
+    a, b, c, e = _over(A, den), _over(B, den), A.cols, B.cols
+    flat = []
+    for i in range(A.rows):
+        flat += a[i * c:(i + 1) * c]
+        flat += b[i * e:(i + 1) * e]
+    return RatMatrix(A.rows, c + e, tuple(flat), den)
+
+
+def apply(M: RatMatrix, vector: Sequence) -> Tuple[Fraction, ...]:
+    """M times a column vector, as a flat tuple."""
+    v = tuple(Fraction(x) for x in vector)
+    if len(v) != M.cols:
+        raise ValueError("vector length mismatch")
+    return (M @ RatMatrix(len(v), 1, v)).entries
+
+
+def rref(M: RatMatrix) -> Tuple[RatMatrix, List[int]]:
+    """Reduced row echelon form of M, keeping dimensions.
+
+    Returns (R, pivot_cols) with pivot columns in increasing order; the rank
+    of M is the number of pivots.  The elimination is fraction-free on the
+    numerators: a pivot p clears entry a of another row as (p/g) row - (a/g)
+    pivot row, g = gcd(p, a), and every changed row is divided by its
+    content.  Each pivot row is divided by its pivot only at the end, over
+    the lcm of the pivots.
+    """
+    rows = [list(v) for v in M._num_rows()]
+    pivots: List[int] = []
+    r = 0
+    for c in range(M.cols):
+        if r == M.rows:
+            break
+        pr = next((i for i in range(r, M.rows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(M.rows):
+            a = rows[i][c]
+            if i != r and a:
+                g = gcd(p, a)
+                v = [(p // g) * x - (a // g) * y for x, y in zip(rows[i], prow)]
+                h = gcd(*v)
+                rows[i] = [x // h for x in v] if h > 1 else v
+        pivots.append(c)
+        r += 1
+    den = lcm(*[rows[k][c] for k, c in enumerate(pivots)])
+    for k, c in enumerate(pivots):
+        if rows[k][c] != den:
+            m = den // rows[k][c]
+            rows[k] = [m * x for x in rows[k]]
+    return RatMatrix(M.rows, M.cols, tuple(x for v in rows for x in v),
+                     den), pivots
+
+
+def rank(M: RatMatrix) -> int:
+    return len(rref(M)[1])
+
+
+@dataclass(frozen=True)
+class Subspace:
+    """Linear subspace of Q^ambient_dim in canonical (RREF, no zero rows)
+    form, so two equal subspaces are equal values."""
+
+    ambient_dim: int
+    basis: RatMatrix
+
+    def __post_init__(self):
+        if self.basis.cols != self.ambient_dim:
+            raise ValueError("basis width != ambient dimension")
+
+    @staticmethod
+    def span(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
+        vecs = [list(v) for v in vectors]
+        if not vecs:
+            return Subspace(ambient_dim, RatMatrix.zero(0, ambient_dim))
+        R, pivots = rref(RatMatrix.from_rows(vecs, ambient_dim))
+        k = len(pivots)
+        return Subspace(ambient_dim, RatMatrix(k, ambient_dim,
+                                               R.nums[:k * ambient_dim], R.den))
+
+    @staticmethod
+    def zero(ambient_dim: int) -> "Subspace":
+        return Subspace(ambient_dim, RatMatrix.zero(0, ambient_dim))
+
+    @staticmethod
+    def full(ambient_dim: int) -> "Subspace":
+        return Subspace(ambient_dim, RatMatrix.identity(ambient_dim))
+
+    @property
+    def dim(self) -> int:
+        return self.basis.rows
+
+    def vectors(self) -> List[Tuple[Fraction, ...]]:
+        return [self.basis.row(i) for i in range(self.basis.rows)]
+
+    def contains(self, vector: Sequence) -> bool:
+        v = [Fraction(x) for x in vector]
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length mismatch")
+        stacked = vstack(self.basis, RatMatrix.from_rows([v], self.ambient_dim))
+        return rank(stacked) == self.dim
+
+    def contains_space(self, other: "Subspace") -> bool:
+        if other.ambient_dim != self.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        if other.dim == 0:
+            return True
+        return rank(vstack(self.basis, other.basis)) == self.dim
+
+
+def kernel_basis(M: RatMatrix) -> Subspace:
+    """Null space {x : Mx = 0} as a canonical subspace of Q^cols."""
+    R, pivots = rref(M)
+    pivot_set = set(pivots)
+    free_cols = [c for c in range(M.cols) if c not in pivot_set]
+    vecs = []
+    for f in free_cols:  # e_f minus column f of R on the pivots, times R.den
+        v = [0] * M.cols
+        v[f] = R.den
+        for r, pc in enumerate(pivots):
+            v[pc] = -R.nums[r * M.cols + f]
+        vecs.append(v)
+    return Subspace.span(M.cols, vecs)
+
+
+def subspace_sum(U: Subspace, W: Subspace) -> Subspace:
+    """Canonical subspace spanned by both bases."""
+    if U.ambient_dim != W.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    return Subspace.span(U.ambient_dim,
+                         U.basis._num_rows() + W.basis._num_rows())
+
+
+def subspace_intersect(U: Subspace, W: Subspace) -> Subspace:
+    """Canonical intersection of two subspaces of the same ambient space."""
+    if U.ambient_dim != W.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    if U.dim == 0 or W.dim == 0:
+        return Subspace.zero(U.ambient_dim)
+    # a.B_U = -b.B_W lies in both: kernel of [B_U^T | B_W^T], take the a-part.
+    K = kernel_basis(hstack(U.basis.transpose(), W.basis.transpose())).basis
+    A = RatMatrix(K.rows, U.dim,
+                  tuple(x for k in K._num_rows() for x in k[:U.dim]), K.den)
+    return Subspace.span(U.ambient_dim, (A @ U.basis)._num_rows())
+
+
+def is_complementary(U: Subspace, W: Subspace) -> bool:
+    """True iff U and W intersect trivially and together span the ambient
+    space."""
+    if U.ambient_dim != W.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    if U.dim + W.dim != U.ambient_dim:
+        return False
+    return subspace_intersect(U, W).dim == 0
+
+
+def filtration_spaces(F) -> Tuple[Subspace, ...]:
+    """The steps F^0, ..., F^{n+1} of a FiltrationChain as Subspaces of its
+    basis coordinates, a chain without rows having unit rows."""
+    h = F.ambient_dim
+    rows = F.rows if F.rows is not None else [
+        [int(j == k) for j in range(h)] for k in range(h)]
+    return tuple(Subspace.span(h, [v for v, level in zip(rows, F.levels)
+                                   if level >= p])
+                 for p in range(F.n + 2))
+
+
+def reference_opposite(F, G) -> bool:
+    """`spectral.opposite_check` on Subspaces: F^p and G^{n+1-p} are
+    complementary for every p."""
+    f, g = filtration_spaces(F), filtration_spaces(G)
+    return all(is_complementary(f[p], g[F.n + 1 - p])
+               for p in range(F.n + 2))
+
+
+def reference_criterion(F, G) -> bool:
+    """`spectral.dimension_criterion` on Subspaces: F^p + G^{n+1-p} is
+    everything and both dim profiles are symmetric."""
+    f, g = filtration_spaces(F), filtration_spaces(G)
+    n, h = F.n, F.ambient_dim
+    return all(subspace_sum(f[p], g[n + 1 - p]).dim == h
+               and f[p].dim + f[n + 1 - p].dim == h
+               and g[p].dim + g[n + 1 - p].dim == h for p in range(n + 2))
+
+
+# ------------------------------------------------------------- generators
 
 def differential(C, n: int):
     """d_n of C as a matrix, zero when the map is absent: the library keeps
@@ -210,17 +428,30 @@ class Zigzags:
     x_i -> y_{i+1} and, for i >= 1, x_i -> y_i.  On its own axis the only
     surviving pair is x_0 -> y_r, one d_r living on pages 1..r; on the other
     axis each x_i cancels y_{i+1} within its level, so it is gone from E_1
-    on.  It is acyclic, so H(Tot) is spanned by the lone cells (r, s).
+    on.  It is acyclic, so H(Tot) is spanned by the lone cells (r, s) and
+    the corners.  A corner (r, s) has x at (r, s+1) and x' at (r+1, s), both
+    mapping to y at (r+1, s+1): one class of H^{r+s+1}, a combination of x
+    and x' spread over two cells.  It survives at the cell of x on the
+    column axis (x' cancels y within its column) and at the cell of x' on
+    the row axis, so it lies in F^r and G^s only: the two filtrations are
+    not opposite.
     """
 
-    def __init__(self, zigzags, lones):
+    def __init__(self, zigzags, lones, corners=()):
         self.zigzags = zigzags
         self.lones = lones
+        self.corners = corners
 
     @staticmethod
     def cell(axis, p, q):
         """Cell (r, s) of the axis coordinates (p, q); its own inverse."""
         return (p, q) if axis == COLUMN else (q, p)
+
+    def survivors(self, axis):
+        """The cell of every class of H(Tot) that survives on `axis`."""
+        return list(self.lones) + [
+            (r, s + 1) if axis == COLUMN else (r + 1, s)
+            for r, s in self.corners]
 
     def page_dims(self, axis, page):
         dims = {}
@@ -228,7 +459,7 @@ class Zigzags:
             if a == axis and r >= page:
                 for pq in ((p, q), (p + r, q - r + 1)):
                     dims[pq] = dims.get(pq, 0) + 1
-        for c in self.lones:
+        for c in self.survivors(axis):
             pq = self.cell(axis, *c)
             dims[pq] = dims.get(pq, 0) + 1
         return dims
@@ -245,16 +476,17 @@ class Zigzags:
                        default=0)
 
     def filtration_dims(self, axis, n):
-        levels = [self.cell(axis, *c)[0] for c in self.lones
+        levels = [self.cell(axis, *c)[0] for c in self.survivors(axis)
                   if sum(c) == n]
         return tuple(sum(1 for lv in levels if lv >= p)
                      for p in range(n + 2))
 
 
-def random_zigzag_double_complex(rng, grid=4, pieces=6):
+def random_zigzag_double_complex(rng, grid=4, pieces=6, corners=0):
     """Known-answer double complex on the (grid+1)^2 square: staircase
-    zigzags of length 1..3 in random orientation plus lone cells, every
-    cell conjugated by a random invertible matrix.  Returns (K, Zigzags)."""
+    zigzags of length 1..3 in random orientation plus lone cells, and
+    `corners` corners, every cell conjugated by a random invertible matrix.
+    Returns (K, Zigzags)."""
     zigzags, lones = [], []
     for _ in range(rng.randint(1, pieces)):
         if rng.random() < 0.75:
@@ -264,6 +496,8 @@ def random_zigzag_double_complex(rng, grid=4, pieces=6):
                             rng.randint(r - 1, grid), r))
         else:
             lones.append((rng.randint(0, grid), rng.randint(0, grid)))
+    corner_cells = [(rng.randint(0, grid - 1), rng.randint(0, grid - 1))
+                    for _ in range(corners)]
     dims, arrows = {}, []
 
     def new(axis, p, q):
@@ -280,6 +514,9 @@ def random_zigzag_double_complex(rng, grid=4, pieces=6):
                 arrows.append((x, ys[i]))
     for c in lones:
         new(COLUMN, *c)
+    for r, s in corner_cells:
+        y = new(COLUMN, r + 1, s + 1)
+        arrows += [(new(COLUMN, r, s + 1), y), (new(COLUMN, r + 1, s), y)]
     raw = {}
     for (sc, si), (dc, di) in arrows:
         field = "horiz" if dc[0] == sc[0] + 1 else "vert"
@@ -294,7 +531,7 @@ def random_zigzag_double_complex(rng, grid=4, pieces=6):
                                @ RatMatrix.from_rows(M, dims[(r, s)])
                                @ _rat_inverse(P[(r, s)]))
     K = double_complex(grid, grid, dims, maps["horiz"], maps["vert"])
-    return K, Zigzags(zigzags, lones)
+    return K, Zigzags(zigzags, lones, corner_cells)
 
 
 def random_int_matrix(rng, max_size=6, bound=20):
@@ -395,7 +632,7 @@ def reference_homology_int(C: IntChainComplex, n: int) -> FinAbGroup:
                              for row in zip(*kbasis)], k)
     # K has full column rank, so rref([K | d_{n+1}]) = [I | Y; 0 | 0] with
     # K Y = d_{n+1} exactly when every pivot lies in the K block
-    R, pivots = rref(K.hstack(dnext.to_rational()))
+    R, pivots = rref(hstack(K, dnext.to_rational()))
     assert pivots == list(range(k)), f"image of d_{n + 1} not inside ker d_{n}"
     Y = [R.row(i)[k:] for i in range(k)]
     assert all(f.denominator == 1 for row in Y for f in row), \

@@ -8,16 +8,16 @@ import itertools
 import random
 import sys
 import time
-from fractions import Fraction
 
 from conftest import (
+    rank,
     random_dense_cochain,
     random_double_complex,
     random_int_chain,
     random_int_matrix,
 )
 from exhom.complexes import cohomology_dims, kunneth_check, uct_check
-from exhom.qlinalg import RatMatrix, Subspace, rank
+from exhom.qlinalg import RatMatrix
 from exhom.spectral import (
     COLUMN,
     ROW,
@@ -107,15 +107,15 @@ def _vertical_only_complex(rng):
 
 
 def _random_flag(rng, n, dims):
+    """The rows of a random invertible matrix, row k of level
+    #{p >= 1 : k < dims[p]}."""
     b = dims[0]
     while True:
-        M = RatMatrix.from_rows(
-            [[Fraction(rng.randint(-3, 3)) for _ in range(b)]
-             for _ in range(b)], b)
-        if rank(M) == b:
+        rows = [[rng.randint(-3, 3) for _ in range(b)] for _ in range(b)]
+        if rank(RatMatrix.from_rows(rows, b)) == b:
             break
-    rows = M.to_lists()
-    return FiltrationChain(n, tuple(Subspace.span(b, rows[:d]) for d in dims))
+    levels = tuple(sum(1 for d in dims[1:] if d > k) for k in range(b))
+    return FiltrationChain(n, b, levels, tuple(map(tuple, rows)))
 
 
 def _symmetric_profile(rng):
@@ -154,11 +154,9 @@ def test_criterion_3_lemma_suite():
             if not opposite_check(F, G):
                 failures.append(("b", found, dims))
     # (c) engineered violations are rejected by the criterion
-    F = FiltrationChain(1, (Subspace.full(2), Subspace.span(2, [[1, 0]]),
-                            Subspace.zero(2)))
+    F = FiltrationChain(1, 2, (1, 0))  # F^1 = <e_0>
     G_same = F  # violates the sum condition: F^1 + G^1 is not everything
-    G_skew = FiltrationChain(1, (Subspace.full(2), Subspace.zero(2),
-                                 Subspace.zero(2)))  # violates dim symmetry
+    G_skew = FiltrationChain(1, 2, (0, 0))  # violates dim symmetry
     if dimension_criterion(F, G_same):
         failures.append(("c", "sum-condition violation accepted"))
     if dimension_criterion(F, G_skew):

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from datetime import timedelta
 from decimal import Decimal
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from exhom.documents import (
 )
 from exhom.qlinalg import RatMatrix
 from exhom.spectral import COLUMN, MAX_GRID, ROW
+from exhom.steinberg import MAX_SPACE_DIM
 from exhom.zlinalg import IntMatrix
 
 
@@ -254,8 +256,9 @@ def test_cli_betti_machine_builds_no_filtrations(capsys, monkeypatch):
     rows, and no anti-diagonal list or covering filtration is built."""
     from exhom import steinberg
     sp = steinberg.InducedSpectrum(1, 2, 0)
-    b = [0] * 601
-    for (r, s), v in steinberg.e2_table(150, 150, sp).grid.items():
+    top = MAX_SPACE_DIM
+    b = [0] * (4 * top + 1)
+    for (r, s), v in steinberg.e2_table(top, top, sp).grid.items():
         b[r + s] += v
     want = " ".join(map(str, b)) + "\n"
 
@@ -263,7 +266,8 @@ def test_cli_betti_machine_builds_no_filtrations(capsys, monkeypatch):
         raise AssertionError("filtration built")
 
     monkeypatch.setattr(steinberg, "_filtration_dims", refuse)
-    argv = ("betti", "--d", "150", "--dp", "150", "--m10", "1", "--m01", "2")
+    argv = ("betti", "--d", str(top), "--dp", str(top), "--m10", "1",
+            "--m01", "2")
     build_parser()
     tracemalloc.start()
     try:
@@ -272,8 +276,8 @@ def test_cli_betti_machine_builds_no_filtrations(capsys, monkeypatch):
     finally:
         tracemalloc.stop()
     assert code == 0 and out == want
-    # the parent built every anti-diagonal and filtration: 3.5 MB here
-    assert peak < 1_000_000
+    # every anti-diagonal and filtration (--format table) take 0.58 MB here
+    assert peak < 200_000
     with pytest.raises(AssertionError, match="filtration built"):
         main([*argv, "--format", "table"])
 
@@ -290,19 +294,23 @@ def test_cli_filtration(capsys):
 
 def test_cli_filtration_reads_only_the_rows_it_needs(capsys):
     """An anti-diagonal reads the rows up to its degree, O(min(d, d')) each,
-    so a large d' costs neither time nor memory there."""
+    so a large d' costs neither time nor memory there.  The CLI takes d'
+    up to MAX_SPACE_DIM; the library takes any."""
+    from exhom.steinberg import InducedSpectrum, covering_filtration_dims
+    code, out, _ = run_cli(capsys, "filtration", "--d", "1", "--dp",
+                           str(MAX_SPACE_DIM), "--n", "3", "--m10", "1")
+    assert (code, out) == (0, "2 2 1 0 0\n")
     tracemalloc.start()
     try:
-        code, out, _ = run_cli(capsys, "filtration", "--d", "1",
-                               "--dp", "1000000", "--n", "3", "--m10", "1")
+        dims = covering_filtration_dims(1, 1000000, InducedSpectrum(1, 0, 0),
+                                        3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # a dense row of d' + 2 ints alone would take 8 MB
-    assert (code, out) == (0, "2 2 1 0 0\n") and peak < 1_000_000
-    code, out, _ = run_cli(capsys, "filtration", "--d", "1",
-                           "--dp", "1000000000", "--n", "0")
-    assert (code, out) == (0, "1 0\n")
+    assert dims == [2, 2, 1, 0, 0] and peak < 1_000_000
+    assert covering_filtration_dims(1, 1000000000, InducedSpectrum(0, 0, 0),
+                                    0) == [1, 0]
 
 
 def test_cli_snf(tmp_path, capsys):
@@ -623,6 +631,18 @@ def test_cli_bounds_the_total_dimension(tmp_path, capsys, over):
         assert sum(parse_chain_document(json.dumps(docs["c"])).dims.values()) \
             == sum(parse_cochain_document(json.dumps(docs["c"])).dims.values()) \
             == n
+        # oppose on one cell with no maps, every vector a class: at half
+        # the bound it runs in 1.6 s, at the bound itself in 6.5 s
+        half = n // 2
+        (tmp_path / "cell.json").write_text(json.dumps(
+            {"max_r": 0, "max_c": 0, "dims": {"0,0": half}}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "oppose", "--input",
+                                 str(tmp_path / "cell.json"), "--n", "0")
+        assert time.perf_counter() - start < 5.0
+        assert (code, err) == (0, "")
+        assert out == (f"col dims {half} 0\nrow dims {half} 0\n"
+                       "opposite true\ndimension_criterion true\n")
         return
     for argv in (["ss", "--input", k, "--axis", "col"],
                  ["ss", "--input", k, "--axis", "row", "--pages"],
@@ -635,6 +655,26 @@ def test_cli_bounds_the_total_dimension(tmp_path, capsys, over):
         assert _rejected(code, err) and out == ""
         assert err == (f"error: total dimension must be at most "
                        f"{MAX_TOTAL_DIM}, got {n}\n")
+
+
+@pytest.mark.parametrize("argv", [["e2"], ["e2", "--compare-paper"],
+                                  ["betti", "--format", "table"],
+                                  ["filtration", "--n", "5"]])
+def test_cli_bounds_the_space_dimensions(capsys, argv):
+    """d = d' = MAX_SPACE_DIM runs at once; one more in either exits 2."""
+    name, *rest = argv
+    top = MAX_SPACE_DIM
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, name, "--d", str(top), "--dp", str(top),
+                             *rest)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out and err == ""
+    for d, dp in ((top + 1, top), (1, top + 1)):
+        code, out, err = run_cli(capsys, name, "--d", str(d), "--dp", str(dp),
+                                 *rest)
+        assert code == 2 and out == ""
+        assert f"expected a positive integer at most {top}, got '{top + 1}'" \
+            in err
 
 
 def test_cli_bounds_the_tensor_product(tmp_path, capsys):
@@ -742,20 +782,43 @@ _DOCUMENTS = st.recursive(
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(_KEYS, inner, max_size=5)),
     max_leaves=25).map(json.dumps) | st.text(max_size=20)
-_COMMANDS = st.sampled_from(["snf", "uct", "ss", "oppose"]).flatmap(
+_DOC = "<document>"  # replaced by the path of the fuzzed document
+_SIZES = st.integers(-2, MAX_SPACE_DIM + 2).map(str) | st.just("x")
+_SPECTRUM = st.tuples(st.just("--d"), _SIZES, st.just("--dp"), _SIZES,
+                      st.sampled_from(["--m10", "--m01", "--m11"]),
+                      st.integers(-1, 3).map(str))
+_FORMAT = st.just(()) | st.tuples(st.just("--format"),
+                                  st.sampled_from(["table", "machine"]))
+_COMMANDS = st.sampled_from(["snf", "uct", "ss", "oppose", "kunneth", "e2",
+                             "betti", "filtration"]).flatmap(
     lambda cmd: st.tuples(st.just(cmd), {
-        "snf": st.just(()),
-        "uct": st.tuples(st.just("--mod"),
+        "snf": st.just(("--input", _DOC)),
+        "uct": st.tuples(st.just("--input"), st.just(_DOC), st.just("--mod"),
                          st.sampled_from(["2", "3", "4", "1", "x"])),
-        "ss": st.tuples(st.just("--axis"), st.sampled_from(["row", "col", "x"]))
-        | st.tuples(st.just("--axis"), st.sampled_from(["row", "col"]),
-                    st.just("--pages")),
-        "oppose": st.tuples(st.just("--n"),
+        "ss": st.tuples(st.just("--input"), st.just(_DOC), st.just("--axis"),
+                        st.sampled_from(["row", "col", "x"]))
+        | st.tuples(st.just("--input"), st.just(_DOC), st.just("--axis"),
+                    st.sampled_from(["row", "col"]), st.just("--pages")),
+        "oppose": st.tuples(st.just("--input"), st.just(_DOC), st.just("--n"),
                             st.integers(-2, 8).map(str) | st.just("x")),
+        "kunneth": st.just(("--a", _DOC, "--b", _DOC)),
+        "e2": st.tuples(_SPECTRUM, _FORMAT | st.just(("--compare-paper",))),
+        "betti": st.tuples(_SPECTRUM, _FORMAT),
+        "filtration": st.tuples(
+            _SPECTRUM, st.tuples(st.just("--n"),
+                                 st.integers(-2, 4 * MAX_SPACE_DIM + 2).map(str)
+                                 | st.just("x"))),
     }[cmd]))
 
 
-@settings(max_examples=300, deadline=None)
+def _flat(args):
+    return [x for a in args
+            for x in (_flat(a) if isinstance(a, tuple) else [a])]
+
+
+# The slowest document within the bounds, `oppose --n 0` on one cell of
+# MAX_TOTAL_DIM basis vectors with no maps, takes about 6.5 s.
+@settings(max_examples=300, deadline=timedelta(seconds=15))
 @given(text=_DOCUMENTS, command=_COMMANDS)
 def test_cli_exits_cleanly_on_any_document(text, command):
     with tempfile.TemporaryDirectory() as tmp:
@@ -766,6 +829,7 @@ def test_cli_exits_cleanly_on_any_document(text, command):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
-            code = main([name, "--input", path, *rest])
+            code = main([name, *(path if a == _DOC else a
+                                 for a in _flat(rest))])
     assert code in (0, 1, 2)
     assert code == 0 or err.getvalue().count("\n") >= 1

@@ -17,17 +17,17 @@
 import random
 
 from conftest import (
+    Subspace,
+    apply,
     differential,
+    filtration_spaces,
+    kernel_basis,
     random_double_complex,
     random_zigzag_double_complex,
-)
-from exhom.qlinalg import (
-    RatMatrix,
-    Subspace,
-    kernel_basis,
     subspace_intersect,
     subspace_sum,
 )
+from exhom.qlinalg import RatMatrix
 from exhom.spectral import (
     COLUMN,
     ROW,
@@ -75,7 +75,7 @@ class ReferencePages:
     def image(self, S, n):
         """D^n(S) inside T^{n+1}."""
         D = differential(self.T, n)
-        return Subspace.span(self.dim(n + 1), [D.apply(v) for v in S.vectors()])
+        return Subspace.span(self.dim(n + 1), [apply(D, v) for v in S.vectors()])
 
     def B(self, r, p, q):
         n = p + q
@@ -170,13 +170,13 @@ def test_filtration_intersections_match_basis_free_formula():
         col, row = ReferencePages(K, COLUMN), ReferencePages(K, ROW)
         far = col.top + 2
         for n in range(col.top + 1):
-            F = filtration_on_total(K, COLUMN, n)
-            G = filtration_on_total(K, ROW, n)
+            F = filtration_spaces(filtration_on_total(K, COLUMN, n))
+            G = filtration_spaces(filtration_on_total(K, ROW, n))
             B = (col.image(Subspace.full(col.dim(n - 1)), n - 1) if n
                  else Subspace.zero(col.dim(n)))
             for p in range(n + 2):
                 FB = subspace_sum(col.Z(far, p, n), B)
                 for q in range(n + 2):
                     GB = subspace_sum(row.Z(far, q, n), B)
-                    assert subspace_intersect(F.spaces[p], G.spaces[q]).dim \
+                    assert subspace_intersect(F[p], G[q]).dim \
                         == subspace_intersect(FB, GB).dim - B.dim

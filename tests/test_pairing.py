@@ -6,8 +6,9 @@
 * Its chains are ints, and their size stays bounded by content removal.
 * Known answers at total dimension 472, a size the `Fraction` engine made
   too slow for the suite.
-* The two filtrations of `oppose` share one Tot, scaled once, and one
-  unfiltered pairing.
+* The two filtrations of `oppose` share one Tot, scaled once, and pair it
+  twice: the column pairing's unpaired cycles are the basis of H^n both
+  are written on.
 * An absent (zero) differential is read as zero columns, with no zero
   matrix built.
 """
@@ -20,6 +21,7 @@ from math import inf
 import pytest
 
 from conftest import (
+    Subspace,
     random_double_complex,
     random_zigzag_double_complex,
     reference_pairing,
@@ -31,7 +33,7 @@ from exhom.complexes import (
     cohomology,
     cohomology_dims,
 )
-from exhom.qlinalg import RatMatrix, Subspace
+from exhom.qlinalg import RatMatrix
 from exhom.spectral import (
     COLUMN,
     ROW,
@@ -75,7 +77,7 @@ def test_integer_pairing_matches_fraction_reference():
                 for n in T.degrees():
                     want = [h.chain for h in ref
                             if h.n == n and h.life == inf]
-                    assert cohomology(T, n)[1] \
+                    assert Subspace.span(T.dim(n), cohomology(T, n)[1]) \
                         == Subspace.span(T.dim(n), want)
                 continue
             for r, grid in spectral_pages(K, axis).pages.items():
@@ -113,9 +115,10 @@ def test_zigzag_known_answers_at_size(zigzag_472):
                 == Z.filtration_dims(axis, n)
 
 
-def test_oppose_builds_tot_once_and_pairs_three_times(monkeypatch):
-    """Building K (whose validation totalizes) and both filtrations: one
-    Tot, each of its columns scaled once, three pairings."""
+def test_oppose_builds_tot_once_and_pairs_twice(monkeypatch):
+    """Building K (whose validation totalizes) and both filtrations, in
+    either order: one Tot, each of its columns scaled once, two pairings,
+    the column pairing giving the basis of H^n both are written on."""
     calls = Counter()
 
     def counted(name, fn):
@@ -131,15 +134,21 @@ def test_oppose_builds_tot_once_and_pairs_three_times(monkeypatch):
     pairing = counted("pair", complexes._pairing)
     monkeypatch.setattr(spectral, "_pairing", pairing)
     monkeypatch.setattr(complexes, "_pairing", pairing)
-    K, Z = random_zigzag_double_complex(random.Random(41), grid=3, pieces=12)
-    n = 3
-    F = filtration_on_total(K, COLUMN, n)
-    G = filtration_on_total(K, ROW, n)
-    assert F.ambient_dim == 2
-    assert (F.dims(), G.dims()) \
-        == (Z.filtration_dims(COLUMN, n), Z.filtration_dims(ROW, n))
-    columns = sum(D.cols for D in K._total.differentials.values())
-    assert calls == {"total": 1, "pair": 3, "scale": columns}
+    for first, second in ((COLUMN, ROW), (ROW, COLUMN)):
+        calls.clear()
+        K, Z = random_zigzag_double_complex(random.Random(41), grid=3,
+                                            pieces=12)
+        n = 3
+        F = filtration_on_total(K, first, n)
+        G = filtration_on_total(K, second, n)
+        assert F.ambient_dim == 2
+        assert (F.dims(), G.dims()) \
+            == (Z.filtration_dims(first, n), Z.filtration_dims(second, n))
+        # the column classes are that basis, so they carry no rows
+        assert (F.rows is None, G.rows is None) \
+            == (first == COLUMN, second == COLUMN)
+        columns = sum(D.cols for D in K._total.differentials.values())
+        assert calls == {"total": 1, "pair": 2, "scale": columns}
 
 
 def test_absent_maps_build_no_zero_matrix(monkeypatch):
@@ -159,7 +168,7 @@ def test_absent_maps_build_no_zero_matrix(monkeypatch):
     C = cochain_complex(0, {0: 2, 1: 3, 2: 1, 3: 2},
                         {1: RatMatrix.from_rows([[1, 2, 0]], 3)})
     assert cohomology_dims(C) == {0: 2, 1: 2, 2: 0, 3: 2}
-    assert cohomology(C, 3)[1] == Subspace.full(2)
+    assert Subspace.span(2, cohomology(C, 3)[1]) == Subspace.full(2)
     # K^{0,0} maps nowhere, so D^0: T^0 -> T^1 is absent
     K = double_complex(1, 1, {(0, 0): 2, (1, 0): 1, (0, 1): 1, (1, 1): 1},
                        {(0, 1): one}, {})

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import differential, random_double_complex
+from conftest import apply, differential, random_double_complex
 from exhom.documents import (
     DocumentError,
     parse_chain_document,
@@ -145,9 +145,9 @@ def test_transpose_column_and_apply_match_entries():
         for j in range(m):
             assert a.column(j) == tuple(a[i, j] for i in range(n))
         v = [random_rational(rng) for _ in range(m)]
-        assert list(q.apply(v)) == naive_product(q, RatMatrix(m, 1, tuple(v)))
+        assert list(apply(q, v)) == naive_product(q, RatMatrix(m, 1, tuple(v)))
     with pytest.raises(ValueError, match="vector length mismatch"):
-        RatMatrix.zero(2, 3).apply([1, 2])
+        apply(RatMatrix.zero(2, 3), [1, 2])
 
 
 def test_total_differential_matches_block_reference():

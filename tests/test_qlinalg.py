@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exhom.qlinalg import (
-    RatMatrix,
+from conftest import (
     Subspace,
     is_complementary,
     kernel_basis,
@@ -14,6 +13,7 @@ from exhom.qlinalg import (
     subspace_intersect,
     subspace_sum,
 )
+from exhom.qlinalg import RatMatrix
 
 
 def mat(rows):

@@ -1,18 +1,21 @@
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
 from conftest import (
+    filtration_spaces,
     naive_composite,
+    rank,
     random_dense_cochain,
     random_double_complex,
     random_zigzag_double_complex,
+    reference_criterion,
     reference_defects,
+    reference_opposite,
 )
 from exhom.complexes import cohomology, cohomology_dims, validate_complex
-from exhom.qlinalg import RatMatrix, Subspace, rank
+from exhom.qlinalg import RatMatrix
 from exhom.spectral import (
     COLUMN,
     ROW,
@@ -258,24 +261,21 @@ def test_filtration_graded_pieces_match_limit():
 
 
 def _flag(rng, n, dims):
-    """Random filtration chain on Q^b with the given step dims."""
+    """Random filtration chain on Q^b with the given step dims: the rows of
+    a random invertible matrix, row k spanning F^p for every p with
+    k < dims[p]."""
     b = dims[0]
     while True:
-        M = RatMatrix.from_rows(
-            [[Fraction(rng.randint(-3, 3)) for _ in range(b)]
-             for _ in range(b)], b)
-        if rank(M) == b:
+        rows = [[rng.randint(-3, 3) for _ in range(b)] for _ in range(b)]
+        if rank(RatMatrix.from_rows(rows, b)) == b:
             break
-    rows = M.to_lists()
-    return FiltrationChain(n, tuple(
-        Subspace.span(b, rows[:d]) for d in dims))
+    levels = tuple(sum(1 for d in dims[1:] if d > k) for k in range(b))
+    return FiltrationChain(n, b, levels, tuple(map(tuple, rows)))
 
 
 def test_opposite_simple():
-    F = FiltrationChain(1, (Subspace.full(2), Subspace.span(2, [[1, 0]]),
-                            Subspace.zero(2)))
-    G = FiltrationChain(1, (Subspace.full(2), Subspace.span(2, [[0, 1]]),
-                            Subspace.zero(2)))
+    F = FiltrationChain(1, 2, (1, 0))  # F^1 = <e_0>, unit rows
+    G = FiltrationChain(1, 2, (0, 1), ((1, 0), (0, 1)))  # G^1 = <e_1>
     assert opposite_check(F, G)
     assert not opposite_check(F, F)
     assert dimension_criterion(F, G)
@@ -308,22 +308,51 @@ def test_dimension_criterion_implies_opposite_random():
 
 def test_dimension_criterion_rejects_violations():
     # same middle space: sum condition fails
-    F = FiltrationChain(1, (Subspace.full(2), Subspace.span(2, [[1, 0]]),
-                            Subspace.zero(2)))
+    F = FiltrationChain(1, 2, (1, 0))
     assert not dimension_criterion(F, F)
     # asymmetric dims
-    G = FiltrationChain(1, (Subspace.full(2), Subspace.zero(2),
-                            Subspace.zero(2)))
+    G = FiltrationChain(1, 2, (0, 0))
     assert not dimension_criterion(F, G)
 
 
 def test_opposite_mismatch_raises():
-    F = FiltrationChain(1, (Subspace.full(2), Subspace.span(2, [[1, 0]]),
-                            Subspace.zero(2)))
-    H = FiltrationChain(2, (Subspace.full(2), Subspace.span(2, [[1, 0]]),
-                            Subspace.span(2, [[1, 0]]), Subspace.zero(2)))
+    F = FiltrationChain(1, 2, (1, 0))
+    H = FiltrationChain(2, 2, (2, 0))
     with pytest.raises(ValueError):
         opposite_check(F, H)
+
+
+def test_filtration_counts_and_ranks_match_the_subspace_reference():
+    """300 zigzag double complexes on grids 2-5, most with corners (classes
+    spread over two cells of different levels), every n in range and one
+    outside it, every ordered pair of the two axes' filtrations: the dims
+    are the known ones and those of the reference spans of each step, and
+    `opposite_check` and `dimension_criterion` give the verdicts of the
+    rational subspace algebra.  Each verdict occurs both true and false."""
+    rng = random.Random(61)
+    seen = Counter()
+    for _ in range(300):
+        grid = rng.randint(2, 5)
+        K, Z = random_zigzag_double_complex(rng, grid=grid,
+                                            pieces=rng.randint(4, 14),
+                                            corners=rng.randint(0, 3))
+        for axis in (COLUMN, ROW):
+            assert spectral_pages(K, axis).limit \
+                == Z.page_dims(axis, 2 * grid + 2)
+        for n in [*range(2 * grid + 1), rng.choice((-1, 2 * grid + 1))]:
+            chains = [filtration_on_total(K, axis, n) for axis in (COLUMN, ROW)]
+            for F, axis in zip(chains, (COLUMN, ROW)):
+                known = Z.filtration_dims(axis, n) if n >= 0 else (0, 0)
+                assert F.dims() == known \
+                    == tuple(S.dim for S in filtration_spaces(F))
+            for F in chains:
+                for G in chains:
+                    got = (opposite_check(F, G), dimension_criterion(F, G))
+                    assert got == (reference_opposite(F, G),
+                                   reference_criterion(F, G))
+                    seen.update(zip(("opposite", "criterion"), got))
+    assert all(seen[check, verdict] for check in ("opposite", "criterion")
+               for verdict in (True, False)), seen
 
 
 def test_negative_grid_rejected():

@@ -15,10 +15,10 @@ from conftest import (
     random_int_matrix,
     random_low_rank_matrix,
     random_unimodular,
+    rank,
 )
 from exhom import zlinalg
 from exhom.cli import main
-from exhom.qlinalg import rank
 from exhom.zlinalg import (
     FinAbGroup,
     IntMatrix,
