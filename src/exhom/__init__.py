@@ -11,7 +11,6 @@ from .zlinalg import (
     FinAbGroup,
     IntMatrix,
     SmithForm,
-    cokernel_structure,
     invariant_factors,
     smith_normal_form,
 )
@@ -20,7 +19,6 @@ from .complexes import (
     IntChainComplex,
     cochain_complex,
     cohomology,
-    hom_dual,
     homology_int,
     int_chain_complex,
     kunneth_check,

@@ -9,9 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from decimal import Decimal
 from math import inf
-from typing import List
 
 from . import complexes, spectral, steinberg
 from .documents import (
@@ -200,6 +198,7 @@ def _cmd_uct(args, out) -> int:
 
 
 def _cmd_snf(args, out) -> int:
+    from decimal import Decimal
     A = parse_int_matrix_document(_read(args.input))
     # str(Decimal(d)) is str(d) without the int-string digit limit, which a
     # product of entries under that limit can pass
@@ -235,7 +234,7 @@ _COMMANDS = {
 }
 
 
-def main(argv: List[str] | None = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

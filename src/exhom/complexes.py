@@ -2,8 +2,7 @@
 
 Provides cohomology with integer representatives, total tensor products
 with the Leibniz sign, a Kunneth dimension check, integral homology from
-invariant factors, a universal-coefficient dimension check, and degreewise
-dualization.
+invariant factors, and a universal-coefficient dimension check.
 
 Rational cohomology, and the spectral sequences of `spectral`, come from one
 filtered column reduction, the persistence pairing (Zomorodian and Carlsson
@@ -29,12 +28,12 @@ multiplying no absent (zero) differential.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Sequence
 from functools import cached_property
 from math import gcd, inf, lcm
-from typing import Dict, List, NamedTuple, Sequence, Tuple
 
+from ._record import Record, _set
 from .qlinalg import RatMatrix
 from .zlinalg import (
     FinAbGroup,
@@ -49,17 +48,18 @@ class ComplexError(ValueError):
     """Raised when a complex fails its structural invariants."""
 
 
-@dataclass(frozen=True)
-class _Complex:
+class _Complex(Record):
     """Graded storage of both gradings: d_n maps degree n to n + step, step
     and matrix class named by the subclass.  dims holds only nonzero degrees;
     differentials hold only nonzero maps, d_n of shape dim(n+step) x dim(n).
     """
 
-    min_deg: int
-    max_deg: int
-    dims: Dict[int, int]
-    differentials: Dict[int, object]
+    def __init__(self, min_deg: int, max_deg: int, dims: dict[int, int],
+                 differentials: dict[int, object]):
+        _set(self, "min_deg", min_deg)
+        _set(self, "max_deg", max_deg)
+        _set(self, "dims", dims)
+        _set(self, "differentials", differentials)
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
@@ -68,7 +68,6 @@ class _Complex:
         return range(self.min_deg, self.max_deg + 1)
 
 
-@dataclass(frozen=True)
 class CochainComplex(_Complex):
     """Graded Q-vector spaces with differentials d^n: C^n -> C^{n+1}."""
 
@@ -76,7 +75,7 @@ class CochainComplex(_Complex):
     matrix = RatMatrix
 
     @cached_property
-    def _columns(self) -> Dict[int, List[Tuple[Sequence[int], int]]]:
+    def _columns(self) -> dict[int, list[tuple[Sequence[int], int]]]:
         """Columns of each stored d^n as (v, den), v an integer vector with
         column = v / den and gcd(den, *v) = 1: scaled once, for every
         pairing of the complex."""
@@ -85,7 +84,6 @@ class CochainComplex(_Complex):
                 for n, D in self.differentials.items()}
 
 
-@dataclass(frozen=True)
 class IntChainComplex(_Complex):
     """Free Z-modules with differentials d_n: C_n -> C_{n-1} (homological)."""
 
@@ -93,7 +91,7 @@ class IntChainComplex(_Complex):
     matrix = IntMatrix
 
 
-def _build(cls, min_deg: int, dims: Dict[int, int], differentials):
+def _build(cls, min_deg: int, dims: dict[int, int], differentials):
     """Build a complex of class cls, checking shapes and dropping zero data."""
     dims = {n: d for n, d in dims.items() if d > 0}
     max_deg = max(dims) if dims else min_deg
@@ -110,19 +108,19 @@ def _build(cls, min_deg: int, dims: Dict[int, int], differentials):
     return cls(min_deg, max_deg, dims, diffs)
 
 
-def cochain_complex(min_deg: int, dims: Dict[int, int],
-                    differentials: Dict[int, RatMatrix]) -> CochainComplex:
+def cochain_complex(min_deg: int, dims: dict[int, int],
+                    differentials: dict[int, RatMatrix]) -> CochainComplex:
     """Build a CochainComplex, checking shapes and dropping zero data."""
     return _build(CochainComplex, min_deg, dims, differentials)
 
 
-def int_chain_complex(min_deg: int, dims: Dict[int, int],
-                      differentials: Dict[int, IntMatrix]) -> IntChainComplex:
+def int_chain_complex(min_deg: int, dims: dict[int, int],
+                      differentials: dict[int, IntMatrix]) -> IntChainComplex:
     """Build an IntChainComplex, checking shapes and dropping zero data."""
     return _build(IntChainComplex, min_deg, dims, differentials)
 
 
-def _primitive(column: Sequence[int], den: int) -> Tuple[Sequence[int], int]:
+def _primitive(column: Sequence[int], den: int) -> tuple[Sequence[int], int]:
     """(v, d) with column / den = v / d and gcd(d, *v) = 1."""
     g = gcd(den, *column)
     return (column, den) if g == 1 else (
@@ -153,19 +151,12 @@ def validate_complex(C) -> bool:
     return _nonzero_composite(C) is None
 
 
-class _Generator(NamedTuple):
-    """Basis vector i of C^n after the pairing: its level, the pages 1..life
-    it lives on (0 for none, inf if unpaired) and whether it is a source.
-    Its chain, an integer vector whose low is i, is den * e_i plus multiples
-    of basis vectors earlier in the reduction order, rescaled by the
-    reduction, or for a target the reduced column of its source."""
-
-    n: int
-    i: int
-    level: int
-    life: float
-    source: bool
-    chain: Tuple[int, ...]
+# Basis vector i of C^n after the pairing: its level, the pages 1..life it
+# lives on (0 for none, inf if unpaired) and whether it is a source.  Its
+# chain, an integer vector whose low is i, is den * e_i plus multiples of
+# basis vectors earlier in the reduction order, rescaled by the reduction,
+# or for a target the reduced column of its source.
+_Generator = namedtuple("_Generator", "n i level life source chain")
 
 
 def _reduce(vec, chain, pivots, order):
@@ -190,8 +181,8 @@ def _reduce(vec, chain, pivots, order):
             chain = [x // g for x in chain]
 
 
-def _pairing(C: CochainComplex, levels: Dict[int, Sequence[int]],
-             last: int) -> List[_Generator]:
+def _pairing(C: CochainComplex, levels: dict[int, Sequence[int]],
+             last: int) -> list[_Generator]:
     """Persistence pairing of C in degrees up to `last`, basis vector i of
     C^n at level levels[n][i] (all 0 for a degree not in levels).
 
@@ -201,15 +192,15 @@ def _pairing(C: CochainComplex, levels: Dict[int, Sequence[int]],
     skipped (clearing); so is every column of an absent (zero) d^n, each a
     cycle.
     """
-    gens: List[_Generator] = []
-    killed: Dict[int, tuple] = {}
+    gens: list[_Generator] = []
+    killed: dict[int, tuple] = {}
     for n in range(C.min_deg, last + 1):
         src = levels.get(n) or [0] * C.dim(n)
         columns = C._columns.get(n)
         dst = levels.get(n + 1) or [0] * C.dim(n + 1)
         order = sorted(range(len(dst)), key=lambda j: (dst[j], -j)) \
             if columns else ()
-        pivots: Dict[int, tuple] = {}  # low -> (column, chain, source level)
+        pivots: dict[int, tuple] = {}  # low -> (column, chain, source level)
         for i in sorted(range(len(src)), key=lambda i: (-src[i], i)):
             if i in killed:
                 col, _, level = killed[i]
@@ -230,7 +221,7 @@ def _pairing(C: CochainComplex, levels: Dict[int, Sequence[int]],
     return gens
 
 
-def cohomology(C: CochainComplex, n: int) -> Tuple[int, Tuple[tuple, ...]]:
+def cohomology(C: CochainComplex, n: int) -> tuple[int, tuple[tuple, ...]]:
     """(dim H^n, the unpaired cycles of degree n as integer rows, whose
     classes form a basis of H^n)."""
     if C.dim(n) == 0:
@@ -240,24 +231,24 @@ def cohomology(C: CochainComplex, n: int) -> Tuple[int, Tuple[tuple, ...]]:
     return len(reps), reps
 
 
-def cohomology_dims(C: CochainComplex) -> Dict[int, int]:
+def cohomology_dims(C: CochainComplex) -> dict[int, int]:
     cycles = Counter(g.n for g in _pairing(C, {}, C.max_deg)
                      if g.life == inf)
     return {n: cycles[n] for n in C.degrees()}
 
 
-def _totalize(min_deg: int, dims: Dict[Tuple[int, int], int], horiz,
+def _totalize(min_deg: int, dims: dict[tuple[int, int], int], horiz,
               vert) -> CochainComplex:
     """Totalization T^n = sum_{r+s=n} K^{r,s} of the nonzero cells `dims`,
     blocks in increasing r, with D = horiz + (-1)^r vert, each map keyed by
     its source cell: horiz to (r+1, s), vert to (r, s+1).  D^n is written
     on the blocks' numerators over the lcm of their denominators."""
-    offsets: Dict[Tuple[int, int], int] = {}
+    offsets: dict[tuple[int, int], int] = {}
     total: Counter = Counter()
     for r, s in sorted(dims):
         offsets[r, s] = total[r + s]
         total[r + s] += dims[r, s]
-    blocks: Dict[int, list] = {}  # n -> (row offset, column offset, sign, M)
+    blocks: dict[int, list] = {}  # n -> (row offset, column offset, sign, M)
     for (r, s), off in offsets.items():
         for M, cell, sign in ((horiz.get((r, s)), (r + 1, s), 1),
                               (vert.get((r, s)), (r, s + 1), (-1) ** r)):
@@ -305,14 +296,15 @@ def tensor_product(C: CochainComplex, D: CochainComplex) -> CochainComplex:
     return _totalize(C.min_deg + D.min_deg, dims, horiz, vert)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Per-degree comparison of two dimension computations."""
+class CheckReport(Record):
+    """Per-degree comparison of two dimension computations: rows holds
+    (degree, lhs, rhs)."""
 
-    name: str
-    rows: Tuple[Tuple[int, int, int], ...]  # (degree, lhs, rhs)
-    passed: bool
-    note: str = ""
+    def __init__(self, name: str, rows: tuple, passed: bool, note: str = ""):
+        _set(self, "name", name)
+        _set(self, "rows", rows)
+        _set(self, "passed", passed)
+        _set(self, "note", note)
 
     def render(self) -> str:
         lines = [f"{self.name}: {'PASS' if self.passed else 'FAIL'}"
@@ -386,13 +378,3 @@ def uct_check(C: IntChainComplex, m: int) -> CheckReport:
         lhs = C.dim(n) - ranks.get(n, 0) - ranks.get(n + 1, 0)
         rows.append((n, lhs, rhs[n]))
     return CheckReport("uct", tuple(rows), all(l == r for _, l, r in rows))
-
-
-def hom_dual(C: CochainComplex) -> CochainComplex:
-    """Degreewise dual with transposed differentials, re-indexed as a cochain
-    complex: dual^n = (C^{m-n})* for m = min_deg + max_deg."""
-    m = C.min_deg + C.max_deg
-    dims = {m - n: C.dim(n) for n in C.degrees()}
-    # (d^n)^T : (C^{n+1})* -> (C^n)*, i.e. dual^{m-n-1} -> dual^{m-n}
-    diffs = {m - n - 1: d.transpose() for n, d in C.differentials.items()}
-    return cochain_complex(min(dims) if dims else 0, dims, diffs)

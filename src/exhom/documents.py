@@ -1,16 +1,13 @@
 """File formats: JSON documents for complexes, double complexes and matrices.
 
 Matrix entries are strings holding an integer or a "p/q" exact rational;
-plain JSON integers are accepted on input.  Serialization always writes
-lowest-terms rationals with the sign on the numerator, so round-trips are
-bit-stable.
+plain JSON integers are accepted on input.  Only a string entry builds a
+`Fraction`, so `fractions` is imported when the first one is read.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from typing import Tuple
 
 from .complexes import (
     CochainComplex,
@@ -40,6 +37,7 @@ def _parse_rational(raw):
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
     if isinstance(raw, str):
+        from fractions import Fraction
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError):
@@ -104,16 +102,6 @@ def _load_json(text: str):
                             "digits") from None
 
 
-def _format_rational(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def _format_matrix(M: RatMatrix) -> list:
-    return [[_format_rational(f) for f in row] for row in M.to_lists()]
-
-
 def _load_object(text: str) -> dict:
     doc = _load_json(text)
     if not isinstance(doc, dict):
@@ -138,7 +126,7 @@ def _degree_key(k: str, where: str) -> int:
         raise DocumentError(f"malformed degree key {k!r} in '{where}'") from None
 
 
-def _cell_key(k: str, where: str) -> Tuple[int, int]:
+def _cell_key(k: str, where: str) -> tuple[int, int]:
     try:
         r, s = map(int, k.split(","))  # a count other than 2 fails to unpack
     except ValueError:
@@ -245,27 +233,3 @@ def parse_int_matrix_document(text: str) -> IntMatrix:
     cols = len(doc[0]) if rows and isinstance(doc[0], list) else 0
     return _parse_int_matrix(doc, rows, cols, "matrix")
 
-
-def serialize_cochain(C: CochainComplex) -> str:
-    doc = {
-        "min_deg": C.min_deg,
-        "dims": {str(n): C.dim(n) for n in sorted(C.dims)},
-        "differentials": {
-            str(n): _format_matrix(M)
-            for n, M in sorted(C.differentials.items())
-        },
-    }
-    return json.dumps(doc, indent=1, sort_keys=True)
-
-
-def serialize_double_complex(K: DoubleComplex) -> str:
-    doc = {
-        "max_r": K.max_r,
-        "max_c": K.max_c,
-        "dims": {f"{r},{s}": d for (r, s), d in sorted(K.dims.items())},
-        "horiz": {f"{r},{s}": _format_matrix(M)
-                  for (r, s), M in sorted(K.horiz.items())},
-        "vert": {f"{r},{s}": _format_matrix(M)
-                 for (r, s), M in sorted(K.vert.items())},
-    }
-    return json.dumps(doc, indent=1, sort_keys=True)

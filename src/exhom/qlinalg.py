@@ -17,61 +17,58 @@ elsewhere: the persistence pairing in `complexes`, Bareiss in `zlinalg`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from collections.abc import Sequence
 from functools import cached_property
 from itertools import compress, count
 from math import gcd, lcm
 from operator import mul
-from typing import List, Sequence, Tuple
+
+from ._record import Record, _set
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _columns(entries: Sequence, cols: int) -> List[Sequence]:
+def _columns(entries: Sequence, cols: int) -> list[Sequence]:
     """Columns of a row-major matrix with `cols` columns, as stride slices."""
     return [entries[j::cols] for j in range(cols)]
 
 
-def _span(v: Sequence[int]) -> Tuple[int, int]:
+def _span(v: Sequence[int]) -> tuple[int, int]:
     """(first nonzero position, last nonzero position + 1) of a nonzero v."""
     n = len(v)
     return (0 if v[0] else next(compress(count(), v)),
             n if v[-1] else n - next(compress(count(), reversed(v))))
 
 
-def _content(v: Sequence[int]) -> Tuple[Sequence[int], int]:
+def _content(v: Sequence[int]) -> tuple[Sequence[int], int]:
     """(w, g) with v = g w and g the gcd of v's entries (0 for v = 0)."""
     g = gcd(*v)
     return (v, g) if g < 2 else (tuple(x // g for x in v), g)
 
 
 def _int_products(rows: Sequence[Sequence[int]],
-                  cols: Sequence[Sequence[int]]) -> List[int]:
+                  cols: Sequence[Sequence[int]]) -> list[int]:
     """Row-major entries of the product whose factors have these integer
     rows and columns: the kernel of every dense integer product.  Only
     nonzero rows times nonzero columns are summed; every other entry is 0."""
     live = [c if any(c) else None for c in cols]
     blank = [0] * len(cols)
-    out: List[int] = []
+    out: list[int] = []
     for r in rows:
         out += [0 if c is None else sum(map(mul, r, c))
                 for c in live] if any(r) else blank
     return out
 
 
-@dataclass(frozen=True)
-class _Dense:
+class _Dense(Record):
     """Dense matrix, row-major, immutable: the integer storage `nums`, shape
     checks and row access of `RatMatrix` and `zlinalg.IntMatrix`.  Each
     subclass's constructor coerces the entries it is given to ints, and its
     `entries` are what row access reads."""
 
-    rows: int
-    cols: int
-    nums: tuple
+    def __init__(self, rows: int, cols: int, nums: tuple):
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "nums", nums)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -99,41 +96,44 @@ class _Dense:
     def identity(cls, n: int):
         return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
-    def _num_rows(self) -> List[tuple]:
+    def _num_rows(self) -> list[tuple]:
         """The rows of `nums`."""
         c = self.cols
         return [self.nums[i * c:(i + 1) * c] for i in range(self.rows)]
 
-    def __getitem__(self, rc: Tuple[int, int]):
+    def __getitem__(self, rc: tuple[int, int]):
         i, j = rc
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def to_lists(self) -> List[list]:
+    def to_lists(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self):
-        return replace(self, rows=self.cols, cols=self.rows,
-                       nums=tuple(x for c in _columns(self.nums, self.cols)
-                                  for x in c))
+        nums = tuple(x for c in _columns(self.nums, self.cols) for x in c)
+        return self.replace(rows=self.cols, cols=self.rows, nums=nums)
 
 
-@dataclass(frozen=True)
 class RatMatrix(_Dense):
     """Dense rational matrix: entry k is nums[k] / den, with den > 0 and
     gcd(den, *nums) = 1.  The constructor takes any rational entries (ints,
     Fractions, "p/q" strings) over any nonzero den and reduces them;
-    `entries` is the Fraction view."""
+    `entries` is the Fraction view, which imports `fractions` on first
+    read."""
 
-    den: int = 1
+    def __init__(self, rows: int, cols: int, nums: tuple, den: int = 1):
+        _set(self, "den", den)
+        super().__init__(rows, cols, nums)
 
     def __post_init__(self):
         super().__post_init__()
         nums, den = self.nums, self.den
         if not set(map(type, nums)) <= {int}:
-            fracs = tuple(map(_frac, nums))
+            from fractions import Fraction
+            fracs = [x if isinstance(x, Fraction) else Fraction(x)
+                     for x in nums]
             d = lcm(*[f.denominator for f in fracs])
             nums = tuple(f.numerator * (d // f.denominator) for f in fracs)
             den *= d
@@ -142,11 +142,12 @@ class RatMatrix(_Dense):
             if g != 1:
                 nums = tuple(x // g for x in nums)
                 den //= g
-        object.__setattr__(self, "nums", tuple(nums))
-        object.__setattr__(self, "den", den)
+        _set(self, "nums", tuple(nums))
+        _set(self, "den", den)
 
     @cached_property
-    def entries(self) -> Tuple[Fraction, ...]:
+    def entries(self) -> tuple:
+        from fractions import Fraction
         return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":

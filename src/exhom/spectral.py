@@ -33,11 +33,10 @@ degeneration detection live here.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, inf
-from typing import Dict, List, Optional, Tuple
 
+from ._record import Record, _set
 from .complexes import (CochainComplex, _composite, _nonzero_composite,
                         _pairing, _reduce, _totalize)
 from .qlinalg import RatMatrix
@@ -52,16 +51,18 @@ class DoubleComplexError(ValueError):
     """Raised when a double complex violates its structural invariants."""
 
 
-@dataclass(frozen=True)
-class DoubleComplex:
+class DoubleComplex(Record):
     """Grid K^{r,s} for 0 <= r <= max_r, 0 <= s <= max_c with commuting
-    horizontal (r+1) and vertical (s+1) differentials."""
+    horizontal (r+1) and vertical (s+1) differentials: dims, horiz and vert
+    are keyed by cell (r, s), the maps `RatMatrix`es."""
 
-    max_r: int
-    max_c: int
-    dims: Dict[Tuple[int, int], int]
-    horiz: Dict[Tuple[int, int], RatMatrix]
-    vert: Dict[Tuple[int, int], RatMatrix]
+    def __init__(self, max_r: int, max_c: int, dims: dict, horiz: dict,
+                 vert: dict):
+        _set(self, "max_r", max_r)
+        _set(self, "max_c", max_c)
+        _set(self, "dims", dims)
+        _set(self, "horiz", horiz)
+        _set(self, "vert", vert)
 
     def dim(self, r: int, s: int) -> int:
         return self.dims.get((r, s), 0)
@@ -72,16 +73,16 @@ class DoubleComplex:
         return total_complex(self)
 
     @cached_property
-    def _bases(self) -> Dict[int, tuple]:
+    def _bases(self) -> dict[int, tuple]:
         """Per degree, the column pairing's basis of H^n, filled by
         `_column_basis`."""
         return {}
 
 
 def double_complex(max_r: int, max_c: int,
-                   dims: Dict[Tuple[int, int], int],
-                   horiz: Dict[Tuple[int, int], RatMatrix],
-                   vert: Dict[Tuple[int, int], RatMatrix]) -> DoubleComplex:
+                   dims: dict[tuple[int, int], int],
+                   horiz: dict[tuple[int, int], RatMatrix],
+                   vert: dict[tuple[int, int], RatMatrix]) -> DoubleComplex:
     """Build and validate a DoubleComplex: shapes, then D o D = 0 on Tot,
     which holds iff d'd' = 0, d''d'' = 0 and every square commutes."""
     if max_r < 0 or max_c < 0:
@@ -139,8 +140,7 @@ def total_complex(K: DoubleComplex) -> CochainComplex:
     return _totalize(0, K.dims, K.horiz, K.vert)
 
 
-@dataclass(frozen=True)
-class SpectralPages:
+class SpectralPages(Record):
     """All computed pages of one of the two spectral sequences.
 
     pages[r][(p,q)] = (dim, tuple of dim chains in T^{p+q} coordinates
@@ -150,11 +150,13 @@ class SpectralPages:
     the limit with all later differentials zero.
     """
 
-    filtration_axis: str
-    pages: Dict[int, Dict[Tuple[int, int], Tuple[int, tuple]]]
-    d_ranks: Dict[Tuple[int, int, int], int]
-    limit: Dict[Tuple[int, int], int]
-    stable_page: int
+    def __init__(self, filtration_axis: str, pages: dict, d_ranks: dict,
+                 limit: dict, stable_page: int):
+        _set(self, "filtration_axis", filtration_axis)
+        _set(self, "pages", pages)
+        _set(self, "d_ranks", d_ranks)
+        _set(self, "limit", limit)
+        _set(self, "stable_page", stable_page)
 
     def dim(self, r: int, p: int, q: int) -> int:
         cell = self.pages.get(r, {}).get((p, q))
@@ -164,8 +166,7 @@ class SpectralPages:
         return self.d_ranks.get((r, p, q), 0)
 
 
-@dataclass(frozen=True)
-class FiltrationChain:
+class FiltrationChain(Record):
     """Descending filtration F^0 >= ... >= F^{n+1} on H^n, given by a basis
     of H^n adapted to it: class k has level levels[k], and F^p is spanned by
     the classes of level >= p, so nesting holds by construction.  rows[k]
@@ -173,10 +174,13 @@ class FiltrationChain:
     chains compared share; rows None means class k is that basis vector k.
     The rows must be independent."""
 
-    n: int
-    ambient_dim: int
-    levels: Tuple[int, ...]
-    rows: Optional[Tuple[Tuple[int, ...], ...]] = None
+    def __init__(self, n: int, ambient_dim: int, levels: tuple[int, ...],
+                 rows: tuple[tuple[int, ...], ...] | None = None):
+        _set(self, "n", n)
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "levels", levels)
+        _set(self, "rows", rows)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.levels) != self.ambient_dim:
@@ -189,16 +193,16 @@ class FiltrationChain:
             raise ValueError("filtration chain needs one row per class, "
                              "of ambient_dim coordinates")
 
-    def dims(self) -> Tuple[int, ...]:
+    def dims(self) -> tuple[int, ...]:
         return tuple(sum(1 for level in self.levels if level >= p)
                      for p in range(self.n + 2))
 
 
-def _levels(K: DoubleComplex, axis: str) -> Dict[int, List[int]]:
+def _levels(K: DoubleComplex, axis: str) -> dict[int, list[int]]:
     """Level of each block basis vector of T^n in the filtration by `axis`."""
     if axis not in (COLUMN, ROW):
         raise ValueError(f"axis must be '{COLUMN}' or '{ROW}'")
-    levels: Dict[int, List[int]] = {}
+    levels: dict[int, list[int]] = {}
     for (r, s), d in sorted(K.dims.items()):  # the order of `_totalize`
         levels.setdefault(r + s, []).extend([r if axis == COLUMN else s] * d)
     return levels
@@ -209,9 +213,9 @@ def spectral_pages(K: DoubleComplex, axis: str) -> SpectralPages:
     T = K._total
     gens = _pairing(T, _levels(K, axis), T.max_deg)
     last = K.max_r + K.max_c + 1  # beyond this every d_r vanishes (first quadrant)
-    pages: Dict[int, Dict[Tuple[int, int], Tuple[int, tuple]]] = {}
+    pages: dict[int, dict[tuple[int, int], tuple[int, tuple]]] = {}
     for r in range(1, last + 2):
-        alive: Dict[Tuple[int, int], list] = {}
+        alive: dict[tuple[int, int], list] = {}
         for g in gens:
             if g.life >= r:
                 alive.setdefault((g.level, g.n - g.level), []).append(g.chain)
@@ -248,7 +252,7 @@ def _column_basis(K: DoubleComplex, n: int) -> tuple:
     return K._bases[n]
 
 
-def _classes(K: DoubleComplex, n: int, cycles) -> List[Tuple[int, ...]]:
+def _classes(K: DoubleComplex, n: int, cycles) -> list[tuple[int, ...]]:
     """Integer coordinates of each cycle of degree n on the column basis of
     H^n, divided by their content: a cycle z reduces to zero against the
     triangular basis of `_column_basis`, leaving s z = sum of coords times
@@ -282,7 +286,7 @@ def filtration_on_total(K: DoubleComplex, axis: str, n: int) -> FiltrationChain:
                            tuple(_classes(K, n, [g.chain for g in cycles])))
 
 
-def _rank(rows: List[Tuple[int, ...]], cols: int) -> int:
+def _rank(rows: list[tuple[int, ...]], cols: int) -> int:
     return len(_bareiss(IntMatrix.from_rows(rows, cols))[0])
 
 

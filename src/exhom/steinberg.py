@@ -17,19 +17,20 @@ intended; `render_grids` draws its grids and those of `exhom e2`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, FrozenSet, List, Tuple
+
+from ._record import Record, _set
 
 MAX_SPACE_DIM = 64  # largest d and d' the CLI's e2, betti and filtration take
 
 
-@dataclass(frozen=True)
-class SteinbergLabel:
+class SteinbergLabel(Record):
     """Subset I of {1..d} labelling a generalized Steinberg representation."""
 
-    d: int
-    subset: FrozenSet[int]
+    def __init__(self, d: int, subset: frozenset[int]):
+        _set(self, "d", d)
+        _set(self, "subset", subset)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.d < 1:
@@ -42,8 +43,7 @@ class SteinbergLabel:
         return SteinbergLabel(d, frozenset(elements))
 
 
-@dataclass(frozen=True)
-class InducedSpectrum:
+class InducedSpectrum(Record):
     """Multiplicities of the nontrivial unitary constituents.
 
     m10: Steinberg (x) trivial, m01: trivial (x) Steinberg,
@@ -51,9 +51,11 @@ class InducedSpectrum:
     always one and is not configurable.
     """
 
-    m10: int
-    m01: int
-    m11: int
+    def __init__(self, m10: int, m01: int, m11: int):
+        _set(self, "m10", m10)
+        _set(self, "m01", m01)
+        _set(self, "m11", m11)
+        self.__post_init__()
 
     def __post_init__(self):
         if min(self.m10, self.m01, self.m11) < 0:
@@ -81,13 +83,13 @@ def ext_dim(I1: SteinbergLabel, J1: SteinbergLabel,
     return 1 if i == delta(I1, I2) + delta(J1, J2) else 0
 
 
-def _row(d: int, dp: int, spectrum: InducedSpectrum, s: int) -> Dict[int, int]:
+def _row(d: int, dp: int, spectrum: InducedSpectrum, s: int) -> dict[int, int]:
     """Row s of the second page as its nonzero cells {r: dim}: each Kunneth
     pair i + j = s, 0 <= i <= d, 0 <= j <= dp, adds one term per unitary
     constituent.  O(min(d, d')) time and memory."""
     if d < 1 or dp < 1:
         raise ValueError("dimensions must be >= 1")
-    row: Dict[int, int] = {}
+    row: dict[int, int] = {}
     for i in range(max(0, s - dp), min(d, s) + 1):
         j = s - i
         for r, w in ((i + j, 1), (d - i + j, spectrum.m10),
@@ -102,14 +104,15 @@ def e2_dim(d: int, dp: int, spectrum: InducedSpectrum, r: int, s: int) -> int:
     return _row(d, dp, spectrum, s).get(r, 0)
 
 
-@dataclass(frozen=True)
-class E2Table:
+class E2Table(Record):
     """Second-page grid over 0 <= r, s <= d + dp."""
 
-    d: int
-    dp: int
-    spectrum: InducedSpectrum
-    grid: Dict[Tuple[int, int], int]
+    def __init__(self, d: int, dp: int, spectrum: InducedSpectrum,
+                 grid: dict[tuple[int, int], int]):
+        _set(self, "d", d)
+        _set(self, "dp", dp)
+        _set(self, "spectrum", spectrum)
+        _set(self, "grid", grid)
 
     def at(self, r: int, s: int) -> int:
         return self.grid.get((r, s), 0)
@@ -127,7 +130,7 @@ def e2_table(d: int, dp: int, spectrum: InducedSpectrum) -> E2Table:
 
 
 def _antidiagonals(d: int, dp: int, spectrum: InducedSpectrum,
-                   degrees) -> List[List[int]]:
+                   degrees) -> list[list[int]]:
     """For each n in degrees, the cells (r, n - r) for r = 0..n, from one
     pass over the rows of the four-term sum that reach them."""
     diagonals = {n: [0] * (n + 1) for n in degrees}
@@ -138,7 +141,7 @@ def _antidiagonals(d: int, dp: int, spectrum: InducedSpectrum,
     return list(diagonals.values())
 
 
-def _filtration_dims(diagonal: List[int]) -> List[int]:
+def _filtration_dims(diagonal: list[int]) -> list[int]:
     """dim F^i = the sum of diagonal[r] over r >= i, for i = 0..len."""
     return list(accumulate(reversed(diagonal)))[::-1] + [0]
 
@@ -152,7 +155,7 @@ def betti(d: int, dp: int, spectrum: InducedSpectrum, n: int) -> int:
 
 
 def covering_filtration_dims(d: int, dp: int, spectrum: InducedSpectrum,
-                             n: int) -> List[int]:
+                             n: int) -> list[int]:
     """Dims of the covering filtration F^0 >= ... >= F^{n+1} on H^n:
     dim F^i = sum over r >= i of the degree-n anti-diagonal of the grid."""
     if n < 0 or n > 2 * (d + dp):
@@ -160,17 +163,18 @@ def covering_filtration_dims(d: int, dp: int, spectrum: InducedSpectrum,
     return _filtration_dims(_antidiagonals(d, dp, spectrum, [n])[0])
 
 
-@dataclass(frozen=True)
-class BettiProfile:
+class BettiProfile(Record):
     """Betti numbers b_0..b_{2(d+dp)} with per-degree filtration dims."""
 
-    d: int
-    dp: int
-    spectrum: InducedSpectrum
-    b: Tuple[int, ...]
+    def __init__(self, d: int, dp: int, spectrum: InducedSpectrum,
+                 b: tuple[int, ...]):
+        _set(self, "d", d)
+        _set(self, "dp", dp)
+        _set(self, "spectrum", spectrum)
+        _set(self, "b", b)
 
     @property
-    def filtrations(self) -> Tuple[Tuple[int, ...], ...]:
+    def filtrations(self) -> tuple[tuple[int, ...], ...]:
         """Every degree's covering-filtration dims, built when asked for."""
         return tuple(tuple(_filtration_dims(v)) for v in _antidiagonals(
             self.d, self.dp, self.spectrum, range(len(self.b))))
@@ -225,7 +229,7 @@ def _stated_betti(d: int, dp: int, spectrum: InducedSpectrum, n: int) -> int:
     return (2 * d + 2 * dp + 1 - n) * (m10 + m01) + 1
 
 
-def render_grids(top: int, *lookups) -> List[List[str]]:
+def render_grids(top: int, *lookups) -> list[list[str]]:
     """Each lookup(r, s) over 0 <= r, s <= top as lines: a header of r, then
     one line per s from top down.  One column width fits every cell of every
     grid, so the grids line up and no two cells run together."""
@@ -238,23 +242,27 @@ def render_grids(top: int, *lookups) -> List[List[str]]:
                       for k, row in enumerate(g)] for g in grids]
 
 
-@dataclass(frozen=True)
-class PaperTableDiff:
+class PaperTableDiff(Record):
     """Side-by-side comparison of the four-term sum with the published table.
 
     Makes no judgment of which is correct; cell and Betti differences are
-    simply reported.
+    simply reported.  stated and cell_diffs are keyed by cell (r, s) and
+    betti_diffs by degree; a difference is (computed, stated).
     """
 
-    d: int
-    dp: int
-    spectrum: InducedSpectrum
-    computed: E2Table
-    stated: Dict[Tuple[int, int], int]
-    cell_diffs: Dict[Tuple[int, int], Tuple[int, int]]  # (computed, stated)
-    betti_computed: Tuple[int, ...]
-    betti_stated: Tuple[int, ...]
-    betti_diffs: Dict[int, Tuple[int, int]]
+    def __init__(self, d: int, dp: int, spectrum: InducedSpectrum,
+                 computed: E2Table, stated: dict, cell_diffs: dict,
+                 betti_computed: tuple, betti_stated: tuple,
+                 betti_diffs: dict):
+        _set(self, "d", d)
+        _set(self, "dp", dp)
+        _set(self, "spectrum", spectrum)
+        _set(self, "computed", computed)
+        _set(self, "stated", stated)
+        _set(self, "cell_diffs", cell_diffs)
+        _set(self, "betti_computed", betti_computed)
+        _set(self, "betti_stated", betti_stated)
+        _set(self, "betti_diffs", betti_diffs)
 
     def render(self) -> str:
         def stated(r, s):

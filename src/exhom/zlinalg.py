@@ -1,4 +1,5 @@
-"""Exact integer linear algebra: Smith normal form and cokernel structure.
+"""Exact integer linear algebra: the Smith diagonal, Smith normal form,
+rank mod p and primality.
 
 `IntMatrix` shares its integer storage and shape checks with
 `qlinalg.RatMatrix` (`qlinalg._Dense`, a `RatMatrix` adding one
@@ -58,11 +59,10 @@ Two routes to the Smith diagonal:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import index
-from typing import List, Optional, Tuple
 
+from ._record import Record, _set
 from .qlinalg import RatMatrix, _columns, _Dense, _int_products
 
 
@@ -74,17 +74,16 @@ def _index(x) -> int:
         raise ValueError("IntMatrix entries must be ints") from None
 
 
-@dataclass(frozen=True)
 class IntMatrix(_Dense):
     """Dense integer matrix: Python int entries, `nums` itself."""
 
     def __post_init__(self):
         super().__post_init__()
         if not set(map(type, self.nums)) <= {int}:
-            object.__setattr__(self, "nums", tuple(map(_index, self.nums)))
-        object.__setattr__(self, "entries", self.nums)
+            _set(self, "nums", tuple(map(_index, self.nums)))
+        _set(self, "entries", self.nums)
 
-    def column(self, j: int) -> Tuple[int, ...]:
+    def column(self, j: int) -> tuple[int, ...]:
         return self.nums[j::self.cols]
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
@@ -98,25 +97,27 @@ class IntMatrix(_Dense):
         return RatMatrix(self.rows, self.cols, self.nums)
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(Record):
     """Decomposition U.A.V = D with U, V unimodular and D in Smith form."""
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    diagonal: Tuple[int, ...]
+    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix,
+                 diagonal: tuple[int, ...]):
+        _set(self, "U", U)
+        _set(self, "D", D)
+        _set(self, "V", V)
+        _set(self, "diagonal", diagonal)
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(Record):
     """Finitely generated abelian group Z^free_rank + sum of Z/t_i.
 
     Torsion entries are >= 2 and form a divisibility chain t_1 | t_2 | ...
     """
 
-    free_rank: int
-    torsion: Tuple[int, ...]
+    def __init__(self, free_rank: int, torsion: tuple[int, ...]):
+        _set(self, "free_rank", free_rank)
+        _set(self, "torsion", torsion)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.free_rank < 0:
@@ -133,7 +134,7 @@ class FinAbGroup:
 
 
 def _bareiss(A: IntMatrix,
-             extra=()) -> Tuple[List[int], int, List[List[int]]]:
+             extra=()) -> tuple[list[int], int, list[list[int]]]:
     """Pivot columns of A and, by fraction-free elimination, its last pivot.
 
     Rows are swapped to find pivots and columns without one are skipped, so
@@ -183,13 +184,13 @@ _B = tuple(tuple((i * i + (2 * j + 3) * i + j + 1) % 41 - 20
                  for i in range(41)) for j in range(2))
 
 
-def _rhs(n: int) -> List[Tuple[int, ...]]:
+def _rhs(n: int) -> list[tuple[int, ...]]:
     """The two fixed columns B of length n that `invariant_factors` solves."""
     return [(b * (n // 41 + 1))[:n] for b in _B]
 
 
-def _adjoint_columns(m: List[List[int]], piv: List[int],
-                     cols: int) -> List[int]:
+def _adjoint_columns(m: list[list[int]], piv: list[int],
+                     cols: int) -> list[int]:
     """p.P^-1.b for every extra column b `_bareiss` carried past the `cols`
     columns of A, on the pivot rows of b, P the nonsingular r x r block of
     A on its pivot rows and columns `piv` (r > 0) and p = +-det P its last
@@ -215,7 +216,7 @@ def determinant(A: IntMatrix) -> int:
     return minor if len(piv) == A.rows else 0
 
 
-def _divisor_chain(xs: List[int]) -> List[int]:
+def _divisor_chain(xs: list[int]) -> list[int]:
     """The Smith diagonal of diag(xs), xs positive: gcd/lcm exchange makes
     every entry divide all later ones and keeps the product."""
     xs = list(xs)
@@ -226,7 +227,7 @@ def _divisor_chain(xs: List[int]) -> List[int]:
     return xs
 
 
-def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, u) with g = gcd(a, b) = s*a + u*b, for a, b > 0."""
     s0, s1, u0, u1 = 1, 0, 0, 1
     while b:
@@ -244,7 +245,7 @@ def _coprime_part(x: int, y: int) -> int:
     return x
 
 
-def _smith_mod(A: IntMatrix, M: int, r: int) -> List[int]:
+def _smith_mod(A: IntMatrix, M: int, r: int) -> list[int]:
     """gcd(d_i, M) for the r nonzero invariant factors d_i of A (M > 0):
     the first r entries of the Smith diagonal of [A | M.I], found by
     elimination with every entry reduced mod M."""
@@ -311,7 +312,7 @@ def _smith_mod(A: IntMatrix, M: int, r: int) -> List[int]:
 
 
 def _certified(A: IntMatrix, G: int, minor: int,
-               r: int) -> Optional[List[int]]:
+               r: int) -> list[int] | None:
     """e = `_smith_mod(A, G, r)` when two checks prove it the nonzero Smith
     diagonal of A, else None; `minor` is a nonzero r x r minor of A, r the
     rank.  (a): every prime of e_r divides G / e_r; (b): Q, `minor` with
@@ -324,7 +325,7 @@ def _certified(A: IntMatrix, G: int, minor: int,
     return e if Q == 1 or _smith_mod(A, Q, r) == [1] * r else None
 
 
-def invariant_factors(A: IntMatrix) -> Tuple[int, ...]:
+def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
     """The Smith diagonal of A without transforms.
 
     Equals `smith_normal_form(A).diagonal`: min(rows, cols) non-negative
@@ -451,13 +452,6 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
     return SmithForm(U=U, D=D, V=V, diagonal=diagonal)
 
 
-def cokernel_structure(A: IntMatrix) -> FinAbGroup:
-    """Structure of Z^rows / image(A), A acting on column vectors."""
-    nonzero = [d for d in invariant_factors(A) if d != 0]
-    return FinAbGroup(free_rank=A.rows - len(nonzero),
-                      torsion=tuple(d for d in nonzero if d > 1))
-
-
 def rank_mod_p(A: IntMatrix, p: int) -> int:
     """Rank of A over the field Z/p (p prime)."""
     if not is_prime(p):
@@ -466,7 +460,9 @@ def rank_mod_p(A: IntMatrix, p: int) -> int:
 
 
 def _rank_mod_p(A: IntMatrix, p: int) -> int:
-    """`rank_mod_p` without the primality test; zero rows mod p dropped."""
+    """`rank_mod_p` without the primality test; zero rows mod p dropped.
+    Forward elimination only: a pivot clears the rows below it, from its
+    column on, and the pivot row itself is never scaled."""
     m = [row for row in ([e % p for e in A.row(i)] for i in range(A.rows))
          if any(row)]
     r = 0
@@ -477,12 +473,12 @@ def _rank_mod_p(A: IntMatrix, p: int) -> int:
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        top = m[r][c:]
+        inv = pow(top[0], -1, p)
+        for mi in m[r + 1:]:
+            if mi[c]:
+                f = mi[c] * inv % p
+                mi[c:] = [(x - f * y) % p for x, y in zip(mi[c:], top)]
         r += 1
     return r
 

@@ -21,8 +21,14 @@ numerators), `rank`, canonical `Subspace`s with sum, intersection and
 complement, and the stacking and vector product of `RatMatrix` they need.
 `filtration_spaces`, `reference_opposite` and `reference_criterion` read a
 `spectral.FiltrationChain` through it.
+
+And library code no subcommand reaches: the serializers, which write a
+complex or a double complex back as a document (lowest-terms rationals with
+the sign on the numerator, so a parse-serialize round trip is bit-stable),
+the degreewise dual `hom_dual` and `cokernel_structure`.
 """
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +49,7 @@ from exhom.zlinalg import (
     FinAbGroup,
     IntMatrix,
     determinant,
+    invariant_factors,
     smith_normal_form,
 )
 
@@ -252,6 +259,60 @@ def reference_criterion(F, G) -> bool:
     return all(subspace_sum(f[p], g[n + 1 - p]).dim == h
                and f[p].dim + f[n + 1 - p].dim == h
                and g[p].dim + g[n + 1 - p].dim == h for p in range(n + 2))
+
+
+# ---------------------------------------- code no subcommand reaches
+
+def _format_rational(f: Fraction) -> str:
+    if f.denominator == 1:
+        return str(f.numerator)
+    return f"{f.numerator}/{f.denominator}"
+
+
+def _format_matrix(M: RatMatrix) -> list:
+    return [[_format_rational(f) for f in row] for row in M.to_lists()]
+
+
+def serialize_cochain(C: CochainComplex) -> str:
+    doc = {
+        "min_deg": C.min_deg,
+        "dims": {str(n): C.dim(n) for n in sorted(C.dims)},
+        "differentials": {
+            str(n): _format_matrix(M)
+            for n, M in sorted(C.differentials.items())
+        },
+    }
+    return json.dumps(doc, indent=1, sort_keys=True)
+
+
+def serialize_double_complex(K) -> str:
+    doc = {
+        "max_r": K.max_r,
+        "max_c": K.max_c,
+        "dims": {f"{r},{s}": d for (r, s), d in sorted(K.dims.items())},
+        "horiz": {f"{r},{s}": _format_matrix(M)
+                  for (r, s), M in sorted(K.horiz.items())},
+        "vert": {f"{r},{s}": _format_matrix(M)
+                 for (r, s), M in sorted(K.vert.items())},
+    }
+    return json.dumps(doc, indent=1, sort_keys=True)
+
+
+def hom_dual(C: CochainComplex) -> CochainComplex:
+    """Degreewise dual with transposed differentials, re-indexed as a cochain
+    complex: dual^n = (C^{m-n})* for m = min_deg + max_deg."""
+    m = C.min_deg + C.max_deg
+    dims = {m - n: C.dim(n) for n in C.degrees()}
+    # (d^n)^T : (C^{n+1})* -> (C^n)*, i.e. dual^{m-n-1} -> dual^{m-n}
+    diffs = {m - n - 1: d.transpose() for n, d in C.differentials.items()}
+    return cochain_complex(min(dims) if dims else 0, dims, diffs)
+
+
+def cokernel_structure(A: IntMatrix) -> FinAbGroup:
+    """Structure of Z^rows / image(A), A acting on column vectors."""
+    nonzero = [d for d in invariant_factors(A) if d != 0]
+    return FinAbGroup(free_rank=A.rows - len(nonzero),
+                      torsion=tuple(d for d in nonzero if d > 1))
 
 
 # ------------------------------------------------------------- generators

@@ -7,6 +7,7 @@ from conftest import (
     Subspace,
     apply,
     differential,
+    hom_dual,
     kernel_basis,
     rank,
     random_dense_cochain,
@@ -20,7 +21,6 @@ from exhom.complexes import (
     cochain_complex,
     cohomology,
     cohomology_dims,
-    hom_dual,
     homology_int,
     int_chain_complex,
     kunneth_check,

@@ -21,6 +21,8 @@ from conftest import (
     random_dense_cochain,
     random_double_complex,
     random_zigzag_double_complex,
+    serialize_cochain,
+    serialize_double_complex,
     tensor_double_complex,
 )
 from exhom.cli import build_parser, main
@@ -34,8 +36,6 @@ from exhom.documents import (
     parse_cochain_document,
     parse_double_complex_document,
     parse_int_matrix_document,
-    serialize_cochain,
-    serialize_double_complex,
 )
 from exhom.qlinalg import RatMatrix
 from exhom.spectral import COLUMN, MAX_GRID, ROW

@@ -1,0 +1,89 @@
+"""What a CLI run imports: `import exhom.cli` and the parser load only the
+standard library every run needs, and `fractions` and `decimal` are loaded
+only by the commands that read them.  Each check runs a fresh `python -S`
+interpreter and counts modules, not milliseconds."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WATCHED = ("dataclasses", "typing", "inspect", "fractions", "decimal")
+
+# Runs `exhom.cli.main(argv)` after building the parser (or only builds the
+# parser when argv is empty), then writes the watched modules that are
+# loaded as the last line of stderr.
+CHILD = f"""
+import sys
+import exhom.cli
+exhom.cli.build_parser()
+code = exhom.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print("loaded:", *sorted(m for m in {WATCHED!r} if m in sys.modules),
+      file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_fresh(*argv):
+    """(exit code, stdout, watched modules loaded) of one fresh run."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    run = subprocess.run([sys.executable, "-S", "-c", CHILD, *argv],
+                         env=env, capture_output=True, text=True, timeout=60)
+    *_, last = run.stderr.splitlines()
+    assert last.startswith("loaded:"), run.stderr
+    return run.returncode, run.stdout, set(last.split()[1:])
+
+
+def write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def double_complex_doc(one, two, three):
+    """The README double complex, its three maps given by these entries."""
+    return {"max_r": 2, "max_c": 1,
+            "dims": {"0,1": 1, "1,1": 1, "1,0": 1, "2,0": 1},
+            "horiz": {"0,1": [[one]], "1,0": [[two]]},
+            "vert": {"1,0": [[three]]}}
+
+
+LIMIT_ZERO = ("limit (stable at page 3)\n"
+              "0 0 0\n0 1 0\n1 0 0\n1 1 0\n2 0 0\n2 1 0\n")
+
+
+def test_import_and_parser_load_none_of_the_watched_modules():
+    code, out, loaded = run_fresh()
+    assert (code, out, loaded) == (0, "", set())
+
+
+@pytest.mark.parametrize("kind", ["uct", "ss"])
+def test_integer_documents_load_neither_fractions_nor_decimal(tmp_path, kind):
+    if kind == "uct":
+        path = write(tmp_path, "c.json", {
+            "min_deg": 0, "dims": {"0": 2, "1": 2},
+            "differentials": {"1": [[2, 0], [0, 3]]}})
+        argv = ["uct", "--input", path, "--mod", "2"]
+    else:
+        path = write(tmp_path, "k.json", double_complex_doc(1, -1, 3))
+        argv = ["ss", "--input", path, "--axis", "col"]
+    code, out, loaded = run_fresh(*argv)
+    assert code == 0 and out
+    assert loaded == set()
+    if kind == "ss":
+        assert out == LIMIT_ZERO
+
+
+def test_snf_loads_decimal_only(tmp_path):
+    path = write(tmp_path, "a.json", [[2, 4], [6, 8]])
+    assert run_fresh("snf", "--input", path) == (0, "2 4\n", {"decimal"})
+
+
+def test_rational_document_loads_fractions(tmp_path):
+    path = write(tmp_path, "k.json", double_complex_doc("1/2", "-2/3", "3"))
+    # `fractions` imports `decimal` itself
+    assert run_fresh("ss", "--input", path, "--axis", "col") == (
+        0, LIMIT_ZERO, {"fractions", "decimal"})

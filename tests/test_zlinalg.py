@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 from conftest import (
+    cokernel_structure,
     eager_bareiss,
     kernel_lattice,
     planted_int_matrix,
@@ -26,7 +27,6 @@ from exhom.zlinalg import (
     _bareiss,
     _certified,
     _rhs,
-    cokernel_structure,
     determinant,
     invariant_factors,
     is_prime,
@@ -494,6 +494,37 @@ def test_rank_mod_p():
     assert rank_mod_p(IntMatrix.from_rows([[1, 2], [3, 4]]), 2) == 1
     with pytest.raises(ValueError):
         rank_mod_p(A, 4)
+
+
+BIG_PRIME = 68719476767  # the least prime above 2^36
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, BIG_PRIME])
+def test_rank_mod_p_forward_elimination_matches_references(p):
+    """Rank over Z/p against the Smith diagonal (the entries p does not
+    divide) on random matrices, on matrices of rank <= r and on p.X + L with
+    L of rank <= r; and against the rational rank whenever p divides no
+    nonzero invariant factor, as for the prime above 2^36 on the first two
+    kinds."""
+    rng = random.Random(p % 1000)
+    rational = 0
+    for k in range(60):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        r = rng.randint(0, min(rows, cols))
+        if k % 3 == 0:
+            A = random_int_matrix(rng, max_size=7, bound=20)
+        else:
+            A = random_low_rank_matrix(rng, rows, cols, r)
+            if k % 3 == 2:
+                A = IntMatrix(rows, cols, tuple(
+                    p * rng.randint(-3, 3) + x for x in A.nums))
+        got = rank_mod_p(A, p)
+        diag = [d for d in smith_normal_form(A).diagonal if d]
+        assert got == sum(1 for d in diag if d % p), (A, p)
+        if all(d % p for d in diag):
+            assert got == rank(A.to_rational())
+            rational += 1
+    assert rational >= (40 if p == BIG_PRIME else 1)
 
 
 def test_is_prime():
