@@ -1,13 +1,15 @@
 """File formats: JSON documents for complexes, double complexes and matrices.
 
-Matrix entries are strings holding an integer or a "p/q" exact rational;
-plain JSON integers are accepted on input.  Only a string entry builds a
-`Fraction`, so `fractions` is imported when the first one is read.
+Matrix entries are strings holding an integer or a "p/q" exact rational,
+each with an optional sign; plain JSON integers are accepted on input.
+Only a string entry builds a `Fraction`, so `fractions` is imported when
+the first one is read.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 from .complexes import (
     CochainComplex,
@@ -32,11 +34,12 @@ class DocumentError(ValueError):
 
 
 def _parse_rational(raw):
-    """A JSON int as itself, a string holding an integer or "p/q" as a
-    Fraction; None for anything else, which is malformed."""
+    """A JSON int as itself, a string holding an integer or "p/q", each with
+    an optional sign, as a Fraction; None for anything else (decimals,
+    exponents, blanks, underscores), which is malformed."""
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
-    if isinstance(raw, str):
+    if isinstance(raw, str) and re.fullmatch(r"[-+]?[0-9]+(/[0-9]+)?", raw):
         from fractions import Fraction
         try:
             return Fraction(raw)

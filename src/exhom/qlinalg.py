@@ -6,12 +6,11 @@ entries are a view built only when read.  Every operation is exact; there is
 no floating point anywhere in this module.  The integer storage, row access
 and shape checks live in `_Dense`, which `zlinalg.IntMatrix` shares.
 
-Integer products go through one kernel, `_int_products`: nonzero rows times
-nonzero stride-slice columns, ``sum(map(mul, row, col))`` per entry.  A
-rational product sums the same way on the stored numerators, piece by piece:
-the inner index is cut at the first and last nonzero position of every row
-and column, each piece of a row or column has its content divided out, and
-the two denominators multiply.  Ranks and eliminations are integer and live
+Every product goes through one kernel, `_int_products`: nonzero rows times
+nonzero stride-slice columns, ``sum(map(mul, row, col))`` per entry.  An
+integer product is that kernel's output; a rational product is the same
+kernel on the stored numerators, over the product of the two denominators,
+reduced to lowest terms.  Ranks and eliminations are integer and live
 elsewhere: the persistence pairing in `complexes`, Bareiss in `zlinalg`.
 """
 
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import cached_property
-from itertools import compress, count
 from math import gcd, lcm
 from operator import mul
 
@@ -31,24 +29,12 @@ def _columns(entries: Sequence, cols: int) -> list[Sequence]:
     return [entries[j::cols] for j in range(cols)]
 
 
-def _span(v: Sequence[int]) -> tuple[int, int]:
-    """(first nonzero position, last nonzero position + 1) of a nonzero v."""
-    n = len(v)
-    return (0 if v[0] else next(compress(count(), v)),
-            n if v[-1] else n - next(compress(count(), reversed(v))))
-
-
-def _content(v: Sequence[int]) -> tuple[Sequence[int], int]:
-    """(w, g) with v = g w and g the gcd of v's entries (0 for v = 0)."""
-    g = gcd(*v)
-    return (v, g) if g < 2 else (tuple(x // g for x in v), g)
-
-
 def _int_products(rows: Sequence[Sequence[int]],
                   cols: Sequence[Sequence[int]]) -> list[int]:
     """Row-major entries of the product whose factors have these integer
-    rows and columns: the kernel of every dense integer product.  Only
-    nonzero rows times nonzero columns are summed; every other entry is 0."""
+    rows and columns: the kernel of every dense product, integer or
+    rational.  Only nonzero rows times nonzero columns are summed; every
+    other entry is 0."""
     live = [c if any(c) else None for c in cols]
     blank = [0] * len(cols)
     out: list[int] = []
@@ -151,36 +137,9 @@ class RatMatrix(_Dense):
         return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        """The inner index is cut at the first and last nonzero positions of
-        every row and column; on each piece the rows and columns that meet
-        it are multiplied with their content divided out, entry (i, j)
-        gaining g h (u . w).  A row of a total differential meets one or two
-        blocks, so its pieces are block rows, whose denominators the
-        content removes, and no row or column is summed outside its span."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
-        m = other.cols
-        sides = [[(k, v, *_span(v)) for k, v in enumerate(vs) if any(v)]
-                 for vs in (self._num_rows(), _columns(other.nums, m))]
-        cuts = sorted({x for side in sides for *_, a, b in side
-                       for x in (a, b)})
-        first = {x: t for t, x in enumerate(cuts)}
-        pieces = [([], []) for _ in cuts[1:]]
-        for s, side in enumerate(sides):
-            for k, v, a, b in side:
-                t = first[a]
-                while cuts[t] < b:
-                    w, g = _content(v[cuts[t]:cuts[t + 1]])
-                    if g:
-                        pieces[t][s].append((k, w, g))
-                    t += 1
-        dots = [0] * (self.rows * m)
-        for rows, cols in pieces:
-            for i, u, g in rows:
-                at = i * m
-                for j, w, h in cols:
-                    t = sum(map(mul, u, w))
-                    if t:
-                        dots[at + j] += t * g * h
-        return RatMatrix(self.rows, m, tuple(dots), self.den * other.den)
+        return RatMatrix(self.rows, other.cols, tuple(_int_products(
+            self._num_rows(), _columns(other.nums, other.cols))),
+            self.den * other.den)

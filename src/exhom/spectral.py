@@ -1,12 +1,12 @@
 """First-quadrant double complexes and their two spectral sequences.
 
-The engine totalizes a grid of commuting squares once (inserting the (-1)^r
-sign itself), on the integer numerators of the blocks over the lcm of their
-denominators, and filters the total complex T by column or by row: F^p T^n is
-spanned by the block basis vectors of level >= p.  T is built when the
-double complex is validated, by one D o D = 0 check on T (which holds iff
-d'd' = 0, d''d'' = 0 and every square commutes), and is shared by every
-pairing of it.  The pages are defined by
+Validation checks d'd' = 0, d''d'' = 0 and every commuting square cell by
+cell, each composite one product of block numerators.  The engine
+totalizes the grid once, on the first pairing (inserting the (-1)^r sign
+itself, on the blocks' numerators over the lcm of their denominators), and
+filters the total complex T by column or by row: F^p T^n is spanned by the
+block basis vectors of level >= p.  Every pairing of the complex shares
+that T.  The pages are defined by
 
     Z_r^{p,q} = F^p T^{p+q}  intersect  D^{-1}(F^{p+r} T^{p+q+1})
     E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + D Z_{r-1}^{p-r+1,q+r-2})
@@ -37,8 +37,8 @@ from functools import cached_property
 from math import gcd, inf
 
 from ._record import Record, _set
-from .complexes import (CochainComplex, _composite, _nonzero_composite,
-                        _pairing, _reduce, _totalize)
+from .complexes import (CochainComplex, _composite, _pairing, _reduce,
+                        _totalize)
 from .qlinalg import RatMatrix
 from .zlinalg import IntMatrix, _bareiss
 
@@ -69,7 +69,7 @@ class DoubleComplex(Record):
 
     @cached_property
     def _total(self) -> CochainComplex:
-        """Tot, built once and shared by every pairing of this complex."""
+        """Tot, built on the first pairing and shared by every later one."""
         return total_complex(self)
 
     @cached_property
@@ -83,8 +83,10 @@ def double_complex(max_r: int, max_c: int,
                    dims: dict[tuple[int, int], int],
                    horiz: dict[tuple[int, int], RatMatrix],
                    vert: dict[tuple[int, int], RatMatrix]) -> DoubleComplex:
-    """Build and validate a DoubleComplex: shapes, then D o D = 0 on Tot,
-    which holds iff d'd' = 0, d''d'' = 0 and every square commutes."""
+    """Build and validate a DoubleComplex: shapes, then, cell by cell in
+    sorted order, d'd' = 0, d''d'' = 0 and the commuting square, raising the
+    first failure.  Each composite is one block product in lowest terms, and
+    a square commutes iff its two products are equal values."""
     if max_r < 0 or max_c < 0:
         raise DoubleComplexError(f"max_r and max_c must be >= 0, got "
                                  f"{max_r} and {max_c}")
@@ -106,33 +108,19 @@ def double_complex(max_r: int, max_c: int,
                 raise DoubleComplexError(
                     f"{name} at ({r},{s}) has shape {M.rows}x{M.cols}, "
                     f"expected {want[0]}x{want[1]}")
-    if _nonzero_composite(K._total) is not None:
-        raise DoubleComplexError(_first_defect(K))
+    h, v = K.horiz.get, K.vert.get
+    for r, s in sorted(dims):
+        for what, left, right in (
+                ("horiz composite nonzero",
+                 _composite(h((r + 1, s)), h((r, s))), None),
+                ("vert composite nonzero",
+                 _composite(v((r, s + 1)), v((r, s))), None),
+                ("square does not commute",
+                 _composite(v((r + 1, s)), h((r, s))),
+                 _composite(h((r, s + 1)), v((r, s))))):
+            if left != right:
+                raise DoubleComplexError(f"{what} at ({r},{s})")
     return K
-
-
-def _first_defect(K: DoubleComplex) -> str:
-    """The message for the first nonzero block of D o D on Tot, cells (r, s)
-    in sorted order and, within a cell, horiz, vert, square.  D o D = 0 is
-    exactly d'd' = 0, d''d'' = 0 and commuting squares: from K^{r,s} its
-    three components land in distinct cells, d'd' in (r+2, s), d''d'' in
-    (r, s+2) and (-1)^r (d'd'' - d''d') in (r+1, s+1)."""
-    T = K._total
-    r_of, s_of = _levels(K, COLUMN), _levels(K, ROW)
-    kinds = {2: (0, "horiz composite nonzero"),  # by target r minus r
-             0: (1, "vert composite nonzero"),
-             1: (2, "square does not commute")}
-    defects = []
-    for n, D in T.differentials.items():
-        P = _composite(T.differentials.get(n + 1), D)
-        if P is None:
-            continue
-        for k in (k for k, x in enumerate(P.nums) if x):
-            i, j = divmod(k, P.cols)
-            r, s = r_of[n][j], s_of[n][j]
-            defects.append((r, s, *kinds[r_of[n + 2][i] - r]))
-    r, s, _, what = min(defects)
-    return f"{what} at ({r},{s})"
 
 
 def total_complex(K: DoubleComplex) -> CochainComplex:

@@ -129,16 +129,26 @@ def e2_table(d: int, dp: int, spectrum: InducedSpectrum) -> E2Table:
         for r, v in _row(d, dp, spectrum, s).items()})
 
 
-def _antidiagonals(d: int, dp: int, spectrum: InducedSpectrum,
-                   degrees) -> list[list[int]]:
-    """For each n in degrees, the cells (r, n - r) for r = 0..n, from one
-    pass over the rows of the four-term sum that reach them."""
-    diagonals = {n: [0] * (n + 1) for n in degrees}
-    for s in range(min(max(degrees), d + dp) + 1):
+def _antidiagonals(d: int, dp: int, spectrum: InducedSpectrum, degrees):
+    """For each n in degrees, ascending, the cells (r, n - r) for r = 0..n,
+    from one pass over the rows of the four-term sum in increasing s.
+    Diagonal n is complete, and yielded, once row min(n, d + dp) is read;
+    only the nonzero cells of the diagonals not yet yielded are held."""
+    held = {n: {} for n in degrees}
+
+    def diagonal(n: int) -> list[int]:
+        out = [0] * (n + 1)
+        for r, v in held.pop(n).items():
+            out[r] = v
+        return out
+
+    for s in range(min(max(held), d + dp) + 1):
         for r, v in _row(d, dp, spectrum, s).items():
-            if r + s in diagonals:
-                diagonals[r + s][r] += v
-    return list(diagonals.values())
+            if r + s in held:
+                held[r + s][r] = v
+        if s in held:
+            yield diagonal(s)
+    yield from map(diagonal, list(held))
 
 
 def _filtration_dims(diagonal: list[int]) -> list[int]:
@@ -151,7 +161,7 @@ def betti(d: int, dp: int, spectrum: InducedSpectrum, n: int) -> int:
     (the sequence degenerates there)."""
     if n < 0 or n > 2 * (d + dp):
         return 0
-    return sum(_antidiagonals(d, dp, spectrum, [n])[0])
+    return sum(next(_antidiagonals(d, dp, spectrum, [n])))
 
 
 def covering_filtration_dims(d: int, dp: int, spectrum: InducedSpectrum,
@@ -160,7 +170,7 @@ def covering_filtration_dims(d: int, dp: int, spectrum: InducedSpectrum,
     dim F^i = sum over r >= i of the degree-n anti-diagonal of the grid."""
     if n < 0 or n > 2 * (d + dp):
         raise ValueError(f"degree {n} outside [0, {2 * (d + dp)}]")
-    return _filtration_dims(_antidiagonals(d, dp, spectrum, [n])[0])
+    return _filtration_dims(next(_antidiagonals(d, dp, spectrum, [n])))
 
 
 class BettiProfile(Record):
@@ -181,12 +191,9 @@ class BettiProfile(Record):
 
 
 def betti_profile(d: int, dp: int, spectrum: InducedSpectrum) -> BettiProfile:
-    """b_n summed straight from the row entries with r + s = n."""
-    b = [0] * (2 * (d + dp) + 1)
-    for s in range(d + dp + 1):
-        for r, v in _row(d, dp, spectrum, s).items():
-            b[r + s] += v
-    return BettiProfile(d, dp, spectrum, tuple(b))
+    """b_n as the sum of the degree-n anti-diagonal, for every n."""
+    return BettiProfile(d, dp, spectrum, tuple(map(sum, _antidiagonals(
+        d, dp, spectrum, range(2 * (d + dp) + 1)))))
 
 
 def _stated_e2(d: int, dp: int, spectrum: InducedSpectrum,

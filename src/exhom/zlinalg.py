@@ -89,9 +89,8 @@ class IntMatrix(_Dense):
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
-        rows = [self.row(i) for i in range(self.rows)]
-        return IntMatrix(self.rows, other.cols, tuple(
-            _int_products(rows, _columns(other.nums, other.cols))))
+        return IntMatrix(self.rows, other.cols, tuple(_int_products(
+            self._num_rows(), _columns(other.nums, other.cols))))
 
     def to_rational(self) -> RatMatrix:
         return RatMatrix(self.rows, self.cols, self.nums)

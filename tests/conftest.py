@@ -12,8 +12,8 @@ used before it read H_n off invariant factors, the persistence pairing over
 `Fraction`, which it used before the fraction-free one, and the Bareiss pass
 that rescales every row at every step, which it used before the lazy one:
 the references `homology_int`, `complexes._pairing` and `zlinalg._bareiss`
-are tested against, and the per-cell composite checks that
-`spectral.double_complex` made before it checked D o D once on Tot.
+are tested against, and the per-cell composite checks listing every
+failure, the first of which `spectral.double_complex` raises.
 
 And the rational subspace algebra the library used before `oppose` compared
 filtrations by counts and integer ranks: `rref` (fraction-free on the
@@ -765,9 +765,9 @@ def naive_composite(outer, inner):
 
 def reference_defects(K, composite=_composite):
     """Every failed d'd' = 0, d''d'' = 0 and commuting-square check of K,
-    one per cell and kind, as messages in the order `double_complex` once
-    checked them: cells (r, s) sorted and, within a cell, horiz, vert,
-    square, each composite multiplied on its own by `composite`."""
+    one per cell and kind, as messages in the order `double_complex` checks
+    them: cells (r, s) sorted and, within a cell, horiz, vert, square, each
+    composite multiplied on its own by `composite`."""
     h, v = K.horiz.get, K.vert.get
     out = []
     for r, s in sorted(K.dims):

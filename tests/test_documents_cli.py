@@ -252,8 +252,8 @@ def test_cli_betti_table(capsys):
 
 
 def test_cli_betti_machine_builds_no_filtrations(capsys, monkeypatch):
-    """--format machine prints b alone: b_n is summed from the second-page
-    rows, and no anti-diagonal list or covering filtration is built."""
+    """--format machine prints b alone: b_n sums one anti-diagonal at a
+    time, and no covering filtration is built."""
     from exhom import steinberg
     sp = steinberg.InducedSpectrum(1, 2, 0)
     top = MAX_SPACE_DIM
@@ -538,6 +538,28 @@ def test_chain_document_bad_entry_messages():
             parse_chain_document(chain_doc(bad))
         assert str(e.value) == \
             f"malformed rational at differentials[1][0][1]: {bad!r}"
+
+
+@pytest.mark.parametrize("bad", ["1e-99999999", "1e5", "0.5", " 1", "1_0",
+                                 "+-1", "1/-2", "\u0663"])
+def test_cli_refuses_entries_past_integer_and_p_over_q(tmp_path, capsys,
+                                                       bad):
+    """Only an integer or "p/q", each with an optional sign, is an entry:
+    an exponent form is refused at once rather than expanded."""
+    docs = {"ss": {"max_r": 1, "max_c": 0, "dims": {"0,0": 1, "1,0": 1},
+                   "horiz": {"0,0": [[bad]]}},
+            "snf": {"matrix": [[1, bad]]}}
+    where = {"ss": "horiz[0,0][0][0]", "snf": "matrix[0][1]"}
+    for command, doc in docs.items():
+        f = tmp_path / f"{command}.json"
+        f.write_text(json.dumps(doc))
+        extra = ("--axis", "col") if command == "ss" else ()
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--input", str(f), *extra)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == f"error: malformed rational at {where[command]}: " \
+            f"{bad!r}\n"
 
 
 def test_chain_document_reports_first_bad_entry_in_row_order():

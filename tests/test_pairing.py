@@ -116,9 +116,9 @@ def test_zigzag_known_answers_at_size(zigzag_472):
 
 
 def test_oppose_builds_tot_once_and_pairs_twice(monkeypatch):
-    """Building K (whose validation totalizes) and both filtrations, in
-    either order: one Tot, each of its columns scaled once, two pairings,
-    the column pairing giving the basis of H^n both are written on."""
+    """Building K and both filtrations, in either order: one Tot (built by
+    the first pairing), each of its columns scaled once, two pairings, the
+    column pairing giving the basis of H^n both are written on."""
     calls = Counter()
 
     def counted(name, fn):

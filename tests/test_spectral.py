@@ -13,8 +13,13 @@ from conftest import (
     reference_criterion,
     reference_defects,
     reference_opposite,
+    serialize_double_complex,
 )
-from exhom.complexes import cohomology, cohomology_dims, validate_complex
+from exhom import spectral
+from exhom.cli import main
+from exhom.complexes import (_nonzero_composite, cohomology, cohomology_dims,
+                             validate_complex)
+from exhom.documents import parse_double_complex_document
 from exhom.qlinalg import RatMatrix
 from exhom.spectral import (
     COLUMN,
@@ -98,8 +103,9 @@ def _plant_defects(rng, K, count):
 
 
 def test_double_complex_names_the_first_defect_like_the_per_cell_checks():
-    """One D o D check on Tot raises, byte for byte, the message of the
-    first failure of the per-cell composite checks it replaced."""
+    """The cell-by-cell checks raise, byte for byte, the message of the
+    first failure the reference per-cell checks find: cells sorted and,
+    within a cell, horiz, vert, square."""
     rng = random.Random(61)
     seen = Counter()
     for trial in range(400):
@@ -128,10 +134,10 @@ def test_double_complex_names_the_first_defect_like_the_per_cell_checks():
 
 
 def test_large_double_complex_names_the_first_defect_like_naive_checks():
-    """A zigzag complex whose Tot products run past 2^14 multiplications,
-    with cells of different denominators: the Tot check accepts it, and
-    with defects planted it names the first as the per-cell checks do on
-    textbook triple-loop products."""
+    """A zigzag complex whose Tot products would run past 2^14
+    multiplications, with cells of different denominators: the cell checks
+    on block numerators accept it, and with defects planted they name the
+    first as the reference checks do on textbook triple-loop products."""
     rng = random.Random(67)
     K = random_zigzag_double_complex(rng, grid=3, pieces=300)[0]
     T = K._total
@@ -148,6 +154,59 @@ def test_large_double_complex_names_the_first_defect_like_naive_checks():
         with pytest.raises(DoubleComplexError) as raised:
             double_complex(K.max_r, K.max_c, K.dims, horiz, vert)
         assert str(raised.value) == want[0]
+
+
+def test_cell_checks_accept_exactly_when_tot_squares_to_zero():
+    """The cell-by-cell checks against the one D o D = 0 check on Tot they
+    replaced: with 0-3 defects planted, in small complexes and in the
+    122-dimensional zigzag whose cells have many denominators, a complex is
+    accepted exactly when D o D = 0 on its Tot."""
+    rng = random.Random(71)
+    big = random_zigzag_double_complex(random.Random(67), grid=3,
+                                       pieces=300)[0]
+    assert sum(big.dims.values()) == 122
+    seen = Counter()
+    for trial in range(240):
+        K = (big if trial % 8 == 0 else random_double_complex(rng)
+             if trial % 2 else
+             random_zigzag_double_complex(rng, grid=3, pieces=5)[0])
+        count = rng.randrange(4) if K.horiz or K.vert else 0
+        horiz, vert = (_plant_defects(rng, K, count) if count
+                       else (K.horiz, K.vert))
+        tot_ok = _nonzero_composite(total_complex(
+            DoubleComplex(K.max_r, K.max_c, K.dims, horiz, vert))) is None
+        try:
+            double_complex(K.max_r, K.max_c, K.dims, horiz, vert)
+            accepted = True
+        except DoubleComplexError:
+            accepted = False
+        assert accepted == tot_ok
+        seen[K is big, count > 0, accepted] += 1
+    assert all(seen[big_, planted, ok]
+               for big_ in (False, True) for planted, ok in
+               ((False, True), (True, True), (True, False))), seen
+
+
+def test_validation_builds_no_tot(monkeypatch, tmp_path, capsys):
+    """Parsing a valid document checks every cell without totalizing; the
+    first pairing builds Tot, and a later one shares it."""
+    built = []
+    total = spectral.total_complex
+    monkeypatch.setattr(spectral, "total_complex",
+                        lambda K: built.append(K) or total(K))
+    text = serialize_double_complex(random_zigzag_double_complex(
+        random.Random(41), grid=3, pieces=12)[0])
+    K = parse_double_complex_document(text)
+    assert built == []
+    spectral_pages(K, COLUMN)
+    spectral_pages(K, ROW)
+    assert built == [K]
+    built.clear()
+    f = tmp_path / "k.json"
+    f.write_text(text)
+    assert main(["ss", "--input", str(f), "--axis", "row", "--pages"]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(built) == 1
 
 
 def test_pages_zero_differentials():
