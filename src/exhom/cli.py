@@ -20,13 +20,30 @@ from .documents import (
     parse_double_complex_document,
     parse_int_matrix_document,
 )
-from .zlinalg import invariant_factors, is_prime
+from .zlinalg import _MR_EXACT_BELOW, invariant_factors, is_prime
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
 
 
+class _Formatter(argparse.HelpFormatter):
+    """HelpFormatter that asks shutil for the terminal width only on use."""
+
+    def __init__(self, prog):
+        super().__init__(prog, width=80)
+        del self._width, self._max_help_position
+
+    def __getattr__(self, name):  # _width and _max_help_position, once
+        stock = argparse.HelpFormatter(self._prog)
+        for key in "_width", "_max_help_position":
+            setattr(self, key, getattr(stock, key))
+        return getattr(stock, name)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_Formatter, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
@@ -49,10 +66,11 @@ def _int_in(what: str, low: int, high: float = inf):
 def _modulus(text: str) -> int:
     """argparse type for --mod: an integer >= 2 whose primality is decidable."""
     m = _int_in("an integer >= 2", 2)(text)
-    try:
-        is_prime(m)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+    if m >= _MR_EXACT_BELOW:  # is_prime decides every m below the bound
+        try:
+            is_prime(m)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
     return m
 
 

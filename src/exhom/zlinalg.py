@@ -17,11 +17,14 @@ Two routes to the Smith diagonal:
   pivot block (A on the pivot rows and columns), and carries two fixed
   columns B through the same row operations; back-substitution then gives
   Y = det(P).P^-1.B' (B' the pivot rows of B).  One elimination,
-  `_smith_mod(A, M, r)`, diagonalises A with every entry reduced mod M and
-  reads each diagonal entry e as gcd(e, M): SNF([A | M.I]) =
-  diag(gcd(d_i, M)) (Domich-Kannan-Trotter 1987, Hafner-McCurley 1991), so
-  it gives gcd(d_i, M) for the r nonzero invariant factors d_i, and entries
-  never grow past M.  Each route picks M:
+  `_smith_mod(A, M, r)`, diagonalises A modulo M and reads each diagonal
+  entry e as gcd(e, M): SNF([A | M.I]) = diag(gcd(d_i, M))
+  (Domich-Kannan-Trotter 1987, Hafner-McCurley 1991), so it gives
+  gcd(d_i, M) for the r nonzero invariant factors d_i (all 1 when M = 1:
+  no elimination).  Only the pivot search, the pivot row and the entry
+  below the pivot reduce mod M; a divisible row operation adds q.y < M^2
+  unreduced, at most bits(M) times per pivot (each gcd step halves it), so
+  entries stay below max|A| + min(rows, cols).bits(M).M^2.  Each route's M:
   - A nonsingular n x n: M = gcd(det A, Y) = |det A| / delta, delta the
     denominator of A^-1.B.  delta divides d_n (d_n.A^-1 is integral), so
     d_1...d_{n-1} divides M, the elimination gives d_1..d_{n-1}, and
@@ -169,9 +172,9 @@ def _bareiss(A: IntMatrix,
             mi = m[i]
             f = mi[c]
             if f:
-                mi[c + 1:] = [(p * x - f * y) // at[i]
+                d, at[i] = at[i], p
+                mi[c + 1:] = [(p * x - f * y) // d
                               for x, y in zip(mi[c + 1:], top)]
-                at[i] = p
         prev = p
         piv.append(c)
     return piv, sign * prev, m
@@ -220,6 +223,8 @@ def _divisor_chain(xs: list[int]) -> list[int]:
     every entry divide all later ones and keeps the product."""
     xs = list(xs)
     for i in range(len(xs)):
+        if xs[i] == 1:
+            continue
         for j in range(i + 1, len(xs)):
             g = gcd(xs[i], xs[j])
             xs[i], xs[j] = g, xs[i] // g * xs[j]
@@ -247,33 +252,35 @@ def _coprime_part(x: int, y: int) -> int:
 def _smith_mod(A: IntMatrix, M: int, r: int) -> list[int]:
     """gcd(d_i, M) for the r nonzero invariant factors d_i of A (M > 0):
     the first r entries of the Smith diagonal of [A | M.I], found by
-    elimination with every entry reduced mod M."""
+    elimination modulo M, reduced only where a value is read."""
+    if M == 1:
+        return [1] * r
     rows, cols = A.rows, A.cols
-    m = [[e % M for e in A.row(i)] for i in range(rows)]
+    m = [list(A.row(i)) for i in range(rows)]
     diag = []
     for t in range(min(rows, cols)):
         pos = next(((i, j) for j in range(t, cols) for i in range(t, rows)
-                    if m[i][j]), None)
+                    if m[i][j] % M), None)
         if pos is None:
             break
         i, j = pos
         m[t], m[i] = m[i], m[t]
         if j != t:
-            for row in m:
+            for row in m[t:]:  # rows above t are zero from column t on
                 row[t], row[j] = row[j], row[t]
         while True:
             # clear column t below the pivot with row operations
-            top = m[t][t:]
+            top = [x % M for x in m[t][t:]]
             for i in range(t + 1, rows):
                 mi = m[i]
-                b = mi[t]
+                b = mi[t] % M
                 if not b:
                     continue
                 a = top[0]
                 low = mi[t:]
                 if b % a == 0:
                     q = b // a
-                    mi[t:] = [(x - q * y) % M for x, y in zip(low, top)]
+                    mi[t:] = [x - q * y for x, y in zip(low, top)]
                     continue
                 g, s, u = _xgcd(a, b)
                 a, b = a // g, b // g
@@ -282,7 +289,7 @@ def _smith_mod(A: IntMatrix, M: int, r: int) -> list[int]:
                     [(a * y - b * x) % M for x, y in zip(top, low)])
             m[t][t:] = top
             # clear row t right of the pivot with column operations; while
-            # the column below the pivot is zero a divisible entry just
+            # the column below the pivot is zero mod M a divisible entry
             # vanishes, and a gcd step, which refills that column, sends the
             # loop back to the row operations
             mt = m[t]

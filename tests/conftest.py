@@ -10,10 +10,12 @@ staircase zigzags with known pages.
 Also holds the kernel-lattice route to integral homology, which the library
 used before it read H_n off invariant factors, the persistence pairing over
 `Fraction`, which it used before the fraction-free one, and the Bareiss pass
-that rescales every row at every step, which it used before the lazy one:
-the references `homology_int`, `complexes._pairing` and `zlinalg._bareiss`
-are tested against, and the per-cell composite checks listing every
-failure, the first of which `spectral.double_complex` raises.
+that rescales every row at every step, which it used before the lazy one,
+and the mod-M Smith elimination that reduces every entry it writes, which
+it used before the one that reduces only where a value is read: the
+references `homology_int`, `complexes._pairing`, `zlinalg._bareiss` and
+`zlinalg._smith_mod` are tested against, and the per-cell composite checks
+listing every failure, the first of which `spectral.double_complex` raises.
 
 And the rational subspace algebra the library used before `oppose` compared
 filtrations by counts and integer ranks: `rref` (fraction-free on the
@@ -48,6 +50,7 @@ from exhom.spectral import COLUMN, ROW, double_complex
 from exhom.zlinalg import (
     FinAbGroup,
     IntMatrix,
+    _xgcd,
     determinant,
     invariant_factors,
     smith_normal_form,
@@ -668,6 +671,70 @@ def eager_bareiss(A: IntMatrix, extra=()):
         prev = p
         piv.append(c)
     return piv, sign * prev, m
+
+
+def eager_smith_mod(A: IntMatrix, M: int, r: int) -> list[int]:
+    """`zlinalg._smith_mod` as it was before it reduced only where a value
+    is read: every entry is reduced mod M when the matrix is built and after
+    every row operation, and M = 1 is eliminated like any other modulus."""
+    rows, cols = A.rows, A.cols
+    m = [[e % M for e in A.row(i)] for i in range(rows)]
+    diag = []
+    for t in range(min(rows, cols)):
+        pos = next(((i, j) for j in range(t, cols) for i in range(t, rows)
+                    if m[i][j]), None)
+        if pos is None:
+            break
+        i, j = pos
+        m[t], m[i] = m[i], m[t]
+        if j != t:
+            for row in m:
+                row[t], row[j] = row[j], row[t]
+        while True:
+            top = m[t][t:]
+            for i in range(t + 1, rows):
+                mi = m[i]
+                b = mi[t]
+                if not b:
+                    continue
+                a = top[0]
+                low = mi[t:]
+                if b % a == 0:
+                    q = b // a
+                    mi[t:] = [(x - q * y) % M for x, y in zip(low, top)]
+                    continue
+                g, s, u = _xgcd(a, b)
+                a, b = a // g, b // g
+                top, mi[t:] = (
+                    [(s * x + u * y) % M for x, y in zip(top, low)],
+                    [(a * y - b * x) % M for x, y in zip(top, low)])
+            m[t][t:] = top
+            mt = m[t]
+            for j in range(t + 1, cols):
+                b = mt[j]
+                if not b:
+                    continue
+                a = mt[t]
+                if b % a == 0:
+                    mt[j] = 0
+                    continue
+                g, s, u = _xgcd(a, b)
+                a = a // g
+                mt[t], mt[j] = g, 0
+                for i in range(t + 1, rows):
+                    y = m[i][j]
+                    if y:
+                        m[i][t], m[i][j] = u * y % M, a * y % M
+                break
+            else:
+                break
+        diag.append(gcd(m[t][t], M))
+    xs = diag + [M] * (r - len(diag))
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            g = gcd(xs[i], xs[j])
+            xs[i], xs[j] = g, xs[i] // g * xs[j]
+    return xs[:r]
 
 
 def kernel_lattice(A: IntMatrix):

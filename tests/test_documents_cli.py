@@ -25,6 +25,7 @@ from conftest import (
     serialize_double_complex,
     tensor_double_complex,
 )
+from exhom import cli, complexes, zlinalg
 from exhom.cli import build_parser, main
 from exhom.complexes import _Complex
 from exhom.documents import (
@@ -504,13 +505,37 @@ def test_cli_uct_large_prime_modulus(tmp_path, capsys):
 
 
 def test_cli_uct_rejects_undecidable_modulus(tmp_path, capsys):
+    # the bound itself and 2^89 - 1, a prime above it, pass every base
     f = tmp_path / "c.json"
     f.write_text(json.dumps({"dims": {"0": 1}}))
-    code, out, err = run_cli(capsys, "uct", "--input", str(f),
-                             "--mod", "3317044064679887385961981")
-    assert code == 2 and out == ""
-    assert "cannot decide whether 3317044064679887385961981 is prime" in err
-    assert "Traceback" not in err
+    for m in ("3317044064679887385961981", "618970019642690137449562111"):
+        assert run_cli(capsys, "uct", "--input", str(f), "--mod", m) == (
+            2, "", "usage: exhom uct [-h] --input INPUT --mod MOD\n"
+            f"error: argument --mod: cannot decide whether {m} is prime: "
+            "Miller-Rabin is exact only below 3317044064679887385961981\n")
+
+
+def test_cli_uct_tests_primality_once(tmp_path, capsys, monkeypatch):
+    # below the bound is_prime decides every modulus, so only uct_check
+    # asks; 2^89 + 1 is above it and divisible by 3, so --mod asks too
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps({"dims": {"0": 1, "1": 1},
+                             "differentials": {"1": [[2]]}}))
+    calls, real = [], zlinalg.is_prime
+
+    def spy(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(cli, "is_prime", spy)
+    monkeypatch.setattr(complexes, "is_prime", spy)
+    for m, asks in ((2, 1), (6, 1), (1000000000000000003, 1),
+                    (2 ** 89 + 1, 2)):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "uct", "--input", str(f),
+                               "--mod", str(m))
+        assert code == 0 and out.startswith("uct: PASS")
+        assert calls == [m] * asks
 
 
 # ----------------------------------------------------- integer documents

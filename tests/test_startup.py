@@ -1,8 +1,11 @@
 """What a CLI run imports: `import exhom.cli` and the parser load only the
-standard library every run needs, and `fractions` and `decimal` are loaded
-only by the commands that read them.  Each check runs a fresh `python -S`
-interpreter and counts modules, not milliseconds."""
+standard library every run needs, `fractions` and `decimal` are loaded
+only by the commands that read them, and `shutil` (the terminal width) only
+by help and usage output.  Each check runs a fresh `python -S` interpreter
+and counts modules, not milliseconds.  The help and usage text that defers
+the width is byte for byte the stock argparse text."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,8 +13,11 @@ import sys
 
 import pytest
 
+from exhom import cli
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WATCHED = ("dataclasses", "typing", "inspect", "fractions", "decimal")
+WATCHED = ("dataclasses", "typing", "inspect", "fractions", "decimal",
+           "shutil")
 
 # Runs `exhom.cli.main(argv)` after building the parser (or only builds the
 # parser when argv is empty), then writes the watched modules that are
@@ -87,3 +93,33 @@ def test_rational_document_loads_fractions(tmp_path):
     # `fractions` imports `decimal` itself
     assert run_fresh("ss", "--input", path, "--axis", "col") == (
         0, LIMIT_ZERO, {"fractions", "decimal"})
+
+
+HELP_AND_USAGE = (
+    ["--help"], [], ["nope"], ["uct"], ["snf", "--bogus"],
+    ["uct", "--input", "c.json", "--mod", "1"],
+    ["betti", "--d", "0", "--dp", "1"],
+    *([command, "--help"] for command in cli._COMMANDS))
+
+
+@pytest.mark.parametrize("columns", [None, "30", "40", "200"])
+def test_help_and_usage_match_the_stock_formatter(monkeypatch, capsys,
+                                                  columns):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+
+    def outputs(formatter):
+        monkeypatch.setattr(cli, "_Formatter", formatter)
+        parser = cli.build_parser.__wrapped__()
+        seen = []
+        for argv in HELP_AND_USAGE:
+            with pytest.raises(SystemExit) as stop:
+                parser.parse_args(argv)
+            seen.append((stop.value.code, *capsys.readouterr()))
+        return seen
+
+    ours = outputs(cli._Formatter)
+    assert all("usage: exhom" in out + err for _, out, err in ours)
+    assert ours == outputs(argparse.HelpFormatter)

@@ -1,5 +1,7 @@
+import inspect
 import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -10,6 +12,7 @@ import pytest
 from conftest import (
     cokernel_structure,
     eager_bareiss,
+    eager_smith_mod,
     kernel_lattice,
     planted_int_matrix,
     random_int_chain,
@@ -334,6 +337,71 @@ def test_certificate_accepts_only_the_smith_diagonal():
             seen["rejected" if e is None else "accepted"] += 1
             assert e is None or e == d
     assert seen["accepted"] > 1000 and seen["rejected"] > 1000
+
+
+SMITH_MODULI = (1, 2, 4, 6, 12, 30, 360, 97, 2 ** 10, 2 ** 31 - 1,
+                2 ** 61 - 1)
+
+
+def widest_entry(A, M, r, probe):
+    """(`_smith_mod(A, M, r)`, the bit length of the widest entry it
+    stores).  Only a row operation writes an unreduced entry, and all of a
+    pass's row operations are done when it writes its pivot row back
+    (`m[t][t:] = top`, line `probe`), so a trace reads the matrix there.
+    The trace also stops an elimination that runs past 10^5 lines."""
+    code, widest, steps = zlinalg._smith_mod.__code__, 0, 0
+
+    def local(frame, event, arg):
+        nonlocal widest, steps
+        steps += 1
+        assert steps < 10 ** 5, "the elimination does not end"
+        if event == "line" and frame.f_lineno == probe:
+            widest = max(widest, *(abs(x).bit_length()
+                                   for row in frame.f_locals["m"]
+                                   for x in row))
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_code is code else None)
+    try:
+        return zlinalg._smith_mod(A, M, r), widest
+    finally:
+        sys.settrace(previous)
+
+
+def test_lazy_smith_mod_matches_eager():
+    # the eager elimination's gcd(d_i, M), with every stored entry within
+    # 2.bits(M) + bits(4.k.(1 + bits(M))) bits, k = min(rows, cols)
+    lines, first = inspect.getsourcelines(zlinalg._smith_mod)
+    probe = first + next(k for k, line in enumerate(lines)
+                         if line.strip() == "m[t][t:] = top")
+    rng = random.Random(30)
+    seen = Counter()
+    for n in range(200):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        density = 1 if n % 2 else rng.choice((0.2, 0.4))
+        A = IntMatrix.from_rows(
+            [[rng.randint(-30, 30) if rng.random() < density else 0
+              for _ in range(cols)] for _ in range(rows)], cols)
+        r, k = len(_bareiss(A)[0]), min(rows, cols)
+        for M in SMITH_MODULI + (rng.randrange(1, 10 ** 6),
+                                 rng.randrange(1, 2 ** 70)):
+            e, widest = widest_entry(A, M, r, probe)
+            assert e == eager_smith_mod(A, M, r)
+            bits = M.bit_length()
+            assert widest <= 2 * bits + (4 * k * (1 + bits)).bit_length()
+            seen["proper"] += any(1 < x < M for x in e)
+            # past both M and the 5 bits of the inputs: grown unreduced
+            seen["grown"] += widest > max(bits, 6)
+    assert seen["proper"] > 500 and seen["grown"] > 500
+
+
+def test_smith_mod_modulo_one_builds_no_matrix(monkeypatch):
+    A = IntMatrix.from_rows([[2, 4], [6, 8]])
+    monkeypatch.setattr(IntMatrix, "row",
+                        lambda self, i: pytest.fail("A.row was called"))
+    assert zlinalg._smith_mod(A, 1, 2) == [1, 1]
 
 
 def planted_inputs():
