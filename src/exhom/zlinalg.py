@@ -9,21 +9,28 @@ dense kernel `qlinalg._int_products` (nonzero rows times nonzero
 stride-slice columns).
 Two routes to the Smith diagonal:
 
-* `invariant_factors` builds no transforms.  It first drops the zero rows
-  and zero columns: permuted to the bottom and the right they leave
-  [[A', 0], [0, 0]], whose Smith diagonal is that of A' padded with zeros,
-  and from here on A names A'.  A fraction-free (Bareiss) pass finds the
-  rank r, the pivot columns and a nonzero r x r minor M0 = +-det P, P the
-  pivot block (A on the pivot rows and columns), and carries two fixed
-  columns B through the same row operations; back-substitution then gives
-  Y = det(P).P^-1.B' (B' the pivot rows of B).  One elimination,
-  `_smith_mod(A, M, r)`, diagonalises A modulo M and reads each diagonal
-  entry e as gcd(e, M): SNF([A | M.I]) = diag(gcd(d_i, M))
-  (Domich-Kannan-Trotter 1987, Hafner-McCurley 1991), so it gives
-  gcd(d_i, M) for the r nonzero invariant factors d_i (all 1 when M = 1:
-  no elimination).  Only the pivot search, the pivot row and the entry
+* `invariant_factors` builds no transforms.  It first splits off pivots +-1
+  over Z (Dumas-Saunders-Villard 2001): such a pivot p clears its column
+  from the other rows with x - f.p.y, a unimodular step, and its row is
+  dropped.  Smith(A) = (1, ..., 1) + Smith(S) for the k pivots and the rows
+  S left, and each entry of S is +-a (k+1)-minor of A (the pivot block has
+  determinant +-1), so S is bounded as A's minors are.  Zero rows and
+  columns of S only pad the diagonal with zeros: from here on A names S
+  without them.  A fraction-free (Bareiss) pass finds the rank r, the pivot
+  columns and a nonzero r x r minor M0 = +-det P, P the pivot block (A on
+  the pivot rows and columns), and carries two fixed columns B through the
+  same row operations; back-substitution then gives Y = det(P).P^-1.B' (B'
+  the pivot rows of B).  One elimination, `_smith_mod(A, M, r)`,
+  diagonalises A modulo M and reads each diagonal entry e as gcd(e, M):
+  SNF([A | M.I]) = diag(gcd(d_i, M)) (Domich-Kannan-Trotter 1987,
+  Hafner-McCurley 1991), so it gives gcd(d_i, M) for the r nonzero invariant
+  factors d_i (all 1 when M = 1: no elimination).  Its pivot a has the least
+  g = gcd(a, M).  Mod M, a and g are associates, so b in a's row or column
+  with g | b clears in one step, q = (b/g).(a/g)^-1 mod M/g; any other b
+  (e.g. [[2, 3]] mod 6) takes an xgcd step, which makes gcd(a, b) the pivot
+  and at least halves g.  Only the pivot search, the pivot row and the entry
   below the pivot reduce mod M; a divisible row operation adds q.y < M^2
-  unreduced, at most bits(M) times per pivot (each gcd step halves it), so
+  unreduced, at most bits(M) times per pivot (a pass per halving of g), so
   entries stay below max|A| + min(rows, cols).bits(M).M^2.  Each route's M:
   - A nonsingular n x n: M = gcd(det A, Y) = |det A| / delta, delta the
     denominator of A^-1.B.  delta divides d_n (d_n.A^-1 is integral), so
@@ -66,7 +73,7 @@ from math import gcd
 from operator import index
 
 from ._record import Record, _set
-from .qlinalg import RatMatrix, _columns, _Dense, _int_products
+from .qlinalg import _columns, _Dense, _int_products
 
 
 def _index(x) -> int:
@@ -86,17 +93,11 @@ class IntMatrix(_Dense):
             _set(self, "nums", tuple(map(_index, self.nums)))
         _set(self, "entries", self.nums)
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return self.nums[j::self.cols]
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
         return IntMatrix(self.rows, other.cols, tuple(_int_products(
             self._num_rows(), _columns(other.nums, other.cols))))
-
-    def to_rational(self) -> RatMatrix:
-        return RatMatrix(self.rows, self.cols, self.nums)
 
 
 class SmithForm(Record):
@@ -210,14 +211,6 @@ def _adjoint_columns(m: list[list[int]], piv: list[int],
     return ys
 
 
-def determinant(A: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    if A.rows != A.cols:
-        raise ValueError("determinant of non-square matrix")
-    piv, minor, _ = _bareiss(A)
-    return minor if len(piv) == A.rows else 0
-
-
 def _divisor_chain(xs: list[int]) -> list[int]:
     """The Smith diagonal of diag(xs), xs positive: gcd/lcm exchange makes
     every entry divide all later ones and keeps the product."""
@@ -259,8 +252,18 @@ def _smith_mod(A: IntMatrix, M: int, r: int) -> list[int]:
     m = [list(A.row(i)) for i in range(rows)]
     diag = []
     for t in range(min(rows, cols)):
-        pos = next(((i, j) for j in range(t, cols) for i in range(t, rows)
-                    if m[i][j] % M), None)
+        # pivot: an entry of least gcd with M, skipping rows whose own gcd
+        # with M is no less; the scan stops at the last diagonal gcd (or 1)
+        least, pos, stop = M, None, diag[-1] if diag else 1
+        for i in range(t, rows):
+            if gcd(M, *m[i][t:]) < least:
+                for j, x in enumerate(m[i][t:], t):
+                    if (g := gcd(x, M)) < least:
+                        least, pos = g, (i, j)
+                        if g <= stop:
+                            break
+                if least <= stop:
+                    break
         if pos is None:
             break
         i, j = pos
@@ -269,41 +272,39 @@ def _smith_mod(A: IntMatrix, M: int, r: int) -> list[int]:
             for row in m[t:]:  # rows above t are zero from column t on
                 row[t], row[j] = row[j], row[t]
         while True:
-            # clear column t below the pivot with row operations
+            # clear column t below the pivot a with row operations
             top = [x % M for x in m[t][t:]]
+            g, inv = gcd(a := top[0], M), 0
             for i in range(t + 1, rows):
                 mi = m[i]
                 b = mi[t] % M
                 if not b:
                     continue
-                a = top[0]
                 low = mi[t:]
-                if b % a == 0:
-                    q = b // a
+                if b % g == 0:
+                    inv = inv or pow(a // g, -1, M // g)
+                    q = b // g * inv % (M // g)
                     mi[t:] = [x - q * y for x, y in zip(low, top)]
                     continue
-                g, s, u = _xgcd(a, b)
-                a, b = a // g, b // g
+                h, s, u = _xgcd(a, b)
+                a, b = a // h, b // h
                 top, mi[t:] = (
                     [(s * x + u * y) % M for x, y in zip(top, low)],
                     [(a * y - b * x) % M for x, y in zip(top, low)])
+                g, inv = gcd(a := top[0], M), 0
             m[t][t:] = top
-            # clear row t right of the pivot with column operations; while
-            # the column below the pivot is zero mod M a divisible entry
-            # vanishes, and a gcd step, which refills that column, sends the
-            # loop back to the row operations
+            # clear row t right of the pivot with column operations: an entry
+            # g divides vanishes (column t is 0 mod M below the pivot), and a
+            # gcd step refills column t and sends the loop back to the rows
             mt = m[t]
             for j in range(t + 1, cols):
                 b = mt[j]
-                if not b:
-                    continue
-                a = mt[t]
-                if b % a == 0:
+                if b % g == 0:
                     mt[j] = 0
                     continue
-                g, s, u = _xgcd(a, b)
-                a = a // g
-                mt[t], mt[j] = g, 0
+                h, s, u = _xgcd(a, b)
+                a = a // h
+                mt[t], mt[j] = h, 0
                 for i in range(t + 1, rows):
                     y = m[i][j]
                     if y:
@@ -311,10 +312,33 @@ def _smith_mod(A: IntMatrix, M: int, r: int) -> list[int]:
                 break
             else:
                 break
-        diag.append(gcd(m[t][t], M))
+        diag.append(g)
     # an entry that vanished mod M, or a row never reached, has factor M;
     # mod M more than r entries can be nonzero (diag(4, 3) ~ diag(1, 12))
     return _divisor_chain(diag + [M] * (r - len(diag)))[:r]
+
+
+def _unit_pivots(A: IntMatrix) -> tuple[int, IntMatrix]:
+    """(k, S): k pivots +-1 taken over Z, S the rest less its zero rows and
+    columns; a row is searched for +-1 again once a step changes it."""
+    m = dict(enumerate(map(list, map(A.row, range(A.rows)))))
+    todo = set(m)
+    while todo:
+        row = m[i := todo.pop()]
+        j = row.index(1) if 1 in row else row.index(-1) if -1 in row else -1
+        if j < 0:
+            continue
+        del m[i]
+        for h, other in m.items():
+            if f := other[j] * row[j]:
+                other[:] = [x - f * y for x, y in zip(other, row)]
+                todo.add(h)
+    rows = [row for row in m.values() if any(row)]
+    keep = [j for j, col in enumerate(zip(*rows)) if any(col)]
+    if len(rows) == A.rows and len(keep) == A.cols:
+        return 0, A
+    return A.rows - len(m), IntMatrix(len(rows), len(keep), tuple(
+        row[j] for row in rows for j in keep))
 
 
 def _certified(A: IntMatrix, G: int, minor: int,
@@ -338,11 +362,9 @@ def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
     entries in a divisibility chain, zeros last.
     """
     k = min(A.rows, A.cols)
-    keep = [j for j in range(A.cols) if any(A.entries[j::A.cols])]
-    nonzero = [row for row in map(A.row, range(A.rows)) if any(row)]
-    if len(nonzero) < A.rows or len(keep) < A.cols:
-        A = IntMatrix(len(nonzero), len(keep),
-                      tuple(row[j] for row in nonzero for j in keep))
+    ones, A = _unit_pivots(A)
+    if not A.rows:
+        return (1,) * ones + (0,) * (k - ones)
     piv, minor, low = _bareiss(A, _rhs(A.rows))
     r, M0 = len(piv), abs(minor)
     square = 0 < r == A.rows == A.cols
@@ -358,7 +380,7 @@ def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
         G = (M0 // M) ** 2  # delta'^2, 1 when nothing was solved
         chain = (1 < G < M0 and _certified(A, G, M0, r)
                  or _smith_mod(A, M0, r))
-    return tuple(chain) + (0,) * (k - r)
+    return (1,) * ones + tuple(chain) + (0,) * (k - ones - r)
 
 
 def _find_pivot(m, t, rows, cols):
@@ -458,17 +480,10 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
     return SmithForm(U=U, D=D, V=V, diagonal=diagonal)
 
 
-def rank_mod_p(A: IntMatrix, p: int) -> int:
-    """Rank of A over the field Z/p (p prime)."""
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    return _rank_mod_p(A, p)
-
-
 def _rank_mod_p(A: IntMatrix, p: int) -> int:
-    """`rank_mod_p` without the primality test; zero rows mod p dropped.
-    Forward elimination only: a pivot clears the rows below it, from its
-    column on, and the pivot row itself is never scaled."""
+    """Rank of A over the field Z/p, p prime (not tested here); zero rows
+    mod p dropped.  Forward elimination only: a pivot clears the rows below
+    it, from its column on, and the pivot row itself is never scaled."""
     m = [row for row in ([e % p for e in A.row(i)] for i in range(A.rows))
          if any(row)]
     r = 0

@@ -27,13 +27,20 @@ complement, and the stacking and vector product of `RatMatrix` they need.
 And library code no subcommand reaches: the serializers, which write a
 complex or a double complex back as a document (lowest-terms rationals with
 the sign on the numerator, so a parse-serialize round trip is bit-stable),
-the degreewise dual `hom_dual` and `cokernel_structure`.
+the degreewise dual `hom_dual`, `cokernel_structure`, the Bareiss
+`determinant`, `rank_mod_p` (`zlinalg._rank_mod_p` behind a primality test)
+and an `IntMatrix`'s `column` and `to_rational`.
+
+And simplicial surfaces with known homology, the 6-vertex projective plane
+and the 7-vertex torus and their barycentric subdivisions, whose boundary
+matrices hold only -1, 0 and 1.
 """
 
 import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, inf, lcm
 from typing import Iterable, List, Sequence, Tuple
 
@@ -50,9 +57,11 @@ from exhom.spectral import COLUMN, ROW, double_complex
 from exhom.zlinalg import (
     FinAbGroup,
     IntMatrix,
+    _bareiss,
+    _rank_mod_p,
     _xgcd,
-    determinant,
     invariant_factors,
+    is_prime,
     smith_normal_form,
 )
 
@@ -318,6 +327,29 @@ def cokernel_structure(A: IntMatrix) -> FinAbGroup:
                       torsion=tuple(d for d in nonzero if d > 1))
 
 
+def determinant(A: IntMatrix) -> int:
+    """Exact determinant via fraction-free (Bareiss) elimination."""
+    if A.rows != A.cols:
+        raise ValueError("determinant of non-square matrix")
+    piv, minor, _ = _bareiss(A)
+    return minor if len(piv) == A.rows else 0
+
+
+def rank_mod_p(A: IntMatrix, p: int) -> int:
+    """Rank of A over the field Z/p (p prime)."""
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    return _rank_mod_p(A, p)
+
+
+def column(A: IntMatrix, j: int) -> tuple:
+    return A.nums[j::A.cols]
+
+
+def to_rational(A: IntMatrix) -> RatMatrix:
+    return RatMatrix(A.rows, A.cols, A.nums)
+
+
 # ------------------------------------------------------------- generators
 
 def differential(C, n: int):
@@ -390,7 +422,7 @@ def conjugate_cochain(rng, C: CochainComplex, spread=2) -> CochainComplex:
     for n in C.degrees():
         dn = differential(C, n)
         if dn.rows and dn.cols:
-            diffs[n] = P[n + 1].to_rational() @ dn @ _rat_inverse(P[n])
+            diffs[n] = to_rational(P[n + 1]) @ dn @ _rat_inverse(P[n])
     return cochain_complex(C.min_deg, dict(C.dims), diffs)
 
 
@@ -591,7 +623,7 @@ def random_zigzag_double_complex(rng, grid=4, pieces=6, corners=0):
     maps = {"horiz": {}, "vert": {}}
     for (field, (r, s)), M in raw.items():
         dst = (r + 1, s) if field == "horiz" else (r, s + 1)
-        maps[field][(r, s)] = (P[dst].to_rational()
+        maps[field][(r, s)] = (to_rational(P[dst])
                                @ RatMatrix.from_rows(M, dims[(r, s)])
                                @ _rat_inverse(P[(r, s)]))
     K = double_complex(grid, grid, dims, maps["horiz"], maps["vert"])
@@ -642,6 +674,43 @@ def planted_int_matrix(rng, rows, cols, ops=3):
     perm = rng.sample(range(cols), cols)
     return IntMatrix.from_rows([[row[j] for j in perm] for row in m],
                                cols), tuple(t)
+
+
+# ------------------------------------------------------ simplicial surfaces
+
+# the 6-vertex real projective plane and the 7-vertex torus, by triangles
+RP2 = tuple(tuple(map(int, t)) for t in
+            "123 134 145 156 162 235 346 452 563 624".split())
+TORUS = tuple(tuple(sorted(t)) for i in range(7)
+              for t in ({i, (i + 1) % 7, (i + 3) % 7},
+                        {i, (i + 2) % 7, (i + 3) % 7}))
+
+
+def barycentric(triangles):
+    """The triangles of the barycentric subdivision: its vertices are the
+    faces (dim, vertices) of the surface, its triangles the flags vertex <
+    edge < triangle."""
+    return tuple(((0, (v,)), (1, e), (2, t))
+                 for t in map(tuple, map(sorted, triangles))
+                 for e in combinations(t, 2) for v in e)
+
+
+def surface_chain(triangles) -> IntChainComplex:
+    """The simplicial chain complex of a surface given by its triangles:
+    d [v_0 < ... < v_k] is the sum of (-1)^i times the face without v_i,
+    so every entry of d_1 and d_2 is -1, 0 or 1."""
+    faces = [sorted({f for t in triangles
+                     for f in combinations(sorted(t), k + 1)})
+             for k in range(3)]
+    diffs = {}
+    for k in (1, 2):
+        index = {f: i for i, f in enumerate(faces[k - 1])}
+        m = [[0] * len(faces[k]) for _ in faces[k - 1]]
+        for j, f in enumerate(faces[k]):
+            for i in range(k + 1):
+                m[index[f[:i] + f[i + 1:]]][j] = (-1) ** i
+        diffs[k] = IntMatrix.from_rows(m, len(faces[k]))
+    return int_chain_complex(0, dict(enumerate(map(len, faces))), diffs)
 
 
 def eager_bareiss(A: IntMatrix, extra=()):
@@ -741,7 +810,7 @@ def kernel_lattice(A: IntMatrix):
     """Basis of the integer kernel {x in Z^cols : Ax = 0} (a saturated
     lattice): the columns of V over the zero diagonal of U.A.V = D."""
     snf = smith_normal_form(A)
-    return [snf.V.column(j) for j in range(A.cols)
+    return [column(snf.V, j) for j in range(A.cols)
             if j >= len(snf.diagonal) or snf.diagonal[j] == 0]
 
 
@@ -760,7 +829,7 @@ def reference_homology_int(C: IntChainComplex, n: int) -> FinAbGroup:
                              for row in zip(*kbasis)], k)
     # K has full column rank, so rref([K | d_{n+1}]) = [I | Y; 0 | 0] with
     # K Y = d_{n+1} exactly when every pivot lies in the K block
-    R, pivots = rref(hstack(K, dnext.to_rational()))
+    R, pivots = rref(hstack(K, to_rational(dnext)))
     assert pivots == list(range(k)), f"image of d_{n + 1} not inside ker d_{n}"
     Y = [R.row(i)[k:] for i in range(k)]
     assert all(f.denominator == 1 for row in Y for f in row), \

@@ -10,6 +10,7 @@ import sys
 import time
 
 from conftest import (
+    determinant,
     rank,
     random_dense_cochain,
     random_double_complex,
@@ -39,7 +40,7 @@ from exhom.steinberg import (
     ext_dim,
     paper_table_diff,
 )
-from exhom.zlinalg import determinant, smith_normal_form
+from exhom.zlinalg import smith_normal_form
 
 
 def report(num, name, failures):

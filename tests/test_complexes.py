@@ -1,11 +1,15 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
+    RP2,
+    TORUS,
     Subspace,
     apply,
+    barycentric,
     differential,
     hom_dual,
     kernel_basis,
@@ -14,8 +18,11 @@ from conftest import (
     random_int_chain,
     reference_homology_int,
     subspace_sum,
+    surface_chain,
+    to_rational,
 )
 from exhom import complexes, zlinalg
+from exhom.cli import main
 from exhom.complexes import (
     ComplexError,
     cochain_complex,
@@ -211,8 +218,8 @@ def test_homology_free_rank_matches_rational_rank():
     for _ in range(15):
         C = random_int_chain(rng)
         for n in C.degrees():
-            hq = (C.dim(n) - rank(differential(C, n).to_rational())
-                  - rank(differential(C, n + 1).to_rational()))
+            hq = (C.dim(n) - rank(to_rational(differential(C, n)))
+                  - rank(to_rational(differential(C, n + 1))))
             assert homology_int(C, n).free_rank == hq
 
 
@@ -224,6 +231,39 @@ def test_homology_int_matches_kernel_lattice_reference():
                              max_mult=rng.choice((2, 6, 12)))
         for n in C.degrees():
             assert homology_int(C, n) == reference_homology_int(C, n), (i, n)
+
+
+SURFACES = {
+    # H_0, H_1, H_2 and dim H_n(C (x) Z/p) for p = 2, 3
+    "RP2": (RP2, [FinAbGroup(1, ()), FinAbGroup(0, (2,)), FinAbGroup(0, ())],
+            {2: (1, 1, 1), 3: (1, 0, 0)}),
+    "torus": (TORUS, [FinAbGroup(1, ()), FinAbGroup(2, ()),
+                      FinAbGroup(1, ())], {2: (1, 2, 1), 3: (1, 2, 1)}),
+}
+
+
+@pytest.mark.parametrize("subdivisions", [0, 1, 2])
+@pytest.mark.parametrize("surface", sorted(SURFACES))
+def test_surface_homology_known_answers(surface, subdivisions, tmp_path,
+                                        capsys):
+    """The projective plane and the torus, as triangulated and after one and
+    two barycentric subdivisions: their boundary matrices, entries -1, 0
+    and 1, give the known integral homology, and `exhom uct` the known
+    dimensions mod 2 and mod 3."""
+    triangles, groups, mod_p = SURFACES[surface]
+    for _ in range(subdivisions):
+        triangles = barycentric(triangles)
+    C = surface_chain(triangles)
+    assert [homology_int(C, n) for n in range(3)] == groups
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps({
+        "dims": {str(n): d for n, d in C.dims.items()},
+        "differentials": {str(n): D.to_lists()
+                          for n, D in C.differentials.items()}}))
+    for p, dims in mod_p.items():
+        assert main(["uct", "--input", str(f), "--mod", str(p)]) == 0
+        assert capsys.readouterr().out == "uct: PASS\n" + "".join(
+            f"  degree {n}: {d} vs {d}  ok\n" for n, d in enumerate(dims))
 
 
 def test_uct_mod_two_with_torsion():

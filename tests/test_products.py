@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import apply, differential, random_double_complex
+from conftest import apply, column, differential, random_double_complex
 from exhom.documents import (
     DocumentError,
     parse_chain_document,
@@ -76,7 +76,7 @@ def test_products_with_zero_rows_and_columns_match_triple_loop():
         b = IntMatrix(m, p, with_zero_lines(
             rng, m, p, lambda r: r.randint(-30, 30), 0))
         rows = [a.row(i) for i in range(n)]
-        cols = [b.column(j) for j in range(p)]
+        cols = [column(b, j) for j in range(p)]
         assert _int_products(rows, cols) == naive_product(a, b)
         assert list((a @ b).entries) == naive_product(a, b)
         x = RatMatrix(n, m, with_zero_lines(rng, n, m, random_rational,
@@ -143,7 +143,7 @@ def test_transpose_column_and_apply_match_entries():
             assert (T.rows, T.cols) == (m, n)
             assert all(T[j, i] == M[i, j] for i in range(n) for j in range(m))
         for j in range(m):
-            assert a.column(j) == tuple(a[i, j] for i in range(n))
+            assert column(a, j) == tuple(a[i, j] for i in range(n))
         v = [random_rational(rng) for _ in range(m)]
         assert list(apply(q, v)) == naive_product(q, RatMatrix(m, 1, tuple(v)))
     with pytest.raises(ValueError, match="vector length mismatch"):

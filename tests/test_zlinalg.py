@@ -10,7 +10,10 @@ from math import gcd
 import pytest
 
 from conftest import (
+    RP2,
+    barycentric,
     cokernel_structure,
+    determinant,
     eager_bareiss,
     eager_smith_mod,
     kernel_lattice,
@@ -20,6 +23,9 @@ from conftest import (
     random_low_rank_matrix,
     random_unimodular,
     rank,
+    rank_mod_p,
+    surface_chain,
+    to_rational,
 )
 from exhom import zlinalg
 from exhom.cli import main
@@ -30,10 +36,8 @@ from exhom.zlinalg import (
     _bareiss,
     _certified,
     _rhs,
-    determinant,
     invariant_factors,
     is_prime,
-    rank_mod_p,
     smith_normal_form,
 )
 
@@ -339,8 +343,10 @@ def test_certificate_accepts_only_the_smith_diagonal():
     assert seen["accepted"] > 1000 and seen["rejected"] > 1000
 
 
+# the last three, 2^6.3^2.11^2, 2^8.3^4.5^4 and 2^4.3^10.5^8, are squares
+# with repeated primes, as the delta'^2 moduli of planted matrices are
 SMITH_MODULI = (1, 2, 4, 6, 12, 30, 360, 97, 2 ** 10, 2 ** 31 - 1,
-                2 ** 61 - 1)
+                2 ** 61 - 1, 69696, 12960000, 369056250000)
 
 
 def widest_entry(A, M, r, probe):
@@ -404,6 +410,67 @@ def test_smith_mod_modulo_one_builds_no_matrix(monkeypatch):
     assert zlinalg._smith_mod(A, 1, 2) == [1, 1]
 
 
+def test_smith_mod_fallback_when_the_least_gcd_divides_too_little(
+        monkeypatch):
+    # g = gcd(pivot, M) does not divide another entry of the pivot row (of
+    # the pivot column in the transpose), so only an xgcd step reaches the
+    # diagonal
+    xgcd, calls = zlinalg._xgcd, []
+    monkeypatch.setattr(zlinalg, "_xgcd",
+                        lambda a, b: calls.append((a, b)) or xgcd(a, b))
+    for rows, M, e in (([[2, 3]], 6, [1]), ([[4, 6]], 12, [2]),
+                       ([[6, 10, 15]], 30, [1])):
+        A = IntMatrix.from_rows(rows)
+        for B in (A, A.transpose()):
+            calls.clear()
+            assert zlinalg._smith_mod(B, M, 1) == e == eager_smith_mod(B, M, 1)
+            assert calls
+
+
+def test_smith_mod_and_the_split_on_empty_and_zero_matrices():
+    for rows, cols in ((0, 3), (3, 0), (2, 3)):
+        A = IntMatrix.zero(rows, cols)
+        assert zlinalg._unit_pivots(A) == (0, IntMatrix.zero(0, 0))
+        for M in (1, 6, 97):
+            assert zlinalg._smith_mod(A, M, 0) == []
+            assert eager_smith_mod(A, M, 0) == []
+
+
+def test_the_split_consumes_unimodular_matrices(monkeypatch):
+    # nothing of a signed permutation is left, so no Bareiss pass runs; a
+    # random unimodular matrix gives all ones whatever the split leaves
+    rng = random.Random(31)
+    passes = []
+    monkeypatch.setattr(zlinalg, "_bareiss", lambda A, extra=():
+                        passes.append(A) or _bareiss(A, extra))
+    for n in range(1, 13):
+        perm = rng.sample(range(n), n)
+        A = IntMatrix.from_rows([[rng.choice((-1, 1)) * (j == perm[i])
+                                  for j in range(n)] for i in range(n)], n)
+        assert zlinalg._unit_pivots(A) == (n, IntMatrix.zero(0, 0))
+        assert invariant_factors(A) == (1,) * n
+    # row 0 holds no +-1 until row 1's pivot clears its first column
+    assert zlinalg._unit_pivots(IntMatrix.from_rows([[2, 3], [1, 1]])) == (
+        2, IntMatrix.zero(0, 0))
+    assert not passes
+    consumed = 0
+    for n in range(1, 13):
+        for ops in (6, 4 * n):
+            A = random_unimodular(rng, n, ops=ops)
+            assert invariant_factors(A) == (1,) * n
+            consumed += zlinalg._unit_pivots(A)[1].rows == 0
+    assert consumed >= 12 and len(passes) >= 1
+
+
+def test_the_split_takes_every_unit_of_a_projective_plane():
+    # d_2 of the second barycentric subdivision of RP^2 has the Smith
+    # diagonal (1, ..., 1, 2): the +-1 pivots split off all 359 ones
+    D = surface_chain(barycentric(barycentric(RP2))).differentials[2]
+    assert (D.rows, D.cols) == (540, 360)
+    assert zlinalg._unit_pivots(D)[0] == 359
+    assert invariant_factors(D) == (1,) * 359 + (2,)
+
+
 def planted_inputs():
     """12 seeded singular planted matrices whose minor M0 exceeds 64 bits,
     n x n and n x n +- 4 rows for n = 24, 28, 32, 36, with their Smith
@@ -422,18 +489,22 @@ def planted_inputs():
 def traced(monkeypatch):
     """`traced(A)`: invariant_factors(A) and the route it took, read from
     the moduli a spy on `_smith_mod` sees: M0 alone (minor), M0 after
-    another modulus (fallback) or no M0 (certified)."""
-    calls = []
+    another modulus (fallback) or no M0 (certified).  M0 is the minor of the
+    matrix the spy is given, what is left of A after the split of the +-1
+    pivots."""
+    calls, seen = [], []
     smith_mod = zlinalg._smith_mod
 
     def spy(A, M, r):
         calls.append(M)
+        seen.append(A)
         return smith_mod(A, M, r)
 
     def traced(A):
         calls.clear()
+        seen.clear()
         factors = invariant_factors(A)
-        M0 = abs(_bareiss(A)[1])
+        M0 = abs(_bareiss(seen[0])[1])
         if calls == [M0]:
             return factors, "minor"
         return factors, "fallback" if calls[-1] == M0 else "certified"
@@ -527,7 +598,7 @@ def test_rational_rank_matches_nonzero_diagonal():
     for _ in range(40):
         A = random_int_matrix(rng, max_size=5, bound=10)
         diag = smith_normal_form(A).diagonal
-        assert rank(A.to_rational()) == sum(1 for d in diag if d)
+        assert rank(to_rational(A)) == sum(1 for d in diag if d)
 
 
 def test_cokernel_examples():
@@ -590,7 +661,7 @@ def test_rank_mod_p_forward_elimination_matches_references(p):
         diag = [d for d in smith_normal_form(A).diagonal if d]
         assert got == sum(1 for d in diag if d % p), (A, p)
         if all(d % p for d in diag):
-            assert got == rank(A.to_rational())
+            assert got == rank(to_rational(A))
             rational += 1
     assert rational >= (40 if p == BIG_PRIME else 1)
 
@@ -645,7 +716,7 @@ def test_int_matrix_shares_rational_storage():
     assert A.transpose().to_lists() == [[1, 4], [2, 5], [3, 6]]
     assert IntMatrix.zero(2, 1) == IntMatrix(2, 1, (0, 0))
     assert IntMatrix.identity(2).entries == (1, 0, 0, 1)
-    assert A.to_rational().to_lists() == A.to_lists()
-    assert A != A.to_rational()
+    assert to_rational(A).to_lists() == A.to_lists()
+    assert A != to_rational(A)
     with pytest.raises(ValueError, match="ragged rows"):
         IntMatrix.from_rows([[1, 2], [3]])
