@@ -32,7 +32,6 @@ from .spectral import (
     DoubleComplex,
     FiltrationChain,
     SpectralPages,
-    degenerates_at,
     dimension_criterion,
     double_complex,
     filtration_on_total,
@@ -48,7 +47,6 @@ from .steinberg import (
     betti_profile,
     covering_filtration_dims,
     delta,
-    e2_dim,
     e2_table,
     ext_dim,
     paper_table_diff,

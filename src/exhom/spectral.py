@@ -324,8 +324,3 @@ def dimension_criterion(F: FiltrationChain, G: FiltrationChain) -> bool:
     return (all(f[p] + f[n + 1 - p] == h and g[p] + g[n + 1 - p] == h
                 for p in range(n + 2))
             and all(_sum_dim(F, p, G, n + 1 - p) == h for p in range(n + 2)))
-
-
-def degenerates_at(P: SpectralPages, r: int) -> bool:
-    """True iff every differential on pages >= r has rank zero."""
-    return not any(rk and page >= r for (page, _, _), rk in P.d_ranks.items())

@@ -8,11 +8,11 @@ one term per unitary constituent of the induced representation, weighted by
 the multiplicity vector (m10, m01, m11); the trivial constituent always has
 multiplicity one.  The sum is written once, `_row`, which scatters each
 pair's four terms into one sparse row in O(min(d, d')): the grid is every
-row, O(d d'), a single cell reads its own row, and Betti numbers and
-filtration dims keep only the anti-diagonals of rows 0..n.  A separate
-emitter tabulates the published case-analysis table side by side with the
-four-term sum and reports every difference without judging which is
-intended; `render_grids` draws its grids and those of `exhom e2`.
+row, O(d d'), and Betti numbers and filtration dims keep only the
+anti-diagonals of rows 0..n.  A separate emitter tabulates the published
+case-analysis table side by side with the four-term sum and reports every
+difference without judging which is intended; `render_grids` draws its
+grids and those of `exhom e2`.
 """
 
 from __future__ import annotations
@@ -97,11 +97,6 @@ def _row(d: int, dp: int, spectrum: InducedSpectrum, s: int) -> dict[int, int]:
             if w:
                 row[r] = row.get(r, 0) + w
     return row
-
-
-def e2_dim(d: int, dp: int, spectrum: InducedSpectrum, r: int, s: int) -> int:
-    """Second-page dimension at (r, s), from row s alone."""
-    return _row(d, dp, spectrum, s).get(r, 0)
 
 
 class E2Table(Record):

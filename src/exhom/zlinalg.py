@@ -9,29 +9,36 @@ dense kernel `qlinalg._int_products` (nonzero rows times nonzero
 stride-slice columns).
 Two routes to the Smith diagonal:
 
-* `invariant_factors` builds no transforms.  It first splits off pivots +-1
-  over Z (Dumas-Saunders-Villard 2001): such a pivot p clears its column
-  from the other rows with x - f.p.y, a unimodular step, and its row is
-  dropped.  Smith(A) = (1, ..., 1) + Smith(S) for the k pivots and the rows
-  S left, and each entry of S is +-a (k+1)-minor of A (the pivot block has
-  determinant +-1), so S is bounded as A's minors are.  Zero rows and
-  columns of S only pad the diagonal with zeros: from here on A names S
-  without them.  A fraction-free (Bareiss) pass finds the rank r, the pivot
-  columns and a nonzero r x r minor M0 = +-det P, P the pivot block (A on
-  the pivot rows and columns), and carries two fixed columns B through the
-  same row operations; back-substitution then gives Y = det(P).P^-1.B' (B'
-  the pivot rows of B).  One elimination, `_smith_mod(A, M, r)`,
-  diagonalises A modulo M and reads each diagonal entry e as gcd(e, M):
-  SNF([A | M.I]) = diag(gcd(d_i, M)) (Domich-Kannan-Trotter 1987,
-  Hafner-McCurley 1991), so it gives gcd(d_i, M) for the r nonzero invariant
-  factors d_i (all 1 when M = 1: no elimination).  Its pivot a has the least
-  g = gcd(a, M).  Mod M, a and g are associates, so b in a's row or column
-  with g | b clears in one step, q = (b/g).(a/g)^-1 mod M/g; any other b
-  (e.g. [[2, 3]] mod 6) takes an xgcd step, which makes gcd(a, b) the pivot
-  and at least halves g.  Only the pivot search, the pivot row and the entry
-  below the pivot reduce mod M; a divisible row operation adds q.y < M^2
-  unreduced, at most bits(M) times per pivot (a pass per halving of g), so
-  entries stay below max|A| + min(rows, cols).bits(M).M^2.  Each route's M:
+* `invariant_factors` builds no transforms.  It first splits off pivots
+  over Z (Dumas-Saunders-Villard 2001): a +-1 in a row or, once no row
+  holds one, the least nonzero |entry| p of a row that divides every entry
+  of its row and of its column.  The pivot clears its column from the
+  other rows with x - (f/p).y, a unimodular step, and its row is dropped:
+  the column operations that would clear that row touch no other row, as
+  its column is now zero there.  So A ~ diag(p_1, ..., p_k) + S for the k
+  pivots and the rows S left, and the Smith diagonal of A is the divisor
+  chain (`_divisor_chain`, a gcd/lcm exchange) of the |p_i| and the Smith
+  diagonal of S.  An entry of S is a (k+1)-minor of A divided by the
+  determinant of the pivot block (a Schur complement), a nonzero integer,
+  so S is bounded as A's minors are.  An empty S needs nothing more, and
+  zero rows and columns of S only pad the diagonal with zeros: from here on
+  A names S without them.  A fraction-free (Bareiss) pass finds the rank r,
+  the pivot columns and a nonzero r x r minor M0 = +-det P, P the pivot
+  block (A on the pivot rows and columns), and carries two fixed columns B
+  through the same row operations; back-substitution then gives
+  Y = det(P).P^-1.B' (B' the pivot rows of B).  One elimination,
+  `_smith_mod(A, M, r)`, diagonalises A modulo M and reads each diagonal
+  entry e as gcd(e, M): SNF([A | M.I]) = diag(gcd(d_i, M))
+  (Domich-Kannan-Trotter 1987, Hafner-McCurley 1991), so it gives
+  gcd(d_i, M) for the r nonzero invariant factors d_i (all 1 when M = 1: no
+  elimination).  Its pivot a has the least g = gcd(a, M).  Mod M, a and g
+  are associates, so b in a's row or column with g | b clears in one step,
+  q = (b/g).(a/g)^-1 mod M/g; any other b (e.g. [[2, 3]] mod 6) takes an
+  xgcd step, which makes gcd(a, b) the pivot and at least halves g.  Only
+  the pivot search, the pivot row and the entry below the pivot reduce mod
+  M; a divisible row operation adds q.y < M^2 unreduced, at most
+  bits(M) times per pivot (a pass per halving of g), so entries stay below
+  max|A| + min(rows, cols).bits(M).M^2.  Each route's M:
   - A nonsingular n x n: M = gcd(det A, Y) = |det A| / delta, delta the
     denominator of A^-1.B.  delta divides d_n (d_n.A^-1 is integral), so
     d_1...d_{n-1} divides M, the elimination gives d_1..d_{n-1}, and
@@ -318,26 +325,47 @@ def _smith_mod(A: IntMatrix, M: int, r: int) -> list[int]:
     return _divisor_chain(diag + [M] * (r - len(diag)))[:r]
 
 
-def _unit_pivots(A: IntMatrix) -> tuple[int, IntMatrix]:
-    """(k, S): k pivots +-1 taken over Z, S the rest less its zero rows and
-    columns; a row is searched for +-1 again once a step changes it."""
-    m = dict(enumerate(map(list, map(A.row, range(A.rows)))))
-    todo = set(m)
-    while todo:
-        row = m[i := todo.pop()]
-        j = row.index(1) if 1 in row else row.index(-1) if -1 in row else -1
-        if j < 0:
-            continue
+def _split_pivots(A: IntMatrix) -> tuple[list[int], IntMatrix]:
+    """(pivots, S): |p| for each pivot p taken over Z, S the rest less its
+    zero rows and columns.  A +-1 in a row is a pivot; once no row holds
+    one, so is a least nonzero |entry| p of a row (+p before -p) if p
+    divides its row and its column.  A row is searched again once a step
+    changes it."""
+    m = {i: list(row) for i in range(A.rows) if any(row := A.row(i))}
+    todo, later, pivots = set(m), set(), []
+    while todo or later:
+        if todo:
+            row = m[i := todo.pop()]
+            if 1 in row:
+                j = row.index(1)
+            elif -1 in row:
+                j = row.index(-1)
+            else:
+                later.add(i)
+                continue
+        else:
+            row = m[i := later.pop()]
+            p = min(filter(None, map(abs, row)), default=0)
+            if not p or any(x % p for x in row):
+                continue
+            j = row.index(p) if p in row else row.index(-p)
+            if any(other[j] % p for other in m.values()):
+                continue
         del m[i]
+        pivots.append(abs(p := row[j]))
+        support = [(k, y) for k, y in enumerate(row) if y]
         for h, other in m.items():
-            if f := other[j] * row[j]:
-                other[:] = [x - f * y for x, y in zip(other, row)]
+            if f := other[j]:
+                q = f // p
+                for k, y in support:
+                    other[k] -= q * y
                 todo.add(h)
+                later.discard(h)
     rows = [row for row in m.values() if any(row)]
     keep = [j for j, col in enumerate(zip(*rows)) if any(col)]
     if len(rows) == A.rows and len(keep) == A.cols:
-        return 0, A
-    return A.rows - len(m), IntMatrix(len(rows), len(keep), tuple(
+        return pivots, A
+    return pivots, IntMatrix(len(rows), len(keep), tuple(
         row[j] for row in rows for j in keep))
 
 
@@ -359,28 +387,31 @@ def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
     """The Smith diagonal of A without transforms.
 
     Equals `smith_normal_form(A).diagonal`: min(rows, cols) non-negative
-    entries in a divisibility chain, zeros last.
+    entries in a divisibility chain, zeros last.  The pivots split off over
+    Z and the nonzero factors of the block they leave, found modulo M,
+    merge into one chain by gcd/lcm exchange.
     """
     k = min(A.rows, A.cols)
-    ones, A = _unit_pivots(A)
-    if not A.rows:
-        return (1,) * ones + (0,) * (k - ones)
-    piv, minor, low = _bareiss(A, _rhs(A.rows))
-    r, M0 = len(piv), abs(minor)
-    square = 0 < r == A.rows == A.cols
-    solve = square or M0.bit_length() > 64
-    M = gcd(M0, *(_adjoint_columns(low, piv, A.cols) if solve else ()))
-    if square:
-        # mod |det|/delta only d_1..d_{n-1} are exact; |det| gives d_n
-        chain = _smith_mod(A, M, r)
-        chain[-1] = M0
-        for d in chain[:-1]:
-            chain[-1] //= d
-    else:
-        G = (M0 // M) ** 2  # delta'^2, 1 when nothing was solved
-        chain = (1 < G < M0 and _certified(A, G, M0, r)
-                 or _smith_mod(A, M0, r))
-    return (1,) * ones + tuple(chain) + (0,) * (k - ones - r)
+    pivots, A = _split_pivots(A)
+    chain = []
+    if A.rows:
+        piv, minor, low = _bareiss(A, _rhs(A.rows))
+        r, M0 = len(piv), abs(minor)
+        square = 0 < r == A.rows == A.cols
+        solve = square or M0.bit_length() > 64
+        M = gcd(M0, *(_adjoint_columns(low, piv, A.cols) if solve else ()))
+        if square:
+            # mod |det|/delta only d_1..d_{n-1} are exact; |det| gives d_n
+            chain = _smith_mod(A, M, r)
+            chain[-1] = M0
+            for d in chain[:-1]:
+                chain[-1] //= d
+        else:
+            G = (M0 // M) ** 2  # delta'^2, 1 when nothing was solved
+            chain = (1 < G < M0 and _certified(A, G, M0, r)
+                     or _smith_mod(A, M0, r))
+    chain = _divisor_chain(sorted(pivots + chain))
+    return tuple(chain) + (0,) * (k - len(chain))
 
 
 def _find_pivot(m, t, rows, cols):
@@ -481,25 +512,28 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
 
 
 def _rank_mod_p(A: IntMatrix, p: int) -> int:
-    """Rank of A over the field Z/p, p prime (not tested here); zero rows
-    mod p dropped.  Forward elimination only: a pivot clears the rows below
-    it, from its column on, and the pivot row itself is never scaled."""
+    """Rank of A over the field Z/p, p prime (not tested here).  Each step
+    takes a row off, pivots on its first nonzero entry and clears that
+    column from the rows that hold it; a row is dropped once it is zero mod
+    p, and the pivot row itself is never scaled."""
     m = [row for row in ([e % p for e in A.row(i)] for i in range(A.rows))
          if any(row)]
     r = 0
-    for c in range(A.cols):
-        if r == len(m):
-            break
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        top = m[r][c:]
-        inv = pow(top[0], -1, p)
-        for mi in m[r + 1:]:
-            if mi[c]:
-                f = mi[c] * inv % p
-                mi[c:] = [(x - f * y) % p for x, y in zip(mi[c:], top)]
+    while m:
+        top = m.pop()
+        c = next(j for j, x in enumerate(top) if x)
+        inv = pow(top[c], -1, p)
+        support = [(k, y) for k, y in enumerate(top) if y]
+        kept = []
+        for mi in m:
+            if f := mi[c]:
+                f = f * inv % p
+                for k, y in support:
+                    mi[k] = (mi[k] - f * y) % p
+                if not any(mi):
+                    continue
+            kept.append(mi)
+        m = kept
         r += 1
     return r
 

@@ -28,8 +28,9 @@ And library code no subcommand reaches: the serializers, which write a
 complex or a double complex back as a document (lowest-terms rationals with
 the sign on the numerator, so a parse-serialize round trip is bit-stable),
 the degreewise dual `hom_dual`, `cokernel_structure`, the Bareiss
-`determinant`, `rank_mod_p` (`zlinalg._rank_mod_p` behind a primality test)
-and an `IntMatrix`'s `column` and `to_rational`.
+`determinant`, `rank_mod_p` (`zlinalg._rank_mod_p` behind a primality test),
+an `IntMatrix`'s `column` and `to_rational`, `degenerates_at` on spectral
+pages and `e2_dim`, one second-page cell read off `steinberg._row`.
 
 And simplicial surfaces with known homology, the 6-vertex projective plane
 and the 7-vertex torus and their barycentric subdivisions, whose boundary
@@ -53,7 +54,8 @@ from exhom.complexes import (
     int_chain_complex,
 )
 from exhom.qlinalg import RatMatrix
-from exhom.spectral import COLUMN, ROW, double_complex
+from exhom.spectral import COLUMN, ROW, SpectralPages, double_complex
+from exhom.steinberg import InducedSpectrum, _row
 from exhom.zlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -348,6 +350,16 @@ def column(A: IntMatrix, j: int) -> tuple:
 
 def to_rational(A: IntMatrix) -> RatMatrix:
     return RatMatrix(A.rows, A.cols, A.nums)
+
+
+def degenerates_at(P: SpectralPages, r: int) -> bool:
+    """True iff every differential on pages >= r has rank zero."""
+    return not any(rk and page >= r for (page, _, _), rk in P.d_ranks.items())
+
+
+def e2_dim(d: int, dp: int, spectrum: InducedSpectrum, r: int, s: int) -> int:
+    """Second-page dimension at (r, s), from row s alone."""
+    return _row(d, dp, spectrum, s).get(r, 0)
 
 
 # ------------------------------------------------------------- generators

@@ -10,7 +10,9 @@ import sys
 import time
 
 from conftest import (
+    degenerates_at,
     determinant,
+    e2_dim,
     rank,
     random_dense_cochain,
     random_double_complex,
@@ -23,7 +25,6 @@ from exhom.spectral import (
     COLUMN,
     ROW,
     FiltrationChain,
-    degenerates_at,
     dimension_criterion,
     double_complex,
     opposite_check,
@@ -36,7 +37,6 @@ from exhom.steinberg import (
     betti,
     covering_filtration_dims,
     delta,
-    e2_dim,
     ext_dim,
     paper_table_diff,
 )

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from conftest import (
+    degenerates_at,
     filtration_spaces,
     naive_composite,
     rank,
@@ -27,7 +28,6 @@ from exhom.spectral import (
     DoubleComplex,
     DoubleComplexError,
     FiltrationChain,
-    degenerates_at,
     dimension_criterion,
     double_complex,
     filtration_on_total,

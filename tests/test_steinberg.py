@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from conftest import e2_dim
 from exhom.steinberg import (
     ZERO_SPECTRUM,
     InducedSpectrum,
@@ -10,7 +11,6 @@ from exhom.steinberg import (
     betti_profile,
     covering_filtration_dims,
     delta,
-    e2_dim,
     e2_table,
     ext_dim,
     paper_table_diff,

@@ -430,7 +430,7 @@ def test_smith_mod_fallback_when_the_least_gcd_divides_too_little(
 def test_smith_mod_and_the_split_on_empty_and_zero_matrices():
     for rows, cols in ((0, 3), (3, 0), (2, 3)):
         A = IntMatrix.zero(rows, cols)
-        assert zlinalg._unit_pivots(A) == (0, IntMatrix.zero(0, 0))
+        assert zlinalg._split_pivots(A) == ([], IntMatrix.zero(0, 0))
         for M in (1, 6, 97):
             assert zlinalg._smith_mod(A, M, 0) == []
             assert eager_smith_mod(A, M, 0) == []
@@ -447,40 +447,44 @@ def test_the_split_consumes_unimodular_matrices(monkeypatch):
         perm = rng.sample(range(n), n)
         A = IntMatrix.from_rows([[rng.choice((-1, 1)) * (j == perm[i])
                                   for j in range(n)] for i in range(n)], n)
-        assert zlinalg._unit_pivots(A) == (n, IntMatrix.zero(0, 0))
+        assert zlinalg._split_pivots(A) == ([1] * n, IntMatrix.zero(0, 0))
         assert invariant_factors(A) == (1,) * n
     # row 0 holds no +-1 until row 1's pivot clears its first column
-    assert zlinalg._unit_pivots(IntMatrix.from_rows([[2, 3], [1, 1]])) == (
-        2, IntMatrix.zero(0, 0))
+    assert zlinalg._split_pivots(IntMatrix.from_rows([[2, 3], [1, 1]])) == (
+        [1, 1], IntMatrix.zero(0, 0))
     assert not passes
     consumed = 0
     for n in range(1, 13):
         for ops in (6, 4 * n):
             A = random_unimodular(rng, n, ops=ops)
             assert invariant_factors(A) == (1,) * n
-            consumed += zlinalg._unit_pivots(A)[1].rows == 0
+            consumed += zlinalg._split_pivots(A)[1].rows == 0
     assert consumed >= 12 and len(passes) >= 1
 
 
 def test_the_split_takes_every_unit_of_a_projective_plane():
     # d_2 of the second barycentric subdivision of RP^2 has the Smith
-    # diagonal (1, ..., 1, 2): the +-1 pivots split off all 359 ones
+    # diagonal (1, ..., 1, 2): the +-1 pivots split off all 359 ones, and
+    # the 2 they leave divides its row and column, so nothing is left
     D = surface_chain(barycentric(barycentric(RP2))).differentials[2]
     assert (D.rows, D.cols) == (540, 360)
-    assert zlinalg._unit_pivots(D)[0] == 359
+    pivots, S = zlinalg._split_pivots(D)
+    assert sorted(pivots) == [1] * 359 + [2] and S.rows == 0
     assert invariant_factors(D) == (1,) * 359 + (2,)
 
 
 def planted_inputs():
-    """12 seeded singular planted matrices whose minor M0 exceeds 64 bits,
-    n x n and n x n +- 4 rows for n = 24, 28, 32, 36, with their Smith
-    diagonals t: the first of each shape the seed gives."""
+    """12 seeded singular planted matrices for which the block S the pivot
+    split leaves has a minor M0 over 64 bits, n x n and n x n +- 4 rows for
+    n = 24, 28, 32, 36, with their Smith diagonals t: the first of each
+    shape the seed gives."""
     rng = random.Random(29)
     for n in (24, 28, 32, 36):
         for rows in (n, n + 4, n - 4):
             while True:
                 A, t = planted_int_matrix(rng, rows, n)
-                if abs(_bareiss(A)[1]).bit_length() > 64:
+                S = zlinalg._split_pivots(A)[1]
+                if S.rows and abs(_bareiss(S)[1]).bit_length() > 64:
                     yield A, t
                     break
 
@@ -490,8 +494,7 @@ def traced(monkeypatch):
     """`traced(A)`: invariant_factors(A) and the route it took, read from
     the moduli a spy on `_smith_mod` sees: M0 alone (minor), M0 after
     another modulus (fallback) or no M0 (certified).  M0 is the minor of the
-    matrix the spy is given, what is left of A after the split of the +-1
-    pivots."""
+    matrix the spy is given, what is left of A after the pivot split."""
     calls, seen = [], []
     smith_mod = zlinalg._smith_mod
 
@@ -542,14 +545,15 @@ def test_invariant_factors_minor_route_when_delta_is_one(traced,
 
 def test_invariant_factors_fallback_when_the_certificate_fails(traced,
                                                                monkeypatch):
-    # B scaled by delta'/p, p the least prime of d_r, leaves delta' = p, and
-    # G = p^2 misses another prime of d_r, failing (b), or p^2 | d_r,
-    # failing (a)
+    # on S, the block the pivot split leaves, B scaled by delta'/p, p the
+    # least prime of d_r, leaves delta' = p, and G = p^2 misses another
+    # prime of d_r, failing (b), or p^2 | d_r, failing (a)
     rhs, fallbacks = _rhs, 0
     for A, t in planted_inputs():
-        piv, minor, low = _bareiss(A, rhs(A.rows))
-        M0, d = abs(minor), max(t)
-        delta = M0 // gcd(M0, *_adjoint_columns(low, piv, A.cols))
+        S = zlinalg._split_pivots(A)[1]
+        piv, minor, low = _bareiss(S, rhs(S.rows))
+        M0, d = abs(minor), max(smith_normal_form(S).diagonal)
+        delta = M0 // gcd(M0, *_adjoint_columns(low, piv, S.cols))
         p = next((p for p in (2, 3, 5) if d % p == 0), d)
         if d in (1, p) or delta % p:
             continue
@@ -560,26 +564,78 @@ def test_invariant_factors_fallback_when_the_certificate_fails(traced,
     assert fallbacks >= 6
 
 
-def test_invariant_factors_on_chain_differentials():
+def test_invariant_factors_on_chain_differentials(monkeypatch):
+    # the pivot split leaves most blocks nothing to eliminate: fewer than
+    # half of them reach a Bareiss pass
+    passes = []
+    monkeypatch.setattr(zlinalg, "_bareiss", lambda A, extra=():
+                        passes.append(A) or _bareiss(A, extra))
     rng = random.Random(27)
-    stripped = 0
+    stripped = blocks = 0
     for _ in range(80):
         C = random_int_chain(rng, max_deg=4, max_pieces=8)
         for D in C.differentials.values():
             assert invariant_factors(D) == smith_normal_form(D).diagonal
             stripped += not all(map(any, D.to_lists()))
+            blocks += 1
     assert stripped >= 10
+    assert 2 * len(passes) < blocks
+
+
+def planted_pivots(rng, rows, cols):
+    """A sparse rows x cols matrix of small entries in which up to
+    min(rows, cols) planted pivots p, +-2, +-3 or +-4, divide their row and
+    column; entries p.k, k in -2..2, of a pivot's row tie -p with p."""
+    m = [[rng.choice((0, 0, 0, 0, 2, -2, 3, -4, 6, -6, 9))
+          for _ in range(cols)] for _ in range(rows)]
+    for _ in range(rng.randint(0, min(rows, cols))):
+        i, j, p = rng.randrange(rows), rng.randrange(cols), rng.choice(
+            (2, -2, 3, -3, 4, -4))
+        m[i] = [p * rng.randint(-2, 2) for _ in range(cols)]
+        for row in m:
+            row[j] = p * rng.randint(-2, 2)
+        m[i][j] = p
+    return IntMatrix.from_rows(m, cols)
+
+
+def test_invariant_factors_split_dividing_pivots():
+    # -2 leads its row and divides its column: it splits, and so does the
+    # 20 it leaves
+    assert zlinalg._split_pivots(IntMatrix.from_rows([[-2, 4], [6, 8]])) == (
+        [2, 20], IntMatrix.zero(0, 0))
+    # 3 and -3 tie in row 0, and only 3 divides its column
+    A = IntMatrix.from_rows([[0, -3, 3, 6], [0, 5, 9, 0], [0, 0, 0, 0]])
+    assert zlinalg._split_pivots(A) == ([3], IntMatrix.from_rows([[14, -18]]))
+    assert invariant_factors(A) == smith_normal_form(A).diagonal == (1, 6, 0)
+    # 2 divides its row but not its column, and 3 neither: nothing splits
+    A = IntMatrix.from_rows([[2, 4], [3, 5]])
+    assert zlinalg._split_pivots(A) == ([], A)
+    assert invariant_factors(A) == (1, 2)
+    rng = random.Random(33)
+    seen = Counter()
+    for _ in range(400):
+        A = planted_pivots(rng, rng.randint(0, 8), rng.randint(0, 8))
+        assert invariant_factors(A) == smith_normal_form(A).diagonal
+        pivots, S = zlinalg._split_pivots(A)
+        seen["split"] += any(p > 1 for p in pivots)
+        seen["left"] += S.rows > 0
+        seen["empty"] += not A.rows or not A.cols
+        seen["zero line"] += 0 < A.rows and 0 < A.cols and not (
+            all(map(any, A.to_lists())) and all(map(any, zip(*A.to_lists()))))
+    assert min(seen.values()) >= 40
 
 
 def test_invariant_factors_strip_zero_rows_and_columns(monkeypatch):
-    # diag(2, 3) with zero rows and columns: singular or not square as it
-    # stands, its nonzero 2 x 2 block is nonsingular and takes the
+    # [[2, 3], [4, 3]] (Smith diagonal 1, 6; no entry that is least in its
+    # row divides its row and its column, so no pivot splits off, also in
+    # the transpose) with zero rows and columns: singular or not square as
+    # it stands, its nonzero 2 x 2 block is nonsingular and takes the
     # |det|/delta modulus
     padded = [IntMatrix.from_rows(rows) for rows in (
-        [[2, 0, 0], [0, 0, 0], [0, 0, 3]],
-        [[0, 0, 0], [0, 2, 0], [0, 0, 3]],
-        [[2, 0, 0, 0], [0, 0, 0, 3], [0, 0, 0, 0]],
-        [[0, 2], [0, 0], [3, 0], [0, 0]])]
+        [[2, 0, 3], [0, 0, 0], [4, 0, 3]],
+        [[0, 0, 0], [0, 2, 3], [0, 4, 3]],
+        [[2, 0, 0, 3], [4, 0, 0, 3], [0, 0, 0, 0]],
+        [[3, 2], [0, 0], [3, 4], [0, 0]])]
     assert determinant(padded[0]) == determinant(padded[1]) == 0
     shapes = []
     monkeypatch.setattr(zlinalg, "_bareiss", lambda A, extra=():
