@@ -42,13 +42,10 @@ from .spectral import (
 from .steinberg import (
     E2Table,
     InducedSpectrum,
-    SteinbergLabel,
     betti,
     betti_profile,
     covering_filtration_dims,
-    delta,
     e2_table,
-    ext_dim,
     paper_table_diff,
 )
 

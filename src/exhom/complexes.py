@@ -152,10 +152,11 @@ def validate_complex(C) -> bool:
 
 
 # Basis vector i of C^n after the pairing: its level, the pages 1..life it
-# lives on (0 for none, inf if unpaired) and whether it is a source.  Its
-# chain, an integer vector whose low is i, is den * e_i plus multiples of
-# basis vectors earlier in the reduction order, rescaled by the reduction,
-# or for a target the reduced column of its source.
+# lives on (0 for none, inf if unpaired) and whether it is a source.  Only
+# in the last degree paired does it carry a chain, an integer vector whose
+# low is i: den * e_i plus multiples of basis vectors earlier in the
+# reduction order, rescaled by the reduction, or for a target the reduced
+# column of its source.  Below that degree the chain is empty.
 _Generator = namedtuple("_Generator", "n i level life source chain")
 
 
@@ -186,11 +187,12 @@ def _pairing(C: CochainComplex, levels: dict[int, Sequence[int]],
     """Persistence pairing of C in degrees up to `last`, basis vector i of
     C^n at level levels[n][i] (all 0 for a degree not in levels).
 
-    A column's chain starts as den * e_i over its scaled column v = den *
-    d^n e_i, so d^n chain = vec holds throughout.  A column whose basis
-    vector is already the target of a pair reduces to zero, so it is
-    skipped (clearing); so is every column of an absent (zero) d^n, each a
-    cycle.
+    Chains are built in degree `last` only (none when C^last = 0): there a
+    column's chain starts as den * e_i over its scaled column v = den *
+    d^n e_i, so d^n chain = vec holds throughout; below it `_reduce`
+    updates the column alone.  A column whose basis vector is already the
+    target of a pair reduces to zero, so it is skipped (clearing); so is
+    every column of an absent (zero) d^n, each a cycle.
     """
     gens: list[_Generator] = []
     killed: dict[int, tuple] = {}
@@ -205,11 +207,12 @@ def _pairing(C: CochainComplex, levels: dict[int, Sequence[int]],
             if i in killed:
                 col, _, level = killed[i]
                 gens.append(_Generator(n, i, src[i], src[i] - level, False,
-                                       tuple(col)))
+                                       tuple(col) if n == last else ()))
                 continue
             col, den = columns[i] if columns else ((), 1)
-            chain = [0] * len(src)
-            chain[i] = den
+            chain = [0] * len(src) if n == last else []
+            if chain:
+                chain[i] = den
             col, chain, low = _reduce(col, chain, pivots, order)
             if low is None:
                 gens.append(_Generator(n, i, src[i], inf, False, tuple(chain)))
@@ -232,7 +235,8 @@ def cohomology(C: CochainComplex, n: int) -> tuple[int, tuple[tuple, ...]]:
 
 
 def cohomology_dims(C: CochainComplex) -> dict[int, int]:
-    cycles = Counter(g.n for g in _pairing(C, {}, C.max_deg)
+    # paired one degree past the top, where C is 0: no chains are built
+    cycles = Counter(g.n for g in _pairing(C, {}, C.max_deg + 1)
                      if g.life == inf)
     return {n: cycles[n] for n in C.degrees()}
 

@@ -16,18 +16,18 @@ filtered column reduction of `complexes`): over a field a filtered complex
 splits into interval pieces, which give every page and every d_r (Zomorodian
 and Carlsson 2005; Basu and Parida 2017).  A reduced column pairs a source
 of level p with a target of level p+k; for k >= 1 both live on pages 1..k
-and add 1 to the rank of d_k at the source's cell, and their chains
-represent them there.  Basis vectors left unpaired are cycles: they give
-E_infinity, and the classes of those of level >= p span F^p H^n.  The
-column pairing's own unpaired cycles of degree n are the basis of H^n both
-filtrations are written on (cached on K per n): the column filtration holds
-their levels only, and a row cycle gets integer coordinates on them by the
-same fraction-free reduction, against the column pairing's targets and
-unpaired cycles, which are triangular in the order that pairing used.  So
-the dims of a filtration are counts, and two filtrations are compared by
-counts and one integer (Bareiss) rank per step.  Filtrations on total
-cohomology, the oppositeness test, the dimension criterion implying it, and
-degeneration detection live here.
+and add 1 to the rank of d_k at the source's cell.  The pages are counts:
+they pair T with no chains, and name the basis vectors alive in each cell.
+Basis vectors left unpaired are cycles: they give E_infinity, and the
+classes of those of level >= p span F^p H^n.  The column pairing's own
+unpaired cycles of degree n are the basis of H^n both filtrations are
+written on (cached on K per n): the column filtration holds their levels
+only, and a row cycle gets integer coordinates on them by the same
+fraction-free reduction, against the column pairing's targets and unpaired
+cycles, which are triangular in the order that pairing used.  So the dims
+of a filtration are counts, and two filtrations are compared by counts and
+one integer (Bareiss) rank per step.  Filtrations on total cohomology, the
+oppositeness test and the dimension criterion implying it live here.
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ def total_complex(K: DoubleComplex) -> CochainComplex:
 class SpectralPages(Record):
     """All computed pages of one of the two spectral sequences.
 
-    pages[r][(p,q)] = (dim, tuple of dim chains in T^{p+q} coordinates
-    whose classes form a basis of E_r^{p,q});
+    pages[r][(p,q)] = (dim, the indices in T^{p+q} of the dim basis
+    vectors of the pairing alive on E_r^{p,q});
     d_ranks[(r,p,q)] = rank of d_r out of (p,q) (zero entries omitted);
     limit[(p,q)] = E_infinity dimension; stable_page = first page equal to
     the limit with all later differentials zero.
@@ -199,16 +199,16 @@ def _levels(K: DoubleComplex, axis: str) -> dict[int, list[int]]:
 def spectral_pages(K: DoubleComplex, axis: str) -> SpectralPages:
     """Pages E_1, E_2, ... of the chosen filtration, with d_r ranks and limit."""
     T = K._total
-    gens = _pairing(T, _levels(K, axis), T.max_deg)
+    # paired one degree past the top, where T is 0: no chains are built
+    gens = _pairing(T, _levels(K, axis), T.max_deg + 1)
     last = K.max_r + K.max_c + 1  # beyond this every d_r vanishes (first quadrant)
     pages: dict[int, dict[tuple[int, int], tuple[int, tuple]]] = {}
     for r in range(1, last + 2):
         alive: dict[tuple[int, int], list] = {}
         for g in gens:
             if g.life >= r:
-                alive.setdefault((g.level, g.n - g.level), []).append(g.chain)
-        pages[r] = {pq: (len(chains), tuple(chains))
-                    for pq, chains in alive.items()}
+                alive.setdefault((g.level, g.n - g.level), []).append(g.i)
+        pages[r] = {pq: (len(ids), tuple(ids)) for pq, ids in alive.items()}
     d_ranks = dict(Counter((g.life, g.level, g.n - g.level) for g in gens
                            if g.source and g.life))
     limit = {pq: dim for pq, (dim, _) in pages[last + 1].items()}

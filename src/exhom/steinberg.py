@@ -1,18 +1,20 @@
 """Closed-form Ext / E2 / Betti calculus for quotients of a product of two
 Drinfeld symmetric spaces of dimensions d and d'.
 
-Ext dimensions between generalized Steinberg tensor factors are governed by
-symmetric differences of parabolic labels.  The second page of the covering
-spectral sequence is assembled as a four-term sum over Kunneth pairs (i, j),
-one term per unitary constituent of the induced representation, weighted by
-the multiplicity vector (m10, m01, m11); the trivial constituent always has
-multiplicity one.  The sum is written once, `_row`, which scatters each
-pair's four terms into one sparse row in O(min(d, d')): the grid is every
-row, O(d d'), and Betti numbers and filtration dims keep only the
-anti-diagonals of rows 0..n.  A separate emitter tabulates the published
-case-analysis table side by side with the four-term sum and reports every
-difference without judging which is intended; `render_grids` draws its
-grids and those of `exhom e2`.
+The second page of the covering spectral sequence is a four-term sum over
+Kunneth pairs (i, j), one term per unitary constituent of the induced
+representation, weighted by the multiplicity vector (m10, m01, m11); the
+trivial constituent always has multiplicity one.  Ext between generalized
+Steinberg tensor factors lives in one degree, the size of the symmetric
+difference of their labels (Schneider and Stuhler 1991), so the pair (i, j)
+meets the four constituents in degrees i + j, d - i + j, i + d' - j and
+d - i + d' - j.  The sum is written once, `_row`, which scatters each pair's
+four terms into one sparse row in O(min(d, d')): the grid is every row,
+O(d d'), and Betti numbers and filtration dims keep only the anti-diagonals
+of rows 0..n.  A separate emitter tabulates the published case-analysis
+table side by side with the four-term sum and reports every difference
+without judging which is intended; `render_grids` draws its grids and those
+of `exhom e2`.
 """
 
 from __future__ import annotations
@@ -22,25 +24,6 @@ from itertools import accumulate
 from ._record import Record, _set
 
 MAX_SPACE_DIM = 64  # largest d and d' the CLI's e2, betti and filtration take
-
-
-class SteinbergLabel(Record):
-    """Subset I of {1..d} labelling a generalized Steinberg representation."""
-
-    def __init__(self, d: int, subset: frozenset[int]):
-        _set(self, "d", d)
-        _set(self, "subset", subset)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
-        if not all(1 <= x <= self.d for x in self.subset):
-            raise ValueError("label elements must lie in [1, d]")
-
-    @staticmethod
-    def of(d: int, elements) -> "SteinbergLabel":
-        return SteinbergLabel(d, frozenset(elements))
 
 
 class InducedSpectrum(Record):
@@ -61,26 +44,8 @@ class InducedSpectrum(Record):
         if min(self.m10, self.m01, self.m11) < 0:
             raise ValueError("multiplicities must be nonnegative")
 
-    @property
-    def m00(self) -> int:
-        return 1
-
 
 ZERO_SPECTRUM = InducedSpectrum(0, 0, 0)
-
-
-def delta(I1: SteinbergLabel, I2: SteinbergLabel) -> int:
-    """Size of the symmetric difference |I1 u I2| - |I1 n I2|."""
-    if I1.d != I2.d:
-        raise ValueError("labels live over different dimensions")
-    return len(I1.subset ^ I2.subset)
-
-
-def ext_dim(I1: SteinbergLabel, J1: SteinbergLabel,
-            I2: SteinbergLabel, J2: SteinbergLabel, i: int) -> int:
-    """Dimension of the degree-i Ext between two Steinberg tensor factors:
-    1 exactly when i equals delta(I1,I2) + delta(J1,J2), else 0."""
-    return 1 if i == delta(I1, I2) + delta(J1, J2) else 0
 
 
 def _row(d: int, dp: int, spectrum: InducedSpectrum, s: int) -> dict[int, int]:

@@ -16,6 +16,8 @@ it used before the one that reduces only where a value is read: the
 references `homology_int`, `complexes._pairing`, `zlinalg._bareiss` and
 `zlinalg._smith_mod` are tested against, and the per-cell composite checks
 listing every failure, the first of which `spectral.double_complex` raises.
+`page_representatives` pairs again with chains to give the representatives
+of every cell of every page, which `spectral_pages` does not build.
 
 And the rational subspace algebra the library used before `oppose` compared
 filtrations by counts and integer ranks: `rref` (fraction-free on the
@@ -30,7 +32,10 @@ the sign on the numerator, so a parse-serialize round trip is bit-stable),
 the degreewise dual `hom_dual`, `cokernel_structure`, the Bareiss
 `determinant`, `rank_mod_p` (`zlinalg._rank_mod_p` behind a primality test),
 an `IntMatrix`'s `column` and `to_rational`, `degenerates_at` on spectral
-pages and `e2_dim`, one second-page cell read off `steinberg._row`.
+pages and `e2_dim`, one second-page cell read off `steinberg._row`.  And the
+Ext labels `steinberg._row` sums without naming them: `SteinbergLabel`,
+`delta`, `ext_dim`, and `ext_row`, which builds a second-page row by brute
+force from them, the oracle `_row` is tested against.
 
 And simplicial surfaces with known homology, the 6-vertex projective plane
 and the 7-vertex torus and their barycentric subdivisions, whose boundary
@@ -45,16 +50,24 @@ from itertools import combinations
 from math import gcd, inf, lcm
 from typing import Iterable, List, Sequence, Tuple
 
+from exhom._record import Record, _set
 from exhom.complexes import (
     CochainComplex,
     IntChainComplex,
     _composite,
     _Generator,
+    _pairing,
     cochain_complex,
     int_chain_complex,
 )
 from exhom.qlinalg import RatMatrix
-from exhom.spectral import COLUMN, ROW, SpectralPages, double_complex
+from exhom.spectral import (
+    COLUMN,
+    ROW,
+    SpectralPages,
+    _levels,
+    double_complex,
+)
 from exhom.steinberg import InducedSpectrum, _row
 from exhom.zlinalg import (
     FinAbGroup,
@@ -360,6 +373,74 @@ def degenerates_at(P: SpectralPages, r: int) -> bool:
 def e2_dim(d: int, dp: int, spectrum: InducedSpectrum, r: int, s: int) -> int:
     """Second-page dimension at (r, s), from row s alone."""
     return _row(d, dp, spectrum, s).get(r, 0)
+
+
+def page_representatives(K, P: SpectralPages) -> dict:
+    """{r: {(p, q): chains}}: the chains, in T^{p+q} coordinates, of the
+    basis vectors P lists in each cell of each page, whose classes form a
+    basis of E_r^{p,q}.  One pairing per degree n gives the degree-n chains."""
+    T, levels = K._total, _levels(K, P.filtration_axis)
+    chains = {n: {g.i: g.chain for g in _pairing(T, levels, n) if g.n == n}
+              for n in T.degrees()}
+    return {r: {(p, q): tuple(chains[p + q][i] for i in ids)
+                for (p, q), (_, ids) in grid.items()}
+            for r, grid in P.pages.items()}
+
+
+class SteinbergLabel(Record):
+    """Subset I of {1..d} labelling a generalized Steinberg representation."""
+
+    def __init__(self, d: int, subset: frozenset):
+        _set(self, "d", d)
+        _set(self, "subset", subset)
+        self.__post_init__()
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValueError("dimension must be >= 1")
+        if not all(1 <= x <= self.d for x in self.subset):
+            raise ValueError("label elements must lie in [1, d]")
+
+    @staticmethod
+    def of(d: int, elements) -> "SteinbergLabel":
+        return SteinbergLabel(d, frozenset(elements))
+
+
+def delta(I1: SteinbergLabel, I2: SteinbergLabel) -> int:
+    """Size of the symmetric difference |I1 u I2| - |I1 n I2|."""
+    if I1.d != I2.d:
+        raise ValueError("labels live over different dimensions")
+    return len(I1.subset ^ I2.subset)
+
+
+def ext_dim(I1: SteinbergLabel, J1: SteinbergLabel,
+            I2: SteinbergLabel, J2: SteinbergLabel, i: int) -> int:
+    """Dimension of the degree-i Ext between two Steinberg tensor factors:
+    1 exactly when i equals delta(I1,I2) + delta(J1,J2), else 0."""
+    return 1 if i == delta(I1, I2) + delta(J1, J2) else 0
+
+
+def ext_row(d: int, dp: int, spectrum: InducedSpectrum, s: int) -> dict:
+    """Row s of the second page as {r: dim} by brute force over the labels:
+    each Kunneth pair i + j = s, H^i (x) H^j labelled ({1..i}, {1..j}),
+    meets the constituents trivial (x) trivial, labelled (empty, empty),
+    with weight 1, Steinberg (x) trivial ({1..d}, empty) with m10, trivial
+    (x) Steinberg with m01 and Steinberg (x) Steinberg with m11, and adds
+    its weight at every r in 0..d+d' where `ext_dim` is 1."""
+    def label(dim, k):
+        return SteinbergLabel.of(dim, range(1, k + 1))
+
+    row = {}
+    for i in range(d + 1):
+        if not 0 <= s - i <= dp:
+            continue
+        I, J = label(d, i), label(dp, s - i)
+        for a, b, w in ((0, 0, 1), (d, 0, spectrum.m10), (0, dp, spectrum.m01),
+                        (d, dp, spectrum.m11)):
+            for r in range(d + dp + 1):
+                if w and ext_dim(I, J, label(d, a), label(dp, b), r):
+                    row[r] = row.get(r, 0) + w
+    return row
 
 
 # ------------------------------------------------------------- generators

@@ -10,9 +10,12 @@ import sys
 import time
 
 from conftest import (
+    SteinbergLabel,
     degenerates_at,
+    delta,
     determinant,
     e2_dim,
+    ext_dim,
     rank,
     random_dense_cochain,
     random_double_complex,
@@ -33,11 +36,8 @@ from exhom.spectral import (
 )
 from exhom.steinberg import (
     InducedSpectrum,
-    SteinbergLabel,
     betti,
     covering_filtration_dims,
-    delta,
-    ext_dim,
     paper_table_diff,
 )
 from exhom.zlinalg import smith_normal_form

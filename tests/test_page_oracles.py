@@ -22,6 +22,7 @@ from conftest import (
     differential,
     filtration_spaces,
     kernel_basis,
+    page_representatives,
     random_double_complex,
     random_zigzag_double_complex,
     subspace_intersect,
@@ -130,6 +131,7 @@ def test_pairing_matches_reference_formula():
     for K in instances:
         for axis in (COLUMN, ROW):
             P = spectral_pages(K, axis)
+            representatives = page_representatives(K, P)
             ref = ReferencePages(K, axis)
             max_p, max_q = ((K.max_r, K.max_c) if axis == COLUMN
                             else (K.max_c, K.max_r))
@@ -142,7 +144,7 @@ def test_pairing_matches_reference_formula():
                             assert P.d_rank(r, p, q) == ref.d_rank(r, p, q)
                         if not dim:
                             continue
-                        chains = P.pages[r][(p, q)][1]
+                        chains = representatives[r][(p, q)]
                         assert len(chains) == dim
                         reps = Subspace.span(ref.dim(p + q), chains)
                         Z = ref.Z(r, p, p + q)

@@ -1,8 +1,9 @@
 """The fraction-free persistence pairing of `complexes`.
 
 * Against the `Fraction` pairing it replaced (`conftest.reference_pairing`):
-  the same generators, chains that are nonzero rational multiples of the
-  reference chains, and equal spans, on both axes and unfiltered.
+  the same generators, chains in the last degree paired that are nonzero
+  rational multiples of the reference chains, and equal spans, on both axes
+  and unfiltered.  Paired one degree past the top, it builds no chain.
 * Its chains are ints, and their size stays bounded by content removal.
 * Known answers at total dimension 472, a size the `Fraction` engine made
   too slow for the suite.
@@ -22,6 +23,7 @@ import pytest
 
 from conftest import (
     Subspace,
+    page_representatives,
     random_double_complex,
     random_zigzag_double_complex,
     reference_pairing,
@@ -67,12 +69,18 @@ def test_integer_pairing_matches_fraction_reference():
         T = total_complex(K)
         for axis in (COLUMN, ROW, None):
             levels = _levels(K, axis) if axis else {}
-            gens = _pairing(T, levels, T.max_deg)
+            gens = _pairing(T, levels, T.max_deg + 1)
             ref = reference_pairing(T, levels, T.max_deg)
             assert [g[:5] for g in gens] == [h[:5] for h in ref]
-            for g, h in zip(gens, ref):
-                assert all(type(x) is int for x in g.chain)
-                assert _is_multiple(g.chain, h.chain)
+            assert all(g.chain == () for g in gens)
+            for n in T.degrees():
+                gens = [g for g in _pairing(T, levels, n) if g.n == n]
+                want = [h for h in ref if h.n == n]
+                assert [g[:5] for g in gens] == [h[:5] for h in want]
+                for g, h in zip(gens, want):
+                    assert len(g.chain) == T.dim(n)
+                    assert all(type(x) is int for x in g.chain)
+                    assert _is_multiple(g.chain, h.chain)
             if axis is None:
                 for n in T.degrees():
                     want = [h.chain for h in ref
@@ -80,8 +88,9 @@ def test_integer_pairing_matches_fraction_reference():
                     assert Subspace.span(T.dim(n), cohomology(T, n)[1]) \
                         == Subspace.span(T.dim(n), want)
                 continue
-            for r, grid in spectral_pages(K, axis).pages.items():
-                for (p, q), (_, chains) in grid.items():
+            P = spectral_pages(K, axis)
+            for r, grid in page_representatives(K, P).items():
+                for (p, q), chains in grid.items():
                     want = [h.chain for h in ref if h.life >= r
                             and (h.level, h.n - h.level) == (p, q)]
                     assert Subspace.span(T.dim(p + q), chains) \
@@ -94,8 +103,11 @@ def test_chain_entries_stay_small(zigzag_472):
     K, _ = zigzag_472
     T = total_complex(K)
     for axis in (COLUMN, ROW):
-        gens = _pairing(T, _levels(K, axis), T.max_deg)
-        assert max(abs(x).bit_length() for g in gens for x in g.chain) <= 128
+        levels = _levels(K, axis)
+        bits = [abs(x).bit_length() for n in T.degrees()
+                for g in _pairing(T, levels, n) if g.n == n for x in g.chain]
+        assert len(bits) == sum(T.dim(n) ** 2 for n in T.degrees())
+        assert max(bits) <= 128
 
 
 def test_zigzag_known_answers_at_size(zigzag_472):

@@ -5,6 +5,7 @@ own constructor checks."""
 
 import pytest
 
+from conftest import SteinbergLabel
 from exhom.complexes import (
     CheckReport,
     CochainComplex,
@@ -18,7 +19,6 @@ from exhom.steinberg import (
     E2Table,
     InducedSpectrum,
     PaperTableDiff,
-    SteinbergLabel,
 )
 from exhom.zlinalg import FinAbGroup, IntMatrix, SmithForm
 
@@ -52,7 +52,7 @@ CASES = [
      lambda: (0, 0, {(0, 0): 1}, {}, {}), False),
     (SpectralPages, ("filtration_axis", "pages", "d_ranks", "limit",
                      "stable_page"),
-     lambda: ("column", {1: {(0, 0): (1, ((1,),))}}, {}, {(0, 0): 1}, 1),
+     lambda: ("column", {1: {(0, 0): (1, (0,))}}, {}, {(0, 0): 1}, 1),
      False),
     (FiltrationChain, ("n", "ambient_dim", "levels", "rows"),
      lambda: (1, 2, (0, 1), ((1, 0), (0, 1))), True),

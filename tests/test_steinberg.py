@@ -2,17 +2,15 @@ import itertools
 
 import pytest
 
-from conftest import e2_dim
+from conftest import SteinbergLabel, delta, e2_dim, ext_dim, ext_row
 from exhom.steinberg import (
     ZERO_SPECTRUM,
     InducedSpectrum,
-    SteinbergLabel,
+    _row,
     betti,
     betti_profile,
     covering_filtration_dims,
-    delta,
     e2_table,
-    ext_dim,
     paper_table_diff,
 )
 
@@ -59,6 +57,23 @@ def test_ext_dim_exhaustive_small():
                 hits = [i for i in range(2 * (d + dp) + 1)
                         if ext_dim(I1, J1, I2, J2, i)]
                 assert hits == [delta(I1, I2) + delta(J1, J2)]
+
+
+def test_row_is_the_ext_label_sum():
+    """The four-term `_row` against the brute-force sum of `ext_dim` over
+    the Kunneth pairs and the four constituents, every row of every d,
+    d' <= 8, for multiplicity vectors that switch each weight on alone,
+    together, and at distinct values."""
+    spectra = [InducedSpectrum(*m) for m in (
+        (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 3, 5))]
+    rows = 0
+    for d, dp in itertools.product(range(1, 9), repeat=2):
+        for sp in spectra:
+            for s in range(d + dp + 2):
+                assert _row(d, dp, sp, s) == ext_row(d, dp, sp, s)
+                rows += 1
+    assert rows == 6 * sum(d + dp + 2 for d in range(1, 9)
+                           for dp in range(1, 9))
 
 
 def test_e2_trivial_spectrum_diagonal():

@@ -537,8 +537,12 @@ def test_invariant_factors_minor_route_when_delta_is_one(traced,
     monkeypatch.setattr(zlinalg, "_rhs", lambda n: [[0] * n, [0] * n])
     for A, t in planted_inputs():
         assert traced(A) == (t, "minor")
-    # a minor of at most 64 bits is the modulus whatever B gives
+    # a minor of at most 64 bits is the modulus whatever B gives, also
+    # where 1 < G < M0: nothing splits off [[3, 0, 2], [0, 9, 4]], M0 = 27
+    # and G = 9; 6 splits off [[6, 0, 0], [0, 10, 4]], leaving M0 = 10
     monkeypatch.setattr(zlinalg, "_rhs", _rhs)
+    assert traced(IntMatrix.from_rows([[3, 0, 2], [0, 9, 4]])) == (
+        (1, 3), "minor")
     assert traced(IntMatrix.from_rows([[6, 0, 0], [0, 10, 4]])) == (
         (2, 6), "minor")
 
