@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import operator
 import sys
 from math import inf
 
@@ -186,15 +187,23 @@ def _cmd_ss(args, out) -> int:
     pages = spectral.spectral_pages(K, axis)
     max_p, max_q = ((K.max_r, K.max_c) if axis == spectral.COLUMN
                     else (K.max_c, K.max_r))
-    cells = [(p, q) for p in range(max_p + 1) for q in range(max_q + 1)]
-    lines = []
+    labels = [f"{p} {q} " for p in range(max_p + 1) for q in range(max_q + 1)]
+
+    def block(dims) -> str:
+        """Every cell's "p q dim" line, from the nonzero (cell, dim)s."""
+        column = ["0"] * len(labels)
+        for (p, q), dim in dims:
+            column[p * (max_q + 1) + q] = str(dim)
+        return "\n".join(map(operator.add, labels, column))
+
+    lines, grid = [], None
     if args.pages:
-        for r, grid in sorted(pages.pages.items()):
-            lines.append(f"page {r}")
-            lines += [f"{p} {q} {grid[p, q][0] if (p, q) in grid else 0}"
-                      for p, q in cells]
-    lines.append(f"limit (stable at page {pages.stable_page})")
-    lines += [f"{p} {q} {pages.limit.get((p, q), 0)}" for p, q in cells]
+        for r, page in sorted(pages.pages.items()):
+            if page is not grid:  # pages past the stable one share a dict
+                grid, text = page, block((c, d) for c, (d, _) in page.items())
+            lines += (f"page {r}", text)
+    lines += (f"limit (stable at page {pages.stable_page})",
+              block(pages.limit.items()))
     out.write("\n".join(lines) + "\n")
     return 0
 

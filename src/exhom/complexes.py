@@ -34,7 +34,7 @@ from functools import cached_property
 from math import gcd, inf, lcm
 
 from ._record import Record, _set
-from .qlinalg import RatMatrix
+from .qlinalg import RatMatrix, _columns, _int_products
 from .zlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -127,13 +127,13 @@ def _primitive(column: Sequence[int], den: int) -> tuple[Sequence[int], int]:
         tuple(x // g for x in column), den // g)
 
 
-def _composite(outer, inner):
-    """outer @ inner, or None when the product is zero; an absent (None)
-    factor makes it zero by shape, so nothing is multiplied."""
+def _composite_nums(outer, inner) -> Sequence[int]:
+    """The row-major numerators of outer @ inner, over outer.den * inner.den
+    for `RatMatrix`es and not reduced: one integer product, no matrix built.
+    () when a factor is absent (zero by shape), so nothing is multiplied."""
     if outer is None or inner is None:
-        return None
-    prod = outer @ inner
-    return prod if any(prod.nums) else None
+        return ()
+    return _int_products(outer._num_rows(), _columns(inner.nums, inner.cols))
 
 
 def _nonzero_composite(C):
@@ -141,7 +141,7 @@ def _nonzero_composite(C):
     nonzero, or None.  Only the stored maps are visited, in ascending n."""
     d, step = C.differentials, C.step
     return next((min(n, n + step) for n in sorted(d)
-                 if _composite(d.get(n + step), d.get(n)) is not None), None)
+                 if any(_composite_nums(d.get(n + step), d.get(n)))), None)
 
 
 def validate_complex(C) -> bool:

@@ -1,7 +1,8 @@
 """First-quadrant double complexes and their two spectral sequences.
 
 Validation checks d'd' = 0, d''d'' = 0 and every commuting square cell by
-cell, each composite one product of block numerators.  The engine
+cell, each composite one product of block numerators, no matrix built (a
+square's two sides cross-multiplied by their denominators).  The engine
 totalizes the grid once, on the first pairing (inserting the (-1)^r sign
 itself, on the blocks' numerators over the lcm of their denominators), and
 filters the total complex T by column or by row: F^p T^n is spanned by the
@@ -18,6 +19,7 @@ and Carlsson 2005; Basu and Parida 2017).  A reduced column pairs a source
 of level p with a target of level p+k; for k >= 1 both live on pages 1..k
 and add 1 to the rank of d_k at the source's cell.  The pages are counts:
 they pair T with no chains, and name the basis vectors alive in each cell.
+Every finite life is below the stable page: later pages share its dict.
 Basis vectors left unpaired are cycles: they give E_infinity, and the
 classes of those of level >= p span F^p H^n.  The column pairing's own
 unpaired cycles of degree n are the basis of H^n both filtrations are
@@ -37,7 +39,7 @@ from functools import cached_property
 from math import gcd, inf
 
 from ._record import Record, _set
-from .complexes import (CochainComplex, _composite, _pairing, _reduce,
+from .complexes import (CochainComplex, _composite_nums, _pairing, _reduce,
                         _totalize)
 from .qlinalg import RatMatrix
 from .zlinalg import IntMatrix, _bareiss
@@ -85,8 +87,8 @@ def double_complex(max_r: int, max_c: int,
                    vert: dict[tuple[int, int], RatMatrix]) -> DoubleComplex:
     """Build and validate a DoubleComplex: shapes, then, cell by cell in
     sorted order, d'd' = 0, d''d'' = 0 and the commuting square, raising the
-    first failure.  Each composite is one block product in lowest terms, and
-    a square commutes iff its two products are equal values."""
+    first failure; a cell no map leaves passes.  Each composite is one raw
+    product of block numerators, a square's two compared as values."""
     if max_r < 0 or max_c < 0:
         raise DoubleComplexError(f"max_r and max_c must be >= 0, got "
                                  f"{max_r} and {max_c}")
@@ -109,18 +111,26 @@ def double_complex(max_r: int, max_c: int,
                     f"{name} at ({r},{s}) has shape {M.rows}x{M.cols}, "
                     f"expected {want[0]}x{want[1]}")
     h, v = K.horiz.get, K.vert.get
-    for r, s in sorted(dims):
+    for r, s in sorted(K.horiz.keys() | K.vert.keys()):
+        x, y = h((r, s)), v((r, s))
         for what, left, right in (
-                ("horiz composite nonzero",
-                 _composite(h((r + 1, s)), h((r, s))), None),
-                ("vert composite nonzero",
-                 _composite(v((r, s + 1)), v((r, s))), None),
-                ("square does not commute",
-                 _composite(v((r + 1, s)), h((r, s))),
-                 _composite(h((r, s + 1)), v((r, s))))):
-            if left != right:
+                ("horiz composite nonzero", (h((r + 1, s)), x), None),
+                ("vert composite nonzero", (v((r, s + 1)), y), None),
+                ("square does not commute", (v((r + 1, s)), x),
+                 (h((r, s + 1)), y))):
+            if not _equal_composites(left, right):
                 raise DoubleComplexError(f"{what} at ({r},{s})")
     return K
+
+
+def _equal_composites(left, right) -> bool:
+    """Whether outer @ inner of the pairs left and right (None: zero) are
+    equal: on the raw numerator products, a / da = b / db iff a db = b da."""
+    a, b = _composite_nums(*left), right and _composite_nums(*right) or ()
+    if not (a and b):  # a side is zero
+        return not any(a or b)
+    da, db = left[0].den * left[1].den, right[0].den * right[1].den
+    return a == b if da == db else [x * db for x in a] == [y * da for y in b]
 
 
 def total_complex(K: DoubleComplex) -> CochainComplex:
@@ -135,7 +145,8 @@ class SpectralPages(Record):
     vectors of the pairing alive on E_r^{p,q});
     d_ranks[(r,p,q)] = rank of d_r out of (p,q) (zero entries omitted);
     limit[(p,q)] = E_infinity dimension; stable_page = first page equal to
-    the limit with all later differentials zero.
+    the limit with all later differentials zero: pages[r] is
+    pages[stable_page] for every r after it.
     """
 
     def __init__(self, filtration_axis: str, pages: dict, d_ranks: dict,
@@ -202,17 +213,18 @@ def spectral_pages(K: DoubleComplex, axis: str) -> SpectralPages:
     # paired one degree past the top, where T is 0: no chains are built
     gens = _pairing(T, _levels(K, axis), T.max_deg + 1)
     last = K.max_r + K.max_c + 1  # beyond this every d_r vanishes (first quadrant)
+    stable = 1 + max((g.life for g in gens if g.source), default=0)
     pages: dict[int, dict[tuple[int, int], tuple[int, tuple]]] = {}
-    for r in range(1, last + 2):
+    for r in range(1, stable + 1):
         alive: dict[tuple[int, int], list] = {}
         for g in gens:
             if g.life >= r:
                 alive.setdefault((g.level, g.n - g.level), []).append(g.i)
         pages[r] = {pq: (len(ids), tuple(ids)) for pq, ids in alive.items()}
+    pages.update(dict.fromkeys(range(stable + 1, last + 2), pages[stable]))
     d_ranks = dict(Counter((g.life, g.level, g.n - g.level) for g in gens
                            if g.source and g.life))
-    limit = {pq: dim for pq, (dim, _) in pages[last + 1].items()}
-    stable = 1 + max((g.life for g in gens if g.source), default=0)
+    limit = {pq: dim for pq, (dim, _) in pages[stable].items()}
     return SpectralPages(filtration_axis=axis, pages=pages, d_ranks=d_ranks,
                          limit=limit, stable_page=stable)
 

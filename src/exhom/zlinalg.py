@@ -328,9 +328,8 @@ def _smith_mod(A: IntMatrix, M: int, r: int) -> list[int]:
 def _split_pivots(A: IntMatrix) -> tuple[list[int], IntMatrix]:
     """(pivots, S): |p| for each pivot p taken over Z, S the rest less its
     zero rows and columns.  A +-1 in a row is a pivot; once no row holds
-    one, so is a least nonzero |entry| p of a row (+p before -p) if p
-    divides its row and its column.  A row is searched again once a step
-    changes it."""
+    one, so is an entry +-p (+p first) of a row whose gcd is p, if p
+    divides its column.  A row is searched again once a step changes it."""
     m = {i: list(row) for i in range(A.rows) if any(row := A.row(i))}
     todo, later, pivots = set(m), set(), []
     while todo or later:
@@ -345,11 +344,11 @@ def _split_pivots(A: IntMatrix) -> tuple[list[int], IntMatrix]:
                 continue
         else:
             row = m[i := later.pop()]
-            p = min(filter(None, map(abs, row)), default=0)
-            if not p or any(x % p for x in row):
+            p = gcd(*row)  # 0 on a zero row, which `0 in row` would pass
+            if not p or (p not in row and -p not in row):
                 continue
             j = row.index(p) if p in row else row.index(-p)
-            if any(other[j] % p for other in m.values()):
+            if gcd(p, *[other[j] for other in m.values()]) != p:
                 continue
         del m[i]
         pivots.append(abs(p := row[j]))

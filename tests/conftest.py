@@ -15,9 +15,13 @@ and the mod-M Smith elimination that reduces every entry it writes, which
 it used before the one that reduces only where a value is read: the
 references `homology_int`, `complexes._pairing`, `zlinalg._bareiss` and
 `zlinalg._smith_mod` are tested against, and the per-cell composite checks
-listing every failure, the first of which `spectral.double_complex` raises.
+listing every failure, the first of which `spectral.double_complex` raises,
+each composite a `RatMatrix` (`matrix_composite`) or a triple loop.
 `page_representatives` pairs again with chains to give the representatives
-of every cell of every page, which `spectral_pages` does not build.
+of every cell of every page, which `spectral_pages` does not build;
+`recount_pages` counts every page on its own, where `spectral_pages` shares
+one dict from the stable page on, and `reference_ss_text` formats them cell
+by cell, as `exhom ss` did before it rendered only the nonzero cells.
 
 And the rational subspace algebra the library used before `oppose` compared
 filtrations by counts and integer ranks: `rref` (fraction-free on the
@@ -44,6 +48,7 @@ matrices hold only -1, 0 and 1.
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -54,7 +59,6 @@ from exhom._record import Record, _set
 from exhom.complexes import (
     CochainComplex,
     IntChainComplex,
-    _composite,
     _Generator,
     _pairing,
     cochain_complex,
@@ -385,6 +389,35 @@ def page_representatives(K, P: SpectralPages) -> dict:
     return {r: {(p, q): tuple(chains[p + q][i] for i in ids)
                 for (p, q), (_, ids) in grid.items()}
             for r, grid in P.pages.items()}
+
+
+def recount_pages(K, axis: str) -> tuple[dict, int]:
+    """({r: {(p, q): dim}}, stable page): every page 1..max_r + max_c + 2
+    counted on its own from the generators of the pairing alive on it."""
+    T = K._total
+    gens = _pairing(T, _levels(K, axis), T.max_deg + 1)
+    pages = {r: dict(Counter((g.level, g.n - g.level) for g in gens
+                             if g.life >= r))
+             for r in range(1, K.max_r + K.max_c + 3)}
+    return pages, 1 + max((g.life for g in gens if g.source), default=0)
+
+
+def reference_ss_text(K, axis: str, pages: bool) -> str:
+    """The stdout of `exhom ss` on K, formatted cell by cell: one f-string
+    and one lookup per cell of every page, from `recount_pages`."""
+    grids, stable = recount_pages(K, axis)
+    max_p, max_q = (K.max_r, K.max_c) if axis == COLUMN else (K.max_c,
+                                                              K.max_r)
+    cells = [(p, q) for p in range(max_p + 1) for q in range(max_q + 1)]
+    lines = []
+    if pages:
+        for r, grid in sorted(grids.items()):
+            lines.append(f"page {r}")
+            lines += [f"{p} {q} {grid.get((p, q), 0)}" for p, q in cells]
+    lines.append(f"limit (stable at page {stable})")
+    lines += [f"{p} {q} {grids[max(grids)].get((p, q), 0)}"
+              for p, q in cells]
+    return "\n".join(lines) + "\n"
 
 
 class SteinbergLabel(Record):
@@ -980,10 +1013,21 @@ def reference_pairing(C: CochainComplex, levels, last: int):
     return gens
 
 
+def matrix_composite(outer, inner):
+    """outer @ inner as a `RatMatrix` in lowest terms, or None when it is
+    zero or a factor is absent: one matrix per composite, built and
+    normalized, which `double_complex` compared before it compared the raw
+    numerator products."""
+    if outer is None or inner is None:
+        return None
+    prod = outer @ inner
+    return prod if any(prod.nums) else None
+
+
 def naive_composite(outer, inner):
     """outer @ inner by the textbook triple loop on the Fraction entries, or
-    None when it is zero or a factor is absent: `_composite` without the
-    product kernel."""
+    None when it is zero or a factor is absent: `matrix_composite` without
+    the product kernel."""
     if outer is None or inner is None:
         return None
     prod = RatMatrix(outer.rows, inner.cols, tuple(
@@ -992,7 +1036,7 @@ def naive_composite(outer, inner):
     return prod if any(prod.nums) else None
 
 
-def reference_defects(K, composite=_composite):
+def reference_defects(K, composite=matrix_composite):
     """Every failed d'd' = 0, d''d'' = 0 and commuting-square check of K,
     one per cell and kind, as messages in the order `double_complex` checks
     them: cells (r, s) sorted and, within a cell, horiz, vert, square, each

@@ -21,6 +21,7 @@ from conftest import (
     random_dense_cochain,
     random_double_complex,
     random_zigzag_double_complex,
+    reference_ss_text,
     serialize_cochain,
     serialize_double_complex,
     tensor_double_complex,
@@ -345,6 +346,32 @@ def test_cli_ss(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "ss", "--input", str(f), "--axis", "col",
                            "--pages")
     assert "page 2" in out.splitlines()
+
+
+def test_cli_ss_pages_at_the_grid_bound(tmp_path, capsys):
+    """`ss --pages` on a 64 x 64 grid: 130 pages of 4,225 cells each, all
+    but the first few one shared E_infinity page, rendered once.  Output is
+    byte for byte the cell-by-cell rendering; formatting every cell of every
+    page, each page built on its own, peaks at 48 MB here."""
+    f = tmp_path / "k.json"
+    f.write_text(json.dumps({
+        "max_r": MAX_GRID, "max_c": MAX_GRID,
+        "dims": {"0,0": 1, "1,0": 1, "3,5": 2, "64,64": 1},
+        "horiz": {"0,0": [[1]]}}))
+    K = parse_double_complex_document(f.read_text())
+    build_parser()
+    for axis, name in ((COLUMN, "col"), (ROW, "row")):
+        want = reference_ss_text(K, axis, True)
+        tracemalloc.start()
+        try:
+            code = main(["ss", "--input", str(f), "--axis", name, "--pages"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 553_606 and out == want
+        assert peak <= 24_000_000, peak
 
 
 def test_cli_kunneth(tmp_path, capsys):

@@ -8,7 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import apply, column, differential, random_double_complex
+from conftest import (
+    apply,
+    column,
+    differential,
+    random_double_complex,
+    reference_defects,
+)
 from exhom.documents import (
     DocumentError,
     parse_chain_document,
@@ -16,7 +22,12 @@ from exhom.documents import (
     parse_double_complex_document,
 )
 from exhom.qlinalg import RatMatrix, _int_products
-from exhom.spectral import DoubleComplexError, double_complex, total_complex
+from exhom.spectral import (
+    DoubleComplex,
+    DoubleComplexError,
+    double_complex,
+    total_complex,
+)
 from exhom.zlinalg import IntMatrix
 
 
@@ -227,6 +238,32 @@ def test_square_messages_with_absent_factors():
         assert str(e.value) == "square does not commute at (0,0)"
     # Both paths zero: one by shape, one by value.
     double_complex(1, 1, dims, {(0, 0): one(1)}, {(1, 0): one(0)})
+
+
+def test_square_paths_compare_as_values_over_their_own_denominators():
+    """Each path of a square is a raw product of block numerators over the
+    product of the blocks' denominators: equal values over different
+    denominators commute, and equal numerators over different denominators
+    do not, as the reference checks on `RatMatrix` products find."""
+    def q(*rows):
+        return RatMatrix.from_rows([[Fraction(x) for x in r] for r in rows])
+
+    dims = {(0, 0): 2, (1, 0): 2, (0, 1): 2, (1, 1): 2}
+    horiz = {(0, 0): q(("1/2", 0), (0, "1/4"))}           # den 4
+    vert = {(1, 0): q(("4/3", "2/3"), (0, 1))}              # den 3
+    # d'' d' = [[8, 2], [0, 3]] / 12 = [[16, 4], [0, 6]] / 24 = d' d''
+    horiz[(0, 1)] = q(("1/3", "1/12"), (0, "1/8"))         # den 24
+    vert[(0, 0)] = q((2, 0), (0, 2))                        # den 1
+    K = double_complex(1, 1, dims, horiz, vert)
+    assert reference_defects(K) == []
+    # the same numerators [[8, 2], [0, 3]] over 24 and over 12
+    vert[(0, 0)] = q((1, 0), (0, 1))
+    horiz[(0, 1)] = RatMatrix(2, 2, (8, 2, 0, 3), 24)
+    with pytest.raises(DoubleComplexError) as e:
+        double_complex(1, 1, dims, horiz, vert)
+    assert str(e.value) == "square does not commute at (0,0)"
+    assert reference_defects(DoubleComplex(1, 1, dims, horiz, vert)) == [
+        "square does not commute at (0,0)"]
 
 
 def test_double_complex_document_square_message():

@@ -11,9 +11,11 @@ from conftest import (
     random_dense_cochain,
     random_double_complex,
     random_zigzag_double_complex,
+    recount_pages,
     reference_criterion,
     reference_defects,
     reference_opposite,
+    reference_ss_text,
     serialize_double_complex,
 )
 from exhom import spectral
@@ -207,6 +209,40 @@ def test_validation_builds_no_tot(monkeypatch, tmp_path, capsys):
     assert main(["ss", "--input", str(f), "--axis", "row", "--pages"]) == 0
     assert capsys.readouterr().err == ""
     assert len(built) == 1
+
+
+def test_ss_text_matches_the_per_cell_renderer(tmp_path, capsys):
+    """`exhom ss` prints, byte for byte, the cell-by-cell rendering of pages
+    recounted one by one, with and without --pages and on both axes, also
+    on cells of many denominators.  The pages from the stable one on are
+    one dict, and every page's dims are its own recount."""
+    rng = random.Random(83)
+    many_dens = random_zigzag_double_complex(random.Random(67), grid=3,
+                                             pieces=300)[0]
+    assert len({M.den for M in (*many_dens.horiz.values(),
+                                *many_dens.vert.values())}) > 5
+    Ks = [many_dens] + [random_double_complex(rng) for _ in range(4)] + [
+        random_zigzag_double_complex(rng, grid=rng.randint(1, 4), pieces=8,
+                                     corners=rng.randint(0, 2))[0]
+        for _ in range(12)]
+    f = tmp_path / "k.json"
+    stables = Counter()
+    for K in Ks:
+        f.write_text(serialize_double_complex(K))
+        for axis, name in ((COLUMN, "col"), (ROW, "row")):
+            P = spectral_pages(K, axis)
+            grids, stable = recount_pages(K, axis)
+            assert P.stable_page == stable and P.pages.keys() == grids.keys()
+            for r, page in P.pages.items():
+                assert (page is P.pages[stable]) == (r >= stable)
+                assert {pq: d for pq, (d, _) in page.items()} == grids[r]
+            stables[stable] += 1
+            for flag in ((), ("--pages",)):
+                assert main(["ss", "--input", str(f), "--axis", name,
+                             *flag]) == 0
+                assert capsys.readouterr() == (
+                    reference_ss_text(K, axis, bool(flag)), "")
+    assert len(stables) >= 3, stables
 
 
 def test_pages_zero_differentials():

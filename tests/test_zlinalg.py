@@ -629,6 +629,24 @@ def test_invariant_factors_split_dividing_pivots():
     assert min(seen.values()) >= 40
 
 
+def test_split_pivots_take_a_row_gcd_only_where_it_is_an_entry():
+    # gcd(6, 10, 15) = 1 is no entry of row 0, nor 2 of row 1, and no
+    # least |entry| divides its row: nothing splits
+    A = IntMatrix.from_rows([[6, 10, 15], [12, 20, 30]])
+    assert zlinalg._split_pivots(A) == ([], A)
+    assert invariant_factors(A) == smith_normal_form(A).diagonal == (1, 0)
+    # 4 is row 0's gcd and least entry but does not divide its column
+    # (4, 6); row 1's gcd 3 is no entry: nothing splits
+    A = IntMatrix.from_rows([[4, 8, -12], [6, 0, 9]])
+    assert zlinalg._split_pivots(A) == ([], A)
+    assert invariant_factors(A) == smith_normal_form(A).diagonal
+    # row 0's gcd is 4, found as -4, and divides its column (-4, 8): it
+    # splits, leaving 3 + 2 * 8 = 19
+    A = IntMatrix.from_rows([[-4, 8], [8, 3]])
+    assert zlinalg._split_pivots(A) == ([4, 19], IntMatrix.zero(0, 0))
+    assert invariant_factors(A) == smith_normal_form(A).diagonal == (1, 76)
+
+
 def test_invariant_factors_strip_zero_rows_and_columns(monkeypatch):
     # [[2, 3], [4, 3]] (Smith diagonal 1, 6; no entry that is least in its
     # row divides its row and its column, so no pivot splits off, also in
