@@ -22,10 +22,10 @@ Two routes to the Smith diagonal:
   determinant of the pivot block (a Schur complement), a nonzero integer,
   so S is bounded as A's minors are.  An empty S needs nothing more, and
   zero rows and columns of S only pad the diagonal with zeros: from here on
-  A names S without them.  A fraction-free (Bareiss) pass finds the rank r,
-  the pivot columns and a nonzero r x r minor M0 = +-det P, P the pivot
-  block (A on the pivot rows and columns), and carries two fixed columns B
-  through the same row operations; back-substitution then gives
+  A names S without them.  A two-step fraction-free (Bareiss) pass finds
+  the rank r, the pivot columns and a nonzero r x r minor M0 = +-det P, P
+  the pivot block (A on the pivot rows and columns), and carries two fixed
+  columns B through the same row operations; back-substitution then gives
   Y = det(P).P^-1.B' (B' the pivot rows of B).  One elimination,
   `_smith_mod(A, M, r)`, diagonalises A modulo M and reads each diagonal
   entry e as gcd(e, M): SNF([A | M.I]) = diag(gcd(d_i, M))
@@ -60,12 +60,14 @@ Two routes to the Smith diagonal:
   - Otherwise M = M0, a multiple of d_1...d_r.
   B sets how small the modulus is, never the answer: M is 1 or a few bits
   on most random square A (Eberly-Giesbrecht-Villard 2000).
-  The Bareiss pass leaves a row with 0 in the pivot column as it is, where
-  the eager pass would scale it by p_k/p_{k-1} at step k.  Over the skipped
-  steps j+1..k these factors telescope to p_k/p_j, so the stored row is the
-  eager one times at/prev, at = p_j the pivot of the row's last update and
-  prev = p_k.  Its next update (p.x - f.y) // at, and x.prev // at when it
-  becomes the pivot row, are then eager entries, minors of A: every
+  The Bareiss pass takes steps k and k+1 in one update where it can
+  (Bareiss 1968; by Sylvester's identity each quotient is a minor of A).
+  It leaves a row with 0 in its pivot columns as it is, where the eager
+  pass would scale it by p_k/p_{k-1} at step k.  Over the skipped steps
+  j+1..k these factors telescope to p_k/p_j, so the stored row is the eager
+  one times at/prev, at = p_j the pivot of the row's last update and
+  prev = p_k.  A single step (p.x - f.y) // at, and x.prev // at before a
+  two-step or a pivot, then give eager entries, minors of A: every
   division is exact, and the rank, the last pivot and the pivot rows right
   of their pivots are those of the eager pass.
 * `smith_normal_form` is the only source of the unimodular U and V.  It
@@ -77,7 +79,7 @@ Two routes to the Smith diagonal:
 from __future__ import annotations
 
 from math import gcd
-from operator import index
+from operator import index, mul
 
 from ._record import Record, _set
 from .qlinalg import _columns, _Dense, _int_products
@@ -153,38 +155,76 @@ def _bareiss(A: IntMatrix,
     r = 0).  It is returned times the sign of the row swaps, which makes it
     det A when A is square of full rank.  The columns of `extra` take every
     row operation but give no pivot; the eliminated rows are returned too,
-    unreduced left of their pivots.  A row with 0 in the pivot column is
-    left alone (at[i]: the pivot of its last update) and scaled by
-    prev / at[i] when it becomes the pivot row.
+    unreduced left of their pivots.
+
+    A pass eliminates columns c and c + 1 at once (Bareiss 1968, the
+    two-step case of Sylvester's identity).  Row r, y0 = (a00, a01, ...)
+    from column c on, pivots on a00; the first row below with
+    a00.x1 != x0.a01 (x0, x1 its entries in c, c + 1) moves to r + 1,
+    y1 = (a10, a11, ...), and takes one step, its new pivot b the 2 x 2
+    leading minor over prev.  A row below with x0 != 0 is updated once,
+    (b.x + e1.y1 + e2.y0) // prev with e1 = (a01.x0 - a00.x1) // prev and
+    e2 = (a10.x1 - a11.x0) // prev: 3 products and one exact division an
+    entry, where two single steps take 4 and 2.  A row with x0 = 0 != x1
+    takes one step against the new row r + 1, and with no such row or
+    fewer than three rows left the pass is one step on column c.  A single
+    step is (p.x - f.y) // at[i], at[i] the pivot of row i's last update.
     """
     rows, cols = A.rows, A.cols
     m = [list(A.row(i)) + [b[i] for b in extra] for i in range(rows)]
     at = [1] * rows
-    sign, prev, piv = 1, 1, []
-    for c in range(cols):
-        r = len(piv)
-        if r == rows:
-            break
+    sign, prev, piv, c = 1, 1, [], 0
+    while c < cols and (r := len(piv)) < rows:
         pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if pr is None:
+            c += 1
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
             at[r], at[pr] = at[pr], at[r]
             sign = -sign
+        y0 = m[r]
         if at[r] != prev:
-            m[r][c:] = [x * prev // at[r] for x in m[r][c:]]
-        top = m[r][c + 1:]
-        p = m[r][c]
-        for i in range(r + 1, rows):
+            y0[c:] = [x * prev // at[r] for x in y0[c:]]
+        a00, two, wide = y0[c], False, r + 2 < rows and c + 1 < cols
+        if wide:
+            a01 = y0[c + 1]
+            for s in range(r + 1, rows):
+                if a00 * m[s][c + 1] != m[s][c] * a01:
+                    two = True
+                    break
+        k, p, top = c, a00, y0[c + 1:]
+        if two:
+            if s != r + 1:
+                m[r + 1], m[s] = m[s], m[r + 1]
+                at[r + 1], at[s] = at[s], at[r + 1]
+                sign = -sign
+            y1 = m[r + 1]
+            if at[r + 1] != prev:
+                y1[c:] = [x * prev // at[r + 1] for x in y1[c:]]
+            a10, a11, t0, t1 = y1[c], y1[c + 1], y0[c + 2:], y1[c + 2:]
+            y1[c + 1:] = [(a00 * x - a10 * y) // prev
+                          for x, y in zip(y1[c + 1:], top)]
+            piv.append(c)
+            k, p, top = c + 1, y1[c + 1], y1[c + 2:]
+        for i in range(r + 1 + two, rows):
             mi = m[i]
-            f = mi[c]
-            if f:
+            if two and mi[c]:
+                if at[i] != prev:
+                    mi[c:] = [x * prev // at[i] for x in mi[c:]]
+                x0, x1 = mi[c], mi[c + 1]
+                e1 = (a01 * x0 - a00 * x1) // prev
+                e2 = (a10 * x1 - a11 * x0) // prev
+                mi[c + 2:] = [(p * x + e1 * y + e2 * z) // prev
+                              for x, y, z in zip(mi[c + 2:], t1, t0)]
+                at[i] = p
+            elif f := mi[k]:
                 d, at[i] = at[i], p
-                mi[c + 1:] = [(p * x - f * y) // d
-                              for x, y in zip(mi[c + 1:], top)]
+                mi[k + 1:] = [(p * x - f * y) // d
+                              for x, y in zip(mi[k + 1:], top)]
         prev = p
-        piv.append(c)
+        piv.append(k)
+        c += 1 + wide  # a wide pass pivots on column c + 1 or leaves it 0
     return piv, sign * prev, m
 
 
@@ -212,7 +252,7 @@ def _adjoint_columns(m: list[list[int]], piv: list[int],
     for c in range(r, len(u[0])):
         y = [0] * r
         for i in reversed(range(r)):
-            s = sum(a * b for a, b in zip(u[i][i + 1:r], y[i + 1:]))
+            s = sum(map(mul, u[i][i + 1:r], y[i + 1:]))
             y[i] = (p * u[i][c] - s) // u[i][i]
         ys += y
     return ys

@@ -288,22 +288,29 @@ def pivot_rows(A, piv):
     return order[:len(piv)]
 
 
+def check_bareiss(A):
+    """(B, piv, minor, m, ys): `_bareiss` on A carrying the columns B, with
+    the same pivots and last pivot as `eager_bareiss`, the same pivot rows
+    from their pivot on (B included) and the same `_adjoint_columns` ys."""
+    B = _rhs(A.rows)
+    piv, minor, m = _bareiss(A, B)
+    piv0, minor0, m0 = eager_bareiss(A, B)
+    assert (piv, minor) == (piv0, minor0)
+    assert ([row[c:] for row, c in zip(m, piv)]
+            == [row[c:] for row, c in zip(m0, piv)])
+    ys = _adjoint_columns(m, piv, A.cols) if piv else []
+    assert ys == (_adjoint_columns(m0, piv, A.cols) if piv else [])
+    return B, piv, minor, m, ys
+
+
 def test_lazy_bareiss_matches_eager():
     shapes = Counter()
     for A in bareiss_inputs():
-        B = _rhs(A.rows)
-        piv, minor, m = _bareiss(A, B)
-        piv0, minor0, m0 = eager_bareiss(A, B)
-        assert (piv, minor) == (piv0, minor0)
-        # pivot row i from its pivot on, the extra columns included
-        assert ([row[c:] for row, c in zip(m, piv)]
-                == [row[c:] for row, c in zip(m0, piv)])
+        B, piv, minor, m, ys = check_bareiss(A)
         r = len(piv)
         if not r:
             continue
         shapes["full" if r == A.rows == A.cols else "other"] += 1
-        ys = _adjoint_columns(m, piv, A.cols)
-        assert ys == _adjoint_columns(m0, piv, A.cols)
         # Y = p.P^-1.B' on the pivot block: P.Y = p.B', p = +-det P
         rows, p = pivot_rows(A, piv), m[r - 1][piv[-1]]
         assert abs(p) == abs(minor) == abs(determinant(IntMatrix.from_rows(
@@ -312,6 +319,57 @@ def test_lazy_bareiss_matches_eager():
             assert [sum(A[i, j] * x for j, x in zip(piv, y))
                     for i in rows] == [p * b[i] for i in rows]
     assert shapes["full"] >= 40 and shapes["other"] >= 100
+
+
+def two_step_inputs():
+    """Seeded matrices, each built to take one branch of the two-step pass
+    in `_bareiss`, then uniform [-20, 20] matrices of 24-44 rows and
+    40 x 44, 44 x 40 products of rank below 40."""
+    rng = random.Random(29)
+
+    def nonzero():
+        return rng.choice((-3, -2, 2, 3))
+
+    for _ in range(30):
+        rows, cols = rng.randint(5, 9), rng.randint(5, 9)
+        base = [[rng.randint(-9, 9) for _ in range(cols)]
+                for _ in range(rows)]
+        base[0][0] = nonzero()
+        later, flat, lead, skipped = ([row[:] for row in base]
+                                      for _ in range(4))
+        # row 1 is f.row 0 on columns 0, 1: the second pivot is below it
+        f = nonzero()
+        later[1][:2] = [f * base[0][0], f * base[0][1]]
+        # column 1 is f.column 0: no second pivot, a single step on column 0
+        for row in flat:
+            row[1] = f * row[0]
+        # the last two rows start 0, x1 != 0: one step against row 1
+        for row in lead[-2:]:
+            row[:2] = [0, nonzero()]
+        # rows 2-4 are 0 on columns 0, 1, so the first pass skips them and
+        # sets prev = b, |b| > 1; the next pivots on rows 2 and 3 (their
+        # 2 x 2 minor on columns 2, 3 is nonzero) and two-steps row 4
+        skipped[1][:2] = [0, nonzero()]
+        for row in skipped[2:5]:
+            row[:2] = [0, 0]
+        skipped[2][2:4], skipped[3][2:4] = [nonzero(), 0], [0, nonzero()]
+        skipped[4][2] = nonzero()
+        for m in (later, flat, lead, skipped):
+            yield IntMatrix.from_rows(m, cols)
+    for rows in (24, 31, 44):
+        cols = rng.randint(24, 44)
+        yield IntMatrix.from_rows([[rng.randint(-20, 20) for _ in range(cols)]
+                                   for _ in range(rows)], cols)
+    for rows, cols, r in ((40, 44, 27), (44, 40, 33), (44, 40, 16)):
+        yield random_low_rank_matrix(rng, rows, cols, r)
+
+
+def test_two_step_bareiss_matches_eager():
+    # two-steps take pivots in pairs, so an odd rank takes a single step
+    ranks = Counter()
+    for A in two_step_inputs():
+        ranks[len(check_bareiss(A)[1]) % 2] += 1
+    assert ranks[0] >= 30 and ranks[1] >= 30
 
 
 def test_certificate_accepts_only_the_smith_diagonal():
