@@ -18,7 +18,6 @@ from .complexes import (
     CochainComplex,
     IntChainComplex,
     cochain_complex,
-    cohomology,
     homology_int,
     int_chain_complex,
     kunneth_check,
@@ -42,7 +41,6 @@ from .spectral import (
 from .steinberg import (
     E2Table,
     InducedSpectrum,
-    betti,
     betti_profile,
     covering_filtration_dims,
     e2_table,

@@ -1,11 +1,13 @@
 """Frozen records: the value semantics of a frozen dataclass, written once,
 with nothing generated or executed at class creation.
 
-A record class spells out its own ``__init__``: it sets each field with
-`_set` (``object.__setattr__``, which keeps CPython's inline attribute
-values, where writing through ``__dict__`` would not) and then calls
-``__post_init__`` if the class has one.  The fields are that ``__init__``'s
-parameters, in order; a subclass that writes none keeps its base's.
+A record class names its fields once, in order, in `_fields`, and the
+values of the last ones, which a caller may omit, in `_defaults`; a
+subclass that declares neither keeps its base's.  The one constructor,
+`Record.__init__`, binds its arguments as a def with those parameters
+would, sets each field with `_set` (``object.__setattr__``, which keeps
+CPython's inline attribute values, where writing through ``__dict__`` would
+not) and then calls ``__post_init__`` to check or normalize them.
 """
 
 _set = object.__setattr__
@@ -15,10 +17,34 @@ class Record:
     """Equality within one class, field by field; the hash of the field
     tuple; ``Name(field=value, ...)`` repr; no assignment or deletion."""
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        code = cls.__init__.__code__
-        cls._fields = code.co_varnames[1:code.co_argcount]
+    _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        n = len(fields)
+        if kwargs or len(args) != n:
+            defaults = self._defaults
+            if not kwargs and 0 < n - len(args) <= len(defaults):
+                args += defaults[len(args) - n:]
+            else:  # bound as by a def with these parameters, or refused
+                bound = dict(zip(fields[n - len(defaults):], defaults))
+                bound.update(zip(fields, args))
+                bound.update(kwargs)
+                if len(args) > n or bound.keys() != set(fields) or not \
+                        kwargs.keys().isdisjoint(fields[:len(args)]):
+                    raise TypeError(
+                        f"{type(self).__qualname__}() takes {fields} once "
+                        f"each, got {len(args)} positional and {tuple(kwargs)}")
+                args = tuple(map(bound.__getitem__, fields))
+        i = 0
+        while i < n:  # faster than a for loop over zip or range
+            _set(self, fields[i], args[i])
+            i += 1
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check or normalize the fields, once they are all set."""
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)

@@ -75,15 +75,21 @@ def _modulus(text: str) -> int:
     return m
 
 
+def _multiplicity(text: str) -> int:
+    """argparse type for --m10, --m01 and --m11: below 10**4000, so that every
+    sum e2, betti and filtration print stays under the int -> str limit."""
+    if _int_in("a non-negative integer", 0)(text) < 10 ** 4000:
+        return int(text)
+    raise argparse.ArgumentTypeError("multiplicities must be below 10**4000")
+
+
 def _spectrum_args(p):
     top = steinberg.MAX_SPACE_DIM
     dimension = _int_in(f"a positive integer at most {top}", 1, top)
-    nonnegative = _int_in("a non-negative integer", 0)
     p.add_argument("--d", type=dimension, required=True)
     p.add_argument("--dp", type=dimension, required=True)
-    p.add_argument("--m10", type=nonnegative, default=0)
-    p.add_argument("--m01", type=nonnegative, default=0)
-    p.add_argument("--m11", type=nonnegative, default=0)
+    for flag in "--m10", "--m01", "--m11":
+        p.add_argument(flag, type=_multiplicity, default=0)
 
 
 @functools.cache
@@ -134,6 +140,21 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise DocumentError(f"cannot read {path}: not UTF-8 text") from None
+
+
+def _cell_lines(max_p: int, max_q: int):
+    """The renderer of the `ss` and `e2 --format machine` grids: each cell's
+    "p q dim" line, p then q ascending, from the nonzero (cell, dim)s."""
+    labels = [f"{p} {q} " for p in range(max_p + 1) for q in range(max_q + 1)]
+
+    def block(dims) -> str:
+        column = ["0"] * len(labels)
+        for (p, q), dim in dims:
+            column[p * (max_q + 1) + q] = str(dim)
+        return "\n".join(map(operator.add, labels, column))
+    return block
 
 
 def _spectrum(args) -> steinberg.InducedSpectrum:
@@ -150,11 +171,9 @@ def _cmd_e2(args, out) -> int:
         print(report.render(), file=out)
         return 0
     table = steinberg.e2_table(args.d, args.dp, _spectrum(args))
-    top = table.size
+    top = args.d + args.dp
     if args.format == "machine":
-        for r in range(top + 1):
-            for s in range(top + 1):
-                print(f"{r} {s} {table.at(r, s)}", file=out)
+        print(_cell_lines(top, top)(table.grid.items()), file=out)
     else:
         print("\n".join(steinberg.render_grids(top, table.at)[0]), file=out)
     return 0
@@ -185,17 +204,8 @@ def _cmd_ss(args, out) -> int:
     K = parse_double_complex_document(_read(args.input))
     axis = spectral.ROW if args.axis == "row" else spectral.COLUMN
     pages = spectral.spectral_pages(K, axis)
-    max_p, max_q = ((K.max_r, K.max_c) if axis == spectral.COLUMN
-                    else (K.max_c, K.max_r))
-    labels = [f"{p} {q} " for p in range(max_p + 1) for q in range(max_q + 1)]
-
-    def block(dims) -> str:
-        """Every cell's "p q dim" line, from the nonzero (cell, dim)s."""
-        column = ["0"] * len(labels)
-        for (p, q), dim in dims:
-            column[p * (max_q + 1) + q] = str(dim)
-        return "\n".join(map(operator.add, labels, column))
-
+    block = _cell_lines(*((K.max_r, K.max_c) if axis == spectral.COLUMN
+                          else (K.max_c, K.max_r)))
     lines, grid = [], None
     if args.pages:
         for r, page in sorted(pages.pages.items()):

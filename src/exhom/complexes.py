@@ -1,8 +1,8 @@
 """Finite cochain complexes over Q and chain complexes over Z.
 
-Provides cohomology with integer representatives, total tensor products
-with the Leibniz sign, a Kunneth dimension check, integral homology from
-invariant factors, and a universal-coefficient dimension check.
+Provides rational cohomology dimensions, total tensor products with the
+Leibniz sign, a Kunneth dimension check, integral homology from invariant
+factors, and a universal-coefficient dimension check.
 
 Rational cohomology, and the spectral sequences of `spectral`, come from one
 filtered column reduction, the persistence pairing (Zomorodian and Carlsson
@@ -18,11 +18,11 @@ off the stored numerators and divided by its content with the denominator,
 once per complex, and the gcd of all entries is divided out after each step.
 
 Both gradings share one storage, `_Complex`: a subclass names only its
-step (+1 for cochain, -1 for chain complexes) and its matrix class, and the
-builder `_build`, `validate_complex` and the document parser read the step
-from the class.  Every function here assumes d o d = 0 and does not check
-it: the builders `cochain_complex`/`int_chain_complex` check shapes only,
-while `validate_complex` and the document parsers check the composites,
+step (+1 for cochain, -1 for chain complexes), which the builder `_build`,
+`validate_complex` and the document parser read from the class.  Every
+function here assumes d o d = 0 and does not check it: the builders
+`cochain_complex`/`int_chain_complex` check shapes only, while
+`validate_complex` and the document parsers check the composites,
 multiplying no absent (zero) differential.
 """
 
@@ -33,7 +33,7 @@ from collections.abc import Sequence
 from functools import cached_property
 from math import gcd, inf, lcm
 
-from ._record import Record, _set
+from ._record import Record
 from .qlinalg import RatMatrix, _columns, _int_products
 from .zlinalg import (
     FinAbGroup,
@@ -49,17 +49,12 @@ class ComplexError(ValueError):
 
 
 class _Complex(Record):
-    """Graded storage of both gradings: d_n maps degree n to n + step, step
-    and matrix class named by the subclass.  dims holds only nonzero degrees;
+    """Graded storage of both gradings: d_n maps degree n to n + step, the
+    step named by the subclass.  dims holds only nonzero degrees;
     differentials hold only nonzero maps, d_n of shape dim(n+step) x dim(n).
     """
 
-    def __init__(self, min_deg: int, max_deg: int, dims: dict[int, int],
-                 differentials: dict[int, object]):
-        _set(self, "min_deg", min_deg)
-        _set(self, "max_deg", max_deg)
-        _set(self, "dims", dims)
-        _set(self, "differentials", differentials)
+    _fields = ("min_deg", "max_deg", "dims", "differentials")
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
@@ -72,7 +67,6 @@ class CochainComplex(_Complex):
     """Graded Q-vector spaces with differentials d^n: C^n -> C^{n+1}."""
 
     step = 1
-    matrix = RatMatrix
 
     @cached_property
     def _columns(self) -> dict[int, list[tuple[Sequence[int], int]]]:
@@ -88,7 +82,6 @@ class IntChainComplex(_Complex):
     """Free Z-modules with differentials d_n: C_n -> C_{n-1} (homological)."""
 
     step = -1
-    matrix = IntMatrix
 
 
 def _build(cls, min_deg: int, dims: dict[int, int], differentials):
@@ -224,16 +217,6 @@ def _pairing(C: CochainComplex, levels: dict[int, Sequence[int]],
     return gens
 
 
-def cohomology(C: CochainComplex, n: int) -> tuple[int, tuple[tuple, ...]]:
-    """(dim H^n, the unpaired cycles of degree n as integer rows, whose
-    classes form a basis of H^n)."""
-    if C.dim(n) == 0:
-        return 0, ()
-    reps = tuple(g.chain for g in _pairing(C, {}, n)
-                 if g.n == n and g.life == inf)
-    return len(reps), reps
-
-
 def cohomology_dims(C: CochainComplex) -> dict[int, int]:
     # paired one degree past the top, where C is 0: no chains are built
     cycles = Counter(g.n for g in _pairing(C, {}, C.max_deg + 1)
@@ -304,11 +287,7 @@ class CheckReport(Record):
     """Per-degree comparison of two dimension computations: rows holds
     (degree, lhs, rhs)."""
 
-    def __init__(self, name: str, rows: tuple, passed: bool, note: str = ""):
-        _set(self, "name", name)
-        _set(self, "rows", rows)
-        _set(self, "passed", passed)
-        _set(self, "note", note)
+    _fields, _defaults = ("name", "rows", "passed", "note"), ("",)
 
     def render(self) -> str:
         lines = [f"{self.name}: {'PASS' if self.passed else 'FAIL'}"

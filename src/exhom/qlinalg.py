@@ -47,14 +47,10 @@ def _int_products(rows: Sequence[Sequence[int]],
 class _Dense(Record):
     """Dense matrix, row-major, immutable: the integer storage `nums`, shape
     checks and row access of `RatMatrix` and `zlinalg.IntMatrix`.  Each
-    subclass's constructor coerces the entries it is given to ints, and its
-    `entries` are what row access reads."""
+    subclass's `__post_init__` coerces the entries it is given to ints, and
+    its `entries` are what row access reads."""
 
-    def __init__(self, rows: int, cols: int, nums: tuple):
-        _set(self, "rows", rows)
-        _set(self, "cols", cols)
-        _set(self, "nums", nums)
-        self.__post_init__()
+    _fields = ("rows", "cols", "nums")
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -109,9 +105,7 @@ class RatMatrix(_Dense):
     `entries` is the Fraction view, which imports `fractions` on first
     read."""
 
-    def __init__(self, rows: int, cols: int, nums: tuple, den: int = 1):
-        _set(self, "den", den)
-        super().__init__(rows, cols, nums)
+    _fields, _defaults = ("rows", "cols", "nums", "den"), (1,)
 
     def __post_init__(self):
         super().__post_init__()

@@ -38,7 +38,7 @@ from collections import Counter
 from functools import cached_property
 from math import gcd, inf
 
-from ._record import Record, _set
+from ._record import Record
 from .complexes import (CochainComplex, _composite_nums, _pairing, _reduce,
                         _totalize)
 from .qlinalg import RatMatrix
@@ -58,13 +58,7 @@ class DoubleComplex(Record):
     horizontal (r+1) and vertical (s+1) differentials: dims, horiz and vert
     are keyed by cell (r, s), the maps `RatMatrix`es."""
 
-    def __init__(self, max_r: int, max_c: int, dims: dict, horiz: dict,
-                 vert: dict):
-        _set(self, "max_r", max_r)
-        _set(self, "max_c", max_c)
-        _set(self, "dims", dims)
-        _set(self, "horiz", horiz)
-        _set(self, "vert", vert)
+    _fields = ("max_r", "max_c", "dims", "horiz", "vert")
 
     def dim(self, r: int, s: int) -> int:
         return self.dims.get((r, s), 0)
@@ -149,13 +143,7 @@ class SpectralPages(Record):
     pages[stable_page] for every r after it.
     """
 
-    def __init__(self, filtration_axis: str, pages: dict, d_ranks: dict,
-                 limit: dict, stable_page: int):
-        _set(self, "filtration_axis", filtration_axis)
-        _set(self, "pages", pages)
-        _set(self, "d_ranks", d_ranks)
-        _set(self, "limit", limit)
-        _set(self, "stable_page", stable_page)
+    _fields = ("filtration_axis", "pages", "d_ranks", "limit", "stable_page")
 
     def dim(self, r: int, p: int, q: int) -> int:
         cell = self.pages.get(r, {}).get((p, q))
@@ -173,13 +161,7 @@ class FiltrationChain(Record):
     chains compared share; rows None means class k is that basis vector k.
     The rows must be independent."""
 
-    def __init__(self, n: int, ambient_dim: int, levels: tuple[int, ...],
-                 rows: tuple[tuple[int, ...], ...] | None = None):
-        _set(self, "n", n)
-        _set(self, "ambient_dim", ambient_dim)
-        _set(self, "levels", levels)
-        _set(self, "rows", rows)
-        self.__post_init__()
+    _fields, _defaults = ("n", "ambient_dim", "levels", "rows"), (None,)
 
     def __post_init__(self):
         if len(self.levels) != self.ambient_dim:
@@ -225,8 +207,7 @@ def spectral_pages(K: DoubleComplex, axis: str) -> SpectralPages:
     d_ranks = dict(Counter((g.life, g.level, g.n - g.level) for g in gens
                            if g.source and g.life))
     limit = {pq: dim for pq, (dim, _) in pages[stable].items()}
-    return SpectralPages(filtration_axis=axis, pages=pages, d_ranks=d_ranks,
-                         limit=limit, stable_page=stable)
+    return SpectralPages(axis, pages, d_ranks, limit, stable)
 
 
 def _column_basis(K: DoubleComplex, n: int) -> tuple:

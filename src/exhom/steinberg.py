@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from ._record import Record, _set
+from ._record import Record
 
 MAX_SPACE_DIM = 64  # largest d and d' the CLI's e2, betti and filtration take
 
@@ -34,11 +34,7 @@ class InducedSpectrum(Record):
     always one and is not configurable.
     """
 
-    def __init__(self, m10: int, m01: int, m11: int):
-        _set(self, "m10", m10)
-        _set(self, "m01", m01)
-        _set(self, "m11", m11)
-        self.__post_init__()
+    _fields = ("m10", "m01", "m11")
 
     def __post_init__(self):
         if min(self.m10, self.m01, self.m11) < 0:
@@ -67,19 +63,10 @@ def _row(d: int, dp: int, spectrum: InducedSpectrum, s: int) -> dict[int, int]:
 class E2Table(Record):
     """Second-page grid over 0 <= r, s <= d + dp."""
 
-    def __init__(self, d: int, dp: int, spectrum: InducedSpectrum,
-                 grid: dict[tuple[int, int], int]):
-        _set(self, "d", d)
-        _set(self, "dp", dp)
-        _set(self, "spectrum", spectrum)
-        _set(self, "grid", grid)
+    _fields = ("d", "dp", "spectrum", "grid")
 
     def at(self, r: int, s: int) -> int:
         return self.grid.get((r, s), 0)
-
-    @property
-    def size(self) -> int:
-        return self.d + self.dp
 
 
 def e2_table(d: int, dp: int, spectrum: InducedSpectrum) -> E2Table:
@@ -116,14 +103,6 @@ def _filtration_dims(diagonal: list[int]) -> list[int]:
     return list(accumulate(reversed(diagonal)))[::-1] + [0]
 
 
-def betti(d: int, dp: int, spectrum: InducedSpectrum, n: int) -> int:
-    """Betti number b_n as the anti-diagonal sum of the second page
-    (the sequence degenerates there)."""
-    if n < 0 or n > 2 * (d + dp):
-        return 0
-    return sum(next(_antidiagonals(d, dp, spectrum, [n])))
-
-
 def covering_filtration_dims(d: int, dp: int, spectrum: InducedSpectrum,
                              n: int) -> list[int]:
     """Dims of the covering filtration F^0 >= ... >= F^{n+1} on H^n:
@@ -136,12 +115,7 @@ def covering_filtration_dims(d: int, dp: int, spectrum: InducedSpectrum,
 class BettiProfile(Record):
     """Betti numbers b_0..b_{2(d+dp)} with per-degree filtration dims."""
 
-    def __init__(self, d: int, dp: int, spectrum: InducedSpectrum,
-                 b: tuple[int, ...]):
-        _set(self, "d", d)
-        _set(self, "dp", dp)
-        _set(self, "spectrum", spectrum)
-        _set(self, "b", b)
+    _fields = ("d", "dp", "spectrum", "b")
 
     @property
     def filtrations(self) -> tuple[tuple[int, ...], ...]:
@@ -217,19 +191,8 @@ class PaperTableDiff(Record):
     betti_diffs by degree; a difference is (computed, stated).
     """
 
-    def __init__(self, d: int, dp: int, spectrum: InducedSpectrum,
-                 computed: E2Table, stated: dict, cell_diffs: dict,
-                 betti_computed: tuple, betti_stated: tuple,
-                 betti_diffs: dict):
-        _set(self, "d", d)
-        _set(self, "dp", dp)
-        _set(self, "spectrum", spectrum)
-        _set(self, "computed", computed)
-        _set(self, "stated", stated)
-        _set(self, "cell_diffs", cell_diffs)
-        _set(self, "betti_computed", betti_computed)
-        _set(self, "betti_stated", betti_stated)
-        _set(self, "betti_diffs", betti_diffs)
+    _fields = ("d", "dp", "spectrum", "computed", "stated", "cell_diffs",
+               "betti_computed", "betti_stated", "betti_diffs")
 
     def render(self) -> str:
         def stated(r, s):

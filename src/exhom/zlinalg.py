@@ -112,12 +112,7 @@ class IntMatrix(_Dense):
 class SmithForm(Record):
     """Decomposition U.A.V = D with U, V unimodular and D in Smith form."""
 
-    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix,
-                 diagonal: tuple[int, ...]):
-        _set(self, "U", U)
-        _set(self, "D", D)
-        _set(self, "V", V)
-        _set(self, "diagonal", diagonal)
+    _fields = ("U", "D", "V", "diagonal")
 
 
 class FinAbGroup(Record):
@@ -126,10 +121,7 @@ class FinAbGroup(Record):
     Torsion entries are >= 2 and form a divisibility chain t_1 | t_2 | ...
     """
 
-    def __init__(self, free_rank: int, torsion: tuple[int, ...]):
-        _set(self, "free_rank", free_rank)
-        _set(self, "torsion", torsion)
-        self.__post_init__()
+    _fields = ("free_rank", "torsion")
 
     def __post_init__(self):
         if self.free_rank < 0:
@@ -139,10 +131,6 @@ class FinAbGroup(Record):
                 raise ValueError("torsion is not a divisibility chain")
         if any(t < 2 for t in self.torsion):
             raise ValueError("torsion entries must be >= 2")
-
-    def __str__(self) -> str:
-        parts = ["Z"] * self.free_rank + [f"Z/{t}" for t in self.torsion]
-        return " + ".join(parts) if parts else "0"
 
 
 def _bareiss(A: IntMatrix,
@@ -547,7 +535,7 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
     V = IntMatrix.from_rows(v, cols)
     D = IntMatrix.from_rows(m, cols)
     diagonal = tuple(m[t][t] for t in range(k))
-    return SmithForm(U=U, D=D, V=V, diagonal=diagonal)
+    return SmithForm(U, D, V, diagonal)
 
 
 def _rank_mod_p(A: IntMatrix, p: int) -> int:

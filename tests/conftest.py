@@ -55,7 +55,7 @@ from itertools import combinations
 from math import gcd, inf, lcm
 from typing import Iterable, List, Sequence, Tuple
 
-from exhom._record import Record, _set
+from exhom._record import Record
 from exhom.complexes import (
     CochainComplex,
     IntChainComplex,
@@ -423,10 +423,7 @@ def reference_ss_text(K, axis: str, pages: bool) -> str:
 class SteinbergLabel(Record):
     """Subset I of {1..d} labelling a generalized Steinberg representation."""
 
-    def __init__(self, d: int, subset: frozenset):
-        _set(self, "d", d)
-        _set(self, "subset", subset)
-        self.__post_init__()
+    _fields = ("d", "subset")
 
     def __post_init__(self):
         if self.d < 1:
@@ -482,7 +479,8 @@ def differential(C, n: int):
     """d_n of C as a matrix, zero when the map is absent: the library keeps
     only the maps that are nonzero and never builds a zero one."""
     d = C.differentials.get(n)
-    return C.matrix.zero(C.dim(n + C.step), C.dim(n)) if d is None else d
+    matrix = RatMatrix if isinstance(C, CochainComplex) else IntMatrix
+    return matrix.zero(C.dim(n + C.step), C.dim(n)) if d is None else d
 
 
 def random_cochain(rng, max_deg=3, max_pieces=4, scale=3):

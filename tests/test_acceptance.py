@@ -36,7 +36,7 @@ from exhom.spectral import (
 )
 from exhom.steinberg import (
     InducedSpectrum,
-    betti,
+    betti_profile,
     covering_filtration_dims,
     paper_table_diff,
 )
@@ -226,7 +226,7 @@ def test_criterion_7_e2_betti_structure():
                         v = e2_dim(d, dp, sp, r, s)
                         if v != e2_dim(dp, d, flipped, r, s):
                             failures.append(("transpose", d, dp, m, r, s))
-                b = [betti(d, dp, sp, n) for n in range(2 * top + 1)]
+                b = betti_profile(d, dp, sp).b
                 if b[0] != 1 or b[-1] != 1:
                     failures.append(("ends", d, dp, m))
                 for n in range(2 * top + 1):

@@ -329,6 +329,21 @@ def test_cli_snf_missing_file(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("snf", "--input", "{doc}"),
+    ("ss", "--input", "{doc}", "--axis", "row"),
+    ("oppose", "--input", "{doc}", "--n", "0"),
+    ("kunneth", "--a", "{doc}", "--b", "{doc}"),
+    ("uct", "--input", "{doc}", "--mod", "2"),
+], ids=lambda argv: argv[0])
+def test_cli_refuses_a_file_that_is_not_utf8(tmp_path, capsys, argv):
+    f = tmp_path / "doc.json"
+    f.write_bytes(b"\xff\xfe[[1]]")
+    code, out, err = run_cli(capsys, *(a.format(doc=f) for a in argv))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read {f}: not UTF-8 text\n"
+
+
 def test_cli_ss(tmp_path, capsys):
     K = json.dumps({
         "max_r": 2, "max_c": 1,
@@ -507,6 +522,48 @@ def test_cli_spectrum_dimensions_must_be_positive(capsys):
         assert code == 2 and out == ""
         assert "expected a positive integer" in err
         assert "Traceback" not in err
+
+
+_BOUND = 10 ** 4000  # multiplicities stay below it
+
+
+@pytest.mark.parametrize("flag", ["--m10", "--m01", "--m11"])
+def test_cli_multiplicities_stay_below_the_bound(capsys, flag):
+    for argv in (("e2", "--d", "1", "--dp", "1"),
+                 ("e2", "--d", "2", "--dp", "2", "--compare-paper"),
+                 ("betti", "--d", "1", "--dp", "1"),
+                 ("filtration", "--d", "1", "--dp", "1", "--n", "0")):
+        code, out, err = run_cli(capsys, *argv, flag, str(_BOUND))
+        assert code == 2 and out == ""
+        assert err.endswith(
+            f"error: argument {flag}: multiplicities must be below 10**4000\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("e2", "--d", "2", "--dp", "2"),
+    ("e2", "--d", "2", "--dp", "2", "--format", "table"),
+    ("e2", "--d", "2", "--dp", "2", "--compare-paper"),
+    ("betti", "--d", "64", "--dp", "64"),
+    ("betti", "--d", "3", "--dp", "5", "--format", "table"),
+    ("filtration", "--d", "64", "--dp", "64", "--n", "128"),
+])
+def test_cli_prints_every_sum_at_the_multiplicity_bound(capsys, argv):
+    """The largest printed number, b_{d+d'} at d = d' = 64 with every
+    multiplicity just under the bound, has 4,004 digits: under the 4,300 of
+    the int -> str limit."""
+    m = str(_BOUND - 1)
+    code, out, err = run_cli(capsys, *argv, "--m10", m, "--m01", m,
+                             "--m11", m)
+    assert code == 0 and err == ""
+    assert max(map(len, out.split())) > 4000
+
+
+def test_cli_e2_prints_the_largest_cells_at_the_bound(capsys):
+    m = str(_BOUND - 1)
+    code, out, err = run_cli(capsys, "e2", "--d", "64", "--dp", "64",
+                             "--m11", m)
+    assert code == 0 and err == ""
+    assert max(map(len, out.split())) == 4002  # 65 * m11 in (64, 64)
 
 
 @pytest.mark.parametrize("flag", ["--m10", "--m01", "--m11"])
@@ -855,12 +912,19 @@ _DOCUMENTS = st.recursive(
     _SCALARS,
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(_KEYS, inner, max_size=5)),
-    max_leaves=25).map(json.dumps) | st.text(max_size=20)
+    max_leaves=25).map(json.dumps) | st.text(max_size=20) | st.binary(
+    max_size=20)
 _DOC = "<document>"  # replaced by the path of the fuzzed document
 _SIZES = st.integers(-2, MAX_SPACE_DIM + 2).map(str) | st.just("x")
+# multiplicities reach both sides of the CLI's bound 10**4000, on small
+# spaces: at d = d' = 64 a table of 4,000-digit cells runs to 67 MB
 _SPECTRUM = st.tuples(st.just("--d"), _SIZES, st.just("--dp"), _SIZES,
                       st.sampled_from(["--m10", "--m01", "--m11"]),
-                      st.integers(-1, 3).map(str))
+                      st.integers(-1, 3).map(str)) | st.tuples(
+    st.just("--d"), st.integers(1, 4).map(str),
+    st.just("--dp"), st.integers(1, 4).map(str),
+    st.sampled_from(["--m10", "--m01", "--m11"]),
+    st.sampled_from([10 ** 4000 - 1, 10 ** 4000]).map(str))
 _FORMAT = st.just(()) | st.tuples(st.just("--format"),
                                   st.sampled_from(["table", "machine"]))
 _COMMANDS = st.sampled_from(["snf", "uct", "ss", "oppose", "kunneth", "e2",
@@ -897,8 +961,8 @@ def _flat(args):
 def test_cli_exits_cleanly_on_any_document(text, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(text if isinstance(text, bytes) else text.encode())
         name, rest = command
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \

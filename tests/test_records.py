@@ -1,11 +1,16 @@
 """Value semantics of the library's frozen records (`exhom._record.Record`):
-equality within one class, field by field; the hash of the field tuple; no
-assignment or deletion; ``Name(field=value, ...)`` repr; and each class's
-own constructor checks."""
+the one constructor, which binds arguments to the declared fields as a def
+would; equality within one class, field by field; the hash of the field
+tuple; no assignment or deletion; ``Name(field=value, ...)`` repr; and each
+class's own checks."""
+
+import itertools
 
 import pytest
 
+import exhom.cli  # noqa: F401  (imports every module that defines a record)
 from conftest import SteinbergLabel
+from exhom._record import Record
 from exhom.complexes import (
     CheckReport,
     CochainComplex,
@@ -76,6 +81,23 @@ def case(request):
     return request.param
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_cases_cover_every_record_class():
+    """Every record class of the library is in CASES, and none writes its
+    own constructor; neither does the test oracle's SteinbergLabel."""
+    def library(classes):
+        return {c for c in classes if c.__module__.startswith("exhom.")}
+
+    assert library(_subclasses(Record)) == library(c for c, *_ in CASES)
+    assert not [c for c in _subclasses(Record) if "__init__" in vars(c)]
+    assert "_fields" in vars(SteinbergLabel)
+
+
 def test_fields_are_the_constructor_parameters(case):
     cls, fields, args, _ = case
     assert cls._fields == fields
@@ -120,6 +142,54 @@ def test_repr_names_the_class_and_its_fields(case):
     a = cls(*args())
     assert repr(a) == cls.__qualname__ + "(" + ", ".join(
         f"{f}={getattr(a, f)!r}" for f in fields) + ")"
+
+
+def test_binding_raises_type_error_where_a_def_would(case):
+    cls, fields, args, _ = case
+    values = args()
+    named = dict(zip(fields, values))
+    required = fields[:len(fields) - len(cls._defaults)]
+    rest = {f: v for f, v in named.items() if f != fields[0]}
+    calls = [(values, {"not_a_field": 0}),  # an unknown name
+             ((), dict(rest, not_a_field=values[0])),  # in place of a field
+             (values[:1], named),  # the first field given twice
+             (values + (0,), {}),  # too many positionals
+             (values[:len(required) - 1], {})]  # a required field left out
+    calls += [((), {f: v for f, v in named.items() if f != skipped})
+              for skipped in required]  # a required field skipped by name
+    for bad_args, bad_kwargs in calls:
+        with pytest.raises(TypeError):
+            cls(*bad_args, **bad_kwargs)
+
+
+class _Defaults(Record):
+    """Three defaulted fields, so a binding that skips one can shift the
+    values of the next ones."""
+
+    _fields, _defaults = ("a", "b", "c", "d"), ("B", "C", "D")
+
+
+DEFAULTED = [(_Defaults, lambda: tuple("abcd"))] + [
+    (cls, args) for cls, _, args, _ in CASES if cls._defaults]
+
+
+@pytest.mark.parametrize("cls, args", DEFAULTED,
+                         ids=[cls.__name__ for cls, _ in DEFAULTED])
+def test_every_subset_of_defaulted_fields_binds(cls, args):
+    """Each subset of the defaulted fields given, by name, after each number
+    of leading fields given by position; the others take their defaults."""
+    fields, defaults, values = cls._fields, cls._defaults, args()
+    required = len(fields) - len(defaults)
+    for k in range(len(defaults) + 1):
+        for given in itertools.combinations(range(required, len(fields)), k):
+            for lead in range(len(fields) + 1):
+                want = tuple(values[i] if i < lead or i < required
+                             or i in given else defaults[i - required]
+                             for i in range(len(fields)))
+                record = cls(*values[:lead], **{
+                    fields[i]: values[i] for i in range(lead, len(fields))
+                    if i < required or i in given})
+                assert record == cls(*want), (given, lead)
 
 
 def test_defaults_and_replace():
