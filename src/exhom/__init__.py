@@ -7,44 +7,16 @@ spaces, all over exact arithmetic.
 """
 
 from .qlinalg import RatMatrix
-from .zlinalg import (
-    FinAbGroup,
-    IntMatrix,
-    SmithForm,
-    invariant_factors,
-    smith_normal_form,
-)
-from .complexes import (
-    CochainComplex,
-    IntChainComplex,
-    cochain_complex,
-    homology_int,
-    int_chain_complex,
-    kunneth_check,
-    tensor_product,
-    uct_check,
-    validate_complex,
-)
-from .spectral import (
-    COLUMN,
-    ROW,
-    DoubleComplex,
-    FiltrationChain,
-    SpectralPages,
-    dimension_criterion,
-    double_complex,
-    filtration_on_total,
-    opposite_check,
-    spectral_pages,
-    total_complex,
-)
-from .steinberg import (
-    E2Table,
-    InducedSpectrum,
-    betti_profile,
-    covering_filtration_dims,
-    e2_table,
-    paper_table_diff,
-)
+from .zlinalg import (FinAbGroup, IntMatrix, SmithForm, invariant_factors,
+                      smith_normal_form)
+from .complexes import (CochainComplex, IntChainComplex, cochain_complex,
+                        homology_int, int_chain_complex, kunneth_check,
+                        tensor_product, uct_check, validate_complex)
+from .spectral import (COLUMN, ROW, DoubleComplex, FiltrationChain,
+                       SpectralPages, dimension_criterion, double_complex,
+                       filtration_on_total, opposite_check, spectral_pages,
+                       total_complex)
+from .steinberg import (E2Table, InducedSpectrum, betti_profile,
+                        covering_filtration_dims, e2_table, paper_table_diff)
 
 __version__ = "0.1.0"

@@ -4,26 +4,30 @@ Provides rational cohomology dimensions, total tensor products with the
 Leibniz sign, a Kunneth dimension check, integral homology from invariant
 factors, and a universal-coefficient dimension check.
 
+Both gradings share one storage, `_Complex`, whose differentials are
+column stores (`RatMatrix`, den 1 for a chain complex); a subclass names
+only its step (+1 for cochain, -1 for chain complexes), which the builder
+`_build`, `validate_complex` and the document parser read from the class.
+Every function here assumes d o d = 0 and does not check it: the builders
+`cochain_complex`/`int_chain_complex` check shapes only, while
+`validate_complex` and the document parsers check the composites, each
+costing its nonzero products, multiplying no absent (zero) differential.
+
 Rational cohomology, and the spectral sequences of `spectral`, come from one
 filtered column reduction, the persistence pairing (Zomorodian and Carlsson
-2005): with a level on each basis vector (all zero for plain cohomology),
-d^n is reduced column by column in the order (level descending, index
-ascending), the low of a column being its nonzero row that comes last in
-that order.  A reduced column pairs a source with a target; the classes of
-the unpaired basis vectors, which are cycles, form a basis of H^n, and with
-the targets of degree n they are triangular, so `_reduce` writes any cycle
-on them (`spectral` writes one filtration's classes on another's basis this
-way).  The reduction is fraction-free (Bareiss 1968): each column is read
-off the stored numerators and divided by its content with the denominator,
-once per complex, and the gcd of all entries is divided out after each step.
-
-Both gradings share one storage, `_Complex`: a subclass names only its
-step (+1 for cochain, -1 for chain complexes), which the builder `_build`,
-`validate_complex` and the document parser read from the class.  Every
-function here assumes d o d = 0 and does not check it: the builders
-`cochain_complex`/`int_chain_complex` check shapes only, while
-`validate_complex` and the document parsers check the composites,
-multiplying no absent (zero) differential.
+2005) with clearing (Chen and Kerber 2011), on sparse columns as in PHAT
+(Bauer et al. 2017): with a level on each basis vector (all zero for plain
+cohomology), d^n is reduced column by column in the order (level
+descending, index ascending), the low of a column being its nonzero row
+that comes last in that order.  A reduced column pairs a source with a
+target; the classes of the unpaired basis vectors, which are cycles, form a
+basis of H^n, and with the targets of degree n they are triangular, so
+`_reduce` writes any cycle on them (`spectral` writes one filtration's
+classes on another's basis this way).  The reduction is fraction-free
+(Bareiss 1968): each column is divided by its content with the denominator,
+once per complex, and the gcd of all entries is divided out after each
+step.  Columns and chains are dicts {index: value} of their nonzero
+entries, so a chain that starts as den.e_i is one entry.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from functools import cached_property
 from math import gcd, inf, lcm
 
 from ._record import Record
-from .qlinalg import RatMatrix, _columns, _int_products
+from .qlinalg import RatMatrix, _products
 from .zlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -51,7 +55,8 @@ class ComplexError(ValueError):
 class _Complex(Record):
     """Graded storage of both gradings: d_n maps degree n to n + step, the
     step named by the subclass.  dims holds only nonzero degrees;
-    differentials hold only nonzero maps, d_n of shape dim(n+step) x dim(n).
+    differentials hold only nonzero maps, d_n a `RatMatrix` of shape
+    dim(n+step) x dim(n).
     """
 
     _fields = ("min_deg", "max_deg", "dims", "differentials")
@@ -69,17 +74,17 @@ class CochainComplex(_Complex):
     step = 1
 
     @cached_property
-    def _columns(self) -> dict[int, list[tuple[Sequence[int], int]]]:
-        """Columns of each stored d^n as (v, den), v an integer vector with
+    def _columns(self) -> dict[int, list[tuple[dict, int]]]:
+        """Columns of each stored d^n as (v, den), v an integer column with
         column = v / den and gcd(den, *v) = 1: scaled once, for every
         pairing of the complex."""
-        return {n: [_primitive(D.nums[i::D.cols], D.den)
-                     for i in range(D.cols)]
+        return {n: [_primitive(col, D.den) for col in D.columns]
                 for n, D in self.differentials.items()}
 
 
 class IntChainComplex(_Complex):
-    """Free Z-modules with differentials d_n: C_n -> C_{n-1} (homological)."""
+    """Free Z-modules with differentials d_n: C_n -> C_{n-1} (homological),
+    each a `RatMatrix` over den 1."""
 
     step = -1
 
@@ -96,7 +101,7 @@ def _build(cls, min_deg: int, dims: dict[int, int], differentials):
             raise ComplexError(
                 f"differential at degree {n} has shape {M.rows}x{M.cols}, "
                 f"expected {want[0]}x{want[1]}")
-        if any(M.nums):
+        if any(M.columns):
             diffs[n] = M
     return cls(min_deg, max_deg, dims, diffs)
 
@@ -108,33 +113,33 @@ def cochain_complex(min_deg: int, dims: dict[int, int],
 
 
 def int_chain_complex(min_deg: int, dims: dict[int, int],
-                      differentials: dict[int, IntMatrix]) -> IntChainComplex:
+                      differentials: dict[int, RatMatrix]) -> IntChainComplex:
     """Build an IntChainComplex, checking shapes and dropping zero data."""
     return _build(IntChainComplex, min_deg, dims, differentials)
 
 
-def _primitive(column: Sequence[int], den: int) -> tuple[Sequence[int], int]:
+def _primitive(column: dict, den: int) -> tuple[dict, int]:
     """(v, d) with column / den = v / d and gcd(d, *v) = 1."""
-    g = gcd(den, *column)
+    g = den if den == 1 else gcd(den, *column.values())
     return (column, den) if g == 1 else (
-        tuple(x // g for x in column), den // g)
+        {i: x // g for i, x in column.items()}, den // g)
 
 
-def _composite_nums(outer, inner) -> Sequence[int]:
-    """The row-major numerators of outer @ inner, over outer.den * inner.den
-    for `RatMatrix`es and not reduced: one integer product, no matrix built.
-    () when a factor is absent (zero by shape), so nothing is multiplied."""
+def _composite(outer, inner):
+    """The numerator columns of outer @ inner, one at a time, unreduced over
+    outer.den * inner.den; () when a factor is absent (zero by shape)."""
     if outer is None or inner is None:
         return ()
-    return _int_products(outer._num_rows(), _columns(inner.nums, inner.cols))
+    return _products(outer.columns, inner.columns)
 
 
 def _nonzero_composite(C):
     """The lowest degree min(n, n + step) at which d_{n+step} o d_n is
-    nonzero, or None.  Only the stored maps are visited, in ascending n."""
+    nonzero, or None.  Only the stored maps are visited, in ascending n,
+    and each composite only up to its first nonzero column."""
     d, step = C.differentials, C.step
     return next((min(n, n + step) for n in sorted(d)
-                 if any(_composite_nums(d.get(n + step), d.get(n)))), None)
+                 if any(_composite(d.get(n + step), d.get(n)))), None)
 
 
 def validate_complex(C) -> bool:
@@ -146,33 +151,49 @@ def validate_complex(C) -> bool:
 
 # Basis vector i of C^n after the pairing: its level, the pages 1..life it
 # lives on (0 for none, inf if unpaired) and whether it is a source.  Only
-# in the last degree paired does it carry a chain, an integer vector whose
-# low is i: den * e_i plus multiples of basis vectors earlier in the
-# reduction order, rescaled by the reduction, or for a target the reduced
-# column of its source.  Below that degree the chain is empty.
+# in the last degree paired does it carry a chain, an integer vector
+# {index: value} whose low is i: den * e_i plus multiples of basis vectors
+# earlier in the reduction order, rescaled by the reduction, or for a target
+# the reduced column of its source.  Below that degree the chain is {}.
 _Generator = namedtuple("_Generator", "n i level life source chain")
 
 
-def _reduce(vec, chain, pivots, order):
-    """While the low of vec (its first nonzero position in `order`) has a
-    pivot (vector, chain, ...), clear it without fractions: with g the gcd
-    of the two lows, vec becomes (plow/g) vec - (low/g) pvec and chain the
-    same combination of chain and pchain, both then divided by the gcd of
-    all their entries.  Returns (vec, chain, low), low None when vec
-    reduced to zero."""
-    while True:
-        low = next((j for j in order if vec[j]), None)
+def _order(levels: Sequence[int]) -> list[int]:
+    """The indices of a degree by level descending, index ascending: the
+    order the columns of d^n are reduced in, and in which a low comes last."""
+    return sorted(range(len(levels)), key=levels.__getitem__, reverse=True)
+
+
+def _combine(a: int, x: dict, b: int, y: dict) -> dict:
+    """a x - b y, without its zeros."""
+    out = {i: a * v for i, v in x.items()} if a != 1 else dict(x)
+    for i, v in y.items():
+        if w := out.get(i, 0) - b * v:
+            out[i] = w
+        else:
+            del out[i]
+    return out
+
+
+def _reduce(vec, chain, pivots, ranks):
+    """While the low of vec (its key of greatest rank) has a pivot (vector,
+    chain, ...), clear it without fractions: with g the gcd of the two
+    lows, vec becomes (plow/g) vec - (low/g) pvec and chain the same
+    combination of chain and pchain, both then divided by the gcd of all
+    their entries.  Returns (vec, chain, low), low None if vec reduced."""
+    while vec:
+        low = max(vec, key=ranks.__getitem__)
         if low not in pivots:
             return vec, chain, low
         pvec, pchain = pivots[low][:2]
         g = gcd(pvec[low], vec[low])
         a, b = pvec[low] // g, vec[low] // g
-        vec = [a * x - b * y for x, y in zip(vec, pvec)]
-        chain = [a * x - b * y for x, y in zip(chain, pchain)]
-        g = gcd(*vec, *chain)
+        vec, chain = _combine(a, vec, b, pvec), _combine(a, chain, b, pchain)
+        g = gcd(*vec.values(), *chain.values())
         if g > 1:
-            vec = [x // g for x in vec]
-            chain = [x // g for x in chain]
+            vec = {i: x // g for i, x in vec.items()}
+            chain = {i: x // g for i, x in chain.items()}
+    return vec, chain, None
 
 
 def _pairing(C: CochainComplex, levels: dict[int, Sequence[int]],
@@ -180,40 +201,39 @@ def _pairing(C: CochainComplex, levels: dict[int, Sequence[int]],
     """Persistence pairing of C in degrees up to `last`, basis vector i of
     C^n at level levels[n][i] (all 0 for a degree not in levels).
 
-    Chains are built in degree `last` only (none when C^last = 0): there a
-    column's chain starts as den * e_i over its scaled column v = den *
-    d^n e_i, so d^n chain = vec holds throughout; below it `_reduce`
-    updates the column alone.  A column whose basis vector is already the
-    target of a pair reduces to zero, so it is skipped (clearing); so is
-    every column of an absent (zero) d^n, each a cycle.
+    Chains are built in degree `last` only: there a column's chain starts
+    as {i: den} over its scaled column v = den * d^n e_i, so d^n chain =
+    vec holds throughout; below it `_reduce` updates the column alone.  A
+    column whose basis vector is already the target of a pair reduces to
+    zero, so it is skipped (clearing); so is every column of an absent
+    (zero) d^n, each a cycle.
     """
     gens: list[_Generator] = []
     killed: dict[int, tuple] = {}
+    order = _order(levels.get(C.min_deg) or [0] * C.dim(C.min_deg))
     for n in range(C.min_deg, last + 1):
         src = levels.get(n) or [0] * C.dim(n)
         columns = C._columns.get(n)
         dst = levels.get(n + 1) or [0] * C.dim(n + 1)
-        order = sorted(range(len(dst)), key=lambda j: (dst[j], -j)) \
-            if columns else ()
+        following = _order(dst)
+        ranks = dict(zip(following, range(len(dst)))) if columns else ()
         pivots: dict[int, tuple] = {}  # low -> (column, chain, source level)
-        for i in sorted(range(len(src)), key=lambda i: (-src[i], i)):
+        for i in order:
             if i in killed:
                 col, _, level = killed[i]
                 gens.append(_Generator(n, i, src[i], src[i] - level, False,
-                                       tuple(col) if n == last else ()))
+                                       col if n == last else {}))
                 continue
-            col, den = columns[i] if columns else ((), 1)
-            chain = [0] * len(src) if n == last else []
-            if chain:
-                chain[i] = den
-            col, chain, low = _reduce(col, chain, pivots, order)
+            col, den = columns[i] if columns else ({}, 1)
+            col, chain, low = _reduce(col, {i: den} if n == last else {},
+                                      pivots, ranks)
             if low is None:
-                gens.append(_Generator(n, i, src[i], inf, False, tuple(chain)))
+                gens.append(_Generator(n, i, src[i], inf, False, chain))
                 continue
             pivots[low] = col, chain, src[i]
             gens.append(_Generator(n, i, src[i], dst[low] - src[i], True,
-                                   tuple(chain)))
-        killed = pivots
+                                   chain))
+        killed, order = pivots, following
     return gens
 
 
@@ -228,47 +248,41 @@ def _totalize(min_deg: int, dims: dict[tuple[int, int], int], horiz,
               vert) -> CochainComplex:
     """Totalization T^n = sum_{r+s=n} K^{r,s} of the nonzero cells `dims`,
     blocks in increasing r, with D = horiz + (-1)^r vert, each map keyed by
-    its source cell: horiz to (r+1, s), vert to (r, s+1).  D^n is written
-    on the blocks' numerators over the lcm of their denominators."""
+    its source cell: horiz to (r+1, s), vert to (r, s+1).  Each column of
+    D^n is written once, from the blocks' columns with their rows shifted,
+    on their numerators over the lcm of their denominators."""
     offsets: dict[tuple[int, int], int] = {}
-    total: Counter = Counter()
+    total: dict[int, int] = {}
     for r, s in sorted(dims):
-        offsets[r, s] = total[r + s]
-        total[r + s] += dims[r, s]
+        offsets[r, s] = t = total.get(r + s, 0)
+        total[r + s] = t + dims[r, s]
     blocks: dict[int, list] = {}  # n -> (row offset, column offset, sign, M)
-    for (r, s), off in offsets.items():
-        for M, cell, sign in ((horiz.get((r, s)), (r + 1, s), 1),
-                              (vert.get((r, s)), (r, s + 1), (-1) ** r)):
-            if M is not None and cell in offsets:
-                blocks.setdefault(r + s, []).append((offsets[cell], off,
-                                                     sign, M))
+    for maps, dr, ds in ((horiz, 1, 0), (vert, 0, 1)):
+        for (r, s), M in maps.items():
+            to = offsets.get((r + dr, s + ds))
+            if to is not None and (r, s) in offsets:
+                blocks.setdefault(r + s, []).append(
+                    (to, offsets[r, s], -1 if ds and r & 1 else 1, M))
     diffs = {}
     for n, parts in blocks.items():
-        den = lcm(*[M.den for *_, M in parts])
-        width = total[n]
-        nums = [0] * (total[n + 1] * width)
+        den = lcm(*[part[3].den for part in parts])
+        columns = tuple({} for _ in range(total[n]))
         for to, off, sign, M in parts:
-            k, c = sign * (den // M.den), M.cols
-            block = M.nums if k == 1 else [k * x for x in M.nums]
-            for a in range(M.rows):
-                at = (to + a) * width + off
-                nums[at:at + c] = block[a * c:(a + 1) * c]
-        diffs[n] = RatMatrix(total[n + 1], width, tuple(nums), den)
-    return cochain_complex(min_deg, dict(total), diffs)
+            k = sign * (den // M.den)
+            for j, col in enumerate(M.columns, off):
+                out = columns[j]
+                for i, x in col.items():
+                    out[to + i] = k * x
+        diffs[n] = RatMatrix(total.get(n + 1, 0), total[n], columns, den)
+    return cochain_complex(min_deg, total, diffs)
 
 
 def _kron(A: RatMatrix, B: RatMatrix) -> RatMatrix:
     """Kronecker product: entry (a B.rows + b, x B.cols + y) is A[a,x] B[b,y],
     on numerators over the product of the denominators."""
-    width = A.cols * B.cols
-    out = [0] * (A.rows * B.rows * width)
-    nonzero = [(divmod(m, B.cols), v) for m, v in enumerate(B.nums) if v]
-    for k, u in enumerate(A.nums):
-        if u:
-            a, x = divmod(k, A.cols)
-            for (b, y), v in nonzero:
-                out[(a * B.rows + b) * width + x * B.cols + y] = u * v
-    return RatMatrix(A.rows * B.rows, width, tuple(out), A.den * B.den)
+    return RatMatrix(A.rows * B.rows, A.cols * B.cols, tuple(
+        {a * B.rows + b: u * v for a, u in x.items() for b, v in y.items()}
+        for x in A.columns for y in B.columns), A.den * B.den)
 
 
 def tensor_product(C: CochainComplex, D: CochainComplex) -> CochainComplex:
@@ -329,8 +343,9 @@ def homology_int(C: IntChainComplex, n: int) -> FinAbGroup:
     torsion of coker d_{n+1}: its invariant factors > 1 (Munkres, Elements
     of Algebraic Topology, section 11).
     """
-    return _homology(C, n, {k: invariant_factors(C.differentials[k])
-                            for k in (n, n + 1) if k in C.differentials})
+    d = C.differentials  # zlinalg eliminates dense rows, read off the store
+    return _homology(C, n, {k: invariant_factors(IntMatrix(
+        d[k].rows, d[k].cols, d[k].nums)) for k in (n, n + 1) if k in d})
 
 
 def uct_check(C: IntChainComplex, m: int) -> CheckReport:
@@ -344,7 +359,9 @@ def uct_check(C: IntChainComplex, m: int) -> CheckReport:
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
-    factors = {n: invariant_factors(D) for n, D in C.differentials.items()}
+    dense = {n: IntMatrix(D.rows, D.cols, D.nums)
+             for n, D in C.differentials.items()}
+    factors = {n: invariant_factors(A) for n, A in dense.items()}
     groups = {n: _homology(C, n, factors) for n in C.degrees()}
     none = FinAbGroup(0, ())
     rhs = {n: groups[n].free_rank
@@ -355,7 +372,7 @@ def uct_check(C: IntChainComplex, m: int) -> CheckReport:
         return CheckReport(
             "uct", (), True,
             note=f"modulus {m} not prime; invariant-factor side only: {rhs}")
-    ranks = {n: _rank_mod_p(D, m) for n, D in C.differentials.items()}
+    ranks = {n: _rank_mod_p(A, m) for n, A in dense.items()}
     rows = []
     for n in C.degrees():
         lhs = C.dim(n) - ranks.get(n, 0) - ranks.get(n + 1, 0)

@@ -1,15 +1,19 @@
 """File formats: JSON documents for complexes, double complexes and matrices.
 
 Matrix entries are strings holding an integer or a "p/q" exact rational,
-each with an optional sign; plain JSON integers are accepted on input.
-Only a string entry builds a `Fraction`, so `fractions` is imported when
-the first one is read.
+each with an optional sign; plain JSON integers are accepted on input.  A
+"p/q" string is split into two ints and reduced, so no document imports
+`fractions`.  A complex's matrices are written once, into the column store
+`qlinalg.RatMatrix`, over the lcm of the entries' denominators (which
+leaves them in lowest terms); a matrix document becomes an `IntMatrix`.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from itertools import chain
+from math import gcd, lcm
 
 from .complexes import (
     CochainComplex,
@@ -33,64 +37,82 @@ class DocumentError(ValueError):
     """Raised on malformed or invalid input documents."""
 
 
-def _parse_rational(raw):
-    """A JSON int as itself, a string holding an integer or "p/q", each with
-    an optional sign, as a Fraction; None for anything else (decimals,
-    exponents, blanks, underscores), which is malformed."""
+_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _entry(raw, where: str, i: int, j: int, integral: bool):
+    """Entry [i][j]: a JSON int or a string holding an integer or "p/q",
+    each with an optional sign, as an int when whole, else as (p, q) in
+    lowest terms.  Anything else (decimals, exponents, blanks, underscores,
+    q = 0, too many digits) is malformed; with `integral`, so is a
+    fraction."""
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
-    if isinstance(raw, str) and re.fullmatch(r"[-+]?[0-9]+(/[0-9]+)?", raw):
-        from fractions import Fraction
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            pass
-    return None
+    m = _RATIONAL.fullmatch(raw) if isinstance(raw, str) else None
+    try:
+        p, q = int(m[1]), int(m[2] or 1)
+    except (TypeError, ValueError):  # no match, or past the digit limit
+        q = 0
+    if not q:
+        raise DocumentError(f"malformed rational at {where}[{i}][{j}]: "
+                            f"{raw!r}")
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    if q == 1:
+        return p
+    if integral:
+        raise DocumentError(f"non-integer entry at {where}[{i}][{j}]: {p}/{q}")
+    return p, q
 
 
 def _check_shape(raw, rows: int, cols: int, where: str) -> None:
-    if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
+    if not isinstance(raw, list) or not set(map(type, raw)) <= {list}:
         raise DocumentError(f"matrix at {where} must be an array of arrays")
     if len(raw) != rows:
         raise DocumentError(f"shape mismatch at {where}: got {len(raw)} rows, "
                             f"expected {rows}x{cols}")
-    for i, row in enumerate(raw):
-        if len(row) != cols:
-            raise DocumentError(f"shape mismatch at {where}: row {i} has "
-                                f"{len(row)} entries, expected {rows}x{cols}")
+    if set(map(len, raw)) - {cols}:
+        i = next(i for i, row in enumerate(raw) if len(row) != cols)
+        raise DocumentError(f"shape mismatch at {where}: row {i} has "
+                            f"{len(raw[i])} entries, expected {rows}x{cols}")
 
 
-def _parse_entries(raw, rows: int, cols: int, where: str,
-                   integral: bool) -> tuple:
-    """Row-major entries: a row of JSON ints is taken whole, and only the
-    other rows are read entry by entry.  With `integral`, an entry that is
-    not an integer is refused and every entry is an int."""
+def _parse_matrix(raw, rows: int, cols: int, where: str,
+                  integral: bool = False) -> RatMatrix:
+    """The column store of a matrix of a complex: a matrix of JSON ints is
+    taken whole, any other is read entry by entry, a "p/q" entry waiting
+    for the lcm of the denominators; then each column keeps its nonzero
+    entries.  With `integral`, every entry is whole and the denominator 1."""
     _check_shape(raw, rows, cols, where)
-    out = []
-    for i, row in enumerate(raw):
-        if set(map(type, row)) <= {int}:
-            out.extend(row)
-            continue
-        for j, x in enumerate(row):
-            f = _parse_rational(x)
-            if f is None:
-                raise DocumentError(
-                    f"malformed rational at {where}[{i}][{j}]: {x!r}")
-            if integral and type(f) is not int:
-                if f.denominator != 1:
-                    raise DocumentError(
-                        f"non-integer entry at {where}[{i}][{j}]: {f}")
-                f = f.numerator
-            out.append(f)
-    return tuple(out)
-
-
-def _parse_matrix(raw, rows: int, cols: int, where: str) -> RatMatrix:
-    return RatMatrix(rows, cols, _parse_entries(raw, rows, cols, where, False))
+    fracs = []
+    if not set(map(type, chain.from_iterable(raw))) <= {int}:
+        read = []
+        for i, row in enumerate(raw):
+            row = [_entry(x, where, i, j, integral) for j, x in enumerate(row)]
+            fracs += [(j, i, *x) for j, x in enumerate(row)
+                      if type(x) is tuple]
+            read.append([0 if type(x) is tuple else x for x in row])
+        raw = read
+    columns = [{i: x for i, x in enumerate(col) if x} for col in zip(*raw)] \
+        if rows else [{} for _ in range(cols)]
+    den = lcm(*[q for *_, q in fracs]) if fracs else 1
+    if den > 1:
+        for col in columns:
+            for i in col:
+                col[i] *= den
+        for j, i, p, q in fracs:
+            columns[j][i] = p * (den // q)
+    return RatMatrix(rows, cols, tuple(columns), den)
 
 
 def _parse_int_matrix(raw, rows: int, cols: int, where: str) -> IntMatrix:
-    return IntMatrix(rows, cols, _parse_entries(raw, rows, cols, where, True))
+    """The dense rows of a matrix document, every entry whole."""
+    _check_shape(raw, rows, cols, where)
+    out = []
+    for i, row in enumerate(raw):
+        out.extend(row if set(map(type, row)) <= {int} else
+                   [_entry(x, where, i, j, True) for j, x in enumerate(row)])
+    return IntMatrix(rows, cols, tuple(out))
 
 
 def _load_json(text: str):
@@ -154,7 +176,7 @@ def _check_total_dim(total: int, what: str) -> None:
                             f"got {total}")
 
 
-def _parse_complex(text: str, cls, parse_matrix):
+def _parse_complex(text: str, cls):
     """One parse path for both gradings: differentials[n] maps degree n to
     degree n + cls.step (+1 for cochain, -1 for chain complexes)."""
     doc = _load_object(text)
@@ -170,8 +192,9 @@ def _parse_complex(text: str, cls, parse_matrix):
     diffs = {}
     for k, raw in _map_field(doc, "differentials").items():
         deg = _degree_key(k, "differentials")
-        diffs[deg] = parse_matrix(raw, dims.get(deg + cls.step, 0),
-                                  dims.get(deg, 0), f"differentials[{k}]")
+        diffs[deg] = _parse_matrix(raw, dims.get(deg + cls.step, 0),
+                                   dims.get(deg, 0), f"differentials[{k}]",
+                                   integral=cls.step < 0)
     try:
         C = _build(cls, min_deg, dims, diffs)
     except ComplexError as e:
@@ -183,7 +206,7 @@ def _parse_complex(text: str, cls, parse_matrix):
 
 def parse_cochain_document(text: str) -> CochainComplex:
     """Parse a rational cochain complex document and validate d o d = 0."""
-    return _parse_complex(text, CochainComplex, _parse_matrix)
+    return _parse_complex(text, CochainComplex)
 
 
 def check_tensor_product(A: CochainComplex, B: CochainComplex) -> None:
@@ -194,7 +217,7 @@ def check_tensor_product(A: CochainComplex, B: CochainComplex) -> None:
 
 def parse_chain_document(text: str) -> IntChainComplex:
     """Parse an integer chain complex document (homological grading)."""
-    return _parse_complex(text, IntChainComplex, _parse_int_matrix)
+    return _parse_complex(text, IntChainComplex)
 
 
 def parse_double_complex_document(text: str) -> DoubleComplex:

@@ -1,87 +1,47 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals: the column store.
 
-`RatMatrix` stores integer numerators over one positive denominator, in
-lowest terms, so two equal matrices are equal values; its ``Fraction``
-entries are a view built only when read.  Every operation is exact; there is
-no floating point anywhere in this module.  The integer storage, row access
-and shape checks live in `_Dense`, which `zlinalg.IntMatrix` shares.
+A `RatMatrix` is sparse and column-major: column j is a dict `columns[j]`
+{row: numerator} of its nonzero entries, all over one positive denominator
+`den`.  The document parser writes it once, and every later layer reads it:
+the d o d and square checks, the totalization and the persistence pairing
+(`complexes`, `spectral`); `zlinalg` reads dense rows off it once per block
+(`nums`).  Its ``Fraction`` entries are a view built only when read.  Every
+operation is exact; there is no floating point anywhere in this module.
 
-Every product goes through one kernel, `_int_products`: nonzero rows times
-nonzero stride-slice columns, ``sum(map(mul, row, col))`` per entry.  An
-integer product is that kernel's output; a rational product is the same
-kernel on the stored numerators, over the product of the two denominators,
-reduced to lowest terms.  Ranks and eliminations are integer and live
-elsewhere: the persistence pairing in `complexes`, Bareiss in `zlinalg`.
+Every product goes through one kernel, `_products`: column j of A.B sums,
+over the entries v at row k of B's column j, v times A's column k, so a
+product costs its nonzero products, and an entry that cancels is dropped.
+A rational product is that kernel on the numerators, over the product of
+the two denominators, reduced to lowest terms.  Ranks and eliminations are
+integer and live elsewhere: the persistence pairing in `complexes`, Bareiss
+in `zlinalg`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
 
-from ._record import Record, _set
-
-
-def _columns(entries: Sequence, cols: int) -> list[Sequence]:
-    """Columns of a row-major matrix with `cols` columns, as stride slices."""
-    return [entries[j::cols] for j in range(cols)]
+from ._record import Record
 
 
-def _int_products(rows: Sequence[Sequence[int]],
-                  cols: Sequence[Sequence[int]]) -> list[int]:
-    """Row-major entries of the product whose factors have these integer
-    rows and columns: the kernel of every dense product, integer or
-    rational.  Only nonzero rows times nonzero columns are summed; every
-    other entry is 0."""
-    live = [c if any(c) else None for c in cols]
-    blank = [0] * len(cols)
-    out: list[int] = []
-    for r in rows:
-        out += [0 if c is None else sum(map(mul, r, c))
-                for c in live] if any(r) else blank
-    return out
+def _products(left: Sequence[dict], right: Sequence[dict]) -> Iterator[dict]:
+    """The columns, one at a time, of the product of the numerators of two
+    column stores, `left` holding the columns of the left factor: column j
+    is the sum over v = right[j][k] of v times left[k], without its zeros."""
+    for col in right:
+        acc: dict[int, int] = {}
+        for k, v in col.items():
+            for i, a in left[k].items():
+                acc[i] = acc.get(i, 0) + a * v
+        yield {i: x for i, x in acc.items() if x} if 0 in acc.values() \
+            else acc
 
 
-class _Dense(Record):
-    """Dense matrix, row-major, immutable: the integer storage `nums`, shape
-    checks and row access of `RatMatrix` and `zlinalg.IntMatrix`.  Each
-    subclass's `__post_init__` coerces the entries it is given to ints, and
-    its `entries` are what row access reads."""
-
-    _fields = ("rows", "cols", "nums")
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix dimensions")
-        if len(self.nums) != self.rows * self.cols:
-            raise ValueError(
-                f"entry count {len(self.nums)} != {self.rows}x{self.cols}"
-            )
-
-    @classmethod
-    def from_rows(cls, data: Sequence[Sequence], cols: int | None = None):
-        data = [list(r) for r in data]
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        for r in data:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-        return cls(len(data), cols, tuple(x for r in data for x in r))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int):
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
-    def identity(cls, n: int):
-        return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
-
-    def _num_rows(self) -> list[tuple]:
-        """The rows of `nums`."""
-        c = self.cols
-        return [self.nums[i * c:(i + 1) * c] for i in range(self.rows)]
+class _Rows:
+    """Row-major access to the `entries` of a matrix: shared by `RatMatrix`
+    and `zlinalg.IntMatrix`."""
 
     def __getitem__(self, rc: tuple[int, int]):
         i, j = rc
@@ -93,37 +53,51 @@ class _Dense(Record):
     def to_lists(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self):
-        nums = tuple(x for c in _columns(self.nums, self.cols) for x in c)
-        return self.replace(rows=self.cols, cols=self.rows, nums=nums)
 
+class RatMatrix(_Rows, Record):
+    """Sparse rational matrix: entry (i, j) is columns[j].get(i, 0) / den,
+    with den > 0; a column holds only its nonzero numerators.  Products and
+    `from_rows` give lowest terms, gcd(den, *numerators) = 1, so equal
+    matrices built by them are equal values.  `nums` (row-major numerators)
+    and `entries` (their Fraction view, which imports `fractions` on first
+    read) are built only when read."""
 
-class RatMatrix(_Dense):
-    """Dense rational matrix: entry k is nums[k] / den, with den > 0 and
-    gcd(den, *nums) = 1.  The constructor takes any rational entries (ints,
-    Fractions, "p/q" strings) over any nonzero den and reduces them;
-    `entries` is the Fraction view, which imports `fractions` on first
-    read."""
-
-    _fields, _defaults = ("rows", "cols", "nums", "den"), (1,)
+    _fields, _defaults = ("rows", "cols", "columns", "den"), (1,)
 
     def __post_init__(self):
-        super().__post_init__()
-        nums, den = self.nums, self.den
-        if not set(map(type, nums)) <= {int}:
-            from fractions import Fraction
-            fracs = [x if isinstance(x, Fraction) else Fraction(x)
-                     for x in nums]
-            d = lcm(*[f.denominator for f in fracs])
-            nums = tuple(f.numerator * (d // f.denominator) for f in fracs)
-            den *= d
-        if den != 1:
-            g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
-            if g != 1:
-                nums = tuple(x // g for x in nums)
-                den //= g
-        _set(self, "nums", tuple(nums))
-        _set(self, "den", den)
+        if self.rows < 0 or self.cols < 0:
+            raise ValueError("negative matrix dimensions")
+        if len(self.columns) != self.cols or self.den < 1:
+            raise ValueError(f"{len(self.columns)} columns over {self.den} "
+                             f"for a {self.rows}x{self.cols} matrix")
+
+    @classmethod
+    def from_rows(cls, data: Sequence[Sequence], cols: int | None = None):
+        """The matrix of these rows of rational entries (ints, Fractions,
+        "p/q" strings), in lowest terms over the lcm of their denominators."""
+        from fractions import Fraction
+        data = [[Fraction(x) for x in r] for r in data]
+        if cols is None:
+            cols = len(data[0]) if data else 0
+        if any(len(r) != cols for r in data):
+            raise ValueError("ragged rows")
+        den = lcm(*[x.denominator for r in data for x in r])
+        return cls(len(data), cols, tuple(
+            {i: r[j].numerator * (den // r[j].denominator)
+             for i, r in enumerate(data) if r[j]} for j in range(cols)), den)
+
+    @classmethod
+    def identity(cls, n: int):
+        return cls(n, n, tuple({j: 1} for j in range(n)))
+
+    @cached_property
+    def nums(self) -> tuple[int, ...]:
+        """The numerators, dense and row-major."""
+        c, out = self.cols, [0] * (self.rows * self.cols)
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                out[i * c + j] = x
+        return tuple(out)
 
     @cached_property
     def entries(self) -> tuple:
@@ -134,6 +108,10 @@ class RatMatrix(_Dense):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
-        return RatMatrix(self.rows, other.cols, tuple(_int_products(
-            self._num_rows(), _columns(other.nums, other.cols))),
-            self.den * other.den)
+        columns = tuple(_products(self.columns, other.columns))
+        den = self.den * other.den
+        g = gcd(den, *[x for col in columns for x in col.values()])
+        if g > 1:
+            columns = tuple({i: x // g for i, x in col.items()}
+                            for col in columns)
+        return RatMatrix(self.rows, other.cols, columns, den // g)

@@ -1,10 +1,12 @@
 """First-quadrant double complexes and their two spectral sequences.
 
-Validation checks d'd' = 0, d''d'' = 0 and every commuting square cell by
-cell, each composite one product of block numerators, no matrix built (a
-square's two sides cross-multiplied by their denominators).  The engine
-totalizes the grid once, on the first pairing (inserting the (-1)^r sign
-itself, on the blocks' numerators over the lcm of their denominators), and
+Every block is a column store (`RatMatrix`).  Validation checks d'd' = 0,
+d''d'' = 0 and every commuting square cell by cell, each composite costing
+its nonzero products of block numerators, no matrix built (a square's two
+sides compared column by column, cross-multiplied by their denominators).
+The engine totalizes the grid once, on the first pairing, writing each
+column of T from the blocks' columns (inserting the (-1)^r sign itself, on
+their numerators over the lcm of their denominators), and
 filters the total complex T by column or by row: F^p T^n is spanned by the
 block basis vectors of level >= p.  Every pairing of the complex shares
 that T.  The pages are defined by
@@ -24,7 +26,7 @@ Basis vectors left unpaired are cycles: they give E_infinity, and the
 classes of those of level >= p span F^p H^n.  The column pairing's own
 unpaired cycles of degree n are the basis of H^n both filtrations are
 written on (cached on K per n): the column filtration holds their levels
-only, and a row cycle gets integer coordinates on them by the same
+only, and a row cycle gets sparse integer coordinates on them by the same
 fraction-free reduction, against the column pairing's targets and unpaired
 cycles, which are triangular in the order that pairing used.  So the dims
 of a filtration are counts, and two filtrations are compared by counts and
@@ -39,8 +41,8 @@ from functools import cached_property
 from math import gcd, inf
 
 from ._record import Record
-from .complexes import (CochainComplex, _composite_nums, _pairing, _reduce,
-                        _totalize)
+from .complexes import (CochainComplex, _composite, _order, _pairing,
+                        _reduce, _totalize)
 from .qlinalg import RatMatrix
 from .zlinalg import IntMatrix, _bareiss
 
@@ -81,8 +83,8 @@ def double_complex(max_r: int, max_c: int,
                    vert: dict[tuple[int, int], RatMatrix]) -> DoubleComplex:
     """Build and validate a DoubleComplex: shapes, then, cell by cell in
     sorted order, d'd' = 0, d''d'' = 0 and the commuting square, raising the
-    first failure; a cell no map leaves passes.  Each composite is one raw
-    product of block numerators, a square's two compared as values."""
+    first failure; a cell no map leaves passes.  Each composite is the
+    column kernel on block numerators, a square's two compared as values."""
     if max_r < 0 or max_c < 0:
         raise DoubleComplexError(f"max_r and max_c must be >= 0, got "
                                  f"{max_r} and {max_c}")
@@ -119,12 +121,16 @@ def double_complex(max_r: int, max_c: int,
 
 def _equal_composites(left, right) -> bool:
     """Whether outer @ inner of the pairs left and right (None: zero) are
-    equal: on the raw numerator products, a / da = b / db iff a db = b da."""
-    a, b = _composite_nums(*left), right and _composite_nums(*right) or ()
+    equal, column by column: on the raw numerator products, a / da = b / db
+    iff a db = b da."""
+    a, b = _composite(*left), right and _composite(*right) or ()
     if not (a and b):  # a side is zero
         return not any(a or b)
     da, db = left[0].den * left[1].den, right[0].den * right[1].den
-    return a == b if da == db else [x * db for x in a] == [y * da for y in b]
+    if da == db:
+        return all(x == y for x, y in zip(a, b))
+    return all({i: v * db for i, v in x.items()}
+               == {i: v * da for i, v in y.items()} for x, y in zip(a, b))
 
 
 def total_complex(K: DoubleComplex) -> CochainComplex:
@@ -149,17 +155,14 @@ class SpectralPages(Record):
         cell = self.pages.get(r, {}).get((p, q))
         return cell[0] if cell else 0
 
-    def d_rank(self, r: int, p: int, q: int) -> int:
-        return self.d_ranks.get((r, p, q), 0)
-
 
 class FiltrationChain(Record):
     """Descending filtration F^0 >= ... >= F^{n+1} on H^n, given by a basis
     of H^n adapted to it: class k has level levels[k], and F^p is spanned by
     the classes of level >= p, so nesting holds by construction.  rows[k]
     holds the integer coordinates of class k on one basis of H^n that the
-    chains compared share; rows None means class k is that basis vector k.
-    The rows must be independent."""
+    chains compared share, as {index: nonzero coordinate}; rows None means
+    class k is that basis vector k.  The rows must be independent."""
 
     _fields, _defaults = ("n", "ambient_dim", "levels", "rows"), (None,)
 
@@ -170,9 +173,10 @@ class FiltrationChain(Record):
             raise ValueError("class levels must lie in [0, n]")
         if self.rows is not None and (
                 len(self.rows) != self.ambient_dim
-                or any(len(v) != self.ambient_dim for v in self.rows)):
+                or not all(0 <= j < self.ambient_dim
+                           for v in self.rows for j in v)):
             raise ValueError("filtration chain needs one row per class, "
-                             "of ambient_dim coordinates")
+                             "of coordinates below ambient_dim")
 
     def dims(self) -> tuple[int, ...]:
         return tuple(sum(1 for level in self.levels if level >= p)
@@ -211,42 +215,42 @@ def spectral_pages(K: DoubleComplex, axis: str) -> SpectralPages:
 
 
 def _column_basis(K: DoubleComplex, n: int) -> tuple:
-    """(unpaired, order, pivots) of degree n of the column pairing of Tot,
+    """(unpaired, ranks, pivots) of degree n of the column pairing of Tot,
     paired once per degree.  Its unpaired cycles are the basis of H^n that
     both filtrations are written on.  With the degree-n targets they are
-    triangular in `order`, the order that pairing used, each one's low its
+    triangular by `ranks`, the order that pairing used, each one's low its
     own index; `pivots` maps that index to (vector, coordinates), the
-    coordinates -e_k on the basis for unpaired cycle k and 0 for a target,
-    with a last 0 for the scale of the reduced cycle."""
+    coordinates {k: -1} on the basis for unpaired cycle k and {} for a
+    target."""
     if n not in K._bases:
         T, levels = K._total, _levels(K, COLUMN)
         basis = [g for g in _pairing(T, levels, n)
                  if g.n == n and not g.source]
         unpaired = [g for g in basis if g.life == inf]
-        at = levels.get(n, [])
-        order = sorted(range(T.dim(n)), key=lambda j: (at[j], -j))
-        b = len(unpaired)
-        pivots = {g.i: (g.chain, [0] * (b + 1)) for g in basis}
+        pivots = {g.i: (g.chain, {}) for g in basis}
         for k, g in enumerate(unpaired):
-            pivots[g.i][1][k] = -1
-        K._bases[n] = unpaired, order, pivots
+            pivots[g.i] = g.chain, {k: -1}
+        order = _order(levels.get(n, []))
+        K._bases[n] = unpaired, dict(zip(order, range(len(order)))), pivots
     return K._bases[n]
 
 
-def _classes(K: DoubleComplex, n: int, cycles) -> list[tuple[int, ...]]:
-    """Integer coordinates of each cycle of degree n on the column basis of
-    H^n, divided by their content: a cycle z reduces to zero against the
-    triangular basis of `_column_basis`, leaving s z = sum of coords times
-    the unpaired cycles plus boundaries."""
-    unpaired, order, pivots = _column_basis(K, n)
-    rows = []
+def _classes(K: DoubleComplex, n: int, cycles) -> list[dict]:
+    """Sparse integer coordinates of each cycle of degree n on the column
+    basis of H^n, divided by their content: a cycle z reduces to zero
+    against the triangular basis of `_column_basis`, leaving s z = sum of
+    coords times the unpaired cycles plus boundaries, the scale s carried
+    at key b = dim H^n."""
+    unpaired, ranks, pivots = _column_basis(K, n)
+    b, rows = len(unpaired), []
     for z in cycles:
-        _, (*coords, _), low = _reduce(list(z), [0] * len(unpaired) + [1],
-                                       pivots, order)
+        _, coords, low = _reduce(z, {b: 1}, pivots, ranks)
         if low is not None:
             raise ValueError(f"not a cycle of degree {n}")
-        g = gcd(*coords)
-        rows.append(tuple(x // g for x in coords) if g > 1 else tuple(coords))
+        del coords[b]
+        g = gcd(*coords.values())
+        rows.append({k: x // g for k, x in coords.items()} if g > 1
+                    else coords)
     return rows
 
 
@@ -267,8 +271,10 @@ def filtration_on_total(K: DoubleComplex, axis: str, n: int) -> FiltrationChain:
                            tuple(_classes(K, n, [g.chain for g in cycles])))
 
 
-def _rank(rows: list[tuple[int, ...]], cols: int) -> int:
-    return len(_bareiss(IntMatrix.from_rows(rows, cols))[0])
+def _rank(rows: list[dict], cols) -> int:
+    """The integer rank of these sparse rows on the coordinates `cols`."""
+    return len(_bareiss(IntMatrix.from_rows(
+        [[v.get(j, 0) for j in cols] for v in rows], len(cols)))[0])
 
 
 def _sum_dim(F: FiltrationChain, p: int, G: FiltrationChain, q: int) -> int:
@@ -288,10 +294,9 @@ def _sum_dim(F: FiltrationChain, p: int, G: FiltrationChain, q: int) -> int:
         return len(set(f) | set(g))
     if F.rows is None:
         taken = set(f)
-        free = [j for j in range(h) if j not in taken]
-        return len(f) + _rank([[G.rows[k][j] for j in free] for k in g],
-                              len(free))
-    return _rank([F.rows[k] for k in f] + [G.rows[k] for k in g], h)
+        return len(f) + _rank([G.rows[k] for k in g],
+                              [j for j in range(h) if j not in taken])
+    return _rank([F.rows[k] for k in f] + [G.rows[k] for k in g], range(h))
 
 
 def _same_space(F: FiltrationChain, G: FiltrationChain) -> None:

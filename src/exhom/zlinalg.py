@@ -1,12 +1,10 @@
 """Exact integer linear algebra: the Smith diagonal, Smith normal form,
 rank mod p and primality.
 
-`IntMatrix` shares its integer storage and shape checks with
-`qlinalg.RatMatrix` (`qlinalg._Dense`, a `RatMatrix` adding one
-denominator); its entries are Python ints (arbitrary precision), and an
-entry that `operator.index` refuses is refused.  Products go through the
-dense kernel `qlinalg._int_products` (nonzero rows times nonzero
-stride-slice columns).
+`IntMatrix` is dense and row-major (`_Dense`): Python int entries
+(arbitrary precision), an entry that `operator.index` refuses being
+refused.  Elimination reads rows, so a block of a complex's column store is
+read into one (`qlinalg.RatMatrix.nums`) once per block.
 Two routes to the Smith diagonal:
 
 * `invariant_factors` builds no transforms.  It first splits off pivots
@@ -78,11 +76,12 @@ Two routes to the Smith diagonal:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import gcd
 from operator import index, mul
 
 from ._record import Record, _set
-from .qlinalg import _columns, _Dense, _int_products
+from .qlinalg import _Rows
 
 
 def _index(x) -> int:
@@ -91,6 +90,34 @@ def _index(x) -> int:
         return index(x)
     except TypeError:
         raise ValueError("IntMatrix entries must be ints") from None
+
+
+class _Dense(_Rows, Record):
+    """Dense matrix, row-major, immutable: the integer storage `nums` and
+    shape checks of `IntMatrix`, whose `__post_init__` coerces the entries
+    it is given to ints; its `entries` are what row access reads."""
+
+    _fields = ("rows", "cols", "nums")
+
+    def __post_init__(self):
+        if self.rows < 0 or self.cols < 0:
+            raise ValueError("negative matrix dimensions")
+        if len(self.nums) != self.rows * self.cols:
+            raise ValueError(f"entry count {len(self.nums)} != "
+                             f"{self.rows}x{self.cols}")
+
+    @classmethod
+    def from_rows(cls, data: Sequence[Sequence], cols: int | None = None):
+        data = [list(r) for r in data]
+        if cols is None:
+            cols = len(data[0]) if data else 0
+        if any(len(r) != cols for r in data):
+            raise ValueError("ragged rows")
+        return cls(len(data), cols, tuple(x for r in data for x in r))
+
+    @classmethod
+    def identity(cls, n: int):
+        return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
 
 class IntMatrix(_Dense):
@@ -102,11 +129,6 @@ class IntMatrix(_Dense):
             _set(self, "nums", tuple(map(_index, self.nums)))
         _set(self, "entries", self.nums)
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matmul")
-        return IntMatrix(self.rows, other.cols, tuple(_int_products(
-            self._num_rows(), _columns(other.nums, other.cols))))
 
 
 class SmithForm(Record):
@@ -441,21 +463,6 @@ def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
     return tuple(chain) + (0,) * (k - len(chain))
 
 
-def _find_pivot(m, t, rows, cols):
-    """Minimal-absolute-value nonzero entry of the block m[t:, t:].
-
-    Re-selected on every reduction pass; this is what keeps coefficient
-    growth polynomial instead of doubly exponential.
-    """
-    best = None
-    for i in range(t, rows):
-        for j in range(t, cols):
-            if m[i][j] != 0:
-                if best is None or abs(m[i][j]) < abs(m[best[0]][best[1]]):
-                    best = (i, j)
-    return best
-
-
 def smith_normal_form(A: IntMatrix) -> SmithForm:
     """Smith normal form U.A.V = D with invariant-factor diagonal.
 
@@ -490,7 +497,11 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
 
     for t in range(k):
         while True:
-            pos = _find_pivot(m, t, rows, cols)
+            # the first nonzero entry of least |value| in m[t:, t:],
+            # re-picked on every pass, keeps the growth polynomial
+            pos = min(((i, j) for i in range(t, rows) for j in range(t, cols)
+                       if m[i][j]), key=lambda ij: abs(m[ij[0]][ij[1]]),
+                      default=None)
             if pos is None:
                 break
             if pos != (t, t):
@@ -512,15 +523,9 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
                         changed = True
             if changed:
                 continue  # leftover remainders are smaller; re-pick the pivot
-            offender = None
             p = m[t][t]
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if m[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(t + 1, rows)
+                             if any(x % p for x in m[i][t + 1:])), None)
             if offender is None:
                 break
             row_op(t, offender, -1)  # add offending row to the pivot row

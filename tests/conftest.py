@@ -87,6 +87,49 @@ from exhom.zlinalg import (
 
 # ------------------------------------------ rational subspace reference
 
+def dense(rows: int, cols: int, nums: Sequence, den=1) -> RatMatrix:
+    """The matrix of row-major rational entries nums / den, any nonzero
+    den, in lowest terms."""
+    return RatMatrix.from_rows(
+        [[Fraction(x) / den for x in nums[i * cols:(i + 1) * cols]]
+         for i in range(rows)], cols)
+
+
+def zero_matrix(cls, rows: int, cols: int):
+    """The zero rows x cols matrix of cls: the library builds none."""
+    return cls.from_rows([[0] * cols for _ in range(rows)], cols)
+
+
+def num_rows(M: RatMatrix) -> list:
+    """The rows of M's numerators."""
+    c = M.cols
+    return [M.nums[i * c:(i + 1) * c] for i in range(M.rows)]
+
+
+def to_dense(chain: dict, n: int) -> tuple:
+    """A sparse chain {index: value} as its n coordinates."""
+    return tuple(chain.get(j, 0) for j in range(n))
+
+
+def transpose(M):
+    """The transpose of M, a matrix of M's class."""
+    c = M.cols
+    return type(M).from_rows([M.entries[j::c] for j in range(c)], M.rows)
+
+
+def int_mul(*factors: IntMatrix) -> IntMatrix:
+    """The product of integer matrices, by the column kernel of `RatMatrix`."""
+    P = to_rational(factors[0])
+    for F in factors[1:]:
+        P = P @ to_rational(F)
+    return to_integer(P)
+
+
+def to_sparse(vector: Sequence) -> dict:
+    """A vector as {index: value} of its nonzero coordinates."""
+    return {j: x for j, x in enumerate(vector) if x}
+
+
 def _over(M: RatMatrix, den: int) -> tuple:
     """M's numerators rescaled to the multiple `den` of its denominator."""
     k = den // M.den
@@ -97,8 +140,7 @@ def vstack(A: RatMatrix, B: RatMatrix) -> RatMatrix:
     if A.cols != B.cols:
         raise ValueError("column mismatch in vstack")
     den = lcm(A.den, B.den)
-    return RatMatrix(A.rows + B.rows, A.cols, _over(A, den) + _over(B, den),
-                     den)
+    return dense(A.rows + B.rows, A.cols, _over(A, den) + _over(B, den), den)
 
 
 def hstack(A: RatMatrix, B: RatMatrix) -> RatMatrix:
@@ -110,7 +152,7 @@ def hstack(A: RatMatrix, B: RatMatrix) -> RatMatrix:
     for i in range(A.rows):
         flat += a[i * c:(i + 1) * c]
         flat += b[i * e:(i + 1) * e]
-    return RatMatrix(A.rows, c + e, tuple(flat), den)
+    return dense(A.rows, c + e, tuple(flat), den)
 
 
 def apply(M: RatMatrix, vector: Sequence) -> Tuple[Fraction, ...]:
@@ -118,7 +160,7 @@ def apply(M: RatMatrix, vector: Sequence) -> Tuple[Fraction, ...]:
     v = tuple(Fraction(x) for x in vector)
     if len(v) != M.cols:
         raise ValueError("vector length mismatch")
-    return (M @ RatMatrix(len(v), 1, v)).entries
+    return (M @ dense(len(v), 1, v)).entries
 
 
 def rref(M: RatMatrix) -> Tuple[RatMatrix, List[int]]:
@@ -131,7 +173,7 @@ def rref(M: RatMatrix) -> Tuple[RatMatrix, List[int]]:
     content.  Each pivot row is divided by its pivot only at the end, over
     the lcm of the pivots.
     """
-    rows = [list(v) for v in M._num_rows()]
+    rows = [list(v) for v in num_rows(M)]
     pivots: List[int] = []
     r = 0
     for c in range(M.cols):
@@ -157,8 +199,8 @@ def rref(M: RatMatrix) -> Tuple[RatMatrix, List[int]]:
         if rows[k][c] != den:
             m = den // rows[k][c]
             rows[k] = [m * x for x in rows[k]]
-    return RatMatrix(M.rows, M.cols, tuple(x for v in rows for x in v),
-                     den), pivots
+    return dense(M.rows, M.cols, tuple(x for v in rows for x in v),
+                 den), pivots
 
 
 def rank(M: RatMatrix) -> int:
@@ -181,15 +223,16 @@ class Subspace:
     def span(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
         vecs = [list(v) for v in vectors]
         if not vecs:
-            return Subspace(ambient_dim, RatMatrix.zero(0, ambient_dim))
+            return Subspace(ambient_dim, zero_matrix(RatMatrix, 0,
+                                                     ambient_dim))
         R, pivots = rref(RatMatrix.from_rows(vecs, ambient_dim))
         k = len(pivots)
-        return Subspace(ambient_dim, RatMatrix(k, ambient_dim,
-                                               R.nums[:k * ambient_dim], R.den))
+        return Subspace(ambient_dim, dense(k, ambient_dim,
+                                           R.nums[:k * ambient_dim], R.den))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, RatMatrix.zero(0, ambient_dim))
+        return Subspace(ambient_dim, zero_matrix(RatMatrix, 0, ambient_dim))
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
@@ -237,7 +280,7 @@ def subspace_sum(U: Subspace, W: Subspace) -> Subspace:
     if U.ambient_dim != W.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     return Subspace.span(U.ambient_dim,
-                         U.basis._num_rows() + W.basis._num_rows())
+                         num_rows(U.basis) + num_rows(W.basis))
 
 
 def subspace_intersect(U: Subspace, W: Subspace) -> Subspace:
@@ -247,10 +290,10 @@ def subspace_intersect(U: Subspace, W: Subspace) -> Subspace:
     if U.dim == 0 or W.dim == 0:
         return Subspace.zero(U.ambient_dim)
     # a.B_U = -b.B_W lies in both: kernel of [B_U^T | B_W^T], take the a-part.
-    K = kernel_basis(hstack(U.basis.transpose(), W.basis.transpose())).basis
-    A = RatMatrix(K.rows, U.dim,
-                  tuple(x for k in K._num_rows() for x in k[:U.dim]), K.den)
-    return Subspace.span(U.ambient_dim, (A @ U.basis)._num_rows())
+    K = kernel_basis(hstack(transpose(U.basis), transpose(W.basis))).basis
+    A = dense(K.rows, U.dim,
+              tuple(x for k in num_rows(K) for x in k[:U.dim]), K.den)
+    return Subspace.span(U.ambient_dim, num_rows(A @ U.basis))
 
 
 def is_complementary(U: Subspace, W: Subspace) -> bool:
@@ -267,7 +310,7 @@ def filtration_spaces(F) -> Tuple[Subspace, ...]:
     """The steps F^0, ..., F^{n+1} of a FiltrationChain as Subspaces of its
     basis coordinates, a chain without rows having unit rows."""
     h = F.ambient_dim
-    rows = F.rows if F.rows is not None else [
+    rows = [to_dense(v, h) for v in F.rows] if F.rows is not None else [
         [int(j == k) for j in range(h)] for k in range(h)]
     return tuple(Subspace.span(h, [v for v, level in zip(rows, F.levels)
                                    if level >= p])
@@ -335,7 +378,7 @@ def hom_dual(C: CochainComplex) -> CochainComplex:
     m = C.min_deg + C.max_deg
     dims = {m - n: C.dim(n) for n in C.degrees()}
     # (d^n)^T : (C^{n+1})* -> (C^n)*, i.e. dual^{m-n-1} -> dual^{m-n}
-    diffs = {m - n - 1: d.transpose() for n, d in C.differentials.items()}
+    diffs = {m - n - 1: transpose(d) for n, d in C.differentials.items()}
     return cochain_complex(min(dims) if dims else 0, dims, diffs)
 
 
@@ -365,8 +408,15 @@ def column(A: IntMatrix, j: int) -> tuple:
     return A.nums[j::A.cols]
 
 
+def to_integer(A: RatMatrix) -> IntMatrix:
+    """The dense integer matrix of a column store over den 1."""
+    assert A.den == 1
+    return IntMatrix(A.rows, A.cols, A.nums)
+
+
 def to_rational(A: IntMatrix) -> RatMatrix:
-    return RatMatrix(A.rows, A.cols, A.nums)
+    """A in the column store, over den 1, as a chain complex holds it."""
+    return RatMatrix.from_rows(A.to_lists(), A.cols)
 
 
 def degenerates_at(P: SpectralPages, r: int) -> bool:
@@ -382,9 +432,11 @@ def e2_dim(d: int, dp: int, spectrum: InducedSpectrum, r: int, s: int) -> int:
 def page_representatives(K, P: SpectralPages) -> dict:
     """{r: {(p, q): chains}}: the chains, in T^{p+q} coordinates, of the
     basis vectors P lists in each cell of each page, whose classes form a
-    basis of E_r^{p,q}.  One pairing per degree n gives the degree-n chains."""
+    basis of E_r^{p,q}.  One pairing per degree n gives the degree-n chains,
+    written out dense."""
     T, levels = K._total, _levels(K, P.filtration_axis)
-    chains = {n: {g.i: g.chain for g in _pairing(T, levels, n) if g.n == n}
+    chains = {n: {g.i: to_dense(g.chain, T.dim(n))
+                  for g in _pairing(T, levels, n) if g.n == n}
               for n in T.degrees()}
     return {r: {(p, q): tuple(chains[p + q][i] for i in ids)
                 for (p, q), (_, ids) in grid.items()}
@@ -479,8 +531,8 @@ def differential(C, n: int):
     """d_n of C as a matrix, zero when the map is absent: the library keeps
     only the maps that are nonzero and never builds a zero one."""
     d = C.differentials.get(n)
-    matrix = RatMatrix if isinstance(C, CochainComplex) else IntMatrix
-    return matrix.zero(C.dim(n + C.step), C.dim(n)) if d is None else d
+    return zero_matrix(RatMatrix, C.dim(n + C.step), C.dim(n)) \
+        if d is None else d
 
 
 def random_cochain(rng, max_deg=3, max_pieces=4, scale=3):
@@ -587,7 +639,7 @@ def random_int_chain(rng, max_deg=3, max_pieces=4, max_mult=6):
         inv = _rat_inverse(M) if M.rows else None
         Uinv[n] = (IntMatrix.from_rows(
             [[f.numerator for f in inv.row(i)] for i in range(inv.rows)],
-            inv.cols) if inv is not None else IntMatrix.zero(0, 0))
+            inv.cols) if inv is not None else zero_matrix(IntMatrix, 0, 0))
     diffs = {}
     for n in range(1, max_deg + 1):
         if dims[n] and dims[n - 1]:
@@ -596,7 +648,7 @@ def random_int_chain(rng, max_deg=3, max_pieces=4, max_mult=6):
                 if kind == "arrow" and d == n:
                     rows[dst][src] = mult
             D = IntMatrix.from_rows(rows, dims[n])
-            diffs[n] = U[n - 1] @ D @ Uinv[n]
+            diffs[n] = to_rational(int_mul(U[n - 1], D, Uinv[n]))
     return int_chain_complex(0, dims, diffs)
 
 
@@ -754,6 +806,23 @@ def random_zigzag_double_complex(rng, grid=4, pieces=6, corners=0):
     return K, Zigzags(zigzags, lones, corner_cells)
 
 
+def rescale_cells(K, rng):
+    """K on the basis e / p_c of each cell c, p_c a prime drawn per cell:
+    a block from cell c to cell t becomes (p_t / p_c) times itself, so the
+    blocks leaving the cells of one degree have coprime denominators and
+    Tot is written over their lcm.  Squares still commute."""
+    p = {c: rng.choice((2, 3, 5, 7, 11, 13)) for c in K.dims}
+
+    def scaled(M, src, dst):
+        k = Fraction(p[dst], p[src])
+        return RatMatrix.from_rows([[k * x for x in row]
+                                    for row in M.to_lists()], M.cols)
+
+    return double_complex(K.max_r, K.max_c, K.dims, {
+        (r, s): scaled(M, (r, s), (r + 1, s)) for (r, s), M in K.horiz.items()
+    }, {(r, s): scaled(M, (r, s), (r, s + 1)) for (r, s), M in K.vert.items()})
+
+
 def random_int_matrix(rng, max_size=6, bound=20):
     r = rng.randint(0, max_size)
     c = rng.randint(0, max_size)
@@ -829,11 +898,9 @@ def surface_chain(triangles) -> IntChainComplex:
     diffs = {}
     for k in (1, 2):
         index = {f: i for i, f in enumerate(faces[k - 1])}
-        m = [[0] * len(faces[k]) for _ in faces[k - 1]]
-        for j, f in enumerate(faces[k]):
-            for i in range(k + 1):
-                m[index[f[:i] + f[i + 1:]]][j] = (-1) ** i
-        diffs[k] = IntMatrix.from_rows(m, len(faces[k]))
+        diffs[k] = RatMatrix(len(faces[k - 1]), len(faces[k]), tuple(
+            {index[f[:i] + f[i + 1:]]: (-1) ** i for i in range(k + 1)}
+            for f in faces[k]))
     return int_chain_complex(0, dict(enumerate(map(len, faces))), diffs)
 
 
@@ -944,7 +1011,7 @@ def reference_homology_int(C: IntChainComplex, n: int) -> FinAbGroup:
     lattice is saturated) and the relation matrix is put in Smith form."""
     if C.dim(n) == 0:
         return FinAbGroup(0, ())
-    kbasis = kernel_lattice(differential(C, n))
+    kbasis = kernel_lattice(to_integer(differential(C, n)))
     k = len(kbasis)
     dnext = differential(C, n + 1)
     if k == 0 or dnext.cols == 0:
@@ -953,7 +1020,7 @@ def reference_homology_int(C: IntChainComplex, n: int) -> FinAbGroup:
                              for row in zip(*kbasis)], k)
     # K has full column rank, so rref([K | d_{n+1}]) = [I | Y; 0 | 0] with
     # K Y = d_{n+1} exactly when every pivot lies in the K block
-    R, pivots = rref(hstack(K, to_rational(dnext)))
+    R, pivots = rref(hstack(K, dnext))
     assert pivots == list(range(k)), f"image of d_{n + 1} not inside ker d_{n}"
     Y = [R.row(i)[k:] for i in range(k)]
     assert all(f.denominator == 1 for row in Y for f in row), \
@@ -1028,7 +1095,7 @@ def naive_composite(outer, inner):
     the product kernel."""
     if outer is None or inner is None:
         return None
-    prod = RatMatrix(outer.rows, inner.cols, tuple(
+    prod = dense(outer.rows, inner.cols, tuple(
         sum((outer[i, k] * inner[k, j] for k in range(outer.cols)), 0)
         for i in range(outer.rows) for j in range(inner.cols)))
     return prod if any(prod.nums) else None

@@ -4,7 +4,8 @@
   the same generators, chains in the last degree paired that are nonzero
   rational multiples of the reference chains, and equal spans, on both axes
   and unfiltered.  Paired one degree past the top, it builds no chain.
-* Its chains are ints, and their size stays bounded by content removal.
+* Its chains are sparse, {index: nonzero int}, and their size stays
+  bounded by content removal.
 * Known answers at total dimension 472, a size the `Fraction` engine made
   too slow for the suite.
 * The two filtrations of `oppose` share one Tot, scaled once, and pair it
@@ -17,7 +18,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 
 import pytest
 
@@ -27,6 +28,8 @@ from conftest import (
     random_double_complex,
     random_zigzag_double_complex,
     reference_pairing,
+    rescale_cells,
+    to_dense,
 )
 from exhom import complexes, spectral
 from exhom.complexes import (
@@ -71,18 +74,20 @@ def test_integer_pairing_matches_fraction_reference():
             gens = _pairing(T, levels, T.max_deg + 1)
             ref = reference_pairing(T, levels, T.max_deg)
             assert [g[:5] for g in gens] == [h[:5] for h in ref]
-            assert all(g.chain == () for g in gens)
+            assert all(g.chain == {} for g in gens)
             for n in T.degrees():
                 gens = [g for g in _pairing(T, levels, n) if g.n == n]
                 want = [h for h in ref if h.n == n]
                 assert [g[:5] for g in gens] == [h[:5] for h in want]
                 for g, h in zip(gens, want):
-                    assert len(g.chain) == T.dim(n)
-                    assert all(type(x) is int for x in g.chain)
-                    assert _is_multiple(g.chain, h.chain)
+                    assert all(0 <= j < T.dim(n) for j in g.chain)
+                    assert all(type(x) is int and x
+                               for x in g.chain.values())
+                    assert _is_multiple(to_dense(g.chain, T.dim(n)), h.chain)
             if axis is None:
                 for n in T.degrees():
-                    got = [g.chain for g in _pairing(T, {}, n)
+                    got = [to_dense(g.chain, T.dim(n))
+                           for g in _pairing(T, {}, n)
                            if g.n == n and g.life == inf]
                     want = [h.chain for h in ref
                             if h.n == n and h.life == inf]
@@ -100,14 +105,18 @@ def test_integer_pairing_matches_fraction_reference():
 
 def test_chain_entries_stay_small(zigzag_472):
     """Content removal keeps chain entries near 70 bits here; without it
-    they pass 1000."""
+    they pass 1000.  Every basis vector of the last degree paired carries a
+    chain, none empty, and none stores a zero, as a dense one would."""
     K, _ = zigzag_472
     T = total_complex(K)
     for axis in (COLUMN, ROW):
         levels = _levels(K, axis)
-        bits = [abs(x).bit_length() for n in T.degrees()
-                for g in _pairing(T, levels, n) if g.n == n for x in g.chain]
-        assert len(bits) == sum(T.dim(n) ** 2 for n in T.degrees())
+        chains = [g.chain for n in T.degrees()
+                  for g in _pairing(T, levels, n) if g.n == n]
+        assert len(chains) == sum(T.dims.values())
+        assert all(chains) and not any(0 in c.values() for c in chains)
+        bits = [abs(x).bit_length() for c in chains for x in c.values()]
+        assert len(bits) < sum(T.dim(n) ** 2 for n in T.degrees())
         assert max(bits) <= 128
 
 
@@ -168,20 +177,20 @@ def test_absent_maps_build_no_zero_matrix(monkeypatch):
     """Every column of an absent differential is a cycle or a cleared
     target: no zero matrix is built for it.  An empty (0 x n) basis, as of
     a zero subspace, is no zero matrix and stays allowed."""
-    zero = RatMatrix.zero.__func__
+    post = RatMatrix.__post_init__
 
-    def refuse(cls, rows, cols):
-        if rows and cols:
+    def refuse(self):
+        post(self)
+        if self.rows and self.cols and not any(self.columns):
             raise AssertionError("zero matrix built")
-        return zero(cls, rows, cols)
 
-    monkeypatch.setattr(RatMatrix, "zero", classmethod(refuse))
+    monkeypatch.setattr(RatMatrix, "__post_init__", refuse)
     one = RatMatrix.identity(1)
     # d^0 (2 -> 3) and d^2 (1 -> 2) are absent
     C = cochain_complex(0, {0: 2, 1: 3, 2: 1, 3: 2},
                         {1: RatMatrix.from_rows([[1, 2, 0]], 3)})
     assert cohomology_dims(C) == {0: 2, 1: 2, 2: 0, 3: 2}
-    assert Subspace.span(2, [g.chain for g in _pairing(C, {}, 3)
+    assert Subspace.span(2, [to_dense(g.chain, 2) for g in _pairing(C, {}, 3)
                              if g.n == 3 and g.life == inf]) \
         == Subspace.full(2)
     # K^{0,0} maps nowhere, so D^0: T^0 -> T^1 is absent
@@ -194,3 +203,32 @@ def test_absent_maps_build_no_zero_matrix(monkeypatch):
         assert filtration_on_total(K, axis, 0).dims() == (2, 0)
         assert filtration_on_total(K, axis, 1).dims() == dims
         assert filtration_on_total(K, axis, 2).dims() == (0, 0, 0, 0)
+
+
+def test_pairing_matches_reference_over_the_lcm_of_cell_denominators():
+    """Zigzags whose cells carry coprime prime scales: the blocks leaving
+    one degree have different denominators, Tot's columns are written over
+    their lcm, and the pairing and its chains still match the `Fraction`
+    reference on both axes."""
+    rng = random.Random(71)
+    lcm_cases = 0
+    for _ in range(25):
+        K = rescale_cells(random_zigzag_double_complex(rng, grid=3,
+                                                       pieces=6)[0], rng)
+        T = total_complex(K)
+        for n, D in T.differentials.items():
+            dens = {M.den for (r, s), M in (*K.horiz.items(),
+                                            *K.vert.items()) if r + s == n}
+            assert D.den == lcm(*dens)
+            lcm_cases += D.den not in dens
+        for axis in (COLUMN, ROW):
+            levels = _levels(K, axis)
+            ref = reference_pairing(T, levels, T.max_deg)
+            for n in T.degrees():
+                gens = [g for g in _pairing(T, levels, n) if g.n == n]
+                want = [h for h in ref if h.n == n]
+                assert [g[:5] for g in gens] == [h[:5] for h in want]
+                for g, h in zip(gens, want):
+                    assert 0 not in g.chain.values()
+                    assert _is_multiple(to_dense(g.chain, T.dim(n)), h.chain)
+    assert lcm_cases >= 10

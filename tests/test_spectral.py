@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     degenerates_at,
+    dense,
     filtration_spaces,
     naive_composite,
     rank,
@@ -16,7 +17,9 @@ from conftest import (
     reference_defects,
     reference_opposite,
     reference_ss_text,
+    rescale_cells,
     serialize_double_complex,
+    to_sparse,
 )
 from exhom import spectral
 from exhom.cli import main
@@ -100,7 +103,7 @@ def _plant_defects(rng, K, count):
             nums = [2 * x for x in nums]
         else:
             nums[rng.randrange(len(nums))] += rng.choice((-1, 1)) * M.den
-        maps[field][cell] = RatMatrix(M.rows, M.cols, tuple(nums), M.den)
+        maps[field][cell] = dense(M.rows, M.cols, tuple(nums), M.den)
     return maps["horiz"], maps["vert"]
 
 
@@ -133,6 +136,32 @@ def test_double_complex_names_the_first_defect_like_the_per_cell_checks():
     assert all(seen[k] for k in (
         "only horiz", "only vert", "only square", "several cells",
         "several kinds in the first cell")), seen
+
+
+def test_cell_checks_over_coprime_cell_denominators_name_the_first_defect():
+    """Zigzags whose cells carry coprime prime scales, so a square's two
+    paths are products over different denominators: the cell checks accept
+    them, and with defects planted name the first failure as the reference
+    checks on `RatMatrix` products do."""
+    rng = random.Random(73)
+    rejected = 0
+    for trial in range(120):
+        K = rescale_cells(random_zigzag_double_complex(rng, grid=3,
+                                                       pieces=5)[0], rng)
+        if not (K.horiz or K.vert):
+            continue
+        assert reference_defects(K) == []
+        horiz, vert = _plant_defects(rng, K, 1 + trial % 3)
+        want = reference_defects(
+            DoubleComplex(K.max_r, K.max_c, K.dims, horiz, vert))
+        if not want:
+            double_complex(K.max_r, K.max_c, K.dims, horiz, vert)
+            continue
+        with pytest.raises(DoubleComplexError) as raised:
+            double_complex(K.max_r, K.max_c, K.dims, horiz, vert)
+        assert str(raised.value) == want[0]
+        rejected += 1
+    assert rejected >= 20
 
 
 def test_large_double_complex_names_the_first_defect_like_naive_checks():
@@ -314,7 +343,8 @@ def test_convergence_and_bookkeeping_random():
             for r in pages[:-1]:
                 for (p, q) in set(P.pages[r]) | set(P.pages[r + 1]):
                     assert P.dim(r + 1, p, q) == P.dim(r, p, q) \
-                        - P.d_rank(r, p, q) - P.d_rank(r, p - r, q + r - 1)
+                        - P.d_ranks.get((r, p, q), 0) \
+                        - P.d_ranks.get((r, p - r, q + r - 1), 0)
 
 
 def test_both_axes_agree_on_antidiagonals():
@@ -365,12 +395,12 @@ def _flag(rng, n, dims):
         if rank(RatMatrix.from_rows(rows, b)) == b:
             break
     levels = tuple(sum(1 for d in dims[1:] if d > k) for k in range(b))
-    return FiltrationChain(n, b, levels, tuple(map(tuple, rows)))
+    return FiltrationChain(n, b, levels, tuple(map(to_sparse, rows)))
 
 
 def test_opposite_simple():
     F = FiltrationChain(1, 2, (1, 0))  # F^1 = <e_0>, unit rows
-    G = FiltrationChain(1, 2, (0, 1), ((1, 0), (0, 1)))  # G^1 = <e_1>
+    G = FiltrationChain(1, 2, (0, 1), ({0: 1}, {1: 1}))  # G^1 = <e_1>
     assert opposite_check(F, G)
     assert not opposite_check(F, F)
     assert dimension_criterion(F, G)
