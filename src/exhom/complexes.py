@@ -101,6 +101,8 @@ def _build(cls, min_deg: int, dims: dict[int, int], differentials):
             raise ComplexError(
                 f"differential at degree {n} has shape {M.rows}x{M.cols}, "
                 f"expected {want[0]}x{want[1]}")
+        if cls.step < 0 and M.den != 1:
+            raise ComplexError(f"differential at degree {n} is not integral")
         if any(M.columns):
             diffs[n] = M
     return cls(min_deg, max_deg, dims, diffs)

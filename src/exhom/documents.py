@@ -79,10 +79,9 @@ def _check_shape(raw, rows: int, cols: int, where: str) -> None:
 
 def _parse_matrix(raw, rows: int, cols: int, where: str,
                   integral: bool = False) -> RatMatrix:
-    """The column store of a matrix of a complex: a matrix of JSON ints is
-    taken whole, any other is read entry by entry, a "p/q" entry waiting
-    for the lcm of the denominators; then each column keeps its nonzero
-    entries.  With `integral`, every entry is whole and the denominator 1."""
+    """The column store of a complex's matrix: a matrix of JSON ints is taken
+    whole, any other read entry by entry, "p/q" scaled to the lcm of the
+    denominators.  With `integral`, every entry is whole and den is 1."""
     _check_shape(raw, rows, cols, where)
     fracs = []
     if not set(map(type, chain.from_iterable(raw))) <= {int}:

@@ -121,8 +121,7 @@ def double_complex(max_r: int, max_c: int,
 
 def _equal_composites(left, right) -> bool:
     """Whether outer @ inner of the pairs left and right (None: zero) are
-    equal, column by column: on the raw numerator products, a / da = b / db
-    iff a db = b da."""
+    equal, column by column: a / da = b / db iff a db = b da."""
     a, b = _composite(*left), right and _composite(*right) or ()
     if not (a and b):  # a side is zero
         return not any(a or b)

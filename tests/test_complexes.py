@@ -72,6 +72,15 @@ def test_shape_mismatch_raises():
         cochain_complex(0, {0: 2, 1: 1}, {0: RatMatrix.identity(2)})
 
 
+def test_chain_complex_refuses_a_fractional_differential():
+    """A chain complex's column store is over den 1: its numerators are the
+    integer entries `zlinalg` reads."""
+    with pytest.raises(ComplexError, match="degree 1 is not integral"):
+        int_chain_complex(0, {0: 1, 1: 1}, {1: RatMatrix.from_rows([["1/2"]])})
+    C = int_chain_complex(0, {0: 1, 1: 1}, {1: RatMatrix.from_rows([["4/2"]])})
+    assert homology_int(C, 0) == FinAbGroup(0, (2,))
+
+
 def test_cohomology_zero_differentials():
     C = cochain_complex(0, {0: 2, 1: 3}, {})
     assert cohomology_dims(C) == {0: 2, 1: 3}
