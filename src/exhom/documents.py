@@ -92,8 +92,8 @@ def _parse_matrix(raw, rows: int, cols: int, where: str,
                       if type(x) is tuple]
             read.append([0 if type(x) is tuple else x for x in row])
         raw = read
-    columns = [{i: x for i, x in enumerate(col) if x} for col in zip(*raw)] \
-        if rows else [{} for _ in range(cols)]
+    columns = tuple({i: x for i, x in enumerate(col) if x} for col in
+                    zip(*raw)) if rows else tuple({} for _ in range(cols))
     den = lcm(*[q for *_, q in fracs]) if fracs else 1
     if den > 1:
         for col in columns:
@@ -101,7 +101,7 @@ def _parse_matrix(raw, rows: int, cols: int, where: str,
                 col[i] *= den
         for j, i, p, q in fracs:
             columns[j][i] = p * (den // q)
-    return RatMatrix(rows, cols, tuple(columns), den)
+    return RatMatrix(rows, cols, columns, den)
 
 
 def _parse_int_matrix(raw, rows: int, cols: int, where: str) -> IntMatrix:
