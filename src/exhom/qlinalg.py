@@ -56,11 +56,11 @@ class _Rows:
 
 class RatMatrix(_Rows, Record):
     """Sparse rational matrix: entry (i, j) is columns[j].get(i, 0) / den,
-    with den > 0; a column holds only its nonzero numerators.  Products and
-    `from_rows` give lowest terms, gcd(den, *numerators) = 1, so equal
-    matrices built by them are equal values.  `nums` (row-major numerators)
-    and `entries` (their Fraction view, which imports `fractions` on first
-    read) are built only when read."""
+    den > 0; a column holds only its nonzero numerators, keyed by rows
+    below `rows`.  Products and `from_rows` give lowest terms, gcd(den,
+    *numerators) = 1, so equal matrices built by them are equal values.
+    `nums` (row-major numerators) and `entries` (their Fraction view, which
+    imports `fractions` on first read) are built only when read."""
 
     _fields, _defaults = ("rows", "cols", "columns", "den"), (1,)
 
