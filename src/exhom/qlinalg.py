@@ -7,6 +7,8 @@ the d o d and square checks, the totalization and the persistence pairing
 (`complexes`, `spectral`); `zlinalg` reads dense rows off it once per block
 (`nums`).  Its ``Fraction`` entries are a view built only when read.  Every
 operation is exact; there is no floating point anywhere in this module.
+The dense integer storage of `zlinalg.IntMatrix`, `_Dense`, lives here
+too, sharing row access (`_Rows`) with `RatMatrix`.
 
 Every product goes through one kernel, `_products`: column j of A.B sums,
 over the entries v at row k of B's column j, v times A's column k, so a
@@ -52,6 +54,34 @@ class _Rows:
 
     def to_lists(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.rows)]
+
+
+class _Dense(_Rows, Record):
+    """Dense matrix, row-major, immutable: the integer storage `nums` and
+    shape checks of `zlinalg.IntMatrix`, whose `__post_init__` coerces the
+    entries it is given to ints; its `entries` are what row access reads."""
+
+    _fields = ("rows", "cols", "nums")
+
+    def __post_init__(self):
+        if self.rows < 0 or self.cols < 0:
+            raise ValueError("negative matrix dimensions")
+        if len(self.nums) != self.rows * self.cols:
+            raise ValueError(f"entry count {len(self.nums)} != "
+                             f"{self.rows}x{self.cols}")
+
+    @classmethod
+    def from_rows(cls, data: Sequence[Sequence], cols: int | None = None):
+        data = [list(r) for r in data]
+        if cols is None:
+            cols = len(data[0]) if data else 0
+        if any(len(r) != cols for r in data):
+            raise ValueError("ragged rows")
+        return cls(len(data), cols, tuple(x for r in data for x in r))
+
+    @classmethod
+    def identity(cls, n: int):
+        return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
 
 class RatMatrix(_Rows, Record):

@@ -1,7 +1,7 @@
 """Exact integer linear algebra: the Smith diagonal, Smith normal form,
 rank mod p and primality.
 
-`IntMatrix` is dense and row-major (`_Dense`): Python int entries
+`IntMatrix` is dense and row-major (`qlinalg._Dense`): Python int entries
 (arbitrary precision), an entry that `operator.index` refuses being
 refused.  Elimination reads rows, so a block of a complex's column store is
 read into one (`qlinalg.RatMatrix.nums`) once per block.
@@ -76,12 +76,11 @@ Two routes to the Smith diagonal:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from math import gcd
 from operator import index, mul
 
 from ._record import Record, _set
-from .qlinalg import _Rows
+from .qlinalg import _Dense
 
 
 def _index(x) -> int:
@@ -92,34 +91,6 @@ def _index(x) -> int:
         raise ValueError("IntMatrix entries must be ints") from None
 
 
-class _Dense(_Rows, Record):
-    """Dense matrix, row-major, immutable: the integer storage `nums` and
-    shape checks of `IntMatrix`, whose `__post_init__` coerces the entries
-    it is given to ints; its `entries` are what row access reads."""
-
-    _fields = ("rows", "cols", "nums")
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix dimensions")
-        if len(self.nums) != self.rows * self.cols:
-            raise ValueError(f"entry count {len(self.nums)} != "
-                             f"{self.rows}x{self.cols}")
-
-    @classmethod
-    def from_rows(cls, data: Sequence[Sequence], cols: int | None = None):
-        data = [list(r) for r in data]
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        if any(len(r) != cols for r in data):
-            raise ValueError("ragged rows")
-        return cls(len(data), cols, tuple(x for r in data for x in r))
-
-    @classmethod
-    def identity(cls, n: int):
-        return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
-
-
 class IntMatrix(_Dense):
     """Dense integer matrix: Python int entries, `nums` itself."""
 
@@ -128,7 +99,6 @@ class IntMatrix(_Dense):
         if not set(map(type, self.nums)) <= {int}:
             _set(self, "nums", tuple(map(_index, self.nums)))
         _set(self, "entries", self.nums)
-
 
 
 class SmithForm(Record):

@@ -17,7 +17,7 @@ from exhom.complexes import (
     IntChainComplex,
     _Complex,
 )
-from exhom.qlinalg import RatMatrix
+from exhom.qlinalg import RatMatrix, _Dense
 from exhom.spectral import DoubleComplex, FiltrationChain, SpectralPages
 from exhom.steinberg import (
     BettiProfile,
@@ -25,7 +25,7 @@ from exhom.steinberg import (
     InducedSpectrum,
     PaperTableDiff,
 )
-from exhom.zlinalg import FinAbGroup, IntMatrix, SmithForm, _Dense
+from exhom.zlinalg import FinAbGroup, IntMatrix, SmithForm
 
 ZERO = InducedSpectrum(0, 0, 0)
 
