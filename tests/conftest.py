@@ -35,7 +35,8 @@ complex or a double complex back as a document (lowest-terms rationals with
 the sign on the numerator, so a parse-serialize round trip is bit-stable),
 the degreewise dual `hom_dual`, `cokernel_structure`, the Bareiss
 `determinant`, `rank_mod_p` (`zlinalg._rank_mod_p` behind a primality test),
-an `IntMatrix`'s `column` and `to_rational`, `degenerates_at` on spectral
+an `IntMatrix`'s `column` and `to_rational`, `transpose` and the integer
+product `int_mul` (through `RatMatrix` products), `degenerates_at` on spectral
 pages and `e2_dim`, one second-page cell read off `steinberg._row`.  And the
 Ext labels `steinberg._row` sums without naming them: `SteinbergLabel`,
 `delta`, `ext_dim`, and `ext_row`, which builds a second-page row by brute
