@@ -66,7 +66,3 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def replace(self, **changes):
-        """A copy with the named fields changed, built by the constructor."""
-        return type(self)(**dict(zip(self._fields, self._values()), **changes))

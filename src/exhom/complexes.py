@@ -41,7 +41,6 @@ from ._record import Record
 from .qlinalg import RatMatrix, _products
 from .zlinalg import (
     FinAbGroup,
-    IntMatrix,
     _rank_mod_p,
     invariant_factors,
     is_prime,
@@ -345,9 +344,9 @@ def homology_int(C: IntChainComplex, n: int) -> FinAbGroup:
     torsion of coker d_{n+1}: its invariant factors > 1 (Munkres, Elements
     of Algebraic Topology, section 11).
     """
-    d = C.differentials  # zlinalg eliminates dense rows, read off the store
-    return _homology(C, n, {k: invariant_factors(IntMatrix(
-        d[k].rows, d[k].cols, d[k].nums)) for k in (n, n + 1) if k in d})
+    d = C.differentials  # zlinalg reads each store's rows once
+    return _homology(C, n, {k: invariant_factors(d[k])
+                            for k in (n, n + 1) if k in d})
 
 
 def uct_check(C: IntChainComplex, m: int) -> CheckReport:
@@ -361,9 +360,8 @@ def uct_check(C: IntChainComplex, m: int) -> CheckReport:
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
-    dense = {n: IntMatrix(D.rows, D.cols, D.nums)
-             for n, D in C.differentials.items()}
-    factors = {n: invariant_factors(A) for n, A in dense.items()}
+    d = C.differentials
+    factors = {n: invariant_factors(D) for n, D in d.items()}
     groups = {n: _homology(C, n, factors) for n in C.degrees()}
     none = FinAbGroup(0, ())
     rhs = {n: groups[n].free_rank
@@ -374,7 +372,7 @@ def uct_check(C: IntChainComplex, m: int) -> CheckReport:
         return CheckReport(
             "uct", (), True,
             note=f"modulus {m} not prime; invariant-factor side only: {rhs}")
-    ranks = {n: _rank_mod_p(A, m) for n, A in dense.items()}
+    ranks = {n: _rank_mod_p(D, m) for n, D in d.items()}
     rows = []
     for n in C.degrees():
         lhs = C.dim(n) - ranks.get(n, 0) - ranks.get(n + 1, 0)

@@ -4,11 +4,12 @@ A `RatMatrix` is sparse and column-major: column j is a dict `columns[j]`
 {row: numerator} of its nonzero entries, all over one positive denominator
 `den`.  The document parser writes it once, and every later layer reads it:
 the d o d and square checks, the totalization and the persistence pairing
-(`complexes`, `spectral`); `zlinalg` reads dense rows off it once per block
-(`nums`).  Its ``Fraction`` entries are a view built only when read.  Every
-operation is exact; there is no floating point anywhere in this module.
-The dense integer storage of `zlinalg.IntMatrix`, `_Dense`, lives here
-too, sharing row access (`_Rows`) with `RatMatrix`.
+(`complexes`, `spectral`) and `zlinalg`: fresh dense rows (`num_rows`) for
+the Smith diagonal, sparse rows for the rank mod p.  Its ``Fraction``
+entries are a view built only when read.  Every operation is exact; there
+is no floating point anywhere in this module.  The dense integer storage of
+`zlinalg.IntMatrix`, `_Dense`, lives here too, sharing row access (`_Rows`)
+and `num_rows` with `RatMatrix`.
 
 Every product goes through one kernel, `_products`: column j of A.B sums,
 over the entries v at row k of B's column j, v times A's column k, so a
@@ -62,6 +63,7 @@ class _Dense(_Rows, Record):
     entries it is given to ints; its `entries` are what row access reads."""
 
     _fields = ("rows", "cols", "nums")
+    num_rows = _Rows.to_lists  # the entries are the numerators
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -123,11 +125,15 @@ class RatMatrix(_Rows, Record):
     @cached_property
     def nums(self) -> tuple[int, ...]:
         """The numerators, dense and row-major."""
-        c, out = self.cols, [0] * (self.rows * self.cols)
+        return tuple(x for row in self.num_rows() for x in row)
+
+    def num_rows(self) -> list[list[int]]:
+        """The numerators as fresh row lists, read off the columns."""
+        out = [[0] * self.cols for _ in range(self.rows)]
         for j, col in enumerate(self.columns):
             for i, x in col.items():
-                out[i * c + j] = x
-        return tuple(out)
+                out[i][j] = x
+        return out
 
     @cached_property
     def entries(self) -> tuple:

@@ -3,8 +3,10 @@ rank mod p and primality.
 
 `IntMatrix` is dense and row-major (`qlinalg._Dense`): Python int entries
 (arbitrary precision), an entry that `operator.index` refuses being
-refused.  Elimination reads rows, so a block of a complex's column store is
-read into one (`qlinalg.RatMatrix.nums`) once per block.
+refused.  `_split_pivots` reads fresh rows (`num_rows`) off it or off a
+complex's column store over den 1 (`qlinalg.RatMatrix`), and builds an
+`IntMatrix` only for the block it leaves; `_rank_mod_p` reads the store
+into sparse rows.
 Two routes to the Smith diagonal:
 
 * `invariant_factors` builds no transforms.  It first splits off pivots
@@ -80,7 +82,7 @@ from math import gcd
 from operator import index, mul
 
 from ._record import Record, _set
-from .qlinalg import _Dense
+from .qlinalg import RatMatrix, _Dense
 
 
 def _index(x) -> int:
@@ -99,6 +101,9 @@ class IntMatrix(_Dense):
         if not set(map(type, self.nums)) <= {int}:
             _set(self, "nums", tuple(map(_index, self.nums)))
         _set(self, "entries", self.nums)
+
+
+_EMPTY = IntMatrix(0, 0, ())
 
 
 class SmithForm(Record):
@@ -345,12 +350,13 @@ def _smith_mod(A: IntMatrix, M: int, r: int) -> list[int]:
     return _divisor_chain(diag + [M] * (r - len(diag)))[:r]
 
 
-def _split_pivots(A: IntMatrix) -> tuple[list[int], IntMatrix]:
-    """(pivots, S): |p| for each pivot p taken over Z, S the rest less its
-    zero rows and columns.  A +-1 in a row is a pivot; once no row holds
-    one, so is an entry +-p (+p first) of a row whose gcd is p, if p
-    divides its column.  A row is searched again once a step changes it."""
-    m = {i: list(row) for i in range(A.rows) if any(row := A.row(i))}
+def _split_pivots(A: IntMatrix | RatMatrix) -> tuple[list[int], IntMatrix]:
+    """(pivots, S): |p| for each pivot p taken over Z, S the rest of A less
+    its zero rows and columns (A itself if that is all of an IntMatrix).  A
+    +-1 in a row is a pivot; once no row holds one, so is an entry +-p (+p
+    first) of a row whose gcd is p, if p divides its column.  A row is
+    searched again once a step changes it."""
+    m = {i: row for i, row in enumerate(A.num_rows()) if any(row)}
     todo, later, pivots = set(m), set(), []
     while todo or later:
         if todo:
@@ -382,7 +388,9 @@ def _split_pivots(A: IntMatrix) -> tuple[list[int], IntMatrix]:
                 later.discard(h)
     rows = [row for row in m.values() if any(row)]
     keep = [j for j, col in enumerate(zip(*rows)) if any(col)]
-    if len(rows) == A.rows and len(keep) == A.cols:
+    if not rows:
+        return pivots, _EMPTY
+    if len(rows) == A.rows and len(keep) == A.cols and type(A) is IntMatrix:
         return pivots, A
     return pivots, IntMatrix(len(rows), len(keep), tuple(
         row[j] for row in rows for j in keep))
@@ -402,8 +410,8 @@ def _certified(A: IntMatrix, G: int, minor: int,
     return e if Q == 1 or _smith_mod(A, Q, r) == [1] * r else None
 
 
-def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
-    """The Smith diagonal of A without transforms.
+def invariant_factors(A: IntMatrix | RatMatrix) -> tuple[int, ...]:
+    """The Smith diagonal of A (or of a den-1 store) without transforms.
 
     Equals `smith_normal_form(A).diagonal`: min(rows, cols) non-negative
     entries in a divisibility chain, zeros last.  The pivots split off over
@@ -513,29 +521,30 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
     return SmithForm(U, D, V, diagonal)
 
 
-def _rank_mod_p(A: IntMatrix, p: int) -> int:
-    """Rank of A over the field Z/p, p prime (not tested here).  Each step
-    takes a row off, pivots on its first nonzero entry and clears that
-    column from the rows that hold it; a row is dropped once it is zero mod
-    p, and the pivot row itself is never scaled."""
-    m = [row for row in ([e % p for e in A.row(i)] for i in range(A.rows))
-         if any(row)]
-    r = 0
+def _rank_mod_p(D: RatMatrix, p: int) -> int:
+    """Rank of the column store D (den 1) over Z/p, p prime (not tested
+    here), on sparse rows {column: value mod p}.  Each step takes a row off,
+    pivots on an entry of it and clears that column from the rows holding
+    it, dropping those left empty; the pivot row itself is never scaled."""
+    m = [{} for _ in range(D.rows)]
+    for j, col in enumerate(D.columns):
+        for i, x in col.items():
+            if x := x % p:
+                m[i][j] = x
+    m, r = [row for row in m if row], 0
     while m:
         top = m.pop()
-        c = next(j for j, x in enumerate(top) if x)
+        c = next(iter(top))
         inv = pow(top[c], -1, p)
-        support = [(k, y) for k, y in enumerate(top) if y]
-        kept = []
         for mi in m:
-            if f := mi[c]:
+            if f := mi.get(c):
                 f = f * inv % p
-                for k, y in support:
-                    mi[k] = (mi[k] - f * y) % p
-                if not any(mi):
-                    continue
-            kept.append(mi)
-        m = kept
+                for k, y in top.items():
+                    if x := (mi.get(k, 0) - f * y) % p:
+                        mi[k] = x
+                    else:
+                        del mi[k]
+        m = [mi for mi in m if mi]
         r += 1
     return r
 

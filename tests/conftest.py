@@ -9,14 +9,16 @@ staircase zigzags with known pages.
 
 Also holds the kernel-lattice route to integral homology, which the library
 used before it read H_n off invariant factors, the persistence pairing over
-`Fraction`, which it used before the fraction-free one, and the Bareiss pass
+`Fraction`, which it used before the fraction-free one, the Bareiss pass
 that rescales every row at every step, which it used before the lazy one,
-and the mod-M Smith elimination that reduces every entry it writes, which
-it used before the one that reduces only where a value is read: the
-references `homology_int`, `complexes._pairing`, `zlinalg._bareiss` and
-`zlinalg._smith_mod` are tested against, and the per-cell composite checks
-listing every failure, the first of which `spectral.double_complex` raises,
-each composite a `RatMatrix` (`matrix_composite`) or a triple loop.
+the mod-M Smith elimination that reduces every entry it writes, which it
+used before the one that reduces only where a value is read, and the rank
+mod p on dense rows, which it used before the one on sparse rows of the
+column store: the references `homology_int`, `complexes._pairing`,
+`zlinalg._bareiss`, `zlinalg._smith_mod` and `zlinalg._rank_mod_p` are
+tested against, and the per-cell composite checks listing every failure,
+the first of which `spectral.double_complex` raises, each composite a
+`RatMatrix` (`matrix_composite`) or a triple loop.
 `page_representatives` pairs again with chains to give the representatives
 of every cell of every page, which `spectral_pages` does not build;
 `recount_pages` counts every page on its own, where `spectral_pages` shares
@@ -34,13 +36,14 @@ And library code no subcommand reaches: the serializers, which write a
 complex or a double complex back as a document (lowest-terms rationals with
 the sign on the numerator, so a parse-serialize round trip is bit-stable),
 the degreewise dual `hom_dual`, `cokernel_structure`, the Bareiss
-`determinant`, `rank_mod_p` (`zlinalg._rank_mod_p` behind a primality test),
-an `IntMatrix`'s `column` and `to_rational`, `transpose` and the integer
-product `int_mul` (through `RatMatrix` products), `degenerates_at` on spectral
-pages and `e2_dim`, one second-page cell read off `steinberg._row`.  And the
-Ext labels `steinberg._row` sums without naming them: `SteinbergLabel`,
-`delta`, `ext_dim`, and `ext_row`, which builds a second-page row by brute
-force from them, the oracle `_row` is tested against.
+`determinant`, `rank_mod_p` (`zlinalg._rank_mod_p` on the column store,
+behind a primality test), an `IntMatrix`'s `column` and `to_rational`,
+`transpose` and the integer product `int_mul` (through `RatMatrix`
+products), `degenerates_at` on spectral pages and `e2_dim`, one second-page
+cell read off `steinberg._row`.  And the Ext labels `steinberg._row` sums
+without naming them: `SteinbergLabel`, `delta`, `ext_dim`, and `ext_row`,
+which builds a second-page row by brute force from them, the oracle `_row`
+is tested against.
 
 And simplicial surfaces with known homology, the 6-vertex projective plane
 and the 7-vertex torus and their barycentric subdivisions, whose boundary
@@ -99,12 +102,6 @@ def dense(rows: int, cols: int, nums: Sequence, den=1) -> RatMatrix:
 def zero_matrix(cls, rows: int, cols: int):
     """The zero rows x cols matrix of cls: the library builds none."""
     return cls.from_rows([[0] * cols for _ in range(rows)], cols)
-
-
-def num_rows(M: RatMatrix) -> list:
-    """The rows of M's numerators."""
-    c = M.cols
-    return [M.nums[i * c:(i + 1) * c] for i in range(M.rows)]
 
 
 def to_dense(chain: dict, n: int) -> tuple:
@@ -174,7 +171,7 @@ def rref(M: RatMatrix) -> Tuple[RatMatrix, List[int]]:
     content.  Each pivot row is divided by its pivot only at the end, over
     the lcm of the pivots.
     """
-    rows = [list(v) for v in num_rows(M)]
+    rows = M.num_rows()
     pivots: List[int] = []
     r = 0
     for c in range(M.cols):
@@ -281,7 +278,7 @@ def subspace_sum(U: Subspace, W: Subspace) -> Subspace:
     if U.ambient_dim != W.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     return Subspace.span(U.ambient_dim,
-                         num_rows(U.basis) + num_rows(W.basis))
+                         U.basis.num_rows() + W.basis.num_rows())
 
 
 def subspace_intersect(U: Subspace, W: Subspace) -> Subspace:
@@ -293,8 +290,8 @@ def subspace_intersect(U: Subspace, W: Subspace) -> Subspace:
     # a.B_U = -b.B_W lies in both: kernel of [B_U^T | B_W^T], take the a-part.
     K = kernel_basis(hstack(transpose(U.basis), transpose(W.basis))).basis
     A = dense(K.rows, U.dim,
-              tuple(x for k in num_rows(K) for x in k[:U.dim]), K.den)
-    return Subspace.span(U.ambient_dim, num_rows(A @ U.basis))
+              tuple(x for k in K.num_rows() for x in k[:U.dim]), K.den)
+    return Subspace.span(U.ambient_dim, (A @ U.basis).num_rows())
 
 
 def is_complementary(U: Subspace, W: Subspace) -> bool:
@@ -399,10 +396,11 @@ def determinant(A: IntMatrix) -> int:
 
 
 def rank_mod_p(A: IntMatrix, p: int) -> int:
-    """Rank of A over the field Z/p (p prime)."""
+    """Rank of A over the field Z/p (p prime), by the library's sparse
+    elimination on A's column store."""
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    return _rank_mod_p(A, p)
+    return _rank_mod_p(to_rational(A), p)
 
 
 def column(A: IntMatrix, j: int) -> tuple:
@@ -996,6 +994,33 @@ def eager_smith_mod(A: IntMatrix, M: int, r: int) -> list[int]:
             g = gcd(xs[i], xs[j])
             xs[i], xs[j] = g, xs[i] // g * xs[j]
     return xs[:r]
+
+
+def dense_rank_mod_p(A: IntMatrix, p: int) -> int:
+    """`zlinalg._rank_mod_p` as it was before it eliminated sparse rows off
+    the column store: rows of A reduced mod p into dense lists, each step
+    popping a row, pivoting on its first nonzero entry and clearing that
+    column from the rows that hold it; a row is dropped once it is zero."""
+    m = [row for row in ([e % p for e in A.row(i)] for i in range(A.rows))
+         if any(row)]
+    r = 0
+    while m:
+        top = m.pop()
+        c = next(j for j, x in enumerate(top) if x)
+        inv = pow(top[c], -1, p)
+        support = [(k, y) for k, y in enumerate(top) if y]
+        kept = []
+        for mi in m:
+            if f := mi[c]:
+                f = f * inv % p
+                for k, y in support:
+                    mi[k] = (mi[k] - f * y) % p
+                if not any(mi):
+                    continue
+            kept.append(mi)
+        m = kept
+        r += 1
+    return r
 
 
 def kernel_lattice(A: IntMatrix):

@@ -219,6 +219,36 @@ def test_absent_maps_build_no_zero_integer_matrix(monkeypatch):
     assert "not prime" in uct_check(C, 4).note
 
 
+def test_uct_hands_each_column_store_to_zlinalg(monkeypatch):
+    """uct_check and homology_int read no dense `RatMatrix.nums`, and build
+    an IntMatrix only for a block the pivot split leaves nonempty."""
+    rng = random.Random(45)
+    chains = [random_int_chain(rng, max_deg=4, max_pieces=8)
+              for _ in range(40)]
+    left = [{n: zlinalg._split_pivots(to_integer(D))[1].rows > 0
+             for n, D in C.differentials.items()} for C in chains]
+    blocks = sum(len(k) for k in left)
+    assert 0 < sum(sum(k.values()) for k in left) < blocks / 2
+
+    def refuse(self):
+        raise AssertionError("RatMatrix.nums read")
+
+    built, post = [], IntMatrix.__post_init__
+    monkeypatch.setattr(RatMatrix, "nums", property(refuse))
+    monkeypatch.setattr(IntMatrix, "__post_init__",
+                        lambda self: built.append(self.rows) or post(self))
+    for C, kept in zip(chains, left):
+        for p in (3, 100000000003):
+            built.clear()
+            assert uct_check(C, p).passed
+            assert len(built) == sum(kept.values()) and all(built)
+        for n in C.degrees():
+            built.clear()
+            homology_int(C, n)
+            assert len(built) == sum(kept.get(k, 0) for k in (n, n + 1))
+            assert all(built)
+
+
 def test_homology_int_column_map():
     C = int_chain_complex(0, {0: 2, 1: 1},
                           {1: RatMatrix.from_rows([[2], [4]])})

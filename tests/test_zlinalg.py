@@ -13,6 +13,7 @@ from conftest import (
     RP2,
     barycentric,
     cokernel_structure,
+    dense_rank_mod_p,
     determinant,
     eager_bareiss,
     eager_smith_mod,
@@ -33,6 +34,7 @@ from conftest import (
 )
 from exhom import zlinalg
 from exhom.cli import main
+from exhom.qlinalg import RatMatrix
 from exhom.zlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -634,20 +636,27 @@ def test_invariant_factors_fallback_when_the_certificate_fails(traced,
 
 def test_invariant_factors_on_chain_differentials(monkeypatch):
     # the pivot split leaves most blocks nothing to eliminate: fewer than
-    # half of them reach a Bareiss pass
+    # half of them reach a Bareiss pass; the column store and its dense
+    # IntMatrix give the same diagonal by the same passes
     passes = []
     monkeypatch.setattr(zlinalg, "_bareiss", lambda A, extra=():
                         passes.append(A) or _bareiss(A, extra))
     rng = random.Random(27)
-    stripped = blocks = 0
+    stripped = blocks = bareiss = 0
     for _ in range(80):
         C = random_int_chain(rng, max_deg=4, max_pieces=8)
-        for D in map(to_integer, C.differentials.values()):
-            assert invariant_factors(D) == smith_normal_form(D).diagonal
-            stripped += not all(map(any, D.to_lists()))
+        for D in C.differentials.values():
+            A = to_integer(D)
+            before = len(passes)
+            got = invariant_factors(D)
+            mid = len(passes)
+            assert got == invariant_factors(A) == smith_normal_form(A).diagonal
+            assert len(passes) - mid == mid - before
+            bareiss += mid - before
+            stripped += not all(map(any, A.to_lists()))
             blocks += 1
     assert stripped >= 10
-    assert 2 * len(passes) < blocks
+    assert 2 * bareiss < blocks
 
 
 def planted_pivots(rng, rows, cols):
@@ -732,6 +741,9 @@ def test_invariant_factors_strip_zero_rows_and_columns(monkeypatch):
         assert invariant_factors(A) == (1, 6) + zeros
         assert invariant_factors(transpose(A)) == (1, 6) + zeros
         assert smith_normal_form(A).diagonal == (1, 6) + zeros
+    # the same block in a column store, rows 0 and 2 and column 1 empty
+    D = RatMatrix(4, 3, ({1: 2, 3: 4}, {}, {1: 3, 3: 3}))
+    assert invariant_factors(D) == (1, 6, 0)
     assert set(shapes) == {(2, 2, 2)}
 
 
@@ -779,15 +791,33 @@ def test_rank_mod_p():
 
 
 BIG_PRIME = 68719476767  # the least prime above 2^36
+UCT_PRIME = 100000000003  # the least prime above 1e11: chain-uct's large class
 
 
-@pytest.mark.parametrize("p", [2, 3, 7, BIG_PRIME])
+def sparse_block(rng, p):
+    """A rows x cols block, both up to 24, of density 0.05-0.3: entries
+    small or shifted by +-p, and some rows the sum of two rows above plus p
+    times their own entries, so the rank mod p falls below the rank."""
+    rows, cols = rng.randint(1, 24), rng.randint(1, 24)
+    density = rng.uniform(0.05, 0.3)
+    m = [[rng.choice((1, -1, 2, -3, 6)) + p * rng.randint(-1, 1)
+          if rng.random() < density else 0 for _ in range(cols)]
+         for _ in range(rows)]
+    for i in range(2, rows):
+        if rng.random() < 0.2:
+            j, k = rng.sample(range(i), 2)
+            m[i] = [x + rng.randint(1, 3) * p * z + y
+                    for x, y, z in zip(m[j], m[k], m[i])]
+    return IntMatrix.from_rows(m, cols)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, BIG_PRIME, UCT_PRIME])
 def test_rank_mod_p_forward_elimination_matches_references(p):
     """Rank over Z/p against the Smith diagonal (the entries p does not
-    divide) on random matrices, on matrices of rank <= r and on p.X + L with
-    L of rank <= r; and against the rational rank whenever p divides no
-    nonzero invariant factor, as for the prime above 2^36 on the first two
-    kinds."""
+    divide) on random matrices, on matrices of rank <= r, on p.X + L with
+    L of rank <= r and on sparse blocks; against the rational rank whenever
+    p divides no nonzero invariant factor, as for the large primes on the
+    first two kinds; and against the dense elimination on every input."""
     rng = random.Random(p % 1000)
     rational = 0
     for k in range(60):
@@ -801,12 +831,21 @@ def test_rank_mod_p_forward_elimination_matches_references(p):
                 A = IntMatrix(rows, cols, tuple(
                     p * rng.randint(-3, 3) + x for x in A.nums))
         got = rank_mod_p(A, p)
+        assert got == dense_rank_mod_p(A, p), (A, p)
         diag = [d for d in smith_normal_form(A).diagonal if d]
         assert got == sum(1 for d in diag if d % p), (A, p)
         if all(d % p for d in diag):
             assert got == rank(to_rational(A))
             rational += 1
-    assert rational >= (40 if p == BIG_PRIME else 1)
+    assert rational >= (40 if p > 1000 else 1)
+    below = 0
+    for _ in range(40):
+        A = sparse_block(rng, p)
+        got = rank_mod_p(A, p)
+        assert got == dense_rank_mod_p(A, p), (A, p)
+        assert got == sum(1 for d in invariant_factors(A) if d % p), (A, p)
+        below += got < rank(to_rational(A))
+    assert below >= 5
 
 
 def test_is_prime():
