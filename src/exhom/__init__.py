@@ -7,7 +7,7 @@ spaces, all over exact arithmetic.
 """
 
 from .qlinalg import RatMatrix
-from .zlinalg import (FinAbGroup, IntMatrix, SmithForm, invariant_factors,
+from .zlinalg import (FinAbGroup, SmithForm, invariant_factors,
                       smith_normal_form)
 from .complexes import (CochainComplex, IntChainComplex, cochain_complex,
                         homology_int, int_chain_complex, kunneth_check,

@@ -3,9 +3,10 @@
 Matrix entries are strings holding an integer or a "p/q" exact rational,
 each with an optional sign; plain JSON integers are accepted on input.  A
 "p/q" string is split into two ints and reduced, so no document imports
-`fractions`.  A complex's matrices are written once, into the column store
+`fractions`.  Every matrix, a complex's or a matrix document's, is read by
+one routine (`_parse_matrix`) and written once, into the column store
 `qlinalg.RatMatrix`, over the lcm of the entries' denominators (which
-leaves them in lowest terms); a matrix document becomes an `IntMatrix`.
+leaves them in lowest terms); an integer matrix is a store over den 1.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .complexes import (
 )
 from .qlinalg import RatMatrix
 from .spectral import DoubleComplex, DoubleComplexError, double_complex
-from .zlinalg import IntMatrix
 
 MAX_DEGREE_SPAN = 1024  # largest max_deg - min_deg a complex document may span
 # largest total dimension (summed dims) of a complex or double complex
@@ -79,9 +79,9 @@ def _check_shape(raw, rows: int, cols: int, where: str) -> None:
 
 def _parse_matrix(raw, rows: int, cols: int, where: str,
                   integral: bool = False) -> RatMatrix:
-    """The column store of a complex's matrix: a matrix of JSON ints is taken
-    whole, any other read entry by entry, "p/q" scaled to the lcm of the
-    denominators.  With `integral`, every entry is whole and den is 1."""
+    """The column store of a matrix: a matrix of JSON ints is taken whole, any
+    other read entry by entry, "p/q" scaled to the lcm of the denominators.
+    With `integral`, every entry is whole and den is 1."""
     _check_shape(raw, rows, cols, where)
     fracs = []
     if not set(map(type, chain.from_iterable(raw))) <= {int}:
@@ -102,16 +102,6 @@ def _parse_matrix(raw, rows: int, cols: int, where: str,
         for j, i, p, q in fracs:
             columns[j][i] = p * (den // q)
     return RatMatrix(rows, cols, columns, den)
-
-
-def _parse_int_matrix(raw, rows: int, cols: int, where: str) -> IntMatrix:
-    """The dense rows of a matrix document, every entry whole."""
-    _check_shape(raw, rows, cols, where)
-    out = []
-    for i, row in enumerate(raw):
-        out.extend(row if set(map(type, row)) <= {int} else
-                   [_entry(x, where, i, j, True) for j, x in enumerate(row)])
-    return IntMatrix(rows, cols, tuple(out))
 
 
 def _load_json(text: str):
@@ -245,9 +235,9 @@ def parse_double_complex_document(text: str) -> DoubleComplex:
         raise DocumentError(str(e)) from None
 
 
-def parse_int_matrix_document(text: str) -> IntMatrix:
-    """Parse a matrix document: either a bare array of arrays or an object
-    with a 'matrix' field."""
+def parse_int_matrix_document(text: str) -> RatMatrix:
+    """Parse an integer matrix document, either a bare array of arrays or an
+    object with a 'matrix' field, into a column store over den 1."""
     doc = _load_json(text)
     if isinstance(doc, dict):
         doc = doc.get("matrix")
@@ -256,5 +246,5 @@ def parse_int_matrix_document(text: str) -> IntMatrix:
                             "or an object with a 'matrix' field")
     rows = len(doc)
     cols = len(doc[0]) if rows and isinstance(doc[0], list) else 0
-    return _parse_int_matrix(doc, rows, cols, "matrix")
+    return _parse_matrix(doc, rows, cols, "matrix", integral=True)
 

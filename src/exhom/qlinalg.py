@@ -5,11 +5,10 @@ A `RatMatrix` is sparse and column-major: column j is a dict `columns[j]`
 `den`.  The document parser writes it once, and every later layer reads it:
 the d o d and square checks, the totalization and the persistence pairing
 (`complexes`, `spectral`) and `zlinalg`: fresh dense rows (`num_rows`) for
-the Smith diagonal, sparse rows for the rank mod p.  Its ``Fraction``
-entries are a view built only when read.  Every operation is exact; there
-is no floating point anywhere in this module.  The dense integer storage of
-`zlinalg.IntMatrix`, `_Dense`, lives here too, sharing row access (`_Rows`)
-and `num_rows` with `RatMatrix`.
+the Smith diagonal, sparse rows for the rank mod p.  It is the one matrix
+type: an integer matrix is a store over den 1.  Its ``Fraction`` entries
+are a view built only when read.  Every operation is exact; there is no
+floating point anywhere in this module.
 
 Every product goes through one kernel, `_products`: column j of A.B sums,
 over the entries v at row k of B's column j, v times A's column k, so a
@@ -42,57 +41,14 @@ def _products(left: Sequence[dict], right: Sequence[dict]) -> Iterator[dict]:
             else acc
 
 
-class _Rows:
-    """Row-major access to the `entries` of a matrix: shared by `RatMatrix`
-    and `zlinalg.IntMatrix`."""
-
-    def __getitem__(self, rc: tuple[int, int]):
-        i, j = rc
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_lists(self) -> list[list]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-
-class _Dense(_Rows, Record):
-    """Dense matrix, row-major, immutable: the integer storage `nums` and
-    shape checks of `zlinalg.IntMatrix`, whose `__post_init__` coerces the
-    entries it is given to ints; its `entries` are what row access reads."""
-
-    _fields = ("rows", "cols", "nums")
-    num_rows = _Rows.to_lists  # the entries are the numerators
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix dimensions")
-        if len(self.nums) != self.rows * self.cols:
-            raise ValueError(f"entry count {len(self.nums)} != "
-                             f"{self.rows}x{self.cols}")
-
-    @classmethod
-    def from_rows(cls, data: Sequence[Sequence], cols: int | None = None):
-        data = [list(r) for r in data]
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        if any(len(r) != cols for r in data):
-            raise ValueError("ragged rows")
-        return cls(len(data), cols, tuple(x for r in data for x in r))
-
-    @classmethod
-    def identity(cls, n: int):
-        return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
-
-
-class RatMatrix(_Rows, Record):
+class RatMatrix(Record):
     """Sparse rational matrix: entry (i, j) is columns[j].get(i, 0) / den,
     den > 0; a column holds only its nonzero numerators, keyed by rows
     below `rows`.  Products and `from_rows` give lowest terms, gcd(den,
     *numerators) = 1, so equal matrices built by them are equal values.
     `nums` (row-major numerators) and `entries` (their Fraction view, which
-    imports `fractions` on first read) are built only when read."""
+    imports `fractions` on first read, and which `row`, `[i, j]` and
+    `to_lists` read) are built only when read."""
 
     _fields, _defaults = ("rows", "cols", "columns", "den"), (1,)
 
@@ -106,9 +62,18 @@ class RatMatrix(_Rows, Record):
     @classmethod
     def from_rows(cls, data: Sequence[Sequence], cols: int | None = None):
         """The matrix of these rows of rational entries (ints, Fractions,
-        "p/q" strings), in lowest terms over the lcm of their denominators."""
+        "p/q" strings), in lowest terms over the lcm of their denominators.
+        Any other entry, a float among them, is refused rather than read as
+        its binary fraction."""
         from fractions import Fraction
-        data = [[Fraction(x) for x in r] for r in data]
+        from numbers import Rational
+
+        def entry(x):
+            if isinstance(x, (Rational, str)):
+                return Fraction(x)
+            raise ValueError(f"matrix entries must be rational, got {x!r}")
+
+        data = [[entry(x) for x in r] for r in data]
         if cols is None:
             cols = len(data[0]) if data else 0
         if any(len(r) != cols for r in data):
@@ -139,6 +104,16 @@ class RatMatrix(_Rows, Record):
     def entries(self) -> tuple:
         from fractions import Fraction
         return tuple(Fraction(x, self.den) for x in self.nums)
+
+    def __getitem__(self, rc: tuple[int, int]):
+        i, j = rc
+        return self.entries[i * self.cols + j]
+
+    def row(self, i: int) -> tuple:
+        return self.entries[i * self.cols:(i + 1) * self.cols]
+
+    def to_lists(self) -> list[list]:
+        return [list(self.row(i)) for i in range(self.rows)]
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:

@@ -44,7 +44,7 @@ from ._record import Record
 from .complexes import (CochainComplex, _composite, _order, _pairing,
                         _reduce, _totalize)
 from .qlinalg import RatMatrix
-from .zlinalg import IntMatrix, _bareiss
+from .zlinalg import _bareiss
 
 COLUMN = "column"
 ROW = "row"
@@ -272,8 +272,7 @@ def filtration_on_total(K: DoubleComplex, axis: str, n: int) -> FiltrationChain:
 
 def _rank(rows: list[dict], cols) -> int:
     """The integer rank of these sparse rows on the coordinates `cols`."""
-    return len(_bareiss(IntMatrix.from_rows(
-        [[v.get(j, 0) for j in cols] for v in rows], len(cols)))[0])
+    return len(_bareiss([[v.get(j, 0) for j in cols] for v in rows])[0])
 
 
 def _sum_dim(F: FiltrationChain, p: int, G: FiltrationChain, q: int) -> int:

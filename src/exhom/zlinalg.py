@@ -1,12 +1,10 @@
 """Exact integer linear algebra: the Smith diagonal, Smith normal form,
 rank mod p and primality.
 
-`IntMatrix` is dense and row-major (`qlinalg._Dense`): Python int entries
-(arbitrary precision), an entry that `operator.index` refuses being
-refused.  `_split_pivots` reads fresh rows (`num_rows`) off it or off a
-complex's column store over den 1 (`qlinalg.RatMatrix`), and builds an
-`IntMatrix` only for the block it leaves; `_rank_mod_p` reads the store
-into sparse rows.
+An integer matrix is a column store over den 1 (`qlinalg.RatMatrix`), as
+a chain complex or a matrix document holds it.  `_split_pivots` reads it
+once into fresh rows (`num_rows`), and the routines after it work on plain
+int row lists; `_rank_mod_p` reads the store into sparse rows.
 Two routes to the Smith diagonal:
 
 * `invariant_factors` builds no transforms.  It first splits off pivots
@@ -79,31 +77,10 @@ Two routes to the Smith diagonal:
 from __future__ import annotations
 
 from math import gcd
-from operator import index, mul
+from operator import mul
 
-from ._record import Record, _set
-from .qlinalg import RatMatrix, _Dense
-
-
-def _index(x) -> int:
-    """x as an int; a float or a string is refused, not truncated or parsed."""
-    try:
-        return index(x)
-    except TypeError:
-        raise ValueError("IntMatrix entries must be ints") from None
-
-
-class IntMatrix(_Dense):
-    """Dense integer matrix: Python int entries, `nums` itself."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not set(map(type, self.nums)) <= {int}:
-            _set(self, "nums", tuple(map(_index, self.nums)))
-        _set(self, "entries", self.nums)
-
-
-_EMPTY = IntMatrix(0, 0, ())
+from ._record import Record
+from .qlinalg import RatMatrix
 
 
 class SmithForm(Record):
@@ -130,9 +107,10 @@ class FinAbGroup(Record):
             raise ValueError("torsion entries must be >= 2")
 
 
-def _bareiss(A: IntMatrix,
+def _bareiss(A: list[list[int]],
              extra=()) -> tuple[list[int], int, list[list[int]]]:
-    """Pivot columns of A and, by fraction-free elimination, its last pivot.
+    """Pivot columns of the rows A and, by fraction-free elimination, its
+    last pivot.
 
     Rows are swapped to find pivots and columns without one are skipped, so
     the rank r is the number of pivot columns and the last pivot is, up to
@@ -155,8 +133,8 @@ def _bareiss(A: IntMatrix,
     fewer than three rows left the pass is one step on column c.  A single
     step is (p.x - f.y) // at[i], at[i] the pivot of row i's last update.
     """
-    rows, cols = A.rows, A.cols
-    m = [list(A.row(i)) + [b[i] for b in extra] for i in range(rows)]
+    rows, cols = len(A), len(A[0]) if A else 0
+    m = [row + [b[i] for b in extra] for i, row in enumerate(A)]
     at = [1] * rows
     sign, prev, piv, c = 1, 1, [], 0
     while c < cols and (r := len(piv)) < rows:
@@ -274,14 +252,14 @@ def _coprime_part(x: int, y: int) -> int:
     return x
 
 
-def _smith_mod(A: IntMatrix, M: int, r: int) -> list[int]:
-    """gcd(d_i, M) for the r nonzero invariant factors d_i of A (M > 0):
-    the first r entries of the Smith diagonal of [A | M.I], found by
-    elimination modulo M, reduced only where a value is read."""
+def _smith_mod(A: list[list[int]], M: int, r: int) -> list[int]:
+    """gcd(d_i, M) for the r nonzero invariant factors d_i of the rows A
+    (M > 0): the first r entries of the Smith diagonal of [A | M.I], found
+    by elimination modulo M, reduced only where a value is read."""
     if M == 1:
         return [1] * r
-    rows, cols = A.rows, A.cols
-    m = [list(A.row(i)) for i in range(rows)]
+    rows, cols = len(A), len(A[0]) if A else 0
+    m = [row[:] for row in A]
     diag = []
     for t in range(min(rows, cols)):
         # pivot: an entry of least gcd with M, skipping rows whose own gcd
@@ -350,10 +328,15 @@ def _smith_mod(A: IntMatrix, M: int, r: int) -> list[int]:
     return _divisor_chain(diag + [M] * (r - len(diag)))[:r]
 
 
-def _split_pivots(A: IntMatrix | RatMatrix) -> tuple[list[int], IntMatrix]:
-    """(pivots, S): |p| for each pivot p taken over Z, S the rest of A less
-    its zero rows and columns (A itself if that is all of an IntMatrix).  A
-    +-1 in a row is a pivot; once no row holds one, so is an entry +-p (+p
+def _integral(A: RatMatrix) -> None:
+    if A.den != 1:
+        raise ValueError(f"not an integer matrix: entries over {A.den}")
+
+
+def _split_pivots(A: RatMatrix) -> tuple[list[int], list[list[int]]]:
+    """(pivots, S): |p| for each pivot p taken over Z from the den-1 store
+    A, S the rows of the rest of A less its zero rows and columns.  A +-1
+    in a row is a pivot; once no row holds one, so is an entry +-p (+p
     first) of a row whose gcd is p, if p divides its column.  A row is
     searched again once a step changes it."""
     m = {i: row for i, row in enumerate(A.num_rows()) if any(row)}
@@ -388,21 +371,18 @@ def _split_pivots(A: IntMatrix | RatMatrix) -> tuple[list[int], IntMatrix]:
                 later.discard(h)
     rows = [row for row in m.values() if any(row)]
     keep = [j for j, col in enumerate(zip(*rows)) if any(col)]
-    if not rows:
-        return pivots, _EMPTY
-    if len(rows) == A.rows and len(keep) == A.cols and type(A) is IntMatrix:
-        return pivots, A
-    return pivots, IntMatrix(len(rows), len(keep), tuple(
-        row[j] for row in rows for j in keep))
+    if len(keep) < A.cols:
+        rows = [[row[j] for j in keep] for row in rows]
+    return pivots, rows
 
 
-def _certified(A: IntMatrix, G: int, minor: int,
+def _certified(A: list[list[int]], G: int, minor: int,
                r: int) -> list[int] | None:
     """e = `_smith_mod(A, G, r)` when two checks prove it the nonzero Smith
-    diagonal of A, else None; `minor` is a nonzero r x r minor of A, r the
-    rank.  (a): every prime of e_r divides G / e_r; (b): Q, `minor` with
-    the primes it shares with G divided out, is 1 or `_smith_mod(A, Q, r)`
-    is all ones."""
+    diagonal of the rows A, else None; `minor` is a nonzero r x r minor of
+    A, r the rank.  (a): every prime of e_r divides G / e_r; (b): Q,
+    `minor` with the primes it shares with G divided out, is 1 or
+    `_smith_mod(A, Q, r)` is all ones."""
     e = _smith_mod(A, G, r)
     if _coprime_part(e[-1], G // e[-1]) > 1:
         return None
@@ -410,23 +390,26 @@ def _certified(A: IntMatrix, G: int, minor: int,
     return e if Q == 1 or _smith_mod(A, Q, r) == [1] * r else None
 
 
-def invariant_factors(A: IntMatrix | RatMatrix) -> tuple[int, ...]:
-    """The Smith diagonal of A (or of a den-1 store) without transforms.
+def invariant_factors(A: RatMatrix) -> tuple[int, ...]:
+    """The Smith diagonal of the integer matrix A, a den-1 store, without
+    transforms; a ValueError if den != 1.
 
     Equals `smith_normal_form(A).diagonal`: min(rows, cols) non-negative
     entries in a divisibility chain, zeros last.  The pivots split off over
     Z and the nonzero factors of the block they leave, found modulo M,
     merge into one chain by gcd/lcm exchange.
     """
+    _integral(A)
     k = min(A.rows, A.cols)
     pivots, A = _split_pivots(A)
     chain = []
-    if A.rows:
-        piv, minor, low = _bareiss(A, _rhs(A.rows))
+    if A:
+        rows, cols = len(A), len(A[0])
+        piv, minor, low = _bareiss(A, _rhs(rows))
         r, M0 = len(piv), abs(minor)
-        square = 0 < r == A.rows == A.cols
+        square = 0 < r == rows == cols
         solve = square or M0.bit_length() > 64
-        M = gcd(M0, *(_adjoint_columns(low, piv, A.cols) if solve else ()))
+        M = gcd(M0, *(_adjoint_columns(low, piv, cols) if solve else ()))
         if square:
             # mod |det|/delta only d_1..d_{n-1} are exact; |det| gives d_n
             chain = _smith_mod(A, M, r)
@@ -441,16 +424,19 @@ def invariant_factors(A: IntMatrix | RatMatrix) -> tuple[int, ...]:
     return tuple(chain) + (0,) * (k - len(chain))
 
 
-def smith_normal_form(A: IntMatrix) -> SmithForm:
-    """Smith normal form U.A.V = D with invariant-factor diagonal.
+def smith_normal_form(A: RatMatrix) -> SmithForm:
+    """Smith normal form U.A.V = D with invariant-factor diagonal, for the
+    integer matrix A, a den-1 store (a ValueError if den != 1); U, D and V
+    are den-1 stores.
 
     Use it when U or V is needed; `invariant_factors` gives the diagonal
     alone far faster.
     """
+    _integral(A)
     rows, cols = A.rows, A.cols
-    m = A.to_lists()
-    u = IntMatrix.identity(rows).to_lists()
-    v = IntMatrix.identity(cols).to_lists()
+    m = A.num_rows()
+    u, v = ([[int(i == j) for j in range(n)] for i in range(n)]
+            for n in (rows, cols))
     k = min(rows, cols)
 
     def row_op(i, t, q):  # row_i -= q * row_t
@@ -514,9 +500,9 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
             m[t] = [-x for x in m[t]]
             u[t] = [-x for x in u[t]]
 
-    U = IntMatrix.from_rows(u, rows)
-    V = IntMatrix.from_rows(v, cols)
-    D = IntMatrix.from_rows(m, cols)
+    U = RatMatrix.from_rows(u, rows)
+    V = RatMatrix.from_rows(v, cols)
+    D = RatMatrix.from_rows(m, cols)
     diagonal = tuple(m[t][t] for t in range(k))
     return SmithForm(U, D, V, diagonal)
 

@@ -37,9 +37,8 @@ complex or a double complex back as a document (lowest-terms rationals with
 the sign on the numerator, so a parse-serialize round trip is bit-stable),
 the degreewise dual `hom_dual`, `cokernel_structure`, the Bareiss
 `determinant`, `rank_mod_p` (`zlinalg._rank_mod_p` on the column store,
-behind a primality test), an `IntMatrix`'s `column` and `to_rational`,
-`transpose` and the integer product `int_mul` (through `RatMatrix`
-products), `degenerates_at` on spectral pages and `e2_dim`, one second-page
+behind a primality test), the `column` of a store over den 1, `transpose`,
+`degenerates_at` on spectral pages and `e2_dim`, one second-page
 cell read off `steinberg._row`.  And the Ext labels `steinberg._row` sums
 without naming them: `SteinbergLabel`, `delta`, `ext_dim`, and `ext_row`,
 which builds a second-page row by brute force from them, the oracle `_row`
@@ -79,7 +78,6 @@ from exhom.spectral import (
 from exhom.steinberg import InducedSpectrum, _row
 from exhom.zlinalg import (
     FinAbGroup,
-    IntMatrix,
     _bareiss,
     _rank_mod_p,
     _xgcd,
@@ -99,9 +97,9 @@ def dense(rows: int, cols: int, nums: Sequence, den=1) -> RatMatrix:
          for i in range(rows)], cols)
 
 
-def zero_matrix(cls, rows: int, cols: int):
-    """The zero rows x cols matrix of cls: the library builds none."""
-    return cls.from_rows([[0] * cols for _ in range(rows)], cols)
+def zero_matrix(rows: int, cols: int) -> RatMatrix:
+    """The zero rows x cols matrix: the library builds none."""
+    return RatMatrix.from_rows([[0] * cols for _ in range(rows)], cols)
 
 
 def to_dense(chain: dict, n: int) -> tuple:
@@ -109,18 +107,10 @@ def to_dense(chain: dict, n: int) -> tuple:
     return tuple(chain.get(j, 0) for j in range(n))
 
 
-def transpose(M):
-    """The transpose of M, a matrix of M's class."""
+def transpose(M: RatMatrix) -> RatMatrix:
+    """The transpose of M."""
     c = M.cols
-    return type(M).from_rows([M.entries[j::c] for j in range(c)], M.rows)
-
-
-def int_mul(*factors: IntMatrix) -> IntMatrix:
-    """The product of integer matrices, by the column kernel of `RatMatrix`."""
-    P = to_rational(factors[0])
-    for F in factors[1:]:
-        P = P @ to_rational(F)
-    return to_integer(P)
+    return RatMatrix.from_rows([M.entries[j::c] for j in range(c)], M.rows)
 
 
 def to_sparse(vector: Sequence) -> dict:
@@ -221,8 +211,7 @@ class Subspace:
     def span(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
         vecs = [list(v) for v in vectors]
         if not vecs:
-            return Subspace(ambient_dim, zero_matrix(RatMatrix, 0,
-                                                     ambient_dim))
+            return Subspace(ambient_dim, zero_matrix(0, ambient_dim))
         R, pivots = rref(RatMatrix.from_rows(vecs, ambient_dim))
         k = len(pivots)
         return Subspace(ambient_dim, dense(k, ambient_dim,
@@ -230,7 +219,7 @@ class Subspace:
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, zero_matrix(RatMatrix, 0, ambient_dim))
+        return Subspace(ambient_dim, zero_matrix(0, ambient_dim))
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
@@ -380,42 +369,33 @@ def hom_dual(C: CochainComplex) -> CochainComplex:
     return cochain_complex(min(dims) if dims else 0, dims, diffs)
 
 
-def cokernel_structure(A: IntMatrix) -> FinAbGroup:
+def cokernel_structure(A: RatMatrix) -> FinAbGroup:
     """Structure of Z^rows / image(A), A acting on column vectors."""
     nonzero = [d for d in invariant_factors(A) if d != 0]
     return FinAbGroup(free_rank=A.rows - len(nonzero),
                       torsion=tuple(d for d in nonzero if d > 1))
 
 
-def determinant(A: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
+def determinant(A: RatMatrix) -> int:
+    """Exact determinant of a store over den 1 via fraction-free (Bareiss)
+    elimination."""
     if A.rows != A.cols:
         raise ValueError("determinant of non-square matrix")
-    piv, minor, _ = _bareiss(A)
+    piv, minor, _ = _bareiss(A.num_rows())
     return minor if len(piv) == A.rows else 0
 
 
-def rank_mod_p(A: IntMatrix, p: int) -> int:
-    """Rank of A over the field Z/p (p prime), by the library's sparse
-    elimination on A's column store."""
+def rank_mod_p(A: RatMatrix, p: int) -> int:
+    """Rank of the store A (den 1) over the field Z/p (p prime), by the
+    library's sparse elimination."""
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    return _rank_mod_p(to_rational(A), p)
+    return _rank_mod_p(A, p)
 
 
-def column(A: IntMatrix, j: int) -> tuple:
+def column(A: RatMatrix, j: int) -> tuple:
+    """The numerators of column j of A, dense."""
     return A.nums[j::A.cols]
-
-
-def to_integer(A: RatMatrix) -> IntMatrix:
-    """The dense integer matrix of a column store over den 1."""
-    assert A.den == 1
-    return IntMatrix(A.rows, A.cols, A.nums)
-
-
-def to_rational(A: IntMatrix) -> RatMatrix:
-    """A in the column store, over den 1, as a chain complex holds it."""
-    return RatMatrix.from_rows(A.to_lists(), A.cols)
 
 
 def degenerates_at(P: SpectralPages, r: int) -> bool:
@@ -530,8 +510,7 @@ def differential(C, n: int):
     """d_n of C as a matrix, zero when the map is absent: the library keeps
     only the maps that are nonzero and never builds a zero one."""
     d = C.differentials.get(n)
-    return zero_matrix(RatMatrix, C.dim(n + C.step), C.dim(n)) \
-        if d is None else d
+    return zero_matrix(C.dim(n + C.step), C.dim(n)) if d is None else d
 
 
 def random_cochain(rng, max_deg=3, max_pieces=4, scale=3):
@@ -560,13 +539,15 @@ def random_cochain(rng, max_deg=3, max_pieces=4, scale=3):
     return cochain_complex(0, dims, diffs)
 
 
-def _rat_inverse(M: IntMatrix) -> RatMatrix:
-    """Inverse of an invertible integer M by fraction-free Gauss-Jordan on
-    [M | I] (Bareiss): after step c every entry is an integer minor, so the
-    divisions by the previous pivot are exact, and [M | I] ends as
-    [p.I | p.M^-1] for the last pivot p.  Fractions appear only there."""
+def _rat_inverse(M: RatMatrix) -> RatMatrix:
+    """Inverse of an invertible integer M (den 1) by fraction-free
+    Gauss-Jordan on [M | I] (Bareiss): after step c every entry is an
+    integer minor, so the divisions by the previous pivot are exact, and
+    [M | I] ends as [p.I | p.M^-1] for the last pivot p.  Fractions appear
+    only there."""
     d = M.rows
-    m = [list(M.row(i)) + [int(i == j) for j in range(d)] for i in range(d)]
+    m = [row + [int(i == j) for j in range(d)]
+         for i, row in enumerate(M.num_rows())]
     prev = 1
     for c in range(d):
         pr = next(i for i in range(c, d) if m[i][c])
@@ -581,9 +562,9 @@ def _rat_inverse(M: IntMatrix) -> RatMatrix:
         [[Fraction(x, prev) for x in row[d:]] for row in m], d)
 
 
-def _random_invertible(rng, d, spread=2) -> IntMatrix:
+def _random_invertible(rng, d, spread=2) -> RatMatrix:
     while True:
-        M = IntMatrix.from_rows(
+        M = RatMatrix.from_rows(
             [[rng.randint(-spread, spread) for _ in range(d)]
              for _ in range(d)], d)
         if determinant(M):
@@ -597,7 +578,7 @@ def conjugate_cochain(rng, C: CochainComplex, spread=2) -> CochainComplex:
     for n in C.degrees():
         dn = differential(C, n)
         if dn.rows and dn.cols:
-            diffs[n] = to_rational(P[n + 1]) @ dn @ _rat_inverse(P[n])
+            diffs[n] = P[n + 1] @ dn @ _rat_inverse(P[n])
     return cochain_complex(C.min_deg, dict(C.dims), diffs)
 
 
@@ -613,7 +594,7 @@ def random_unimodular(rng, n, ops=6):
         i, j = rng.sample(range(n), 2)
         c = rng.randint(-2, 2)
         m[i] = [a + c * b for a, b in zip(m[i], m[j])]
-    return IntMatrix.from_rows(m, n)
+    return RatMatrix.from_rows(m, n)
 
 
 def random_int_chain(rng, max_deg=3, max_pieces=4, max_mult=6):
@@ -632,13 +613,9 @@ def random_int_chain(rng, max_deg=3, max_pieces=4, max_mult=6):
             pieces.append((d, "point", dims[d], None, 0))
             dims[d] += 1
     U = {n: random_unimodular(rng, dims[n]) for n in dims}
-    Uinv = {}
-    for n, M in U.items():
-        # invert the unimodular matrix exactly over Q; the result is integral
-        inv = _rat_inverse(M) if M.rows else None
-        Uinv[n] = (IntMatrix.from_rows(
-            [[f.numerator for f in inv.row(i)] for i in range(inv.rows)],
-            inv.cols) if inv is not None else zero_matrix(IntMatrix, 0, 0))
+    # invert each unimodular matrix exactly over Q; the result is integral
+    Uinv = {n: _rat_inverse(M) if M.rows else zero_matrix(0, 0)
+            for n, M in U.items()}
     diffs = {}
     for n in range(1, max_deg + 1):
         if dims[n] and dims[n - 1]:
@@ -646,8 +623,8 @@ def random_int_chain(rng, max_deg=3, max_pieces=4, max_mult=6):
             for d, kind, src, dst, mult in pieces:
                 if kind == "arrow" and d == n:
                     rows[dst][src] = mult
-            D = IntMatrix.from_rows(rows, dims[n])
-            diffs[n] = to_rational(int_mul(U[n - 1], D, Uinv[n]))
+            D = RatMatrix.from_rows(rows, dims[n])
+            diffs[n] = U[n - 1] @ D @ Uinv[n]
     return int_chain_complex(0, dims, diffs)
 
 
@@ -798,7 +775,7 @@ def random_zigzag_double_complex(rng, grid=4, pieces=6, corners=0):
     maps = {"horiz": {}, "vert": {}}
     for (field, (r, s)), M in raw.items():
         dst = (r + 1, s) if field == "horiz" else (r, s + 1)
-        maps[field][(r, s)] = (to_rational(P[dst])
+        maps[field][(r, s)] = (P[dst]
                                @ RatMatrix.from_rows(M, dims[(r, s)])
                                @ _rat_inverse(P[(r, s)]))
     K = double_complex(grid, grid, dims, maps["horiz"], maps["vert"])
@@ -825,7 +802,7 @@ def rescale_cells(K, rng):
 def random_int_matrix(rng, max_size=6, bound=20):
     r = rng.randint(0, max_size)
     c = rng.randint(0, max_size)
-    return IntMatrix.from_rows(
+    return RatMatrix.from_rows(
         [[rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)], c)
 
 
@@ -833,7 +810,7 @@ def random_low_rank_matrix(rng, rows, cols, r, bound=4):
     """rows x cols integer matrix of rank <= r: a product of random factors."""
     L = [[rng.randint(-bound, bound) for _ in range(r)] for _ in range(rows)]
     R = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(r)]
-    return IntMatrix.from_rows(
+    return RatMatrix.from_rows(
         [[sum(L[i][k] * R[k][j] for k in range(r)) for j in range(cols)]
          for i in range(rows)], cols)
 
@@ -864,7 +841,7 @@ def planted_int_matrix(rng, rows, cols, ops=3):
             row[j] += c * row[i]
     rng.shuffle(m)
     perm = rng.sample(range(cols), cols)
-    return IntMatrix.from_rows([[row[j] for j in perm] for row in m],
+    return RatMatrix.from_rows([[row[j] for j in perm] for row in m],
                                cols), tuple(t)
 
 
@@ -903,12 +880,12 @@ def surface_chain(triangles) -> IntChainComplex:
     return int_chain_complex(0, dict(enumerate(map(len, faces))), diffs)
 
 
-def eager_bareiss(A: IntMatrix, extra=()):
+def eager_bareiss(A: list[list[int]], extra=()):
     """`zlinalg._bareiss` as it was before rows with 0 in the pivot column
     were left alone: every row below the pivot is updated at every step,
     (p.x - f.y) // prev, so each entry is a minor as soon as it is written."""
-    rows, cols = A.rows, A.cols
-    m = [list(A.row(i)) + [b[i] for b in extra] for i in range(rows)]
+    rows, cols = len(A), len(A[0]) if A else 0
+    m = [row + [b[i] for b in extra] for i, row in enumerate(A)]
     sign, prev, piv = 1, 1, []
     for c in range(cols):
         r = len(piv)
@@ -932,12 +909,12 @@ def eager_bareiss(A: IntMatrix, extra=()):
     return piv, sign * prev, m
 
 
-def eager_smith_mod(A: IntMatrix, M: int, r: int) -> list[int]:
+def eager_smith_mod(A: list[list[int]], M: int, r: int) -> list[int]:
     """`zlinalg._smith_mod` as it was before it reduced only where a value
     is read: every entry is reduced mod M when the matrix is built and after
     every row operation, and M = 1 is eliminated like any other modulus."""
-    rows, cols = A.rows, A.cols
-    m = [[e % M for e in A.row(i)] for i in range(rows)]
+    rows, cols = len(A), len(A[0]) if A else 0
+    m = [[e % M for e in row] for row in A]
     diag = []
     for t in range(min(rows, cols)):
         pos = next(((i, j) for j in range(t, cols) for i in range(t, rows)
@@ -996,13 +973,12 @@ def eager_smith_mod(A: IntMatrix, M: int, r: int) -> list[int]:
     return xs[:r]
 
 
-def dense_rank_mod_p(A: IntMatrix, p: int) -> int:
+def dense_rank_mod_p(A: RatMatrix, p: int) -> int:
     """`zlinalg._rank_mod_p` as it was before it eliminated sparse rows off
     the column store: rows of A reduced mod p into dense lists, each step
     popping a row, pivoting on its first nonzero entry and clearing that
     column from the rows that hold it; a row is dropped once it is zero."""
-    m = [row for row in ([e % p for e in A.row(i)] for i in range(A.rows))
-         if any(row)]
+    m = [row for row in ([e % p for e in r] for r in A.num_rows()) if any(row)]
     r = 0
     while m:
         top = m.pop()
@@ -1023,7 +999,7 @@ def dense_rank_mod_p(A: IntMatrix, p: int) -> int:
     return r
 
 
-def kernel_lattice(A: IntMatrix):
+def kernel_lattice(A: RatMatrix):
     """Basis of the integer kernel {x in Z^cols : Ax = 0} (a saturated
     lattice): the columns of V over the zero diagonal of U.A.V = D."""
     snf = smith_normal_form(A)
@@ -1037,7 +1013,7 @@ def reference_homology_int(C: IntChainComplex, n: int) -> FinAbGroup:
     lattice is saturated) and the relation matrix is put in Smith form."""
     if C.dim(n) == 0:
         return FinAbGroup(0, ())
-    kbasis = kernel_lattice(to_integer(differential(C, n)))
+    kbasis = kernel_lattice(differential(C, n))
     k = len(kbasis)
     dnext = differential(C, n + 1)
     if k == 0 or dnext.cols == 0:
@@ -1051,8 +1027,7 @@ def reference_homology_int(C: IntChainComplex, n: int) -> FinAbGroup:
     Y = [R.row(i)[k:] for i in range(k)]
     assert all(f.denominator == 1 for row in Y for f in row), \
         "non-integral coordinates"
-    rel = IntMatrix.from_rows([[f.numerator for f in row] for row in Y],
-                              dnext.cols)
+    rel = RatMatrix.from_rows(Y, dnext.cols)
     nonzero = [d for d in smith_normal_form(rel).diagonal if d]
     return FinAbGroup(k - len(nonzero), tuple(d for d in nonzero if d > 1))
 

@@ -16,7 +16,6 @@ from conftest import (
     determinant,
     e2_dim,
     ext_dim,
-    int_mul,
     rank,
     random_dense_cochain,
     random_double_complex,
@@ -279,7 +278,7 @@ def test_criterion_9_snf():
     for i in range(100):
         A = random_int_matrix(rng, max_size=6, bound=20)
         snf = smith_normal_form(A)
-        if int_mul(snf.U, A, snf.V).entries != snf.D.entries:
+        if (snf.U @ A @ snf.V).entries != snf.D.entries:
             failures.append((i, "decomposition"))
         if abs(determinant(snf.U)) != 1 or abs(determinant(snf.V)) != 1:
             failures.append((i, "unimodularity"))

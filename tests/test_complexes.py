@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import inf
 
@@ -23,7 +24,6 @@ from conftest import (
     subspace_sum,
     surface_chain,
     to_dense,
-    to_integer,
     transpose,
 )
 from exhom import complexes, zlinalg
@@ -41,7 +41,7 @@ from exhom.complexes import (
     validate_complex,
 )
 from exhom.qlinalg import RatMatrix
-from exhom.zlinalg import FinAbGroup, IntMatrix, is_prime
+from exhom.zlinalg import FinAbGroup, is_prime
 
 
 def two_term(matrix_rows):
@@ -197,15 +197,15 @@ def test_homology_int_zero_differentials():
 
 def test_absent_maps_build_no_zero_integer_matrix(monkeypatch):
     """homology_int and uct_check read an absent d_n as zero: no invariant
-    factors and mod-p rank 0, with no zero IntMatrix built for it."""
-    post = IntMatrix.__post_init__
+    factors and mod-p rank 0, with no zero matrix built for it."""
+    post = RatMatrix.__post_init__
 
     def refuse(self):
         post(self)
-        if self.rows and self.cols and not any(self.nums):
+        if self.rows and self.cols and not any(self.columns):
             raise AssertionError("zero matrix built")
 
-    monkeypatch.setattr(IntMatrix, "__post_init__", refuse)
+    monkeypatch.setattr(RatMatrix, "__post_init__", refuse)
     # d_1 (3 -> 2) and d_3 (2 -> 1) are absent; d_2 is stored
     C = int_chain_complex(0, {0: 2, 1: 3, 2: 1, 3: 2},
                           {2: RatMatrix.from_rows([[2], [0], [6]], 1)})
@@ -220,33 +220,30 @@ def test_absent_maps_build_no_zero_integer_matrix(monkeypatch):
 
 
 def test_uct_hands_each_column_store_to_zlinalg(monkeypatch):
-    """uct_check and homology_int read no dense `RatMatrix.nums`, and build
-    an IntMatrix only for a block the pivot split leaves nonempty."""
+    """uct_check and homology_int read no dense `RatMatrix.nums`, and the
+    rows of each differential they use (`num_rows`) once."""
     rng = random.Random(45)
     chains = [random_int_chain(rng, max_deg=4, max_pieces=8)
               for _ in range(40)]
-    left = [{n: zlinalg._split_pivots(to_integer(D))[1].rows > 0
-             for n, D in C.differentials.items()} for C in chains]
-    blocks = sum(len(k) for k in left)
-    assert 0 < sum(sum(k.values()) for k in left) < blocks / 2
 
     def refuse(self):
         raise AssertionError("RatMatrix.nums read")
 
-    built, post = [], IntMatrix.__post_init__
+    reads, num_rows = [], RatMatrix.num_rows
     monkeypatch.setattr(RatMatrix, "nums", property(refuse))
-    monkeypatch.setattr(IntMatrix, "__post_init__",
-                        lambda self: built.append(self.rows) or post(self))
-    for C, kept in zip(chains, left):
+    monkeypatch.setattr(RatMatrix, "num_rows",
+                        lambda self: reads.append(id(self)) or num_rows(self))
+    for C in chains:
+        d = C.differentials
         for p in (3, 100000000003):
-            built.clear()
+            reads.clear()
             assert uct_check(C, p).passed
-            assert len(built) == sum(kept.values()) and all(built)
+            assert Counter(reads) == Counter(map(id, d.values()))
         for n in C.degrees():
-            built.clear()
+            reads.clear()
             homology_int(C, n)
-            assert len(built) == sum(kept.get(k, 0) for k in (n, n + 1))
-            assert all(built)
+            assert Counter(reads) == Counter(id(d[k]) for k in (n, n + 1)
+                                             if k in d)
 
 
 def test_homology_int_column_map():
@@ -301,7 +298,7 @@ def test_surface_homology_known_answers(surface, subdivisions, tmp_path,
     f = tmp_path / "c.json"
     f.write_text(json.dumps({
         "dims": {str(n): d for n, d in C.dims.items()},
-        "differentials": {str(n): to_integer(D).to_lists()
+        "differentials": {str(n): D.num_rows()
                           for n, D in C.differentials.items()}}))
     for p, dims in mod_p.items():
         assert main(["uct", "--input", str(f), "--mod", str(p)]) == 0
