@@ -144,6 +144,7 @@ def _read(path: str) -> str:
         raise DocumentError(f"cannot read {path}: not UTF-8 text") from None
 
 
+@functools.lru_cache(maxsize=8)
 def _cell_lines(max_p: int, max_q: int):
     """The renderer of the `ss` and `e2 --format machine` grids: each cell's
     "p q dim" line, p then q ascending, from the nonzero (cell, dim)s."""

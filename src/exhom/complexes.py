@@ -78,6 +78,7 @@ class CochainComplex(_Complex):
         column = v / den and gcd(den, *v) = 1: scaled once, for every
         pairing of the complex."""
         return {n: [_primitive(col, D.den) for col in D.columns]
+                if D.den > 1 else [(col, 1) for col in D.columns]
                 for n, D in self.differentials.items()}
 
 
@@ -121,17 +122,14 @@ def int_chain_complex(min_deg: int, dims: dict[int, int],
 
 def _primitive(column: dict, den: int) -> tuple[dict, int]:
     """(v, d) with column / den = v / d and gcd(d, *v) = 1."""
-    g = den if den == 1 else gcd(den, *column.values())
+    g = gcd(den, *column.values())
     return (column, den) if g == 1 else (
         {i: x // g for i, x in column.items()}, den // g)
 
 
-def _composite(outer, inner):
-    """The numerator columns of outer @ inner, one at a time, unreduced over
-    outer.den * inner.den; () when a factor is absent (zero by shape)."""
-    if outer is None or inner is None:
-        return ()
-    return _products(outer.columns, inner.columns)
+def _nonzero(outer, inner) -> bool:
+    """Whether outer @ inner is nonzero, outer None (absent) being zero."""
+    return outer is not None and any(_products(outer.columns, inner.columns))
 
 
 def _nonzero_composite(C):
@@ -140,7 +138,7 @@ def _nonzero_composite(C):
     and each composite only up to its first nonzero column."""
     d, step = C.differentials, C.step
     return next((min(n, n + step) for n in sorted(d)
-                 if any(_composite(d.get(n + step), d.get(n)))), None)
+                 if _nonzero(d.get(n + step), d[n])), None)
 
 
 def validate_complex(C) -> bool:
@@ -250,8 +248,8 @@ def _totalize(min_deg: int, dims: dict[tuple[int, int], int], horiz,
     """Totalization T^n = sum_{r+s=n} K^{r,s} of the nonzero cells `dims`,
     blocks in increasing r, with D = horiz + (-1)^r vert, each map keyed by
     its source cell: horiz to (r+1, s), vert to (r, s+1).  Each column of
-    D^n is written once, from the blocks' columns with their rows shifted,
-    on their numerators over the lcm of their denominators."""
+    D^n is written once, from the nonzero blocks' columns, rows shifted, on
+    their numerators over the lcm of their dens; no shape is re-checked."""
     offsets: dict[tuple[int, int], int] = {}
     total: dict[int, int] = {}
     for r, s in sorted(dims):
@@ -261,7 +259,7 @@ def _totalize(min_deg: int, dims: dict[tuple[int, int], int], horiz,
     for maps, dr, ds in ((horiz, 1, 0), (vert, 0, 1)):
         for (r, s), M in maps.items():
             to = offsets.get((r + dr, s + ds))
-            if to is not None and (r, s) in offsets:
+            if to is not None and (r, s) in offsets and any(M.columns):
                 blocks.setdefault(r + s, []).append(
                     (to, offsets[r, s], -1 if ds and r & 1 else 1, M))
     diffs = {}
@@ -275,7 +273,8 @@ def _totalize(min_deg: int, dims: dict[tuple[int, int], int], horiz,
                 for i, x in col.items():
                     out[to + i] = k * x
         diffs[n] = RatMatrix(total.get(n + 1, 0), total[n], columns, den)
-    return cochain_complex(min_deg, total, diffs)
+    return CochainComplex(min(total, default=min_deg),
+                          max(total, default=min_deg), total, diffs)
 
 
 def _kron(A: RatMatrix, B: RatMatrix) -> RatMatrix:

@@ -12,7 +12,6 @@ leaves them in lowest terms); an integer matrix is a store over den 1.
 from __future__ import annotations
 
 import json
-import re
 from itertools import chain
 from math import gcd, lcm
 
@@ -24,7 +23,7 @@ from .complexes import (
     _nonzero_composite,
     validate_complex,
 )
-from .qlinalg import RatMatrix
+from .qlinalg import _RATIONAL, RatMatrix
 from .spectral import DoubleComplex, DoubleComplexError, double_complex
 
 MAX_DEGREE_SPAN = 1024  # largest max_deg - min_deg a complex document may span
@@ -35,9 +34,6 @@ MAX_TOTAL_DIM = 4096
 
 class DocumentError(ValueError):
     """Raised on malformed or invalid input documents."""
-
-
-_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _entry(raw, where: str, i: int, j: int, integral: bool):
@@ -92,8 +88,8 @@ def _parse_matrix(raw, rows: int, cols: int, where: str,
                       if type(x) is tuple]
             read.append([0 if type(x) is tuple else x for x in row])
         raw = read
-    columns = tuple({i: x for i, x in enumerate(col) if x} for col in
-                    zip(*raw)) if rows else tuple({} for _ in range(cols))
+    columns = tuple([{i: x for i, x in enumerate(col) if x} for col in
+                     zip(*raw)]) if rows else tuple({} for _ in range(cols))
     den = lcm(*[q for *_, q in fracs]) if fracs else 1
     if den > 1:
         for col in columns:
@@ -148,15 +144,16 @@ def _cell_key(k: str, where: str) -> tuple[int, int]:
     return r, s
 
 
-def _dims_field(doc, parse_key) -> dict:
-    out = {}
+def _dims_field(doc, parse_key) -> tuple[dict, dict]:
+    """The dims keyed by parsed key, and the parse of each raw key."""
+    dims, keys = {}, {}
     for k, v in _map_field(doc, "dims", required=True).items():
-        key = parse_key(k, "dims")
+        keys[k] = key = parse_key(k, "dims")
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise DocumentError(f"malformed dimension at dims[{k}]: {v!r}")
-        out[key] = v
-    _check_total_dim(sum(out.values()), "total dimension")
-    return out
+        dims[key] = v
+    _check_total_dim(sum(dims.values()), "total dimension")
+    return dims, keys
 
 
 def _check_total_dim(total: int, what: str) -> None:
@@ -172,7 +169,7 @@ def _parse_complex(text: str, cls):
     min_deg = doc.get("min_deg", 0)
     if not isinstance(min_deg, int) or isinstance(min_deg, bool):
         raise DocumentError("'min_deg' must be an integer")
-    dims = _dims_field(doc, _degree_key)
+    dims, keys = _dims_field(doc, _degree_key)
     degrees = [n for n, d in dims.items() if d]
     if degrees and max(degrees) - min(degrees) > MAX_DEGREE_SPAN:
         raise DocumentError(f"nonzero degrees must span at most "
@@ -180,7 +177,7 @@ def _parse_complex(text: str, cls):
                             f"{max(degrees)}")
     diffs = {}
     for k, raw in _map_field(doc, "differentials").items():
-        deg = _degree_key(k, "differentials")
+        deg = keys[k] if k in keys else _degree_key(k, "differentials")
         diffs[deg] = _parse_matrix(raw, dims.get(deg + cls.step, 0),
                                    dims.get(deg, 0), f"differentials[{k}]",
                                    integral=cls.step < 0)
@@ -216,21 +213,20 @@ def parse_double_complex_document(text: str) -> DoubleComplex:
         if not isinstance(doc.get(key), int) or isinstance(doc.get(key), bool):
             raise DocumentError(f"missing or malformed '{key}'")
     max_r, max_c = doc["max_r"], doc["max_c"]
-    dims = _dims_field(doc, _cell_key)
+    dims, keys = _dims_field(doc, _cell_key)
 
-    def maps(field, shape):
+    def maps(name, dr, ds):
+        """The blocks by cell, each distinct key parsed once."""
         out = {}
-        for k, raw in _map_field(doc, field).items():
-            r, s = _cell_key(k, field)
-            tr, ts = shape(r, s)
-            out[(r, s)] = _parse_matrix(raw, dims.get((tr, ts), 0),
-                                        dims.get((r, s), 0), f"{field}[{k}]")
+        for k, raw in _map_field(doc, name).items():
+            r, s = cell = keys.get(k) or keys.setdefault(k, _cell_key(k, name))
+            out[cell] = _parse_matrix(raw, dims.get((r + dr, s + ds), 0),
+                                      dims.get(cell, 0), f"{name}[{k}]")
         return out
 
-    horiz = maps("horiz", lambda r, s: (r + 1, s))
-    vert = maps("vert", lambda r, s: (r, s + 1))
     try:
-        return double_complex(max_r, max_c, dims, horiz, vert)
+        return double_complex(max_r, max_c, dims, maps("horiz", 1, 0),
+                              maps("vert", 0, 1))
     except DoubleComplexError as e:
         raise DocumentError(str(e)) from None
 

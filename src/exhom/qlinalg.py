@@ -21,11 +21,16 @@ in `zlinalg`.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator, Sequence
 from functools import cached_property
 from math import gcd, lcm
 
 from ._record import Record
+
+# The one grammar of a rational written as a string, in documents and in
+# `RatMatrix.from_rows`: an integer or "p/q", each with an optional sign.
+_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _products(left: Sequence[dict], right: Sequence[dict]) -> Iterator[dict]:
@@ -62,15 +67,20 @@ class RatMatrix(Record):
     @classmethod
     def from_rows(cls, data: Sequence[Sequence], cols: int | None = None):
         """The matrix of these rows of rational entries (ints, Fractions,
-        "p/q" strings), in lowest terms over the lcm of their denominators.
-        Any other entry, a float among them, is refused rather than read as
-        its binary fraction."""
+        strings in the document grammar `_RATIONAL`), in lowest terms over
+        the lcm of their denominators.  Any other entry, a float or a string
+        such as "1e3", "1.5" or " 3 " among them, is refused with a
+        ValueError rather than read as its binary fraction or handed to
+        `Fraction`, whose exponents can take unbounded time."""
         from fractions import Fraction
         from numbers import Rational
 
         def entry(x):
-            if isinstance(x, (Rational, str)):
+            if isinstance(x, Rational):
                 return Fraction(x)
+            m = _RATIONAL.fullmatch(x) if isinstance(x, str) else None
+            if m and int(m[2] or 1):  # past the digit limit int raises too
+                return Fraction(int(m[1]), int(m[2] or 1))
             raise ValueError(f"matrix entries must be rational, got {x!r}")
 
         data = [[entry(x) for x in r] for r in data]

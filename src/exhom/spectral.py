@@ -2,8 +2,8 @@
 
 Every block is a column store (`RatMatrix`).  Validation checks d'd' = 0,
 d''d'' = 0 and every commuting square cell by cell, each composite costing
-its nonzero products of block numerators, no matrix built (a square's two
-sides compared column by column, cross-multiplied by their denominators).
+its nonzero products (none if a factor is absent), no matrix built (a
+square's two sides compared column by column, cross-multiplied by dens).
 The engine totalizes the grid once, on the first pairing, writing each
 column of T from the blocks' columns (inserting the (-1)^r sign itself, on
 their numerators over the lcm of their denominators), and
@@ -19,9 +19,9 @@ filtered column reduction of `complexes`): over a field a filtered complex
 splits into interval pieces, which give every page and every d_r (Zomorodian
 and Carlsson 2005; Basu and Parida 2017).  A reduced column pairs a source
 of level p with a target of level p+k; for k >= 1 both live on pages 1..k
-and add 1 to the rank of d_k at the source's cell.  The pages are counts:
-they pair T with no chains, and name the basis vectors alive in each cell.
-Every finite life is below the stable page: later pages share its dict.
+and add 1 to the rank of d_k at the source's cell.  The pages count, with
+no chain built, the basis vectors alive in each cell, filled from the stable
+page (above every finite life; later pages share its dict) down.
 Basis vectors left unpaired are cycles: they give E_infinity, and the
 classes of those of level >= p span F^p H^n.  The column pairing's own
 unpaired cycles of degree n are the basis of H^n both filtrations are
@@ -36,14 +36,13 @@ oppositeness test and the dimension criterion implying it live here.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from math import gcd, inf
 
 from ._record import Record
-from .complexes import (CochainComplex, _composite, _order, _pairing,
+from .complexes import (CochainComplex, _nonzero, _order, _pairing,
                         _reduce, _totalize)
-from .qlinalg import RatMatrix
+from .qlinalg import RatMatrix, _products
 from .zlinalg import _bareiss
 
 COLUMN = "column"
@@ -95,41 +94,38 @@ def double_complex(max_r: int, max_c: int,
     for (r, s) in dims:
         if not (0 <= r <= max_r and 0 <= s <= max_c):
             raise DoubleComplexError(f"cell ({r},{s}) outside declared rectangle")
-    K = DoubleComplex(max_r, max_c,
-                      dims,
+    K = DoubleComplex(max_r, max_c, dims,
                       {c: m for c, m in horiz.items() if m.rows and m.cols},
                       {c: m for c, m in vert.items() if m.rows and m.cols})
     for name, maps, dr, ds in (("horiz", K.horiz, 1, 0), ("vert", K.vert, 0, 1)):
         for (r, s), M in maps.items():
-            want = (K.dim(r + dr, s + ds), K.dim(r, s))
+            want = (dims.get((r + dr, s + ds), 0), dims.get((r, s), 0))
             if (M.rows, M.cols) != want:
                 raise DoubleComplexError(
                     f"{name} at ({r},{s}) has shape {M.rows}x{M.cols}, "
                     f"expected {want[0]}x{want[1]}")
     h, v = K.horiz.get, K.vert.get
-    for r, s in sorted(K.horiz.keys() | K.vert.keys()):
-        x, y = h((r, s)), v((r, s))
-        for what, left, right in (
-                ("horiz composite nonzero", (h((r + 1, s)), x), None),
-                ("vert composite nonzero", (v((r, s + 1)), y), None),
-                ("square does not commute", (v((r + 1, s)), x),
-                 (h((r, s + 1)), y))):
-            if not _equal_composites(left, right):
-                raise DoubleComplexError(f"{what} at ({r},{s})")
+    for c in sorted(K.horiz.keys() | K.vert.keys()):
+        (r, s), x, y = c, h(c), v(c)
+        if x and _nonzero(h((r + 1, s)), x):
+            raise DoubleComplexError(f"horiz composite nonzero at ({r},{s})")
+        if y and _nonzero(v((r, s + 1)), y):
+            raise DoubleComplexError(f"vert composite nonzero at ({r},{s})")
+        a, b = x and v((r + 1, s)), y and h((r, s + 1))
+        if (a or b) and not _commutes(a, x, b, y):
+            raise DoubleComplexError(f"square does not commute at ({r},{s})")
     return K
 
 
-def _equal_composites(left, right) -> bool:
-    """Whether outer @ inner of the pairs left and right (None: zero) are
-    equal, column by column: a / da = b / db iff a db = b da."""
-    a, b = _composite(*left), right and _composite(*right) or ()
+def _commutes(a, x, b, y) -> bool:
+    """Whether a @ x = b @ y (None: zero), as p/dp = q/dq iff p dq = q dp."""
     if not (a and b):  # a side is zero
-        return not any(a or b)
-    da, db = left[0].den * left[1].den, right[0].den * right[1].den
-    if da == db:
-        return all(x == y for x, y in zip(a, b))
-    return all({i: v * db for i, v in x.items()}
-               == {i: v * da for i, v in y.items()} for x, y in zip(a, b))
+        return not (_nonzero(a, x) or _nonzero(b, y))
+    da, db = a.den * x.den, b.den * y.den
+    pairs = zip(_products(a.columns, x.columns),
+                _products(b.columns, y.columns))
+    return all(p == q if da == db else {i: v * db for i, v in p.items()}
+               == {i: v * da for i, v in q.items()} for p, q in pairs)
 
 
 def total_complex(K: DoubleComplex) -> CochainComplex:
@@ -178,7 +174,7 @@ class FiltrationChain(Record):
                              "of coordinates below ambient_dim")
 
     def dims(self) -> tuple[int, ...]:
-        return tuple(sum(1 for level in self.levels if level >= p)
+        return tuple(sum(map(p.__le__, self.levels))
                      for p in range(self.n + 2))
 
 
@@ -198,17 +194,21 @@ def spectral_pages(K: DoubleComplex, axis: str) -> SpectralPages:
     # paired one degree past the top, where T is 0: no chains are built
     gens = _pairing(T, _levels(K, axis), T.max_deg + 1)
     last = K.max_r + K.max_c + 1  # beyond this every d_r vanishes (first quadrant)
-    stable = 1 + max((g.life for g in gens if g.source), default=0)
-    pages: dict[int, dict[tuple[int, int], tuple[int, tuple]]] = {}
-    for r in range(1, stable + 1):
-        alive: dict[tuple[int, int], list] = {}
-        for g in gens:
-            if g.life >= r:
-                alive.setdefault((g.level, g.n - g.level), []).append(g.i)
-        pages[r] = {pq: (len(ids), tuple(ids)) for pq, ids in alive.items()}
+    # each id under its life (inf: stable) and cell; a cell's ids ascending
+    born, d_ranks, stable = {}, {}, 1
+    for n, i, p, life, source, _ in gens:
+        if life:
+            if source:
+                d_ranks[life, p, n - p] = d_ranks.get((life, p, n - p), 0) + 1
+                stable = max(stable, life + 1)
+            born.setdefault(life, {}).setdefault((p, n - p), []).append(i)
+    pages, page = {}, {}
+    for r in range(stable, 0, -1):
+        page = pages[r] = page.copy()
+        for pq, ids in born.get(r if r < stable else inf, {}).items():
+            ids = sorted(page[pq][1] + tuple(ids)) if pq in page else ids
+            page[pq] = len(ids), tuple(ids)
     pages.update(dict.fromkeys(range(stable + 1, last + 2), pages[stable]))
-    d_ranks = dict(Counter((g.life, g.level, g.n - g.level) for g in gens
-                           if g.source and g.life))
     limit = {pq: dim for pq, (dim, _) in pages[stable].items()}
     return SpectralPages(axis, pages, d_ranks, limit, stable)
 
@@ -257,7 +257,7 @@ def filtration_on_total(K: DoubleComplex, axis: str, n: int) -> FiltrationChain:
     """Filtration F^p H^n(Tot) induced by the chosen axis: F^p is spanned by
     the classes of the unpaired cycles of level >= p, on the column
     pairing's basis of H^n, which on the column axis they are."""
-    levels = _levels(K, axis)
+    levels = None if axis == COLUMN else _levels(K, axis)  # checks axis
     if n < 0 or n > K.max_r + K.max_c:
         return FiltrationChain(max(n, 0), 0, ())
     unpaired = _column_basis(K, n)[0]

@@ -539,14 +539,24 @@ def _rank_mod_p(D: RatMatrix, p: int) -> int:
 # this bound (Sorenson-Webster 2017), so it decides primality exactly there.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
+# OEIS A014233: the least strong pseudoprime to each of the first k prime
+# bases (Jaeschke 1993; Sorenson-Webster 2017), so below term k the first k
+# bases decide primality.
+_MR_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                    3474749660383, 341550071728321, 341550071728321,
+                    3825123056546413051, 3825123056546413051,
+                    3825123056546413051, 318665857834031151167461,
+                    _MR_EXACT_BELOW)
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test.
 
-    A witness among the bases proves n composite at any size; n that passes
-    every base is certified prime only below 3317044064679887385961981, and
-    above it a ValueError is raised rather than a guess returned.
+    A witness among the bases proves n composite at any size; the bases are
+    tried in order until n is below the least strong pseudoprime to those
+    tried (A014233).  n that passes every base is certified prime only
+    below 3317044064679887385961981, and above it a ValueError is raised
+    rather than a guess returned.
     """
     if n < 2:
         return False
@@ -557,17 +567,16 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a, below in zip(_MR_BASES, _MR_PSEUDOPRIMES):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    if n >= _MR_EXACT_BELOW:
-        raise ValueError(f"cannot decide whether {n} is prime: Miller-Rabin "
-                         f"is exact only below {_MR_EXACT_BELOW}")
-    return True
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < below:
+            return True
+    raise ValueError(f"cannot decide whether {n} is prime: Miller-Rabin "
+                     f"is exact only below {_MR_EXACT_BELOW}")

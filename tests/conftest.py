@@ -24,6 +24,8 @@ of every cell of every page, which `spectral_pages` does not build;
 `recount_pages` counts every page on its own, where `spectral_pages` shares
 one dict from the stable page on, and `reference_ss_text` formats them cell
 by cell, as `exhom ss` did before it rendered only the nonzero cells.
+`reference_pages` assembles the pages by rescanning every generator for
+each page, as `spectral_pages` did before it bucketed them once.
 
 And the rational subspace algebra the library used before `oppose` compared
 filtrations by counts and integer ranks: `rref` (fraction-free on the
@@ -431,6 +433,29 @@ def recount_pages(K, axis: str) -> tuple[dict, int]:
                              if g.life >= r))
              for r in range(1, K.max_r + K.max_c + 3)}
     return pages, 1 + max((g.life for g in gens if g.source), default=0)
+
+
+def reference_pages(K, axis: str) -> SpectralPages:
+    """The `SpectralPages` of K as `spectral_pages` assembled them before it
+    sorted the generators into buckets once: every page up to the stable
+    one rescans every generator, the ids of a cell in the pairing's order,
+    and the pages after it share the stable page's dict."""
+    T = K._total
+    gens = _pairing(T, _levels(K, axis), T.max_deg + 1)
+    last = K.max_r + K.max_c + 1
+    stable = 1 + max((g.life for g in gens if g.source), default=0)
+    pages = {}
+    for r in range(1, stable + 1):
+        alive = {}
+        for g in gens:
+            if g.life >= r:
+                alive.setdefault((g.level, g.n - g.level), []).append(g.i)
+        pages[r] = {pq: (len(ids), tuple(ids)) for pq, ids in alive.items()}
+    pages.update(dict.fromkeys(range(stable + 1, last + 2), pages[stable]))
+    d_ranks = dict(Counter((g.life, g.level, g.n - g.level) for g in gens
+                           if g.source and g.life))
+    limit = {pq: dim for pq, (dim, _) in pages[stable].items()}
+    return SpectralPages(axis, pages, d_ranks, limit, stable)
 
 
 def reference_ss_text(K, axis: str, pages: bool) -> str:

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from collections import Counter
 from datetime import timedelta
 from decimal import Decimal
 from fractions import Fraction
@@ -26,7 +27,7 @@ from conftest import (
     serialize_double_complex,
     tensor_double_complex,
 )
-from exhom import cli, complexes, zlinalg
+from exhom import cli, complexes, documents, spectral, zlinalg
 from exhom.cli import build_parser, main
 from exhom.complexes import _Complex
 from exhom.documents import (
@@ -163,6 +164,87 @@ def test_double_complex_document_cell_naming():
     })
     with pytest.raises(DocumentError, match=r"square does not commute at \(0,0\)"):
         parse_double_complex_document(doc)
+
+
+def test_ss_request_handles_each_block_key_and_pair_once(tmp_path, capsys,
+                                                         monkeypatch):
+    """One `ss` request builds one store per block the document gives and
+    one per nonzero degree of Tot, parses each distinct cell key once across
+    dims, horiz and vert, and multiplies no pair with an absent factor."""
+    rng, multiplied = random.Random(52), 0
+    for _ in range(12):
+        K = random_zigzag_double_complex(rng, grid=3, pieces=8)[0]
+        doc = json.loads(serialize_double_complex(K))
+        # blocks of empty shape, given explicitly, under a key not in dims
+        r, s = next((r, s) for r in range(4) for s in range(4)
+                    if (r, s) not in K.dims)
+        doc["horiz"][f"{r},{s}"] = [[] for _ in range(K.dim(r + 1, s))]
+        doc["vert"][f"{r},{s}"] = [[] for _ in range(K.dim(r, s + 1))]
+        f = tmp_path / "k.json"
+        f.write_text(json.dumps(doc))
+        h, v = K.horiz.get, K.vert.get
+        products = sum(  # the pairs (inner, outer) with both present
+            inner is not None and outer is not None
+            for r, s in K.horiz.keys() | K.vert.keys()
+            for inner, outer in ((h((r, s)), h((r + 1, s))),
+                                 (v((r, s)), v((r, s + 1))),
+                                 (h((r, s)), v((r + 1, s))),
+                                 (v((r, s)), h((r, s + 1)))))
+        blocks = len(doc["horiz"]) + len(doc["vert"])
+        degrees = {r + s for maps in (K.horiz, K.vert)
+                   for (r, s), M in maps.items() if any(M.columns)}
+
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name, args[0] if name == "key" else None] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(RatMatrix, "__post_init__",
+                            counted("store", RatMatrix.__post_init__))
+        monkeypatch.setattr(documents, "_cell_key",
+                            counted("key", documents._cell_key))
+        product = counted("product", spectral._products)
+        monkeypatch.setattr(spectral, "_products", product)
+        monkeypatch.setattr(complexes, "_products", product)
+        assert main(["ss", "--input", str(f), "--axis", "col"]) == 0
+        monkeypatch.undo()
+        capsys.readouterr()
+        keys = doc["dims"].keys() | doc["horiz"].keys() | doc["vert"].keys()
+        assert calls == Counter({("store", None): blocks + len(degrees),
+                                 ("product", None): products,
+                                 **{("key", k): 1 for k in keys}})
+        multiplied += products
+    assert multiplied
+
+
+@pytest.mark.parametrize("maps, message", [
+    ({"horiz": {"0,0": [[1, 0], [0]]}},
+     "shape mismatch at horiz[0,0]: row 1 has 1 entries, expected 2x2"),
+    ({"horiz": {"0,0": [[1, 0], 5]}},
+     "matrix at horiz[0,0] must be an array of arrays"),
+    ({"horiz": {"0,0": [[1, 0]]}},
+     "shape mismatch at horiz[0,0]: got 1 rows, expected 2x2"),
+    ({"horiz": {"0,0": [[True, 0], [0, 1]]}},
+     "malformed rational at horiz[0,0][0][0]: True"),
+    ({"vert": {"1,1": [[1]]}},
+     "shape mismatch at vert[1,1]: got 1 rows, expected 0x0"),
+    ({"horiz": {"0;0": [[1, 0], [0, 1]]}},
+     "malformed cell key '0;0' in 'horiz'"),
+])
+def test_double_complex_document_refusals_are_pinned(tmp_path, capsys, maps,
+                                                     message):
+    """The exact refusal of a ragged row, a row that is not a list, a wrong
+    row count, a bool entry, a map key absent from dims (its block of empty
+    shape) and a malformed map key."""
+    f = tmp_path / "k.json"
+    f.write_text(json.dumps({"max_r": 1, "max_c": 1,
+                             "dims": {"0,0": 2, "1,0": 2}, **maps}))
+    for command in (["ss", "--axis", "row"], ["oppose", "--n", "0"]):
+        assert main([*command, "--input", str(f)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_serialize_roundtrip_cochain():

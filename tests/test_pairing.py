@@ -139,8 +139,9 @@ def test_zigzag_known_answers_at_size(zigzag_472):
 
 def test_oppose_builds_tot_once_and_pairs_twice(monkeypatch):
     """Building K and both filtrations, in either order: one Tot (built by
-    the first pairing), each of its columns scaled once, two pairings, the
-    column pairing giving the basis of H^n both are written on."""
+    the first pairing), each column of a store over den > 1 scaled once and
+    none over den 1, two pairings, the column pairing giving the basis of
+    H^n both are written on."""
     calls = Counter()
 
     def counted(name, fn):
@@ -169,7 +170,10 @@ def test_oppose_builds_tot_once_and_pairs_twice(monkeypatch):
         # the column classes are that basis, so they carry no rows
         assert (F.rows is None, G.rows is None) \
             == (first == COLUMN, second == COLUMN)
-        columns = sum(D.cols for D in K._total.differentials.values())
+        dens = [D.den for D in K._total.differentials.values()]
+        assert 1 in dens and max(dens) > 1
+        columns = sum(D.cols for D in K._total.differentials.values()
+                      if D.den > 1)
         assert calls == {"total": 1, "pair": 2, "scale": columns}
 
 

@@ -216,6 +216,19 @@ def test_from_rows_refuses_what_is_not_rational():
     assert A.den == 4
 
 
+def test_from_rows_reads_strings_with_the_document_grammar():
+    """A string entry is an integer or "p/q" with an optional sign, as in a
+    document; anything `Fraction` would also read (exponents, decimals,
+    blanks, underscores) or cannot (q = 0) is a ValueError, and an exponent
+    is refused at once rather than expanded."""
+    A = mat([["+3", "-08", "6/4", "-0/5"]])
+    assert A.entries == (3, -8, Fraction(3, 2), 0)
+    for bad in ("1e3", "1.5", " 3 ", "1_0", "1/0", "3/-4", "", "1e99999999",
+                "\u0661"):
+        with pytest.raises(ValueError, match="must be rational"):
+            mat([[0, bad]])
+
+
 def test_rat_matrix_stores_integers_over_one_denominator_in_lowest_terms():
     assert mat([[Fraction(2, 4)]]) == mat([[Fraction(1, 2)]])
     A = mat([[Fraction(2, -8), Fraction(-4, -8)], [Fraction(6, -8), 0]])

@@ -16,6 +16,7 @@ from conftest import (
     reference_criterion,
     reference_defects,
     reference_opposite,
+    reference_pages,
     reference_ss_text,
     rescale_cells,
     serialize_double_complex,
@@ -271,6 +272,28 @@ def test_ss_text_matches_the_per_cell_renderer(tmp_path, capsys):
                              *flag]) == 0
                 assert capsys.readouterr() == (
                     reference_ss_text(K, axis, bool(flag)), "")
+    assert len(stables) >= 3, stables
+
+
+def test_pages_equal_the_per_page_scan():
+    """spectral_pages sorts the generators into buckets once and fills the
+    pages from the stable one down: every field, each cell's ids in their
+    order among them, equals the per-page rescan it replaced, and the same
+    pages share the stable page's dict."""
+    rng = random.Random(29)
+    Ks = [random_double_complex(rng) for _ in range(6)] + [
+        random_zigzag_double_complex(rng, grid=rng.randint(1, 4),
+                                     pieces=rng.randint(1, 14),
+                                     corners=rng.randint(0, 2))[0]
+        for _ in range(30)]
+    stables = Counter()
+    for K in Ks:
+        for axis in (COLUMN, ROW):
+            P, R = spectral_pages(K, axis), reference_pages(K, axis)
+            assert P == R
+            assert {r: P.pages[r] is P.pages[P.stable_page] for r in P.pages} \
+                == {r: R.pages[r] is R.pages[R.stable_page] for r in R.pages}
+            stables[P.stable_page] += 1
     assert len(stables) >= 3, stables
 
 

@@ -861,6 +861,33 @@ def test_is_prime_rejects_strong_pseudoprimes():
         assert not is_prime(n)
 
 
+def test_is_prime_stops_at_the_bases_that_suffice(monkeypatch):
+    """Below the least strong pseudoprime to the first k prime bases (OEIS
+    A014233) those k bases decide primality: every n < 2 * 10**5 agrees
+    with a sieve, each term below the exact bound is composite, and a
+    modulus near 1e11 runs 5 bases, not 13."""
+    top = 2 * 10 ** 5
+    sieve = bytearray([1]) * top
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(top ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, top, p)))
+    assert [n for n in range(top) if is_prime(n)] \
+        == [n for n in range(top) if sieve[n]]
+    terms = zlinalg._MR_PSEUDOPRIMES
+    assert len(terms) == len(zlinalg._MR_BASES)
+    assert terms[-1] == zlinalg._MR_EXACT_BELOW
+    for t in terms[:-1]:
+        assert not is_prime(t)
+    with pytest.raises(ValueError, match="cannot decide"):
+        is_prime(terms[-1])
+    bases = []
+    monkeypatch.setattr(zlinalg, "pow", lambda a, d, n: bases.append(a)
+                        or pow(a, d, n), raising=False)
+    assert is_prime(100000000003)
+    assert bases == [2, 3, 5, 7, 11]
+
+
 def test_is_prime_refuses_to_guess_out_of_range():
     # the least strong pseudoprime to all bases 2..41, and a true prime above
     for n in (3317044064679887385961981, 2 ** 89 - 1):
