@@ -213,8 +213,9 @@ def _cmd_ss(args, out) -> int:
             if page is not grid:  # pages past the stable one share a dict
                 grid, text = page, block((c, d) for c, (d, _) in page.items())
             lines += (f"page {r}", text)
+    # with --pages, the last text rendered is the stable page's: the limit's
     lines += (f"limit (stable at page {pages.stable_page})",
-              block(pages.limit.items()))
+              text if args.pages else block(pages.limit.items()))
     out.write("\n".join(lines) + "\n")
     return 0
 
@@ -254,9 +255,9 @@ def _cmd_oppose(args, out) -> int:
     G = spectral.filtration_on_total(K, spectral.ROW, args.n)
     print("col dims " + " ".join(map(str, F.dims())), file=out)
     print("row dims " + " ".join(map(str, G.dims())), file=out)
-    print(f"opposite {str(spectral.opposite_check(F, G)).lower()}", file=out)
-    print(f"dimension_criterion "
-          f"{str(spectral.dimension_criterion(F, G)).lower()}", file=out)
+    opposite, criterion = spectral._verdicts(F, G)
+    print(f"opposite {str(opposite).lower()}", file=out)
+    print(f"dimension_criterion {str(criterion).lower()}", file=out)
     return 0
 
 

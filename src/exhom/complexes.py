@@ -128,8 +128,10 @@ def _primitive(column: dict, den: int) -> tuple[dict, int]:
 
 
 def _nonzero(outer, inner) -> bool:
-    """Whether outer @ inner is nonzero, outer None (absent) being zero."""
-    return outer is not None and any(_products(outer.columns, inner.columns))
+    """Whether outer @ inner is nonzero, outer None (absent) being zero;
+    only the nonzero columns of inner are multiplied."""
+    return outer is not None and any(
+        _products(outer.columns, filter(None, inner.columns)))
 
 
 def _nonzero_composite(C):

@@ -7,12 +7,13 @@ each with an optional sign; plain JSON integers are accepted on input.  A
 one routine (`_parse_matrix`) and written once, into the column store
 `qlinalg.RatMatrix`, over the lcm of the entries' denominators (which
 leaves them in lowest terms); an integer matrix is a store over den 1.
+Every entry is type-checked, but only the nonzero ones are stored.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
 
 from .complexes import (
@@ -88,8 +89,10 @@ def _parse_matrix(raw, rows: int, cols: int, where: str,
                       if type(x) is tuple]
             read.append([0 if type(x) is tuple else x for x in row])
         raw = read
-    columns = tuple([{i: x for i, x in enumerate(col) if x} for col in
-                     zip(*raw)]) if rows else tuple({} for _ in range(cols))
+    columns, js = tuple([{} for _ in range(cols)]), range(cols)
+    for i, row in compress(enumerate(raw), map(any, raw)):  # skips zeros in C
+        for j in compress(js, row):
+            columns[j][i] = row[j]
     den = lcm(*[q for *_, q in fracs]) if fracs else 1
     if den > 1:
         for col in columns:

@@ -2,13 +2,13 @@
 
 A `RatMatrix` is sparse and column-major: column j is a dict `columns[j]`
 {row: numerator} of its nonzero entries, all over one positive denominator
-`den`.  The document parser writes it once, and every later layer reads it:
-the d o d and square checks, the totalization and the persistence pairing
-(`complexes`, `spectral`) and `zlinalg`: fresh dense rows (`num_rows`) for
-the Smith diagonal, sparse rows for the rank mod p.  It is the one matrix
-type: an integer matrix is a store over den 1.  Its ``Fraction`` entries
-are a view built only when read.  Every operation is exact; there is no
-floating point anywhere in this module.
+`den`, and it is the one matrix type: an integer matrix is a store over
+den 1.  The document parser writes it once, and every later layer reads
+only its nonzero entries: the d o d and square checks, the totalization
+and the persistence pairing (`complexes`, `spectral`), and `zlinalg`
+(sparse rows for the rank mod p, dense rows over the nonzero rows and
+columns for the Smith split).  The full dense rows, `num_rows`, are read
+only by `nums` and `smith_normal_form`, off the `uct` and `snf` paths.
 
 Every product goes through one kernel, `_products`: column j of A.B sums,
 over the entries v at row k of B's column j, v times A's column k, so a

@@ -36,7 +36,7 @@ oppositeness test and the dimension criterion implying it live here.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, inf
 
 from ._record import Record
@@ -297,26 +297,26 @@ def _sum_dim(F: FiltrationChain, p: int, G: FiltrationChain, q: int) -> int:
     return _rank([F.rows[k] for k in f] + [G.rows[k] for k in g], range(h))
 
 
-def _same_space(F: FiltrationChain, G: FiltrationChain) -> None:
+def _verdicts(F: FiltrationChain, G: FiltrationChain) -> tuple[bool, bool]:
+    """(`opposite_check`, `dimension_criterion`) of F and G in one pass,
+    each dim(F^p + G^{n+1-p}) computed at most once and only where the
+    dims leave it open."""
     if F.n != G.n or F.ambient_dim != G.ambient_dim:
         raise ValueError("filtration degree or ambient dimension mismatch")
+    n, h = F.n, F.ambient_dim
+    f, g, ps = F.dims(), G.dims(), range(n + 2)
+    spans = cache(lambda p: _sum_dim(F, p, G, n + 1 - p) == h)
+    return (all(f[p] + g[n + 1 - p] == h and spans(p) for p in ps),
+            all(f[p] + f[n + 1 - p] == h and g[p] + g[n + 1 - p] == h
+                for p in ps) and all(map(spans, ps)))
 
 
 def opposite_check(F: FiltrationChain, G: FiltrationChain) -> bool:
     """True iff F^p and G^{n+1-p} are complementary in H^n for every p:
     their dims add up to dim H^n and together they span it."""
-    _same_space(F, G)
-    n, h = F.n, F.ambient_dim
-    f, g = F.dims(), G.dims()
-    return all(f[p] + g[n + 1 - p] == h and _sum_dim(F, p, G, n + 1 - p) == h
-               for p in range(n + 2))
+    return _verdicts(F, G)[0]
 
 
 def dimension_criterion(F: FiltrationChain, G: FiltrationChain) -> bool:
     """Sum condition plus the two dimension symmetries; implies oppositeness."""
-    _same_space(F, G)
-    n, h = F.n, F.ambient_dim
-    f, g = F.dims(), G.dims()
-    return (all(f[p] + f[n + 1 - p] == h and g[p] + g[n + 1 - p] == h
-                for p in range(n + 2))
-            and all(_sum_dim(F, p, G, n + 1 - p) == h for p in range(n + 2)))
+    return _verdicts(F, G)[1]

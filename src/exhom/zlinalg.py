@@ -2,9 +2,10 @@
 rank mod p and primality.
 
 An integer matrix is a column store over den 1 (`qlinalg.RatMatrix`), as
-a chain complex or a matrix document holds it.  `_split_pivots` reads it
-once into fresh rows (`num_rows`), and the routines after it work on plain
-int row lists; `_rank_mod_p` reads the store into sparse rows.
+a chain complex or a matrix document holds it.  `_split_pivots` reads its
+nonzero rows once, over its nonzero columns, into int row lists, which the
+routines after it work on; `_rank_mod_p` reads it into sparse rows.  Only
+`smith_normal_form` reads all of it (`num_rows`).
 Two routes to the Smith diagonal:
 
 * `invariant_factors` builds no transforms.  It first splits off pivots
@@ -338,8 +339,13 @@ def _split_pivots(A: RatMatrix) -> tuple[list[int], list[list[int]]]:
     A, S the rows of the rest of A less its zero rows and columns.  A +-1
     in a row is a pivot; once no row holds one, so is an entry +-p (+p
     first) of a row whose gcd is p, if p divides its column.  A row is
-    searched again once a step changes it."""
-    m = {i: row for i, row in enumerate(A.num_rows()) if any(row)}
+    searched again once a step changes it.  Only the nonzero rows of A,
+    ascending, are read, and only over its nonzero columns."""
+    columns = list(filter(None, A.columns))
+    m = {i: [0] * len(columns) for i in sorted(set().union(*columns))}
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            m[i][j] = x
     todo, later, pivots = set(m), set(), []
     while todo or later:
         if todo:
@@ -371,7 +377,7 @@ def _split_pivots(A: RatMatrix) -> tuple[list[int], list[list[int]]]:
                 later.discard(h)
     rows = [row for row in m.values() if any(row)]
     keep = [j for j, col in enumerate(zip(*rows)) if any(col)]
-    if len(keep) < A.cols:
+    if len(keep) < len(columns):
         rows = [[row[j] for j in keep] for row in rows]
     return pivots, rows
 

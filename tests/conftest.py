@@ -14,9 +14,11 @@ that rescales every row at every step, which it used before the lazy one,
 the mod-M Smith elimination that reduces every entry it writes, which it
 used before the one that reduces only where a value is read, and the rank
 mod p on dense rows, which it used before the one on sparse rows of the
-column store: the references `homology_int`, `complexes._pairing`,
-`zlinalg._bareiss`, `zlinalg._smith_mod` and `zlinalg._rank_mod_p` are
-tested against, and the per-cell composite checks listing every failure,
+column store, and the Smith split on every row over every column, which it
+used before the one that reads only the nonzero rows and columns: the
+references `homology_int`, `complexes._pairing`, `zlinalg._bareiss`,
+`zlinalg._smith_mod`, `zlinalg._rank_mod_p` and `zlinalg._split_pivots`
+are tested against, and the per-cell composite checks listing every failure,
 the first of which `spectral.double_complex` raises, each composite a
 `RatMatrix` (`matrix_composite`) or a triple loop.
 `page_representatives` pairs again with chains to give the representatives
@@ -46,9 +48,12 @@ without naming them: `SteinbergLabel`, `delta`, `ext_dim`, and `ext_row`,
 which builds a second-page row by brute force from them, the oracle `_row`
 is tested against.
 
-And simplicial surfaces with known homology, the 6-vertex projective plane
-and the 7-vertex torus and their barycentric subdivisions, whose boundary
-matrices hold only -1, 0 and 1.
+And simplicial complexes with known homology, whose boundary matrices hold
+only -1, 0 and 1: the 6-vertex projective plane and the 7-vertex torus and
+their barycentric subdivisions, and the Tits buildings of GL_n(F_q), the
+order complexes of the proper nonzero subspaces of F_q^n, whole or of the
+dimensions in a type set J, with the rank of their one reduced homology
+group in closed form (`descent_weight`).
 """
 
 import json
@@ -56,8 +61,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import gcd, inf, lcm
+from itertools import combinations, permutations, product
+from math import gcd, inf, lcm, prod
 from typing import Iterable, List, Sequence, Tuple
 
 from exhom._record import Record
@@ -889,20 +894,88 @@ def barycentric(triangles):
                  for e in combinations(t, 2) for v in e)
 
 
-def surface_chain(triangles) -> IntChainComplex:
-    """The simplicial chain complex of a surface given by its triangles:
-    d [v_0 < ... < v_k] is the sum of (-1)^i times the face without v_i,
-    so every entry of d_1 and d_2 is -1, 0 or 1."""
-    faces = [sorted({f for t in triangles
+def simplicial_chain(simplices) -> IntChainComplex:
+    """The simplicial chain complex of these simplices and all their faces,
+    each a tuple of sortable vertices: d [v_0 < ... < v_k] is the sum of
+    (-1)^i times the face without v_i, so every entry of every d_k is -1, 0
+    or 1."""
+    top = max(map(len, simplices), default=0)
+    faces = [sorted({f for t in simplices
                      for f in combinations(sorted(t), k + 1)})
-             for k in range(3)]
+             for k in range(top)]
     diffs = {}
-    for k in (1, 2):
+    for k in range(1, top):
         index = {f: i for i, f in enumerate(faces[k - 1])}
         diffs[k] = RatMatrix(len(faces[k - 1]), len(faces[k]), tuple(
             {index[f[:i] + f[i + 1:]]: (-1) ** i for i in range(k + 1)}
             for f in faces[k]))
     return int_chain_complex(0, dict(enumerate(map(len, faces))), diffs)
+
+
+# ------------------------------------------------------------ Tits buildings
+
+def subspaces(q: int, n: int) -> dict:
+    """The proper nonzero subspaces of F_q^n, q prime, by dimension: each
+    the bit mask of the vectors it holds, vector v being bit sum v_i q^i.
+    One subspace per reduced row echelon form: pivot columns P, each basis
+    row 1 at its pivot, 0 at the other pivots and left of its own, free
+    elsewhere."""
+    out = {}
+    for k in range(1, n):
+        out[k] = []
+        for P in combinations(range(n), k):
+            free = [(r, j) for r, c in enumerate(P) for j in range(c + 1, n)
+                    if j not in P]
+            for values in product(range(q), repeat=len(free)):
+                basis = [[int(j == c) for j in range(n)] for c in P]
+                for (r, j), x in zip(free, values):
+                    basis[r][j] = x
+                mask = 0
+                for coeffs in product(range(q), repeat=k):
+                    v = [sum(c * b[j] for c, b in zip(coeffs, basis)) % q
+                         for j in range(n)]
+                    mask |= 1 << sum(x * q ** j for j, x in enumerate(v))
+                out[k].append(mask)
+    return out
+
+
+def building_chain(q: int, n: int, types=None) -> IntChainComplex:
+    """The order complex of the proper nonzero subspaces of F_q^n (q prime)
+    whose dimensions lie in `types` (all of 1..n-1 by default): the Tits
+    building of GL_n(F_q), or its type-selected subcomplex.  A simplex is a
+    flag V_1 < ... < V_k, its vertices (dim V_i, mask of V_i), so a face
+    keeps the order by dimension that gives its signs."""
+    types = sorted(types or range(1, n))
+    spaces = subspaces(q, n)
+    flags = [((types[0], m),) for m in spaces[types[0]]]
+    for a, b in zip(types, types[1:]):
+        above = {u: [(b, w) for w in spaces[b] if not u & ~w]
+                 for u in spaces[a]}
+        flags = [f + (w,) for f in flags for w in above[f[-1][1]]]
+    return simplicial_chain(flags)
+
+
+def descent_weight(q: int, n: int, types) -> int:
+    """beta_J(q), J = `types`: the sum of q^inv(w) over the permutations w
+    of 1..n whose descent set is J, the rank of the one reduced homology
+    group of the type-J part of the building of GL_n(F_q) (Bjorner 1980,
+    Stanley 1982; q^(n(n-1)/2) for the whole building, Solomon 1969)."""
+    total = 0
+    for w in permutations(range(n)):
+        if {i + 1 for i in range(n - 1) if w[i] > w[i + 1]} == set(types):
+            total += q ** sum(a > b for a, b in combinations(w, 2))
+    return total
+
+
+def flag_count(q: int, n: int, types) -> int:
+    """alpha_J(q): the number of flags V_1 < ... < V_k in F_q^n with dims
+    J = `types`, the q-multinomial [n]! / ([j_1]! [j_2 - j_1]! ... [n -
+    j_k]!), [m]! = prod over i <= m of (q^i - 1) / (q - 1)."""
+    def factorial(m):
+        return prod((q ** i - 1) // (q - 1) for i in range(1, m + 1))
+    cuts = [0, *sorted(types), n]
+    return factorial(n) // prod(factorial(b - a) for a, b in zip(cuts,
+                                                                 cuts[1:]))
 
 
 def eager_bareiss(A: list[list[int]], extra=()):
@@ -1022,6 +1095,48 @@ def dense_rank_mod_p(A: RatMatrix, p: int) -> int:
         m = kept
         r += 1
     return r
+
+
+def reference_split_pivots(A: RatMatrix) -> tuple[list[int], list]:
+    """`zlinalg._split_pivots` as it was before it read only the nonzero rows
+    and columns of the store: every row densely over every column
+    (`num_rows`), zero rows then dropped, and the zero columns of what is
+    left dropped at the end."""
+    m = {i: row for i, row in enumerate(A.num_rows()) if any(row)}
+    todo, later, pivots = set(m), set(), []
+    while todo or later:
+        if todo:
+            row = m[i := todo.pop()]
+            if 1 in row:
+                j = row.index(1)
+            elif -1 in row:
+                j = row.index(-1)
+            else:
+                later.add(i)
+                continue
+        else:
+            row = m[i := later.pop()]
+            p = gcd(*row)  # 0 on a zero row, which `0 in row` would pass
+            if not p or (p not in row and -p not in row):
+                continue
+            j = row.index(p) if p in row else row.index(-p)
+            if gcd(p, *[other[j] for other in m.values()]) != p:
+                continue
+        del m[i]
+        pivots.append(abs(p := row[j]))
+        support = [(k, y) for k, y in enumerate(row) if y]
+        for h, other in m.items():
+            if f := other[j]:
+                q = f // p
+                for k, y in support:
+                    other[k] -= q * y
+                todo.add(h)
+                later.discard(h)
+    rows = [row for row in m.values() if any(row)]
+    keep = [j for j, col in enumerate(zip(*rows)) if any(col)]
+    if len(keep) < A.cols:
+        rows = [[row[j] for j in keep] for row in rows]
+    return pivots, rows
 
 
 def kernel_lattice(A: RatMatrix):

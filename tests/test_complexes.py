@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import inf
 
 import pytest
@@ -12,17 +13,20 @@ from conftest import (
     Subspace,
     apply,
     barycentric,
+    building_chain,
     conjugate_cochain,
+    descent_weight,
+    flag_count,
     differential,
     hom_dual,
     kernel_basis,
-    rank,
     random_cochain,
     random_dense_cochain,
     random_int_chain,
+    rank,
     reference_homology_int,
+    simplicial_chain,
     subspace_sum,
-    surface_chain,
     to_dense,
     transpose,
 )
@@ -220,30 +224,43 @@ def test_absent_maps_build_no_zero_integer_matrix(monkeypatch):
 
 
 def test_uct_hands_each_column_store_to_zlinalg(monkeypatch):
-    """uct_check and homology_int read no dense `RatMatrix.nums`, and the
-    rows of each differential they use (`num_rows`) once."""
+    """uct_check and homology_int read no dense `RatMatrix.nums` or
+    `num_rows`, and hand each differential they use to each elimination
+    once: the Smith split (`_split_pivots`) and, for uct_check at a prime,
+    the rank mod p (`_rank_mod_p`)."""
     rng = random.Random(45)
     chains = [random_int_chain(rng, max_deg=4, max_pieces=8)
               for _ in range(40)]
 
     def refuse(self):
-        raise AssertionError("RatMatrix.nums read")
+        raise AssertionError("dense rows of a RatMatrix read")
 
-    reads, num_rows = [], RatMatrix.num_rows
+    reads = Counter()
+
+    def counted(name, fn):
+        def wrapper(D, *args):
+            reads[name, id(D)] += 1
+            return fn(D, *args)
+        return wrapper
+
     monkeypatch.setattr(RatMatrix, "nums", property(refuse))
-    monkeypatch.setattr(RatMatrix, "num_rows",
-                        lambda self: reads.append(id(self)) or num_rows(self))
+    monkeypatch.setattr(RatMatrix, "num_rows", refuse)
+    monkeypatch.setattr(zlinalg, "_split_pivots",
+                        counted("split", zlinalg._split_pivots))
+    monkeypatch.setattr(complexes, "_rank_mod_p",
+                        counted("rank", complexes._rank_mod_p))
     for C in chains:
         d = C.differentials
         for p in (3, 100000000003):
             reads.clear()
             assert uct_check(C, p).passed
-            assert Counter(reads) == Counter(map(id, d.values()))
+            assert reads == Counter((name, id(D)) for D in d.values()
+                                    for name in ("split", "rank"))
         for n in C.degrees():
             reads.clear()
             homology_int(C, n)
-            assert Counter(reads) == Counter(id(d[k]) for k in (n, n + 1)
-                                             if k in d)
+            assert reads == Counter(("split", id(d[k])) for k in (n, n + 1)
+                                    if k in d)
 
 
 def test_homology_int_column_map():
@@ -293,7 +310,7 @@ def test_surface_homology_known_answers(surface, subdivisions, tmp_path,
     triangles, groups, mod_p = SURFACES[surface]
     for _ in range(subdivisions):
         triangles = barycentric(triangles)
-    C = surface_chain(triangles)
+    C = simplicial_chain(triangles)
     assert [homology_int(C, n) for n in range(3)] == groups
     f = tmp_path / "c.json"
     f.write_text(json.dumps({
@@ -304,6 +321,54 @@ def test_surface_homology_known_answers(surface, subdivisions, tmp_path,
         assert main(["uct", "--input", str(f), "--mod", str(p)]) == 0
         assert capsys.readouterr().out == "uct: PASS\n" + "".join(
             f"  degree {n}: {d} vs {d}  ok\n" for n, d in enumerate(dims))
+
+
+BUILDINGS = ((2, 3, None), (3, 3, None), (2, 4, None), (2, 4, (1,)),
+             (2, 4, (2,)), (2, 4, (1, 3)), (2, 4, (2, 3)), (3, 4, (1, 3)),
+             (2, 5, (2, 3)), (3, 4, None))
+
+
+@pytest.mark.parametrize("q, n, types", BUILDINGS, ids=[
+    f"GL{n}(F{q})" + ("-J" + "".join(map(str, J)) if J else "")
+    for q, n, J in BUILDINGS])
+def test_tits_building_homology_known_answers(q, n, types):
+    """The order complex of the proper nonzero subspaces of F_q^n, or of
+    those of dimension in a type set J: its reduced integral homology is
+    free of rank beta_J(q), the descent-set sum, in degree |J| - 1 only
+    (Bjorner), which is q^(n(n-1)/2) for the whole building (Solomon-Tits).
+    uct passes mod 2 and mod 3, every nonzero invariant factor of every
+    boundary map is 1, and a copy with one sign flipped is no longer a
+    complex or, with one map only, loses the closed form."""
+    J = types or range(1, n)
+    C, top, beta = building_chain(q, n, types), len(J) - 1, \
+        descent_weight(q, n, J)
+    if types is None:
+        assert beta == q ** (n * (n - 1) // 2)
+    # the two closed forms check each other, and the flags count the cells
+    assert beta == sum((-1) ** (len(J) - k) * flag_count(q, n, K)
+                       for k in range(len(J) + 1) for K in combinations(J, k))
+    assert [C.dim(k) for k in C.degrees()] == [
+        sum(flag_count(q, n, K) for K in combinations(J, k + 1))
+        for k in range(top + 1)]
+    want = [FinAbGroup((k == 0) + beta * (k == top), ())
+            for k in range(top + 1)]
+    assert C.max_deg == top
+    assert [homology_int(C, k) for k in C.degrees()] == want
+    for p in (2, 3):
+        assert uct_check(C, p).passed
+    d = C.differentials
+    assert all(x == 1 for D in d.values()
+               for x in zlinalg.invariant_factors(D) if x)
+    if top:
+        D = d[top]
+        flipped = {i: -x if i == min(D.columns[0]) else x
+                   for i, x in D.columns[0].items()}
+        bad = int_chain_complex(0, C.dims, {**d, top: RatMatrix(
+            D.rows, D.cols, (flipped, *D.columns[1:]))})
+        if top > 1:
+            assert not validate_complex(bad)
+        else:
+            assert [homology_int(bad, k) for k in bad.degrees()] != want
 
 
 def test_uct_mod_two_with_torsion():

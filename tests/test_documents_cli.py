@@ -1060,6 +1060,76 @@ _MATRICES = st.lists(st.lists(_SCALARS, max_size=3) | _SCALARS, max_size=3) \
         st.lists(_SCALARS, min_size=cols, max_size=cols), max_size=3))
 
 
+def test_parse_matrix_equals_from_rows():
+    """`_parse_matrix` fills each column from the nonzero positions of each
+    row, and its store equals `RatMatrix.from_rows` of the same entries (den,
+    numerators, no stored zero): JSON ints, "p/q" strings and both mixed,
+    with zero rows and columns planted, and 0 x k and k x 0 shapes."""
+    rng, seen = random.Random(37), Counter()
+
+    def entry(kind):
+        if rng.random() < 0.4:
+            return 0 if kind == "ints" else rng.choice((0, "0", "-0", "0/7"))
+        p = rng.randint(-30, 30)
+        if kind == "ints" or kind == "mixed" and rng.random() < 0.5:
+            return p
+        return f"{p}/{rng.randint(1, 9)}" if rng.random() < 0.7 else str(p)
+
+    for t in range(600):
+        kind = ("ints", "fractions", "mixed")[t % 3]
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        m = [[entry(kind) for _ in range(cols)] for _ in range(rows)]
+        for i in rng.sample(range(rows), rng.randint(0, rows // 2)):
+            m[i] = [rng.choice((0, "0")) for _ in range(cols)]
+        for j in rng.sample(range(cols), rng.randint(0, cols // 2)):
+            for row in m:
+                row[j] = 0
+        A = documents._parse_matrix(m, rows, cols, "m")
+        assert A == RatMatrix.from_rows(m, cols)
+        assert all(map(all, (col.values() for col in A.columns)))
+        assert all(list(col) == sorted(col) for col in A.columns
+                   if A.den == 1)
+        if A.den == 1:
+            assert A == documents._parse_matrix(m, rows, cols, "m", True)
+        seen[kind] += 1
+        seen["den > 1"] += A.den > 1
+        seen["0 x k or k x 0"] += not rows or not cols
+        seen["zero line"] += any(not col for col in A.columns) or any(
+            not any(row) for row in A.num_rows())
+    assert min(seen.values()) >= 50, seen
+
+
+def test_oppose_request_computes_each_sum_dim_once(tmp_path, capsys,
+                                                    monkeypatch):
+    """One `oppose` request takes both verdicts from one pass, computing
+    each dim(F^p + G^{n+1-p}) at most once; they equal `opposite_check` and
+    `dimension_criterion`, which each compute their own."""
+    rng, both, computed = random.Random(19), 0, 0
+    f = tmp_path / "k.json"
+    for _ in range(30):
+        K = random_zigzag_double_complex(rng, grid=rng.randint(2, 4),
+                                         pieces=rng.randint(4, 12),
+                                         corners=rng.randint(0, 3))[0]
+        f.write_text(serialize_double_complex(K))
+        for n in range(K.max_r + K.max_c + 1):
+            F = spectral.filtration_on_total(K, COLUMN, n)
+            G = spectral.filtration_on_total(K, ROW, n)
+            want = (spectral.opposite_check(F, G),
+                    spectral.dimension_criterion(F, G))
+            calls, sum_dim = Counter(), spectral._sum_dim
+            monkeypatch.setattr(spectral, "_sum_dim", lambda F, p, G, q: (
+                calls.update([(p, q)]), sum_dim(F, p, G, q))[1])
+            assert main(["oppose", "--input", str(f), "--n", str(n)]) == 0
+            monkeypatch.undo()
+            assert capsys.readouterr().out.endswith(
+                f"opposite {str(want[0]).lower()}\n"
+                f"dimension_criterion {str(want[1]).lower()}\n")
+            assert set(calls.values()) <= {1}
+            computed += len(calls)
+            both += all(want) and bool(calls)
+    assert both >= 10 and computed, (both, computed)
+
+
 @settings(max_examples=300)
 @given(m=_MATRICES)
 def test_matrix_document_parses_as_a_chain_differential(m):

@@ -25,7 +25,8 @@ from conftest import (
     random_unimodular,
     rank,
     rank_mod_p,
-    surface_chain,
+    reference_split_pivots,
+    simplicial_chain,
     transpose,
     zero_matrix,
 )
@@ -528,7 +529,7 @@ def test_the_split_takes_every_unit_of_a_projective_plane():
     # d_2 of the second barycentric subdivision of RP^2 has the Smith
     # diagonal (1, ..., 1, 2): the +-1 pivots split off all 359 ones, and
     # the 2 they leave divides its row and column, so nothing is left
-    C = surface_chain(barycentric(barycentric(RP2)))
+    C = simplicial_chain(barycentric(barycentric(RP2)))
     D = C.differentials[2]
     assert (D.rows, D.cols) == (540, 360)
     pivots, S = zlinalg._split_pivots(D)
@@ -693,6 +694,41 @@ def test_invariant_factors_split_dividing_pivots():
         seen["zero line"] += 0 < A.rows and 0 < A.cols and not (
             all(map(any, A.to_lists())) and all(map(any, zip(*A.to_lists()))))
     assert min(seen.values()) >= 40
+
+
+def test_split_pivots_match_the_dense_reading():
+    """The split reads only the nonzero rows and columns of the store, in
+    ascending row order, and gives the pivots, in their order, and the S of
+    the split that read every row densely (`reference_split_pivots`): on
+    seeded matrices from fully dense to ~5% nonzero, with units, with none
+    (only gcd pivots can split) or mixed, each with zero rows and columns
+    planted, and on the differentials of random chain complexes."""
+    rng = random.Random(71)
+    seen = Counter()
+    blocks = [D for _ in range(30) for D in random_int_chain(
+        rng, max_deg=4, max_pieces=8).differentials.values()]
+    for _ in range(400):
+        rows, cols = rng.randint(0, 16), rng.randint(0, 16)
+        density = rng.choice((0.05, 0.15, 0.4, 1.0))
+        pool = rng.choice(((-1, 1, 2, -3), (2, -4, 6, 9, -15), tuple(
+            range(-9, 10))))
+        m = [[rng.choice(pool) if rng.random() < density else 0
+              for _ in range(cols)] for _ in range(rows)]
+        for i in rng.sample(range(rows), rng.randint(0, rows // 2)):
+            m[i] = [0] * cols
+        for j in rng.sample(range(cols), rng.randint(0, cols // 2)):
+            for row in m:
+                row[j] = 0
+        blocks.append(RatMatrix.from_rows(m, cols))
+    for A in blocks:
+        pivots, S = zlinalg._split_pivots(A)
+        assert (pivots, S) == reference_split_pivots(A)
+        seen["pivots"] += bool(pivots)
+        seen["gcd pivot"] += any(p > 1 for p in pivots)
+        seen["left"] += S != []
+        seen["zero line"] += any(not col for col in A.columns) or any(
+            not any(row) for row in A.num_rows())
+    assert min(seen.values()) >= 40, seen
 
 
 def test_split_pivots_take_a_row_gcd_only_where_it_is_an_entry():
