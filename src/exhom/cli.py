@@ -1,16 +1,18 @@
 """Command-line front end.
 
 One binary with subcommands; machine output is line-oriented and bit-stable.
-Exit codes: 0 success, 1 validation failure, 2 usage error.
+Exit codes: 0 success, 1 validation failure, 2 usage error.  A well-formed
+argv is read straight off the grammar table `_GRAMMAR`; any other (help,
+usage, every error) goes to an argparse parser built from it on first use.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import operator
 import sys
 from math import inf
+from types import SimpleNamespace
 
 from . import complexes, spectral, steinberg
 from .documents import (
@@ -27,111 +29,158 @@ USAGE_ERROR = 2
 VALIDATION_ERROR = 1
 
 
-class _Formatter(argparse.HelpFormatter):
-    """HelpFormatter that asks shutil for the terminal width only on use."""
-
-    def __init__(self, prog):
-        super().__init__(prog, width=80)
-        del self._width, self._max_help_position
-
-    def __getattr__(self, name):  # _width and _max_help_position, once
-        stock = argparse.HelpFormatter(self._prog)
-        for key in "_width", "_max_help_position":
-            setattr(self, key, getattr(stock, key))
-        return getattr(stock, name)
-
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, **kwargs):
-        super().__init__(formatter_class=_Formatter, **kwargs)
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+class _Refused(ValueError):
+    """A value an option's check refuses; a usage error prints why."""
 
 
 def _int_in(what: str, low: int, high: float = inf):
-    """argparse type: an integer in [low, high], else a usage error naming
-    `what`."""
+    """Check: an integer in [low, high], else refused naming `what`."""
     def parse(text: str) -> int:
         try:
             if low <= int(text) <= high:
                 return int(text)
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        raise _Refused(f"expected {what}, got {text!r}")
     return parse
 
 
 def _modulus(text: str) -> int:
-    """argparse type for --mod: an integer >= 2 whose primality is decidable."""
+    """Check for --mod: an integer >= 2 whose primality is decidable."""
     m = _int_in("an integer >= 2", 2)(text)
     if m >= _MR_EXACT_BELOW:  # is_prime decides every m below the bound
         try:
             is_prime(m)
         except ValueError as e:
-            raise argparse.ArgumentTypeError(str(e)) from None
+            raise _Refused(str(e)) from None
     return m
 
 
 def _multiplicity(text: str) -> int:
-    """argparse type for --m10, --m01 and --m11: below 10**4000, so that every
-    sum e2, betti and filtration print stays under the int -> str limit."""
+    """Check for --m10, --m01 and --m11: below 10**4000, so that every sum
+    e2, betti and filtration print stays under the int -> str limit."""
     if _int_in("a non-negative integer", 0)(text) < 10 ** 4000:
         return int(text)
-    raise argparse.ArgumentTypeError("multiplicities must be below 10**4000")
+    raise _Refused("multiplicities must be below 10**4000")
 
 
-def _spectrum_args(p):
-    top = steinberg.MAX_SPACE_DIM
-    dimension = _int_in(f"a positive integer at most {top}", 1, top)
-    p.add_argument("--d", type=dimension, required=True)
-    p.add_argument("--dp", type=dimension, required=True)
-    for flag in "--m10", "--m01", "--m11":
-        p.add_argument(flag, type=_multiplicity, default=0)
+_TOP = steinberg.MAX_SPACE_DIM
+_DIMENSION = _int_in(f"a positive integer at most {_TOP}", 1, _TOP)
+_SPECTRUM = {"--d": (_DIMENSION, None), "--dp": (_DIMENSION, None),
+             "--m10": (_multiplicity, 0), "--m01": (_multiplicity, 0),
+             "--m11": (_multiplicity, 0)}
+_FORMAT = {"--format": (("table", "machine"), "machine")}
+
+# The one declaration of the command line: each command's help and its
+# options {flag: (check, default)}.  The check is a function of the value's
+# text that raises ValueError on a bad one, a tuple of the choices, or None
+# for a switch (True when given); a default of None means required.
+_GRAMMAR = {
+    "e2": ("second-page grid from the four-term sum",
+           {**_SPECTRUM, "--compare-paper": (None, False), **_FORMAT}),
+    "betti": ("Betti profile with filtration dims", {**_SPECTRUM, **_FORMAT}),
+    "filtration": ("covering filtration dims in one degree",
+                   {**_SPECTRUM, "--n": (int, None)}),
+    "ss": ("spectral sequence of a double complex",
+           {"--input": (str, None), "--axis": (("row", "col"), None),
+            "--pages": (None, False)}),
+    "kunneth": ("Kunneth check on two rational complexes",
+                {"--a": (str, None), "--b": (str, None)}),
+    "uct": ("universal-coefficient check mod m",
+            {"--input": (str, None), "--mod": (_modulus, None)}),
+    "snf": ("Smith normal form diagonal of a matrix",
+            {"--input": (str, None)}),
+    "oppose": ("oppositeness of the two filtrations",
+               {"--input": (str, None), "--n": (int, None)}),
+}
+
+
+def _argparse_parser(formatter_class=None):
+    """The argparse parser of `_GRAMMAR`; its formatter, unless another is
+    given, asks `shutil` for the width only when help or usage reads it."""
+    import argparse
+
+    class Formatter(argparse.HelpFormatter):
+        def __init__(self, prog):
+            super().__init__(prog, width=80)
+            del self._width, self._max_help_position
+
+        def __getattr__(self, name):  # _width and _max_help_position, once
+            stock = argparse.HelpFormatter(self._prog)
+            for key in "_width", "_max_help_position":
+                setattr(self, key, getattr(stock, key))
+            return getattr(stock, name)
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"error: {message}", file=sys.stderr)
+            raise SystemExit(USAGE_ERROR)
+
+    def typed(check):  # a refusal is argparse's usage error, its text kept
+        def parse(text):
+            try:
+                return check(text)
+            except _Refused as e:
+                raise argparse.ArgumentTypeError(str(e)) from None
+        return parse
+
+    formatter_class = formatter_class or Formatter
+    parser = Parser(prog="exhom", formatter_class=formatter_class,
+                    description="exact homological algebra calculator")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (text, options) in _GRAMMAR.items():
+        p = sub.add_parser(command, help=text, formatter_class=formatter_class)
+        for flag, (check, default) in options.items():
+            p.add_argument(flag, default=default, required=default is None, **(
+                {"action": "store_true"} if check is None else
+                {"choices": check} if isinstance(check, tuple) else
+                # int keeps argparse's "invalid int value" message
+                {"type": check if check in (int, str) else typed(check)}))
+    return parser
+
+
+class _Reader:
+    """Reads a well-formed argv off `_GRAMMAR` into the attributes argparse
+    would return, and hands any other to its own argparse parser."""
+
+    def parse_args(self, argv=None):
+        argv = sys.argv[1:] if argv is None else list(argv)
+        return self._from_grammar(argv) or self._argparse.parse_args(argv)
+
+    @functools.cached_property
+    def _argparse(self):
+        return _argparse_parser()
+
+    @staticmethod
+    def _from_grammar(argv):
+        if not argv or argv[0] not in _GRAMMAR:
+            return None
+        options, given, tokens = _GRAMMAR[argv[0]][1], {}, iter(argv[1:])
+        for flag in tokens:
+            if flag not in options or flag in given:
+                return None
+            check = options[flag][0]
+            if check is None:
+                given[flag] = True
+            elif (text := next(tokens, "-")).startswith("-"):
+                return None
+            else:
+                try:  # tuple.index refuses a text that is not a choice
+                    given[flag] = (check[check.index(text)]
+                                   if isinstance(check, tuple) else check(text))
+                except ValueError:
+                    return None
+        values = {flag[2:].replace("-", "_"): given.get(flag, default)
+                  for flag, (_, default) in options.items()}  # by dest
+        return (None if None in values.values()  # a required one is missing
+                else SimpleNamespace(command=argv[0], **values))
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Reader:
     """The parser, built on the first call and shared by every later one."""
-    parser = _Parser(prog="exhom",
-                     description="exact homological algebra calculator")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("e2", help="second-page grid from the four-term sum")
-    _spectrum_args(p)
-    p.add_argument("--compare-paper", action="store_true")
-    p.add_argument("--format", choices=["table", "machine"], default="machine")
-
-    p = sub.add_parser("betti", help="Betti profile with filtration dims")
-    _spectrum_args(p)
-    p.add_argument("--format", choices=["table", "machine"], default="machine")
-
-    p = sub.add_parser("filtration", help="covering filtration dims in one degree")
-    _spectrum_args(p)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("ss", help="spectral sequence of a double complex")
-    p.add_argument("--input", required=True)
-    p.add_argument("--axis", choices=["row", "col"], required=True)
-    p.add_argument("--pages", action="store_true")
-
-    p = sub.add_parser("kunneth", help="Kunneth check on two rational complexes")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-
-    p = sub.add_parser("uct", help="universal-coefficient check mod m")
-    p.add_argument("--input", required=True)
-    p.add_argument("--mod", type=_modulus, required=True)
-
-    p = sub.add_parser("snf", help="Smith normal form diagonal of a matrix")
-    p.add_argument("--input", required=True)
-
-    p = sub.add_parser("oppose", help="oppositeness of the two filtrations")
-    p.add_argument("--input", required=True)
-    p.add_argument("--n", type=int, required=True)
-    return parser
+    return _Reader()
 
 
 def _read(path: str) -> str:
@@ -261,16 +310,7 @@ def _cmd_oppose(args, out) -> int:
     return 0
 
 
-_COMMANDS = {
-    "e2": _cmd_e2,
-    "betti": _cmd_betti,
-    "filtration": _cmd_filtration,
-    "ss": _cmd_ss,
-    "kunneth": _cmd_kunneth,
-    "uct": _cmd_uct,
-    "snf": _cmd_snf,
-    "oppose": _cmd_oppose,
-}
+_COMMANDS = {command: globals()["_cmd_" + command] for command in _GRAMMAR}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -88,6 +88,20 @@ class IntChainComplex(_Complex):
 
     step = -1
 
+    @cached_property
+    def _factors(self) -> dict[int, tuple[int, ...]]:
+        """Invariant factors of d_n by degree n, filled by `_factors_of`
+        for the degrees asked: each differential is factored once."""
+        return {}
+
+    def _factors_of(self, n: int) -> tuple[int, ...]:
+        """The invariant factors of d_n; an absent map is zero and has
+        none, so no zero matrix is built for it."""
+        if n not in self._factors:
+            D = self.differentials.get(n)
+            self._factors[n] = () if D is None else invariant_factors(D)
+        return self._factors[n]
+
 
 def _build(cls, min_deg: int, dims: dict[int, int], differentials):
     """Build a complex of class cls, checking shapes and dropping zero data."""
@@ -327,11 +341,9 @@ def kunneth_check(C: CochainComplex, D: CochainComplex) -> CheckReport:
                        all(l == r for _, l, r in rows))
 
 
-def _homology(C: IntChainComplex, n: int, factors) -> FinAbGroup:
-    """H_n from dim C_n and the invariant factors of d_n and d_{n+1}, read
-    from factors {degree: invariant factors}; an absent map is zero and has
-    none, so no zero matrix is built for it."""
-    factors_n, factors_next = factors.get(n, ()), factors.get(n + 1, ())
+def _homology(C: IntChainComplex, n: int) -> FinAbGroup:
+    """H_n from dim C_n and the invariant factors of d_n and d_{n+1}."""
+    factors_n, factors_next = C._factors_of(n), C._factors_of(n + 1)
     ranks = sum(1 for d in factors_n + factors_next if d)
     return FinAbGroup(C.dim(n) - ranks,
                       tuple(d for d in factors_next if d > 1))
@@ -345,9 +357,7 @@ def homology_int(C: IntChainComplex, n: int) -> FinAbGroup:
     torsion of coker d_{n+1}: its invariant factors > 1 (Munkres, Elements
     of Algebraic Topology, section 11).
     """
-    d = C.differentials  # zlinalg reads each store's rows once
-    return _homology(C, n, {k: invariant_factors(d[k])
-                            for k in (n, n + 1) if k in d})
+    return _homology(C, n)
 
 
 def uct_check(C: IntChainComplex, m: int) -> CheckReport:
@@ -361,9 +371,7 @@ def uct_check(C: IntChainComplex, m: int) -> CheckReport:
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
-    d = C.differentials
-    factors = {n: invariant_factors(D) for n, D in d.items()}
-    groups = {n: _homology(C, n, factors) for n in C.degrees()}
+    groups = {n: _homology(C, n) for n in C.degrees()}
     none = FinAbGroup(0, ())
     rhs = {n: groups[n].free_rank
            + sum(1 for G in (groups[n], groups.get(n - 1, none))
@@ -373,7 +381,7 @@ def uct_check(C: IntChainComplex, m: int) -> CheckReport:
         return CheckReport(
             "uct", (), True,
             note=f"modulus {m} not prime; invariant-factor side only: {rhs}")
-    ranks = {n: _rank_mod_p(D, m) for n, D in d.items()}
+    ranks = {n: _rank_mod_p(D, m) for n, D in C.differentials.items()}
     rows = []
     for n in C.degrees():
         lhs = C.dim(n) - ranks.get(n, 0) - ranks.get(n + 1, 0)

@@ -227,7 +227,8 @@ def test_uct_hands_each_column_store_to_zlinalg(monkeypatch):
     """uct_check and homology_int read no dense `RatMatrix.nums` or
     `num_rows`, and hand each differential they use to each elimination
     once: the Smith split (`_split_pivots`) and, for uct_check at a prime,
-    the rank mod p (`_rank_mod_p`)."""
+    the rank mod p (`_rank_mod_p`).  Each call gets a fresh copy of the
+    complex, which has factored nothing yet."""
     rng = random.Random(45)
     chains = [random_int_chain(rng, max_deg=4, max_pieces=8)
               for _ in range(40)]
@@ -251,16 +252,41 @@ def test_uct_hands_each_column_store_to_zlinalg(monkeypatch):
                         counted("rank", complexes._rank_mod_p))
     for C in chains:
         d = C.differentials
+
+        def fresh():
+            return int_chain_complex(C.min_deg, C.dims, d)
         for p in (3, 100000000003):
             reads.clear()
-            assert uct_check(C, p).passed
+            assert uct_check(fresh(), p).passed
             assert reads == Counter((name, id(D)) for D in d.values()
                                     for name in ("split", "rank"))
         for n in C.degrees():
             reads.clear()
-            homology_int(C, n)
+            homology_int(fresh(), n)
             assert reads == Counter(("split", id(d[k])) for k in (n, n + 1)
                                     if k in d)
+
+
+def test_each_differential_is_factored_once_per_complex(monkeypatch):
+    """homology_int over every degree, then uct_check at a prime and at a
+    composite modulus, compute the invariant factors of each stored
+    differential once: a complex keeps them for the degrees asked."""
+    rng = random.Random(46)
+    calls, real = Counter(), complexes.invariant_factors
+
+    def counted(D):
+        calls[id(D)] += 1
+        return real(D)
+
+    monkeypatch.setattr(complexes, "invariant_factors", counted)
+    for _ in range(30):
+        C = random_int_chain(rng, max_deg=4, max_pieces=8)
+        calls.clear()
+        groups = [homology_int(C, n) for n in C.degrees()]
+        for m in (3, 4):
+            uct_check(C, m)
+        assert calls == Counter(map(id, C.differentials.values()))
+        assert groups == [reference_homology_int(C, n) for n in C.degrees()]
 
 
 def test_homology_int_column_map():

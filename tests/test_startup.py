@@ -1,7 +1,8 @@
 """What a CLI run imports: `import exhom.cli` and the parser load only the
 standard library every run needs, `fractions` and `decimal` are loaded
-only by the commands that read them, and `shutil` (the terminal width) only
-by help and usage output.  Each check runs a fresh `python -S` interpreter
+only by the commands that read them, `argparse` (with `gettext`) only by
+help, usage and error output, and `shutil` (the terminal width) only by
+help and usage output.  Each check runs a fresh `python -S` interpreter
 and counts modules, not milliseconds.  The help and usage text that defers
 the width is byte for byte the stock argparse text."""
 
@@ -17,7 +18,7 @@ from exhom import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WATCHED = ("dataclasses", "typing", "inspect", "fractions", "decimal",
-           "shutil")
+           "shutil", "argparse", "gettext")
 
 # Runs `exhom.cli.main(argv)` after building the parser (or only builds the
 # parser when argv is empty), then writes the watched modules that are
@@ -111,9 +112,7 @@ def test_help_and_usage_match_the_stock_formatter(monkeypatch, capsys,
     else:
         monkeypatch.setenv("COLUMNS", columns)
 
-    def outputs(formatter):
-        monkeypatch.setattr(cli, "_Formatter", formatter)
-        parser = cli.build_parser.__wrapped__()
+    def outputs(parser):
         seen = []
         for argv in HELP_AND_USAGE:
             with pytest.raises(SystemExit) as stop:
@@ -121,6 +120,38 @@ def test_help_and_usage_match_the_stock_formatter(monkeypatch, capsys,
             seen.append((stop.value.code, *capsys.readouterr()))
         return seen
 
-    ours = outputs(cli._Formatter)
+    ours = outputs(cli.build_parser.__wrapped__())
     assert all("usage: exhom" in out + err for _, out, err in ours)
-    assert ours == outputs(argparse.HelpFormatter)
+    assert ours == outputs(cli._argparse_parser(argparse.HelpFormatter))
+
+
+@pytest.mark.parametrize("argv", [argv for argv in HELP_AND_USAGE if argv])
+def test_help_and_usage_load_argparse(argv):
+    """The argparse fallback is what prints help, usage and errors (an empty
+    argv is left out: the child then only builds the parser)."""
+    code, _, loaded = run_fresh(*argv)
+    assert code in (0, 2) and {"argparse", "gettext"} <= loaded
+
+
+@pytest.mark.parametrize("asks_help", [False, True])
+def test_console_script_path(tmp_path, asks_help):
+    """`python -m exhom.cli` calls `main()` with argv None, as the console
+    script does: a well-formed run imports neither argparse nor gettext,
+    and `--help` imports both (`-X importtime` lists every import)."""
+    path = write(tmp_path, "c.json", {"dims": {"0": 1, "1": 1},
+                                      "differentials": {"1": [[2]]}})
+    argv = ["uct", "--help"] if asks_help else ["uct", "--input", path,
+                                                "--mod", "2"]
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    run = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m",
+                          "exhom.cli", *argv], env=env, capture_output=True,
+                         text=True, timeout=60)
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in run.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert run.returncode == 0
+    assert run.stdout.startswith("usage: exhom uct" if asks_help
+                                 else "uct: PASS")
+    assert "exhom.zlinalg" in imported
+    assert {"argparse", "gettext"} & imported == (
+        {"argparse", "gettext"} if asks_help else set())
