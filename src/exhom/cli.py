@@ -95,27 +95,25 @@ _GRAMMAR = {
 }
 
 
-def _argparse_parser(formatter_class=None):
-    """The argparse parser of `_GRAMMAR`; its formatter, unless another is
-    given, asks `shutil` for the width only when help or usage reads it."""
+def _argparse_parser():
+    """The argparse parser of `_GRAMMAR`, built only for help, usage, errors
+    and the spellings `_Reader` leaves to argparse."""
     import argparse
-
-    class Formatter(argparse.HelpFormatter):
-        def __init__(self, prog):
-            super().__init__(prog, width=80)
-            del self._width, self._max_help_position
-
-        def __getattr__(self, name):  # _width and _max_help_position, once
-            stock = argparse.HelpFormatter(self._prog)
-            for key in "_width", "_max_help_position":
-                setattr(self, key, getattr(stock, key))
-            return getattr(stock, name)
 
     class Parser(argparse.ArgumentParser):
         def error(self, message):
             self.print_usage(sys.stderr)
             print(f"error: {message}", file=sys.stderr)
             raise SystemExit(USAGE_ERROR)
+
+    class Store(argparse.Action):
+        """argparse's store, refusing "--flag=--" as it refuses "--flag --":
+        argparse strips that "--" and would store an empty list."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                raise argparse.ArgumentError(self, "expected one argument")
+            setattr(namespace, self.dest, values)
 
     def typed(check):  # a refusal is argparse's usage error, its text kept
         def parse(text):
@@ -125,15 +123,15 @@ def _argparse_parser(formatter_class=None):
                 raise argparse.ArgumentTypeError(str(e)) from None
         return parse
 
-    formatter_class = formatter_class or Formatter
-    parser = Parser(prog="exhom", formatter_class=formatter_class,
+    parser = Parser(prog="exhom",
                     description="exact homological algebra calculator")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (text, options) in _GRAMMAR.items():
-        p = sub.add_parser(command, help=text, formatter_class=formatter_class)
+        p = sub.add_parser(command, help=text)
         for flag, (check, default) in options.items():
-            p.add_argument(flag, default=default, required=default is None, **(
-                {"action": "store_true"} if check is None else
+            p.add_argument(flag, default=default, required=default is None,
+                           action="store_true" if check is None else Store, **(
+                {} if check is None else
                 {"choices": check} if isinstance(check, tuple) else
                 # int keeps argparse's "invalid int value" message
                 {"type": check if check in (int, str) else typed(check)}))

@@ -7,8 +7,9 @@ den 1.  The document parser writes it once, and every later layer reads
 only its nonzero entries: the d o d and square checks, the totalization
 and the persistence pairing (`complexes`, `spectral`), and `zlinalg`
 (sparse rows for the rank mod p, dense rows over the nonzero rows and
-columns for the Smith split).  The full dense rows, `num_rows`, are read
-only by `nums` and `smith_normal_form`, off the `uct` and `snf` paths.
+columns for the Smith split).  The store is the only representation: its
+one dense reader, `num_rows`, is read only by `smith_normal_form`, off the
+`uct` and `snf` paths, and no module of the library imports `fractions`.
 
 Every product goes through one kernel, `_products`: column j of A.B sums,
 over the entries v at row k of B's column j, v times A's column k, so a
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator, Sequence
-from functools import cached_property
 from math import gcd, lcm
 
 from ._record import Record
@@ -50,10 +50,7 @@ class RatMatrix(Record):
     """Sparse rational matrix: entry (i, j) is columns[j].get(i, 0) / den,
     den > 0; a column holds only its nonzero numerators, keyed by rows
     below `rows`.  Products and `from_rows` give lowest terms, gcd(den,
-    *numerators) = 1, so equal matrices built by them are equal values.
-    `nums` (row-major numerators) and `entries` (their Fraction view, which
-    imports `fractions` on first read, and which `row`, `[i, j]` and
-    `to_lists` read) are built only when read."""
+    *numerators) = 1, so equal matrices built by them are equal values."""
 
     _fields, _defaults = ("rows", "cols", "columns", "den"), (1,)
 
@@ -66,21 +63,22 @@ class RatMatrix(Record):
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence], cols: int | None = None):
-        """The matrix of these rows of rational entries (ints, Fractions,
-        strings in the document grammar `_RATIONAL`), in lowest terms over
-        the lcm of their denominators.  Any other entry, a float or a string
+        """The matrix of these rows of rational entries (any
+        `numbers.Rational`: ints, bools, Fractions; or strings in the
+        document grammar `_RATIONAL`), each read as the integer pair of its
+        numerator and denominator, put over the lcm of the denominators and
+        then reduced to lowest terms.  Any other entry, a float or a string
         such as "1e3", "1.5" or " 3 " among them, is refused with a
-        ValueError rather than read as its binary fraction or handed to
-        `Fraction`, whose exponents can take unbounded time."""
-        from fractions import Fraction
+        ValueError rather than read as its binary fraction or as a decimal,
+        whose exponents can take unbounded time."""
         from numbers import Rational
 
         def entry(x):
             if isinstance(x, Rational):
-                return Fraction(x)
+                return x.numerator, x.denominator
             m = _RATIONAL.fullmatch(x) if isinstance(x, str) else None
             if m and int(m[2] or 1):  # past the digit limit int raises too
-                return Fraction(int(m[1]), int(m[2] or 1))
+                return int(m[1]), int(m[2] or 1)
             raise ValueError(f"matrix entries must be rational, got {x!r}")
 
         data = [[entry(x) for x in r] for r in data]
@@ -88,19 +86,14 @@ class RatMatrix(Record):
             cols = len(data[0]) if data else 0
         if any(len(r) != cols for r in data):
             raise ValueError("ragged rows")
-        den = lcm(*[x.denominator for r in data for x in r])
-        return cls(len(data), cols, tuple(
-            {i: r[j].numerator * (den // r[j].denominator)
-             for i, r in enumerate(data) if r[j]} for j in range(cols)), den)
+        den = lcm(*[q for r in data for _, q in r])
+        return cls._lowest_terms(len(data), cols, tuple(
+            {i: r[j][0] * (den // r[j][1]) for i, r in enumerate(data)
+             if r[j][0]} for j in range(cols)), den)
 
     @classmethod
     def identity(cls, n: int):
         return cls(n, n, tuple({j: 1} for j in range(n)))
-
-    @cached_property
-    def nums(self) -> tuple[int, ...]:
-        """The numerators, dense and row-major."""
-        return tuple(x for row in self.num_rows() for x in row)
 
     def num_rows(self) -> list[list[int]]:
         """The numerators as fresh row lists, read off the columns."""
@@ -110,29 +103,21 @@ class RatMatrix(Record):
                 out[i][j] = x
         return out
 
-    @cached_property
-    def entries(self) -> tuple:
-        from fractions import Fraction
-        return tuple(Fraction(x, self.den) for x in self.nums)
-
-    def __getitem__(self, rc: tuple[int, int]):
-        i, j = rc
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_lists(self) -> list[list]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
-        columns = tuple(_products(self.columns, other.columns))
-        den = self.den * other.den
+        return RatMatrix._lowest_terms(
+            self.rows, other.cols,
+            tuple(_products(self.columns, other.columns)),
+            self.den * other.den)
+
+    @classmethod
+    def _lowest_terms(cls, rows: int, cols: int, columns: tuple, den: int):
+        """The store of these columns over den, divided once by the gcd of
+        den and every numerator."""
         g = gcd(den, *[x for col in columns for x in col.values()])
         if g > 1:
             columns = tuple({i: x // g for i, x in col.items()}
                             for col in columns)
-        return RatMatrix(self.rows, other.cols, columns, den // g)
+        return cls(rows, cols, columns, den // g)

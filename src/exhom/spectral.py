@@ -141,13 +141,14 @@ class SpectralPages(Record):
     d_ranks[(r,p,q)] = rank of d_r out of (p,q) (zero entries omitted);
     limit[(p,q)] = E_infinity dimension; stable_page = first page equal to
     the limit with all later differentials zero: pages[r] is
-    pages[stable_page] for every r after it.
+    pages[stable_page] for every stored r after it, and `dim` reads E_r
+    past the last stored page as E_infinity too.
     """
 
     _fields = ("filtration_axis", "pages", "d_ranks", "limit", "stable_page")
 
     def dim(self, r: int, p: int, q: int) -> int:
-        cell = self.pages.get(r, {}).get((p, q))
+        cell = self.pages.get(min(r, self.stable_page), {}).get((p, q))
         return cell[0] if cell else 0
 
 

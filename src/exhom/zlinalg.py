@@ -5,7 +5,9 @@ An integer matrix is a column store over den 1 (`qlinalg.RatMatrix`), as
 a chain complex or a matrix document holds it.  `_split_pivots` reads its
 nonzero rows once, over its nonzero columns, into int row lists, which the
 routines after it work on; `_rank_mod_p` reads it into sparse rows.  Only
-`smith_normal_form` reads all of it (`num_rows`).
+`smith_normal_form` reads all of it, through the store's one dense reader
+`num_rows`; the store is the only form a matrix takes, and nothing here
+imports `fractions`.
 Two routes to the Smith diagonal:
 
 * `invariant_factors` builds no transforms.  It first splits off pivots
@@ -101,11 +103,11 @@ class FinAbGroup(Record):
     def __post_init__(self):
         if self.free_rank < 0:
             raise ValueError("negative free rank")
+        if any(t < 2 for t in self.torsion):
+            raise ValueError("torsion entries must be >= 2")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:
                 raise ValueError("torsion is not a divisibility chain")
-        if any(t < 2 for t in self.torsion):
-            raise ValueError("torsion entries must be >= 2")
 
 
 def _bareiss(A: list[list[int]],

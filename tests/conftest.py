@@ -34,7 +34,9 @@ filtrations by counts and integer ranks: `rref` (fraction-free on the
 numerators), `rank`, canonical `Subspace`s with sum, intersection and
 complement, and the stacking and vector product of `RatMatrix` they need.
 `filtration_spaces`, `reference_opposite` and `reference_criterion` read a
-`spectral.FiltrationChain` through it.
+`spectral.FiltrationChain` through it.  A store has no `Fraction` view, so
+the tests read its entries as Fractions through one helper,
+`fraction_rows`.
 
 And library code no subcommand reaches: the serializers, which write a
 complex or a double complex back as a document (lowest-terms rationals with
@@ -96,6 +98,12 @@ from exhom.zlinalg import (
 
 # ------------------------------------------ rational subspace reference
 
+def fraction_rows(M: RatMatrix) -> List[List[Fraction]]:
+    """M's entries as fresh row lists of Fractions: the tests' one dense
+    rational reader, the library keeping only the column store."""
+    return [[Fraction(x, M.den) for x in row] for row in M.num_rows()]
+
+
 def dense(rows: int, cols: int, nums: Sequence, den=1) -> RatMatrix:
     """The matrix of row-major rational entries nums / den, any nonzero
     den, in lowest terms."""
@@ -116,8 +124,9 @@ def to_dense(chain: dict, n: int) -> tuple:
 
 def transpose(M: RatMatrix) -> RatMatrix:
     """The transpose of M."""
-    c = M.cols
-    return RatMatrix.from_rows([M.entries[j::c] for j in range(c)], M.rows)
+    rows = fraction_rows(M)
+    return RatMatrix.from_rows([[r[j] for r in rows] for j in range(M.cols)],
+                               M.rows)
 
 
 def to_sparse(vector: Sequence) -> dict:
@@ -128,7 +137,7 @@ def to_sparse(vector: Sequence) -> dict:
 def _over(M: RatMatrix, den: int) -> tuple:
     """M's numerators rescaled to the multiple `den` of its denominator."""
     k = den // M.den
-    return M.nums if k == 1 else tuple(k * x for x in M.nums)
+    return tuple(k * x for row in M.num_rows() for x in row)
 
 
 def vstack(A: RatMatrix, B: RatMatrix) -> RatMatrix:
@@ -155,7 +164,7 @@ def apply(M: RatMatrix, vector: Sequence) -> Tuple[Fraction, ...]:
     v = tuple(Fraction(x) for x in vector)
     if len(v) != M.cols:
         raise ValueError("vector length mismatch")
-    return (M @ dense(len(v), 1, v)).entries
+    return tuple(row[0] for row in fraction_rows(M @ dense(len(v), 1, v)))
 
 
 def rref(M: RatMatrix) -> Tuple[RatMatrix, List[int]]:
@@ -221,8 +230,8 @@ class Subspace:
             return Subspace(ambient_dim, zero_matrix(0, ambient_dim))
         R, pivots = rref(RatMatrix.from_rows(vecs, ambient_dim))
         k = len(pivots)
-        return Subspace(ambient_dim, dense(k, ambient_dim,
-                                           R.nums[:k * ambient_dim], R.den))
+        return Subspace(ambient_dim, dense(k, ambient_dim, tuple(
+            x for row in R.num_rows()[:k] for x in row), R.den))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -237,7 +246,7 @@ class Subspace:
         return self.basis.rows
 
     def vectors(self) -> List[Tuple[Fraction, ...]]:
-        return [self.basis.row(i) for i in range(self.basis.rows)]
+        return list(map(tuple, fraction_rows(self.basis)))
 
     def contains(self, vector: Sequence) -> bool:
         v = [Fraction(x) for x in vector]
@@ -259,12 +268,12 @@ def kernel_basis(M: RatMatrix) -> Subspace:
     R, pivots = rref(M)
     pivot_set = set(pivots)
     free_cols = [c for c in range(M.cols) if c not in pivot_set]
-    vecs = []
+    vecs, nums = [], R.num_rows()
     for f in free_cols:  # e_f minus column f of R on the pivots, times R.den
         v = [0] * M.cols
         v[f] = R.den
         for r, pc in enumerate(pivots):
-            v[pc] = -R.nums[r * M.cols + f]
+            v[pc] = -nums[r][f]
         vecs.append(v)
     return Subspace.span(M.cols, vecs)
 
@@ -338,7 +347,7 @@ def _format_rational(f: Fraction) -> str:
 
 
 def _format_matrix(M: RatMatrix) -> list:
-    return [[_format_rational(f) for f in row] for row in M.to_lists()]
+    return [[_format_rational(f) for f in row] for row in fraction_rows(M)]
 
 
 def serialize_cochain(C: CochainComplex) -> str:
@@ -402,7 +411,7 @@ def rank_mod_p(A: RatMatrix, p: int) -> int:
 
 def column(A: RatMatrix, j: int) -> tuple:
     """The numerators of column j of A, dense."""
-    return A.nums[j::A.cols]
+    return tuple(A.columns[j].get(i, 0) for i in range(A.rows))
 
 
 def degenerates_at(P: SpectralPages, r: int) -> bool:
@@ -672,21 +681,22 @@ def tensor_double_complex(C: CochainComplex, D: CochainComplex):
             if not dims.get((r, s)):
                 continue
             dc, dd = differential(C, r), differential(D, s)
+            ec, ed = fraction_rows(dc), fraction_rows(dd)
             if dims.get((r + 1, s)):
                 rows = [[Fraction(0)] * (m * k) for _ in range(dc.rows * k)]
                 for a in range(dc.rows):
                     for b in range(dc.cols):
-                        if dc[a, b]:
+                        if ec[a][b]:
                             for y in range(k):
-                                rows[a * k + y][b * k + y] = dc[a, b]
+                                rows[a * k + y][b * k + y] = ec[a][b]
                 horiz[(r, s)] = RatMatrix.from_rows(rows, m * k)
             if dims.get((r, s + 1)):
                 rows = [[Fraction(0)] * (m * k) for _ in range(m * dd.rows)]
                 for x in range(m):
                     for a in range(dd.rows):
                         for b in range(dd.cols):
-                            if dd[a, b]:
-                                rows[x * dd.rows + a][x * dd.cols + b] = dd[a, b]
+                            if ed[a][b]:
+                                rows[x * dd.rows + a][x * dd.cols + b] = ed[a][b]
                 vert[(r, s)] = RatMatrix.from_rows(rows, m * k)
     return double_complex(C.max_deg, D.max_deg, dims, horiz, vert)
 
@@ -822,7 +832,7 @@ def rescale_cells(K, rng):
     def scaled(M, src, dst):
         k = Fraction(p[dst], p[src])
         return RatMatrix.from_rows([[k * x for x in row]
-                                    for row in M.to_lists()], M.cols)
+                                    for row in fraction_rows(M)], M.cols)
 
     return double_complex(K.max_r, K.max_c, K.dims, {
         (r, s): scaled(M, (r, s), (r + 1, s)) for (r, s), M in K.horiz.items()
@@ -1164,7 +1174,7 @@ def reference_homology_int(C: IntChainComplex, n: int) -> FinAbGroup:
     # K Y = d_{n+1} exactly when every pivot lies in the K block
     R, pivots = rref(hstack(K, dnext))
     assert pivots == list(range(k)), f"image of d_{n + 1} not inside ker d_{n}"
-    Y = [R.row(i)[k:] for i in range(k)]
+    Y = [row[k:] for row in fraction_rows(R)[:k]]
     assert all(f.denominator == 1 for row in Y for f in row), \
         "non-integral coordinates"
     rel = RatMatrix.from_rows(Y, dnext.cols)
@@ -1197,7 +1207,7 @@ def reference_pairing(C: CochainComplex, levels, last: int):
     for n in range(C.min_deg, last + 1):
         src = levels.get(n) or [0] * C.dim(n)
         dst = levels.get(n + 1) or [0] * C.dim(n + 1)
-        D = differential(C, n)
+        D = fraction_rows(differential(C, n))
         order = sorted(range(len(dst)), key=lambda j: (dst[j], -j))
         pivots = {}  # low -> (column, chain, source level)
         for i in sorted(range(len(src)), key=lambda i: (-src[i], i)):
@@ -1207,7 +1217,7 @@ def reference_pairing(C: CochainComplex, levels, last: int):
                                        tuple(col)))
                 continue
             unit = [Fraction(int(j == i)) for j in range(len(src))]
-            col, chain, low = _reference_reduce(list(D.entries[i::D.cols]),
+            col, chain, low = _reference_reduce([row[i] for row in D],
                                                 unit, pivots, order)
             if low is None:
                 gens.append(_Generator(n, i, src[i], inf, False, tuple(chain)))
@@ -1227,7 +1237,7 @@ def matrix_composite(outer, inner):
     if outer is None or inner is None:
         return None
     prod = outer @ inner
-    return prod if any(prod.nums) else None
+    return prod if any(prod.columns) else None
 
 
 def naive_composite(outer, inner):
@@ -1236,10 +1246,11 @@ def naive_composite(outer, inner):
     the product kernel."""
     if outer is None or inner is None:
         return None
+    a, b = fraction_rows(outer), fraction_rows(inner)
     prod = dense(outer.rows, inner.cols, tuple(
-        sum((outer[i, k] * inner[k, j] for k in range(outer.cols)), 0)
+        sum((a[i][k] * b[k][j] for k in range(outer.cols)), 0)
         for i in range(outer.rows) for j in range(inner.cols)))
-    return prod if any(prod.nums) else None
+    return prod if any(prod.columns) else None
 
 
 def reference_defects(K, composite=matrix_composite):

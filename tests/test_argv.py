@@ -141,6 +141,19 @@ def test_corpus(monkeypatch, paths, columns):
     assert sum(accepted) == 16  # the well-formed ones
 
 
+@pytest.mark.parametrize("argv", [["snf", "--input=--"],
+                                  ["ss", "--input={k}", "--axis=--"],
+                                  ["uct", "--input={c}", "--mod=--"]])
+def test_an_option_valued_dashes_is_refused_as_a_missing_value(paths, argv):
+    """argparse strips the "--" of "--flag=--" and would store an empty
+    list; the CLI refuses it with the usage error of "--flag --"."""
+    argv = [token.format(**paths) for token in argv]
+    code, out, err = run_main(argv)
+    assert (code, out) == (2, "") and "expected one argument" in err
+    assert run_main([*argv[:-1], *argv[-1].split("=")]) == (code, out, err)
+    check(argv)
+
+
 @pytest.mark.parametrize("workload", ["ss-zigzag", "snf-dense", "chain-uct"])
 def test_every_benchmark_request_is_read_without_argparse(tmp_path,
                                                           workload):

@@ -62,16 +62,17 @@ MINIMAL = json.dumps({
 def test_parse_minimal_cochain():
     C = parse_cochain_document(MINIMAL)
     assert C.dim(0) == 2 and C.dim(1) == 1
-    assert differential(C, 0).to_lists()[0] == [1, 1]
+    assert differential(C, 0) == RatMatrix.from_rows([[1, 1]])
 
 
 def test_parse_accepts_ints_and_rationals():
     doc = json.dumps({"dims": {"0": 1, "1": 1},
                       "differentials": {"0": [[" 2/4 ".strip()]]}})
     C = parse_cochain_document(doc)
-    assert str(differential(C, 0)[0, 0]) == "1/2"
+    assert differential(C, 0) == RatMatrix(1, 1, ({0: 1},), 2)
     doc = json.dumps({"dims": {"0": 1, "1": 1}, "differentials": {"0": [[3]]}})
-    assert differential(parse_cochain_document(doc), 0)[0, 0] == 3
+    assert differential(parse_cochain_document(doc), 0) \
+        == RatMatrix(1, 1, ({0: 3},))
 
 
 def test_parse_rejects_zero_denominator():
@@ -144,13 +145,14 @@ def test_chain_document_roundtrip_semantics():
     doc = json.dumps({"dims": {"0": 1, "1": 1},
                       "differentials": {"1": [["2"]]}})
     C = parse_chain_document(doc)
-    assert differential(C, 1)[0, 0] == 2
+    assert differential(C, 1) == RatMatrix(1, 1, ({0: 2},))
 
 
 def test_int_matrix_document_forms():
-    assert parse_int_matrix_document("[[2, 4], [6, 8]]").to_lists() \
-        == [[2, 4], [6, 8]]
-    assert parse_int_matrix_document('{"matrix": [[1]]}').to_lists() == [[1]]
+    assert parse_int_matrix_document("[[2, 4], [6, 8]]") \
+        == RatMatrix.from_rows([[2, 4], [6, 8]])
+    assert parse_int_matrix_document('{"matrix": [[1]]}') \
+        == RatMatrix.from_rows([[1]])
     with pytest.raises(DocumentError):
         parse_int_matrix_document('"nope"')
 
@@ -255,7 +257,7 @@ def test_serialize_roundtrip_cochain():
         C2 = parse_cochain_document(text)
         assert dict(C2.dims) == dict(C.dims)
         for n in C.degrees():
-            assert differential(C2, n).entries == differential(C, n).entries
+            assert differential(C2, n) == differential(C, n)
         assert serialize_cochain(C2) == text
 
 
@@ -714,11 +716,13 @@ def chain_doc(*entries):
 
 def test_chain_document_accepts_ints_and_integral_strings():
     C = parse_chain_document(chain_doc(-4, "7", "-3", "6/3"))
-    assert differential(C, 1).entries == (1, -4, 7, -3, 2)
+    assert differential(C, 1) == RatMatrix(
+        1, 5, ({0: 1}, {0: -4}, {0: 7}, {0: -3}, {0: 2}))
     assert differential(C, 1).den == 1
-    assert all(type(e) is int for e in differential(C, 1).nums)
-    assert parse_int_matrix_document('[[1, "6/3"], ["-3", 0]]').to_lists() \
-        == [[1, 2], [-3, 0]]
+    assert all(type(e) is int
+               for col in differential(C, 1).columns for e in col.values())
+    assert parse_int_matrix_document('[[1, "6/3"], ["-3", 0]]') \
+        == RatMatrix.from_rows([[1, 2], [-3, 0]])
 
 
 def test_chain_document_bad_entry_messages():

@@ -21,6 +21,7 @@ from conftest import (
     apply,
     differential,
     filtration_spaces,
+    fraction_rows,
     kernel_basis,
     page_representatives,
     random_double_complex,
@@ -61,9 +62,9 @@ class ReferencePages:
                     if lv >= p]
             rows = [j for j, lv in enumerate(self.levels.get(n + 1, ()))
                     if lv < p + r]
-            D = differential(self.T, n)
+            D = fraction_rows(differential(self.T, n))
             block = RatMatrix.from_rows(
-                [[D[j, i] for i in cols] for j in rows], len(cols))
+                [[D[j][i] for i in cols] for j in rows], len(cols))
             vecs = []
             for k in kernel_basis(block).vectors():
                 v = [0] * self.dim(n)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     Subspace,
+    fraction_rows,
     is_complementary,
     kernel_basis,
     rank,
@@ -24,7 +25,7 @@ def mat(rows):
 
 def fraction_rref(M):
     """Gauss-Jordan elimination on the Fraction entries: (rows, pivots)."""
-    rows, pivots, r = M.to_lists(), [], 0
+    rows, pivots, r = fraction_rows(M), [], 0
     for c in range(M.cols):
         pr = next((i for i in range(r, M.rows) if rows[i][c] != 0), None)
         if pr is None:
@@ -42,7 +43,7 @@ def fraction_rref(M):
 
 def test_rref_zero_matrix():
     R, piv = rref(mat([[0]]))
-    assert R.to_lists() == [[0]]
+    assert R == mat([[0]])
     assert piv == []
 
 
@@ -54,7 +55,7 @@ def test_rref_identity():
 
 def test_rref_dependent_rows():
     R, piv = rref(mat([[2, 4], [1, 2]]))
-    assert R.to_lists() == [[1, 2], [0, 0]]
+    assert R == mat([[1, 2], [0, 0]])
     assert piv == [0]
 
 
@@ -78,7 +79,7 @@ def test_kernel_identity_is_zero():
 def test_kernel_one_equation():
     K = kernel_basis(mat([[1, 1]]))
     assert K.dim == 1
-    assert K.basis.to_lists() == [[1, -1]]
+    assert K.basis == mat([[1, -1]])
 
 
 def test_rank_nullity():
@@ -188,19 +189,20 @@ def test_fraction_free_rref_matches_fraction_elimination():
               for j in range(m)] for a in left], m)
         if trial % 3 == 0:  # a zero column and a repeated row
             M = RatMatrix.from_rows(
-                [[0, *r] for r in M.to_lists()[:1] + M.to_lists()], m + 1)
+                [[0, *r] for r in fraction_rows(M)[:1] + fraction_rows(M)],
+                m + 1)
         R, pivots = rref(M)
         rows, want = fraction_rref(M)
         assert pivots == want
         assert R == RatMatrix.from_rows(rows, M.cols)
-        assert R.to_lists() == rows
-        assert Subspace.span(M.cols, M.to_lists()).basis.to_lists() \
-            == rows[:len(pivots)]
+        assert fraction_rows(R) == rows
+        assert Subspace.span(M.cols, fraction_rows(M)).basis \
+            == RatMatrix.from_rows(rows[:len(pivots)], M.cols)
 
 
 def test_bools_are_stored_as_ints():
     A = RatMatrix.from_rows([[True, -5], [False, Fraction(1, 2)]])
-    assert all(type(x) is int for x in A.nums)
+    assert all(type(x) is int for col in A.columns for x in col.values())
     assert A == mat([[1, -5], [0, Fraction(1, 2)]])
 
 
@@ -212,7 +214,8 @@ def test_from_rows_refuses_what_is_not_rational():
         with pytest.raises(ValueError, match="must be rational"):
             mat([[bad]])
     A = mat([[True, -5, "3", Fraction(1, 2), "-7/4"]])
-    assert A.entries == (1, -5, 3, Fraction(1, 2), Fraction(-7, 4))
+    assert A == RatMatrix(1, 5, ({0: 4}, {0: -20}, {0: 12}, {0: 2}, {0: -7}),
+                          4)
     assert A.den == 4
 
 
@@ -222,7 +225,7 @@ def test_from_rows_reads_strings_with_the_document_grammar():
     blanks, underscores) or cannot (q = 0) is a ValueError, and an exponent
     is refused at once rather than expanded."""
     A = mat([["+3", "-08", "6/4", "-0/5"]])
-    assert A.entries == (3, -8, Fraction(3, 2), 0)
+    assert A == RatMatrix(1, 4, ({0: 6}, {0: -16}, {0: 3}, {}), 2)
     for bad in ("1e3", "1.5", " 3 ", "1_0", "1/0", "3/-4", "", "1e99999999",
                 "\u0661"):
         with pytest.raises(ValueError, match="must be rational"):
@@ -232,14 +235,13 @@ def test_from_rows_reads_strings_with_the_document_grammar():
 def test_rat_matrix_stores_integers_over_one_denominator_in_lowest_terms():
     assert mat([[Fraction(2, 4)]]) == mat([[Fraction(1, 2)]])
     A = mat([[Fraction(2, -8), Fraction(-4, -8)], [Fraction(6, -8), 0]])
-    assert (A.nums, A.den) == ((-1, 2, -3, 0), 4)
+    assert (A.num_rows(), A.den) == ([[-1, 2], [-3, 0]], 4)
     assert A.columns == ({0: -1, 1: -3}, {0: 2})
     assert A == mat([["-1/4", "1/2"], [Fraction(-3, 4), 0]])
-    assert A.entries == (Fraction(-1, 4), Fraction(1, 2), Fraction(-3, 4), 0)
-    assert all(type(x) is Fraction for x in A.entries)
-    assert all(type(x) is Fraction for row in A.to_lists() for x in row)
-    assert type(A[1, 1]) is Fraction and type(A.row(0)[0]) is Fraction
+    assert fraction_rows(A) == [[Fraction(-1, 4), Fraction(1, 2)],
+                                [Fraction(-3, 4), 0]]
+    assert all(type(x) is int for col in A.columns for x in col.values())
     assert (zero_matrix(2, 3).den, RatMatrix.identity(2).den) == (1, 1)
     P = A @ A  # (1/16) [[-5, -2], [3, -6]]
-    assert (P.nums, P.den) == ((-5, -2, 3, -6), 16)
+    assert (P.num_rows(), P.den) == ([[-5, -2], [3, -6]], 16)
     assert transpose(A) == mat([["-1/4", "-3/4"], ["1/2", 0]])

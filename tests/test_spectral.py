@@ -99,7 +99,7 @@ def _plant_defects(rng, K, count):
         field = rng.choice([f for f in maps if maps[f]])
         cell = rng.choice(sorted(maps[field]))
         M = maps[field][cell]
-        nums = list(M.nums)
+        nums = [x for row in M.num_rows() for x in row]
         if rng.random() < 0.3:
             nums = [2 * x for x in nums]
         else:
@@ -305,6 +305,19 @@ def test_pages_zero_differentials():
     assert P.limit == {(0, 0): 2, (1, 1): 1, (0, 1): 1}
     assert P.stable_page == 1
     assert degenerates_at(P, 1)
+
+
+def test_dim_reads_the_limit_past_the_last_stored_page():
+    """E_r = E_infinity from the stable page on, so `dim` reads the limit at
+    every later r, also past the last stored page, max_r + max_c + 2."""
+    K = double_complex(1, 1, {(0, 0): 1, (0, 1): 1, (1, 1): 1},
+                       {(0, 1): ID1}, {})
+    for axis in (COLUMN, ROW):
+        P = spectral_pages(K, axis)
+        assert max(P.pages) == 4 and P.limit == {(0, 0): 1}
+        for r in (P.stable_page, 4, 5, 50):
+            assert [P.dim(r, p, q) for p in range(2) for q in range(2)] \
+                == [1, 0, 0, 0]
 
 
 def test_row_sequence_degenerates_when_horiz_vanishes():
