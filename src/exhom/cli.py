@@ -209,46 +209,45 @@ def _spectrum(args) -> steinberg.InducedSpectrum:
     return steinberg.InducedSpectrum(args.m10, args.m01, args.m11)
 
 
-def _cmd_e2(args, out) -> int:
+def _cmd_e2(args) -> int:
     if args.compare_paper:
         try:
             report = steinberg.paper_table_diff(args.d, args.dp, _spectrum(args))
         except ValueError as e:
             print(f"error: {e}", file=sys.stderr)
             return USAGE_ERROR
-        print(report.render(), file=out)
+        print(report.render())
         return 0
     table = steinberg.e2_table(args.d, args.dp, _spectrum(args))
     top = args.d + args.dp
     if args.format == "machine":
-        print(_cell_lines(top, top)(table.grid.items()), file=out)
+        print(_cell_lines(top, top)(table.grid.items()))
     else:
-        print("\n".join(steinberg.render_grids(top, table.at)[0]), file=out)
+        print("\n".join(steinberg.render_grids(top, table.at)[0]))
     return 0
 
 
-def _cmd_betti(args, out) -> int:
+def _cmd_betti(args) -> int:
     profile = steinberg.betti_profile(args.d, args.dp, _spectrum(args))
-    print(" ".join(map(str, profile.b)), file=out)
+    print(" ".join(map(str, profile.b)))
     if args.format == "table":
         for n, dims in enumerate(profile.filtrations):
-            print(f"n={n} b={profile.b[n]} F=" + " ".join(map(str, dims)),
-                  file=out)
+            print(f"n={n} b={profile.b[n]} F=" + " ".join(map(str, dims)))
     return 0
 
 
-def _cmd_filtration(args, out) -> int:
+def _cmd_filtration(args) -> int:
     try:
         dims = steinberg.covering_filtration_dims(args.d, args.dp,
                                                   _spectrum(args), args.n)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    print(" ".join(map(str, dims)), file=out)
+    print(" ".join(map(str, dims)))
     return 0
 
 
-def _cmd_ss(args, out) -> int:
+def _cmd_ss(args) -> int:
     K = parse_double_complex_document(_read(args.input))
     axis = spectral.ROW if args.axis == "row" else spectral.COLUMN
     pages = spectral.spectral_pages(K, axis)
@@ -263,36 +262,36 @@ def _cmd_ss(args, out) -> int:
     # with --pages, the last text rendered is the stable page's: the limit's
     lines += (f"limit (stable at page {pages.stable_page})",
               text if args.pages else block(pages.limit.items()))
-    out.write("\n".join(lines) + "\n")
+    print("\n".join(lines))
     return 0
 
 
-def _cmd_kunneth(args, out) -> int:
+def _cmd_kunneth(args) -> int:
     A = parse_cochain_document(_read(args.a))
     B = parse_cochain_document(_read(args.b))
     check_tensor_product(A, B)
     report = complexes.kunneth_check(A, B)
-    print(report.render(), file=out)
+    print(report.render())
     return 0 if report.passed else VALIDATION_ERROR
 
 
-def _cmd_uct(args, out) -> int:
+def _cmd_uct(args) -> int:
     C = parse_chain_document(_read(args.input))
     report = complexes.uct_check(C, args.mod)
-    print(report.render(), file=out)
+    print(report.render())
     return 0 if report.passed else VALIDATION_ERROR
 
 
-def _cmd_snf(args, out) -> int:
+def _cmd_snf(args) -> int:
     from decimal import Decimal
     A = parse_int_matrix_document(_read(args.input))
     # str(Decimal(d)) is str(d) without the int-string digit limit, which a
     # product of entries under that limit can pass
-    print(" ".join(str(Decimal(d)) for d in invariant_factors(A)), file=out)
+    print(" ".join(str(Decimal(d)) for d in invariant_factors(A)))
     return 0
 
 
-def _cmd_oppose(args, out) -> int:
+def _cmd_oppose(args) -> int:
     K = parse_double_complex_document(_read(args.input))
     if args.n < 0 or args.n > K.max_r + K.max_c:
         print(f"error: degree {args.n} outside [0, {K.max_r + K.max_c}]",
@@ -300,11 +299,11 @@ def _cmd_oppose(args, out) -> int:
         return USAGE_ERROR
     F = spectral.filtration_on_total(K, spectral.COLUMN, args.n)
     G = spectral.filtration_on_total(K, spectral.ROW, args.n)
-    print("col dims " + " ".join(map(str, F.dims())), file=out)
-    print("row dims " + " ".join(map(str, G.dims())), file=out)
+    print("col dims " + " ".join(map(str, F.dims())))
+    print("row dims " + " ".join(map(str, G.dims())))
     opposite, criterion = spectral._verdicts(F, G)
-    print(f"opposite {str(opposite).lower()}", file=out)
-    print(f"dimension_criterion {str(criterion).lower()}", file=out)
+    print(f"opposite {str(opposite).lower()}")
+    print(f"dimension_criterion {str(criterion).lower()}")
     return 0
 
 
@@ -318,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return _COMMANDS[args.command](args, sys.stdout)
+        return _COMMANDS[args.command](args)
     except DocumentError as e:
         print(f"error: {e}", file=sys.stderr)
         return VALIDATION_ERROR

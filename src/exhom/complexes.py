@@ -341,14 +341,6 @@ def kunneth_check(C: CochainComplex, D: CochainComplex) -> CheckReport:
                        all(l == r for _, l, r in rows))
 
 
-def _homology(C: IntChainComplex, n: int) -> FinAbGroup:
-    """H_n from dim C_n and the invariant factors of d_n and d_{n+1}."""
-    factors_n, factors_next = C._factors_of(n), C._factors_of(n + 1)
-    ranks = sum(1 for d in factors_n + factors_next if d)
-    return FinAbGroup(C.dim(n) - ranks,
-                      tuple(d for d in factors_next if d > 1))
-
-
 def homology_int(C: IntChainComplex, n: int) -> FinAbGroup:
     """H_n = ker d_n / im d_{n+1} as a finitely generated abelian group.
 
@@ -357,7 +349,10 @@ def homology_int(C: IntChainComplex, n: int) -> FinAbGroup:
     torsion of coker d_{n+1}: its invariant factors > 1 (Munkres, Elements
     of Algebraic Topology, section 11).
     """
-    return _homology(C, n)
+    factors_n, factors_next = C._factors_of(n), C._factors_of(n + 1)
+    ranks = sum(1 for d in factors_n + factors_next if d)
+    return FinAbGroup(C.dim(n) - ranks,
+                      tuple(d for d in factors_next if d > 1))
 
 
 def uct_check(C: IntChainComplex, m: int) -> CheckReport:
@@ -371,7 +366,7 @@ def uct_check(C: IntChainComplex, m: int) -> CheckReport:
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
-    groups = {n: _homology(C, n) for n in C.degrees()}
+    groups = {n: homology_int(C, n) for n in C.degrees()}
     none = FinAbGroup(0, ())
     rhs = {n: groups[n].free_rank
            + sum(1 for G in (groups[n], groups.get(n - 1, none))

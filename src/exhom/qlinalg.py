@@ -7,9 +7,8 @@ den 1.  The document parser writes it once, and every later layer reads
 only its nonzero entries: the d o d and square checks, the totalization
 and the persistence pairing (`complexes`, `spectral`), and `zlinalg`
 (sparse rows for the rank mod p, dense rows over the nonzero rows and
-columns for the Smith split).  The store is the only representation: its
-one dense reader, `num_rows`, is read only by `smith_normal_form`, off the
-`uct` and `snf` paths, and no module of the library imports `fractions`.
+columns for the Smith split).  The store is the only representation: it
+has no dense reader, and no module of the library imports `fractions`.
 
 Every product goes through one kernel, `_products`: column j of A.B sums,
 over the entries v at row k of B's column j, v times A's column k, so a
@@ -94,14 +93,6 @@ class RatMatrix(Record):
     @classmethod
     def identity(cls, n: int):
         return cls(n, n, tuple({j: 1} for j in range(n)))
-
-    def num_rows(self) -> list[list[int]]:
-        """The numerators as fresh row lists, read off the columns."""
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for j, col in enumerate(self.columns):
-            for i, x in col.items():
-                out[i][j] = x
-        return out
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:

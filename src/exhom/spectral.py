@@ -61,9 +61,6 @@ class DoubleComplex(Record):
 
     _fields = ("max_r", "max_c", "dims", "horiz", "vert")
 
-    def dim(self, r: int, s: int) -> int:
-        return self.dims.get((r, s), 0)
-
     @cached_property
     def _total(self) -> CochainComplex:
         """Tot, built on the first pairing and shared by every later one."""

@@ -24,6 +24,7 @@ from itertools import accumulate
 from ._record import Record
 
 MAX_SPACE_DIM = 64  # largest d and d' the CLI's e2, betti and filtration take
+MAX_CELL_WIDTH = 20  # widest column `render_grids` pads a cell to
 
 
 class InducedSpectrum(Record):
@@ -39,9 +40,6 @@ class InducedSpectrum(Record):
     def __post_init__(self):
         if min(self.m10, self.m01, self.m11) < 0:
             raise ValueError("multiplicities must be nonnegative")
-
-
-ZERO_SPECTRUM = InducedSpectrum(0, 0, 0)
 
 
 def _row(d: int, dp: int, spectrum: InducedSpectrum, s: int) -> dict[int, int]:
@@ -172,15 +170,18 @@ def _stated_betti(d: int, dp: int, spectrum: InducedSpectrum, n: int) -> int:
 
 def render_grids(top: int, *lookups) -> list[list[str]]:
     """Each lookup(r, s) over 0 <= r, s <= top as lines: a header of r, then
-    one line per s from top down.  One column width fits every cell of every
-    grid, so the grids line up and no two cells run together."""
+    one line per s from top down.  Every column of every grid takes one
+    width, the widest cell's up to `MAX_CELL_WIDTH`, so the grids line up; a
+    cell too wide for it follows one space, so no two cells run together and
+    a cell costs at most its digits plus that width."""
     grids = [[[str(f(r, s)) for r in range(top + 1)]
               for s in range(top, -1, -1)] for f in lookups]
-    width = max(3, 1 + max(len(c) for g in grids for row in g for c in row))
+    width = min(MAX_CELL_WIDTH, max(3, 1 + max(
+        len(c) for g in grids for row in g for c in row)))
     head = "  s\\r " + "".join(str(r).rjust(width) for r in range(top + 1))
-    return [[head] + ["  " + str(top - k).rjust(3) + " "
-                      + "".join(c.rjust(width) for c in row)
-                      for k, row in enumerate(g)] for g in grids]
+    return [[head] + ["  " + str(top - k).rjust(3) + " " + "".join(
+        c.rjust(width) if len(c) < width else " " + c for c in row)
+        for k, row in enumerate(g)] for g in grids]
 
 
 class PaperTableDiff(Record):

@@ -5,9 +5,8 @@ An integer matrix is a column store over den 1 (`qlinalg.RatMatrix`), as
 a chain complex or a matrix document holds it.  `_split_pivots` reads its
 nonzero rows once, over its nonzero columns, into int row lists, which the
 routines after it work on; `_rank_mod_p` reads it into sparse rows.  Only
-`smith_normal_form` reads all of it, through the store's one dense reader
-`num_rows`; the store is the only form a matrix takes, and nothing here
-imports `fractions`.
+`smith_normal_form` reads all of it, into dense rows of its own; the store
+is the only form a matrix takes, and nothing here imports `fractions`.
 Two routes to the Smith diagonal:
 
 * `invariant_factors` builds no transforms.  It first splits off pivots
@@ -442,7 +441,10 @@ def smith_normal_form(A: RatMatrix) -> SmithForm:
     """
     _integral(A)
     rows, cols = A.rows, A.cols
-    m = A.num_rows()
+    m = [[0] * cols for _ in range(rows)]
+    for j, col in enumerate(A.columns):
+        for i, x in col.items():
+            m[i][j] = x
     u, v = ([[int(i == j) for j in range(n)] for i in range(n)]
             for n in (rows, cols))
     k = min(rows, cols)

@@ -98,10 +98,20 @@ from exhom.zlinalg import (
 
 # ------------------------------------------ rational subspace reference
 
+def num_rows(M: RatMatrix) -> List[List[int]]:
+    """M's numerators as fresh row lists, read off the columns: the tests'
+    one dense reader, the library reading only the nonzero entries."""
+    out = [[0] * M.cols for _ in range(M.rows)]
+    for j, col in enumerate(M.columns):
+        for i, x in col.items():
+            out[i][j] = x
+    return out
+
+
 def fraction_rows(M: RatMatrix) -> List[List[Fraction]]:
     """M's entries as fresh row lists of Fractions: the tests' one dense
     rational reader, the library keeping only the column store."""
-    return [[Fraction(x, M.den) for x in row] for row in M.num_rows()]
+    return [[Fraction(x, M.den) for x in row] for row in num_rows(M)]
 
 
 def dense(rows: int, cols: int, nums: Sequence, den=1) -> RatMatrix:
@@ -137,7 +147,7 @@ def to_sparse(vector: Sequence) -> dict:
 def _over(M: RatMatrix, den: int) -> tuple:
     """M's numerators rescaled to the multiple `den` of its denominator."""
     k = den // M.den
-    return tuple(k * x for row in M.num_rows() for x in row)
+    return tuple(k * x for row in num_rows(M) for x in row)
 
 
 def vstack(A: RatMatrix, B: RatMatrix) -> RatMatrix:
@@ -177,7 +187,7 @@ def rref(M: RatMatrix) -> Tuple[RatMatrix, List[int]]:
     content.  Each pivot row is divided by its pivot only at the end, over
     the lcm of the pivots.
     """
-    rows = M.num_rows()
+    rows = num_rows(M)
     pivots: List[int] = []
     r = 0
     for c in range(M.cols):
@@ -231,7 +241,7 @@ class Subspace:
         R, pivots = rref(RatMatrix.from_rows(vecs, ambient_dim))
         k = len(pivots)
         return Subspace(ambient_dim, dense(k, ambient_dim, tuple(
-            x for row in R.num_rows()[:k] for x in row), R.den))
+            x for row in num_rows(R)[:k] for x in row), R.den))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -268,7 +278,7 @@ def kernel_basis(M: RatMatrix) -> Subspace:
     R, pivots = rref(M)
     pivot_set = set(pivots)
     free_cols = [c for c in range(M.cols) if c not in pivot_set]
-    vecs, nums = [], R.num_rows()
+    vecs, nums = [], num_rows(R)
     for f in free_cols:  # e_f minus column f of R on the pivots, times R.den
         v = [0] * M.cols
         v[f] = R.den
@@ -283,7 +293,7 @@ def subspace_sum(U: Subspace, W: Subspace) -> Subspace:
     if U.ambient_dim != W.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     return Subspace.span(U.ambient_dim,
-                         U.basis.num_rows() + W.basis.num_rows())
+                         num_rows(U.basis) + num_rows(W.basis))
 
 
 def subspace_intersect(U: Subspace, W: Subspace) -> Subspace:
@@ -295,8 +305,8 @@ def subspace_intersect(U: Subspace, W: Subspace) -> Subspace:
     # a.B_U = -b.B_W lies in both: kernel of [B_U^T | B_W^T], take the a-part.
     K = kernel_basis(hstack(transpose(U.basis), transpose(W.basis))).basis
     A = dense(K.rows, U.dim,
-              tuple(x for k in K.num_rows() for x in k[:U.dim]), K.den)
-    return Subspace.span(U.ambient_dim, (A @ U.basis).num_rows())
+              tuple(x for k in num_rows(K) for x in k[:U.dim]), K.den)
+    return Subspace.span(U.ambient_dim, num_rows(A @ U.basis))
 
 
 def is_complementary(U: Subspace, W: Subspace) -> bool:
@@ -397,7 +407,7 @@ def determinant(A: RatMatrix) -> int:
     elimination."""
     if A.rows != A.cols:
         raise ValueError("determinant of non-square matrix")
-    piv, minor, _ = _bareiss(A.num_rows())
+    piv, minor, _ = _bareiss(num_rows(A))
     return minor if len(piv) == A.rows else 0
 
 
@@ -586,7 +596,7 @@ def _rat_inverse(M: RatMatrix) -> RatMatrix:
     only there."""
     d = M.rows
     m = [row + [int(i == j) for j in range(d)]
-         for i, row in enumerate(M.num_rows())]
+         for i, row in enumerate(num_rows(M))]
     prev = 1
     for c in range(d):
         pr = next(i for i in range(c, d) if m[i][c])
@@ -1086,7 +1096,7 @@ def dense_rank_mod_p(A: RatMatrix, p: int) -> int:
     the column store: rows of A reduced mod p into dense lists, each step
     popping a row, pivoting on its first nonzero entry and clearing that
     column from the rows that hold it; a row is dropped once it is zero."""
-    m = [row for row in ([e % p for e in r] for r in A.num_rows()) if any(row)]
+    m = [row for row in ([e % p for e in r] for r in num_rows(A)) if any(row)]
     r = 0
     while m:
         top = m.pop()
@@ -1112,7 +1122,7 @@ def reference_split_pivots(A: RatMatrix) -> tuple[list[int], list]:
     and columns of the store: every row densely over every column
     (`num_rows`), zero rows then dropped, and the zero columns of what is
     left dropped at the end."""
-    m = {i: row for i, row in enumerate(A.num_rows()) if any(row)}
+    m = {i: row for i, row in enumerate(num_rows(A)) if any(row)}
     todo, later, pivots = set(m), set(), []
     while todo or later:
         if todo:

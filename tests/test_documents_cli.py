@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     differential,
+    num_rows,
     random_cochain,
     random_dense_cochain,
     random_double_complex,
@@ -42,7 +43,7 @@ from exhom.documents import (
 )
 from exhom.qlinalg import RatMatrix
 from exhom.spectral import COLUMN, MAX_GRID, ROW
-from exhom.steinberg import MAX_SPACE_DIM
+from exhom.steinberg import MAX_CELL_WIDTH, MAX_SPACE_DIM
 
 
 def run_cli(capsys, *argv):
@@ -180,8 +181,8 @@ def test_ss_request_handles_each_block_key_and_pair_once(tmp_path, capsys,
         # blocks of empty shape, given explicitly, under a key not in dims
         r, s = next((r, s) for r in range(4) for s in range(4)
                     if (r, s) not in K.dims)
-        doc["horiz"][f"{r},{s}"] = [[] for _ in range(K.dim(r + 1, s))]
-        doc["vert"][f"{r},{s}"] = [[] for _ in range(K.dim(r, s + 1))]
+        doc["horiz"][f"{r},{s}"] = [[]] * K.dims.get((r + 1, s), 0)
+        doc["vert"][f"{r},{s}"] = [[]] * K.dims.get((r, s + 1), 0)
         f = tmp_path / "k.json"
         f.write_text(json.dumps(doc))
         h, v = K.horiz.get, K.vert.get
@@ -235,17 +236,37 @@ def test_ss_request_handles_each_block_key_and_pair_once(tmp_path, capsys,
      "shape mismatch at vert[1,1]: got 1 rows, expected 0x0"),
     ({"horiz": {"0;0": [[1, 0], [0, 1]]}},
      "malformed cell key '0;0' in 'horiz'"),
+    ({"dims": {"3,0": 1}}, "cell (3,0) outside declared rectangle"),
 ])
 def test_double_complex_document_refusals_are_pinned(tmp_path, capsys, maps,
                                                      message):
     """The exact refusal of a ragged row, a row that is not a list, a wrong
     row count, a bool entry, a map key absent from dims (its block of empty
-    shape) and a malformed map key."""
+    shape), a malformed map key and a cell outside the declared grid."""
     f = tmp_path / "k.json"
     f.write_text(json.dumps({"max_r": 1, "max_c": 1,
                              "dims": {"0,0": 2, "1,0": 2}, **maps}))
     for command in (["ss", "--axis", "row"], ["oppose", "--n", "0"]):
         assert main([*command, "--input", str(f)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("dims, message", [
+    ({"x": 1}, "malformed degree key 'x' in 'dims'"),
+    ({"0": -1}, "malformed dimension at dims[0]: -1"),
+    ({"0": True}, "malformed dimension at dims[0]: True"),
+])
+def test_complex_document_refusals_are_pinned(tmp_path, capsys, dims,
+                                              message):
+    """The exact refusal of a degree key that is not an integer and of a
+    dimension that is negative or a bool, by both commands that read a
+    chain or cochain document."""
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps({"dims": dims}))
+    f = str(f)
+    for command in (["uct", "--input", f, "--mod", "2"],
+                    ["kunneth", "--a", f, "--b", f]):
+        assert main(command) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
@@ -315,6 +336,23 @@ def test_cli_e2_grids_keep_their_columns_apart(capsys):
     assert "-10" in rows[2][0].split()
     # the three grids share one width, so their columns line up
     assert len({len(line) for grid in rows for line in grid}) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("e2", "--format", "machine"), ("e2", "--format", "table"),
+    ("e2", "--compare-paper"), ("betti", "--format", "machine"),
+    ("betti", "--format", "table"), ("filtration", "--n", "32")])
+def test_steinberg_output_is_bounded_by_its_digits_at_the_caps(capsys, argv):
+    """At d = d' = 16 with every multiplicity 10**3999 - 1, each printed
+    number costs its digits and at most `MAX_CELL_WIDTH` bytes of padding:
+    a table padded every cell of a grid to its widest, 4.5 MB for `e2
+    --format table` and 14.9 MB for `--compare-paper`."""
+    m = str(10 ** 3999 - 1)
+    code, out, err = run_cli(capsys, argv[0], "--d", "16", "--dp", "16",
+                             "--m10", m, "--m01", m, "--m11", m, *argv[1:])
+    assert (code, err) == (0, "")
+    assert len(out.encode()) <= sum(len(t) + MAX_CELL_WIDTH
+                                    for t in out.split())
 
 
 def test_cli_e2_compare_paper_odd_case(capsys):
@@ -1099,7 +1137,7 @@ def test_parse_matrix_equals_from_rows():
         seen["den > 1"] += A.den > 1
         seen["0 x k or k x 0"] += not rows or not cols
         seen["zero line"] += any(not col for col in A.columns) or any(
-            not any(row) for row in A.num_rows())
+            not any(row) for row in num_rows(A))
     assert min(seen.values()) >= 50, seen
 
 

@@ -48,7 +48,8 @@ class ReferencePages:
         # T^n stacks the blocks K^{r,n-r} in increasing r
         self.levels = {
             n: [r if axis == COLUMN else n - r
-                for r in range(n + 1) for _ in range(K.dim(r, n - r))]
+                for r in range(n + 1)
+                for _ in range(K.dims.get((r, n - r), 0))]
             for n in range(self.top + 2)}
         self._z = {}
 

@@ -9,6 +9,7 @@ from conftest import (
     fraction_rows,
     is_complementary,
     kernel_basis,
+    num_rows,
     rank,
     rref,
     subspace_intersect,
@@ -235,7 +236,7 @@ def test_from_rows_reads_strings_with_the_document_grammar():
 def test_rat_matrix_stores_integers_over_one_denominator_in_lowest_terms():
     assert mat([[Fraction(2, 4)]]) == mat([[Fraction(1, 2)]])
     A = mat([[Fraction(2, -8), Fraction(-4, -8)], [Fraction(6, -8), 0]])
-    assert (A.num_rows(), A.den) == ([[-1, 2], [-3, 0]], 4)
+    assert (num_rows(A), A.den) == ([[-1, 2], [-3, 0]], 4)
     assert A.columns == ({0: -1, 1: -3}, {0: 2})
     assert A == mat([["-1/4", "1/2"], [Fraction(-3, 4), 0]])
     assert fraction_rows(A) == [[Fraction(-1, 4), Fraction(1, 2)],
@@ -243,5 +244,5 @@ def test_rat_matrix_stores_integers_over_one_denominator_in_lowest_terms():
     assert all(type(x) is int for col in A.columns for x in col.values())
     assert (zero_matrix(2, 3).den, RatMatrix.identity(2).den) == (1, 1)
     P = A @ A  # (1/16) [[-5, -2], [3, -6]]
-    assert (P.num_rows(), P.den) == ([[-5, -2], [3, -6]], 16)
+    assert (num_rows(P), P.den) == ([[-5, -2], [3, -6]], 16)
     assert transpose(A) == mat([["-1/4", "-3/4"], ["1/2", 0]])

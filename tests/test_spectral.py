@@ -8,6 +8,7 @@ from conftest import (
     dense,
     filtration_spaces,
     naive_composite,
+    num_rows,
     rank,
     random_dense_cochain,
     random_double_complex,
@@ -25,7 +26,7 @@ from conftest import (
 from exhom import spectral
 from exhom.cli import main
 from exhom.complexes import (_nonzero_composite, cohomology_dims,
-                             validate_complex)
+                             int_chain_complex, uct_check, validate_complex)
 from exhom.documents import parse_double_complex_document
 from exhom.qlinalg import RatMatrix
 from exhom.spectral import (
@@ -99,7 +100,7 @@ def _plant_defects(rng, K, count):
         field = rng.choice([f for f in maps if maps[f]])
         cell = rng.choice(sorted(maps[field]))
         M = maps[field][cell]
-        nums = [x for row in M.num_rows() for x in row]
+        nums = [x for row in num_rows(M) for x in row]
         if rng.random() < 0.3:
             nums = [2 * x for x in nums]
         else:
@@ -345,7 +346,7 @@ def test_column_e1_is_vertical_cohomology():
         K = random_double_complex(rng, max_r=2, max_c=2)
         P = spectral_pages(K, COLUMN)
         for p in range(K.max_r + 1):
-            col = {s: K.dim(p, s) for s in range(K.max_c + 1)}
+            col = {s: K.dims.get((p, s), 0) for s in range(K.max_c + 1)}
             from exhom.complexes import cochain_complex
             C = cochain_complex(0, col,
                                 {s: K.vert[(p, s)] for s in range(K.max_c)
@@ -403,7 +404,7 @@ def test_filtration_column_zero_only():
     K = double_complex(1, 2, {(0, 0): 1, (0, 1): 2, (0, 2): 1}, {}, {})
     for n in range(3):
         F = filtration_on_total(K, COLUMN, n)
-        assert F.dims()[0] == K.dim(0, n)
+        assert F.dims()[0] == K.dims.get((0, n), 0)
         assert all(d == 0 for d in F.dims()[1:])
 
 
@@ -481,6 +482,20 @@ def test_opposite_mismatch_raises():
     H = FiltrationChain(2, 2, (2, 0))
     with pytest.raises(ValueError):
         opposite_check(F, H)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: uct_check(int_chain_complex(0, {0: 1}, {}), 1),
+     "modulus must be >= 2"),
+    (lambda: spectral_pages(one_cell(), "diag"),
+     "axis must be 'column' or 'row'"),
+    (lambda: RatMatrix.identity(2) @ RatMatrix.identity(3),
+     "shape mismatch 2x2 @ 3x3"),
+])
+def test_library_refusals_are_pinned(call, message):
+    with pytest.raises(ValueError) as refusal:
+        call()
+    assert str(refusal.value) == message
 
 
 def test_filtration_counts_and_ranks_match_the_subspace_reference():

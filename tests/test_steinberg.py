@@ -4,7 +4,6 @@ import pytest
 
 from conftest import SteinbergLabel, delta, e2_dim, ext_dim, ext_row
 from exhom.steinberg import (
-    ZERO_SPECTRUM,
     InducedSpectrum,
     _row,
     betti_profile,
@@ -77,7 +76,7 @@ def test_row_is_the_ext_label_sum():
 
 def test_e2_trivial_spectrum_diagonal():
     """With all extra multiplicities zero only the Kunneth diagonal survives."""
-    grid = e2_table(1, 1, ZERO_SPECTRUM).grid
+    grid = e2_table(1, 1, InducedSpectrum(0, 0, 0)).grid
     assert grid == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
 
 
@@ -143,12 +142,12 @@ def test_e2_transpose_symmetries():
 
 
 def test_betti_example():
-    assert betti_profile(1, 1, ZERO_SPECTRUM).b == (1, 0, 2, 0, 1)
+    assert betti_profile(1, 1, InducedSpectrum(0, 0, 0)).b == (1, 0, 2, 0, 1)
 
 
 def test_betti_poincare_duality():
     for d, dp in [(1, 2), (2, 2), (3, 1)]:
-        for sp in [ZERO_SPECTRUM, InducedSpectrum(1, 2, 3)]:
+        for sp in [InducedSpectrum(0, 0, 0), InducedSpectrum(1, 2, 3)]:
             b = betti_profile(d, dp, sp).b
             assert b == b[::-1]
 
@@ -157,7 +156,7 @@ def test_betti_euler_characteristic():
     """Alternating sum collapses to a product formula; checked exhaustively."""
     for d in range(1, 5):
         for dp in range(1, 5):
-            for sp in [ZERO_SPECTRUM, InducedSpectrum(1, 0, 0),
+            for sp in [InducedSpectrum(0, 0, 0), InducedSpectrum(1, 0, 0),
                        InducedSpectrum(0, 1, 0), InducedSpectrum(0, 0, 1),
                        InducedSpectrum(2, 3, 1)]:
                 chi = sum((-1) ** n * bn
@@ -168,7 +167,8 @@ def test_betti_euler_characteristic():
 
 
 def test_filtration_example():
-    assert covering_filtration_dims(1, 1, ZERO_SPECTRUM, 2) == [2, 2, 0, 0]
+    assert covering_filtration_dims(1, 1, InducedSpectrum(0, 0, 0), 2) \
+        == [2, 2, 0, 0]
 
 
 def test_filtration_consistency():
@@ -183,7 +183,7 @@ def test_filtration_consistency():
             for i in range(n + 1):
                 assert dims[i] - dims[i + 1] == e2_dim(d, dp, sp, i, n - i)
     with pytest.raises(ValueError):
-        covering_filtration_dims(1, 1, ZERO_SPECTRUM, 5)
+        covering_filtration_dims(1, 1, InducedSpectrum(0, 0, 0), 5)
 
 
 def test_cap_identity():
@@ -200,14 +200,14 @@ def test_cap_identity():
 
 
 def test_betti_profile_shape():
-    prof = betti_profile(1, 1, ZERO_SPECTRUM)
+    prof = betti_profile(1, 1, InducedSpectrum(0, 0, 0))
     assert prof.b == (1, 0, 2, 0, 1)
     assert len(prof.filtrations) == 5
     assert prof.filtrations[2] == (2, 2, 0, 0)
 
 
 def test_paper_table_diff_smallest_even_case():
-    sp = ZERO_SPECTRUM
+    sp = InducedSpectrum(0, 0, 0)
     report = paper_table_diff(2, 2, sp)
     assert report.computed.at(0, 0) == 1 == report.stated[(0, 0)]
     assert report.computed.at(4, 4) == 1 == report.stated[(4, 4)]
@@ -221,4 +221,4 @@ def test_paper_table_diff_smallest_even_case():
 def test_paper_table_diff_rejects_unstated_cases():
     for d, dp in [(1, 1), (2, 1), (4, 2), (3, 4)]:
         with pytest.raises(ValueError):
-            paper_table_diff(d, dp, ZERO_SPECTRUM)
+            paper_table_diff(d, dp, InducedSpectrum(0, 0, 0))
