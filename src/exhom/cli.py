@@ -1,7 +1,8 @@
 """Command-line front end.
 
 One binary with subcommands; machine output is line-oriented and bit-stable.
-Exit codes: 0 success, 1 validation failure, 2 usage error.  A well-formed
+Exit codes: 0 success, 1 validation failure, 2 usage error; `main` alone
+maps a refusal (a ValueError) to 1 or 2.  A well-formed
 argv is read straight off the grammar table `_GRAMMAR`; any other (help,
 usage, every error) goes to an argparse parser built from it on first use.
 """
@@ -29,10 +30,6 @@ USAGE_ERROR = 2
 VALIDATION_ERROR = 1
 
 
-class _Refused(ValueError):
-    """A value an option's check refuses; a usage error prints why."""
-
-
 def _int_in(what: str, low: int, high: float = inf):
     """Check: an integer in [low, high], else refused naming `what`."""
     def parse(text: str) -> int:
@@ -41,7 +38,7 @@ def _int_in(what: str, low: int, high: float = inf):
                 return int(text)
         except ValueError:
             pass
-        raise _Refused(f"expected {what}, got {text!r}")
+        raise ValueError(f"expected {what}, got {text!r}")
     return parse
 
 
@@ -49,10 +46,7 @@ def _modulus(text: str) -> int:
     """Check for --mod: an integer >= 2 whose primality is decidable."""
     m = _int_in("an integer >= 2", 2)(text)
     if m >= _MR_EXACT_BELOW:  # is_prime decides every m below the bound
-        try:
-            is_prime(m)
-        except ValueError as e:
-            raise _Refused(str(e)) from None
+        is_prime(m)  # refuses an m it cannot decide
     return m
 
 
@@ -61,7 +55,7 @@ def _multiplicity(text: str) -> int:
     e2, betti and filtration print stays under the int -> str limit."""
     if _int_in("a non-negative integer", 0)(text) < 10 ** 4000:
         return int(text)
-    raise _Refused("multiplicities must be below 10**4000")
+    raise ValueError("multiplicities must be below 10**4000")
 
 
 _TOP = steinberg.MAX_SPACE_DIM
@@ -103,8 +97,7 @@ def _argparse_parser():
     class Parser(argparse.ArgumentParser):
         def error(self, message):
             self.print_usage(sys.stderr)
-            print(f"error: {message}", file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
+            self.exit(USAGE_ERROR, f"error: {message}\n")
 
     class Store(argparse.Action):
         """argparse's store, refusing "--flag=--" as it refuses "--flag --":
@@ -119,7 +112,7 @@ def _argparse_parser():
         def parse(text):
             try:
                 return check(text)
-            except _Refused as e:
+            except ValueError as e:
                 raise argparse.ArgumentTypeError(str(e)) from None
         return parse
 
@@ -211,12 +204,8 @@ def _spectrum(args) -> steinberg.InducedSpectrum:
 
 def _cmd_e2(args) -> int:
     if args.compare_paper:
-        try:
-            report = steinberg.paper_table_diff(args.d, args.dp, _spectrum(args))
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return USAGE_ERROR
-        print(report.render())
+        print(steinberg.paper_table_diff(args.d, args.dp,
+                                         _spectrum(args)).render())
         return 0
     table = steinberg.e2_table(args.d, args.dp, _spectrum(args))
     top = args.d + args.dp
@@ -237,12 +226,8 @@ def _cmd_betti(args) -> int:
 
 
 def _cmd_filtration(args) -> int:
-    try:
-        dims = steinberg.covering_filtration_dims(args.d, args.dp,
-                                                  _spectrum(args), args.n)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
+    dims = steinberg.covering_filtration_dims(args.d, args.dp,
+                                              _spectrum(args), args.n)
     print(" ".join(map(str, dims)))
     return 0
 
@@ -294,9 +279,7 @@ def _cmd_snf(args) -> int:
 def _cmd_oppose(args) -> int:
     K = parse_double_complex_document(_read(args.input))
     if args.n < 0 or args.n > K.max_r + K.max_c:
-        print(f"error: degree {args.n} outside [0, {K.max_r + K.max_c}]",
-              file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"degree {args.n} outside [0, {K.max_r + K.max_c}]")
     F = spectral.filtration_on_total(K, spectral.COLUMN, args.n)
     G = spectral.filtration_on_total(K, spectral.ROW, args.n)
     print("col dims " + " ".join(map(str, F.dims())))
@@ -318,9 +301,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except DocumentError as e:
+    except ValueError as e:  # a bad document exits 1, any other refusal 2
         print(f"error: {e}", file=sys.stderr)
-        return VALIDATION_ERROR
+        return (VALIDATION_ERROR if isinstance(e, DocumentError)
+                else USAGE_ERROR)
 
 
 if __name__ == "__main__":

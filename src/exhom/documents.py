@@ -18,11 +18,9 @@ from math import gcd, lcm
 
 from .complexes import (
     CochainComplex,
-    ComplexError,
     IntChainComplex,
     _build,
     _nonzero_composite,
-    validate_complex,
 )
 from .qlinalg import _RATIONAL, RatMatrix
 from .spectral import DoubleComplex, DoubleComplexError, double_complex
@@ -184,12 +182,9 @@ def _parse_complex(text: str, cls):
         diffs[deg] = _parse_matrix(raw, dims.get(deg + cls.step, 0),
                                    dims.get(deg, 0), f"differentials[{k}]",
                                    integral=cls.step < 0)
-    try:
-        C = _build(cls, min_deg, dims, diffs)
-    except ComplexError as e:
-        raise DocumentError(str(e)) from None
-    if not validate_complex(C):
-        raise DocumentError(f"d o d != 0 at degree {_nonzero_composite(C)}")
+    C = _build(cls, min_deg, dims, diffs)  # diffs have the shapes it wants
+    if (n := _nonzero_composite(C)) is not None:
+        raise DocumentError(f"d o d != 0 at degree {n}")
     return C
 
 

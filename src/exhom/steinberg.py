@@ -140,9 +140,7 @@ def _stated_e2(d: int, dp: int, spectrum: InducedSpectrum,
             return m10 + 1
         if r == half:
             return m11 + m10 + m01 + 1
-        if r >= dp // 2:
-            return m10 + m01 + 1
-        return 0
+        return m10 + m01 + 1  # r >= dp // 2
     if r + s == d + dp:
         return m11 + m10 + m01
     if (r + s) % 2 == 0 and d <= r + s < dp:
@@ -171,12 +169,13 @@ def _stated_betti(d: int, dp: int, spectrum: InducedSpectrum, n: int) -> int:
 def render_grids(top: int, *lookups) -> list[list[str]]:
     """Each lookup(r, s) over 0 <= r, s <= top as lines: a header of r, then
     one line per s from top down.  Every column of every grid takes one
-    width, the widest cell's up to `MAX_CELL_WIDTH`, so the grids line up; a
+    width, the widest cell's up to `MAX_CELL_WIDTH` and at least one more
+    than the widest label's, so the grids line up and no two labels touch; a
     cell too wide for it follows one space, so no two cells run together and
     a cell costs at most its digits plus that width."""
     grids = [[[str(f(r, s)) for r in range(top + 1)]
               for s in range(top, -1, -1)] for f in lookups]
-    width = min(MAX_CELL_WIDTH, max(3, 1 + max(
+    width = max(3, len(str(top)) + 1, min(MAX_CELL_WIDTH, 1 + max(
         len(c) for g in grids for row in g for c in row)))
     head = "  s\\r " + "".join(str(r).rjust(width) for r in range(top + 1))
     return [[head] + ["  " + str(top - k).rjust(3) + " " + "".join(

@@ -28,7 +28,7 @@ from conftest import (
     serialize_double_complex,
     tensor_double_complex,
 )
-from exhom import cli, complexes, documents, spectral, zlinalg
+from exhom import cli, complexes, documents, spectral, steinberg, zlinalg
 from exhom.cli import build_parser, main
 from exhom.complexes import _Complex
 from exhom.documents import (
@@ -336,6 +336,55 @@ def test_cli_e2_grids_keep_their_columns_apart(capsys):
     assert "-10" in rows[2][0].split()
     # the three grids share one width, so their columns line up
     assert len({len(line) for grid in rows for line in grid}) == 1
+
+
+@pytest.mark.parametrize("argv, grids", [
+    (("--d", "64", "--dp", "64", "--format", "table"), 1),
+    (("--d", "50", "--dp", "50", "--compare-paper"), 3)])
+def test_cli_grid_headers_keep_three_digit_labels_apart(capsys, argv, grids):
+    # at d + d' >= 100 a label is three digits, as wide as a short cell's
+    # column; each header must still split back into s\r and 0..d + d'
+    code, out, err = run_cli(capsys, "e2", *argv)
+    assert (code, err) == (0, "")
+    top = int(argv[1]) + int(argv[3])
+    heads = [line.split() for line in out.splitlines()
+             if line.startswith("  s\\r ")]
+    assert heads == [["s\\r", *map(str, range(top + 1))]] * grids
+
+
+# each subcommand, with one library call it makes and the documents it reads
+_LIBRARY_CALLS = [
+    (("e2", "--d", "2", "--dp", "2"), steinberg, "e2_table"),
+    (("e2", "--d", "2", "--dp", "2", "--compare-paper"), steinberg,
+     "paper_table_diff"),
+    (("betti", "--d", "2", "--dp", "2"), steinberg, "betti_profile"),
+    (("filtration", "--d", "2", "--dp", "2", "--n", "0"), steinberg,
+     "covering_filtration_dims"),
+    (("ss", "--input", "K", "--axis", "col"), spectral, "spectral_pages"),
+    (("kunneth", "--a", "C", "--b", "C"), complexes, "kunneth_check"),
+    (("uct", "--input", "C", "--mod", "2"), complexes, "uct_check"),
+    (("snf", "--input", "M"), cli, "invariant_factors"),
+    (("oppose", "--input", "K", "--n", "0"), spectral, "filtration_on_total"),
+]
+
+
+@pytest.mark.parametrize("error, code", [(ValueError, 2), (DocumentError, 1)])
+@pytest.mark.parametrize("argv, module, name", _LIBRARY_CALLS)
+def test_cli_maps_every_refusal_to_one_exit(tmp_path, capsys, monkeypatch,
+                                            argv, module, name, error, code):
+    """A refusal from inside any subcommand exits with one message and no
+    traceback: 1 for a bad document, 2 for any other refused input."""
+    docs = {"K": {"max_r": 0, "max_c": 0, "dims": {"0,0": 1}},
+            "C": {"dims": {"0": 1}}, "M": [[2]]}
+    for key, doc in docs.items():
+        (tmp_path / key).write_text(json.dumps(doc))
+
+    def refuse(*args):
+        raise error("refused")
+
+    monkeypatch.setattr(module, name, refuse)
+    argv = [str(tmp_path / a) if a in docs else a for a in argv]
+    assert run_cli(capsys, *argv) == (code, "", "error: refused\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -872,18 +921,27 @@ def test_cli_bounds_the_degree_span(tmp_path, capsys, dims, code):
 
 
 @pytest.mark.parametrize("over", [0, 1])
-def test_cli_bounds_the_total_dimension(tmp_path, capsys, over):
+def test_cli_bounds_the_total_dimension(tmp_path, capsys, monkeypatch, over):
     """At MAX_TOTAL_DIM a document parses; one more exits 1 before any
     basis is built, for every subcommand that reads a complex."""
     n = MAX_TOTAL_DIM + over
-    docs = {"k": {"max_r": 1, "max_c": 0, "dims": {"0,0": n - 1, "1,0": 1}},
-            "c": {"dims": {"0": n - 2, "3": 2}}, "one": {"dims": {"0": 1}}}
+    docs = {"k": {"max_r": 1, "max_c": 0, "dims": {"0,0": n - 1, "1,0": 1},
+                  "horiz": {"0,0": [[0] * (n - 1)]}},
+            "c": {"dims": {"0": n - 2, "3": 2}, "differentials": {"3": []}},
+            "one": {"dims": {"0": 1}}}
+    # every document has a map, so a parse that read one before the total
+    # dimension was checked would count a call
+    calls = []
+    monkeypatch.setattr(documents, "_parse_matrix",
+                        lambda *a, parse=documents._parse_matrix, **k:
+                        calls.append(a[3]) or parse(*a, **k))
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     k, c, one = (str(tmp_path / f"{name}.json") for name in docs)
     if not over:
         assert sum(parse_double_complex_document(
             json.dumps(docs["k"])).dims.values()) == n
+        assert calls == ["horiz[0,0]"]
         assert sum(parse_chain_document(json.dumps(docs["c"])).dims.values()) \
             == sum(parse_cochain_document(json.dumps(docs["c"])).dims.values()) \
             == n
@@ -910,13 +968,18 @@ def test_cli_bounds_the_total_dimension(tmp_path, capsys, over):
         assert _rejected(code, err) and out == ""
         assert err == (f"error: total dimension must be at most "
                        f"{MAX_TOTAL_DIM}, got {n}\n")
+        assert calls == []  # refused before any matrix is read
 
 
 @pytest.mark.parametrize("argv", [["e2"], ["e2", "--compare-paper"],
                                   ["betti", "--format", "table"],
                                   ["filtration", "--n", "5"]])
-def test_cli_bounds_the_space_dimensions(capsys, argv):
-    """d = d' = MAX_SPACE_DIM runs at once; one more in either exits 2."""
+def test_cli_bounds_the_space_dimensions(capsys, monkeypatch, argv):
+    """d = d' = MAX_SPACE_DIM runs at once; one more in either exits 2
+    before any row of the grid is summed."""
+    rows = []
+    monkeypatch.setattr(steinberg, "_row", lambda *a, row=steinberg._row:
+                        rows.append(a[3]) or row(*a))
     name, *rest = argv
     top = MAX_SPACE_DIM
     start = time.perf_counter()
@@ -924,12 +987,16 @@ def test_cli_bounds_the_space_dimensions(capsys, argv):
                              *rest)
     assert time.perf_counter() - start < 1.0
     assert code == 0 and out and err == ""
+    # each of the rows 0..2 top is summed at most twice (betti's table)
+    assert 0 < len(rows) <= 2 * (2 * top + 1) and max(rows) <= 2 * top
+    rows.clear()
     for d, dp in ((top + 1, top), (1, top + 1)):
         code, out, err = run_cli(capsys, name, "--d", str(d), "--dp", str(dp),
                                  *rest)
         assert code == 2 and out == ""
         assert f"expected a positive integer at most {top}, got '{top + 1}'" \
             in err
+        assert rows == []
 
 
 def test_cli_bounds_the_tensor_product(tmp_path, capsys):

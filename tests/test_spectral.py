@@ -491,6 +491,9 @@ def test_opposite_mismatch_raises():
      "axis must be 'column' or 'row'"),
     (lambda: RatMatrix.identity(2) @ RatMatrix.identity(3),
      "shape mismatch 2x2 @ 3x3"),
+    (lambda: double_complex(0, 1, {(0, 0): 1, (0, 1): 1}, {},
+                            {(0, 0): RatMatrix.identity(2)}),
+     "vert at (0,0) has shape 2x2, expected 1x1"),
 ])
 def test_library_refusals_are_pinned(call, message):
     with pytest.raises(ValueError) as refusal:
