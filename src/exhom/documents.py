@@ -145,11 +145,23 @@ def _cell_key(k: str, where: str) -> tuple[int, int]:
     return r, s
 
 
+def _entries(doc, name, parse_key, keys, required=False):
+    """(raw key, parsed key, value) of each entry of the map `name`, each
+    raw key parsed once (`keys` holds the parses); a second raw key naming
+    a degree or cell already given is refused, not read over the first."""
+    given = {}
+    for k, v in _map_field(doc, name, required).items():
+        key = keys[k] if k in keys else keys.setdefault(k, parse_key(k, name))
+        if given.setdefault(key, k) != k:
+            raise DocumentError(f"keys {given[key]!r} and {k!r} both name "
+                                f"{key} in '{name}'")
+        yield k, key, v
+
+
 def _dims_field(doc, parse_key) -> tuple[dict, dict]:
     """The dims keyed by parsed key, and the parse of each raw key."""
     dims, keys = {}, {}
-    for k, v in _map_field(doc, "dims", required=True).items():
-        keys[k] = key = parse_key(k, "dims")
+    for k, key, v in _entries(doc, "dims", parse_key, keys, required=True):
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise DocumentError(f"malformed dimension at dims[{k}]: {v!r}")
         dims[key] = v
@@ -177,8 +189,7 @@ def _parse_complex(text: str, cls):
                             f"{MAX_DEGREE_SPAN}, got {min(degrees)} to "
                             f"{max(degrees)}")
     diffs = {}
-    for k, raw in _map_field(doc, "differentials").items():
-        deg = keys[k] if k in keys else _degree_key(k, "differentials")
+    for k, deg, raw in _entries(doc, "differentials", _degree_key, keys):
         diffs[deg] = _parse_matrix(raw, dims.get(deg + cls.step, 0),
                                    dims.get(deg, 0), f"differentials[{k}]",
                                    integral=cls.step < 0)
@@ -215,12 +226,9 @@ def parse_double_complex_document(text: str) -> DoubleComplex:
 
     def maps(name, dr, ds):
         """The blocks by cell, each distinct key parsed once."""
-        out = {}
-        for k, raw in _map_field(doc, name).items():
-            r, s = cell = keys.get(k) or keys.setdefault(k, _cell_key(k, name))
-            out[cell] = _parse_matrix(raw, dims.get((r + dr, s + ds), 0),
-                                      dims.get(cell, 0), f"{name}[{k}]")
-        return out
+        return {(r, s): _parse_matrix(raw, dims.get((r + dr, s + ds), 0),
+                                      dims.get((r, s), 0), f"{name}[{k}]")
+                for k, (r, s), raw in _entries(doc, name, _cell_key, keys)}
 
     try:
         return double_complex(max_r, max_c, dims, maps("horiz", 1, 0),
@@ -240,5 +248,6 @@ def parse_int_matrix_document(text: str) -> RatMatrix:
                             "or an object with a 'matrix' field")
     rows = len(doc)
     cols = len(doc[0]) if rows and isinstance(doc[0], list) else 0
+    _check_total_dim(rows + cols, "total dimension")  # of Z^cols -> Z^rows
     return _parse_matrix(doc, rows, cols, "matrix", integral=True)
 

@@ -25,13 +25,14 @@ page (above every finite life; later pages share its dict) down.
 Basis vectors left unpaired are cycles: they give E_infinity, and the
 classes of those of level >= p span F^p H^n.  The column pairing's own
 unpaired cycles of degree n are the basis of H^n both filtrations are
-written on (cached on K per n): the column filtration holds their levels
-only, and a row cycle gets sparse integer coordinates on them by the same
-fraction-free reduction, against the column pairing's targets and unpaired
-cycles, which are triangular in the order that pairing used.  So the dims
-of a filtration are counts, and two filtrations are compared by counts and
-one integer (Bareiss) rank per step.  Filtrations on total cohomology, the
-oppositeness test and the dimension criterion implying it live here.
+written on (`_column_basis`, cached on K per n): the column filtration
+holds their levels only, and `filtration_on_total` gives a row cycle sparse
+integer coordinates on them by the same fraction-free reduction, against
+the column pairing's targets and unpaired cycles, which are triangular in
+the order that pairing used.  So the dims of a filtration are counts, and
+two filtrations are compared by counts and one integer (Bareiss) rank per
+step.  Filtrations on total cohomology, the oppositeness test and the
+dimension criterion implying it live here.
 """
 
 from __future__ import annotations
@@ -232,40 +233,28 @@ def _column_basis(K: DoubleComplex, n: int) -> tuple:
     return K._bases[n]
 
 
-def _classes(K: DoubleComplex, n: int, cycles) -> list[dict]:
-    """Sparse integer coordinates of each cycle of degree n on the column
-    basis of H^n, divided by their content: a cycle z reduces to zero
-    against the triangular basis of `_column_basis`, leaving s z = sum of
-    coords times the unpaired cycles plus boundaries, the scale s carried
-    at key b = dim H^n."""
-    unpaired, ranks, pivots = _column_basis(K, n)
-    b, rows = len(unpaired), []
-    for z in cycles:
-        _, coords, low = _reduce(z, {b: 1}, pivots, ranks)
-        if low is not None:
-            raise ValueError(f"not a cycle of degree {n}")
-        del coords[b]
-        g = gcd(*coords.values())
-        rows.append({k: x // g for k, x in coords.items()} if g > 1
-                    else coords)
-    return rows
-
-
 def filtration_on_total(K: DoubleComplex, axis: str, n: int) -> FiltrationChain:
     """Filtration F^p H^n(Tot) induced by the chosen axis: F^p is spanned by
     the classes of the unpaired cycles of level >= p, on the column
-    pairing's basis of H^n, which on the column axis they are."""
+    pairing's basis of H^n, which on the column axis they are; a row
+    cycle's coordinates on it are divided by their content."""
     levels = None if axis == COLUMN else _levels(K, axis)  # checks axis
     if n < 0 or n > K.max_r + K.max_c:
         return FiltrationChain(max(n, 0), 0, ())
-    unpaired = _column_basis(K, n)[0]
+    unpaired, ranks, pivots = _column_basis(K, n)
+    b = len(unpaired)
     if axis == COLUMN:
-        return FiltrationChain(n, len(unpaired),
-                               tuple(g.level for g in unpaired))
+        return FiltrationChain(n, b, tuple(g.level for g in unpaired))
     cycles = [g for g in _pairing(K._total, levels, n)
               if g.n == n and g.life == inf]
-    return FiltrationChain(n, len(unpaired), tuple(g.level for g in cycles),
-                           tuple(_classes(K, n, [g.chain for g in cycles])))
+    rows = []
+    for g in cycles:  # its chain z reduces to zero against that basis:
+        # s z = sum of coords times the unpaired cycles plus boundaries
+        coords = _reduce(g.chain, {b: 1}, pivots, ranks)[1]
+        del coords[b]  # the scale s
+        c = gcd(*coords.values())
+        rows.append({k: x // c for k, x in coords.items()})
+    return FiltrationChain(n, b, tuple(g.level for g in cycles), tuple(rows))
 
 
 def _rank(rows: list[dict], cols) -> int:

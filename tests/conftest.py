@@ -5,7 +5,8 @@ and lone summands, then conjugated by random invertible (over Q) or
 unimodular (over Z) changes of basis so the matrices look generic while
 d o d = 0 holds exactly.  Double complexes come from tensor bicomplexes of
 two random complexes, which have commuting squares by construction, or from
-staircase zigzags with known pages.
+staircase zigzags with known pages and filtrations: `Zigzags.sum_dim` counts
+dim(F^p + G^q) class by class, with no basis of H^n built.
 
 Also holds the kernel-lattice route to integral homology, which the library
 used before it read H_n off invariant factors, the persistence pairing over
@@ -778,6 +779,30 @@ class Zigzags:
                   if sum(c) == n]
         return tuple(sum(1 for lv in levels if lv >= p)
                      for p in range(n + 2))
+
+    def classes(self, n):
+        """(column level, row level) of each class of H^n: (r, s) for a
+        lone cell (r, s) of degree n and for a corner (r, s) of degree
+        n - 1, whose class lies in degree r + s + 1."""
+        return [(r, s) for r, s in self.lones if r + s == n] + [
+            (r, s) for r, s in self.corners if r + s + 1 == n]
+
+    def sum_dim(self, n, p, q):
+        """dim(F^p + G^q) in H^n, F the column and G the row filtration.
+        Each class spans one summand of the direct sum, and each filtration
+        is the sum of its pieces on the summands, so this counts the classes
+        in F^p or in G^q; no basis of H^n is computed."""
+        return sum(r >= p or s >= q for r, s in self.classes(n))
+
+    def verdicts(self, n):
+        """(`opposite_check`, `dimension_criterion`) of F and G on H^n from
+        the counts alone."""
+        h, ps = len(self.classes(n)), range(n + 2)
+        f, g = self.filtration_dims(COLUMN, n), self.filtration_dims(ROW, n)
+        spans = all(self.sum_dim(n, p, n + 1 - p) == h for p in ps)
+        return (spans and all(f[p] + g[n + 1 - p] == h for p in ps),
+                spans and all(f[p] + f[n + 1 - p] == h == g[p] + g[n + 1 - p]
+                              for p in ps))
 
 
 def random_zigzag_double_complex(rng, grid=4, pieces=6, corners=0):

@@ -270,6 +270,39 @@ def test_complex_document_refusals_are_pinned(tmp_path, capsys, dims,
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+_SQUARE = {"0,0": 1, "1,0": 1, "0,1": 1, "1,1": 1}
+# one aliased key per map: (document, argv but --input, refusal)
+ALIASED_KEYS = {
+    "dims": ({"dims": {"0": 1, "1": 1, "01": 2}}, ["uct", "--mod", "2"],
+             "keys '1' and '01' both name 1 in 'dims'"),
+    "differentials": (
+        {"dims": {"0": 1, "1": 1}, "differentials": {"1": [[1]], "+1": [[0]]}},
+        ["uct", "--mod", "2"],
+        "keys '1' and '+1' both name 1 in 'differentials'"),
+    "horiz": ({"max_r": 1, "max_c": 1, "dims": _SQUARE,
+               "horiz": {"0,0": [[1]], "+0,0": [[0]]}},
+              ["ss", "--axis", "col"],
+              "keys '0,0' and '+0,0' both name (0, 0) in 'horiz'"),
+    "vert": ({"max_r": 1, "max_c": 1, "dims": _SQUARE,
+              "vert": {"1,0": [[1]], "1, 0": [[0]]}},
+             ["oppose", "--n", "1"],
+             "keys '1,0' and '1, 0' both name (1, 0) in 'vert'"),
+}
+
+
+@pytest.mark.parametrize("doc, argv, message", ALIASED_KEYS.values(),
+                         ids=ALIASED_KEYS)
+def test_aliased_keys_are_refused(tmp_path, capsys, doc, argv, message):
+    """A second spelling of a degree or cell in one map ("01", "+1", "1, 0",
+    which `int` reads as the first) is refused, naming both raw keys, rather
+    than letting the later entry replace the earlier one."""
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    name, *rest = argv
+    assert run_cli(capsys, name, "--input", str(f), *rest) \
+        == (1, "", f"error: {message}\n")
+
+
 def test_serialize_roundtrip_cochain():
     rng = random.Random(31)
     for _ in range(5):
@@ -923,12 +956,15 @@ def test_cli_bounds_the_degree_span(tmp_path, capsys, dims, code):
 @pytest.mark.parametrize("over", [0, 1])
 def test_cli_bounds_the_total_dimension(tmp_path, capsys, monkeypatch, over):
     """At MAX_TOTAL_DIM a document parses; one more exits 1 before any
-    basis is built, for every subcommand that reads a complex."""
+    basis is built, for every subcommand that reads a complex, and before
+    any entry is read for `snf`, whose (n - 1) x 1 matrix is the
+    differential of a two-term complex of total dimension n."""
     n = MAX_TOTAL_DIM + over
     docs = {"k": {"max_r": 1, "max_c": 0, "dims": {"0,0": n - 1, "1,0": 1},
                   "horiz": {"0,0": [[0] * (n - 1)]}},
             "c": {"dims": {"0": n - 2, "3": 2}, "differentials": {"3": []}},
-            "one": {"dims": {"0": 1}}}
+            "one": {"dims": {"0": 1}},
+            "m": [[1]] + [[0]] * (n - 2)}
     # every document has a map, so a parse that read one before the total
     # dimension was checked would count a call
     calls = []
@@ -937,7 +973,7 @@ def test_cli_bounds_the_total_dimension(tmp_path, capsys, monkeypatch, over):
                         calls.append(a[3]) or parse(*a, **k))
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
-    k, c, one = (str(tmp_path / f"{name}.json") for name in docs)
+    k, c, one, m = (str(tmp_path / f"{name}.json") for name in docs)
     if not over:
         assert sum(parse_double_complex_document(
             json.dumps(docs["k"])).dims.values()) == n
@@ -961,7 +997,8 @@ def test_cli_bounds_the_total_dimension(tmp_path, capsys, monkeypatch, over):
                  ["ss", "--input", k, "--axis", "row", "--pages"],
                  ["oppose", "--input", k, "--n", "0"],
                  ["uct", "--input", c, "--mod", "2"],
-                 ["kunneth", "--a", one, "--b", c]):
+                 ["kunneth", "--a", one, "--b", c],
+                 ["snf", "--input", m]):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1.0
@@ -1012,6 +1049,41 @@ def test_cli_bounds_the_tensor_product(tmp_path, capsys):
     assert _rejected(code, err) and out == ""
     assert err == (f"error: total dimension of the tensor product must be "
                    f"at most {MAX_TOTAL_DIM}, got {side * (side + 1)}\n")
+
+
+# MAX_TOTAL_DIM generators over the MAX_DEGREE_SPAN + 1 degrees 0..1024:
+# the first degrees get one more than the rest
+_SPREAD = {str(n): MAX_TOTAL_DIM // (MAX_DEGREE_SPAN + 1)
+           + (n < MAX_TOTAL_DIM % (MAX_DEGREE_SPAN + 1))
+           for n in range(MAX_DEGREE_SPAN + 1)}
+# A, B of dimension 64 each, in degrees 0..7 and 0..3: A (x) B fills 0..10
+_A = {str(n): 8 for n in range(8)}
+_B = {str(n): 16 for n in range(4)}
+
+
+@pytest.mark.parametrize("docs, argv, lines", [
+    ([{"dims": _SPREAD}], ["uct", "--input", 0, "--mod", "2"],
+     1 + MAX_DEGREE_SPAN + 1),
+    ([{"dims": _SPREAD}],
+     ["uct", "--input", 0, "--mod", str(zlinalg._MR_EXACT_BELOW - 1)], 1),
+    ([{"dims": _A}, {"dims": _B}], ["kunneth", "--a", 0, "--b", 1], 1 + 11),
+    ([[[1]] + [[0]] * (MAX_TOTAL_DIM - 2)], ["snf", "--input", 0], 1),
+], ids=["uct-mod-2", "uct-mod-below-the-bound", "kunneth", "snf"])
+def test_cli_runs_documents_at_the_caps(tmp_path, capsys, docs, argv, lines):
+    """Every document family at its caps is accepted: a complex of
+    MAX_TOTAL_DIM generators over MAX_DEGREE_SPAN + 1 degrees, two complexes
+    whose product has MAX_TOTAL_DIM, and a matrix of rows + cols =
+    MAX_TOTAL_DIM."""
+    assert sum(_SPREAD.values()) == MAX_TOTAL_DIM
+    assert sum(_A.values()) * sum(_B.values()) == MAX_TOTAL_DIM
+    paths = []
+    for i, doc in enumerate(docs):
+        paths.append(str(tmp_path / f"{i}.json"))
+        (tmp_path / f"{i}.json").write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *(a if isinstance(a, str) else paths[a]
+                                       for a in argv))
+    assert (code, err) == (0, "") and "Traceback" not in out
+    assert out.count("\n") == lines
 
 
 # ------------------------------------------- integer storage on the ss path
@@ -1092,9 +1164,12 @@ def test_cli_ss_on_rational_documents_keeps_known_pages(tmp_path, capsys):
 
 # ------------------------------------------------- CLI contract, any input
 
+# with aliased spellings, which `int` reads as another key's degree or cell
 _KEYS = st.sampled_from(["dims", "differentials", "min_deg", "max_r", "max_c",
                          "horiz", "vert", "matrix", "0", "1", "2", "-1",
-                         "0,0", "0,1", "1,0", "1,1"]) | st.text(max_size=3)
+                         "0,0", "0,1", "1,0", "1,1", "01", "+1", " 0", "1_0",
+                         "\u0661", "+0,0", "0, 1", "1,00"]) \
+    | st.text(max_size=3)
 _SCALARS = (st.none() | st.booleans() | st.integers(-3, 3)
             | st.integers(-2 ** 70, 2 ** 70) | st.floats()
             | st.sampled_from(["1", "-1/2", "0", "1/0", "x"])

@@ -1,0 +1,188 @@
+"""Hand-written mutants of the library, each applied with `monkeypatch`, and
+the oracle that rejects it, called as a function.
+
+Each test first runs its oracle on the library as it is, where it must
+pass, then applies one mutant and runs the same oracle again, where it must
+fail.  A mutant that no oracle rejects names a gap in the suite.
+
+1. Row classes by position (class k of the row filtration written as basis
+   vector k): rejected by `Zigzags.sum_dim`, the count of dim(F^p + G^q)
+   class by class.
+2. `spectral._levels` filtering by r on the row axis too: rejected by
+   `Zigzags.page_dims`.
+3. `zlinalg._rank_mod_p` dropping its last pivot: rejected by
+   `dense_rank_mod_p`.
+4. `documents` reading aliased keys over each other again: rejected by
+   `test_aliased_keys_are_refused`.
+5. `steinberg._row` with m10 and m01 swapped: rejected by `ext_row`.
+6. `complexes._reduce` without its content division: rejected by the
+   128-bit bound of `test_chain_entries_stay_small`.
+"""
+
+import random
+from math import gcd
+
+import pytest
+
+import test_documents_cli
+import test_pairing
+from conftest import (
+    dense_rank_mod_p,
+    ext_row,
+    random_int_matrix,
+    random_low_rank_matrix,
+    random_zigzag_double_complex,
+)
+from exhom import complexes, documents, spectral, steinberg, zlinalg
+from exhom.complexes import _combine
+from exhom.documents import _map_field
+from exhom.spectral import COLUMN, ROW, FiltrationChain
+from exhom.steinberg import InducedSpectrum
+
+
+def _zigzags(count):
+    """Fresh small known-answer double complexes, the same on every call."""
+    rng = random.Random(83)
+    return [random_zigzag_double_complex(rng, grid=rng.randint(2, 5),
+                                         pieces=rng.randint(4, 14),
+                                         corners=rng.randint(0, 3))
+            for _ in range(count)]
+
+
+def _sum_dim_misses(count):
+    """Degrees at which `_sum_dim` of the column and row filtrations, at
+    some (p, q), differs from `Zigzags.sum_dim`."""
+    misses = 0
+    for K, Z in _zigzags(count):
+        for n in range(K.max_r + K.max_c + 1):
+            F, G = (spectral.filtration_on_total(K, axis, n)
+                    for axis in (COLUMN, ROW))
+            misses += any(spectral._sum_dim(F, p, G, q) != Z.sum_dim(n, p, q)
+                          for p in range(n + 2) for q in range(n + 2))
+    return misses
+
+
+def test_row_classes_by_position_are_rejected(monkeypatch):
+    assert _sum_dim_misses(40) == 0
+    real = spectral.filtration_on_total
+
+    def by_position(K, axis, n):
+        F = real(K, axis, n)
+        return F if F.rows is None else FiltrationChain(
+            F.n, F.ambient_dim, F.levels,
+            tuple({k: 1} for k in range(F.ambient_dim)))
+
+    monkeypatch.setattr(spectral, "filtration_on_total", by_position)
+    assert _sum_dim_misses(40) > 0
+
+
+def _page_misses(count):
+    """Instances whose pages on either axis differ from `Zigzags.page_dims`."""
+    misses = 0
+    for K, Z in _zigzags(count):
+        for axis in (COLUMN, ROW):
+            P = spectral.spectral_pages(K, axis)
+            misses += any({pq: d for pq, (d, _) in grid.items()}
+                          != Z.page_dims(axis, r)
+                          for r, grid in P.pages.items())
+    return misses
+
+
+def test_row_levels_read_off_the_column_are_rejected(monkeypatch):
+    assert _page_misses(20) == 0
+    real = spectral._levels
+    monkeypatch.setattr(spectral, "_levels", lambda K, axis: real(K, COLUMN))
+    assert _page_misses(20) > 0
+
+
+def _rank_mod_p_misses():
+    """Random matrices, of full and of low rank, whose rank mod p differs
+    from `dense_rank_mod_p`."""
+    rng, misses = random.Random(89), 0
+    for k in range(40):
+        p = rng.choice((2, 3, 7))
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        A = (random_int_matrix(rng) if k % 2 else random_low_rank_matrix(
+            rng, rows, cols, rng.randint(0, min(rows, cols))))
+        misses += zlinalg._rank_mod_p(A, p) != dense_rank_mod_p(A, p)
+    return misses
+
+
+def test_rank_mod_p_without_its_last_pivot_is_rejected(monkeypatch):
+    assert _rank_mod_p_misses() == 0
+    real = zlinalg._rank_mod_p
+    monkeypatch.setattr(zlinalg, "_rank_mod_p",
+                        lambda D, p: max(real(D, p) - 1, 0))
+    assert _rank_mod_p_misses() > 0
+
+
+def _aliases_refused(tmp_path, capsys):
+    """The aliased-key cases of `test_aliased_keys_are_refused` it passes."""
+    passed = 0
+    for i, (doc, argv, message) in enumerate(
+            test_documents_cli.ALIASED_KEYS.values()):
+        (tmp_path / str(i)).mkdir(parents=True)
+        try:
+            test_documents_cli.test_aliased_keys_are_refused(
+                tmp_path / str(i), capsys, doc, argv, message)
+        except AssertionError:
+            continue
+        passed += 1
+    return passed
+
+
+def test_aliased_keys_read_over_each_other_are_rejected(tmp_path, capsys,
+                                                        monkeypatch):
+    assert _aliases_refused(tmp_path / "library", capsys) == 4
+
+    def last_key_wins(doc, name, parse_key, keys, required=False):
+        for k, v in _map_field(doc, name, required).items():
+            key = keys[k] if k in keys else keys.setdefault(
+                k, parse_key(k, name))
+            yield k, key, v
+
+    monkeypatch.setattr(documents, "_entries", last_key_wins)
+    assert _aliases_refused(tmp_path / "mutant", capsys) == 0
+
+
+def _row_misses():
+    """Rows of E2 at d != d' that differ from `ext_row`; at d = d' the
+    Kunneth pairs are symmetric and a swap of m10 and m01 leaves them."""
+    spectrum, misses = InducedSpectrum(1, 2, 3), 0
+    for d, dp in ((1, 2), (2, 1), (2, 3), (3, 3)):
+        for s in range(d + dp + 1):
+            misses += steinberg._row(d, dp, spectrum, s) \
+                != ext_row(d, dp, spectrum, s)
+    return misses
+
+
+def test_row_with_m10_and_m01_swapped_is_rejected(monkeypatch):
+    assert _row_misses() == 0
+    real = steinberg._row
+    monkeypatch.setattr(steinberg, "_row", lambda d, dp, sp, s: real(
+        d, dp, InducedSpectrum(sp.m01, sp.m10, sp.m11), s))
+    assert _row_misses() > 0
+
+
+def _reduce_without_content_division(vec, chain, pivots, ranks):
+    while vec:
+        low = max(vec, key=ranks.__getitem__)
+        if low not in pivots:
+            return vec, chain, low
+        pvec, pchain = pivots[low][:2]
+        g = gcd(pvec[low], vec[low])
+        a, b = pvec[low] // g, vec[low] // g
+        vec, chain = _combine(a, vec, b, pvec), _combine(a, chain, b, pchain)
+    return vec, chain, None
+
+
+def test_reduce_without_content_division_is_rejected(monkeypatch):
+    instance = random_zigzag_double_complex(random.Random(5), grid=4,
+                                            pieces=60)
+    test_pairing.test_chain_entries_stay_small(instance)
+    monkeypatch.setattr(complexes, "_reduce",
+                        _reduce_without_content_division)
+    with pytest.raises(AssertionError) as bound:
+        test_pairing.test_chain_entries_stay_small(instance)
+    assert str(bound.traceback[-1].statement).strip() \
+        == "assert max(bits) <= 128"

@@ -7,7 +7,8 @@
 * Its chains are sparse, {index: nonzero int}, and their size stays
   bounded by content removal.
 * Known answers at total dimension 472, a size the `Fraction` engine made
-  too slow for the suite.
+  too slow for the suite, and at 508 with corners: pages, filtrations and
+  every dim(F^p + G^q) of `oppose`.
 * The two filtrations of `oppose` share one Tot, scaled once, and pair it
   twice: the column pairing's unpaired cycles are the basis of H^n both
   are written on.
@@ -53,6 +54,15 @@ from exhom.spectral import (
 def zigzag_472():
     K, Z = random_zigzag_double_complex(random.Random(5), grid=6, pieces=300)
     assert sum(K.dims.values()) == 472
+    return K, Z
+
+
+@pytest.fixture(scope="module")
+def corners_508():
+    """`zigzag_472` plus 12 corners, classes spread over two cells."""
+    K, Z = random_zigzag_double_complex(random.Random(5), grid=6, pieces=300,
+                                        corners=12)
+    assert sum(K.dims.values()) == 508
     return K, Z
 
 
@@ -135,6 +145,25 @@ def test_zigzag_known_answers_at_size(zigzag_472):
         for n in range(top + 1):
             assert filtration_on_total(K, axis, n).dims() \
                 == Z.filtration_dims(axis, n)
+
+
+@pytest.mark.parametrize("instance", ["zigzag_472", "corners_508"])
+def test_sum_dims_and_verdicts_known_at_size(request, monkeypatch, instance):
+    """`_sum_dim` of the column and row filtrations at every (p, q) of
+    every degree, and both verdicts, against the count of `Zigzags`, which
+    reads no row of the library.  Some pairs take an integer rank."""
+    K, Z = request.getfixturevalue(instance)
+    ranks, rank = [], spectral._rank
+    monkeypatch.setattr(spectral, "_rank", lambda rows, cols:
+                        ranks.append(len(rows)) or rank(rows, cols))
+    for n in range(K.max_r + K.max_c + 1):
+        F, G = (filtration_on_total(K, axis, n) for axis in (COLUMN, ROW))
+        assert [[spectral._sum_dim(F, p, G, q) for q in range(n + 2)]
+                for p in range(n + 2)] \
+            == [[Z.sum_dim(n, p, q) for q in range(n + 2)]
+                for p in range(n + 2)]
+        assert spectral._verdicts(F, G) == Z.verdicts(n)
+    assert ranks
 
 
 def test_oppose_builds_tot_once_and_pairs_twice(monkeypatch):
