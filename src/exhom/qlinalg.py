@@ -6,8 +6,8 @@ A `RatMatrix` is sparse and column-major: column j is a dict `columns[j]`
 den 1.  The document parser writes it once, and every later layer reads
 only its nonzero entries: the d o d and square checks, the totalization
 and the persistence pairing (`complexes`, `spectral`), and `zlinalg`
-(sparse rows for the rank mod p, dense rows over the nonzero rows and
-columns for the Smith split).  The store is the only representation: it
+(its columns mod p for the rank mod p, dense rows over the nonzero rows
+and columns for the Smith split).  The store is the only representation: it
 has no dense reader, and no module of the library imports `fractions`.
 
 Every product goes through one kernel, `_products`: column j of A.B sums,

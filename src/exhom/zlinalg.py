@@ -4,7 +4,7 @@ rank mod p and primality.
 An integer matrix is a column store over den 1 (`qlinalg.RatMatrix`), as
 a chain complex or a matrix document holds it.  `_split_pivots` reads its
 nonzero rows once, over its nonzero columns, into int row lists, which the
-routines after it work on; `_rank_mod_p` reads it into sparse rows.  Only
+routines after it work on; `_rank_mod_p` reduces its columns mod p.  Only
 `smith_normal_form` reads all of it, into dense rows of its own; the store
 is the only form a matrix takes, and nothing here imports `fractions`.
 Two routes to the Smith diagonal:
@@ -519,30 +519,26 @@ def smith_normal_form(A: RatMatrix) -> SmithForm:
 
 def _rank_mod_p(D: RatMatrix, p: int) -> int:
     """Rank of the column store D (den 1) over Z/p, p prime (not tested
-    here), on sparse rows {column: value mod p}.  Each step takes a row off,
-    pivots on an entry of it and clears that column from the rows holding
-    it, dropping those left empty; the pivot row itself is never scaled."""
-    m = [{} for _ in range(D.rows)]
-    for j, col in enumerate(D.columns):
+    here), by the pairing's column reduction: while a column's low, its
+    greatest nonzero row, holds a pivot, a multiple of it clears that row;
+    a column left nonzero is kept at its low, so the kept lows differ."""
+    pivots: dict[int, tuple[dict, int]] = {}  # low -> (column, 1 / its low)
+    for col in D.columns:
+        v = {}
         for i, x in col.items():
             if x := x % p:
-                m[i][j] = x
-    m, r = [row for row in m if row], 0
-    while m:
-        top = m.pop()
-        c = next(iter(top))
-        inv = pow(top[c], -1, p)
-        for mi in m:
-            if f := mi.get(c):
-                f = f * inv % p
-                for k, y in top.items():
-                    if x := (mi.get(k, 0) - f * y) % p:
-                        mi[k] = x
-                    else:
-                        del mi[k]
-        m = [mi for mi in m if mi]
-        r += 1
-    return r
+                v[i] = x
+        while v and (low := max(v)) in pivots:
+            pv, inv = pivots[low]
+            f = v[low] * inv % p
+            for i, y in pv.items():
+                if x := (v.get(i, 0) - f * y) % p:
+                    v[i] = x
+                else:
+                    del v[i]
+        if v:
+            pivots[low] = v, pow(v[low], -1, p)
+    return len(pivots)
 
 
 # Miller-Rabin with the prime bases 2..41 has no strong pseudoprime below

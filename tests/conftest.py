@@ -14,8 +14,8 @@ used before it read H_n off invariant factors, the persistence pairing over
 that rescales every row at every step, which it used before the lazy one,
 the mod-M Smith elimination that reduces every entry it writes, which it
 used before the one that reduces only where a value is read, and the rank
-mod p on dense rows, which it used before the one on sparse rows of the
-column store, and the Smith split on every row over every column, which it
+mod p on dense rows, which it used before it reduced the columns of the
+store, and the Smith split on every row over every column, which it
 used before the one that reads only the nonzero rows and columns: the
 references `homology_int`, `complexes._pairing`, `zlinalg._bareiss`,
 `zlinalg._smith_mod`, `zlinalg._rank_mod_p` and `zlinalg._split_pivots`
@@ -414,7 +414,7 @@ def determinant(A: RatMatrix) -> int:
 
 def rank_mod_p(A: RatMatrix, p: int) -> int:
     """Rank of the store A (den 1) over the field Z/p (p prime), by the
-    library's sparse elimination."""
+    library's column reduction."""
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     return _rank_mod_p(A, p)
@@ -1117,8 +1117,8 @@ def eager_smith_mod(A: list[list[int]], M: int, r: int) -> list[int]:
 
 
 def dense_rank_mod_p(A: RatMatrix, p: int) -> int:
-    """`zlinalg._rank_mod_p` as it was before it eliminated sparse rows off
-    the column store: rows of A reduced mod p into dense lists, each step
+    """`zlinalg._rank_mod_p` as it was before it reduced the columns of the
+    store: rows of A reduced mod p into dense lists, each step
     popping a row, pivoting on its first nonzero entry and clearing that
     column from the rows that hold it; a row is dropped once it is zero."""
     m = [row for row in ([e % p for e in r] for r in num_rows(A)) if any(row)]

@@ -399,6 +399,23 @@ def test_tits_building_homology_known_answers(q, n, types):
             assert [homology_int(bad, k) for k in bad.degrees()] != want
 
 
+def test_rank_mod_p_of_the_gl5_f2_building():
+    """The building of GL_5(F_2), past MAX_TOTAL_DIM and so a library-only
+    input: 372, 4,650, 13,020 and 9,765 cells.  Its reduced homology is
+    free of rank 2^10 in degree 3 alone (Solomon-Tits), so the boundary
+    ranks are forced, the same mod every prime: 371, then what each degree
+    leaves over its incoming rank, and 2^10 left in the top degree."""
+    C = building_chain(2, 5)
+    assert [C.dim(k) for k in C.degrees()] == [372, 4650, 13020, 9765]
+    want = (371, 4279, 8741)
+    assert want[0] == C.dim(0) - 1
+    assert [C.dim(k) - want[k - 1] for k in (1, 2)] == list(want[1:])
+    assert C.dim(3) - want[2] == 2 ** 10 == descent_weight(2, 5, range(1, 5))
+    for p in (2, 3):
+        assert tuple(zlinalg._rank_mod_p(C.differentials[k], p)
+                     for k in (1, 2, 3)) == want
+
+
 def test_uct_mod_two_with_torsion():
     C = int_chain_complex(0, {0: 1, 1: 1}, {1: RatMatrix.from_rows([[2]])})
     report = uct_check(C, 2)

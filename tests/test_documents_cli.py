@@ -1059,6 +1059,13 @@ _SPREAD = {str(n): MAX_TOTAL_DIM // (MAX_DEGREE_SPAN + 1)
 # A, B of dimension 64 each, in degrees 0..7 and 0..3: A (x) B fills 0..10
 _A = {str(n): 8 for n in range(8)}
 _B = {str(n): 16 for n in range(4)}
+# the largest prime below the bound of `is_prime`, found by stepping down
+_LARGEST_PRIME = zlinalg._MR_EXACT_BELOW - 168
+# a MAX_GRID x MAX_GRID grid of one-dimensional cells, r and s in 1..64, with
+# no maps: MAX_TOTAL_DIM cells; with row and column 0 too it has 4,225
+_GRID = {"max_r": MAX_GRID, "max_c": MAX_GRID,
+         "dims": {f"{r},{s}": 1 for r in range(1, MAX_GRID + 1)
+                  for s in range(1, MAX_GRID + 1)}}
 
 
 @pytest.mark.parametrize("docs, argv, lines", [
@@ -1066,16 +1073,29 @@ _B = {str(n): 16 for n in range(4)}
      1 + MAX_DEGREE_SPAN + 1),
     ([{"dims": _SPREAD}],
      ["uct", "--input", 0, "--mod", str(zlinalg._MR_EXACT_BELOW - 1)], 1),
+    ([{"dims": {"0": 1, "1": 1}, "differentials": {"1": [[2]]}}],
+     ["uct", "--input", 0, "--mod", str(_LARGEST_PRIME)], 1 + 2),
     ([{"dims": _A}, {"dims": _B}], ["kunneth", "--a", 0, "--b", 1], 1 + 11),
     ([[[1]] + [[0]] * (MAX_TOTAL_DIM - 2)], ["snf", "--input", 0], 1),
-], ids=["uct-mod-2", "uct-mod-below-the-bound", "kunneth", "snf"])
+    ([_GRID], ["ss", "--input", 0, "--axis", "col"],
+     1 + (MAX_GRID + 1) ** 2),
+    ([_GRID], ["ss", "--input", 0, "--axis", "row"],
+     1 + (MAX_GRID + 1) ** 2),
+    ([_GRID], ["oppose", "--input", 0, "--n", str(MAX_GRID)], 4),
+], ids=["uct-mod-2", "uct-mod-below-the-bound", "uct-largest-prime",
+        "kunneth", "snf", "ss-col-grid", "ss-row-grid", "oppose-grid"])
 def test_cli_runs_documents_at_the_caps(tmp_path, capsys, docs, argv, lines):
     """Every document family at its caps is accepted: a complex of
     MAX_TOTAL_DIM generators over MAX_DEGREE_SPAN + 1 degrees, two complexes
-    whose product has MAX_TOTAL_DIM, and a matrix of rows + cols =
-    MAX_TOTAL_DIM."""
+    whose product has MAX_TOTAL_DIM, a matrix of rows + cols =
+    MAX_TOTAL_DIM, a double complex of MAX_TOTAL_DIM cells on the
+    MAX_GRID x MAX_GRID grid, and `uct` modulo the largest prime
+    `is_prime` decides."""
     assert sum(_SPREAD.values()) == MAX_TOTAL_DIM
     assert sum(_A.values()) * sum(_B.values()) == MAX_TOTAL_DIM
+    assert len(_GRID["dims"]) == MAX_TOTAL_DIM
+    assert zlinalg.is_prime(_LARGEST_PRIME) and not any(map(
+        zlinalg.is_prime, range(_LARGEST_PRIME + 1, zlinalg._MR_EXACT_BELOW)))
     paths = []
     for i, doc in enumerate(docs):
         paths.append(str(tmp_path / f"{i}.json"))
@@ -1084,6 +1104,22 @@ def test_cli_runs_documents_at_the_caps(tmp_path, capsys, docs, argv, lines):
                                        for a in argv))
     assert (code, err) == (0, "") and "Traceback" not in out
     assert out.count("\n") == lines
+
+
+def test_cli_refuses_every_cell_of_the_largest_grid(tmp_path, capsys):
+    """The MAX_GRID grid with all its (MAX_GRID + 1)^2 one-dimensional
+    cells passes MAX_TOTAL_DIM and exits 1 on every double-complex command,
+    before anything is computed."""
+    f = tmp_path / "grid.json"
+    f.write_text(json.dumps({**_GRID, "dims": {
+        f"{r},{s}": 1 for r in range(MAX_GRID + 1)
+        for s in range(MAX_GRID + 1)}}))
+    for argv in (["ss", "--axis", "col"], ["ss", "--axis", "row"],
+                 ["oppose", "--n", str(MAX_GRID)]):
+        code, out, err = run_cli(capsys, *argv, "--input", str(f))
+        assert _rejected(code, err) and out == ""
+        assert err == (f"error: total dimension must be at most "
+                       f"{MAX_TOTAL_DIM}, got {(MAX_GRID + 1) ** 2}\n")
 
 
 # ------------------------------------------- integer storage on the ss path

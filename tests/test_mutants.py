@@ -17,8 +17,22 @@ fail.  A mutant that no oracle rejects names a gap in the suite.
 5. `steinberg._row` with m10 and m01 swapped: rejected by `ext_row`.
 6. `complexes._reduce` without its content division: rejected by the
    128-bit bound of `test_chain_entries_stay_small`.
+7. `zlinalg._rank_mod_p` keeping a column whose low already holds a pivot:
+   rejected by `dense_rank_mod_p`.
+8. `zlinalg._smith_mod` reading a diagonal entry e where it should read
+   gcd(e, M): rejected by `smith_normal_form(A).diagonal`.
+9. `documents._parse_matrix` storing zeros: rejected by the store equality
+   of `test_parse_matrix_equals_from_rows`.
+10. `spectral_pages` reporting its stable page one too small: rejected by
+    `Zigzags.stable_page`.
+
+Left out: `_totalize` with the vertical sign on even r.  It is an
+equivalent mutant, as scaling cell (r, s) by (-1)^s maps one sign
+convention onto the other, so no oracle of pages, ranks, filtrations or
+verdicts can reject it.
 """
 
+import inspect
 import random
 from math import gcd
 
@@ -29,6 +43,7 @@ import test_pairing
 from conftest import (
     dense_rank_mod_p,
     ext_row,
+    planted_int_matrix,
     random_int_matrix,
     random_low_rank_matrix,
     random_zigzag_double_complex,
@@ -36,7 +51,7 @@ from conftest import (
 from exhom import complexes, documents, spectral, steinberg, zlinalg
 from exhom.complexes import _combine
 from exhom.documents import _map_field
-from exhom.spectral import COLUMN, ROW, FiltrationChain
+from exhom.spectral import COLUMN, ROW, FiltrationChain, SpectralPages
 from exhom.steinberg import InducedSpectrum
 
 
@@ -186,3 +201,97 @@ def test_reduce_without_content_division_is_rejected(monkeypatch):
         test_pairing.test_chain_entries_stay_small(instance)
     assert str(bound.traceback[-1].statement).strip() \
         == "assert max(bits) <= 128"
+
+
+def _rank_mod_p_keeping_taken_lows(D, p):
+    """`_rank_mod_p` with `if` for `while`: a column takes at most one
+    reduction step and is then kept, even when its new low holds a pivot."""
+    pivots, kept = {}, 0
+    for col in D.columns:
+        v = {i: y for i, x in col.items() if (y := x % p)}
+        if v and (low := max(v)) in pivots:
+            pv, inv = pivots[low]
+            f = v[low] * inv % p
+            for i, y in pv.items():
+                if x := (v.get(i, 0) - f * y) % p:
+                    v[i] = x
+                else:
+                    del v[i]
+        if v:
+            pivots[max(v)] = v, pow(v[max(v)], -1, p)
+            kept += 1
+    return kept
+
+
+def test_rank_mod_p_keeping_a_taken_low_is_rejected(monkeypatch):
+    assert _rank_mod_p_misses() == 0
+    monkeypatch.setattr(zlinalg, "_rank_mod_p",
+                        _rank_mod_p_keeping_taken_lows)
+    assert _rank_mod_p_misses() > 0
+
+
+def _edited(function, line, replacement):
+    """`function` with its one source line `line` replaced, compiled over a
+    copy of its module's globals; an edit that no longer applies fails."""
+    source = inspect.getsource(function)
+    assert source.count(line) == 1, line
+    scope = dict(function.__globals__)
+    exec(source.replace(line, replacement), scope)
+    return scope[function.__name__]
+
+
+def _smith_misses():
+    """Planted and random matrices whose `invariant_factors` differ from
+    `smith_normal_form(A).diagonal`."""
+    rng, misses = random.Random(97), 0
+    for k in range(40):
+        A = (planted_int_matrix(rng, rng.randint(2, 7), rng.randint(2, 7))[0]
+             if k % 2 else random_int_matrix(rng))
+        misses += zlinalg.invariant_factors(A) \
+            != zlinalg.smith_normal_form(A).diagonal
+    return misses
+
+
+def test_smith_mod_reading_e_for_its_gcd_with_m_is_rejected(monkeypatch):
+    assert _smith_misses() == 0
+    monkeypatch.setattr(zlinalg, "_smith_mod", _edited(
+        zlinalg._smith_mod, "diag.append(g)", "diag.append(a)"))
+    assert _smith_misses() > 0
+
+
+def test_parse_matrix_storing_zeros_is_rejected(monkeypatch):
+    test_documents_cli.test_parse_matrix_equals_from_rows()
+    real = documents._parse_matrix
+
+    def storing_zeros(raw, rows, cols, where, integral=False):
+        A = real(raw, rows, cols, where, integral)
+        for col in A.columns:
+            col.update({i: 0 for i in range(rows) if i not in col})
+        return A
+
+    monkeypatch.setattr(documents, "_parse_matrix", storing_zeros)
+    with pytest.raises(AssertionError) as equality:
+        test_documents_cli.test_parse_matrix_equals_from_rows()
+    assert str(equality.traceback[-1].statement).strip() \
+        == "assert A == RatMatrix.from_rows(m, cols)"
+
+
+def _stable_page_misses(count):
+    """Instances whose stable page on either axis differs from
+    `Zigzags.stable_page`."""
+    return sum(spectral.spectral_pages(K, axis).stable_page
+               != Z.stable_page(axis)
+               for K, Z in _zigzags(count) for axis in (COLUMN, ROW))
+
+
+def test_stable_page_one_too_small_is_rejected(monkeypatch):
+    assert _stable_page_misses(20) == 0
+    real = spectral.spectral_pages
+
+    def one_too_small(K, axis):
+        P = real(K, axis)
+        return SpectralPages(P.filtration_axis, P.pages, P.d_ranks, P.limit,
+                             P.stable_page - 1)
+
+    monkeypatch.setattr(spectral, "spectral_pages", one_too_small)
+    assert _stable_page_misses(20) > 0
