@@ -109,11 +109,14 @@ def _argparse_parser():
             setattr(namespace, self.dest, values)
 
     def typed(check):  # a refusal is argparse's usage error, its text kept
-        def parse(text):
+        def parse(text):  # "--flag=--" passes "--" on Python 3.13, not 3.11
+            if text == "--":
+                raise argparse.ArgumentTypeError("expected one argument")
             try:
                 return check(text)
-            except ValueError as e:
-                raise argparse.ArgumentTypeError(str(e)) from None
+            except ValueError as e:  # int's keeps "invalid int value"
+                raise e if check is int else argparse.ArgumentTypeError(str(e))
+        parse.__name__ = check.__name__
         return parse
 
     parser = Parser(prog="exhom",
@@ -125,9 +128,8 @@ def _argparse_parser():
             p.add_argument(flag, default=default, required=default is None,
                            action="store_true" if check is None else Store, **(
                 {} if check is None else
-                {"choices": check} if isinstance(check, tuple) else
-                # int keeps argparse's "invalid int value" message
-                {"type": check if check in (int, str) else typed(check)}))
+                {"choices": check, "type": typed(str)}
+                if isinstance(check, tuple) else {"type": typed(check)}))
     return parser
 
 

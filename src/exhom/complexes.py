@@ -35,6 +35,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 from functools import cached_property
+from itertools import chain
 from math import gcd, inf, lcm
 
 from ._record import Record
@@ -141,20 +142,27 @@ def _primitive(column: dict, den: int) -> tuple[dict, int]:
         {i: x // g for i, x in column.items()}, den // g)
 
 
-def _nonzero(outer, inner) -> bool:
-    """Whether outer @ inner is nonzero, outer None (absent) being zero;
-    only the nonzero columns of inner are multiplied."""
-    return outer is not None and any(
-        _products(outer.columns, filter(None, inner.columns)))
+def _composites(C):
+    """(n, j, column) of each nonzero column j of d_{n+step} o d_n, n up.
+    Over den > 1, d_{n+step}'s rows are divided by their contents and d_n's
+    columns are its primitive `_columns`: zeros kept, entries small."""
+    d, step = C.differentials, C.step
+    for n in sorted(n for n in d if n + step in d):
+        outer, inner = d[n + step].columns, d[n].columns
+        if d[n + step].den > 1 or d[n].den > 1:
+            g = {}
+            for i, x in chain.from_iterable(map(dict.items, outer)):
+                g[i] = gcd(g.get(i, 0), x)
+            outer = [{i: x // g[i] for i, x in col.items()} for col in outer]
+            inner = [v for v, _ in C._columns[n]]
+        yield from ((n, j, col) for j, col in enumerate(
+            _products(outer, inner)) if col)
 
 
 def _nonzero_composite(C):
-    """The lowest degree min(n, n + step) at which d_{n+step} o d_n is
-    nonzero, or None.  Only the stored maps are visited, in ascending n,
-    and each composite only up to its first nonzero column."""
-    d, step = C.differentials, C.step
-    return next((min(n, n + step) for n in sorted(d)
-                 if _nonzero(d.get(n + step), d[n])), None)
+    """The lowest min(n, n + step) with d_{n+step} o d_n nonzero, or None."""
+    n = next(_composites(C), (None,))[0]
+    return None if n is None else min(n, n + C.step)
 
 
 def validate_complex(C) -> bool:
@@ -259,6 +267,16 @@ def cohomology_dims(C: CochainComplex) -> dict[int, int]:
     return {n: cycles[n] for n in C.degrees()}
 
 
+def _place(dims: dict[tuple[int, int], int]) -> tuple[dict, dict, dict]:
+    """Each cell's offset in degree r + s; each basis vector's r and s."""
+    offsets, column, row = {}, {}, {}
+    for (r, s), d in sorted(dims.items()):
+        offsets[r, s] = len(levels := column.setdefault(r + s, []))
+        levels += [r] * d
+        row.setdefault(r + s, []).extend([s] * d)
+    return offsets, column, row
+
+
 def _totalize(min_deg: int, dims: dict[tuple[int, int], int], horiz,
               vert) -> CochainComplex:
     """Totalization T^n = sum_{r+s=n} K^{r,s} of the nonzero cells `dims`,
@@ -266,11 +284,8 @@ def _totalize(min_deg: int, dims: dict[tuple[int, int], int], horiz,
     its source cell: horiz to (r+1, s), vert to (r, s+1).  Each column of
     D^n is written once, from the nonzero blocks' columns, rows shifted, on
     their numerators over the lcm of their dens; no shape is re-checked."""
-    offsets: dict[tuple[int, int], int] = {}
-    total: dict[int, int] = {}
-    for r, s in sorted(dims):
-        offsets[r, s] = t = total.get(r + s, 0)
-        total[r + s] = t + dims[r, s]
+    offsets, levels, _ = _place(dims)
+    total = {n: len(v) for n, v in levels.items()}
     blocks: dict[int, list] = {}  # n -> (row offset, column offset, sign, M)
     for maps, dr, ds in ((horiz, 1, 0), (vert, 0, 1)):
         for (r, s), M in maps.items():

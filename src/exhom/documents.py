@@ -3,10 +3,9 @@
 Matrix entries are strings holding an integer or a "p/q" exact rational,
 each with an optional sign; plain JSON integers are accepted on input.  A
 "p/q" string is split into two ints and reduced, so no document imports
-`fractions`.  Every matrix, a complex's or a matrix document's, is read by
-one routine (`_parse_matrix`) and written once, into the column store
-`qlinalg.RatMatrix`, over the lcm of the entries' denominators (which
-leaves them in lowest terms); an integer matrix is a store over den 1.
+`fractions`.  One routine (`_write_entries`) reads every matrix once, over
+the lcm of its entries' denominators, into a `qlinalg.RatMatrix`, or for a
+double complex into the columns of its total complex, one store a degree.
 Every entry is type-checked, but only the nonzero ones are stored.
 """
 
@@ -21,14 +20,16 @@ from .complexes import (
     IntChainComplex,
     _build,
     _nonzero_composite,
+    _place,
 )
 from .qlinalg import _RATIONAL, RatMatrix
-from .spectral import DoubleComplex, DoubleComplexError, double_complex
+from .spectral import COLUMN, ROW, DoubleComplex, _check_grid, _checked
 
 MAX_DEGREE_SPAN = 1024  # largest max_deg - min_deg a complex document may span
 # largest total dimension (summed dims) of a complex or double complex
 # document, and of the tensor product of the two complexes `kunneth` reads
 MAX_TOTAL_DIM = 4096
+_LIST, _INT = frozenset({list}), frozenset({int})  # the types of a fast read
 
 
 class DocumentError(ValueError):
@@ -60,45 +61,51 @@ def _entry(raw, where: str, i: int, j: int, integral: bool):
     return p, q
 
 
-def _check_shape(raw, rows: int, cols: int, where: str) -> None:
-    if not isinstance(raw, list) or not set(map(type, raw)) <= {list}:
+def _write_entries(raw, rows: int, cols: int, where: str, integral: bool,
+                   columns, fracs: list, to: int = 0, sign: int = 1) -> None:
+    """Write sign times a matrix's nonzero entries into `columns`, row i at
+    key to + i, each "p/q" to `fracs` as (column, key, sign p, q) instead."""
+    if not isinstance(raw, list) or not _LIST.issuperset(map(type, raw)):
         raise DocumentError(f"matrix at {where} must be an array of arrays")
     if len(raw) != rows:
         raise DocumentError(f"shape mismatch at {where}: got {len(raw)} rows, "
                             f"expected {rows}x{cols}")
-    if set(map(len, raw)) - {cols}:
+    if not {cols}.issuperset(map(len, raw)):
         i = next(i for i, row in enumerate(raw) if len(row) != cols)
         raise DocumentError(f"shape mismatch at {where}: row {i} has "
                             f"{len(raw[i])} entries, expected {rows}x{cols}")
-
-
-def _parse_matrix(raw, rows: int, cols: int, where: str,
-                  integral: bool = False) -> RatMatrix:
-    """The column store of a matrix: a matrix of JSON ints is taken whole, any
-    other read entry by entry, "p/q" scaled to the lcm of the denominators.
-    With `integral`, every entry is whole and den is 1."""
-    _check_shape(raw, rows, cols, where)
-    fracs = []
-    if not set(map(type, chain.from_iterable(raw))) <= {int}:
+    if not _INT.issuperset(map(type, chain.from_iterable(raw))):
         read = []
         for i, row in enumerate(raw):
             row = [_entry(x, where, i, j, integral) for j, x in enumerate(row)]
-            fracs += [(j, i, *x) for j, x in enumerate(row)
-                      if type(x) is tuple]
+            fracs += [(columns[j], to + i, sign * x[0], x[1])
+                      for j, x in enumerate(row) if type(x) is tuple]
             read.append([0 if type(x) is tuple else x for x in row])
         raw = read
-    columns, js = tuple([{} for _ in range(cols)]), range(cols)
-    for i, row in compress(enumerate(raw), map(any, raw)):  # skips zeros in C
-        for j in compress(js, row):
-            columns[j][i] = row[j]
+    js = range(cols)
+    for i, row in compress(enumerate(raw, to), map(any, raw)):
+        for j in compress(js, row):  # compress skips zeros in C
+            columns[j][i] = sign * row[j]
+
+
+def _over_lcm(columns, fracs: list) -> int:
+    """Write `columns` and `fracs` over the lcm of their dens; return it."""
     den = lcm(*[q for *_, q in fracs]) if fracs else 1
     if den > 1:
         for col in columns:
             for i in col:
                 col[i] *= den
-        for j, i, p, q in fracs:
-            columns[j][i] = p * (den // q)
-    return RatMatrix(rows, cols, columns, den)
+        for col, i, p, q in fracs:
+            col[i] = p * (den // q)
+    return den
+
+
+def _parse_matrix(raw, rows: int, cols: int, where: str,
+                  integral: bool = False) -> RatMatrix:
+    """The column store of a matrix; with `integral`, over den 1."""
+    columns, fracs = tuple([{} for _ in range(cols)]), []
+    _write_entries(raw, rows, cols, where, integral, columns, fracs)
+    return RatMatrix(rows, cols, columns, _over_lcm(columns, fracs))
 
 
 def _load_json(text: str):
@@ -159,14 +166,14 @@ def _entries(doc, name, parse_key, keys, required=False):
 
 
 def _dims_field(doc, parse_key) -> tuple[dict, dict]:
-    """The dims keyed by parsed key, and the parse of each raw key."""
+    """The nonzero dims keyed by parsed key, and the parse of each raw key."""
     dims, keys = {}, {}
     for k, key, v in _entries(doc, "dims", parse_key, keys, required=True):
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise DocumentError(f"malformed dimension at dims[{k}]: {v!r}")
         dims[key] = v
     _check_total_dim(sum(dims.values()), "total dimension")
-    return dims, keys
+    return {key: d for key, d in dims.items() if d}, keys
 
 
 def _check_total_dim(total: int, what: str) -> None:
@@ -183,11 +190,10 @@ def _parse_complex(text: str, cls):
     if not isinstance(min_deg, int) or isinstance(min_deg, bool):
         raise DocumentError("'min_deg' must be an integer")
     dims, keys = _dims_field(doc, _degree_key)
-    degrees = [n for n, d in dims.items() if d]
-    if degrees and max(degrees) - min(degrees) > MAX_DEGREE_SPAN:
+    if dims and max(dims) - min(dims) > MAX_DEGREE_SPAN:
         raise DocumentError(f"nonzero degrees must span at most "
-                            f"{MAX_DEGREE_SPAN}, got {min(degrees)} to "
-                            f"{max(degrees)}")
+                            f"{MAX_DEGREE_SPAN}, got {min(dims)} to "
+                            f"{max(dims)}")
     diffs = {}
     for k, deg, raw in _entries(doc, "differentials", _degree_key, keys):
         diffs[deg] = _parse_matrix(raw, dims.get(deg + cls.step, 0),
@@ -216,25 +222,33 @@ def parse_chain_document(text: str) -> IntChainComplex:
 
 
 def parse_double_complex_document(text: str) -> DoubleComplex:
-    """Parse a double complex document and validate all its invariants."""
+    """A double complex document as Tot: block rows at the target's offset in
+    D^{r+s}, columns at the source's, vert times (-1)^r; then validated."""
     doc = _load_object(text)
     for key in ("max_r", "max_c"):
         if not isinstance(doc.get(key), int) or isinstance(doc.get(key), bool):
             raise DocumentError(f"missing or malformed '{key}'")
     max_r, max_c = doc["max_r"], doc["max_c"]
     dims, keys = _dims_field(doc, _cell_key)
-
-    def maps(name, dr, ds):
-        """The blocks by cell, each distinct key parsed once."""
-        return {(r, s): _parse_matrix(raw, dims.get((r + dr, s + ds), 0),
-                                      dims.get((r, s), 0), f"{name}[{k}]")
-                for k, (r, s), raw in _entries(doc, name, _cell_key, keys)}
-
-    try:
-        return double_complex(max_r, max_c, dims, maps("horiz", 1, 0),
-                              maps("vert", 0, 1))
-    except DoubleComplexError as e:
-        raise DocumentError(str(e)) from None
+    offsets, *levels = _place(dims)
+    columns = {n: tuple([{} for _ in v]) for n, v in levels[0].items()}
+    fracs = {n: [] for n in columns}
+    for name, dr, ds in (("horiz", 1, 0), ("vert", 0, 1)):
+        for k, (r, s), raw in _entries(doc, name, _cell_key, keys):
+            t, j = (r + dr, s + ds), offsets.get((r, s), 0)
+            n, cols = r + s, dims.get((r, s), 0)  # empty shape: writes none
+            _write_entries(raw, dims.get(t, 0), cols, f"{name}[{k}]", False,
+                           columns.get(n, ())[j:j + cols], fracs.get(n, []),
+                           offsets.get(t, 0), -1 if ds and r & 1 else 1)
+    total = {n: len(cols) for n, cols in columns.items()}
+    T = CochainComplex(min(total, default=0), max(total, default=0), total, {
+        n: RatMatrix(total.get(n + 1, 0), len(cols), cols,
+                     _over_lcm(cols, fracs[n]))
+        for n, cols in columns.items() if fracs[n] or any(cols)})
+    K = DoubleComplex(max_r, max_c, dims, T)
+    K.__dict__["_axis_levels"] = dict(zip((COLUMN, ROW), levels))  # primed
+    _check_grid(max_r, max_c, dims, DocumentError)
+    return _checked(K, DocumentError)
 
 
 def parse_int_matrix_document(text: str) -> RatMatrix:

@@ -4,7 +4,7 @@ A `RatMatrix` is sparse and column-major: column j is a dict `columns[j]`
 {row: numerator} of its nonzero entries, all over one positive denominator
 `den`, and it is the one matrix type: an integer matrix is a store over
 den 1.  The document parser writes it once, and every later layer reads
-only its nonzero entries: the d o d and square checks, the totalization
+only its nonzero entries: the d o d checks, the totalization
 and the persistence pairing (`complexes`, `spectral`), and `zlinalg`
 (its columns mod p for the rank mod p, dense rows over the nonzero rows
 and columns for the Smith split).  The store is the only representation: it

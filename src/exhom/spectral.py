@@ -1,15 +1,11 @@
 """First-quadrant double complexes and their two spectral sequences.
 
-Every block is a column store (`RatMatrix`).  Validation checks d'd' = 0,
-d''d'' = 0 and every commuting square cell by cell, each composite costing
-its nonzero products (none if a factor is absent), no matrix built (a
-square's two sides compared column by column, cross-multiplied by dens).
-The engine totalizes the grid once, on the first pairing, writing each
-column of T from the blocks' columns (inserting the (-1)^r sign itself, on
-their numerators over the lcm of their denominators), and
-filters the total complex T by column or by row: F^p T^n is spanned by the
-block basis vectors of level >= p.  Every pairing of the complex shares
-that T.  The pages are defined by
+A double complex is held as its total complex T^n = sum_{r+s=n} K^{r,s},
+blocks by r, D = d' + (-1)^r d'', checked once: D o D = 0, whose blocks
+out of cell (r, s) are d'd', d''d'' and (-1)^r (d'd'' - d''d'), at (r+2,
+s), (r, s+2) and (r+1, s+1).  F^p T^n is spanned by the block basis
+vectors of level >= p by column or by row, levels read off the one pass
+over the sorted cells that placed the blocks.  The pages are defined by
 
     Z_r^{p,q} = F^p T^{p+q}  intersect  D^{-1}(F^{p+r} T^{p+q+1})
     E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + D Z_{r-1}^{p-r+1,q+r-2})
@@ -41,9 +37,9 @@ from functools import cache, cached_property
 from math import gcd, inf
 
 from ._record import Record
-from .complexes import (CochainComplex, _nonzero, _order, _pairing,
-                        _reduce, _totalize)
-from .qlinalg import RatMatrix, _products
+from .complexes import (CochainComplex, _composites, _nonzero_composite,
+                        _order, _pairing, _place, _reduce, _totalize)
+from .qlinalg import RatMatrix
 from .zlinalg import _bareiss
 
 COLUMN = "column"
@@ -56,79 +52,70 @@ class DoubleComplexError(ValueError):
 
 
 class DoubleComplex(Record):
-    """Grid K^{r,s} for 0 <= r <= max_r, 0 <= s <= max_c with commuting
-    horizontal (r+1) and vertical (s+1) differentials: dims, horiz and vert
-    are keyed by cell (r, s), the maps `RatMatrix`es."""
+    """Nonzero cells `dims` of K^{r,s}, r <= max_r, s <= max_c, held as T."""
 
-    _fields = ("max_r", "max_c", "dims", "horiz", "vert")
+    _fields = ("max_r", "max_c", "dims", "total")
 
     @cached_property
-    def _total(self) -> CochainComplex:
-        """Tot, built on the first pairing and shared by every later one."""
-        return total_complex(self)
+    def _axis_levels(self) -> dict[str, dict[int, list[int]]]:
+        """Per axis, `_place`'s levels, primed by the parser's own pass."""
+        return dict(zip((COLUMN, ROW), _place(self.dims)[1:]))
 
     @cached_property
     def _bases(self) -> dict[int, tuple]:
-        """Per degree, the column pairing's basis of H^n, filled by
-        `_column_basis`."""
+        """Per degree, the column pairing's basis of H^n (`_column_basis`)."""
         return {}
+
+
+def _check_grid(max_r: int, max_c: int, dims, error=DoubleComplexError):
+    if max_r < 0 or max_c < 0:
+        raise error(f"max_r and max_c must be >= 0, got {max_r} and {max_c}")
+    if max_r > MAX_GRID or max_c > MAX_GRID:
+        raise error(f"max_r and max_c must be at most {MAX_GRID}, got {max_r} "
+                    f"and {max_c}")
+    for (r, s) in dims:
+        if not (0 <= r <= max_r and 0 <= s <= max_c):
+            raise error(f"cell ({r},{s}) outside declared rectangle")
+
+
+_DEFECTS = {2: "horiz composite nonzero", 0: "vert composite nonzero",
+            1: "square does not commute"}
+
+
+def _checked(K: DoubleComplex, error=DoubleComplexError) -> DoubleComplex:
+    """K, if D o D = 0 on Tot; else raise `error` naming the first failure
+    by the step in r of D D's block: cells sorted, then `_DEFECTS`' order."""
+    if _nonzero_composite(K.total) is None:
+        return K
+    level, rank = _levels(K, COLUMN), list(_DEFECTS)
+    r, s, kind = min((level[n][j], n - level[n][j],
+                      rank.index(level[n + 2][i] - level[n][j]))
+                     for n, j, col in _composites(K.total) for i in col)
+    raise error(f"{_DEFECTS[rank[kind]]} at ({r},{s})")
 
 
 def double_complex(max_r: int, max_c: int,
                    dims: dict[tuple[int, int], int],
                    horiz: dict[tuple[int, int], RatMatrix],
                    vert: dict[tuple[int, int], RatMatrix]) -> DoubleComplex:
-    """Build and validate a DoubleComplex: shapes, then, cell by cell in
-    sorted order, d'd' = 0, d''d'' = 0 and the commuting square, raising the
-    first failure; a cell no map leaves passes.  Each composite is the
-    column kernel on block numerators, a square's two compared as values."""
-    if max_r < 0 or max_c < 0:
-        raise DoubleComplexError(f"max_r and max_c must be >= 0, got "
-                                 f"{max_r} and {max_c}")
-    if max_r > MAX_GRID or max_c > MAX_GRID:
-        raise DoubleComplexError(f"max_r and max_c must be at most {MAX_GRID}, "
-                                 f"got {max_r} and {max_c}")
+    """Build and validate a DoubleComplex from its horizontal (to r+1) and
+    vertical (to s+1) blocks by source cell: grid, shapes, then D o D = 0."""
     dims = {c: d for c, d in dims.items() if d > 0}
-    for (r, s) in dims:
-        if not (0 <= r <= max_r and 0 <= s <= max_c):
-            raise DoubleComplexError(f"cell ({r},{s}) outside declared rectangle")
-    K = DoubleComplex(max_r, max_c, dims,
-                      {c: m for c, m in horiz.items() if m.rows and m.cols},
-                      {c: m for c, m in vert.items() if m.rows and m.cols})
-    for name, maps, dr, ds in (("horiz", K.horiz, 1, 0), ("vert", K.vert, 0, 1)):
+    _check_grid(max_r, max_c, dims)
+    for name, maps, dr, ds in (("horiz", horiz, 1, 0), ("vert", vert, 0, 1)):
         for (r, s), M in maps.items():
             want = (dims.get((r + dr, s + ds), 0), dims.get((r, s), 0))
-            if (M.rows, M.cols) != want:
+            if M.rows and M.cols and (M.rows, M.cols) != want:
                 raise DoubleComplexError(
                     f"{name} at ({r},{s}) has shape {M.rows}x{M.cols}, "
                     f"expected {want[0]}x{want[1]}")
-    h, v = K.horiz.get, K.vert.get
-    for c in sorted(K.horiz.keys() | K.vert.keys()):
-        (r, s), x, y = c, h(c), v(c)
-        if x and _nonzero(h((r + 1, s)), x):
-            raise DoubleComplexError(f"horiz composite nonzero at ({r},{s})")
-        if y and _nonzero(v((r, s + 1)), y):
-            raise DoubleComplexError(f"vert composite nonzero at ({r},{s})")
-        a, b = x and v((r + 1, s)), y and h((r, s + 1))
-        if (a or b) and not _commutes(a, x, b, y):
-            raise DoubleComplexError(f"square does not commute at ({r},{s})")
-    return K
-
-
-def _commutes(a, x, b, y) -> bool:
-    """Whether a @ x = b @ y (None: zero), as p/dp = q/dq iff p dq = q dp."""
-    if not (a and b):  # a side is zero
-        return not (_nonzero(a, x) or _nonzero(b, y))
-    da, db = a.den * x.den, b.den * y.den
-    pairs = zip(_products(a.columns, x.columns),
-                _products(b.columns, y.columns))
-    return all(p == q if da == db else {i: v * db for i, v in p.items()}
-               == {i: v * da for i, v in q.items()} for p, q in pairs)
+    return _checked(DoubleComplex(max_r, max_c, dims,
+                                  _totalize(0, dims, horiz, vert)))
 
 
 def total_complex(K: DoubleComplex) -> CochainComplex:
     """Totalization T^n = sum_{r+s=n} K^{r,s} with D = d' + (-1)^r d''."""
-    return _totalize(0, K.dims, K.horiz, K.vert)
+    return K.total
 
 
 class SpectralPages(Record):
@@ -181,15 +168,12 @@ def _levels(K: DoubleComplex, axis: str) -> dict[int, list[int]]:
     """Level of each block basis vector of T^n in the filtration by `axis`."""
     if axis not in (COLUMN, ROW):
         raise ValueError(f"axis must be '{COLUMN}' or '{ROW}'")
-    levels: dict[int, list[int]] = {}
-    for (r, s), d in sorted(K.dims.items()):  # the order of `_totalize`
-        levels.setdefault(r + s, []).extend([r if axis == COLUMN else s] * d)
-    return levels
+    return K._axis_levels[axis]
 
 
 def spectral_pages(K: DoubleComplex, axis: str) -> SpectralPages:
     """Pages E_1, E_2, ... of the chosen filtration, with d_r ranks and limit."""
-    T = K._total
+    T = K.total
     # paired one degree past the top, where T is 0: no chains are built
     gens = _pairing(T, _levels(K, axis), T.max_deg + 1)
     last = K.max_r + K.max_c + 1  # beyond this every d_r vanishes (first quadrant)
@@ -221,7 +205,7 @@ def _column_basis(K: DoubleComplex, n: int) -> tuple:
     coordinates {k: -1} on the basis for unpaired cycle k and {} for a
     target."""
     if n not in K._bases:
-        T, levels = K._total, _levels(K, COLUMN)
+        T, levels = K.total, _levels(K, COLUMN)
         basis = [g for g in _pairing(T, levels, n)
                  if g.n == n and not g.source]
         unpaired = [g for g in basis if g.life == inf]
@@ -245,7 +229,7 @@ def filtration_on_total(K: DoubleComplex, axis: str, n: int) -> FiltrationChain:
     b = len(unpaired)
     if axis == COLUMN:
         return FiltrationChain(n, b, tuple(g.level for g in unpaired))
-    cycles = [g for g in _pairing(K._total, levels, n)
+    cycles = [g for g in _pairing(K.total, levels, n)
               if g.n == n and g.life == inf]
     rows = []
     for g in cycles:  # its chain z reduces to zero against that basis:

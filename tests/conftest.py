@@ -29,6 +29,10 @@ one dict from the stable page on, and `reference_ss_text` formats them cell
 by cell, as `exhom ss` did before it rendered only the nonzero cells.
 `reference_pages` assembles the pages by rescanning every generator for
 each page, as `spectral_pages` did before it bucketed them once.
+A double complex was held as its blocks, `Blocks`, before the library
+kept only its total complex: `blocks` reads them back out of a Tot,
+`reference_read` reads a document as the library did then, one store per
+block, and `reference_total` totalizes the blocks.
 
 And the rational subspace algebra the library used before `oppose` compared
 filtrations by counts and integer ranks: `rref` (fraction-free on the
@@ -74,8 +78,17 @@ from exhom.complexes import (
     IntChainComplex,
     _Generator,
     _pairing,
+    _totalize,
     cochain_complex,
     int_chain_complex,
+)
+from exhom.documents import (
+    DocumentError,
+    _cell_key,
+    _dims_field,
+    _entries,
+    _load_object,
+    _parse_matrix,
 )
 from exhom.qlinalg import RatMatrix
 from exhom.spectral import (
@@ -374,14 +387,15 @@ def serialize_cochain(C: CochainComplex) -> str:
 
 
 def serialize_double_complex(K) -> str:
+    B = blocks(K)
     doc = {
         "max_r": K.max_r,
         "max_c": K.max_c,
         "dims": {f"{r},{s}": d for (r, s), d in sorted(K.dims.items())},
         "horiz": {f"{r},{s}": _format_matrix(M)
-                  for (r, s), M in sorted(K.horiz.items())},
+                  for (r, s), M in sorted(B.horiz.items())},
         "vert": {f"{r},{s}": _format_matrix(M)
-                 for (r, s), M in sorted(K.vert.items())},
+                 for (r, s), M in sorted(B.vert.items())},
     }
     return json.dumps(doc, indent=1, sort_keys=True)
 
@@ -440,7 +454,7 @@ def page_representatives(K, P: SpectralPages) -> dict:
     basis vectors P lists in each cell of each page, whose classes form a
     basis of E_r^{p,q}.  One pairing per degree n gives the degree-n chains,
     written out dense."""
-    T, levels = K._total, _levels(K, P.filtration_axis)
+    T, levels = K.total, _levels(K, P.filtration_axis)
     chains = {n: {g.i: to_dense(g.chain, T.dim(n))
                   for g in _pairing(T, levels, n) if g.n == n}
               for n in T.degrees()}
@@ -452,7 +466,7 @@ def page_representatives(K, P: SpectralPages) -> dict:
 def recount_pages(K, axis: str) -> tuple[dict, int]:
     """({r: {(p, q): dim}}, stable page): every page 1..max_r + max_c + 2
     counted on its own from the generators of the pairing alive on it."""
-    T = K._total
+    T = K.total
     gens = _pairing(T, _levels(K, axis), T.max_deg + 1)
     pages = {r: dict(Counter((g.level, g.n - g.level) for g in gens
                              if g.life >= r))
@@ -465,7 +479,7 @@ def reference_pages(K, axis: str) -> SpectralPages:
     sorted the generators into buckets once: every page up to the stable
     one rescans every generator, the ids of a cell in the pairing's order,
     and the pages after it share the stable page's dict."""
-    T = K._total
+    T = K.total
     gens = _pairing(T, _levels(K, axis), T.max_deg + 1)
     last = K.max_r + K.max_c + 1
     stable = 1 + max((g.life for g in gens if g.source), default=0)
@@ -552,6 +566,63 @@ def ext_row(d: int, dp: int, spectrum: InducedSpectrum, s: int) -> dict:
                 if w and ext_dim(I, J, label(d, a), label(dp, b), r):
                     row[r] = row.get(r, 0) + w
     return row
+
+
+# ------------------------------------------- a double complex as blocks
+
+class Blocks(Record):
+    """A double complex as the library held it before it kept only its
+    total complex: the nonzero cells and the horizontal (to r+1) and
+    vertical (to s+1) blocks, keyed by source cell."""
+
+    _fields = ("max_r", "max_c", "dims", "horiz", "vert")
+
+
+def blocks(K) -> Blocks:
+    """The nonzero blocks of K read back out of its Tot: the block from
+    cell c to cell t is the submatrix of D^{r+s} at the rows of t and the
+    columns of c, times (-1)^r for a vertical one, in lowest terms."""
+    offsets, total = {}, {}
+    for (r, s), d in sorted(K.dims.items()):
+        offsets[r, s] = total.get(r + s, 0)
+        total[r + s] = offsets[r, s] + d
+    maps = {"horiz": {}, "vert": {}}
+    for (r, s), j in offsets.items():
+        D = K.total.differentials.get(r + s)
+        for name, t in (("horiz", (r + 1, s)), ("vert", (r, s + 1))):
+            if D is None or t not in offsets:
+                continue
+            i, sign = offsets[t], -1 if name == "vert" and r & 1 else 1
+            columns = tuple({k - i: sign * x for k, x in col.items()
+                             if i <= k < i + K.dims[t]}
+                            for col in D.columns[j:j + K.dims[r, s]])
+            if any(columns):
+                maps[name][r, s] = RatMatrix._lowest_terms(
+                    K.dims[t], K.dims[r, s], columns, D.den)
+    return Blocks(K.max_r, K.max_c, K.dims, maps["horiz"], maps["vert"])
+
+
+def reference_total(B: Blocks) -> CochainComplex:
+    """The total complex of the blocks, by `complexes._totalize`."""
+    return _totalize(0, B.dims, B.horiz, B.vert)
+
+
+def reference_read(text: str) -> Blocks:
+    """A double complex document read as the library read it before it
+    wrote the blocks straight into Tot: one `_parse_matrix` store per
+    block, with every key, type and shape check and message, and none of
+    the grid or D o D checks that follow them."""
+    doc = _load_object(text)
+    for key in ("max_r", "max_c"):
+        if not isinstance(doc.get(key), int) or isinstance(doc.get(key), bool):
+            raise DocumentError(f"missing or malformed '{key}'")
+    dims, keys = _dims_field(doc, _cell_key)
+    maps = {name: {(r, s): _parse_matrix(raw, dims.get((r + dr, s + ds), 0),
+                                         dims.get((r, s), 0), f"{name}[{k}]")
+                   for k, (r, s), raw in _entries(doc, name, _cell_key, keys)}
+            for name, dr, ds in (("horiz", 1, 0), ("vert", 0, 1))}
+    return Blocks(doc["max_r"], doc["max_c"], dims, maps["horiz"],
+                  maps["vert"])
 
 
 # ------------------------------------------------------------- generators
@@ -680,6 +751,13 @@ def random_int_chain(rng, max_deg=3, max_pieces=4, max_mult=6):
 
 def tensor_double_complex(C: CochainComplex, D: CochainComplex):
     """Tensor bicomplex K^{r,s} = C^r (x) D^s with commuting squares."""
+    B = tensor_blocks(C, D)
+    return double_complex(B.max_r, B.max_c, B.dims, B.horiz, B.vert)
+
+
+def tensor_blocks(C: CochainComplex, D: CochainComplex) -> Blocks:
+    """The `Blocks` of `tensor_double_complex`: a block for every pair of
+    adjacent nonzero cells, zero or not."""
     dims = {}
     horiz = {}
     vert = {}
@@ -709,7 +787,7 @@ def tensor_double_complex(C: CochainComplex, D: CochainComplex):
                             if ed[a][b]:
                                 rows[x * dd.rows + a][x * dd.cols + b] = ed[a][b]
                 vert[(r, s)] = RatMatrix.from_rows(rows, m * k)
-    return double_complex(C.max_deg, D.max_deg, dims, horiz, vert)
+    return Blocks(C.max_deg, D.max_deg, dims, horiz, vert)
 
 
 def random_double_complex(rng, max_r=3, max_c=3):
@@ -869,9 +947,10 @@ def rescale_cells(K, rng):
         return RatMatrix.from_rows([[k * x for x in row]
                                     for row in fraction_rows(M)], M.cols)
 
+    B = blocks(K)
     return double_complex(K.max_r, K.max_c, K.dims, {
-        (r, s): scaled(M, (r, s), (r + 1, s)) for (r, s), M in K.horiz.items()
-    }, {(r, s): scaled(M, (r, s), (r, s + 1)) for (r, s), M in K.vert.items()})
+        (r, s): scaled(M, (r, s), (r + 1, s)) for (r, s), M in B.horiz.items()
+    }, {(r, s): scaled(M, (r, s), (r, s + 1)) for (r, s), M in B.vert.items()})
 
 
 def random_int_matrix(rng, max_size=6, bound=20):
@@ -1289,10 +1368,12 @@ def naive_composite(outer, inner):
 
 
 def reference_defects(K, composite=matrix_composite):
-    """Every failed d'd' = 0, d''d'' = 0 and commuting-square check of K,
-    one per cell and kind, as messages in the order `double_complex` checks
-    them: cells (r, s) sorted and, within a cell, horiz, vert, square, each
-    composite multiplied on its own by `composite`."""
+    """Every failed d'd' = 0, d''d'' = 0 and commuting-square check of the
+    `Blocks` K, one per cell and kind, as messages in the order
+    `double_complex` ranks them: cells (r, s) sorted and, within a cell,
+    horiz, vert, square, each composite multiplied on its own by
+    `composite`, as `double_complex` checked them before it checked D o D
+    on Tot."""
     h, v = K.horiz.get, K.vert.get
     out = []
     for r, s in sorted(K.dims):

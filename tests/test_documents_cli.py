@@ -17,13 +17,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    blocks,
     differential,
     num_rows,
     random_cochain,
     random_dense_cochain,
     random_double_complex,
     random_zigzag_double_complex,
+    reference_defects,
+    reference_read,
     reference_ss_text,
+    reference_total,
+    rescale_cells,
     serialize_cochain,
     serialize_double_complex,
     tensor_double_complex,
@@ -171,9 +176,10 @@ def test_double_complex_document_cell_naming():
 
 def test_ss_request_handles_each_block_key_and_pair_once(tmp_path, capsys,
                                                          monkeypatch):
-    """One `ss` request builds one store per block the document gives and
-    one per nonzero degree of Tot, parses each distinct cell key once across
-    dims, horiz and vert, and multiplies no pair with an absent factor."""
+    """One `ss` request builds one store per nonzero degree of Tot and no
+    store per block, never calls `_totalize`, parses each distinct cell key
+    once across dims, horiz and vert, and multiplies D^{n+1} by D^n once
+    for each n where both are present, no pair with an absent factor."""
     rng, multiplied = random.Random(52), 0
     for _ in range(12):
         K = random_zigzag_double_complex(rng, grid=3, pieces=8)[0]
@@ -185,17 +191,8 @@ def test_ss_request_handles_each_block_key_and_pair_once(tmp_path, capsys,
         doc["vert"][f"{r},{s}"] = [[]] * K.dims.get((r, s + 1), 0)
         f = tmp_path / "k.json"
         f.write_text(json.dumps(doc))
-        h, v = K.horiz.get, K.vert.get
-        products = sum(  # the pairs (inner, outer) with both present
-            inner is not None and outer is not None
-            for r, s in K.horiz.keys() | K.vert.keys()
-            for inner, outer in ((h((r, s)), h((r + 1, s))),
-                                 (v((r, s)), v((r, s + 1))),
-                                 (h((r, s)), v((r + 1, s))),
-                                 (v((r, s)), h((r, s + 1)))))
-        blocks = len(doc["horiz"]) + len(doc["vert"])
-        degrees = {r + s for maps in (K.horiz, K.vert)
-                   for (r, s), M in maps.items() if any(M.columns)}
+        degrees = K.total.differentials.keys()
+        products = sum(n + 1 in degrees for n in degrees)
 
         calls = Counter()
 
@@ -209,14 +206,15 @@ def test_ss_request_handles_each_block_key_and_pair_once(tmp_path, capsys,
                             counted("store", RatMatrix.__post_init__))
         monkeypatch.setattr(documents, "_cell_key",
                             counted("key", documents._cell_key))
-        product = counted("product", spectral._products)
-        monkeypatch.setattr(spectral, "_products", product)
-        monkeypatch.setattr(complexes, "_products", product)
+        monkeypatch.setattr(complexes, "_products",
+                            counted("product", complexes._products))
+        monkeypatch.setattr(spectral, "_totalize",
+                            counted("totalize", spectral._totalize))
         assert main(["ss", "--input", str(f), "--axis", "col"]) == 0
         monkeypatch.undo()
         capsys.readouterr()
         keys = doc["dims"].keys() | doc["horiz"].keys() | doc["vert"].keys()
-        assert calls == Counter({("store", None): blocks + len(degrees),
+        assert calls == Counter({("store", None): len(degrees),
                                  ("product", None): products,
                                  **{("key", k): 1 for k in keys}})
         multiplied += products
@@ -966,11 +964,11 @@ def test_cli_bounds_the_total_dimension(tmp_path, capsys, monkeypatch, over):
             "one": {"dims": {"0": 1}},
             "m": [[1]] + [[0]] * (n - 2)}
     # every document has a map, so a parse that read one before the total
-    # dimension was checked would count a call
+    # dimension was checked would count a call of the one entry reader
     calls = []
-    monkeypatch.setattr(documents, "_parse_matrix",
-                        lambda *a, parse=documents._parse_matrix, **k:
-                        calls.append(a[3]) or parse(*a, **k))
+    monkeypatch.setattr(documents, "_write_entries",
+                        lambda *a, write=documents._write_entries, **k:
+                        calls.append(a[3]) or write(*a, **k))
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     k, c, one, m = (str(tmp_path / f"{name}.json") for name in docs)
@@ -1150,7 +1148,8 @@ def test_cli_ss_on_an_integer_document_builds_no_fraction(
     for _ in range(6):
         K = tensor_double_complex(random_cochain(rng, max_pieces=5),
                                   random_cochain(rng, max_pieces=5))
-        maps += len(K.horiz) + len(K.vert)
+        B = blocks(K)
+        maps += len(B.horiz) + len(B.vert)
         ints, strings = tmp_path / "ints.json", tmp_path / "strings.json"
         ints.write_text(_integer_document(K))
         strings.write_text(serialize_double_complex(K))
@@ -1210,12 +1209,46 @@ _SCALARS = (st.none() | st.booleans() | st.integers(-3, 3)
             | st.integers(-2 ** 70, 2 ** 70) | st.floats()
             | st.sampled_from(["1", "-1/2", "0", "1/0", "x"])
             | st.text(max_size=3))
+_ENTRIES = st.integers(-2, 2) | st.sampled_from(
+    ["1", "-1", "1/2", "-2/3", "4/6", "0/5", "1/0", "x", True])
+
+
+@st.composite
+def _double_complex_documents(draw):
+    """Small double complex documents: mostly well-shaped blocks between
+    the cells of a 3 x 3 grid, some of them zero or keyed where a cell is
+    empty, and now and then a bad bound, cell, key, shape or entry."""
+    def rare(strategy, usual, odds=10):
+        return draw(strategy) if draw(st.integers(1, odds)) == 1 else usual
+
+    grid = [f"{r},{s}" for r in range(3) for s in range(3)]
+    stray = st.sampled_from(["3,0", "-1,1", "01,0", "2,2"])
+    dims = {k: rare(st.integers(0, 2), 1) for k in grid
+            if draw(st.integers(0, 3))}
+    dims.update(rare(st.dictionaries(stray, st.integers(0, 2)), {}))
+    doc = {"max_r": rare(st.integers(-1, 3), 2),
+           "max_c": rare(st.integers(-1, 3), 2), "dims": dims}
+    for name, dr, ds in (("horiz", 1, 0), ("vert", 0, 1)):
+        doc[name] = {}
+        given = [k for k in dims if draw(st.integers(0, 2))]
+        for k in given + rare(st.lists(stray, max_size=1), []):
+            r, s = map(int, k.split(","))
+            rows = dims.get(f"{r + dr},{s + ds}", 0)
+            cols = rare(st.integers(0, 2), dims.get(k, 0), 40)
+            entry = draw(st.sampled_from([st.integers(-1, 1), st.just(0),
+                                          _ENTRIES]))
+            doc[name][k] = draw(st.lists(st.lists(entry, min_size=cols,
+                                                  max_size=cols),
+                                         min_size=rows, max_size=rows))
+    return json.dumps(doc)
+
+
 _DOCUMENTS = st.recursive(
     _SCALARS,
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(_KEYS, inner, max_size=5)),
     max_leaves=25).map(json.dumps) | st.text(max_size=20) | st.binary(
-    max_size=20)
+    max_size=20) | _double_complex_documents()
 _DOC = "<document>"  # replaced by the path of the fuzzed document
 _SIZES = st.integers(-2, MAX_SPACE_DIM + 2).map(str) | st.just("x")
 # multiplicities reach both sides of the CLI's bound 10**4000, on small
@@ -1278,6 +1311,73 @@ def test_cli_exits_cleanly_on_any_document(text, command):
 _MATRICES = st.lists(st.lists(_SCALARS, max_size=3) | _SCALARS, max_size=3) \
     | st.integers(0, 3).flatmap(lambda cols: st.lists(
         st.lists(_SCALARS, min_size=cols, max_size=cols), max_size=3))
+
+
+def _read_as_blocks(text):
+    """(refusal, `Blocks`) of a document by the per-block reading, then the
+    grid checks and the reference per-cell checks: refusal is the message
+    the library must give, or None."""
+    try:
+        B = reference_read(text)
+        spectral._check_grid(B.max_r, B.max_c, B.dims)
+    except ValueError as e:
+        return str(e), None
+    return next(iter(reference_defects(B)), None), B
+
+
+def _agrees_with_the_per_block_reading(text):
+    """The parser refuses the document as the per-block reading does, or
+    gives the dims and Tot that `_totalize` makes of its blocks; True when
+    it accepts."""
+    refusal, B = _read_as_blocks(text)
+    try:
+        K = parse_double_complex_document(text)
+    except DocumentError as e:
+        assert str(e) == refusal
+        return False
+    assert refusal is None
+    assert K.dims == B.dims and K.total == reference_total(B)
+    return True
+
+
+def test_parser_writes_the_tot_of_the_per_block_reading():
+    """The dims and Tot the parser writes straight from a document equal
+    the per-block reading's stores, totalized: on random double complexes
+    and zigzags, as "p/q" strings and as JSON ints, on cells rescaled to
+    coprime denominators, and with blocks of empty shape, blocks keyed
+    outside dims and all-zero blocks added."""
+    rng, seen = random.Random(29), Counter()
+    for t in range(60):
+        K = (random_double_complex(rng) if t % 3 == 0 else
+             random_zigzag_double_complex(rng, grid=rng.randint(1, 4),
+                                          pieces=8, corners=t % 2)[0])
+        if t % 3 == 2:
+            K = rescale_cells(K, rng)
+        doc = json.loads(serialize_double_complex(K))
+        r, s = next((r, s) for r in range(6) for s in range(6)
+                    if (r, s) not in K.dims)
+        doc["horiz"][f"{r},{s}"] = [[]] * K.dims.get((r + 1, s), 0)
+        doc["vert"][f"{r},{s}"] = [[]] * K.dims.get((r, s + 1), 0)
+        for (r, s), d in K.dims.items():  # a zero vert block where none is
+            if K.dims.get((r, s + 1)) and f"{r},{s}" not in doc["vert"]:
+                doc["vert"][f"{r},{s}"] = [["0"] * d] * K.dims[r, s + 1]
+                seen["zero block"] += 1
+        texts = [json.dumps(doc)]
+        if all("/" not in x for name in ("horiz", "vert")
+               for M in doc[name].values() for row in M for x in row):
+            texts.append(_integer_document(K))
+        for text in texts:
+            assert _agrees_with_the_per_block_reading(text)
+            seen["ints" if text is not texts[0] else "strings"] += 1
+        seen["den > 1"] += any(D.den > 1 for D in K.total.differentials
+                               .values())
+    assert min(seen.values()) >= 10, seen
+
+
+@settings(max_examples=400, deadline=timedelta(seconds=15))
+@given(text=_double_complex_documents())
+def test_parser_agrees_with_the_per_block_reading_on_any_small_document(text):
+    _agrees_with_the_per_block_reading(text)
 
 
 def test_parse_matrix_equals_from_rows():

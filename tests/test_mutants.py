@@ -25,6 +25,15 @@ fail.  A mutant that no oracle rejects names a gap in the suite.
    of `test_parse_matrix_equals_from_rows`.
 10. `spectral_pages` reporting its stable page one too small: rejected by
     `Zigzags.stable_page`.
+11. `documents` writing vertical blocks into Tot without (-1)^r: rejected
+    by the per-block reading's Tot, `_totalize`d, of
+    `test_parser_writes_the_tot_of_the_per_block_reading`.  It is no
+    equivalent mutant: that oracle compares Tot itself, not its pages.
+12. `spectral._checked` ranking the square before vert within a cell:
+    rejected by
+    `test_double_complex_names_the_first_defect_like_the_per_cell_checks`.
+13. `cli._Reader` reading a value that starts with "-" off the grammar:
+    rejected by the argparse agreement of `tests/test_argv.py`'s corpus.
 
 Left out: `_totalize` with the vertical sign on even r.  It is an
 equivalent mutant, as scaling cell (r, s) by (-1)^s maps one sign
@@ -33,13 +42,17 @@ verdicts can reject it.
 """
 
 import inspect
+import json
 import random
+import textwrap
 from math import gcd
 
 import pytest
 
+import test_argv
 import test_documents_cli
 import test_pairing
+import test_spectral
 from conftest import (
     dense_rank_mod_p,
     ext_row,
@@ -48,7 +61,7 @@ from conftest import (
     random_low_rank_matrix,
     random_zigzag_double_complex,
 )
-from exhom import complexes, documents, spectral, steinberg, zlinalg
+from exhom import cli, complexes, documents, spectral, steinberg, zlinalg
 from exhom.complexes import _combine
 from exhom.documents import _map_field
 from exhom.spectral import COLUMN, ROW, FiltrationChain, SpectralPages
@@ -233,7 +246,7 @@ def test_rank_mod_p_keeping_a_taken_low_is_rejected(monkeypatch):
 def _edited(function, line, replacement):
     """`function` with its one source line `line` replaced, compiled over a
     copy of its module's globals; an edit that no longer applies fails."""
-    source = inspect.getsource(function)
+    source = textwrap.dedent(inspect.getsource(function))
     assert source.count(line) == 1, line
     scope = dict(function.__globals__)
     exec(source.replace(line, replacement), scope)
@@ -295,3 +308,49 @@ def test_stable_page_one_too_small_is_rejected(monkeypatch):
 
     monkeypatch.setattr(spectral, "spectral_pages", one_too_small)
     assert _stable_page_misses(20) > 0
+
+
+def test_vertical_blocks_written_without_their_sign_are_rejected(
+        monkeypatch):
+    test_documents_cli.test_parser_writes_the_tot_of_the_per_block_reading()
+    unsigned = _edited(documents.parse_double_complex_document,
+                       "-1 if ds and r & 1 else 1)", "1)")
+    monkeypatch.setattr(test_documents_cli, "parse_double_complex_document",
+                        unsigned)
+    with pytest.raises(AssertionError):
+        test_documents_cli.test_parser_writes_the_tot_of_the_per_block_reading()
+
+
+def test_square_ranked_before_vert_is_rejected(monkeypatch):
+    first_defect = test_spectral.\
+        test_double_complex_names_the_first_defect_like_the_per_cell_checks
+    first_defect()
+    horiz, vert, square = spectral._DEFECTS.items()
+    monkeypatch.setattr(spectral, "_DEFECTS", dict((horiz, square, vert)))
+    with pytest.raises(AssertionError):
+        first_defect()
+
+
+def _argv_misreads(tmp_path):
+    """argvs of `test_argv.CORPUS` on which the reader and argparse
+    disagree."""
+    paths = {}
+    for name, doc in test_argv.DOCUMENTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+        paths[name[0]] = str(tmp_path / name)
+    misreads = 0
+    for argv in test_argv.CORPUS:
+        try:
+            test_argv.check([token.format(**paths) for token in argv])
+        except AssertionError:
+            misreads += 1
+    return misreads
+
+
+def test_reader_taking_a_dash_value_is_rejected(tmp_path, monkeypatch):
+    assert _argv_misreads(tmp_path) == 0
+    monkeypatch.setattr(cli._Reader, "_from_grammar", _edited(
+        cli._Reader._from_grammar,
+        'elif (text := next(tokens, "-")).startswith("-"):',
+        "elif (text := next(tokens, None)) is None:"))
+    assert _argv_misreads(tmp_path) > 0

@@ -25,6 +25,7 @@ import pytest
 
 from conftest import (
     Subspace,
+    blocks,
     page_representatives,
     random_double_complex,
     random_zigzag_double_complex,
@@ -168,9 +169,9 @@ def test_sum_dims_and_verdicts_known_at_size(request, monkeypatch, instance):
 
 def test_oppose_builds_tot_once_and_pairs_twice(monkeypatch):
     """Building K and both filtrations, in either order: one Tot (built by
-    the first pairing), each column of a store over den > 1 scaled once and
-    none over den 1, two pairings, the column pairing giving the basis of
-    H^n both are written on."""
+    the builder's one `_totalize`), each column of a store over den > 1
+    scaled once and none over den 1, two pairings, the column pairing
+    giving the basis of H^n both are written on."""
     calls = Counter()
 
     def counted(name, fn):
@@ -179,8 +180,8 @@ def test_oppose_builds_tot_once_and_pairs_twice(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(spectral, "total_complex",
-                        counted("total", spectral.total_complex))
+    monkeypatch.setattr(spectral, "_totalize",
+                        counted("total", spectral._totalize))
     monkeypatch.setattr(complexes, "_primitive",
                         counted("scale", complexes._primitive))
     pairing = counted("pair", complexes._pairing)
@@ -199,9 +200,9 @@ def test_oppose_builds_tot_once_and_pairs_twice(monkeypatch):
         # the column classes are that basis, so they carry no rows
         assert (F.rows is None, G.rows is None) \
             == (first == COLUMN, second == COLUMN)
-        dens = [D.den for D in K._total.differentials.values()]
+        dens = [D.den for D in K.total.differentials.values()]
         assert 1 in dens and max(dens) > 1
-        columns = sum(D.cols for D in K._total.differentials.values()
+        columns = sum(D.cols for D in K.total.differentials.values()
                       if D.den > 1)
         assert calls == {"total": 1, "pair": 2, "scale": columns}
 
@@ -250,8 +251,9 @@ def test_pairing_matches_reference_over_the_lcm_of_cell_denominators():
                                                        pieces=6)[0], rng)
         T = total_complex(K)
         for n, D in T.differentials.items():
-            dens = {M.den for (r, s), M in (*K.horiz.items(),
-                                            *K.vert.items()) if r + s == n}
+            B = blocks(K)
+            dens = {M.den for (r, s), M in (*B.horiz.items(),
+                                            *B.vert.items()) if r + s == n}
             assert D.den == lcm(*dens)
             lcm_cases += D.den not in dens
         for axis in (COLUMN, ROW):

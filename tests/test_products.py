@@ -9,13 +9,17 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    Blocks,
     apply,
     column,
     dense,
     differential,
     fraction_rows,
+    random_cochain,
+    random_dense_cochain,
     random_double_complex,
     reference_defects,
+    tensor_blocks,
     transpose,
     zero_matrix,
 )
@@ -27,7 +31,6 @@ from exhom.documents import (
 )
 from exhom.qlinalg import RatMatrix, _products
 from exhom.spectral import (
-    DoubleComplex,
     DoubleComplexError,
     double_complex,
     total_complex,
@@ -173,7 +176,9 @@ def test_transpose_column_and_apply_match_entries():
 def test_total_differential_matches_block_reference():
     rng = random.Random(44)
     for _ in range(10):
-        K = random_double_complex(rng)
+        B = tensor_blocks(random_dense_cochain(rng, max_deg=3, max_pieces=3),
+                          random_cochain(rng, max_deg=3, max_pieces=2))
+        K = double_complex(B.max_r, B.max_c, B.dims, B.horiz, B.vert)
         T = total_complex(K)
         for n in range(K.max_r + K.max_c):
             src = [(r, n - r) for r in range(n + 1) if K.dims.get((r, n - r))]
@@ -184,8 +189,8 @@ def test_total_differential_matches_block_reference():
             for r, s in src:
                 row_off = 0
                 for t in dst:
-                    M, sign = {(r + 1, s): (K.horiz.get((r, s)), 1),
-                               (r, s + 1): (K.vert.get((r, s)), (-1) ** r),
+                    M, sign = {(r + 1, s): (B.horiz.get((r, s)), 1),
+                               (r, s + 1): (B.vert.get((r, s)), (-1) ** r),
                                }.get(t, (None, 1))
                     if M is not None:
                         e = fraction_rows(M)
@@ -266,14 +271,14 @@ def test_square_paths_compare_as_values_over_their_own_denominators():
     horiz[(0, 1)] = q(("1/3", "1/12"), (0, "1/8"))         # den 24
     vert[(0, 0)] = q((2, 0), (0, 2))                        # den 1
     K = double_complex(1, 1, dims, horiz, vert)
-    assert reference_defects(K) == []
+    assert reference_defects(Blocks(1, 1, dims, horiz, vert)) == []
     # the same numerators [[8, 2], [0, 3]] over 24 and over 12
     vert[(0, 0)] = q((1, 0), (0, 1))
     horiz[(0, 1)] = dense(2, 2, (8, 2, 0, 3), 24)
     with pytest.raises(DoubleComplexError) as e:
         double_complex(1, 1, dims, horiz, vert)
     assert str(e.value) == "square does not commute at (0,0)"
-    assert reference_defects(DoubleComplex(1, 1, dims, horiz, vert)) == [
+    assert reference_defects(Blocks(1, 1, dims, horiz, vert)) == [
         "square does not commute at (0,0)"]
 
 

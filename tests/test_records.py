@@ -51,8 +51,8 @@ CASES = [
      lambda: (0, 1, {0: 1, 1: 1}, {1: RatMatrix(1, 1, ({0: 2},))}), False),
     (CheckReport, ("name", "rows", "passed", "note"),
      lambda: ("uct", ((0, 1, 1),), True, "a note"), True),
-    (DoubleComplex, ("max_r", "max_c", "dims", "horiz", "vert"),
-     lambda: (0, 0, {(0, 0): 1}, {}, {}), False),
+    (DoubleComplex, ("max_r", "max_c", "dims", "total"),
+     lambda: (0, 0, {(0, 0): 1}, CochainComplex(0, 0, {0: 1}, {})), False),
     (SpectralPages, ("filtration_axis", "pages", "d_ranks", "limit",
                      "stable_page"),
      lambda: ("column", {1: {(0, 0): (1, (0,))}}, {}, {(0, 0): 1}, 1),
@@ -209,9 +209,10 @@ def test_transpose_keeps_type_and_denominator():
 
 
 def test_cached_properties_still_work():
-    K = DoubleComplex(0, 0, {(0, 0): 1}, {}, {})
-    assert K._total is K._total and K._bases is K._bases
-    assert K._total._columns is K._total._columns
+    K = DoubleComplex(0, 0, {(0, 0): 1}, CochainComplex(0, 0, {0: 1}, {}))
+    assert K._axis_levels is K._axis_levels and K._bases is K._bases
+    assert K._axis_levels == {"column": {0: [0]}, "row": {0: [0]}}
+    assert K.total._columns is K.total._columns
 
 
 @pytest.mark.parametrize("build", [

@@ -4,6 +4,8 @@ from collections import Counter
 import pytest
 
 from conftest import (
+    Blocks,
+    blocks,
     degenerates_at,
     dense,
     filtration_spaces,
@@ -18,7 +20,9 @@ from conftest import (
     reference_defects,
     reference_opposite,
     reference_pages,
+    reference_read,
     reference_ss_text,
+    reference_total,
     rescale_cells,
     serialize_double_complex,
     to_sparse,
@@ -32,7 +36,6 @@ from exhom.qlinalg import RatMatrix
 from exhom.spectral import (
     COLUMN,
     ROW,
-    DoubleComplex,
     DoubleComplexError,
     FiltrationChain,
     dimension_criterion,
@@ -95,7 +98,8 @@ def _plant_defects(rng, K, count):
     """K's horiz and vert maps with `count` planted changes, each to a
     random stored map: one entry moved by +-1, or the whole map doubled
     (which can break only squares)."""
-    maps = {"horiz": dict(K.horiz), "vert": dict(K.vert)}
+    B = blocks(K)
+    maps = {"horiz": dict(B.horiz), "vert": dict(B.vert)}
     for _ in range(count):
         field = rng.choice([f for f in maps if maps[f]])
         cell = rng.choice(sorted(maps[field]))
@@ -118,11 +122,11 @@ def test_double_complex_names_the_first_defect_like_the_per_cell_checks():
     for trial in range(400):
         K = (random_double_complex(rng) if trial % 2
              else random_zigzag_double_complex(rng, grid=3, pieces=5)[0])
-        if not (K.horiz or K.vert):
+        if not K.total.differentials:
             continue
         horiz, vert = _plant_defects(rng, K, 1 + trial % 3)
         want = reference_defects(
-            DoubleComplex(K.max_r, K.max_c, K.dims, horiz, vert))
+            Blocks(K.max_r, K.max_c, K.dims, horiz, vert))
         if not want:
             double_complex(K.max_r, K.max_c, K.dims, horiz, vert)
             continue
@@ -150,12 +154,12 @@ def test_cell_checks_over_coprime_cell_denominators_name_the_first_defect():
     for trial in range(120):
         K = rescale_cells(random_zigzag_double_complex(rng, grid=3,
                                                        pieces=5)[0], rng)
-        if not (K.horiz or K.vert):
+        if not K.total.differentials:
             continue
-        assert reference_defects(K) == []
+        assert reference_defects(blocks(K)) == []
         horiz, vert = _plant_defects(rng, K, 1 + trial % 3)
         want = reference_defects(
-            DoubleComplex(K.max_r, K.max_c, K.dims, horiz, vert))
+            Blocks(K.max_r, K.max_c, K.dims, horiz, vert))
         if not want:
             double_complex(K.max_r, K.max_c, K.dims, horiz, vert)
             continue
@@ -173,15 +177,15 @@ def test_large_double_complex_names_the_first_defect_like_naive_checks():
     first as the reference checks do on textbook triple-loop products."""
     rng = random.Random(67)
     K = random_zigzag_double_complex(rng, grid=3, pieces=300)[0]
-    T = K._total
+    T, B = K.total, blocks(K)
     assert max(T.dim(n + 2) * T.dim(n + 1) * T.dim(n)
                for n in T.differentials) >= 1 << 14
-    assert len({M.den for M in (*K.horiz.values(), *K.vert.values())}) > 5
-    double_complex(K.max_r, K.max_c, K.dims, K.horiz, K.vert)
+    assert len({M.den for M in (*B.horiz.values(), *B.vert.values())}) > 5
+    double_complex(K.max_r, K.max_c, K.dims, B.horiz, B.vert)
     for count in (1, 2, 3):
         horiz, vert = _plant_defects(rng, K, count)
         want = reference_defects(
-            DoubleComplex(K.max_r, K.max_c, K.dims, horiz, vert),
+            Blocks(K.max_r, K.max_c, K.dims, horiz, vert),
             naive_composite)
         assert want
         with pytest.raises(DoubleComplexError) as raised:
@@ -203,11 +207,12 @@ def test_cell_checks_accept_exactly_when_tot_squares_to_zero():
         K = (big if trial % 8 == 0 else random_double_complex(rng)
              if trial % 2 else
              random_zigzag_double_complex(rng, grid=3, pieces=5)[0])
-        count = rng.randrange(4) if K.horiz or K.vert else 0
+        count = rng.randrange(4) if K.total.differentials else 0
+        B = blocks(K)
         horiz, vert = (_plant_defects(rng, K, count) if count
-                       else (K.horiz, K.vert))
-        tot_ok = _nonzero_composite(total_complex(
-            DoubleComplex(K.max_r, K.max_c, K.dims, horiz, vert))) is None
+                       else (B.horiz, B.vert))
+        tot_ok = _nonzero_composite(reference_total(
+            Blocks(K.max_r, K.max_c, K.dims, horiz, vert))) is None
         try:
             double_complex(K.max_r, K.max_c, K.dims, horiz, vert)
             accepted = True
@@ -220,26 +225,34 @@ def test_cell_checks_accept_exactly_when_tot_squares_to_zero():
                ((False, True), (True, True), (True, False))), seen
 
 
-def test_validation_builds_no_tot(monkeypatch, tmp_path, capsys):
-    """Parsing a valid document checks every cell without totalizing; the
-    first pairing builds Tot, and a later one shares it."""
-    built = []
-    total = spectral.total_complex
-    monkeypatch.setattr(spectral, "total_complex",
-                        lambda K: built.append(K) or total(K))
+def test_parsing_builds_tot_once_and_every_pairing_shares_it(
+        monkeypatch, tmp_path, capsys):
+    """Parsing a valid document writes Tot itself, equal to the blocks'
+    totalization, with no `_totalize` call; every pairing of the complex,
+    in the library and in an `ss` or `oppose` request, pairs that one Tot."""
     text = serialize_double_complex(random_zigzag_double_complex(
         random.Random(41), grid=3, pieces=12)[0])
+    want = reference_total(reference_read(text))
+    totalized, paired = [], []
+    monkeypatch.setattr(spectral, "_totalize",
+                        lambda *a: totalized.append(a))
+    real = spectral._pairing
+    monkeypatch.setattr(spectral, "_pairing",
+                        lambda T, *a: paired.append(T) or real(T, *a))
     K = parse_double_complex_document(text)
-    assert built == []
+    assert K.total == want and totalized == []
     spectral_pages(K, COLUMN)
     spectral_pages(K, ROW)
-    assert built == [K]
-    built.clear()
+    filtration_on_total(K, ROW, 3)
+    assert len(paired) == 4 and all(T is K.total for T in paired)
     f = tmp_path / "k.json"
     f.write_text(text)
-    assert main(["ss", "--input", str(f), "--axis", "row", "--pages"]) == 0
-    assert capsys.readouterr().err == ""
-    assert len(built) == 1
+    for argv in (["ss", "--axis", "row", "--pages"], ["oppose", "--n", "3"]):
+        paired.clear()
+        assert main([*argv, "--input", str(f)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(paired) >= 1 and len(set(map(id, paired))) == 1
+    assert totalized == []
 
 
 def test_ss_text_matches_the_per_cell_renderer(tmp_path, capsys):
@@ -250,8 +263,8 @@ def test_ss_text_matches_the_per_cell_renderer(tmp_path, capsys):
     rng = random.Random(83)
     many_dens = random_zigzag_double_complex(random.Random(67), grid=3,
                                              pieces=300)[0]
-    assert len({M.den for M in (*many_dens.horiz.values(),
-                                *many_dens.vert.values())}) > 5
+    B = blocks(many_dens)
+    assert len({M.den for M in (*B.horiz.values(), *B.vert.values())}) > 5
     Ks = [many_dens] + [random_double_complex(rng) for _ in range(4)] + [
         random_zigzag_double_complex(rng, grid=rng.randint(1, 4), pieces=8,
                                      corners=rng.randint(0, 2))[0]
@@ -344,13 +357,13 @@ def test_column_e1_is_vertical_cohomology():
     rng = random.Random(22)
     for _ in range(8):
         K = random_double_complex(rng, max_r=2, max_c=2)
-        P = spectral_pages(K, COLUMN)
+        P, vert = spectral_pages(K, COLUMN), blocks(K).vert
         for p in range(K.max_r + 1):
             col = {s: K.dims.get((p, s), 0) for s in range(K.max_c + 1)}
             from exhom.complexes import cochain_complex
             C = cochain_complex(0, col,
-                                {s: K.vert[(p, s)] for s in range(K.max_c)
-                                 if (p, s) in K.vert})
+                                {s: vert[(p, s)] for s in range(K.max_c)
+                                 if (p, s) in vert})
             for q in range(K.max_c + 1):
                 assert P.dim(1, p, q) == cohomology_dims(C).get(q, 0)
 
