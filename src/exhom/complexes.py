@@ -42,8 +42,8 @@ from ._record import Record
 from .qlinalg import RatMatrix, _products
 from .zlinalg import (
     FinAbGroup,
+    _chain_factors,
     _rank_mod_p,
-    invariant_factors,
     is_prime,
 )
 
@@ -100,7 +100,7 @@ class IntChainComplex(_Complex):
         none, so no zero matrix is built for it."""
         if n not in self._factors:
             D = self.differentials.get(n)
-            self._factors[n] = () if D is None else invariant_factors(D)
+            self._factors[n] = () if D is None else _chain_factors(D)
         return self._factors[n]
 
 
@@ -330,16 +330,18 @@ def tensor_product(C: CochainComplex, D: CochainComplex) -> CochainComplex:
 
 class CheckReport(Record):
     """Per-degree comparison of two dimension computations: rows holds
-    (degree, lhs, rhs)."""
+    (degree, lhs, rhs), or (degree, value) where only one side is known."""
 
     _fields, _defaults = ("name", "rows", "passed", "note"), ("",)
 
     def render(self) -> str:
         lines = [f"{self.name}: {'PASS' if self.passed else 'FAIL'}"
                  + (f" ({self.note})" if self.note else "")]
-        for n, lhs, rhs in self.rows:
-            mark = "ok" if lhs == rhs else "MISMATCH"
-            lines.append(f"  degree {n}: {lhs} vs {rhs}  {mark}")
+        for n, *sides in self.rows:
+            line = f"  degree {n}: " + " vs ".join(map(str, sides))
+            if len(sides) == 2:
+                line += "  ok" if sides[0] == sides[1] else "  MISMATCH"
+            lines.append(line)
         return "\n".join(lines)
 
 
@@ -377,7 +379,8 @@ def uct_check(C: IntChainComplex, m: int) -> CheckReport:
     counts from invariant factors the free rank of H_n and the torsion t of
     H_n and of H_{n-1} with gcd(t, m) > 1.  For prime m the left side
     dim H_n(C (x) Z/m) comes from an independent mod-m Gaussian elimination.
-    Composite m: only the invariant-factor side is tabulated, no cross-check.
+    Composite m: only the invariant-factor side is tabulated, as rows
+    (degree, value), with no cross-check.
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
@@ -389,8 +392,8 @@ def uct_check(C: IntChainComplex, m: int) -> CheckReport:
            for n in C.degrees()}
     if not is_prime(m):
         return CheckReport(
-            "uct", (), True,
-            note=f"modulus {m} not prime; invariant-factor side only: {rhs}")
+            "uct", tuple(rhs.items()), True,
+            note=f"modulus {m} not prime; invariant-factor side only")
     ranks = {n: _rank_mod_p(D, m) for n, D in C.differentials.items()}
     rows = []
     for n in C.degrees():

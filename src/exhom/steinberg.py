@@ -123,9 +123,13 @@ class BettiProfile(Record):
 
 
 def betti_profile(d: int, dp: int, spectrum: InducedSpectrum) -> BettiProfile:
-    """b_n as the sum of the degree-n anti-diagonal, for every n."""
-    return BettiProfile(d, dp, spectrum, tuple(map(sum, _antidiagonals(
-        d, dp, spectrum, range(2 * (d + dp) + 1)))))
+    """b_n as the sum of the degree-n anti-diagonal, for every n: each
+    row's cells are added straight into b (row 0 checks d and dp)."""
+    b = [0] * (2 * (d + dp) + 1)
+    for s in range(max(d + dp, 0) + 1):
+        for r, v in _row(d, dp, spectrum, s).items():
+            b[r + s] += v
+    return BettiProfile(d, dp, spectrum, tuple(b))
 
 
 def _stated_e2(d: int, dp: int, spectrum: InducedSpectrum,

@@ -1070,7 +1070,8 @@ _GRID = {"max_r": MAX_GRID, "max_c": MAX_GRID,
     ([{"dims": _SPREAD}], ["uct", "--input", 0, "--mod", "2"],
      1 + MAX_DEGREE_SPAN + 1),
     ([{"dims": _SPREAD}],
-     ["uct", "--input", 0, "--mod", str(zlinalg._MR_EXACT_BELOW - 1)], 1),
+     ["uct", "--input", 0, "--mod", str(zlinalg._MR_EXACT_BELOW - 1)],
+     1 + MAX_DEGREE_SPAN + 1),
     ([{"dims": {"0": 1, "1": 1}, "differentials": {"1": [[2]]}}],
      ["uct", "--input", 0, "--mod", str(_LARGEST_PRIME)], 1 + 2),
     ([{"dims": _A}, {"dims": _B}], ["kunneth", "--a", 0, "--b", 1], 1 + 11),

@@ -34,6 +34,16 @@ fail.  A mutant that no oracle rejects names a gap in the suite.
     `test_double_complex_names_the_first_defect_like_the_per_cell_checks`.
 13. `cli._Reader` reading a value that starts with "-" off the grammar:
     rejected by the argparse agreement of `tests/test_argv.py`'s corpus.
+14. `zlinalg._split_pivots` taking a row-gcd pivot that does not divide its
+    column: rejected by `smith_normal_form(A).diagonal` on
+    `test_zlinalg.planted_pivots` matrices.
+15. `zlinalg._certified` without check (a) and 16. without check (b):
+    each rejected by the accepted-equals-Smith assertion of
+    `test_zlinalg.test_certificate_accepts_only_the_smith_diagonal`.
+17. `zlinalg._euclid` recording a pivot before its row is reduced and
+    18. keeping a remainder in the pivot's column without moving the
+    pivot: each rejected by `smith_normal_form(D).diagonal` on the
+    differentials of random integer chain complexes.
 
 Left out: `_totalize` with the vertical sign on even r.  It is an
 equivalent mutant, as scaling cell (r, s) by (-1)^s maps one sign
@@ -53,10 +63,12 @@ import test_argv
 import test_documents_cli
 import test_pairing
 import test_spectral
+import test_zlinalg
 from conftest import (
     dense_rank_mod_p,
     ext_row,
     planted_int_matrix,
+    random_int_chain,
     random_int_matrix,
     random_low_rank_matrix,
     random_zigzag_double_complex,
@@ -354,3 +366,64 @@ def test_reader_taking_a_dash_value_is_rejected(tmp_path, monkeypatch):
         'elif (text := next(tokens, "-")).startswith("-"):',
         "elif (text := next(tokens, None)) is None:"))
     assert _argv_misreads(tmp_path) > 0
+
+
+def _split_misses():
+    """`test_zlinalg.planted_pivots` matrices, whose row gcds often fail
+    to divide their columns, with `invariant_factors` other than
+    `smith_normal_form(A).diagonal`."""
+    rng = random.Random(33)
+    return sum(zlinalg.invariant_factors(A)
+               != zlinalg.smith_normal_form(A).diagonal
+               for A in (test_zlinalg.planted_pivots(
+                   rng, rng.randint(1, 8), rng.randint(1, 8))
+                   for _ in range(200)))
+
+
+def test_split_taking_a_pivot_that_does_not_divide_its_column_is_rejected(
+        monkeypatch):
+    assert _split_misses() == 0
+    monkeypatch.setattr(zlinalg, "_split_pivots", _edited(
+        zlinalg._split_pivots,
+        "if gcd(p, *[other[j] for other in m.values()]) != p:", "if False:"))
+    assert _split_misses() > 0
+
+
+@pytest.mark.parametrize("line, replacement", [
+    ("if _coprime_part(e[-1], G // e[-1]) > 1:", "if False:"),
+    ("return e if Q == 1 or _smith_mod(A, Q, r) == [1] * r else None",
+     "return e"),
+], ids=["without-a", "without-b"])
+def test_certificate_without_one_check_is_rejected(monkeypatch, line,
+                                                    replacement):
+    oracle = test_zlinalg.test_certificate_accepts_only_the_smith_diagonal
+    oracle()
+    monkeypatch.setattr(test_zlinalg, "_certified",
+                        _edited(zlinalg._certified, line, replacement))
+    with pytest.raises(AssertionError) as equality:
+        oracle()
+    assert str(equality.traceback[-1].statement).strip() \
+        == "assert e is None or e == d"
+
+
+def _chain_misses():
+    """Differentials of random integer chain complexes whose factors by
+    the chain route, `_chain_factors`, differ from
+    `smith_normal_form(D).diagonal`."""
+    rng = random.Random(61)
+    return sum(zlinalg._chain_factors(D)
+               != zlinalg.smith_normal_form(D).diagonal
+               for _ in range(100) for D in random_int_chain(
+                   rng, max_deg=4, max_pieces=6,
+                   max_mult=12).differentials.values())
+
+
+@pytest.mark.parametrize("line, replacement", [
+    ("r = min(filter(None, y), key=abs, default=0)", "r = 0"),
+    ("if k is not None:", "if False:"),
+], ids=["recorded-before-its-row-is-reduced", "remainder-kept"])
+def test_euclid_phase_mutants_are_rejected(monkeypatch, line, replacement):
+    assert _chain_misses() == 0
+    monkeypatch.setattr(zlinalg, "_euclid",
+                        _edited(zlinalg._euclid, line, replacement))
+    assert _chain_misses() > 0

@@ -7,10 +7,13 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     RP2,
+    TORUS,
     barycentric,
+    building_chain,
     cokernel_structure,
     dense_rank_mod_p,
     determinant,
@@ -26,6 +29,7 @@ from conftest import (
     random_unimodular,
     rank,
     rank_mod_p,
+    reference_homology_int,
     reference_split_pivots,
     simplicial_chain,
     transpose,
@@ -33,6 +37,7 @@ from conftest import (
 )
 from exhom import zlinalg
 from exhom.cli import main
+from exhom.complexes import homology_int
 from exhom.documents import parse_int_matrix_document
 from exhom.qlinalg import RatMatrix
 from exhom.zlinalg import (
@@ -776,6 +781,78 @@ def test_invariant_factors_strip_zero_rows_and_columns(monkeypatch):
     D = RatMatrix(4, 3, ({1: 2, 3: 4}, {}, {1: 3, 3: 3}))
     assert invariant_factors(D) == (1, 6, 0)
     assert set(shapes) == {(2, 2, 2)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_chain_route_matches_the_smith_form_on_random_chains(seed):
+    """`_chain_factors`, the split and then the Euclid phase, gives
+    `smith_normal_form(D).diagonal` on every differential of a random
+    integer chain complex, and `homology_int` the kernel-lattice reference
+    in every degree."""
+    C = random_int_chain(random.Random(seed), max_deg=4, max_pieces=6,
+                         max_mult=12)
+    for D in C.differentials.values():
+        assert zlinalg._chain_factors(D) == smith_normal_form(D).diagonal
+    assert [homology_int(C, n) for n in C.degrees()] == [
+        reference_homology_int(C, n) for n in C.degrees()]
+
+
+def test_chain_route_on_surfaces_and_buildings():
+    """The chain route on the boundary maps of the projective plane and the
+    torus, as triangulated and after one and two barycentric subdivisions,
+    and of the Tits buildings of GL_3(F_2), GL_3(F_3), GL_4(F_2) and
+    GL_3(F_5): `smith_normal_form(D).diagonal` where D has at most 6,000
+    entries, `invariant_factors(D)` past that."""
+    complexes = []
+    for triangles in (RP2, TORUS):
+        for _ in range(3):
+            complexes.append(simplicial_chain(triangles))
+            triangles = barycentric(triangles)
+    complexes += [building_chain(q, n) for q, n in ((2, 3), (3, 3), (2, 4),
+                                                    (5, 3))]
+    for C in complexes:
+        for D in C.differentials.values():
+            want = (smith_normal_form(D).diagonal if D.rows * D.cols <= 6000
+                    else invariant_factors(D))
+            assert zlinalg._chain_factors(D) == want
+
+
+def test_euclid_phase_stops_before_an_entry_passes_its_width(monkeypatch):
+    """A pivot of the phase is an entry of least |value|; its column is
+    cleared, its row reduced, and any remainder becomes the pivot.  Below
+    the width `_EUCLID_BITS` the phase leaves nothing; at a narrower width
+    it returns the rows as they stand before the step that would pass it,
+    and `_chain_factors` finishes them by the Bareiss and modulus route:
+    every answer is unchanged."""
+    pivots = []
+    assert zlinalg._euclid([[2, 3]], pivots) == [] and pivots == [1]
+    pivots = []
+    assert zlinalg._euclid([[6, 4], [4, 6]], pivots) == []
+    assert pivots == [2, 10]  # 4 leaves 2 in its column, the next pivot
+    monkeypatch.setattr(zlinalg, "_EUCLID_BITS", 3)
+    pivots = []
+    # the pivot 2 would write 10 = 6 - 2 * (-2) into row 0: 4 bits
+    assert zlinalg._euclid([[6, 4], [4, 6]], pivots) == [[6, 4], [-2, 2]]
+    assert pivots == []
+    assert zlinalg._chain_factors(RatMatrix.from_rows([[6, 4], [4, 6]])) \
+        == (2, 10)
+    rng = random.Random(53)
+    blocks = [D for _ in range(60) for D in random_int_chain(
+        rng, max_deg=4, max_pieces=6, max_mult=12).differentials.values()]
+    want = [smith_normal_form(D).diagonal for D in blocks]
+    passes = []
+    monkeypatch.setattr(zlinalg, "_bareiss", lambda A, extra=():
+                        passes.append(A) or _bareiss(A, extra))
+    stopped = {}
+    for bits in (64, 8, 4, 2, 1):
+        monkeypatch.setattr(zlinalg, "_EUCLID_BITS", bits)
+        passes.clear()
+        assert [zlinalg._chain_factors(D) for D in blocks] == want
+        stopped[bits] = len(passes)
+    # the phase leaves these blocks nothing at 64 bits; each narrower width
+    # stops on some
+    assert stopped[64] == 0 < stopped[8] <= stopped[1], stopped
 
 
 def test_rational_rank_matches_nonzero_diagonal():
