@@ -66,3 +66,18 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class cached:
+    """A method run on the first read of its name from an instance, whose
+    value is then stored in the instance's ``__dict__`` and read from there,
+    as by `functools.cached_property`."""
+
+    def __init__(self, method):
+        self.method = method
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        return instance.__dict__.setdefault(self.method.__name__,
+                                            self.method(instance))

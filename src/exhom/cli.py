@@ -9,13 +9,13 @@ usage, every error) goes to an argparse parser built from it on first use.
 
 from __future__ import annotations
 
-import functools
 import operator
 import sys
 from math import inf
 from types import SimpleNamespace
 
 from . import complexes, spectral, steinberg
+from ._record import cached
 from .documents import (
     DocumentError,
     check_tensor_product,
@@ -141,7 +141,7 @@ class _Reader:
         argv = sys.argv[1:] if argv is None else list(argv)
         return self._from_grammar(argv) or self._argparse.parse_args(argv)
 
-    @functools.cached_property
+    @cached
     def _argparse(self):
         return _argparse_parser()
 
@@ -170,10 +170,13 @@ class _Reader:
                 else SimpleNamespace(command=argv[0], **values))
 
 
-@functools.cache
+_READER = _Reader()
+
+
 def build_parser() -> _Reader:
-    """The parser, built on the first call and shared by every later one."""
-    return _Reader()
+    """The parser every call shares; its argparse part is built on first
+    use."""
+    return _READER
 
 
 def _read(path: str) -> str:
@@ -186,10 +189,14 @@ def _read(path: str) -> str:
         raise DocumentError(f"cannot read {path}: not UTF-8 text") from None
 
 
-@functools.lru_cache(maxsize=8)
+_BLOCKS: dict = {}  # _cell_lines' renderers by grid shape, at most 8
+
+
 def _cell_lines(max_p: int, max_q: int):
     """The renderer of the `ss` and `e2 --format machine` grids: each cell's
     "p q dim" line, p then q ascending, from the nonzero (cell, dim)s."""
+    if (max_p, max_q) in _BLOCKS:
+        return _BLOCKS[max_p, max_q]
     labels = [f"{p} {q} " for p in range(max_p + 1) for q in range(max_q + 1)]
 
     def block(dims) -> str:
@@ -197,6 +204,9 @@ def _cell_lines(max_p: int, max_q: int):
         for (p, q), dim in dims:
             column[p * (max_q + 1) + q] = str(dim)
         return "\n".join(map(operator.add, labels, column))
+    if len(_BLOCKS) == 8:
+        del _BLOCKS[next(iter(_BLOCKS))]  # the oldest
+    _BLOCKS[max_p, max_q] = block
     return block
 
 
@@ -269,12 +279,22 @@ def _cmd_uct(args) -> int:
     return 0 if report.passed else VALIDATION_ERROR
 
 
+_PIECE = 10 ** 512  # str prints below it: 640 digits is the lowest limit
+
+
+def _digits(d: int) -> str:
+    """str(d) of a d >= 0 without the int-string digit limit, which a
+    product of entries under it can pass: 512 digits at a time."""
+    pieces = []
+    while d >= _PIECE:
+        d, r = divmod(d, _PIECE)
+        pieces.append(f"{r:0512d}")
+    return str(d) + "".join(reversed(pieces))
+
+
 def _cmd_snf(args) -> int:
-    from decimal import Decimal
     A = parse_int_matrix_document(_read(args.input))
-    # str(Decimal(d)) is str(d) without the int-string digit limit, which a
-    # product of entries under that limit can pass
-    print(" ".join(str(Decimal(d)) for d in invariant_factors(A)))
+    print(" ".join(map(_digits, invariant_factors(A))))
     return 0
 
 

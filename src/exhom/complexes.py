@@ -32,13 +32,11 @@ entries, so a chain that starts as den.e_i is one entry.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
-from collections.abc import Sequence
-from functools import cached_property
 from itertools import chain
 from math import gcd, inf, lcm
+from operator import itemgetter
 
-from ._record import Record
+from ._record import Record, cached
 from .qlinalg import RatMatrix, _products
 from .zlinalg import (
     FinAbGroup,
@@ -73,7 +71,7 @@ class CochainComplex(_Complex):
 
     step = 1
 
-    @cached_property
+    @cached
     def _columns(self) -> dict[int, list[tuple[dict, int]]]:
         """Columns of each stored d^n as (v, den), v an integer column with
         column = v / den and gcd(den, *v) = 1: scaled once, for every
@@ -89,7 +87,7 @@ class IntChainComplex(_Complex):
 
     step = -1
 
-    @cached_property
+    @cached
     def _factors(self) -> dict[int, tuple[int, ...]]:
         """Invariant factors of d_n by degree n, filled by `_factors_of`
         for the degrees asked: each differential is factored once."""
@@ -178,10 +176,17 @@ def validate_complex(C) -> bool:
 # {index: value} whose low is i: den * e_i plus multiples of basis vectors
 # earlier in the reduction order, rescaled by the reduction, or for a target
 # the reduced column of its source.  Below that degree the chain is {}.
-_Generator = namedtuple("_Generator", "n i level life source chain")
+class _Generator(tuple):
+    """(n, i, level, life, source, chain), each also read by its name."""
+
+    __slots__ = ()
+    n, i, level, life, source, chain = map(property, map(itemgetter, range(6)))
+
+    def __new__(cls, *fields):
+        return tuple.__new__(cls, fields)
 
 
-def _order(levels: Sequence[int]) -> list[int]:
+def _order(levels: list[int]) -> list[int]:
     """The indices of a degree by level descending, index ascending: the
     order the columns of d^n are reduced in, and in which a low comes last."""
     return sorted(range(len(levels)), key=levels.__getitem__, reverse=True)
@@ -219,7 +224,7 @@ def _reduce(vec, chain, pivots, ranks):
     return vec, chain, None
 
 
-def _pairing(C: CochainComplex, levels: dict[int, Sequence[int]],
+def _pairing(C: CochainComplex, levels: dict[int, list[int]],
              last: int) -> list[_Generator]:
     """Persistence pairing of C in degrees up to `last`, basis vector i of
     C^n at level levels[n][i] (all 0 for a degree not in levels).
@@ -262,9 +267,11 @@ def _pairing(C: CochainComplex, levels: dict[int, Sequence[int]],
 
 def cohomology_dims(C: CochainComplex) -> dict[int, int]:
     # paired one degree past the top, where C is 0: no chains are built
-    cycles = Counter(g.n for g in _pairing(C, {}, C.max_deg + 1)
-                     if g.life == inf)
-    return {n: cycles[n] for n in C.degrees()}
+    cycles = dict.fromkeys(C.degrees(), 0)
+    for g in _pairing(C, {}, C.max_deg + 1):
+        if g.life == inf:
+            cycles[g.n] += 1
+    return cycles
 
 
 def _place(dims: dict[tuple[int, int], int]) -> tuple[dict, dict, dict]:

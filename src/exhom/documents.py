@@ -3,7 +3,8 @@
 Matrix entries are strings holding an integer or a "p/q" exact rational,
 each with an optional sign; plain JSON integers are accepted on input.  A
 "p/q" string is split into two ints and reduced, so no document imports
-`fractions`.  One routine (`_write_entries`) reads every matrix once, over
+`fractions`, and read by json's C scanner, so none imports `json` or `re`
+either.  One routine (`_write_entries`) reads every matrix once, over
 the lcm of its entries' denominators, into a `qlinalg.RatMatrix`, or for a
 double complex into the columns of its total complex, one store a degree.
 Every entry is type-checked, but only the nonzero ones are stored.
@@ -11,9 +12,9 @@ Every entry is type-checked, but only the nonzero ones are stored.
 
 from __future__ import annotations
 
-import json
 from itertools import chain, compress
-from math import gcd, lcm
+from math import gcd, inf, lcm, nan
+from types import SimpleNamespace
 
 from .complexes import (
     CochainComplex,
@@ -22,7 +23,7 @@ from .complexes import (
     _nonzero_composite,
     _place,
 )
-from .qlinalg import _RATIONAL, RatMatrix
+from .qlinalg import RatMatrix, _rational
 from .spectral import COLUMN, ROW, DoubleComplex, _check_grid, _checked
 
 MAX_DEGREE_SPAN = 1024  # largest max_deg - min_deg a complex document may span
@@ -30,6 +31,16 @@ MAX_DEGREE_SPAN = 1024  # largest max_deg - min_deg a complex document may span
 # document, and of the tensor product of the two complexes `kunneth` reads
 MAX_TOTAL_DIM = 4096
 _LIST, _INT = frozenset({list}), frozenset({int})  # the types of a fast read
+_SPACE = " \t\n\r"  # JSON's whitespace
+
+try:  # the scanner of json.loads, on the settings of json's default decoder
+    from _json import make_scanner
+    _scan = make_scanner(SimpleNamespace(
+        strict=True, object_hook=None, object_pairs_hook=None,
+        parse_float=float, parse_int=int, parse_constant={
+            "NaN": nan, "Infinity": inf, "-Infinity": -inf}.__getitem__))
+except ImportError:  # `_load_json` is json.loads alone
+    _scan = None
 
 
 class DocumentError(ValueError):
@@ -44,10 +55,9 @@ def _entry(raw, where: str, i: int, j: int, integral: bool):
     fraction."""
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
-    m = _RATIONAL.fullmatch(raw) if isinstance(raw, str) else None
-    try:
-        p, q = int(m[1]), int(m[2] or 1)
-    except (TypeError, ValueError):  # no match, or past the digit limit
+    try:  # None fails to unpack; int refuses a part past the digit limit
+        p, q = _rational(raw) if isinstance(raw, str) else None
+    except (TypeError, ValueError):
         q = 0
     if not q:
         raise DocumentError(f"malformed rational at {where}[{i}][{j}]: "
@@ -109,6 +119,17 @@ def _parse_matrix(raw, rows: int, cols: int, where: str,
 
 
 def _load_json(text: str):
+    """`json.loads(text)`, scanned without importing `json`; any text the
+    scanner refuses, and one with data after its value, goes to json.loads
+    itself, so each refusal keeps json's own text."""
+    if _scan is not None:
+        try:
+            doc, end = _scan(text, len(text) - len(text.lstrip(_SPACE)))
+            if not text[end:].strip(_SPACE):
+                return doc
+        except (StopIteration, ValueError, RecursionError):
+            pass
+    import json
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:

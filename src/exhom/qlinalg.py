@@ -21,18 +21,26 @@ in `zlinalg`.
 
 from __future__ import annotations
 
-import re
-from collections.abc import Iterator, Sequence
 from math import gcd, lcm
 
 from ._record import Record
 
-# The one grammar of a rational written as a string, in documents and in
-# `RatMatrix.from_rows`: an integer or "p/q", each with an optional sign.
-_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+
+def _rational(text: str) -> tuple[int, int] | None:
+    """(p, q) of a string in the one grammar of a rational as a string, in
+    documents and in `RatMatrix.from_rows`: [-+]?[0-9]+(/[0-9]+)? with
+    q != 0; else None.  int's ValueError past the digit limit, q's first."""
+    p, slash, q = text.partition("/")
+    digits = p[1:] if p[:1] in ("+", "-") else p
+    if digits.isdigit() and digits.isascii() and (
+            not slash or q.isdigit() and q.isascii()):
+        q = int(q) if slash else 1
+        if q:
+            return int(p), q
+    return None
 
 
-def _products(left: Sequence[dict], right: Sequence[dict]) -> Iterator[dict]:
+def _products(left, right):
     """The columns, one at a time, of the product of the numerators of two
     column stores, `left` holding the columns of the left factor: column j
     is the sum over v = right[j][k] of v times left[k], without its zeros."""
@@ -61,24 +69,26 @@ class RatMatrix(Record):
                              f"for a {self.rows}x{self.cols} matrix")
 
     @classmethod
-    def from_rows(cls, data: Sequence[Sequence], cols: int | None = None):
+    def from_rows(cls, data, cols: int | None = None):
         """The matrix of these rows of rational entries (any
         `numbers.Rational`: ints, bools, Fractions; or strings in the
-        document grammar `_RATIONAL`), each read as the integer pair of its
+        document grammar `_rational`), each read as the integer pair of its
         numerator and denominator, put over the lcm of the denominators and
         then reduced to lowest terms.  Any other entry, a float or a string
         such as "1e3", "1.5" or " 3 " among them, is refused with a
         ValueError rather than read as its binary fraction or as a decimal,
         whose exponents can take unbounded time."""
-        from numbers import Rational
-
         def entry(x):
-            if isinstance(x, Rational):
+            if isinstance(x, str):
+                if pq := _rational(x):  # past the digit limit int raises
+                    return pq
+            elif isinstance(x, int) or rational(x):
                 return x.numerator, x.denominator
-            m = _RATIONAL.fullmatch(x) if isinstance(x, str) else None
-            if m and int(m[2] or 1):  # past the digit limit int raises too
-                return int(m[1]), int(m[2] or 1)
             raise ValueError(f"matrix entries must be rational, got {x!r}")
+
+        def rational(x):  # `numbers` loads only for an entry not int or str
+            from numbers import Rational
+            return isinstance(x, Rational)
 
         data = [[entry(x) for x in r] for r in data]
         if cols is None:

@@ -33,10 +33,9 @@ dimension criterion implying it live here.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
 from math import gcd, inf
 
-from ._record import Record
+from ._record import Record, cached
 from .complexes import (CochainComplex, _composites, _nonzero_composite,
                         _order, _pairing, _place, _reduce, _totalize)
 from .qlinalg import RatMatrix
@@ -56,12 +55,12 @@ class DoubleComplex(Record):
 
     _fields = ("max_r", "max_c", "dims", "total")
 
-    @cached_property
+    @cached
     def _axis_levels(self) -> dict[str, dict[int, list[int]]]:
         """Per axis, `_place`'s levels, primed by the parser's own pass."""
         return dict(zip((COLUMN, ROW), _place(self.dims)[1:]))
 
-    @cached_property
+    @cached
     def _bases(self) -> dict[int, tuple]:
         """Per degree, the column pairing's basis of H^n (`_column_basis`)."""
         return {}
@@ -276,10 +275,12 @@ def _verdicts(F: FiltrationChain, G: FiltrationChain) -> tuple[bool, bool]:
         raise ValueError("filtration degree or ambient dimension mismatch")
     n, h = F.n, F.ambient_dim
     f, g, ps = F.dims(), G.dims(), range(n + 2)
-    spans = cache(lambda p: _sum_dim(F, p, G, n + 1 - p) == h)
-    return (all(f[p] + g[n + 1 - p] == h and spans(p) for p in ps),
-            all(f[p] + f[n + 1 - p] == h and g[p] + g[n + 1 - p] == h
-                for p in ps) and all(map(spans, ps)))
+    sums = all(f[p] + g[n + 1 - p] == h for p in ps)
+    symmetric = all(f[p] + f[n + 1 - p] == h and g[p] + g[n + 1 - p] == h
+                    for p in ps)
+    spanned = (sums or symmetric) and all(
+        _sum_dim(F, p, G, n + 1 - p) == h for p in ps)
+    return sums and spanned, symmetric and spanned
 
 
 def opposite_check(F: FiltrationChain, G: FiltrationChain) -> bool:

@@ -32,7 +32,11 @@ each page, as `spectral_pages` did before it bucketed them once.
 A double complex was held as its blocks, `Blocks`, before the library
 kept only its total complex: `blocks` reads them back out of a Tot,
 `reference_read` reads a document as the library did then, one store per
-block, and `reference_total` totalizes the blocks.
+block, and `reference_total` totalizes the blocks.  The readers of a
+document's text before the library read it without `re` and the `json`
+package: `RATIONAL`, the regular expression of a rational written as a
+string, read by `reference_rational`, and `reference_load_json`, which is
+`json.loads` with the library's refusal messages.
 
 And the rational subspace algebra the library used before `oppose` compared
 filtrations by counts and integer ranks: `rref` (fraction-free on the
@@ -65,6 +69,7 @@ group in closed form (`descent_weight`).
 
 import json
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -623,6 +628,38 @@ def reference_read(text: str) -> Blocks:
             for name, dr, ds in (("horiz", 1, 0), ("vert", 0, 1))}
     return Blocks(doc["max_r"], doc["max_c"], dims, maps["horiz"],
                   maps["vert"])
+
+
+# ---------------------------------------------- a document's text, read
+
+# An integer or "p/q", each with an optional sign: the one grammar of a
+# rational written as a string, in documents and in `RatMatrix.from_rows`.
+RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+
+
+def reference_rational(text: str):
+    """(p, q) of a string RATIONAL matches whole, q 1 for an integer, if
+    q != 0, else None, read as `RatMatrix.from_rows` read it with the
+    regular expression: a part past the int-string digit limit raises
+    int's ValueError, q's first, and p is not read over q = 0."""
+    m = RATIONAL.fullmatch(text)
+    if m is None or not int(m[2] or 1):
+        return None
+    return int(m[1]), int(m[2] or 1)
+
+
+def reference_load_json(text: str):
+    """`json.loads(text)`, each refusal a DocumentError as the library
+    words it."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DocumentError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise DocumentError("invalid JSON: nested too deeply") from None
+    except ValueError:
+        raise DocumentError("invalid JSON: an integer literal has too many "
+                            "digits") from None
 
 
 # ------------------------------------------------------------- generators

@@ -25,6 +25,7 @@ from conftest import (
     random_double_complex,
     random_zigzag_double_complex,
     reference_defects,
+    reference_load_json,
     reference_read,
     reference_ss_text,
     reference_total,
@@ -138,6 +139,63 @@ def test_composite_search_walks_no_degree_span(monkeypatch):
 def test_parse_rejects_invalid_json():
     with pytest.raises(DocumentError, match="invalid JSON"):
         parse_cochain_document("{not json")
+
+
+def _loaded(load, text):
+    """The repr of what `load` reads off `text` (NaN is equal to itself
+    there), or the text of its DocumentError."""
+    try:
+        return repr(load(text))
+    except DocumentError as e:
+        return f"DocumentError: {e}"
+
+
+# Texts json.loads refuses, or reads only on a point the scanner's settings
+# decide: empty and blank, a BOM, data after the value, the constants,
+# control characters in a string, deep nesting, an integer past the digit
+# limit, a float past the range, padding with "\u00a0" (not JSON
+# whitespace), bad escapes, and the refusals of each kind of value.
+MALFORMED_JSON = (
+    "", " \t\r\n", "\ufeff[]", " \ufeff[]", "\ufeff",
+    "{} x", "[1] [2]", '{"a": 1}}', "1 2", "01",
+    "[NaN, Infinity, -Infinity]", "NaN", "-Infinity", "nan",
+    '["a\x01b"]', '["\t"]', '{"a\nb": 1}',
+    "[" * 10 ** 5 + "]" * 10 ** 5, "[" * 10 ** 5,
+    "[" + "9" * 5000 + "]", "-" + "9" * 5000,
+    "[1e400, -1e400]", "[" + "1" * 5000 + ".5]",
+    "\u00a0{}", "{}\u00a0", "\u00a0", " \t\n\r{} \r\n",
+    '"\\ud800"', '"\\x"', '"abc', "[1,]", "[1,,2]", "{'a': 1}", '{"a" 1}',
+    '{"a": 1,}', "{1: 2}", "tru", "-", "1.", ".5", "+1", "1e", "[-]",
+    '{"dims": {"0": 1}, "dims": {"0": 2}}', "\x00", "[]\x00",
+)
+
+
+@pytest.mark.parametrize("scanner", ["on", "off"])
+def test_load_json_reads_and_refuses_as_json_loads_does(monkeypatch,
+                                                        scanner):
+    """`_load_json` reads what json.loads reads and refuses the rest with
+    json's own text, with json's C scanner or, where `_json` is missing,
+    with json.loads alone."""
+    if scanner == "off":
+        monkeypatch.setattr(documents, "_scan", None)
+    for text in MALFORMED_JSON:
+        assert _loaded(documents._load_json, text) \
+            == _loaded(reference_load_json, text), text[:40]
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4), max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON_VALUES, indent=st.none() | st.integers(0, 2),
+       ascii=st.booleans(), pad=st.text(" \t\r\n", max_size=3))
+def test_load_json_equals_json_loads(value, indent, ascii, pad):
+    text = pad + json.dumps(value, indent=indent, ensure_ascii=ascii) + pad
+    assert documents._load_json(text) == json.loads(text)
 
 
 def test_chain_document_rejects_fractions():

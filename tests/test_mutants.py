@@ -44,6 +44,11 @@ fail.  A mutant that no oracle rejects names a gap in the suite.
     18. keeping a remainder in the pivot's column without moving the
     pivot: each rejected by `smith_normal_form(D).diagonal` on the
     differentials of random integer chain complexes.
+19. `qlinalg._rational` without its `isascii()` test on p: rejected by
+    `test_qlinalg.test_rational_reader_accepts_what_the_grammar_accepts`,
+    the regular expression's reading.
+20. `documents._load_json` ignoring data after the value: rejected by
+    `test_documents_cli.test_load_json_reads_and_refuses_as_json_loads_does`.
 
 Left out: `_totalize` with the vertical sign on even r.  It is an
 equivalent mutant, as scaling cell (r, s) by (-1)^s maps one sign
@@ -62,6 +67,7 @@ import pytest
 import test_argv
 import test_documents_cli
 import test_pairing
+import test_qlinalg
 import test_spectral
 import test_zlinalg
 from conftest import (
@@ -73,7 +79,8 @@ from conftest import (
     random_low_rank_matrix,
     random_zigzag_double_complex,
 )
-from exhom import cli, complexes, documents, spectral, steinberg, zlinalg
+from exhom import (cli, complexes, documents, qlinalg, spectral, steinberg,
+                   zlinalg)
 from exhom.complexes import _combine
 from exhom.documents import _map_field
 from exhom.spectral import COLUMN, ROW, FiltrationChain, SpectralPages
@@ -427,3 +434,25 @@ def test_euclid_phase_mutants_are_rejected(monkeypatch, line, replacement):
     monkeypatch.setattr(zlinalg, "_euclid",
                         _edited(zlinalg._euclid, line, replacement))
     assert _chain_misses() > 0
+
+
+def test_rational_reader_taking_non_ascii_digits_is_rejected(monkeypatch):
+    oracle = test_qlinalg.test_rational_reader_accepts_what_the_grammar_accepts
+    oracle()
+    mutant = _edited(qlinalg._rational,
+                     "if digits.isdigit() and digits.isascii() and (",
+                     "if digits.isdigit() and (")
+    monkeypatch.setattr(qlinalg, "_rational", mutant)
+    monkeypatch.setattr(documents, "_rational", mutant)
+    with pytest.raises(AssertionError):
+        oracle()
+
+
+def test_load_json_ignoring_trailing_data_is_rejected(monkeypatch):
+    oracle = test_documents_cli.\
+        test_load_json_reads_and_refuses_as_json_loads_does
+    oracle(monkeypatch, "on")
+    monkeypatch.setattr(documents, "_load_json", _edited(
+        documents._load_json, "if not text[end:].strip(_SPACE):", "if True:"))
+    with pytest.raises(AssertionError):
+        oracle(monkeypatch, "on")

@@ -5,18 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    RATIONAL,
     Subspace,
     fraction_rows,
     is_complementary,
     kernel_basis,
     num_rows,
     rank,
+    reference_rational,
     rref,
     subspace_intersect,
     subspace_sum,
     transpose,
     zero_matrix,
 )
+from exhom import qlinalg
 from exhom.qlinalg import RatMatrix
 
 
@@ -231,6 +234,42 @@ def test_from_rows_reads_strings_with_the_document_grammar():
                 "\u0661"):
         with pytest.raises(ValueError, match="must be rational"):
             mat([[0, bad]])
+
+
+def _read(reader, text):
+    """What `reader` returns for `text`, or the text of its ValueError."""
+    try:
+        return reader(text)
+    except ValueError as e:
+        return str(e)
+
+
+# signs, slashes, ASCII digits, and blanks, underscores and non-ASCII digits
+# (Arabic-Indic, superscript, fullwidth three) that int or isdigit accepts
+_NEAR_RATIONALS = st.text("+-/ _0123456789\u0663\u00b3\uff13", max_size=8)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_NEAR_RATIONALS | st.from_regex(RATIONAL, fullmatch=True))
+def test_rational_reader_accepts_what_the_grammar_accepts(text):
+    """`qlinalg._rational` reads (p, q) off exactly the strings the regular
+    expression matches whole."""
+    assert _read(qlinalg._rational, text) == reference_rational(text)
+
+
+def test_rational_reader_refuses_long_parts_as_int_does():
+    """A part past the int-string digit limit raises int's own ValueError,
+    the denominator's first, and p over q = 0 is refused unread: entries
+    are refused as the regular expression's reader refused them."""
+    p, q = "-" + "7" * 5000, "3" * 6000
+    for text in (p, "1/" + q, p + "/" + q, p + "/0"):
+        want = _read(reference_rational, text)
+        assert _read(qlinalg._rational, text) == want
+        with pytest.raises(ValueError) as e:
+            mat([[text]])
+        assert str(e.value) == (
+            want or f"matrix entries must be rational, got {text!r}")
+        assert ("Exceeds the limit" in str(e.value)) == (want is not None)
 
 
 def test_rat_matrix_stores_integers_over_one_denominator_in_lowest_terms():

@@ -1,11 +1,15 @@
-"""What a CLI run imports: `import exhom.cli` and the parser load only the
-standard library every run needs, `decimal` is loaded only by the command
-that prints with it, and no command and no library path loads `fractions`.
-`argparse` (with `gettext`, and `shutil` for the terminal width) loads only
-when its parser is built: for help, usage and error output and for the
-spellings the grammar reader leaves to it.  Each check runs a fresh
-`python -S` interpreter and counts modules, not milliseconds.  The help
-and usage text is the stock argparse text at every width."""
+"""What a CLI run imports.  `import exhom.cli` and the parser load, beyond
+the interpreter's own start-up set, only `math`, `itertools`, `operator`,
+`types`, `__future__` and json's C scanner `_json`; so do the runs of `ss`,
+`oppose`, `uct` and `snf` on integer and "p/q" documents and the library
+paths, none of which loads `re`, the `json` package, `enum`, `functools`,
+`collections`, `numbers`, `decimal` or `fractions`.  A document that json
+refuses is read again by `json.loads`, which then loads.  `argparse` (with
+`gettext`, and `shutil` for the terminal width) loads only when its parser
+is built: for help, usage and error output and for the spellings the
+grammar reader leaves to it.  Each check runs a fresh `python -S`
+interpreter and counts modules, not milliseconds.  The help and usage text
+is the stock argparse text at every width."""
 
 import json
 import os
@@ -18,7 +22,8 @@ from exhom import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WATCHED = ("dataclasses", "typing", "inspect", "fractions", "decimal",
-           "shutil", "argparse", "gettext")
+           "shutil", "argparse", "gettext", "re", "json", "enum",
+           "functools", "collections", "numbers")
 
 # Runs `exhom.cli.main(argv)` after building the parser (or only builds the
 # parser when argv is empty), then writes the watched modules that are
@@ -94,31 +99,58 @@ def test_import_and_parser_load_none_of_the_watched_modules():
     assert (code, out, loaded) == (0, "", set())
 
 
-@pytest.mark.parametrize("kind", ["uct", "ss"])
+DOCUMENTS = {  # by command: a document of integer entries and one of "p/q"s
+    "uct": ({"min_deg": 0, "dims": {"0": 2, "1": 2},
+             "differentials": {"1": [[2, 0], [0, 3]]}},
+            {"min_deg": 0, "dims": {"0": 2, "1": 2},
+             "differentials": {"1": [["4/2", "0/7"], ["0", "-9/3"]]}}),
+    "ss": (double_complex_doc(1, -1, 3),
+           double_complex_doc("1/2", "-2/3", "3")),
+    "oppose": (double_complex_doc(1, -1, 3),
+               double_complex_doc("1/2", "-2/3", "3")),
+    "snf": ([[2, 4], [6, 8]], [["6/3", "4"], ["+6", "16/2"]]),
+}
+EXTRA = {"uct": ["--mod", "2"], "ss": ["--axis", "col"],
+         "oppose": ["--n", "1"], "snf": []}
+OUTPUT = {"uct": "uct: PASS", "ss": LIMIT_ZERO, "snf": "2 4\n",
+          "oppose": "col dims 0 0 0\nrow dims 0 0 0\nopposite true\n"
+                    "dimension_criterion true\n"}
+
+
+def run_command(tmp_path, command, doc):
+    return run_fresh(command, "--input", write(tmp_path, "doc.json", doc),
+                     *EXTRA[command])
+
+
+@pytest.mark.parametrize("kind", ["uct", "ss", "oppose", "snf"])
 def test_integer_documents_load_neither_fractions_nor_decimal(tmp_path, kind):
-    if kind == "uct":
-        path = write(tmp_path, "c.json", {
-            "min_deg": 0, "dims": {"0": 2, "1": 2},
-            "differentials": {"1": [[2, 0], [0, 3]]}})
-        argv = ["uct", "--input", path, "--mod", "2"]
-    else:
-        path = write(tmp_path, "k.json", double_complex_doc(1, -1, 3))
-        argv = ["ss", "--input", path, "--axis", "col"]
-    code, out, loaded = run_fresh(*argv)
-    assert code == 0 and out
-    assert loaded == set()
-    if kind == "ss":
-        assert out == LIMIT_ZERO
+    """Nor any other watched module."""
+    code, out, loaded = run_command(tmp_path, kind, DOCUMENTS[kind][0])
+    assert (code, loaded) == (0, set())
+    assert out.startswith(OUTPUT[kind])
 
 
-def test_snf_loads_decimal_only(tmp_path):
-    path = write(tmp_path, "a.json", [[2, 4], [6, 8]])
-    assert run_fresh("snf", "--input", path) == (0, "2 4\n", {"decimal"})
+@pytest.mark.parametrize("command", ["uct", "oppose", "snf"])
+def test_p_over_q_documents_load_none_of_the_watched_modules(tmp_path,
+                                                             command):
+    code, out, loaded = run_command(tmp_path, command, DOCUMENTS[command][1])
+    assert (code, loaded) == (0, set())
+    assert out.startswith(OUTPUT[command])
+
+
+def test_snf_prints_without_decimal(tmp_path):
+    """A factor past the int-string digit limit is printed in pieces by
+    str, so `snf` loads no watched module."""
+    a, b = 10 ** 4000 + 1, 10 ** 4000 + 3  # coprime: factors 1 and a*b
+    code, out, loaded = run_command(tmp_path, "snf", [[a, 0], [0, b]])
+    assert (code, loaded) == (0, set())
+    assert out == "1 1" + "0" * 3999 + "4" + "0" * 3999 + "3\n"
 
 
 def test_rational_document_loads_fractions(tmp_path):
     """A "p/q" entry is split into two ints, so `fractions` (and the
-    `decimal` it imports) stays unloaded."""
+    `decimal` it imports) stays unloaded, and so does every other watched
+    module."""
     path = write(tmp_path, "k.json", double_complex_doc("1/2", "-2/3", "3"))
     assert run_fresh("ss", "--input", path, "--axis", "col") == (
         0, LIMIT_ZERO, set())
@@ -126,9 +158,16 @@ def test_rational_document_loads_fractions(tmp_path):
 
 def test_library_paths_load_no_fractions():
     """The column store is the only form of a matrix: building stores from
-    ints, bools and "p/q" strings and computing with them loads neither
-    `fractions` nor the `decimal` it imports."""
+    ints, bools and "p/q" strings and computing with them loads no watched
+    module, `fractions` and the `decimal` it imports among them."""
     assert run_fresh(child=LIBRARY_CHILD) == (0, "", set())
+
+
+def test_a_document_json_refuses_loads_json_for_its_message(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dims": {}} x')
+    code, out, loaded = run_fresh("snf", "--input", str(path))
+    assert (code, out) == (1, "") and {"json", "re"} <= loaded
 
 
 HELP_AND_USAGE = (
@@ -151,7 +190,7 @@ def test_help_and_usage_match_the_stock_formatter(monkeypatch, capsys,
     seen = []
     for argv in HELP_AND_USAGE:
         with pytest.raises(SystemExit) as stop:
-            cli.build_parser.__wrapped__().parse_args(argv)
+            cli._Reader().parse_args(argv)
         seen.append((stop.value.code, *capsys.readouterr()))
     assert all("usage: exhom" in out + err for _, out, err in seen)
 
@@ -167,8 +206,9 @@ def test_help_and_usage_load_argparse(argv):
 @pytest.mark.parametrize("asks_help", [False, True])
 def test_console_script_path(tmp_path, asks_help):
     """`python -m exhom.cli` calls `main()` with argv None, as the console
-    script does: a well-formed run imports neither argparse nor gettext,
-    and `--help` imports both (`-X importtime` lists every import)."""
+    script does: a well-formed run imports no watched module, and `--help`
+    imports argparse and gettext (`-X importtime` lists every import; those
+    after `runpy`'s are the ones running exhom.cli makes)."""
     path = write(tmp_path, "c.json", {"dims": {"0": 1, "1": 1},
                                       "differentials": {"1": [[2]]}})
     argv = ["uct", "--help"] if asks_help else ["uct", "--input", path,
@@ -177,12 +217,15 @@ def test_console_script_path(tmp_path, asks_help):
     run = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m",
                           "exhom.cli", *argv], env=env, capture_output=True,
                          text=True, timeout=60)
-    imported = {line.rsplit("|", 1)[1].strip()
-                for line in run.stderr.splitlines()
-                if line.startswith("import time:")}
+    order = [line.rsplit("|", 1)[1].strip()
+             for line in run.stderr.splitlines()
+             if line.startswith("import time:")]
+    imported = set(order[order.index("runpy") + 1:])
     assert run.returncode == 0
     assert run.stdout.startswith("usage: exhom uct" if asks_help
                                  else "uct: PASS")
     assert "exhom.zlinalg" in imported
     assert {"argparse", "gettext"} & imported == (
         {"argparse", "gettext"} if asks_help else set())
+    if not asks_help:
+        assert imported.isdisjoint(WATCHED)
