@@ -253,7 +253,7 @@ _NEAR_RATIONALS = st.text("+-/ _0123456789\u0663\u00b3\uff13", max_size=8)
 @given(text=_NEAR_RATIONALS | st.from_regex(RATIONAL, fullmatch=True))
 def test_rational_reader_accepts_what_the_grammar_accepts(text):
     """`qlinalg._rational` reads (p, q) off exactly the strings the regular
-    expression matches whole."""
+    expression matches whole with q != 0."""
     assert _read(qlinalg._rational, text) == reference_rational(text)
 
 
