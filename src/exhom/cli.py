@@ -205,9 +205,8 @@ def _cell_lines(max_p: int, max_q: int):
             column[p * (max_q + 1) + q] = str(dim)
         return "\n".join(map(operator.add, labels, column))
     if len(_BLOCKS) == 8:
-        del _BLOCKS[next(iter(_BLOCKS))]  # the oldest
-    _BLOCKS[max_p, max_q] = block
-    return block
+        _BLOCKS.pop(next(iter(_BLOCKS)))  # the oldest
+    return _BLOCKS.setdefault((max_p, max_q), block)
 
 
 def _spectrum(args) -> steinberg.InducedSpectrum:

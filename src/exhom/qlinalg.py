@@ -82,13 +82,13 @@ class RatMatrix(Record):
             if isinstance(x, str):
                 if pq := _rational(x):  # past the digit limit int raises
                     return pq
-            elif isinstance(x, int) or rational(x):
+            elif isinstance(x, int):
                 return x.numerator, x.denominator
+            else:  # `numbers` loads only for an entry not int or str
+                from numbers import Rational
+                if isinstance(x, Rational):
+                    return x.numerator, x.denominator
             raise ValueError(f"matrix entries must be rational, got {x!r}")
-
-        def rational(x):  # `numbers` loads only for an entry not int or str
-            from numbers import Rational
-            return isinstance(x, Rational)
 
         data = [[entry(x) for x in r] for r in data]
         if cols is None:
