@@ -16,7 +16,14 @@ from .spectral import (COLUMN, ROW, DoubleComplex, FiltrationChain,
                        SpectralPages, dimension_criterion, double_complex,
                        filtration_on_total, opposite_check, spectral_pages,
                        total_complex)
-from .steinberg import (E2Table, InducedSpectrum, betti_profile,
-                        covering_filtration_dims, e2_table, paper_table_diff)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """steinberg's exports, imported on first use (PEP 562)."""
+    if name in ("E2Table", "InducedSpectrum", "betti_profile",
+                "covering_filtration_dims", "e2_table", "paper_table_diff"):
+        from . import steinberg
+        return getattr(steinberg, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -68,6 +68,13 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+class Namespace:
+    """Attributes set from keywords, as by ``types.SimpleNamespace``."""
+
+    def __init__(self, **values):
+        self.__dict__.update(values)
+
+
 class cached:
     """A method run on the first read of its name from an instance, whose
     value is then stored in the instance's ``__dict__`` and read from there,

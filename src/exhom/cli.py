@@ -5,17 +5,15 @@ Exit codes: 0 success, 1 validation failure, 2 usage error; `main` alone
 maps a refusal (a ValueError) to 1 or 2.  A well-formed
 argv is read straight off the grammar table `_GRAMMAR`; any other (help,
 usage, every error) goes to an argparse parser built from it on first use.
+`steinberg` is imported on first use too, by e2, betti and filtration.
 """
 
-from __future__ import annotations
-
-import operator
 import sys
+from _operator import add
 from math import inf
-from types import SimpleNamespace
 
-from . import complexes, spectral, steinberg
-from ._record import cached
+from . import complexes, spectral
+from ._record import Namespace, cached
 from .documents import (
     DocumentError,
     check_tensor_product,
@@ -58,8 +56,9 @@ def _multiplicity(text: str) -> int:
     raise ValueError("multiplicities must be below 10**4000")
 
 
-_TOP = steinberg.MAX_SPACE_DIM
-_DIMENSION = _int_in(f"a positive integer at most {_TOP}", 1, _TOP)
+MAX_SPACE_DIM = 64  # largest d and d' that e2, betti and filtration take
+_DIMENSION = _int_in(f"a positive integer at most {MAX_SPACE_DIM}", 1,
+                     MAX_SPACE_DIM)
 _SPECTRUM = {"--d": (_DIMENSION, None), "--dp": (_DIMENSION, None),
              "--m10": (_multiplicity, 0), "--m01": (_multiplicity, 0),
              "--m11": (_multiplicity, 0)}
@@ -167,7 +166,7 @@ class _Reader:
         values = {flag[2:].replace("-", "_"): given.get(flag, default)
                   for flag, (_, default) in options.items()}  # by dest
         return (None if None in values.values()  # a required one is missing
-                else SimpleNamespace(command=argv[0], **values))
+                else Namespace(command=argv[0], **values))
 
 
 _READER = _Reader()
@@ -203,17 +202,19 @@ def _cell_lines(max_p: int, max_q: int):
         column = ["0"] * len(labels)
         for (p, q), dim in dims:
             column[p * (max_q + 1) + q] = str(dim)
-        return "\n".join(map(operator.add, labels, column))
+        return "\n".join(map(add, labels, column))
     if len(_BLOCKS) == 8:
         _BLOCKS.pop(next(iter(_BLOCKS)))  # the oldest
     return _BLOCKS.setdefault((max_p, max_q), block)
 
 
-def _spectrum(args) -> steinberg.InducedSpectrum:
+def _spectrum(args):
+    from . import steinberg  # on first use: e2, betti and filtration only
     return steinberg.InducedSpectrum(args.m10, args.m01, args.m11)
 
 
 def _cmd_e2(args) -> int:
+    from . import steinberg
     if args.compare_paper:
         print(steinberg.paper_table_diff(args.d, args.dp,
                                          _spectrum(args)).render())
@@ -228,6 +229,7 @@ def _cmd_e2(args) -> int:
 
 
 def _cmd_betti(args) -> int:
+    from . import steinberg
     profile = steinberg.betti_profile(args.d, args.dp, _spectrum(args))
     print(" ".join(map(str, profile.b)))
     if args.format == "table":
@@ -237,6 +239,7 @@ def _cmd_betti(args) -> int:
 
 
 def _cmd_filtration(args) -> int:
+    from . import steinberg
     dims = steinberg.covering_filtration_dims(args.d, args.dp,
                                               _spectrum(args), args.n)
     print(" ".join(map(str, dims)))

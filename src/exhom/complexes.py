@@ -30,11 +30,9 @@ step.  Columns and chains are dicts {index: value} of their nonzero
 entries, so a chain that starts as den.e_i is one entry.
 """
 
-from __future__ import annotations
-
+from _operator import itemgetter
 from itertools import chain
 from math import gcd, inf, lcm
-from operator import itemgetter
 
 from ._record import Record, cached
 from .qlinalg import RatMatrix, _products
@@ -227,7 +225,9 @@ def _reduce(vec, chain, pivots, ranks):
 def _pairing(C: CochainComplex, levels: dict[int, list[int]],
              last: int) -> list[_Generator]:
     """Persistence pairing of C in degrees up to `last`, basis vector i of
-    C^n at level levels[n][i] (all 0 for a degree not in levels).
+    C^n at level levels[n][i] (all 0 for a degree not in levels).  For a
+    `last` up to C's top, only degree last's, paired from d^{last-1} on:
+    clearing by d^{last-2} would not change that map's pivots.
 
     Chains are built in degree `last` only: there a column's chain starts
     as {i: den} over its scaled column v = den * d^n e_i, so d^n chain =
@@ -238,8 +238,9 @@ def _pairing(C: CochainComplex, levels: dict[int, list[int]],
     """
     gens: list[_Generator] = []
     killed: dict[int, tuple] = {}
-    order = _order(levels.get(C.min_deg) or [0] * C.dim(C.min_deg))
-    for n in range(C.min_deg, last + 1):
+    first = C.min_deg if last > C.max_deg else max(C.min_deg, last - 1)
+    order = _order(levels.get(first) or [0] * C.dim(first))
+    for n in range(first, last + 1):
         src = levels.get(n) or [0] * C.dim(n)
         columns = C._columns.get(n)
         dst = levels.get(n + 1) or [0] * C.dim(n + 1)
@@ -262,7 +263,7 @@ def _pairing(C: CochainComplex, levels: dict[int, list[int]],
             gens.append(_Generator(n, i, src[i], dst[low] - src[i], True,
                                    chain))
         killed, order = pivots, following
-    return gens
+    return gens if first == C.min_deg else gens[C.dim(first):]
 
 
 def cohomology_dims(C: CochainComplex) -> dict[int, int]:
@@ -354,15 +355,10 @@ class CheckReport(Record):
 
 def kunneth_check(C: CochainComplex, D: CochainComplex) -> CheckReport:
     """Compare dim H^n(C (x) D) against the Kunneth convolution of dims."""
-    hc = cohomology_dims(C)
-    hd = cohomology_dims(D)
-    T = tensor_product(C, D)
-    rows = []
-    for n, lhs in cohomology_dims(T).items():
-        rhs = sum(hc.get(i, 0) * hd.get(n - i, 0) for i in hc)
-        rows.append((n, lhs, rhs))
-    return CheckReport("kunneth", tuple(rows),
-                       all(l == r for _, l, r in rows))
+    hc, hd = cohomology_dims(C), cohomology_dims(D)
+    rows = tuple((n, lhs, sum(hc.get(i, 0) * hd.get(n - i, 0) for i in hc))
+                 for n, lhs in cohomology_dims(tensor_product(C, D)).items())
+    return CheckReport("kunneth", rows, all(l == r for _, l, r in rows))
 
 
 def homology_int(C: IntChainComplex, n: int) -> FinAbGroup:
@@ -402,8 +398,6 @@ def uct_check(C: IntChainComplex, m: int) -> CheckReport:
             "uct", tuple(rhs.items()), True,
             note=f"modulus {m} not prime; invariant-factor side only")
     ranks = {n: _rank_mod_p(D, m) for n, D in C.differentials.items()}
-    rows = []
-    for n in C.degrees():
-        lhs = C.dim(n) - ranks.get(n, 0) - ranks.get(n + 1, 0)
-        rows.append((n, lhs, rhs[n]))
-    return CheckReport("uct", tuple(rows), all(l == r for _, l, r in rows))
+    rows = tuple((n, C.dim(n) - ranks.get(n, 0) - ranks.get(n + 1, 0), rhs[n])
+                 for n in C.degrees())
+    return CheckReport("uct", rows, all(l == r for _, l, r in rows))

@@ -3,19 +3,17 @@
 Matrix entries are strings holding an integer or a "p/q" exact rational,
 each with an optional sign; plain JSON integers are accepted on input.  A
 "p/q" string is split into two ints and reduced, so no document imports
-`fractions`, and read by json's C scanner, so none imports `json` or `re`
-either.  One routine (`_write_entries`) reads every matrix once, over
-the lcm of its entries' denominators, into a `qlinalg.RatMatrix`, or for a
-double complex into the columns of its total complex, one store a degree.
-Every entry is type-checked, but only the nonzero ones are stored.
+`fractions`, and read by json's C scanner, so none imports `json`, `re` or
+`types` either.  One routine (`_write_entries`) reads every matrix once,
+over the lcm of its entries' denominators, into a `qlinalg.RatMatrix`, or
+for a double complex into the columns of its total complex, one store a
+degree.  Every entry is type-checked, but only the nonzero ones are stored.
 """
-
-from __future__ import annotations
 
 from itertools import chain, compress
 from math import gcd, inf, lcm, nan
-from types import SimpleNamespace
 
+from ._record import Namespace
 from .complexes import (
     CochainComplex,
     IntChainComplex,
@@ -35,7 +33,7 @@ _SPACE = " \t\n\r"  # JSON's whitespace
 
 try:  # the scanner of json.loads, on the settings of json's default decoder
     from _json import make_scanner
-    _scan = make_scanner(SimpleNamespace(
+    _scan = make_scanner(Namespace(
         strict=True, object_hook=None, object_pairs_hook=None,
         parse_float=float, parse_int=int, parse_constant={
             "NaN": nan, "Infinity": inf, "-Infinity": -inf}.__getitem__))

@@ -19,8 +19,6 @@ integer and live elsewhere: the persistence pairing in `complexes`, Bareiss
 in `zlinalg`.
 """
 
-from __future__ import annotations
-
 from math import gcd, lcm
 
 from ._record import Record

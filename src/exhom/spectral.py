@@ -31,8 +31,6 @@ step.  Filtrations on total cohomology, the oppositeness test and the
 dimension criterion implying it live here.
 """
 
-from __future__ import annotations
-
 from math import gcd, inf
 
 from ._record import Record, cached

@@ -17,13 +17,10 @@ without judging which is intended; `render_grids` draws its grids and those
 of `exhom e2`.
 """
 
-from __future__ import annotations
-
 from itertools import accumulate
 
 from ._record import Record
 
-MAX_SPACE_DIM = 64  # largest d and d' the CLI's e2, betti and filtration take
 MAX_CELL_WIDTH = 20  # widest column `render_grids` pads a cell to
 
 

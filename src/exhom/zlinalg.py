@@ -91,10 +91,8 @@ Two routes to the Smith diagonal:
   thousands of bits on an 80 x 80 matrix.
 """
 
-from __future__ import annotations
-
+from _operator import mul
 from math import gcd
-from operator import mul
 
 from ._record import Record
 from .qlinalg import RatMatrix

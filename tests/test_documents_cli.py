@@ -35,7 +35,7 @@ from conftest import (
     tensor_double_complex,
 )
 from exhom import cli, complexes, documents, spectral, steinberg, zlinalg
-from exhom.cli import build_parser, main
+from exhom.cli import MAX_SPACE_DIM, build_parser, main
 from exhom.complexes import _Complex
 from exhom.documents import (
     MAX_DEGREE_SPAN,
@@ -49,7 +49,7 @@ from exhom.documents import (
 )
 from exhom.qlinalg import RatMatrix
 from exhom.spectral import COLUMN, MAX_GRID, ROW
-from exhom.steinberg import MAX_CELL_WIDTH, MAX_SPACE_DIM
+from exhom.steinberg import MAX_CELL_WIDTH
 
 
 def run_cli(capsys, *argv):

@@ -14,6 +14,8 @@
   are written on.
 * An absent (zero) differential is read as zero columns, with no zero
   matrix built.
+* A pairing up to a degree n below the top starts at d^{n-1}: the
+  filtrations on H^n are those of a pairing from the lowest degree on.
 """
 
 import random
@@ -22,6 +24,7 @@ from fractions import Fraction
 from math import inf, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     Subspace,
@@ -35,6 +38,7 @@ from conftest import (
 )
 from exhom import complexes, spectral
 from exhom.complexes import (
+    CochainComplex,
     _pairing,
     cochain_complex,
     cohomology_dims,
@@ -237,6 +241,34 @@ def test_absent_maps_build_no_zero_matrix(monkeypatch):
         assert filtration_on_total(K, axis, 0).dims() == (2, 0)
         assert filtration_on_total(K, axis, 1).dims() == dims
         assert filtration_on_total(K, axis, 2).dims() == (0, 0, 0, 0)
+
+
+def _from_the_lowest_degree(C, levels, last):
+    """`_pairing` of C from its lowest degree on, whatever `last`: that of
+    a view of C whose top degree is below last."""
+    view = CochainComplex(C.min_deg, min(C.max_deg, last - 1), C.dims,
+                          C.differentials)
+    return _pairing(view, levels, last)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), zigzag=st.booleans())
+def test_filtrations_pair_only_the_last_two_degrees(seed, zigzag):
+    """Both filtrations on every H^n, levels and rows, are those that a
+    pairing from the lowest degree on gives."""
+    def build():
+        rng = random.Random(seed)
+        return (random_zigzag_double_complex(rng, grid=3)[0] if zigzag
+                else random_double_complex(rng))
+
+    def filtrations(K):
+        return [filtration_on_total(K, axis, n) for axis in (COLUMN, ROW)
+                for n in range(K.max_r + K.max_c + 1)]
+
+    got = filtrations(build())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_pairing", _from_the_lowest_degree)
+        assert filtrations(build()) == got
 
 
 def test_pairing_matches_reference_over_the_lcm_of_cell_denominators():

@@ -8,7 +8,9 @@ import itertools
 
 import pytest
 
-import exhom.cli  # noqa: F401  (imports every module that defines a record)
+# exhom.cli imports every module that defines a record but steinberg, which
+# it imports on first use; steinberg's records are imported below
+import exhom.cli  # noqa: F401
 from conftest import SteinbergLabel, transpose
 from exhom._record import Record
 from exhom.complexes import (

@@ -1,9 +1,12 @@
 """What a CLI run imports.  `import exhom.cli` and the parser load, beyond
-the interpreter's own start-up set, only `math`, `itertools`, `operator`,
-`types`, `__future__` and json's C scanner `_json`; so do the runs of `ss`,
-`oppose`, `uct` and `snf` on integer and "p/q" documents and the library
-paths, none of which loads `re`, the `json` package, `enum`, `functools`,
-`collections`, `numbers`, `decimal` or `fractions`.  A document that json
+the interpreter's own start-up set, exactly `math`, `itertools`,
+`_operator`, json's C scanner `_json` and exhom's modules but `steinberg`.
+A run of `ss`, `oppose`, `uct` or `snf` on an integer or "p/q" document
+loads no module past those, so none that it needs is deferred to the
+request.  Neither those runs nor the library paths load `re`, the `json`
+package, `enum`, `functools`, `collections`, `numbers`, `decimal`,
+`fractions`, `__future__`, `types` or `operator`.  `steinberg` loads on
+the first run of `e2`, `betti` or `filtration`.  A document that json
 refuses is read again by `json.loads`, which then loads.  `argparse` (with
 `gettext`, and `shutil` for the terminal width) loads only when its parser
 is built: for help, usage and error output and for the spellings the
@@ -23,17 +26,20 @@ from exhom import cli
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WATCHED = ("dataclasses", "typing", "inspect", "fractions", "decimal",
            "shutil", "argparse", "gettext", "re", "json", "enum",
-           "functools", "collections", "numbers")
+           "functools", "collections", "numbers", "__future__", "types",
+           "operator")
 
 # Runs `exhom.cli.main(argv)` after building the parser (or only builds the
 # parser when argv is empty), then writes the watched modules that are
-# loaded as the last line of stderr.
+# loaded, and every module `main` loaded, as the last line of stderr.
 CHILD = f"""
 import sys
 import exhom.cli
 exhom.cli.build_parser()
+imported = set(sys.modules)
 code = exhom.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print("loaded:", *sorted(m for m in {WATCHED!r} if m in sys.modules),
+print("loaded:", *sorted(m for m in sys.modules
+                          if m in {WATCHED!r} or m not in imported),
       file=sys.stderr)
 sys.exit(code)
 """
@@ -99,6 +105,27 @@ def test_import_and_parser_load_none_of_the_watched_modules():
     assert (code, out, loaded) == (0, "", set())
 
 
+# Writes, as the last line of stderr, every module that `import exhom.cli`
+# and the parser load beyond those loaded before.
+FOOTPRINT_CHILD = """
+import sys
+before = set(sys.modules)
+import exhom.cli
+exhom.cli.build_parser()
+print("loaded:", *sorted(set(sys.modules) - before), file=sys.stderr)
+"""
+
+
+def test_import_loads_exactly_the_request_modules():
+    """Four standard-library modules and exhom's own, `steinberg` left
+    out: it is the only module the commands that read a document do not
+    need."""
+    assert run_fresh(child=FOOTPRINT_CHILD) == (0, "", {
+        "math", "itertools", "_operator", "_json", "exhom", "exhom._record",
+        "exhom.cli", "exhom.complexes", "exhom.documents", "exhom.qlinalg",
+        "exhom.spectral", "exhom.zlinalg"})
+
+
 DOCUMENTS = {  # by command: a document of integer entries and one of "p/q"s
     "uct": ({"min_deg": 0, "dims": {"0": 2, "1": 2},
              "differentials": {"1": [[2, 0], [0, 3]]}},
@@ -126,7 +153,7 @@ def run_command(tmp_path, command, doc):
 
 @pytest.mark.parametrize("kind", ["uct", "ss", "oppose", "snf"])
 def test_integer_documents_load_neither_fractions_nor_decimal(tmp_path, kind):
-    """Nor any other watched module."""
+    """Nor any other watched module, nor any the import did not load."""
     code, out, loaded = run_command(tmp_path, kind, DOCUMENTS[kind][0])
     assert (code, loaded) == (0, set())
     assert out == OUTPUT[kind]
@@ -149,13 +176,30 @@ def test_snf_prints_without_decimal(tmp_path):
     assert out == "1 1" + "0" * 3999 + "4" + "0" * 3999 + "3\n"
 
 
-def test_rational_document_loads_fractions(tmp_path):
+def test_rational_double_complex_loads_no_watched_module(tmp_path):
     """A "p/q" entry is split into two ints, so `fractions` (and the
     `decimal` it imports) stays unloaded, and so does every other watched
     module."""
     path = write(tmp_path, "k.json", double_complex_doc("1/2", "-2/3", "3"))
     assert run_fresh("ss", "--input", path, "--axis", "col") == (
         0, LIMIT_ZERO, set())
+
+
+CLOSED_FORM = {  # argv of e2, betti and filtration: what each prints
+    ("e2", "--d", "1", "--dp", "1"):
+        "0 0 1\n0 1 0\n0 2 0\n1 0 0\n1 1 2\n1 2 0\n2 0 0\n2 1 0\n2 2 1\n",
+    ("e2", "--d", "1", "--dp", "1", "--m11", "2", "--format", "table"):
+        "  s\\r   0  1  2\n    2   2  0  1\n    1   0  6  0\n"
+        "    0   1  0  2\n",
+    ("betti", "--d", "1", "--dp", "1", "--m10", "1"): "1 2 2 2 1\n",
+    ("filtration", "--d", "2", "--dp", "2", "--m10", "1", "--n", "2"):
+        "5 4 1 0\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(CLOSED_FORM))
+def test_closed_form_commands_load_steinberg_on_first_use(argv):
+    assert run_fresh(*argv) == (0, CLOSED_FORM[argv], {"exhom.steinberg"})
 
 
 def test_library_paths_load_no_fractions():
