@@ -6,6 +6,7 @@ maps a refusal (a ValueError) to 1 or 2.  A well-formed
 argv is read straight off the grammar table `_GRAMMAR`; any other (help,
 usage, every error) goes to an argparse parser built from it on first use.
 `steinberg` is imported on first use too, by e2, betti and filtration.
+Documents are read as bytes.
 """
 
 import sys
@@ -179,13 +180,15 @@ def build_parser() -> _Reader:
 
 
 def _read(path: str) -> str:
+    """The file as text mode reads it: UTF-8 with universal newlines."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e.strerror}") from None
     except UnicodeDecodeError:
         raise DocumentError(f"cannot read {path}: not UTF-8 text") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 _BLOCKS: dict = {}  # _cell_lines' renderers by grid shape, at most 8

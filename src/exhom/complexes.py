@@ -180,9 +180,6 @@ class _Generator(tuple):
     __slots__ = ()
     n, i, level, life, source, chain = map(property, map(itemgetter, range(6)))
 
-    def __new__(cls, *fields):
-        return tuple.__new__(cls, fields)
-
 
 def _order(levels: list[int]) -> list[int]:
     """The indices of a degree by level descending, index ascending: the
@@ -236,7 +233,7 @@ def _pairing(C: CochainComplex, levels: dict[int, list[int]],
     zero, so it is skipped (clearing); so is every column of an absent
     (zero) d^n, each a cycle.
     """
-    gens: list[_Generator] = []
+    gens: list[_Generator] = []  # _Generator((...)): tuple's C constructor
     killed: dict[int, tuple] = {}
     first = C.min_deg if last > C.max_deg else max(C.min_deg, last - 1)
     order = _order(levels.get(first) or [0] * C.dim(first))
@@ -250,18 +247,18 @@ def _pairing(C: CochainComplex, levels: dict[int, list[int]],
         for i in order:
             if i in killed:
                 col, _, level = killed[i]
-                gens.append(_Generator(n, i, src[i], src[i] - level, False,
-                                       col if n == last else {}))
+                gens.append(_Generator((n, i, src[i], src[i] - level, False,
+                                        col if n == last else {})))
                 continue
             col, den = columns[i] if columns else ({}, 1)
             col, chain, low = _reduce(col, {i: den} if n == last else {},
                                       pivots, ranks)
             if low is None:
-                gens.append(_Generator(n, i, src[i], inf, False, chain))
+                gens.append(_Generator((n, i, src[i], inf, False, chain)))
                 continue
             pivots[low] = col, chain, src[i]
-            gens.append(_Generator(n, i, src[i], dst[low] - src[i], True,
-                                   chain))
+            gens.append(_Generator((n, i, src[i], dst[low] - src[i], True,
+                                    chain)))
         killed, order = pivots, following
     return gens if first == C.min_deg else gens[C.dim(first):]
 

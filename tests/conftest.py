@@ -1364,18 +1364,19 @@ def reference_pairing(C: CochainComplex, levels, last: int):
         for i in sorted(range(len(src)), key=lambda i: (-src[i], i)):
             if i in killed:
                 col, _, level = killed[i]
-                gens.append(_Generator(n, i, src[i], src[i] - level, False,
-                                       tuple(col)))
+                gens.append(_Generator((n, i, src[i], src[i] - level, False,
+                                        tuple(col))))
                 continue
             unit = [Fraction(int(j == i)) for j in range(len(src))]
             col, chain, low = _reference_reduce([row[i] for row in D],
                                                 unit, pivots, order)
             if low is None:
-                gens.append(_Generator(n, i, src[i], inf, False, tuple(chain)))
+                gens.append(_Generator((n, i, src[i], inf, False,
+                                        tuple(chain))))
                 continue
             pivots[low] = col, chain, src[i]
-            gens.append(_Generator(n, i, src[i], dst[low] - src[i], True,
-                                   tuple(chain)))
+            gens.append(_Generator((n, i, src[i], dst[low] - src[i], True,
+                                    tuple(chain))))
         killed = pivots
     return gens
 

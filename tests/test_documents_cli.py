@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -583,12 +584,6 @@ def test_cli_snf(tmp_path, capsys):
     assert out.strip() == "2 4"
 
 
-def test_cli_snf_missing_file(capsys):
-    code, _, err = run_cli(capsys, "snf", "--input", "/nonexistent.json")
-    assert code == 1
-    assert "error" in err
-
-
 @pytest.mark.parametrize("argv", [
     ("snf", "--input", "{doc}"),
     ("ss", "--input", "{doc}", "--axis", "row"),
@@ -602,6 +597,121 @@ def test_cli_refuses_a_file_that_is_not_utf8(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *(a.format(doc=f) for a in argv))
     assert (code, out) == (1, "")
     assert err == f"error: cannot read {f}: not UTF-8 text\n"
+
+
+def _text_mode_read(path):
+    """The reference reading: the file through a text-mode `open`, refused
+    with `cli._read`'s messages."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise DocumentError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise DocumentError(f"cannot read {path}: not UTF-8 text") from None
+
+
+# A valid document for each command that reads files, with the argv that
+# reads it from "{doc}".  Each carries a non-ASCII string, which no command
+# reads.
+_DOUBLE = {"max_r": 2, "max_c": 1,
+           "dims": {"0,1": 1, "1,1": 1, "1,0": 1, "2,0": 1},
+           "horiz": {"0,1": [["1"]], "1,0": [["1"]]},
+           "vert": {"1,0": [["1"]]}, "note": "é"}
+READ_CASES = {
+    "ss": (_DOUBLE, ("ss", "--input", "{doc}", "--axis", "col", "--pages")),
+    "oppose": (_DOUBLE, ("oppose", "--input", "{doc}", "--n", "1")),
+    "uct": ({"dims": {"0": 1, "1": 1}, "differentials": {"1": [["2"]]},
+             "note": "é"}, ("uct", "--input", "{doc}", "--mod", "2")),
+    "snf": ({"matrix": [[2, 4], [6, 8]], "note": "é"},
+            ("snf", "--input", "{doc}")),
+    "kunneth": ({"dims": {"0": 2, "1": 1},
+                 "differentials": {"0": [["1", "1"]]}, "note": "é"},
+                ("kunneth", "--a", "{doc}", "--b", "{doc}")),
+}
+
+
+def _with_line_ends(doc, newline, malformed=False):
+    """`doc` as indented UTF-8 JSON whose lines end in `newline`; malformed,
+    a comma before its closing brace, refused at a line and column."""
+    text = json.dumps(doc, indent=1, ensure_ascii=False)
+    if malformed:
+        text = text[:-2] + ",\n  }"
+    return text.replace("\n", newline).encode()
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("command", READ_CASES)
+def test_cli_reads_cr_line_ends_as_text_mode_does(tmp_path, capsys, command,
+                                                  newline):
+    """A valid document, a malformed one and one behind a UTF-8 BOM, each
+    with `newline` line ends: stdout, stderr and exit code are those of a
+    text-mode read, which names json's line and column after "\\r\\n" and a
+    lone "\\r" each became "\\n"."""
+    doc, argv = READ_CASES[command]
+    texts = {"valid": _with_line_ends(doc, newline),
+             "malformed": _with_line_ends(doc, newline, malformed=True)}
+    texts["bom"] = b"\xef\xbb\xbf" + texts["malformed"]
+    got = {}
+    for name, data in texts.items():
+        f = tmp_path / f"{command}-{name}.json"
+        f.write_bytes(data)
+        args = [a.format(doc=f) for a in argv]
+        got[name] = run_cli(capsys, *args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_read", _text_mode_read)
+            assert got[name] == run_cli(capsys, *args), name
+    assert got["valid"][::2] == (0, "")
+    # json's wording and column for the comma vary with the Python version
+    refusal = re.fullmatch(r"error: invalid JSON: [^:]+: line (\d+) column "
+                           r"\d+ \(char \d+\)\n", got["malformed"][2])
+    assert refusal and int(refusal[1]) > 1
+    assert "Unexpected UTF-8 BOM" in got["bom"][2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(st.sampled_from(
+    ["\r", "\n", "\r\n", "\ufeff", "é", "{", " "])).map("".join))
+def test_read_equals_a_text_mode_read(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert cli._read(path) == _text_mode_read(path)
+
+
+@pytest.mark.parametrize("case", ["missing", "directory"])
+@pytest.mark.parametrize("command", READ_CASES)
+def test_cli_refuses_a_path_it_cannot_read(tmp_path, capsys, command, case):
+    f = tmp_path / "doc.json"
+    if case == "directory":
+        f.mkdir()
+    code, out, err = run_cli(capsys, *(a.format(doc=f)
+                                       for a in READ_CASES[command][1]))
+    reason = {"missing": "No such file or directory",
+              "directory": "Is a directory"}[case]
+    assert (code, out, err) == (1, "", f"error: cannot read {f}: {reason}\n")
+
+
+@pytest.mark.parametrize("command", READ_CASES)
+def test_cli_reads_dev_stdin_from_a_pipe_as_the_file(tmp_path, command):
+    """`--input /dev/stdin` (for kunneth, `--a`) fed a CRLF document through
+    a pipe prints the bytes that reading the document's file prints."""
+    doc, argv = READ_CASES[command]
+    data = _with_line_ends(doc, "\r\n")
+    f = tmp_path / "doc.json"
+    f.write_bytes(data)
+    from_file = [a.format(doc=f) for a in argv]
+    piped = list(from_file)
+    piped[argv.index("{doc}")] = "/dev/stdin"  # kunneth's --b reads the file
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    file_run, pipe_run = (subprocess.run(
+        [sys.executable, "-m", "exhom.cli", *args], input=data,
+        capture_output=True, env=env) for args in (from_file, piped))
+    assert (file_run.returncode, file_run.stderr) == (0, b"")
+    assert (pipe_run.returncode, pipe_run.stdout, pipe_run.stderr) \
+        == (0, file_run.stdout, b"")
 
 
 def test_cli_ss(tmp_path, capsys):

@@ -49,6 +49,11 @@ fail.  A mutant that no oracle rejects names a gap in the suite.
     the regular expression's reading.
 20. `documents._load_json` ignoring data after the value: rejected by
     `test_documents_cli.test_load_json_reads_and_refuses_as_json_loads_does`.
+21. `cli._read` without its "\\r" step: rejected by
+    `test_documents_cli.test_cli_reads_cr_line_ends_as_text_mode_does`,
+    whose text-mode reading puts json's refusal at another line and column.
+22. `complexes._pairing` appending plain tuples: rejected by
+    `test_pairing.test_pairing_returns_records_whose_names_read_their_fields`.
 
 Left out: `_totalize` with the vertical sign on even r.  It is an
 equivalent mutant, as scaling cell (r, s) by (-1)^s maps one sign
@@ -456,3 +461,36 @@ def test_load_json_ignoring_trailing_data_is_rejected(monkeypatch):
         documents._load_json, "if not text[end:].strip(_SPACE):", "if True:"))
     with pytest.raises(AssertionError):
         oracle(monkeypatch, "on")
+
+
+def _cr_cases_read_as_text_mode_does(tmp_path, capsys):
+    """The cases of `test_cli_reads_cr_line_ends_as_text_mode_does` that
+    pass."""
+    oracle = test_documents_cli.test_cli_reads_cr_line_ends_as_text_mode_does
+    passed = 0
+    for command in test_documents_cli.READ_CASES:
+        for newline in ("\r\n", "\r"):
+            case = tmp_path / f"{command}{len(newline)}"
+            case.mkdir(parents=True)
+            try:
+                oracle(case, capsys, command, newline)
+            except AssertionError:
+                continue
+            passed += 1
+    return passed
+
+
+def test_read_without_its_cr_step_is_rejected(tmp_path, capsys, monkeypatch):
+    assert _cr_cases_read_as_text_mode_does(tmp_path / "library", capsys) == 10
+    monkeypatch.setattr(cli, "_read", _edited(
+        cli._read, '.replace("\\r\\n", "\\n").replace("\\r", "\\n")', ""))
+    assert _cr_cases_read_as_text_mode_does(tmp_path / "mutant", capsys) == 0
+
+
+def test_pairing_appending_plain_tuples_is_rejected(monkeypatch):
+    oracle = test_pairing.\
+        test_pairing_returns_records_whose_names_read_their_fields
+    oracle()
+    monkeypatch.setattr(complexes, "_Generator", tuple)
+    with pytest.raises(AssertionError):
+        oracle()

@@ -16,6 +16,7 @@
   matrix built.
 * A pairing up to a degree n below the top starts at d^{n-1}: the
   filtrations on H^n are those of a pairing from the lowest degree on.
+* Every item it returns is a `_Generator` whose names read its fields.
 """
 
 import random
@@ -39,6 +40,7 @@ from conftest import (
 from exhom import complexes, spectral
 from exhom.complexes import (
     CochainComplex,
+    _Generator,
     _pairing,
     cochain_complex,
     cohomology_dims,
@@ -269,6 +271,23 @@ def test_filtrations_pair_only_the_last_two_degrees(seed, zigzag):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "_pairing", _from_the_lowest_degree)
         assert filtrations(build()) == got
+
+
+def test_pairing_returns_records_whose_names_read_their_fields():
+    """Sources, unpaired classes and targets (each kind of record), in the
+    last degree paired and below it, on both axes and unfiltered."""
+    rng, kinds = random.Random(29), Counter()
+    for _ in range(10):
+        K = random_zigzag_double_complex(rng, grid=3)[0]
+        T = total_complex(K)
+        for levels in (_levels(K, COLUMN), _levels(K, ROW), {}):
+            for last in (*T.degrees(), T.max_deg + 1):
+                for g in _pairing(T, levels, last):
+                    assert type(g) is _Generator and len(g) == 6
+                    assert (g.n, g.i, g.level, g.life, g.source, g.chain) \
+                        == tuple(g)
+                    kinds[g.source, g.life == inf] += 1
+    assert len(kinds) == 3, kinds
 
 
 def test_pairing_matches_reference_over_the_lcm_of_cell_denominators():
