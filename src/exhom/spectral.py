@@ -26,8 +26,9 @@ holds their levels only, and `filtration_on_total` gives a row cycle sparse
 integer coordinates on them by the same fraction-free reduction, against
 the column pairing's targets and unpaired cycles, which are triangular in
 the order that pairing used.  So the dims of a filtration are counts, and
-two filtrations are compared by counts and one integer (Bareiss) rank per
-step.  Filtrations on total cohomology, the oppositeness test and the
+two are compared by their relative position dim Gr_F^p Gr_G^q H^n, from
+one more such reduction: they are opposite iff it vanishes off p + q = n
+(Deligne).  Filtrations on total cohomology, the oppositeness test and the
 dimension criterion implying it live here.
 """
 
@@ -37,7 +38,6 @@ from ._record import Record, cached
 from .complexes import (CochainComplex, _composites, _nonzero_composite,
                         _order, _pairing, _place, _reduce, _totalize)
 from .qlinalg import RatMatrix
-from .zlinalg import _bareiss
 
 COLUMN = "column"
 ROW = "row"
@@ -140,7 +140,7 @@ class FiltrationChain(Record):
     the classes of level >= p, so nesting holds by construction.  rows[k]
     holds the integer coordinates of class k on one basis of H^n that the
     chains compared share, as {index: nonzero coordinate}; rows None means
-    class k is that basis vector k.  The rows must be independent."""
+    class k is that basis vector k.  Dependent rows are refused too."""
 
     _fields, _defaults = ("n", "ambient_dim", "levels", "rows"), (None,)
 
@@ -151,10 +151,10 @@ class FiltrationChain(Record):
             raise ValueError("class levels must lie in [0, n]")
         if self.rows is not None and (
                 len(self.rows) != self.ambient_dim
-                or not all(0 <= j < self.ambient_dim
-                           for v in self.rows for j in v)):
+                or not all(0 <= j < self.ambient_dim and x
+                           for v in self.rows for j, x in v.items())):
             raise ValueError("filtration chain needs one row per class, "
-                             "of coordinates below ambient_dim")
+                             "of nonzero coordinates below ambient_dim")
 
     def dims(self) -> tuple[int, ...]:
         return tuple(sum(map(p.__le__, self.levels))
@@ -238,52 +238,51 @@ def filtration_on_total(K: DoubleComplex, axis: str, n: int) -> FiltrationChain:
     return FiltrationChain(n, b, tuple(g.level for g in cycles), tuple(rows))
 
 
-def _rank(rows: list[dict], cols) -> int:
-    """The integer rank of these sparse rows on the coordinates `cols`."""
-    return len(_bareiss([[v.get(j, 0) for j in cols] for v in rows])[0])
-
-
-def _sum_dim(F: FiltrationChain, p: int, G: FiltrationChain, q: int) -> int:
-    """dim(F^p + G^q) in H^n.  The classes of each chain are a basis, so a
-    step that is 0 or everything decides it by counts; otherwise it is the
-    integer rank of the stacked rows.  A chain without rows has unit rows,
-    which are not built: they add their count and clear their columns from
-    the other chain's rows."""
+def _relative_position(F: FiltrationChain, G: FiltrationChain) -> dict:
+    """{(p, q): dim Gr_F^p Gr_G^q H^n}.  F's rows (unit rows where a chain
+    has none) reduce to pivots keeping their combinations of F's classes,
+    against which G's rows reduce to zero: that writes them on F's classes.
+    Reduced again in G-level descending order, ranked by `_order(F.levels)`,
+    each has its coordinate of least F-level as its low, and counts once at
+    (that level, its G-level).  Dependent rows of either chain leave one of
+    these without a low: refused."""
+    if F.n != G.n or F.ambient_dim != G.ambient_dim:
+        raise ValueError("filtration degree or ambient dimension mismatch")
     h = F.ambient_dim
-    f = [k for k, level in enumerate(F.levels) if level >= p]
-    g = [k for k, level in enumerate(G.levels) if level >= q]
-    if len(f) in (0, h) or len(g) in (0, h):
-        return min(h, len(f) + len(g))
-    if F.rows is not None:
-        F, f, G, g = G, g, F, f
-    if F.rows is None and G.rows is None:
-        return len(set(f) | set(g))
-    if F.rows is None:
-        taken = set(f)
-        return len(f) + _rank([G.rows[k] for k in g],
-                              [j for j in range(h) if j not in taken])
-    return _rank([F.rows[k] for k in f] + [G.rows[k] for k in g], range(h))
+    units = [{k: 1} for k in range(h)]
+    pivots, table = {}, {}
+    for v, chain in zip(F.rows or units, units):
+        v, chain, low = _reduce(v, chain, pivots, range(h))
+        pivots[low] = v, chain
+    on_f = [_reduce(v, {}, pivots, range(h))[1] for v in G.rows or units]
+    pivots, ranks = {}, dict(zip(_order(F.levels), range(h)))
+    for j in _order(G.levels):
+        v, _, low = _reduce(on_f[j], {}, pivots, ranks)
+        if low is None:
+            raise ValueError("filtration chain rows must be independent")
+        pivots[low] = v, {}
+        pq = F.levels[low], G.levels[j]
+        table[pq] = table.get(pq, 0) + 1
+    return table
 
 
 def _verdicts(F: FiltrationChain, G: FiltrationChain) -> tuple[bool, bool]:
-    """(`opposite_check`, `dimension_criterion`) of F and G in one pass,
-    each dim(F^p + G^{n+1-p}) computed at most once and only where the
-    dims leave it open."""
-    if F.n != G.n or F.ambient_dim != G.ambient_dim:
-        raise ValueError("filtration degree or ambient dimension mismatch")
+    """(`opposite_check`, `dimension_criterion`) of F and G, read off one
+    `_relative_position`: F^p + G^q is the span of the classes at (p', q')
+    with p' >= p or q' >= q, so every F^p + G^{n+1-p} is H^n iff no class
+    has p' + q' < n."""
     n, h = F.n, F.ambient_dim
     f, g, ps = F.dims(), G.dims(), range(n + 2)
+    spanned = all(p + q >= n for p, q in _relative_position(F, G))
     sums = all(f[p] + g[n + 1 - p] == h for p in ps)
     symmetric = all(f[p] + f[n + 1 - p] == h and g[p] + g[n + 1 - p] == h
                     for p in ps)
-    spanned = (sums or symmetric) and all(
-        _sum_dim(F, p, G, n + 1 - p) == h for p in ps)
     return sums and spanned, symmetric and spanned
 
 
 def opposite_check(F: FiltrationChain, G: FiltrationChain) -> bool:
-    """True iff F^p and G^{n+1-p} are complementary in H^n for every p:
-    their dims add up to dim H^n and together they span it."""
+    """True iff F^p and G^{n+1-p} are complementary in H^n for every p; by
+    Deligne (Hodge II, 1.2), iff Gr_F^p Gr_G^q H^n = 0 off p + q = n."""
     return _verdicts(F, G)[0]
 
 

@@ -43,9 +43,10 @@ filtrations by counts and integer ranks: `rref` (fraction-free on the
 numerators), `rank`, canonical `Subspace`s with sum, intersection and
 complement, and the stacking and vector product of `RatMatrix` they need.
 `filtration_spaces`, `reference_opposite` and `reference_criterion` read a
-`spectral.FiltrationChain` through it.  A store has no `Fraction` view, so
-the tests read its entries as Fractions through one helper,
-`fraction_rows`.
+`spectral.FiltrationChain` through it; `deligne_opposite` reads the
+library's relative position of two chains instead.  A store has no
+`Fraction` view, so the tests read its entries as Fractions through one
+helper, `fraction_rows`.
 
 And library code no subcommand reaches: the serializers, which write a
 complex or a double complex back as a document (lowest-terms rationals with
@@ -101,6 +102,7 @@ from exhom.spectral import (
     ROW,
     SpectralPages,
     _levels,
+    _relative_position,
     double_complex,
 )
 from exhom.steinberg import InducedSpectrum, _row
@@ -365,6 +367,21 @@ def reference_criterion(F, G) -> bool:
     return all(subspace_sum(f[p], g[n + 1 - p]).dim == h
                and f[p].dim + f[n + 1 - p].dim == h
                and g[p].dim + g[n + 1 - p].dim == h for p in range(n + 2))
+
+
+def deligne_opposite(F, G) -> bool:
+    """Deligne's criterion as a third verdict beside `opposite_check` and
+    `reference_opposite`: F and G are n-opposite iff their relative
+    position, `spectral._relative_position`, lies on p + q = n.  Asserts
+    first that its row sums are F's graded dims, its column sums G's and
+    its total dim H^n."""
+    table, ps = _relative_position(F, G), range(F.n + 1)
+    for side, chain in enumerate((F, G)):
+        d = chain.dims()
+        assert [sum(c for pq, c in table.items() if pq[side] == p)
+                for p in ps] == [d[p] - d[p + 1] for p in ps]
+    assert sum(table.values()) == F.ambient_dim
+    return all(p + q == F.n for p, q in table)
 
 
 # ---------------------------------------- code no subcommand reaches

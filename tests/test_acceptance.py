@@ -12,6 +12,7 @@ import time
 from conftest import (
     SteinbergLabel,
     degenerates_at,
+    deligne_opposite,
     delta,
     determinant,
     e2_dim,
@@ -145,12 +146,15 @@ def test_criterion_3_lemma_suite():
         K = _vertical_only_complex(rng)
         if not degenerates_at(spectral_pages(K, ROW), 2):
             failures.append(("a", i))
-    # (b) dimension hypotheses imply oppositeness on >= 50 random pairs
+    # (b) dimension hypotheses imply oppositeness on >= 50 random pairs,
+    # and Deligne's criterion gives `opposite_check` on every pair
     found = 0
     while found < 50:
         n, dims = _symmetric_profile(rng)
         F = _random_flag(rng, n, dims)
         G = _random_flag(rng, n, dims)
+        if opposite_check(F, G) != deligne_opposite(F, G):
+            failures.append(("b", "Deligne's criterion disagrees", dims))
         if dimension_criterion(F, G):
             found += 1
             if not opposite_check(F, G):

@@ -1590,9 +1590,10 @@ def test_parse_matrix_equals_from_rows():
 
 def test_oppose_request_computes_each_sum_dim_once(tmp_path, capsys,
                                                     monkeypatch):
-    """One `oppose` request takes both verdicts from one pass, computing
-    each dim(F^p + G^{n+1-p}) at most once; they equal `opposite_check` and
-    `dimension_criterion`, which each compute their own."""
+    """One `oppose` request takes both verdicts, and so every
+    dim(F^p + G^{n+1-p}), from at most one `_relative_position`; they equal
+    `opposite_check` and `dimension_criterion`, which each compute their
+    own."""
     rng, both, computed = random.Random(19), 0, 0
     f = tmp_path / "k.json"
     for _ in range(30):
@@ -1605,15 +1606,15 @@ def test_oppose_request_computes_each_sum_dim_once(tmp_path, capsys,
             G = spectral.filtration_on_total(K, ROW, n)
             want = (spectral.opposite_check(F, G),
                     spectral.dimension_criterion(F, G))
-            calls, sum_dim = Counter(), spectral._sum_dim
-            monkeypatch.setattr(spectral, "_sum_dim", lambda F, p, G, q: (
-                calls.update([(p, q)]), sum_dim(F, p, G, q))[1])
+            calls, position = [], spectral._relative_position
+            monkeypatch.setattr(spectral, "_relative_position", lambda F, G:
+                                calls.append(1) or position(F, G))
             assert main(["oppose", "--input", str(f), "--n", str(n)]) == 0
             monkeypatch.undo()
             assert capsys.readouterr().out.endswith(
                 f"opposite {str(want[0]).lower()}\n"
                 f"dimension_criterion {str(want[1]).lower()}\n")
-            assert set(calls.values()) <= {1}
+            assert len(calls) <= 1
             computed += len(calls)
             both += all(want) and bool(calls)
     assert both >= 10 and computed, (both, computed)

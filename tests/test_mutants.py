@@ -6,8 +6,8 @@ pass, then applies one mutant and runs the same oracle again, where it must
 fail.  A mutant that no oracle rejects names a gap in the suite.
 
 1. Row classes by position (class k of the row filtration written as basis
-   vector k): rejected by `Zigzags.sum_dim`, the count of dim(F^p + G^q)
-   class by class.
+   vector k): rejected by `Counter(Zigzags.classes(n))`, the relative
+   position of the two filtrations counted class by class.
 2. `spectral._levels` filtering by r on the row axis too: rejected by
    `Zigzags.page_dims`.
 3. `zlinalg._rank_mod_p` dropping its last pivot: rejected by
@@ -54,6 +54,9 @@ fail.  A mutant that no oracle rejects names a gap in the suite.
     whose text-mode reading puts json's refusal at another line and column.
 22. `complexes._pairing` appending plain tuples: rejected by
     `test_pairing.test_pairing_returns_records_whose_names_read_their_fields`.
+23. `spectral._relative_position` reducing G's rows in ascending G-level
+    order and 24. taking as a row's low its coordinate of greatest F-level:
+    each rejected by `Counter(Zigzags.classes(n))`.
 
 Left out: `_totalize` with the vertical sign on even r.  It is an
 equivalent mutant, as scaling cell (r, s) by (-1)^s maps one sign
@@ -65,6 +68,7 @@ import inspect
 import json
 import random
 import textwrap
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -101,21 +105,21 @@ def _zigzags(count):
             for _ in range(count)]
 
 
-def _sum_dim_misses(count):
-    """Degrees at which `_sum_dim` of the column and row filtrations, at
-    some (p, q), differs from `Zigzags.sum_dim`."""
+def _position_misses(count):
+    """Degrees at which the relative position of the column and row
+    filtrations differs from `Counter(Zigzags.classes(n))`."""
     misses = 0
     for K, Z in _zigzags(count):
         for n in range(K.max_r + K.max_c + 1):
             F, G = (spectral.filtration_on_total(K, axis, n)
                     for axis in (COLUMN, ROW))
-            misses += any(spectral._sum_dim(F, p, G, q) != Z.sum_dim(n, p, q)
-                          for p in range(n + 2) for q in range(n + 2))
+            misses += spectral._relative_position(F, G) \
+                != Counter(Z.classes(n))
     return misses
 
 
 def test_row_classes_by_position_are_rejected(monkeypatch):
-    assert _sum_dim_misses(40) == 0
+    assert _position_misses(40) == 0
     real = spectral.filtration_on_total
 
     def by_position(K, axis, n):
@@ -125,7 +129,20 @@ def test_row_classes_by_position_are_rejected(monkeypatch):
             tuple({k: 1} for k in range(F.ambient_dim)))
 
     monkeypatch.setattr(spectral, "filtration_on_total", by_position)
-    assert _sum_dim_misses(40) > 0
+    assert _position_misses(40) > 0
+
+
+@pytest.mark.parametrize("line, replacement", [
+    ("for j in _order(G.levels):", "for j in reversed(_order(G.levels)):"),
+    ("dict(zip(_order(F.levels), range(h)))",
+     "dict(zip(_order(F.levels), range(h, 0, -1)))"),
+], ids=["g-rows-ascending", "low-of-greatest-f-level"])
+def test_relative_position_mutants_are_rejected(monkeypatch, line,
+                                                replacement):
+    assert _position_misses(40) == 0
+    monkeypatch.setattr(spectral, "_relative_position", _edited(
+        spectral._relative_position, line, replacement))
+    assert _position_misses(40) > 0
 
 
 def _page_misses(count):

@@ -155,22 +155,21 @@ def test_zigzag_known_answers_at_size(zigzag_472):
 
 
 @pytest.mark.parametrize("instance", ["zigzag_472", "corners_508"])
-def test_sum_dims_and_verdicts_known_at_size(request, monkeypatch, instance):
-    """`_sum_dim` of the column and row filtrations at every (p, q) of
-    every degree, and both verdicts, against the count of `Zigzags`, which
-    reads no row of the library.  Some pairs take an integer rank."""
+def test_sum_dims_and_verdicts_known_at_size(request, instance):
+    """The relative position of the column and row filtrations in every
+    degree, each dim(F^p + G^q) read off it, and both verdicts, against the
+    classes of `Zigzags`, which reads no row of the library."""
     K, Z = request.getfixturevalue(instance)
-    ranks, rank = [], spectral._rank
-    monkeypatch.setattr(spectral, "_rank", lambda rows, cols:
-                        ranks.append(len(rows)) or rank(rows, cols))
     for n in range(K.max_r + K.max_c + 1):
         F, G = (filtration_on_total(K, axis, n) for axis in (COLUMN, ROW))
-        assert [[spectral._sum_dim(F, p, G, q) for q in range(n + 2)]
-                for p in range(n + 2)] \
+        table, f, g = spectral._relative_position(F, G), F.dims(), G.dims()
+        assert table == Counter(Z.classes(n))
+        assert [[f[p] + g[q] - sum(c for (a, b), c in table.items()
+                                   if a >= p and b >= q)
+                 for q in range(n + 2)] for p in range(n + 2)] \
             == [[Z.sum_dim(n, p, q) for q in range(n + 2)]
                 for p in range(n + 2)]
         assert spectral._verdicts(F, G) == Z.verdicts(n)
-    assert ranks
 
 
 def test_oppose_builds_tot_once_and_pairs_twice(monkeypatch):

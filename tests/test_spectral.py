@@ -7,6 +7,7 @@ from conftest import (
     Blocks,
     blocks,
     degenerates_at,
+    deligne_opposite,
     dense,
     filtration_spaces,
     naive_composite,
@@ -476,6 +477,7 @@ def test_dimension_criterion_implies_opposite_random():
             continue
         F = _flag(rng, n, dims)
         G = _flag(rng, n, dims)
+        assert opposite_check(F, G) == deligne_opposite(F, G)
         if dimension_criterion(F, G):
             found += 1
             assert opposite_check(F, G)
@@ -507,6 +509,13 @@ def test_opposite_mismatch_raises():
     (lambda: double_complex(0, 1, {(0, 0): 1, (0, 1): 1}, {},
                             {(0, 0): RatMatrix.identity(2)}),
      "vert at (0,0) has shape 2x2, expected 1x1"),
+    (lambda: opposite_check(FiltrationChain(1, 2, (1, 0)), FiltrationChain(
+        1, 2, (0, 1), ({0: 0}, {1: 1}))),
+     "filtration chain needs one row per class, of nonzero coordinates "
+     "below ambient_dim"),
+    (lambda: opposite_check(FiltrationChain(1, 2, (1, 0)), FiltrationChain(
+        1, 2, (0, 1), ({0: 1}, {0: 2}))),
+     "filtration chain rows must be independent"),
 ])
 def test_library_refusals_are_pinned(call, message):
     with pytest.raises(ValueError) as refusal:
@@ -520,7 +529,9 @@ def test_filtration_counts_and_ranks_match_the_subspace_reference():
     outside it, every ordered pair of the two axes' filtrations: the dims
     are the known ones and those of the reference spans of each step, and
     `opposite_check` and `dimension_criterion` give the verdicts of the
-    rational subspace algebra.  Each verdict occurs both true and false."""
+    rational subspace algebra, and `opposite_check` that of Deligne's
+    criterion on the relative position, whose margins are the graded dims.
+    Each verdict occurs both true and false."""
     rng = random.Random(61)
     seen = Counter()
     for _ in range(300):
@@ -542,6 +553,7 @@ def test_filtration_counts_and_ranks_match_the_subspace_reference():
                     got = (opposite_check(F, G), dimension_criterion(F, G))
                     assert got == (reference_opposite(F, G),
                                    reference_criterion(F, G))
+                    assert got[0] == deligne_opposite(F, G)
                     seen.update(zip(("opposite", "criterion"), got))
     assert all(seen[check, verdict] for check in ("opposite", "criterion")
                for verdict in (True, False)), seen
