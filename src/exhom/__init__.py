@@ -14,8 +14,7 @@ from .complexes import (CochainComplex, IntChainComplex, cochain_complex,
                         tensor_product, uct_check, validate_complex)
 from .spectral import (COLUMN, ROW, DoubleComplex, FiltrationChain,
                        SpectralPages, dimension_criterion, double_complex,
-                       filtration_on_total, opposite_check, spectral_pages,
-                       total_complex)
+                       filtration_on_total, opposite_check, spectral_pages)
 
 __version__ = "0.1.0"
 

@@ -35,8 +35,8 @@ dimension criterion implying it live here.
 from math import gcd, inf
 
 from ._record import Record, cached
-from .complexes import (CochainComplex, _composites, _nonzero_composite,
-                        _order, _pairing, _place, _reduce, _totalize)
+from .complexes import (_composites, _nonzero_composite, _order, _pairing,
+                        _place, _reduce, _totalize)
 from .qlinalg import RatMatrix
 
 COLUMN = "column"
@@ -108,11 +108,6 @@ def double_complex(max_r: int, max_c: int,
                     f"expected {want[0]}x{want[1]}")
     return _checked(DoubleComplex(max_r, max_c, dims,
                                   _totalize(0, dims, horiz, vert)))
-
-
-def total_complex(K: DoubleComplex) -> CochainComplex:
-    """Totalization T^n = sum_{r+s=n} K^{r,s} with D = d' + (-1)^r d''."""
-    return K.total
 
 
 class SpectralPages(Record):

@@ -85,10 +85,12 @@ Two routes to the Smith diagonal:
   two-step or a pivot, then give eager entries, minors of A: every
   division is exact, and the rank, the last pivot and the pivot rows right
   of their pivots are those of the eager pass.
-* `smith_normal_form` is the only source of the unimodular U and V.  It
-  re-picks the minimal-absolute-value nonzero entry as pivot, which keeps
-  the growth of the transforms polynomial, but they still reach tens of
-  thousands of bits on an 80 x 80 matrix.
+* `smith_normal_form` is the only source of the unimodular U and V.  They
+  ride with A in one augmented matrix [[A, I], [I, 0]], so each row step
+  moves U and each column step moves V with A.  It re-picks the
+  minimal-absolute-value nonzero entry as pivot, which keeps the growth of
+  the transforms polynomial, but they still reach tens of thousands of bits
+  on an 80 x 80 matrix.
 """
 
 from _operator import mul
@@ -495,87 +497,62 @@ def _chain_factors(A: RatMatrix, euclid: bool = True) -> tuple[int, ...]:
 def smith_normal_form(A: RatMatrix) -> SmithForm:
     """Smith normal form U.A.V = D with invariant-factor diagonal, for the
     integer matrix A, a den-1 store (a ValueError if den != 1); U, D and V
-    are den-1 stores.
+    are den-1 stores, sliced at the end out of one matrix
+    [[A, I_rows], [I_cols, 0]]: a row step on its first rows rows moves U
+    with A, a column step on its first cols columns moves V with A.
 
     Use it when U or V is needed; `invariant_factors` gives the diagonal
     alone far faster.
     """
     _integral(A)
     rows, cols = A.rows, A.cols
-    m = [[0] * cols for _ in range(rows)]
+    m = [[0] * cols + [int(i == j) for j in range(rows)] for i in range(rows)]
+    m += [[int(i == j) for j in range(cols)] + [0] * rows for i in range(cols)]
     for j, col in enumerate(A.columns):
         for i, x in col.items():
             m[i][j] = x
-    u, v = ([[int(i == j) for j in range(n)] for i in range(n)]
-            for n in (rows, cols))
     k = min(rows, cols)
-
-    def row_op(i, t, q):  # row_i -= q * row_t
-        m[i] = [a - q * b for a, b in zip(m[i], m[t])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[t])]
-
-    def col_op(j, t, q):  # col_j -= q * col_t
-        for r in range(rows):
-            m[r][j] -= q * m[r][t]
-        for r in range(cols):
-            v[r][j] -= q * v[r][t]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            m[r][i], m[r][j] = m[r][j], m[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
     for t in range(k):
         while True:
-            # the first nonzero entry of least |value| in m[t:, t:],
+            # the first nonzero entry of least |value| in A[t:, t:],
             # re-picked on every pass, keeps the growth polynomial
             pos = min(((i, j) for i in range(t, rows) for j in range(t, cols)
                        if m[i][j]), key=lambda ij: abs(m[ij[0]][ij[1]]),
                       default=None)
             if pos is None:
                 break
-            if pos != (t, t):
-                swap_rows(t, pos[0])
-                swap_cols(t, pos[1])
+            i, j = pos
+            m[t], m[i] = m[i], m[t]
+            for row in m:
+                row[t], row[j] = row[j], row[t]
             # one reduction pass against the current (minimal) pivot
             changed = False
             for i in range(t + 1, rows):
                 if m[i][t] != 0:
                     q = m[i][t] // m[t][t]
-                    row_op(i, t, q)
-                    if m[i][t] != 0:
-                        changed = True
+                    m[i] = [a - q * b for a, b in zip(m[i], m[t])]
+                    changed = changed or m[i][t] != 0
             for j in range(t + 1, cols):
                 if m[t][j] != 0:
                     q = m[t][j] // m[t][t]
-                    col_op(j, t, q)
-                    if m[t][j] != 0:
-                        changed = True
+                    for row in m:
+                        row[j] -= q * row[t]
+                    changed = changed or m[t][j] != 0
             if changed:
                 continue  # leftover remainders are smaller; re-pick the pivot
             p = m[t][t]
             offender = next((i for i in range(t + 1, rows)
-                             if any(x % p for x in m[i][t + 1:])), None)
+                             if any(x % p for x in m[i][t + 1:cols])), None)
             if offender is None:
                 break
-            row_op(t, offender, -1)  # add offending row to the pivot row
-
-    # normalize diagonal signs
-    for t in range(k):
+            m[t] = [a + b for a, b in zip(m[t], m[offender])]
+    for t in range(k):  # normalize diagonal signs
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
-
-    U = RatMatrix.from_rows(u, rows)
-    V = RatMatrix.from_rows(v, cols)
-    D = RatMatrix.from_rows(m, cols)
-    diagonal = tuple(m[t][t] for t in range(k))
-    return SmithForm(U, D, V, diagonal)
+    U = RatMatrix.from_rows([row[cols:] for row in m[:rows]], rows)
+    V = RatMatrix.from_rows([row[:cols] for row in m[rows:]], cols)
+    D = RatMatrix.from_rows([row[:cols] for row in m[:rows]], cols)
+    return SmithForm(U, D, V, tuple(m[t][t] for t in range(k)))
 
 
 def _rank_mod_p(D: RatMatrix, p: int) -> int:

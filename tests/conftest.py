@@ -13,15 +13,17 @@ used before it read H_n off invariant factors, the persistence pairing over
 `Fraction`, which it used before the fraction-free one, the Bareiss pass
 that rescales every row at every step, which it used before the lazy one,
 the mod-M Smith elimination that reduces every entry it writes, which it
-used before the one that reduces only where a value is read, and the rank
+used before the one that reduces only where a value is read, the Smith
+normal form that held U and V apart from A, which it used before it
+carried them in one augmented matrix, and the rank
 mod p on dense rows, which it used before it reduced the columns of the
 store, and the Smith split on every row over every column, which it
 used before the one that reads only the nonzero rows and columns: the
 references `homology_int`, `complexes._pairing`, `zlinalg._bareiss`,
-`zlinalg._smith_mod`, `zlinalg._rank_mod_p` and `zlinalg._split_pivots`
-are tested against, and the per-cell composite checks listing every failure,
-the first of which `spectral.double_complex` raises, each composite a
-`RatMatrix` (`matrix_composite`) or a triple loop.
+`zlinalg._smith_mod`, `zlinalg.smith_normal_form`, `zlinalg._rank_mod_p`
+and `zlinalg._split_pivots` are tested against, and the per-cell composite
+checks listing every failure, the first of which `spectral.double_complex`
+raises, each composite a `RatMatrix` (`matrix_composite`) or a triple loop.
 `page_representatives` pairs again with chains to give the representatives
 of every cell of every page, which `spectral_pages` does not build;
 `recount_pages` counts every page on its own, where `spectral_pages` shares
@@ -108,7 +110,9 @@ from exhom.spectral import (
 from exhom.steinberg import InducedSpectrum, _row
 from exhom.zlinalg import (
     FinAbGroup,
+    SmithForm,
     _bareiss,
+    _integral,
     _rank_mod_p,
     _xgcd,
     invariant_factors,
@@ -1247,6 +1251,88 @@ def eager_smith_mod(A: list[list[int]], M: int, r: int) -> list[int]:
             g = gcd(xs[i], xs[j])
             xs[i], xs[j] = g, xs[i] // g * xs[j]
     return xs[:r]
+
+
+def reference_smith_normal_form(A: RatMatrix) -> SmithForm:
+    """`zlinalg.smith_normal_form` as it was before it carried U and V in
+    one augmented matrix: A, U and V as three matrices, held in step by
+    four closures, the same operations in the same order."""
+    _integral(A)
+    rows, cols = A.rows, A.cols
+    m = [[0] * cols for _ in range(rows)]
+    for j, col in enumerate(A.columns):
+        for i, x in col.items():
+            m[i][j] = x
+    u, v = ([[int(i == j) for j in range(n)] for i in range(n)]
+            for n in (rows, cols))
+    k = min(rows, cols)
+
+    def row_op(i, t, q):  # row_i -= q * row_t
+        m[i] = [a - q * b for a, b in zip(m[i], m[t])]
+        u[i] = [a - q * b for a, b in zip(u[i], u[t])]
+
+    def col_op(j, t, q):  # col_j -= q * col_t
+        for r in range(rows):
+            m[r][j] -= q * m[r][t]
+        for r in range(cols):
+            v[r][j] -= q * v[r][t]
+
+    def swap_rows(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in range(rows):
+            m[r][i], m[r][j] = m[r][j], m[r][i]
+        for r in range(cols):
+            v[r][i], v[r][j] = v[r][j], v[r][i]
+
+    for t in range(k):
+        while True:
+            # the first nonzero entry of least |value| in m[t:, t:],
+            # re-picked on every pass, keeps the growth polynomial
+            pos = min(((i, j) for i in range(t, rows) for j in range(t, cols)
+                       if m[i][j]), key=lambda ij: abs(m[ij[0]][ij[1]]),
+                      default=None)
+            if pos is None:
+                break
+            if pos != (t, t):
+                swap_rows(t, pos[0])
+                swap_cols(t, pos[1])
+            # one reduction pass against the current (minimal) pivot
+            changed = False
+            for i in range(t + 1, rows):
+                if m[i][t] != 0:
+                    q = m[i][t] // m[t][t]
+                    row_op(i, t, q)
+                    if m[i][t] != 0:
+                        changed = True
+            for j in range(t + 1, cols):
+                if m[t][j] != 0:
+                    q = m[t][j] // m[t][t]
+                    col_op(j, t, q)
+                    if m[t][j] != 0:
+                        changed = True
+            if changed:
+                continue  # leftover remainders are smaller; re-pick the pivot
+            p = m[t][t]
+            offender = next((i for i in range(t + 1, rows)
+                             if any(x % p for x in m[i][t + 1:])), None)
+            if offender is None:
+                break
+            row_op(t, offender, -1)  # add offending row to the pivot row
+
+    # normalize diagonal signs
+    for t in range(k):
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+            u[t] = [-x for x in u[t]]
+
+    U = RatMatrix.from_rows(u, rows)
+    V = RatMatrix.from_rows(v, cols)
+    D = RatMatrix.from_rows(m, cols)
+    diagonal = tuple(m[t][t] for t in range(k))
+    return SmithForm(U, D, V, diagonal)
 
 
 def dense_rank_mod_p(A: RatMatrix, p: int) -> int:

@@ -34,7 +34,6 @@ from exhom.spectral import (
     double_complex,
     opposite_check,
     spectral_pages,
-    total_complex,
 )
 from exhom.steinberg import (
     InducedSpectrum,
@@ -73,7 +72,7 @@ def test_criterion_1_convergence_oracle():
     failures = []
     start = time.monotonic()
     for idx, (K, pages) in enumerate(instances()):
-        H = cohomology_dims(total_complex(K))
+        H = cohomology_dims(K.total)
         for axis, P in pages.items():
             for n in range(K.max_r + K.max_c + 1):
                 got = sum(d for (p, q), d in P.limit.items() if p + q == n)

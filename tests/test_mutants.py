@@ -57,6 +57,11 @@ fail.  A mutant that no oracle rejects names a gap in the suite.
 23. `spectral._relative_position` reducing G's rows in ascending G-level
     order and 24. taking as a row's low its coordinate of greatest F-level:
     each rejected by `Counter(Zigzags.classes(n))`.
+25. `zlinalg.smith_normal_form` applying a column operation to the first
+    `rows` rows only, so V is not carried: rejected by
+    `test_zlinalg.test_smith_normal_form_equals_the_reference`.
+26. `CheckReport.render` writing " ok" for "  ok": rejected by the
+    transcript corpus of `tests/test_transcripts.py`.
 
 Left out: `_totalize` with the vertical sign on even r.  It is an
 equivalent mutant, as scaling cell (r, s) by (-1)^s maps one sign
@@ -78,6 +83,7 @@ import test_documents_cli
 import test_pairing
 import test_qlinalg
 import test_spectral
+import test_transcripts
 import test_zlinalg
 from conftest import (
     dense_rank_mod_p,
@@ -511,3 +517,26 @@ def test_pairing_appending_plain_tuples_is_rejected(monkeypatch):
     monkeypatch.setattr(complexes, "_Generator", tuple)
     with pytest.raises(AssertionError):
         oracle()
+
+
+def test_smith_form_not_carrying_v_is_rejected(monkeypatch):
+    oracle = test_zlinalg.test_smith_normal_form_equals_the_reference
+    oracle()
+    monkeypatch.setattr(test_zlinalg, "smith_normal_form", _edited(
+        zlinalg.smith_normal_form,
+        "for row in m:\n                        row[j] -= q * row[t]",
+        "for row in m[:rows]:\n                        row[j] -= q * row[t]"))
+    with pytest.raises(AssertionError):
+        oracle()
+
+
+def _transcript_misses():
+    return sum(len(test_transcripts.check_block(block))
+               for block in test_transcripts.load()["blocks"])
+
+
+def test_check_report_with_one_space_before_ok_is_rejected(monkeypatch):
+    assert _transcript_misses() == 0
+    monkeypatch.setattr(complexes.CheckReport, "render", _edited(
+        complexes.CheckReport.render, 'line += "  ok" if', 'line += " ok" if'))
+    assert _transcript_misses() > 0

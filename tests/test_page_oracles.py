@@ -35,7 +35,6 @@ from exhom.spectral import (
     ROW,
     filtration_on_total,
     spectral_pages,
-    total_complex,
 )
 
 
@@ -43,7 +42,7 @@ class ReferencePages:
     """E_r and d_r of one filtration straight from the Z_r/B_r formula."""
 
     def __init__(self, K, axis):
-        self.T = total_complex(K)
+        self.T = K.total
         self.top = K.max_r + K.max_c
         # T^n stacks the blocks K^{r,n-r} in increasing r
         self.levels = {

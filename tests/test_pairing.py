@@ -53,7 +53,6 @@ from exhom.spectral import (
     double_complex,
     filtration_on_total,
     spectral_pages,
-    total_complex,
 )
 
 
@@ -85,7 +84,7 @@ def test_integer_pairing_matches_fraction_reference():
     instances = [random_zigzag_double_complex(rng)[0] for _ in range(30)]
     instances += [random_double_complex(rng) for _ in range(30)]
     for K in instances:
-        T = total_complex(K)
+        T = K.total
         for axis in (COLUMN, ROW, None):
             levels = _levels(K, axis) if axis else {}
             gens = _pairing(T, levels, T.max_deg + 1)
@@ -125,7 +124,7 @@ def test_chain_entries_stay_small(zigzag_472):
     they pass 1000.  Every basis vector of the last degree paired carries a
     chain, none empty, and none stores a zero, as a dense one would."""
     K, _ = zigzag_472
-    T = total_complex(K)
+    T = K.total
     for axis in (COLUMN, ROW):
         levels = _levels(K, axis)
         chains = [g.chain for n in T.degrees()
@@ -235,7 +234,7 @@ def test_absent_maps_build_no_zero_matrix(monkeypatch):
     # K^{0,0} maps nowhere, so D^0: T^0 -> T^1 is absent
     K = double_complex(1, 1, {(0, 0): 2, (1, 0): 1, (0, 1): 1, (1, 1): 1},
                        {(0, 1): one}, {})
-    assert cohomology_dims(total_complex(K)) == {0: 2, 1: 1, 2: 0}
+    assert cohomology_dims(K.total) == {0: 2, 1: 1, 2: 0}
     for axis, cell, dims in ((COLUMN, (1, 0), (1, 1, 0)),
                              (ROW, (0, 1), (1, 0, 0))):
         assert spectral_pages(K, axis).limit == {(0, 0): 2, cell: 1}
@@ -278,7 +277,7 @@ def test_pairing_returns_records_whose_names_read_their_fields():
     rng, kinds = random.Random(29), Counter()
     for _ in range(10):
         K = random_zigzag_double_complex(rng, grid=3)[0]
-        T = total_complex(K)
+        T = K.total
         for levels in (_levels(K, COLUMN), _levels(K, ROW), {}):
             for last in (*T.degrees(), T.max_deg + 1):
                 for g in _pairing(T, levels, last):
@@ -299,7 +298,7 @@ def test_pairing_matches_reference_over_the_lcm_of_cell_denominators():
     for _ in range(25):
         K = rescale_cells(random_zigzag_double_complex(rng, grid=3,
                                                        pieces=6)[0], rng)
-        T = total_complex(K)
+        T = K.total
         for n, D in T.differentials.items():
             B = blocks(K)
             dens = {M.den for (r, s), M in (*B.horiz.items(),

@@ -33,7 +33,6 @@ from exhom.qlinalg import RatMatrix, _products
 from exhom.spectral import (
     DoubleComplexError,
     double_complex,
-    total_complex,
 )
 
 
@@ -179,7 +178,7 @@ def test_total_differential_matches_block_reference():
         B = tensor_blocks(random_dense_cochain(rng, max_deg=3, max_pieces=3),
                           random_cochain(rng, max_deg=3, max_pieces=2))
         K = double_complex(B.max_r, B.max_c, B.dims, B.horiz, B.vert)
-        T = total_complex(K)
+        T = K.total
         for n in range(K.max_r + K.max_c):
             src = [(r, n - r) for r in range(n + 1) if K.dims.get((r, n - r))]
             dst = [(r, n + 1 - r) for r in range(n + 2)

@@ -44,7 +44,6 @@ from exhom.spectral import (
     filtration_on_total,
     opposite_check,
     spectral_pages,
-    total_complex,
 )
 
 ID1 = RatMatrix.identity(1)
@@ -70,19 +69,19 @@ def knight_move():
 
 
 def test_total_one_cell():
-    T = total_complex(one_cell())
+    T = one_cell().total
     assert T.dim(0) == 1 and T.dim(1) == 0
     assert cohomology_dims(T) == {0: 1}
 
 
 def test_total_horizontal_arrow():
     K = double_complex(1, 0, {(0, 0): 1, (1, 0): 1}, {(0, 0): ID1}, {})
-    T = total_complex(K)
+    T = K.total
     assert cohomology_dims(T) == {0: 0, 1: 0}
 
 
 def test_total_identity_square_needs_sign():
-    T = total_complex(identity_square())
+    T = identity_square().total
     assert validate_complex(T)
     assert all(v == 0 for v in cohomology_dims(T).values())
 
@@ -384,7 +383,7 @@ def test_convergence_and_bookkeeping_random():
     rng = random.Random(23)
     for _ in range(10):
         K = random_double_complex(rng)
-        H = cohomology_dims(total_complex(K))
+        H = cohomology_dims(K.total)
         for axis in (COLUMN, ROW):
             P = spectral_pages(K, axis)
             for n in range(K.max_r + K.max_c + 1):

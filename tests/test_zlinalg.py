@@ -30,6 +30,7 @@ from conftest import (
     rank,
     rank_mod_p,
     reference_homology_int,
+    reference_smith_normal_form,
     reference_split_pivots,
     simplicial_chain,
     transpose,
@@ -95,6 +96,33 @@ def test_snf_random_reconstruction():
         A = random_int_matrix(rng, max_size=6, bound=20)
         snf = smith_normal_form(A)
         check_form(A, snf)
+
+
+def smith_reference_cases():
+    """(A, t): 2,100 seeded matrices, 7 of every shape 0-9 x 0-9 at each
+    density 0.2, 0.5 and 1, entries in [-20, 20] (t None), then 100
+    `planted_int_matrix` cases with their Smith diagonals t."""
+    rng = random.Random(43)
+    for rows in range(10):
+        for cols in range(10):
+            for density in (0.2, 0.5, 1):
+                for _ in range(7):
+                    yield RatMatrix.from_rows(
+                        [[rng.randint(-20, 20) if rng.random() < density
+                          else 0 for _ in range(cols)] for _ in range(rows)],
+                        cols), None
+    for _ in range(100):
+        yield planted_int_matrix(rng, rng.randint(2, 9), rng.randint(2, 9))
+
+
+def test_smith_normal_form_equals_the_reference():
+    """The same U, D, V and diagonal as `reference_smith_normal_form`,
+    which holds U and V apart from A; on planted matrices the diagonal
+    is the planted one."""
+    for A, t in smith_reference_cases():
+        snf = smith_normal_form(A)
+        assert snf == reference_smith_normal_form(A), num_rows(A)
+        assert t is None or snf.diagonal == t
 
 
 def determinantal_quotients(A):
