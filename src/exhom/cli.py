@@ -3,8 +3,11 @@
 One binary with subcommands; machine output is line-oriented and bit-stable.
 Exit codes: 0 success, 1 validation failure, 2 usage error; `main` alone
 maps a refusal (a ValueError) to 1 or 2.  A well-formed
-argv is read straight off the grammar table `_GRAMMAR`; any other (help,
-usage, every error) goes to an argparse parser built from it on first use.
+argv is read straight off the grammar table `_GRAMMAR`.  Any other that
+holds `--`, alone or as an option's value after `=`, is refused with one
+usage error; the rest (help, abbreviations, `--opt=value`, repeated
+options, negative values, every other refusal) goes to an argparse parser
+built from the table on first use.
 `steinberg` is imported on first use too, by e2, betti and filtration.
 Documents are read as bytes.
 """
@@ -90,8 +93,9 @@ _GRAMMAR = {
 
 
 def _argparse_parser():
-    """The argparse parser of `_GRAMMAR`, built only for help, usage, errors
-    and the spellings `_Reader` leaves to argparse."""
+    """The argparse parser of `_GRAMMAR`, built on first use for what
+    `_Reader` leaves to it: help, abbreviations, `--opt=value`, repeated
+    options, negative values and every refusal but the `--` one."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
@@ -99,19 +103,8 @@ def _argparse_parser():
             self.print_usage(sys.stderr)
             self.exit(USAGE_ERROR, f"error: {message}\n")
 
-    class Store(argparse.Action):
-        """argparse's store, refusing "--flag=--" as it refuses "--flag --":
-        argparse strips that "--" and would store an empty list."""
-
-        def __call__(self, parser, namespace, values, option_string=None):
-            if values == []:
-                raise argparse.ArgumentError(self, "expected one argument")
-            setattr(namespace, self.dest, values)
-
     def typed(check):  # a refusal is argparse's usage error, its text kept
-        def parse(text):  # "--flag=--" passes "--" on Python 3.13, not 3.11
-            if text == "--":
-                raise argparse.ArgumentTypeError("expected one argument")
+        def parse(text):
             try:
                 return check(text)
             except ValueError as e:  # int's keeps "invalid int value"
@@ -125,21 +118,25 @@ def _argparse_parser():
     for command, (text, options) in _GRAMMAR.items():
         p = sub.add_parser(command, help=text)
         for flag, (check, default) in options.items():
-            p.add_argument(flag, default=default, required=default is None,
-                           action="store_true" if check is None else Store, **(
-                {} if check is None else
-                {"choices": check, "type": typed(str)}
-                if isinstance(check, tuple) else {"type": typed(check)}))
+            p.add_argument(flag, default=default, required=default is None, **(
+                {"action": "store_true"} if check is None else
+                {"choices": check} if isinstance(check, tuple) else
+                {"type": typed(check)}))
     return parser
 
 
 class _Reader:
     """Reads a well-formed argv off `_GRAMMAR` into the attributes argparse
-    would return, and hands any other to its own argparse parser."""
+    would return, refuses any other that holds `--`, and hands the rest to
+    its own argparse parser."""
 
     def parse_args(self, argv=None):
         argv = sys.argv[1:] if argv is None else list(argv)
-        return self._from_grammar(argv) or self._argparse.parse_args(argv)
+        # argparse's reading of "--" and "--opt=--" varies by Python release
+        if (args := self._from_grammar(argv)) is None and any(
+                "--" in (t, t.partition("=")[2]) for t in argv if t[:1] == "-"):
+            self._argparse.error("'--' is not part of exhom's command line")
+        return args or self._argparse.parse_args(argv)
 
     @cached
     def _argparse(self):

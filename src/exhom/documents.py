@@ -10,6 +10,7 @@ for a double complex into the columns of its total complex, one store a
 degree.  Every entry is type-checked, but only the nonzero ones are stored.
 """
 
+from _json import make_scanner
 from itertools import chain, compress
 from math import gcd, inf, lcm, nan
 
@@ -31,14 +32,11 @@ MAX_TOTAL_DIM = 4096
 _LIST, _INT = frozenset({list}), frozenset({int})  # the types of a fast read
 _SPACE = " \t\n\r"  # JSON's whitespace
 
-try:  # the scanner of json.loads, on the settings of json's default decoder
-    from _json import make_scanner
-    _scan = make_scanner(Namespace(
-        strict=True, object_hook=None, object_pairs_hook=None,
-        parse_float=float, parse_int=int, parse_constant={
-            "NaN": nan, "Infinity": inf, "-Infinity": -inf}.__getitem__))
-except ImportError:  # `_load_json` is json.loads alone
-    _scan = None
+# the scanner of json.loads, on the settings of json's default decoder
+_scan = make_scanner(Namespace(
+    strict=True, object_hook=None, object_pairs_hook=None,
+    parse_float=float, parse_int=int, parse_constant={
+        "NaN": nan, "Infinity": inf, "-Infinity": -inf}.__getitem__))
 
 
 class DocumentError(ValueError):
@@ -120,13 +118,12 @@ def _load_json(text: str):
     """`json.loads(text)`, scanned without importing `json`; any text the
     scanner refuses, and one with data after its value, goes to json.loads
     itself, so each refusal keeps json's own text."""
-    if _scan is not None:
-        try:
-            doc, end = _scan(text, len(text) - len(text.lstrip(_SPACE)))
-            if not text[end:].strip(_SPACE):
-                return doc
-        except (StopIteration, ValueError, RecursionError):
-            pass
+    try:
+        doc, end = _scan(text, len(text) - len(text.lstrip(_SPACE)))
+        if not text[end:].strip(_SPACE):
+            return doc
+    except (StopIteration, ValueError, RecursionError):
+        pass
     import json
     try:
         return json.loads(text)

@@ -171,14 +171,11 @@ MALFORMED_JSON = (
 )
 
 
-@pytest.mark.parametrize("scanner", ["on", "off"])
+@pytest.mark.parametrize("scanner", ["on"])  # json's C scanner, always there
 def test_load_json_reads_and_refuses_as_json_loads_does(monkeypatch,
                                                         scanner):
     """`_load_json` reads what json.loads reads and refuses the rest with
-    json's own text, with json's C scanner or, where `_json` is missing,
-    with json.loads alone."""
-    if scanner == "off":
-        monkeypatch.setattr(documents, "_scan", None)
+    json's own text."""
     for text in MALFORMED_JSON:
         assert _loaded(documents._load_json, text) \
             == _loaded(reference_load_json, text), text[:40]

@@ -62,6 +62,10 @@ fail.  A mutant that no oracle rejects names a gap in the suite.
     `test_zlinalg.test_smith_normal_form_equals_the_reference`.
 26. `CheckReport.render` writing " ok" for "  ok": rejected by the
     transcript corpus of `tests/test_transcripts.py`.
+27. `cli._Reader.parse_args` without its `--` refusal: rejected by
+    `test_argv.test_an_option_valued_dashes_is_refused_as_a_missing_value`.
+    argparse then stores [] for "--input=--" up to Python 3.12, which
+    `_read` fails on with a TypeError, and passes "--" through on 3.13.
 
 Left out: `_totalize` with the vertical sign on even r.  It is an
 equivalent mutant, as scaling cell (r, s) by (-1)^s maps one sign
@@ -378,13 +382,19 @@ def test_square_ranked_before_vert_is_rejected(monkeypatch):
         first_defect()
 
 
-def _argv_misreads(tmp_path):
-    """argvs of `test_argv.CORPUS` on which the reader and argparse
-    disagree."""
+def _argv_paths(tmp_path):
+    """`test_argv.DOCUMENTS` written under tmp_path, as its `paths`."""
     paths = {}
     for name, doc in test_argv.DOCUMENTS.items():
         (tmp_path / name).write_text(json.dumps(doc))
         paths[name[0]] = str(tmp_path / name)
+    return paths
+
+
+def _argv_misreads(tmp_path):
+    """argvs of `test_argv.CORPUS` on which the reader and argparse
+    disagree."""
+    paths = _argv_paths(tmp_path)
     misreads = 0
     for argv in test_argv.CORPUS:
         try:
@@ -540,3 +550,28 @@ def test_check_report_with_one_space_before_ok_is_rejected(monkeypatch):
     monkeypatch.setattr(complexes.CheckReport, "render", _edited(
         complexes.CheckReport.render, 'line += "  ok" if', 'line += " ok" if'))
     assert _transcript_misses() > 0
+
+
+def _dashes_refused(tmp_path, monkeypatch):
+    """The argvs of `test_argv.DASHES` that `main` refuses with the one
+    usage error."""
+    oracle = test_argv.\
+        test_an_option_valued_dashes_is_refused_as_a_missing_value
+    paths, refused = _argv_paths(tmp_path), 0
+    for argv in test_argv.DASHES:
+        try:
+            oracle(monkeypatch, paths, argv)
+        except (AssertionError, TypeError):  # TypeError: `_read([])`
+            continue
+        refused += 1
+    return refused
+
+
+def test_reader_without_its_dashes_refusal_is_rejected(tmp_path,
+                                                       monkeypatch):
+    assert _dashes_refused(tmp_path, monkeypatch) == len(test_argv.DASHES)
+    monkeypatch.setattr(cli._Reader, "parse_args", _edited(
+        cli._Reader.parse_args,
+        """self._argparse.error("'--' is not part of exhom's command line")""",
+        "pass"))
+    assert _dashes_refused(tmp_path, monkeypatch) == 0

@@ -292,11 +292,8 @@ def _argv_corpus():
     return {"name": "argv-corpus",
             "documents": {name: {"json": doc}
                           for name, doc in test_argv.DOCUMENTS.items()},
-            # argparse from 3.13.13 on reads a "--" before the command as
-            # the end of options and runs it, where 3.10.13-3.13.0 refuse
-            # it: no exit code holds on every version
             "cases": [{"argv": [token.format(**paths) for token in argv]}
-                      for argv in test_argv.CORPUS if argv[:1] != ["--"]]}
+                      for argv in test_argv.CORPUS]}
 
 
 def _refusals():
