@@ -37,7 +37,7 @@ Two routes to the Smith diagonal:
   (0.73-0.98 there, 0.17-1.0 and median 0.50 on chain-uct).
   An empty S needs nothing more.  From here on A names S, or the rows the
   phase stopped on; zero rows and columns only pad the diagonal with
-  zeros.  A two-step fraction-free (Bareiss) pass finds the rank r, the
+  zeros.  A three-step fraction-free (Bareiss) pass finds the rank r, the
   pivot columns and a nonzero r x r minor M0 = +-det P, P the pivot block
   (A on the pivot rows and columns), and carries two fixed columns B
   through the same row operations; back-substitution then gives
@@ -75,16 +75,17 @@ Two routes to the Smith diagonal:
   - Otherwise M = M0, a multiple of d_1...d_r.
   B sets how small the modulus is, never the answer: M is 1 or a few bits
   on most random square A (Eberly-Giesbrecht-Villard 2000).
-  The Bareiss pass takes steps k and k+1 in one update where it can
-  (Bareiss 1968; by Sylvester's identity each quotient is a minor of A).
-  It leaves a row with 0 in its pivot columns as it is, where the eager
-  pass would scale it by p_k/p_{k-1} at step k.  Over the skipped steps
-  j+1..k these factors telescope to p_k/p_j, so the stored row is the eager
-  one times at/prev, at = p_j the pivot of the row's last update and
-  prev = p_k.  A single step (p.x - f.y) // at, and x.prev // at before a
-  two-step or a pivot, then give eager entries, minors of A: every
-  division is exact, and the rank, the last pivot and the pivot rows right
-  of their pivots are those of the eager pass.
+  The Bareiss pass takes steps k, k+1 and k+2 in one update where it can
+  (Bareiss 1968; by Sylvester's identity each quotient is a minor of A),
+  and steps k and k+1 where no third pivot follows.  It leaves a row with
+  0 in its pivot columns as it is, where the eager pass would scale it by
+  p_k/p_{k-1} at step k.  Over the skipped steps j+1..k these factors
+  telescope to p_k/p_j, so the stored row is the eager one times at/prev,
+  at = p_j the pivot of the row's last update and prev = p_k.  A single
+  step (p.x - f.y) // at, and x.prev // at before a multistep or a pivot,
+  then give eager entries, minors of A: every division is exact, and the
+  rank, the last pivot and the pivot rows right of their pivots are those
+  of the eager pass.
 * `smith_normal_form` is the only source of the unimodular U and V.  They
   ride with A in one augmented matrix [[A, I], [I, 0]], so each row step
   moves U and each column step moves V with A.  It re-picks the
@@ -137,74 +138,113 @@ def _bareiss(A: list[list[int]],
     row operation but give no pivot; the eliminated rows are returned too,
     unreduced left of their pivots.
 
-    A pass eliminates columns c and c + 1 at once (Bareiss 1968, the
-    two-step case of Sylvester's identity).  Row r, y0 = (a00, a01, ...)
-    from column c on, pivots on a00; the first row below with
-    a00.x1 != x0.a01 (x0, x1 its entries in c, c + 1) moves to r + 1,
-    y1 = (a10, a11, ...), and takes one step, its new pivot b the 2 x 2
-    leading minor over prev.  A row below with x0 != 0 is updated once,
-    (b.x + e1.y1 + e2.y0) // prev with e1 = (a01.x0 - a00.x1) // prev and
-    e2 = (a10.x1 - a11.x0) // prev: 3 products and one exact division an
-    entry, where two single steps take 4 and 2.  A row with x0 = 0 != x1
-    takes one step against the new row r + 1, and with no such row or
-    fewer than three rows left the pass is one step on column c.  A single
-    step is (p.x - f.y) // at[i], at[i] the pivot of row i's last update.
+    A pass eliminates columns c, c + 1 and c + 2 at once where it can
+    (Bareiss 1968, the three-step case of Sylvester's identity).  Row r,
+    y0 = (a00, a01, ...) from column c on, pivots on a00; the first row
+    below with a00.x1 != x0.a01 (x0, x1, x2 its entries in c, c + 1,
+    c + 2) moves to r + 1, y1 = (a10, a11, ...), and takes one step; the
+    first row below that with a nonzero 3 x 3 minor on rows r, r + 1 and
+    itself, x0.k0 + x1.k1 + x2.k2 for k the 2 x 2 cofactors of rows r and
+    r + 1, moves to r + 2, y2, and takes a two-step, which gives the third
+    pivot d.  A row below with x0 or x1 != 0 is updated once,
+    (d.x - f0.y0 - f1.y1 - f2.y2) // prev with y0, y1, y2 as they were
+    before the pass and f = (x0, x1, x2).adj P // prev^2, P their 3 x 3
+    block: 4 products and one exact division an entry for three columns.
+    With no y2, or fewer than four rows or three columns left, the pass is
+    a two-step: a row below with x0 != 0 is updated once,
+    (b.x + e1.y1 + e2.y0) // prev with b the 2 x 2 leading minor over prev,
+    e1 = (a01.x0 - a00.x1) // prev and e2 = (a10.x1 - a11.x0) // prev.
+    With no y1, or fewer than three rows or two columns left, it is one
+    step on column c.  A column searched in vain for y1 or y2 is zero
+    below and skipped.  A row whose lead is 0 but in the pass's last pivot
+    column takes one step against the last pivot row, and a row whose lead
+    is all 0 is left as it is.  A single step is (p.x - f.y) // at[i],
+    at[i] the pivot of row i's last update.
     """
     rows, cols = len(A), len(A[0]) if A else 0
     m = [row + [b[i] for b in extra] for i, row in enumerate(A)]
     at = [1] * rows
     sign, prev, piv, c = 1, 1, [], 0
+
+    def take(i, s):
+        """Row s, swapped into row i, brought to prev from column c on."""
+        nonlocal sign
+        if s != i:
+            m[i], m[s] = m[s], m[i]
+            at[i], at[s] = at[s], at[i]
+            sign = -sign
+        y = m[i]
+        if at[i] != prev:
+            y[c:] = [x * prev // at[i] for x in y[c:]]
+        return y
+
     while c < cols and (r := len(piv)) < rows:
         pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if pr is None:
             c += 1
             continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-            at[r], at[pr] = at[pr], at[r]
-            sign = -sign
-        y0 = m[r]
-        if at[r] != prev:
-            y0[c:] = [x * prev // at[r] for x in y0[c:]]
-        a00, two, wide = y0[c], False, r + 2 < rows and c + 1 < cols
-        if wide:
-            a01 = y0[c + 1]
-            for s in range(r + 1, rows):
-                if a00 * m[s][c + 1] != m[s][c] * a01:
-                    two = True
-                    break
-        k, p, top = c, a00, y0[c + 1:]
-        if two:
-            if s != r + 1:
-                m[r + 1], m[s] = m[s], m[r + 1]
-                at[r + 1], at[s] = at[s], at[r + 1]
-                sign = -sign
-            y1 = m[r + 1]
-            if at[r + 1] != prev:
-                y1[c:] = [x * prev // at[r + 1] for x in y1[c:]]
-            a10, a11, t0, t1 = y1[c], y1[c + 1], y0[c + 2:], y1[c + 2:]
-            y1[c + 1:] = [(a00 * x - a10 * y) // prev
-                          for x, y in zip(y1[c + 1:], top)]
-            piv.append(c)
-            k, p, top = c + 1, y1[c + 1], y1[c + 2:]
-        for i in range(r + 1 + two, rows):
+        y0, n, skip = take(r, pr), 1, 0
+        a00 = y0[c]
+        if r + 2 < rows and c + 1 < cols:
+            a01, skip = y0[c + 1], 1
+            s = next((i for i in range(r + 1, rows)
+                      if a00 * m[i][c + 1] != m[i][c] * a01), 0)
+            if s:
+                y1, n = take(r + 1, s), 2
+                a10, a11, t0, t1 = y1[c], y1[c + 1], y0[c + 2:], y1[c + 2:]
+                if r + 3 < rows and c + 2 < cols:
+                    a02, a12, skip = t0[0], t1[0], 2
+                    b = (a00 * a11 - a01 * a10) // prev
+                    k2 = (a01 * a12 - a02 * a11, a02 * a10 - a00 * a12,
+                          b * prev)
+                    s = next((i for i in range(r + 2, rows)
+                              if sum(map(mul, k2, m[i][c:c + 3]))), 0)
+                    if s:
+                        y2, n = take(r + 2, s), 3
+                        a20, a21, a22 = y2[c:c + 3]
+                        e1 = (a01 * a20 - a00 * a21) // prev
+                        e2 = (a10 * a21 - a11 * a20) // prev
+                        t2 = y2[c + 3:]
+                        y2[c + 2:] = [(b * x + e1 * y + e2 * z) // prev
+                                      for x, y, z in zip(y2[c + 2:], t1, t0)]
+                        # cofactors of P by rows: x.u is det P, row 0 read as x
+                        (u0, u1, u2), (v0, v1, v2), (w0, w1, w2) = (
+                            (a11 * a22 - a12 * a21, a12 * a20 - a10 * a22,
+                             e2 * prev),
+                            (a02 * a21 - a01 * a22, a00 * a22 - a02 * a20,
+                             e1 * prev), k2)
+                        q, t0, t1 = prev * prev, t0[1:], t1[1:]
+                y1[c + 1:] = [(a00 * x - a10 * y) // prev
+                              for x, y in zip(y1[c + 1:], y0[c + 1:])]
+        k = c + n - 1
+        p, top = m[r + n - 1][k], m[r + n - 1][k + 1:]
+        for i in range(r + n, rows):
             mi = m[i]
-            if two and mi[c]:
+            if n > 1 and (mi[c] or n > 2 and mi[c + 1]):  # a multistep
                 if at[i] != prev:
                     mi[c:] = [x * prev // at[i] for x in mi[c:]]
-                x0, x1 = mi[c], mi[c + 1]
-                e1 = (a01 * x0 - a00 * x1) // prev
-                e2 = (a10 * x1 - a11 * x0) // prev
-                mi[c + 2:] = [(p * x + e1 * y + e2 * z) // prev
-                              for x, y, z in zip(mi[c + 2:], t1, t0)]
+                if n == 2:
+                    x0, x1 = mi[c], mi[c + 1]
+                    e1 = (a01 * x0 - a00 * x1) // prev
+                    e2 = (a10 * x1 - a11 * x0) // prev
+                    mi[c + 2:] = [(p * x + e1 * y + e2 * z) // prev
+                                  for x, y, z in zip(mi[c + 2:], t1, t0)]
+                else:
+                    x0, x1, x2 = mi[c:c + 3]
+                    f0 = (x0 * u0 + x1 * u1 + x2 * u2) // q
+                    f1 = (x0 * v0 + x1 * v1 + x2 * v2) // q
+                    f2 = (x0 * w0 + x1 * w1 + x2 * w2) // q
+                    mi[c + 3:] = [(p * x - f0 * u - f1 * v - f2 * w) // prev
+                                  for x, u, v, w in zip(mi[c + 3:], t0, t1,
+                                                        t2)]
                 at[i] = p
             elif f := mi[k]:
                 d, at[i] = at[i], p
                 mi[k + 1:] = [(p * x - f * y) // d
                               for x, y in zip(mi[k + 1:], top)]
         prev = p
-        piv.append(k)
-        c += 1 + wide  # a wide pass pivots on column c + 1 or leaves it 0
+        piv += range(c, k + 1)
+        c += 1 + skip  # a skipped column has no pivot and is zero below
     return piv, sign * prev, m
 
 

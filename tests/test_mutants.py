@@ -66,6 +66,12 @@ fail.  A mutant that no oracle rejects names a gap in the suite.
     `test_argv.test_an_option_valued_dashes_is_refused_as_a_missing_value`.
     argparse then stores [] for "--input=--" up to Python 3.12, which
     `_read` fails on with a TypeError, and passes "--" through on 3.13.
+28. `zlinalg._bareiss` dividing a three-step row's f by prev, not prev^2,
+    29. taking row r + 2 as the third pivot row without a search,
+    30. taking the pivot row y2 after its two-step and 31. the pivot row
+    y1 after its one step: each rejected by `eager_bareiss` through
+    `test_zlinalg.check_bareiss` on `test_zlinalg.three_step_inputs`, by a
+    mismatch or by a division by a zero pivot.
 
 Left out: `_totalize` with the vertical sign on even r.  It is an
 equivalent mutant, as scaling cell (r, s) by (-1)^s maps one sign
@@ -472,6 +478,38 @@ def test_euclid_phase_mutants_are_rejected(monkeypatch, line, replacement):
     monkeypatch.setattr(zlinalg, "_euclid",
                         _edited(zlinalg._euclid, line, replacement))
     assert _chain_misses() > 0
+
+
+def _bareiss_misses():
+    """`test_zlinalg.three_step_inputs` matrices on which `_bareiss` differs
+    from `eager_bareiss` or divides by a zero pivot."""
+    misses = 0
+    for A in test_zlinalg.three_step_inputs():
+        try:
+            test_zlinalg.check_bareiss(A)
+        except (AssertionError, ZeroDivisionError):
+            misses += 1
+    return misses
+
+
+@pytest.mark.parametrize("line, replacement", [
+    ("q, t0, t1 = prev * prev, t0[1:], t1[1:]",
+     "q, t0, t1 = prev, t0[1:], t1[1:]"),
+    ("s = next((i for i in range(r + 2, rows)",
+     "s = r + 2 or next((i for i in range(r + 2, rows)"),
+    ("t2 = y2[c + 3:]",
+     "t2 = [(b * x + e1 * y + e2 * z) // prev"
+     " for x, y, z in zip(y2[c + 3:], t1[1:], t0[1:])]"),
+    ("a10, a11, t0, t1 = y1[c], y1[c + 1], y0[c + 2:], y1[c + 2:]",
+     "a10, a11, t0, t1 = y1[c], y1[c + 1], y0[c + 2:], [(a00 * x - y1[c] * y)"
+     " // prev for x, y in zip(y1[c + 2:], y0[c + 2:])]"),
+], ids=["f-over-prev", "third-pivot-unsearched", "y2-after-its-two-step",
+        "y1-after-its-step"])
+def test_bareiss_mutants_are_rejected(monkeypatch, line, replacement):
+    assert _bareiss_misses() == 0
+    monkeypatch.setattr(test_zlinalg, "_bareiss",
+                        _edited(zlinalg._bareiss, line, replacement))
+    assert _bareiss_misses() > 0
 
 
 def test_rational_reader_taking_non_ascii_digits_is_rejected(monkeypatch):

@@ -12,7 +12,8 @@ into a fresh temporary directory, written `{tmp}` in the argv and in the
 output before it is hashed.  Every case runs `exhom.cli.main` in this
 process with COLUMNS=80.  The blocks:
 
-* `bench-<workload>`: every request of `gen.build(<workload>, 1, groups)`;
+* `bench-<workload>`: every request of `gen.build(<workload>, 1, groups)`,
+  and `bench-<workload>-2` of seed 2 for snf-dense and chain-uct;
 * `closed-form`: e2, betti and filtration for d, d' in {1, 2, 3} with three
   spectra, both formats, `--compare-paper`, and one case at the caps;
 * `argv-corpus`: the fixed corpus `CORPUS` of `tests/test_argv.py`;
@@ -56,6 +57,7 @@ MANIFEST = os.path.join(HERE, "transcripts.json")
 TMP = "{tmp}"
 JSON = "error: invalid JSON: "
 WORKLOADS = {"ss-zigzag": 16, "snf-dense": 12, "chain-uct": 16}  # groups
+BUILDS = [(w, 1) for w in WORKLOADS] + [("snf-dense", 2), ("chain-uct", 2)]
 
 
 def _gen():
@@ -257,12 +259,12 @@ REFUSALS = {
 }
 
 
-def _built(workload):
-    """The `bench-<workload>` block, its cases not yet run."""
+def _built(workload, seed):
+    """The `bench-<workload>` block of the seed, its cases not yet run."""
     with tempfile.TemporaryDirectory() as root:
-        made = _gen().build(workload, 1, WORKLOADS[workload], root)
-    return {"name": f"bench-{workload}",
-            "build": [workload, 1, WORKLOADS[workload]],
+        made = _gen().build(workload, seed, WORKLOADS[workload], root)
+    return {"name": f"bench-{workload}" + (f"-{seed}" if seed > 1 else ""),
+            "build": [workload, seed, WORKLOADS[workload]],
             "input_sha256": made["input_sha256"],
             "cases": [{"argv": [a.replace(root, TMP) for a in r["argv"]]}
                       for r in made["warmup"] + made["requests"]]}
@@ -307,7 +309,7 @@ def _refusals():
 
 
 def regenerate() -> dict:
-    blocks = [*map(_built, WORKLOADS), _closed_form(), _argv_corpus(),
+    blocks = [*(_built(*b) for b in BUILDS), _closed_form(), _argv_corpus(),
               _refusals()]
     for block in blocks:
         with tempfile.TemporaryDirectory() as root:

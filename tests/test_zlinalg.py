@@ -325,12 +325,64 @@ def pivot_rows(A, piv):
     return order[:len(piv)]
 
 
-def check_bareiss(A):
+def traced_bareiss(A, B, seen):
+    """`_bareiss(A, B)`, with `seen` counting the branches it takes.  A line
+    tracer on its frame and on `take`'s reads each branch's condition off
+    the frame's locals as the line that takes it starts."""
+    lines, first = inspect.getsourcelines(_bareiss)
+    text = {first + k: line.strip() for k, line in enumerate(lines)}
+    code = _bareiss.__code__
+    codes = {code, *(c for c in code.co_consts
+                     if inspect.iscode(c) and c.co_name == "take")}
+    lazy = set()  # ids of rows a three-step pass left with a zero lead
+
+    def branch(line, v):
+        if line == "y2, n = take(r + 2, s), 3":
+            seen["third pivot found"] += 1
+            seen["third pivot below r + 2"] += v["s"] > v["r"] + 2
+        elif line == "k = c + n - 1":
+            seen[f"{v['n']}-step pass"] += 1
+            seen["no third pivot"] += v["skip"] == 2 and v["n"] == 2
+            seen["fewer than four rows"] += (v["rows"] - v["r"] < 4
+                                             and v["c"] + 2 < v["cols"])
+        elif line == "x0, x1, x2 = mi[c:c + 3]":
+            seen["three-step row"] += 1
+            seen["lead (0, x1, x2)"] += v["mi"][v["c"]] == 0
+        elif line == "d, at[i] = at[i], p" and v["n"] == 3:
+            seen["lead (0, 0, x2)"] += 1
+        elif line == "e1 = (a01 * x0 - a00 * x1) // prev":
+            seen["two-step row"] += 1
+        elif line == "prev = p" and v["n"] == 3:
+            m, c = v["m"], v["c"]
+            lazy.update(id(m[i]) for i in range(v["r"] + 3, v["rows"])
+                        if not any(m[i][c:c + 3]))
+        elif line == "if at[i] != prev:":
+            row = v["m"][v["i"]]
+            seen["zero lead rescaled"] += (v["at"][v["i"]] != v["prev"]
+                                           and id(row) in lazy)
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in text:
+            branch(text[frame.f_lineno], frame.f_locals)
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_code in codes else None)
+    try:
+        return _bareiss(A, B)
+    finally:
+        sys.settrace(old)
+
+
+def check_bareiss(A, seen=None):
     """(B, piv, minor, m, ys): `_bareiss` on A carrying the columns B, with
     the same pivots and last pivot as `eager_bareiss`, the same pivot rows
-    from their pivot on (B included) and the same `_adjoint_columns` ys."""
+    from their pivot on (B included) and the same `_adjoint_columns` ys;
+    with a Counter `seen`, traced, counting its branches."""
     B = _rhs(A.rows)
-    piv, minor, m = _bareiss(num_rows(A), B)
+    piv, minor, m = (_bareiss(num_rows(A), B) if seen is None
+                     else traced_bareiss(num_rows(A), B, seen))
     piv0, minor0, m0 = eager_bareiss(num_rows(A), B)
     assert (piv, minor) == (piv0, minor0)
     assert ([row[c:] for row, c in zip(m, piv)]
@@ -403,11 +455,67 @@ def two_step_inputs():
 
 
 def test_two_step_bareiss_matches_eager():
-    # two-steps take pivots in pairs, so an odd rank takes a single step
-    ranks = Counter()
+    # ranks of both parities, and passes that take two pivots: no third
+    # pivot row below, or three rows left
+    ranks, seen = Counter(), Counter()
     for A in two_step_inputs():
-        ranks[len(check_bareiss(A)[1]) % 2] += 1
+        ranks[len(check_bareiss(A, seen)[1]) % 2] += 1
     assert ranks[0] >= 30 and ranks[1] >= 30
+    assert seen["2-step pass"] >= 50 and seen["two-step row"] >= 100
+
+
+def three_step_inputs():
+    """Seeded matrices, each built to take one branch of the three-step
+    pass in `_bareiss`, then uniform [-20, 20] matrices of 20-30 rows and
+    products of rank below their size."""
+    rng = random.Random(44)
+
+    def nonzero():
+        return rng.choice((-3, -2, 2, 3))
+
+    for _ in range(30):
+        rows, cols = rng.randint(7, 10), rng.randint(7, 10)
+        base = [[rng.randint(-9, 9) for _ in range(cols)]
+                for _ in range(rows)]
+        base[0][0] = nonzero()
+        later, flat, lead, skipped = ([row[:] for row in base]
+                                      for _ in range(4))
+        f, g = nonzero(), nonzero()
+        # row 2 is f.row 0 + g.row 1 on columns 0-2: the third pivot is
+        # below it
+        later[2][:3] = [f * x + g * y for x, y in zip(base[0], base[1][:3])]
+        # column 2 is f.column 0 + g.column 1: no third pivot, a two-step
+        # pass that skips column 2
+        for row in flat:
+            row[2] = f * row[0] + g * row[1]
+        # the last rows lead (0, x1, x2) and (0, 0, x2)
+        lead[-2][0], lead[-1][:2] = 0, [0, 0]
+        # rows 3-5 are 0 on columns 0-2, so the first pass leaves them as
+        # they are and the next one rescales them to its prev, the third
+        # pivot of the first
+        for row in skipped[3:6]:
+            row[:3] = [0, 0, 0]
+        for m in (later, flat, lead, skipped):
+            yield RatMatrix.from_rows(m, cols)
+        # three rows or fewer: no three-step pass
+        yield RatMatrix.from_rows(base[:rng.randint(2, 3)], cols)
+    for rows in (20, 25, 30):
+        cols = rng.randint(20, 30)
+        yield RatMatrix.from_rows([[rng.randint(-20, 20) for _ in range(cols)]
+                                   for _ in range(rows)], cols)
+    for rows, cols, r in ((20, 24, 13), (24, 20, 17), (24, 20, 8)):
+        yield random_low_rank_matrix(rng, rows, cols, r)
+
+
+def test_three_step_bareiss_matches_eager():
+    seen = Counter()
+    for A in three_step_inputs():
+        check_bareiss(A, seen)
+    # each of the 30 seeded rounds forces every branch at least once
+    assert min(seen[branch] for branch in (
+        "third pivot below r + 2", "no third pivot", "lead (0, x1, x2)",
+        "lead (0, 0, x2)", "zero lead rescaled", "fewer than four rows",
+        "two-step row")) >= 30
 
 
 def test_certificate_accepts_only_the_smith_diagonal():
