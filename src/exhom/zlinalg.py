@@ -30,8 +30,8 @@ Two routes to the Smith diagonal:
   column hold p alone, |p| joins the pivots and both are dropped.  Each
   step is unimodular, so the answer is still the divisor chain, and |p|
   falls each time the pivot moves, so every pivot ends.  The phase stops
-  before it writes an entry over 64 bits (`_EUCLID_BITS`, the minor
-  route's gate), and the rows as they stand take the route below.  `snf`
+  before it writes an entry over 64 bits (`_EUCLID_BITS`), and the rows
+  as they stand take the route below.  `snf`
   does not take it: on snf-dense (seed 1) it took 4.5 -> 10.1 ms a matrix
   (4.0 -> 4.7 with a 32-bit stop), and density does not separate the two
   (0.73-0.98 there, 0.17-1.0 and median 0.50 on chain-uct).
@@ -40,8 +40,11 @@ Two routes to the Smith diagonal:
   zeros.  A three-step fraction-free (Bareiss) pass finds the rank r, the
   pivot columns and a nonzero r x r minor M0 = +-det P, P the pivot block
   (A on the pivot rows and columns), and carries two fixed columns B
-  through the same row operations; back-substitution then gives
-  Y = det(P).P^-1.B' (B' the pivot rows of B).  One elimination,
+  (entry i of column j is (i^2 + (2j+3).i + j + 1) mod 41 - 20) through
+  the same row operations; back-substitution then gives the entries of
+  Y = det(P).P^-1.B' (B' the pivot rows of B) a row at a time, from the
+  last pivot row up, and the running gcd(M0, Y) stops drawing them at 1,
+  which no later entry can lower.  One elimination,
   `_smith_mod(A, M, r)`, diagonalises A modulo M and reads each diagonal
   entry e as gcd(e, M): SNF([A | M.I]) = diag(gcd(d_i, M))
   (Domich-Kannan-Trotter 1987, Hafner-McCurley 1991), so it gives
@@ -58,7 +61,7 @@ Two routes to the Smith diagonal:
     denominator of A^-1.B.  delta divides d_n (d_n.A^-1 is integral), so
     d_1...d_{n-1} divides M, the elimination gives d_1..d_{n-1}, and
     d_n = |det A|/(d_1...d_{n-1}).
-  - A singular or not square with M0 over 64 bits: G = delta'^2, delta' =
+  - Any other A, whatever the size of M0: G = delta'^2, delta' =
     M0 / gcd(M0, Y) the denominator of P^-1.B', when 1 < G < M0.  delta'
     divides d_r(P), and d_r(A) divides d_r(P): the torsion of coker A is a
     quotient of that of coker A[:, pivot columns] (the same rational span,
@@ -71,10 +74,10 @@ Two routes to the Smith diagonal:
     divides D_r = d_1...d_r, which divides M0, and by (b) p divides G, so p
     divides e_r = gcd(d_r, G); by (a) p occurs in G to a higher power than
     in e_r, so v_p(e_r) = v_p(d_r) < v_p(G), hence v_p(e_i) = v_p(d_i) for
-    every i.  Any other outcome takes M = M0.
-  - Otherwise M = M0, a multiple of d_1...d_r.
+    every i.  Any other outcome takes M = M0, a multiple of d_1...d_r.
   B sets how small the modulus is, never the answer: M is 1 or a few bits
-  on most random square A (Eberly-Giesbrecht-Villard 2000).
+  on most random square A (Eberly-Giesbrecht-Villard 2000), and at M = 1
+  most of Y is never built.
   The Bareiss pass takes steps k, k+1 and k+2 in one update where it can
   (Bareiss 1968; by Sylvester's identity each quotient is a minor of A),
   and steps k and k+1 where no third pivot follows.  It leaves a row with
@@ -95,7 +98,7 @@ Two routes to the Smith diagonal:
 """
 
 from _operator import mul
-from math import gcd
+from math import gcd, prod
 
 from ._record import Record
 from .qlinalg import RatMatrix
@@ -248,34 +251,29 @@ def _bareiss(A: list[list[int]],
     return piv, sign * prev, m
 
 
-# one period of the fixed columns B: entry i of column j is
-# (i^2 + (2j+3).i + j + 1) mod 41 - 20, which repeats every 41 rows
-_B = tuple(tuple((i * i + (2 * j + 3) * i + j + 1) % 41 - 20
-                 for i in range(41)) for j in range(2))
+def _rhs(n: int) -> list[list[int]]:
+    """The two fixed columns B of length n that `invariant_factors` solves:
+    entry i of column j is (i^2 + (2j+3).i + j + 1) mod 41 - 20."""
+    return [[(i * i + (2 * j + 3) * i + j + 1) % 41 - 20 for i in range(n)]
+            for j in range(2)]
 
 
-def _rhs(n: int) -> list[tuple[int, ...]]:
-    """The two fixed columns B of length n that `invariant_factors` solves."""
-    return [(b * (n // 41 + 1))[:n] for b in _B]
-
-
-def _adjoint_columns(m: list[list[int]], piv: list[int],
-                     cols: int) -> list[int]:
-    """p.P^-1.b for every extra column b `_bareiss` carried past the `cols`
-    columns of A, on the pivot rows of b, P the nonsingular r x r block of
-    A on its pivot rows and columns `piv` (r > 0) and p = +-det P its last
-    pivot: O(r^2) each, divisions exact (p.P^-1 is +-adj P), all in one
-    list."""
+def _adjoint_columns(m: list[list[int]], piv: list[int], cols: int):
+    """The entries of p.P^-1.b for every extra column b `_bareiss` carried
+    past the `cols` columns of A, on the pivot rows of b, P the nonsingular
+    r x r block of A on its pivot rows and columns `piv` (r > 0) and
+    p = +-det P its last pivot: O(r^2) each, divisions exact (p.P^-1 is
+    +-adj P).  A generator: back-substitution runs on every column at once,
+    from the last pivot row up, and yields each row's entries as it finds
+    them, so a caller that stops drawing skips the rest."""
     r = len(piv)
     u = [[row[j] for j in piv] + row[cols:] for row in m[:r]]
-    p, ys = u[r - 1][r - 1], []
-    for c in range(r, len(u[0])):
-        y = [0] * r
-        for i in reversed(range(r)):
+    p, ys = u[r - 1][r - 1], [[0] * r for _ in u[0][r:]]
+    for i in reversed(range(r)):
+        for c, y in enumerate(ys, r):
             s = sum(map(mul, u[i][i + 1:r], y[i + 1:]))
             y[i] = (p * u[i][c] - s) // u[i][i]
-        ys += y
-    return ys
+            yield y[i]
 
 
 def _divisor_chain(xs: list[int]) -> list[int]:
@@ -517,17 +515,16 @@ def _chain_factors(A: RatMatrix, euclid: bool = True) -> tuple[int, ...]:
         rows, cols = len(A), len(A[0])
         piv, minor, low = _bareiss(A, _rhs(rows))
         r, M0 = len(piv), abs(minor)
-        square = 0 < r == rows == cols
-        solve = square or M0.bit_length() > 64
-        M = gcd(M0, *(_adjoint_columns(low, piv, cols) if solve else ()))
-        if square:
+        M = M0
+        for y in _adjoint_columns(low, piv, cols):
+            if (M := gcd(M, y)) == 1:
+                break  # no later entry can lower it
+        if r == rows == cols:
             # mod |det|/delta only d_1..d_{n-1} are exact; |det| gives d_n
             chain = _smith_mod(A, M, r)
-            chain[-1] = M0
-            for d in chain[:-1]:
-                chain[-1] //= d
+            chain[-1] = M0 // prod(chain[:-1])
         else:
-            G = (M0 // M) ** 2  # delta'^2, 1 when nothing was solved
+            G = (M0 // M) ** 2  # delta'^2
             chain = (1 < G < M0 and _certified(A, G, M0, r)
                      or _smith_mod(A, M0, r))
     chain = _divisor_chain(sorted(pivots + chain))

@@ -72,6 +72,17 @@ fail.  A mutant that no oracle rejects names a gap in the suite.
     y1 after its one step: each rejected by `eager_bareiss` through
     `test_zlinalg.check_bareiss` on `test_zlinalg.three_step_inputs`, by a
     mismatch or by a division by a zero pivot.
+32. `zlinalg._chain_factors` solving against B only for a nonsingular
+    square block or a minor over 64 bits, the gate the one modulus rule
+    dropped: rejected by the route counts of
+    `test_zlinalg.small_minor_routes`, as every small-minor block falls
+    back to M0.
+33. `zlinalg._chain_factors` without the `break` at gcd(M0, Y) = 1:
+    rejected by the draw counts of `test_zlinalg.adjoint_draws`, as every
+    block draws all of Y.
+    Both leave every answer unchanged (the modulus only sets how much
+    work the elimination does), so only the route and count tests reject
+    them.
 
 Left out: `_totalize` with the vertical sign on even r.  It is an
 equivalent mutant, as scaling cell (r, s) by (-1)^s maps one sign
@@ -510,6 +521,37 @@ def test_bareiss_mutants_are_rejected(monkeypatch, line, replacement):
     monkeypatch.setattr(test_zlinalg, "_bareiss",
                         _edited(zlinalg._bareiss, line, replacement))
     assert _bareiss_misses() > 0
+
+
+def test_a_solve_gated_at_64_bits_is_rejected(monkeypatch):
+    """An equivalent mutant for the answers: only the route counts of
+    `small_minor_routes` reject it."""
+    traced = test_zlinalg.route_tracer(monkeypatch)
+    routes = test_zlinalg.SMALL_MINOR_ROUTES
+    assert test_zlinalg.small_minor_routes(traced) == routes
+    monkeypatch.setattr(zlinalg, "_chain_factors", _edited(
+        zlinalg._chain_factors,
+        "for y in _adjoint_columns(low, piv, cols):",
+        "for y in (_adjoint_columns(low, piv, cols) if r == rows == cols"
+        " or M0.bit_length() > 64 else ()):"))
+    assert test_zlinalg.small_minor_routes(traced) == {
+        "minor": sum(routes.values())}
+
+
+def test_a_solve_without_its_early_stop_is_rejected(monkeypatch):
+    """An equivalent mutant for the answers and the modulus: only the draw
+    counts of `adjoint_draws` reject it."""
+    draws = test_zlinalg.adjoint_draws(monkeypatch)
+
+    def early_stops():
+        return sum(drawn < r for drawn, r, full, M in draws()
+                   if full == M == 1)
+
+    assert early_stops() >= 15
+    monkeypatch.setattr(zlinalg, "_chain_factors", _edited(
+        zlinalg._chain_factors, "break  # no later entry can lower it",
+        "pass"))
+    assert early_stops() == 0
 
 
 def test_rational_reader_taking_non_ascii_digits_is_rejected(monkeypatch):

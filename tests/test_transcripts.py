@@ -17,6 +17,10 @@ process with COLUMNS=80.  The blocks:
 * `closed-form`: e2, betti and filtration for d, d' in {1, 2, 3} with three
   spectra, both formats, `--compare-paper`, and one case at the caps;
 * `argv-corpus`: the fixed corpus `CORPUS` of `tests/test_argv.py`;
+* `conftest-built`: zigzag double complexes of `tests/conftest.py` with
+  "p/q" entries through `ss --pages` on both axes and `oppose` in every
+  degree, and chain complexes whose one differential is a dense uniform
+  [-20, 20] block, which the Euclid phase of the Smith split gives up on;
 * `refusals`: one case per read or refusal message of the documents and
   the commands.
 
@@ -46,6 +50,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 
@@ -298,6 +303,33 @@ def _argv_corpus():
                       for argv in test_argv.CORPUS]}
 
 
+def _conftest_built():
+    sys.path.insert(0, HERE)
+    import conftest
+    documents, cases = {}, []
+    rng = random.Random(45)
+    for k in range(4):
+        K, _ = conftest.random_zigzag_double_complex(rng, grid=3, pieces=10)
+        if k % 2:
+            K = conftest.rescale_cells(K, rng)  # a denominator per cell
+        documents[name := f"zigzag-{k}.json"] = {
+            "json": json.loads(conftest.serialize_double_complex(K))}
+        cases += [["ss", "--input", f"{TMP}/{name}", "--axis", axis,
+                   "--pages"] for axis in ("col", "row")]
+        cases += [["oppose", "--input", f"{TMP}/{name}", "--n", str(n)]
+                  for n in range(K.max_r + K.max_c + 1)]
+    for rows, cols in ((24, 28), (28, 24)):
+        A = _gen().uniform_matrix(rng, max(rows, cols))
+        documents[name := f"dense-{rows}x{cols}.json"] = {"json": {
+            "dims": {"0": rows, "1": cols},
+            "differentials": {"1": [row[:cols] for row in A[:rows]]}}}
+        cases += [["uct", "--input", f"{TMP}/{name}", "--mod", str(p)]
+                  for p in (2, 3, 5)]
+    assert any("/" in json.dumps(d) for d in documents.values())
+    return {"name": "conftest-built", "documents": documents,
+            "cases": [{"argv": a} for a in cases]}
+
+
 def _refusals():
     documents, cases = {}, []
     for name, (doc, argv) in REFUSALS.items():
@@ -310,7 +342,7 @@ def _refusals():
 
 def regenerate() -> dict:
     blocks = [*(_built(*b) for b in BUILDS), _closed_form(), _argv_corpus(),
-              _refusals()]
+              _conftest_built(), _refusals()]
     for block in blocks:
         with tempfile.TemporaryDirectory() as root:
             assert _write(block, root) == []

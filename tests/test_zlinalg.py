@@ -387,8 +387,8 @@ def check_bareiss(A, seen=None):
     assert (piv, minor) == (piv0, minor0)
     assert ([row[c:] for row, c in zip(m, piv)]
             == [row[c:] for row, c in zip(m0, piv)])
-    ys = _adjoint_columns(m, piv, A.cols) if piv else []
-    assert ys == (_adjoint_columns(m0, piv, A.cols) if piv else [])
+    ys = list(_adjoint_columns(m, piv, A.cols)) if piv else []
+    assert ys == (list(_adjoint_columns(m0, piv, A.cols)) if piv else [])
     return B, piv, minor, m, ys
 
 
@@ -400,12 +400,13 @@ def test_lazy_bareiss_matches_eager():
         if not r:
             continue
         shapes["full" if r == A.rows == A.cols else "other"] += 1
-        # Y = p.P^-1.B' on the pivot block: P.Y = p.B', p = +-det P
+        # Y = p.P^-1.B' on the pivot block: P.Y = p.B', p = +-det P; Y
+        # comes a row at a time, both columns, from its last pivot row up
         rows, p = pivot_rows(A, piv), m[r - 1][piv[-1]]
         a = num_rows(A)
         assert abs(p) == abs(minor) == abs(determinant(RatMatrix.from_rows(
             [[a[i][j] for j in piv] for i in rows], r)))
-        for b, y in zip(B, (ys[:r], ys[r:])):
+        for b, y in zip(B, (ys[-2::-2], ys[::-2])):
             assert [sum(a[i][j] * x for j, x in zip(piv, y))
                     for i in rows] == [p * b[i] for i in rows]
     assert shapes["full"] >= 40 and shapes["other"] >= 100
@@ -695,12 +696,12 @@ def planted_inputs():
                     break
 
 
-@pytest.fixture
-def traced(monkeypatch):
+def route_tracer(monkeypatch):
     """`traced(A)`: invariant_factors(A) and the route it took, read from
     the moduli a spy on `_smith_mod` sees: M0 alone (minor), M0 after
     another modulus (fallback) or no M0 (certified).  M0 is the minor of the
-    matrix the spy is given, what is left of A after the pivot split."""
+    matrix the spy is given, what is left of A after the pivot split.  The
+    moduli of the last call are `traced.moduli`."""
     calls, seen = [], []
     smith_mod = zlinalg._smith_mod
 
@@ -719,7 +720,13 @@ def traced(monkeypatch):
         return factors, "fallback" if calls[-1] == M0 else "certified"
 
     monkeypatch.setattr(zlinalg, "_smith_mod", spy)
+    traced.moduli = calls
     return traced
+
+
+@pytest.fixture
+def traced(monkeypatch):
+    return route_tracer(monkeypatch)
 
 
 def test_invariant_factors_planted_known_answers(traced, tmp_path, capsys):
@@ -743,14 +750,100 @@ def test_invariant_factors_minor_route_when_delta_is_one(traced,
     monkeypatch.setattr(zlinalg, "_rhs", lambda n: [[0] * n, [0] * n])
     for A, t in planted_inputs():
         assert traced(A) == (t, "minor")
-    # a minor of at most 64 bits is the modulus whatever B gives, also
-    # where 1 < G < M0: nothing splits off [[3, 0, 2], [0, 9, 4]], M0 = 27
-    # and G = 9; 6 splits off [[6, 0, 0], [0, 10, 4]], leaving M0 = 10
+    # one rule for every block but a nonsingular square, at any size of
+    # minor: nothing splits off [[3, 0, 2], [0, 9, 4]], M0 = 27, and it
+    # certifies mod G = 9; 6 splits off [[6, 0, 0], [0, 10, 4]], leaving
+    # [[10, 4]], M0 = 10, whose G = 100 > M0 keeps it on M0
     monkeypatch.setattr(zlinalg, "_rhs", _rhs)
     assert traced(RatMatrix.from_rows([[3, 0, 2], [0, 9, 4]])) == (
-        (1, 3), "minor")
+        (1, 3), "certified")
+    assert traced.moduli == [9]
     assert traced(RatMatrix.from_rows([[6, 0, 0], [0, 10, 4]])) == (
         (2, 6), "minor")
+    assert traced.moduli == [10]
+
+
+def small_minor_inputs():
+    """12 seeded singular planted matrices for which the block S the pivot
+    split leaves has a minor M0 of at most 64 bits, n x n and n x n +- 4
+    rows for n = 24, 28, 32, 36, with their Smith diagonals t: the first
+    of each shape the seed gives.  Until every block that is not a
+    nonsingular square took the delta'^2 rule, such a block was eliminated
+    mod M0."""
+    rng = random.Random(33)
+    for n in (24, 28, 32, 36):
+        for rows in (n, n + 4, n - 4):
+            while True:
+                A, t = planted_int_matrix(rng, rows, n)
+                S = zlinalg._split_pivots(A)[1]
+                if S and abs(_bareiss(S)[1]).bit_length() <= 64:
+                    yield A, t
+                    break
+
+
+SMALL_MINOR_ROUTES = {"certified": 11, "minor": 1}
+
+
+def small_minor_routes(traced):
+    """The routes `small_minor_inputs` take, each giving its known t."""
+    seen = Counter()
+    for A, t in small_minor_inputs():
+        factors, route = traced(A)
+        assert factors == t
+        seen[route] += 1
+    return seen
+
+
+def test_small_minors_take_the_delta_prime_square_rule(traced):
+    # the one rule pinned by the route counts: a minor of at most 64 bits
+    # takes G = delta'^2 when 1 < G < M0, as a wider one does; the one
+    # block left on M0 has G >= M0
+    assert small_minor_routes(traced) == SMALL_MINOR_ROUTES
+
+
+def adjoint_draws(monkeypatch):
+    """`draws()`: for each block `invariant_factors` solves on seeded
+    uniform [-20, 20] square matrices of 12-40 rows, (entries drawn from
+    `_adjoint_columns`, the rank r, gcd(M0, every entry), the modulus the
+    square route hands `_smith_mod`), read by spies on both."""
+    adjoint, smith_mod, log = zlinalg._adjoint_columns, zlinalg._smith_mod, []
+
+    def counted(m, piv, cols):
+        r = len(piv)
+        log.append([0, r, gcd(m[r - 1][piv[-1]], *adjoint(m, piv, cols)),
+                    None])
+        for y in adjoint(m, piv, cols):
+            log[-1][0] += 1
+            yield y
+
+    def spy(A, M, r):
+        if log[-1][3] is None:
+            log[-1][3] = M
+        return smith_mod(A, M, r)
+
+    def draws():
+        log.clear()
+        rng = random.Random(34)
+        for n in range(12, 41, 2):
+            for _ in range(2):
+                invariant_factors(RatMatrix.from_rows(
+                    [[rng.randint(-20, 20) for _ in range(n)]
+                     for _ in range(n)], n))
+        return [tuple(entry) for entry in log]
+
+    monkeypatch.setattr(zlinalg, "_adjoint_columns", counted)
+    monkeypatch.setattr(zlinalg, "_smith_mod", spy)
+    return draws
+
+
+def test_the_modulus_solve_stops_drawing_at_gcd_one(monkeypatch):
+    # the early stop: the running gcd(M0, Y) equals the gcd over all of Y
+    # on every block, and at 1 fewer than r entries of Y are drawn
+    draws = adjoint_draws(monkeypatch)()
+    assert all(M == full for _, _, full, M in draws)
+    ones = [(drawn, r) for drawn, r, full, _ in draws if full == 1]
+    assert all(drawn < r for drawn, r in ones)
+    assert len(ones) >= len(draws) // 2 and len(draws) == 30
 
 
 def test_invariant_factors_fallback_when_the_certificate_fails(traced,
